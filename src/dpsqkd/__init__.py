@@ -12,7 +12,7 @@ weak-coherent-state variants.
 from .attacks import (AttackProfile, CloningResult, MedResult, Povm,
                       UnitaryClonerParams, aligned_cloning_basis, apply_choi,
                       apply_unitary_cloner, collision_probability,
-                      depolarizing_fit, intercept_fraction, ir_attack_profile,
+                      depolarizing_fit, ir_attack_profile,
                       med_attack, med_on_cloned, optimal_cloner,
                       optimize_unitary_q, pgm_povm, standard_attack_profiles)
 from .dps import (BerReport, ClickDistribution, DpsEnsemble, MziModel,

@@ -487,15 +487,6 @@ def med_on_cloned(eve_states: Sequence[np.ndarray], priors: Sequence[float],
                       options=options)
 
 
-def intercept_fraction(p_error_per_intercept: float, e_b: float) -> float:
-    """Largest interceptable fraction hiding inside error rate ``e_b``."""
-    if p_error_per_intercept <= 0.0 or p_error_per_intercept > 1.0:
-        raise ValueError("error per intercept must lie in (0, 1]")
-    if e_b < 0.0:
-        raise ValueError("error rate must be non-negative")
-    return min(e_b / p_error_per_intercept, 1.0)
-
-
 IR_ERROR = 1.0 / 3.0
 IR_COLLISION = 0.75
 
@@ -593,16 +584,20 @@ def _complex_matrix_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def med_result_json(result: MedResult) -> str:
-    """Regression-friendly JSON snapshot of a discrimination result."""
-    doc = {
+def med_result_doc(result: MedResult) -> dict:
+    """Plain-data report of a discrimination result: figures, confusion, POVM, KKT."""
+    return {
         "p_success": result.p_success,
         "collision_probability": result.collision_probability,
         "confusion": [[float(v) for v in row] for row in result.confusion],
         "povm": [_complex_matrix_json(el) for el in result.povm.elements],
         "kkt_passed": result.kkt.passed,
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def med_result_json(result: MedResult) -> str:
+    """Regression-friendly JSON snapshot of a discrimination result."""
+    return json.dumps(med_result_doc(result), sort_keys=True)
 
 
 def cloning_result_json(result: CloningResult) -> str:

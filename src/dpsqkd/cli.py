@@ -153,12 +153,18 @@ def _finite_size(spec: str | None) -> FiniteSizeParams | None:
         if "=" not in part:
             raise ConfigError(f"finite-size spec needs n=..,k=..,eps=.. (got {part!r})")
         key, _, value = part.partition("=")
-        fields[key.strip()] = float(value)
+        try:
+            fields[key.strip()] = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"finite-size value for {key.strip()!r} is not a number") from exc
     missing = {"n", "k", "eps"} - set(fields)
     if missing:
         raise ConfigError(f"finite-size spec is missing {sorted(missing)}")
-    return FiniteSizeParams(n_key=int(fields["n"]), k_pe=int(fields["k"]),
-                            eps_prime=fields["eps"])
+    try:
+        return FiniteSizeParams(n_key=int(fields["n"]), k_pe=int(fields["k"]),
+                                eps_prime=fields["eps"])
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +176,7 @@ def _cmd_med(args: argparse.Namespace, out) -> int:
         raise ConfigError("pulse count for med must lie in [3, 6]")
     ens = dps_ensemble(args.n)
     result = attacks.med_attack(ens)
-    doc = {
-        "config": {"command": "med", "n": args.n},
-        "p_success": result.p_success,
-        "collision_probability": result.collision_probability,
-        "confusion": [[float(v) for v in row] for row in result.confusion],
-        "povm": [attacks._complex_matrix_json(el) for el in result.povm.elements],
-        "kkt_passed": result.kkt.passed,
-    }
+    doc = {"config": {"command": "med", "n": args.n}, **attacks.med_result_doc(result)}
     if args.format == "json":
         _emit_json(doc, out)
     else:
@@ -263,8 +262,11 @@ def _cmd_keyrate(args: argparse.Namespace, out) -> int:
     selected = [profiles[name] for name in wanted if name in profiles]
     include_bounds = bool({"lower-bound", "unconditional"} & set(wanted))
     fs = _finite_size(args.finite_size)
-    rows = keyrate_sweep(model, selected, _distances(args), finite_size=fs,
-                         include_bounds=include_bounds)
+    try:
+        rows = keyrate_sweep(model, selected, _distances(args), finite_size=fs,
+                             include_bounds=include_bounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     config = {"command": "keyrate", **resolved,
               "attacks": ",".join(wanted),
               "start_km": args.start_km, "stop_km": args.stop_km,

@@ -49,6 +49,10 @@ class ChannelModel:
             raise ValueError("error correction inefficiency must be >= 1")
         if self.n_pulses < 3:
             raise ValueError("DPS needs at least 3 pulses")
+        if not self.loss_db_per_km >= 0.0:
+            raise ValueError("fibre loss must be non-negative")
+        if not self.distance_km >= 0.0:
+            raise ValueError("distance must be non-negative")
 
     def at_distance(self, distance_km: float) -> "ChannelModel":
         return replace(self, distance_km=distance_km)
@@ -102,10 +106,15 @@ def shrinking_factor(attacked_fraction: float, p_co: float) -> float:
     return -g * math.log2(p_co) + (1.0 - g)
 
 
+def _collision_bound(e_b: float) -> float:
+    """Right-hand side of the collision bound behind :func:`tau_lower_bound`."""
+    return 1.0 - e_b ** 2 - (1.0 - 6.0 * e_b) ** 2 / 2.0
+
+
 def tau_lower_bound(e_b: float) -> float:
     """Shrinking factor implied by the general-individual-attack collision bound
     p_co <= 1 - e_b**2 - (1 - 6 e_b)**2 / 2."""
-    p_co = 1.0 - e_b ** 2 - (1.0 - 6.0 * e_b) ** 2 / 2.0
+    p_co = _collision_bound(e_b)
     if p_co <= 0.0:
         raise ValueError(f"collision bound is non-positive at e_b={e_b}")
     return -math.log2(min(p_co, 1.0))
@@ -117,9 +126,7 @@ def _tau_lower_clamped(e_b: float) -> float:
     The raw bound dips below the physical floor p_co >= 1/2 for large error
     rates; sweeps clamp it so tau stays in [0, 1] at every distance.
     """
-    p_co = 1.0 - e_b ** 2 - (1.0 - 6.0 * e_b) ** 2 / 2.0
-    p_co = min(max(p_co, 0.5), 1.0)
-    return -math.log2(p_co)
+    return -math.log2(min(max(_collision_bound(e_b), 0.5), 1.0))
 
 
 def secure_key_rate(model: ChannelModel, tau: float, e_b: float) -> float:
@@ -205,6 +212,9 @@ def finite_size_deviation(fs: FiniteSizeParams, e_obs: float) -> float:
     c = math.exp(1.0 / (8.0 * (n + k)) + 1.0 / (12.0 * k)
                  - 1.0 / (12.0 * k * e + 1.0) - 1.0 / (12.0 * k * (1.0 - e) + 1.0))
     log_arg = math.sqrt(n + k) * c / (math.sqrt(2.0 * math.pi * n * k * e * (1.0 - e)) * eps)
+    if log_arg <= 1.0:
+        raise ValueError(f"finite-size deviation is undefined: log argument {log_arg:.6g} <= 1 "
+                         f"(eps={eps:g} is too loose for n={fs.n_key}, k={fs.k_pe}, e_obs={e:g})")
     return math.sqrt(2.0 * (n + k) * e * (1.0 - e) / (k * n) * math.log(log_arg))
 
 

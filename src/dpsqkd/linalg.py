@@ -17,7 +17,6 @@ which covers everything this package touches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,8 +24,6 @@ import numpy as np
 ATOL_ALGEBRA = 1e-12
 ATOL_TRACE = 1e-10
 ATOL_PSD = 1e-9
-
-_JACOBI_MAX_SWEEPS = 60
 
 
 def ket(amplitudes: Sequence[complex]) -> np.ndarray:
@@ -126,60 +123,19 @@ class SpectralDecomposition:
 
 
 def eig_hermitian(h: np.ndarray, atol: float = 1e-9) -> SpectralDecomposition:
-    """Diagonalise a Hermitian operator by cyclic Jacobi rotations.
+    """Diagonalise a Hermitian operator with LAPACK (``numpy.linalg.eigh``).
 
-    Each sweep annihilates every off-diagonal element once with a complex
-    plane rotation; the method converges unconditionally for the dimensions
-    (<= 64) this package works at.  Raises ``ValueError`` when the input is
-    not Hermitian within ``atol``.
+    Eigenvalues come back in descending order with orthonormal eigenvector
+    columns.  Raises ``ValueError`` when the input is not square or not
+    Hermitian within ``atol``.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("eig_hermitian expects a square operator")
     if not is_hermitian(h, atol=atol):
         raise ValueError("input is not Hermitian within tolerance")
-
-    d = h.shape[0]
-    a = (h + dagger(h)) / 2.0
-    v = np.eye(d, dtype=complex)
-    if d == 1:
-        return SpectralDecomposition(np.array([a[0, 0].real]), v)
-
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(np.triu(a, 1)))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                h_pq = a[p, q]
-                mag = abs(h_pq)
-                if mag <= 1e-18 * scale:
-                    continue
-                phase = h_pq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + hypot(1.0, tau))
-                c = 1.0 / hypot(1.0, t)
-                s = t * c
-                # unitary rotation G: G[p,p]=c, G[p,q]=s*phase,
-                # G[q,p]=-s*conj(phase), G[q,q]=c;  a <- G^dag a G, v <- v G
-                row_p = c * a[p, :] - s * phase * a[q, :]
-                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                col_p = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = c * v[:, p] - s * np.conj(phase) * v[:, q]
-                vcol_q = s * phase * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vcol_p, vcol_q
-    else:
-        raise ArithmeticError("Jacobi sweeps did not converge")
-
-    eigs = np.real(np.diag(a))
-    order = np.argsort(-eigs, kind="stable")
-    return SpectralDecomposition(eigs[order], v[:, order])
+    eigs, v = np.linalg.eigh((h + dagger(h)) / 2.0)
+    return SpectralDecomposition(eigs[::-1], v[:, ::-1])
 
 
 def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:

@@ -17,18 +17,20 @@ vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled real and
 imaginary off-diagonal parts), which preserves inner products.  The solver
 follows the central path with Nesterov-Todd scaling: one Newton step per
 iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
-fraction-to-boundary rule.  A Mehrotra-style predictor-corrector is
-available behind an option flag and is off by default so that runs are
-reproducible bit for bit.
+fraction-to-boundary rule.  Runs are reproducible bit for bit.
 
-Sizes here are tiny (block dimensions <= 32, a handful of constraints), so
-all linear algebra is dense and the Schur complement is formed explicitly.
+The NT operator X -> W X W is applied, never stored: the Schur complement
+is assembled as M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> (Todd, Toh &
+Tutuncu, SIAM J. Optim. 8, 1998), so a d x d block costs O(m d^3) time per
+iteration, where a stored d^2 x d^2 operator would cost O(d^6).  The
+constraint count m is small, so all linear algebra is dense.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,11 +61,23 @@ class InfeasibleConstraintsError(SdpError):
 _SQRT2 = np.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict upper-triangle indices of a d x d matrix, shared and read-only.
+
+    svec and smat run per block on every solver iteration; rebuilding the
+    indices each time dominates the cost of small blocks.
+    """
+    iu, ju = np.triu_indices(d, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def svec(h: np.ndarray) -> np.ndarray:
     """Real vector of length d**2 representing a Hermitian d x d operator."""
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _upper(d)
     return np.concatenate([
         np.real(np.diag(h)),
         _SQRT2 * np.real(h[iu, ju]),
@@ -74,7 +88,7 @@ def svec(h: np.ndarray) -> np.ndarray:
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`svec`."""
     v = np.asarray(v, dtype=float)
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _upper(d)
     k = iu.size
     h = np.zeros((d, d), dtype=complex)
     h[np.arange(d), np.arange(d)] = v[:d]
@@ -87,7 +101,7 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 def _svec_stack(stack: np.ndarray) -> np.ndarray:
     """Apply svec to a stack of Hermitian matrices, shape (k, d, d) -> (k, d**2)."""
     k, d, _ = stack.shape
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _upper(d)
     return np.concatenate([
         np.real(stack[:, np.arange(d), np.arange(d)]),
         _SQRT2 * np.real(stack[:, iu, ju]),
@@ -95,20 +109,12 @@ def _svec_stack(stack: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def _congruence_stack(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """W @ E_k @ W for every matrix in a stack, via two large GEMMs."""
-    k, d, _ = stack.shape
-    right = (stack.reshape(k * d, d) @ w).reshape(k, d, d)
-    r2 = right.transpose(1, 0, 2).reshape(d, k * d)
-    return (w @ r2).reshape(d, k, d).transpose(1, 0, 2)
-
-
 def _hermitian_basis(d: int) -> np.ndarray:
     """Stack of d**2 Hermitian basis matrices matching the svec ordering."""
     out = np.zeros((d * d, d, d), dtype=complex)
     for i in range(d):
         out[i, i, i] = 1.0
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _upper(d)
     k = iu.size
     for idx in range(k):
         i, j = iu[idx], ju[idx]
@@ -210,7 +216,6 @@ class SolveOptions:
     feas_tol: float = 1e-9
     max_iterations: int = 200
     step_fraction: float = 0.98
-    predictor_corrector: bool = False
     trace_path: str | None = None
 
 
@@ -291,7 +296,10 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     b = problem._rhs()
     c = problem._objective_vector()
     m = amat.shape[0]
-    bases = {d: _hermitian_basis(d) for d in set(dims.values())}
+    ops = {n: np.zeros((m, dims[n], dims[n]), dtype=complex) for n in names}
+    for j, (coeffs, _) in enumerate(problem.constraints):
+        for n, op in coeffs.items():
+            ops[n][j] = op
 
     r_inf = float(np.max(np.abs(b))) if m else 0.0
     x = {n: np.eye(dims[n], dtype=complex) * (1.0 + r_inf) for n in names}
@@ -344,74 +352,34 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             status = None
             break
 
-        # NT scaling and its svec representation per block
         w = {n: _nt_scaling(x[n], z[n]) for n in names}
-        tmaps = {}
-        for n in names:
-            d = dims[n]
-            conj = _congruence_stack(w[n], bases[d])
-            tmaps[n] = _svec_stack(conj).T  # column k = svec(W E_k W)
 
         def apply_t(vec: np.ndarray) -> np.ndarray:
+            """svec(W X W) per block, for X = smat(vec)."""
             out = np.zeros_like(vec)
             for n in names:
                 pos, d = offs[n]
-                out[pos:pos + d * d] = tmaps[n] @ vec[pos:pos + d * d]
+                out[pos:pos + d * d] = svec(w[n] @ smat(vec[pos:pos + d * d], d) @ w[n])
             return out
 
+        sigma = float(np.clip((1.0 - alpha_prev) ** 2, 0.05, 0.8))
+        rcv = pack({n: sigma * mu * np.linalg.inv(z[n]) - x[n] for n in names})
         if m:
-            at = np.stack([apply_t(amat[j]) for j in range(m)])
-            schur = at @ amat.T
+            schur = sum(amat[:, offs[n][0]:offs[n][0] + dims[n] ** 2]
+                        @ _svec_stack(w[n] @ ops[n] @ w[n]).T for n in names)
             schur = (schur + schur.T) / 2
             ls = _chol(schur + 1e-14 * np.eye(m), "Schur complement")
-
-        def solve_schur(rhs: np.ndarray) -> np.ndarray:
-            t = np.linalg.solve(ls, rhs)
-            return np.linalg.solve(ls.T, t)
-
-        def newton(sigma_mu: float, corrector: dict[str, np.ndarray] | None):
-            rc = {}
-            for n in names:
-                zi = np.linalg.inv(z[n])
-                rcn = sigma_mu * zi - x[n]
-                if corrector is not None:
-                    rcn = rcn - corrector[n]
-                rc[n] = rcn
-            rcv = pack(rc)
-            if m:
-                rhs = amat @ rcv + amat @ apply_t(rd) - rp
-                dy = solve_schur(rhs)
-            else:
-                dy = np.zeros(0)
-            dzv = (amat.T @ dy if m else 0.0) - rd
-            dxv = rcv - apply_t(dzv)
-            return unpack(dxv), dy, unpack(dzv)
-
-        def step_lengths(dx, dz):
-            ap = min(1.0, min((opts.step_fraction * _max_step(x[n], dx[n]) for n in names),
-                              default=1.0))
-            ad = min(1.0, min((opts.step_fraction * _max_step(z[n], dz[n]) for n in names),
-                              default=1.0))
-            return ap, ad
-
-        if opts.predictor_corrector:
-            dx_a, dy_a, dz_a = newton(0.0, None)
-            ap_a, ad_a = step_lengths(dx_a, dz_a)
-            mu_aff = sum(
-                np.real(np.trace((x[n] + ap_a * dx_a[n]) @ (z[n] + ad_a * dz_a[n])))
-                for n in names) / total_dim
-            sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu)) ** 3)
-            corr = {}
-            for n in names:
-                zi = np.linalg.inv(z[n])
-                t = dx_a[n] @ zi @ dz_a[n]
-                corr[n] = (t + dagger(t)) / 2
-            dx, dy, dz = newton(sigma * mu, corr)
+            rhs = amat @ rcv + amat @ apply_t(rd) - rp
+            dy = np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
         else:
-            sigma = float(np.clip((1.0 - alpha_prev) ** 2, 0.05, 0.8))
-            dx, dy, dz = newton(sigma * mu, None)
+            dy = np.zeros(0)
+        dzv = (amat.T @ dy if m else 0.0) - rd
+        dx, dz = unpack(rcv - apply_t(dzv)), unpack(dzv)
 
-        alpha_p, alpha_d = step_lengths(dx, dz)
+        alpha_p = min(1.0, min((opts.step_fraction * _max_step(x[n], dx[n]) for n in names),
+                               default=1.0))
+        alpha_d = min(1.0, min((opts.step_fraction * _max_step(z[n], dz[n]) for n in names),
+                               default=1.0))
         if max(alpha_p, alpha_d) < 1e-10:
             raise NumericalBreakdownError("step lengths collapsed")
         alpha_prev = min(alpha_p, alpha_d)

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dpsqkd import sdp
 from dpsqkd.attacks import (UnitaryClonerParams, aligned_cloning_basis,
                             cloning_result_json,
                             apply_choi, apply_unitary_cloner,
                             collision_probability, cptp_residuals,
                             depolarizing_fit, holevo_certificate,
-                            intercept_fraction, ir_attack_profile,
+                            ir_attack_profile,
                             ir_monte_carlo_collision, med_attack,
                             med_on_cloned, med_result_json, optimize_unitary_q,
                             pgm_povm, povm_success, standard_attack_profiles,
                             unitary_cloner_output)
 from dpsqkd.dps import ber_of_state, dps_ensemble
+from dpsqkd.keyrate import AttackProfile
 from dpsqkd.linalg import outer, partial_trace, tensor
 
 
@@ -291,12 +293,15 @@ def test_unitary_med_after(unitary_med3):
 # ---------------------------------------------------------------------------
 
 def test_intercept_fraction():
-    assert intercept_fraction(0.25, 0.01) == pytest.approx(0.04)
-    assert intercept_fraction(0.13, 0.01) == pytest.approx(0.01 / 0.13)
-    assert intercept_fraction(0.15, 0.01) == pytest.approx(0.0666667, abs=1e-6)
-    assert intercept_fraction(0.13, 0.5) == 1.0  # clamped
+    def fraction(p_error_per_intercept, e_b):
+        return AttackProfile("x", p_error_per_intercept, 0.75).intercepted_fraction(e_b)
+
+    assert fraction(0.25, 0.01) == pytest.approx(0.04)
+    assert fraction(0.13, 0.01) == pytest.approx(0.01 / 0.13)
+    assert fraction(0.15, 0.01) == pytest.approx(0.0666667, abs=1e-6)
+    assert fraction(0.13, 0.5) == 1.0  # clamped
     with pytest.raises(ValueError):
-        intercept_fraction(0.0, 0.01)
+        fraction(0.0, 0.01)
 
 
 def test_ir_profile():
@@ -324,6 +329,36 @@ def test_standard_attack_profiles():
     assert profiles["cloning"].per_attacked_bit_collision == pytest.approx(0.613379, abs=1e-4)
     assert profiles["unitary"].per_intercept_error == pytest.approx(0.152708, abs=1e-4)
     assert profiles["unitary"].per_attacked_bit_collision == pytest.approx(0.631878, abs=1e-4)
+
+
+# (per_intercept_error, per_attacked_bit_collision) at n=4, stored from a solver
+# that built the full d^2 x d^2 NT operator, so they check the operator-free
+# Schur assembly from outside; MED's error is 1 - 4/2**3 in closed form.
+N4_PROFILES = {
+    "ir": (1 / 3, 0.75),
+    "med": (0.5000000159246911, 0.6249999893835394),
+    "cloning": (0.20000000573303617, 0.5449999819465273),
+    "unitary": (0.1913347745354961, 0.5497831690714734),
+}
+
+
+def test_standard_attack_profiles_n4(monkeypatch):
+    reports = []
+
+    def recording_verify_kkt(*args, **kwargs):
+        reports.append(verify_kkt(*args, **kwargs))
+        return reports[-1]
+
+    verify_kkt = sdp.verify_kkt
+    monkeypatch.setattr(sdp, "verify_kkt", recording_verify_kkt)
+    profiles = standard_attack_profiles(4)
+    got = {name: (p.per_intercept_error, p.per_attacked_bit_collision)
+           for name, p in profiles.items()}
+    assert set(got) == set(N4_PROFILES)
+    for name, want in N4_PROFILES.items():
+        assert got[name] == pytest.approx(want, abs=1e-6), name
+    assert len(reports) == 4  # MED, cloner, MED on each of the two clone ensembles
+    assert all(r.passed for r in reports)
 
 
 def test_med_attack_requires_priors(ens3):

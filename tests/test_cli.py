@@ -112,9 +112,17 @@ def test_keyrate_unknown_attack(capsys):
 
 
 def test_keyrate_bad_grid(capsys):
-    code, _, err = run_cli(capsys, "keyrate", "--start-km", "10", "--stop-km", "0")
-    assert code == 2
-    assert "grid" in err
+    for argv, message in [
+        (("--start-km", "10", "--stop-km", "0"), "grid"),
+        (("--start-km", "-50", "--stop-km", "0"), "distance"),
+        (("--loss-db-per-km", "-1"), "fibre loss"),
+        (("--baseline-error", "0", "--dark-count-prob", "0",
+          "--finite-size", "n=1e6,k=1e4,eps=1e-9"), "observed error rate"),
+        (("--finite-size", "n=1e6,k=1e4,eps=2"), "confidence parameter"),
+    ]:
+        code, _, err = run_cli(capsys, "keyrate", *argv)
+        assert code == 2, argv
+        assert "configuration error" in err and message in err
 
 
 def test_config_file(tmp_path, capsys):
@@ -162,9 +170,14 @@ def test_finite_size_command(capsys):
 
 
 def test_finite_size_command_bad_spec(capsys):
-    code, _, err = run_cli(capsys, "finite-size", "--params", "n=1e6")
-    assert code == 2
-    assert "missing" in err
+    for argv, message in [
+        (("--params", "n=1e6"), "missing"),
+        (("--params", "n=abc,k=1e4,eps=1e-9"), "not a number"),
+        (("--params", "n=1e6,k=1e4,eps=0.999", "--e-obs", "0.4"), "log argument"),
+    ]:
+        code, _, err = run_cli(capsys, "finite-size", *argv)
+        assert code == 2, argv
+        assert message in err
 
 
 def test_wcs_command(capsys):

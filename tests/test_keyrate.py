@@ -59,6 +59,10 @@ def test_channel_validation():
         ChannelModel(detector_efficiency=0.0)
     with pytest.raises(ValueError):
         ChannelModel(f_ec=0.9)
+    with pytest.raises(ValueError):
+        ChannelModel(loss_db_per_km=-1.0)
+    with pytest.raises(ValueError):
+        ChannelModel().at_distance(-50.0)
 
 
 def test_binary_entropy():
@@ -170,6 +174,9 @@ def test_finite_size_domain():
         finite_size_deviation(fs, 1.0)
     with pytest.raises(ValueError):
         FiniteSizeParams(n_key=0, k_pe=1, eps_prime=0.5)
+    loose = FiniteSizeParams(n_key=10 ** 6, k_pe=10 ** 4, eps_prime=0.999)
+    with pytest.raises(ValueError, match="log argument"):
+        finite_size_deviation(loose, 0.4)
 
 
 # ---------------------------------------------------------------------------

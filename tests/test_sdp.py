@@ -165,13 +165,6 @@ def test_deterministic_resolves():
         assert np.array_equal(a.x[n], b.x[n])
 
 
-def test_predictor_corrector_option_agrees():
-    _, problem = med3_problem()
-    base = solve(problem)
-    pc = solve(problem, SolveOptions(predictor_corrector=True))
-    assert pc.primal_objective == pytest.approx(base.primal_objective, abs=1e-7)
-
-
 def test_iterate_trace_dump(tmp_path):
     _, problem = med3_problem()
     path = tmp_path / "trace.jsonl"
