@@ -28,7 +28,7 @@ import numpy as np
 from . import sdp
 from .dps import DpsEnsemble, ber_of_state, dps_ensemble
 from .keyrate import AttackProfile
-from .linalg import dagger, eig_hermitian, outer, partial_trace
+from .linalg import dagger, eig_hermitian, hermitian_part, outer, partial_trace
 
 _POVM_SUM_ATOL = 1e-8
 _POVM_PSD_ATOL = 1e-9
@@ -46,14 +46,12 @@ class Povm:
 
     def __post_init__(self) -> None:
         d = self.elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for el in self.elements:
-            if el.shape != (d, d):
-                raise ValueError("POVM elements must share one dimension")
-            if float(np.min(np.linalg.eigvalsh((el + dagger(el)) / 2))) < -_POVM_PSD_ATOL:
-                raise ValueError("POVM element is not positive semidefinite")
-            total = total + el
-        if float(np.max(np.abs(total - np.eye(d)))) > _POVM_SUM_ATOL:
+        if any(el.shape != (d, d) for el in self.elements):
+            raise ValueError("POVM elements must share one dimension")
+        stack = np.array(self.elements, dtype=complex)
+        if float(np.min(np.linalg.eigvalsh(hermitian_part(stack)))) < -_POVM_PSD_ATOL:
+            raise ValueError("POVM element is not positive semidefinite")
+        if float(np.max(np.abs(stack.sum(axis=0) - np.eye(d)))) > _POVM_SUM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
 
 
@@ -118,11 +116,10 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
     solution = sdp.solve(problem, options)
     kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
     names = _block_names(len(rhos))
-    elements = tuple(_project_psd(solution.x[n]) for n in names)
-    povm = Povm(elements=elements)
-    confusion = np.array([[float(np.real(np.trace(r @ el))) for el in elements]
-                          for r in rhos])
-    p_success = float(sum(priors[i] * confusion[i, i] for i in range(len(rhos))))
+    elements = _project_psd(np.array([solution.x[n] for n in names]))
+    povm = Povm(elements=tuple(elements))
+    confusion = np.einsum("ikl,jlk->ij", np.array(rhos), elements).real
+    p_success = float(np.asarray(priors, dtype=float) @ np.diag(confusion))
     p_co = (collision_probability(confusion, priors, bit_map)
             if bit_map is not None else math.nan)
     return MedResult(povm=povm, confusion=confusion, p_success=p_success,
@@ -131,10 +128,10 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
-    """Clip the tiny negative interior-point slack off an almost-PSD operator."""
-    dec = eig_hermitian(np.asarray(h, dtype=complex))
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    return (dec.eigenvectors * lam) @ dagger(dec.eigenvectors)
+    """Clip the tiny negative interior-point slack off an almost-PSD operator,
+    or off each operator of a stack (..., d, d)."""
+    lam, vecs = np.linalg.eigh(hermitian_part(np.asarray(h, dtype=complex)))
+    return (vecs * np.clip(lam, 0.0, None)[..., None, :]) @ dagger(vecs)
 
 
 def collision_probability(confusion: np.ndarray, priors: Sequence[float],
@@ -146,21 +143,17 @@ def collision_probability(confusion: np.ndarray, priors: Sequence[float],
     the confusion table and the priors by Bayes' rule; outcomes with zero
     probability are skipped.
     """
-    confusion = np.asarray(confusion, dtype=float)
-    priors = np.asarray(priors, dtype=float)
-    n_states, n_outcomes = confusion.shape
-    positions = len(bit_map[0])
+    joint = np.asarray(priors, dtype=float)[:, None] * np.asarray(confusion, dtype=float)
+    p_z = joint.sum(axis=0)
+    seen = p_z > 0.0
+    joint, p_z = joint[:, seen], p_z[seen]
+    bits = np.asarray(bit_map)
     total = 0.0
-    for pos in range(positions):
-        for z in range(n_outcomes):
-            p_z = float(priors @ confusion[:, z])
-            if p_z <= 0.0:
-                continue
-            for x in (0, 1):
-                p_xz = sum(priors[i] * confusion[i, z] for i in range(n_states)
-                           if bit_map[i][pos] == x) / p_z
-                total += p_xz ** 2 * p_z / positions
-    return total
+    for x in (0, 1):
+        # (position, outcome) table of P(x, z) / P(z)
+        posterior = ((bits == x).T @ joint) / p_z
+        total += float(np.sum(posterior ** 2 * p_z))
+    return total / bits.shape[1]
 
 
 def pgm_povm(states: Sequence[np.ndarray], priors: Sequence[float]) -> Povm:
@@ -202,7 +195,7 @@ def holevo_certificate(states: Sequence[np.ndarray], priors: Sequence[float],
     y = sum(priors[i] * rhos[i] @ povm.elements[i] for i in range(len(rhos)))
     if float(np.max(np.abs(y - dagger(y)))) > atol:
         return False
-    y = (y + dagger(y)) / 2
+    y = hermitian_part(y)
     return all(
         float(np.min(np.linalg.eigvalsh(y - priors[j] * rhos[j]))) >= -atol
         for j in range(len(rhos))
@@ -299,7 +292,7 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
     """(negativity, trace-preservation residual) of a Choi operator on
     (out) x (in) x (out)."""
-    neg = max(0.0, -float(np.min(np.linalg.eigvalsh((choi + dagger(choi)) / 2))))
+    neg = max(0.0, -float(np.min(np.linalg.eigvalsh(hermitian_part(choi)))))
     marginal = partial_trace(choi, [d, d, d], keep=[1])
     tp = float(np.max(np.abs(marginal - np.eye(d))))
     return neg, tp
@@ -479,10 +472,9 @@ def med_on_cloned(eve_states: Sequence[np.ndarray], priors: Sequence[float],
                   bit_map: Sequence[Sequence[int]] | None = None,
                   options: sdp.SolveOptions | None = None) -> MedResult:
     """Minimum-error discrimination of the (generally mixed) clone ensemble."""
-    for rho in eve_states:
-        rho = np.asarray(rho, dtype=complex)
-        if float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2))) < -1e-7:
-            raise ValueError("clone states must be valid density operators")
+    stack = np.array(eve_states, dtype=complex)
+    if float(np.min(np.linalg.eigvalsh(hermitian_part(stack)))) < -1e-7:
+        raise ValueError("clone states must be valid density operators")
     return med_attack(list(eve_states), priors=priors, bit_map=bit_map,
                       options=options)
 

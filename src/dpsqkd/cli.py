@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Mapping, Sequence
@@ -23,12 +24,14 @@ import numpy as np
 
 from . import attacks, wcs
 from .dps import ber_of_state, dps_ensemble, spectral_error_terms
-from .keyrate import ChannelModel, FiniteSizeParams, finite_size_deviation, keyrate_sweep
+from .keyrate import (MAX_ATTACK_PULSES, ChannelModel, FiniteSizeParams,
+                      finite_size_deviation, keyrate_sweep)
 from .sdp import SdpError
 
 CONFIG_ENV = "DPSQKD_CONFIG"
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+MAX_GRID_POINTS = 100_000
 
 _CHANNEL_KEYS = {
     "loss_db_per_km": float,
@@ -134,10 +137,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _distances(args: argparse.Namespace) -> list[float]:
+    if not all(math.isfinite(v) for v in (args.start_km, args.stop_km, args.step_km)):
+        raise ConfigError("distance grid bounds and step must be finite")
     if args.stop_km < args.start_km:
         raise ConfigError("distance grid is empty (stop < start)")
     if args.step_km <= 0:
         raise ConfigError("distance step must be positive")
+    if (args.stop_km - args.start_km) / args.step_km >= MAX_GRID_POINTS:
+        raise ConfigError(f"distance grid has more than {MAX_GRID_POINTS} points")
     out, d = [], args.start_km
     while d <= args.stop_km + 1e-9:
         out.append(round(d, 9))
@@ -172,8 +179,8 @@ def _finite_size(spec: str | None) -> FiniteSizeParams | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_med(args: argparse.Namespace, out) -> int:
-    if not 3 <= args.n <= 6:
-        raise ConfigError("pulse count for med must lie in [3, 6]")
+    if not 3 <= args.n <= MAX_ATTACK_PULSES:
+        raise ConfigError(f"pulse count for med must lie in [3, {MAX_ATTACK_PULSES}]")
     ens = dps_ensemble(args.n)
     result = attacks.med_attack(ens)
     doc = {"config": {"command": "med", "n": args.n}, **attacks.med_result_doc(result)}

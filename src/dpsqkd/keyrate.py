@@ -24,6 +24,10 @@ from typing import Mapping, Sequence
 
 _SQRT5 = math.sqrt(5.0)
 
+# Largest pulse count whose attack SDPs the solver handles: at n = 7 the
+# optimal cloner alone is a 343-dimensional block with 49 constraints.
+MAX_ATTACK_PULSES = 6
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -47,8 +51,8 @@ class ChannelModel:
             raise ValueError("baseline error must be in [0, 0.5]")
         if self.f_ec < 1.0:
             raise ValueError("error correction inefficiency must be >= 1")
-        if self.n_pulses < 3:
-            raise ValueError("DPS needs at least 3 pulses")
+        if not 3 <= self.n_pulses <= MAX_ATTACK_PULSES:
+            raise ValueError(f"pulse count must lie in [3, {MAX_ATTACK_PULSES}]")
         if not self.loss_db_per_km >= 0.0:
             raise ValueError("fibre loss must be non-negative")
         if not self.distance_km >= 0.0:
@@ -79,6 +83,9 @@ def qber(model: ChannelModel) -> QberBreakdown:
     p_signal = model.signal_scale * model.detector_efficiency * model.transmittance
     p_dark = model.dark_count_prob
     p_click = p_signal + p_dark
+    if p_click <= 0.0:
+        raise ValueError(f"no detector clicks at {model.distance_km:g} km: the click "
+                         "probability is zero")
     e_b = (0.5 * p_dark + model.baseline_error * p_signal) / p_click
     return QberBreakdown(p_signal=p_signal, p_dark=p_dark, p_click=p_click, e_b=e_b)
 

@@ -35,7 +35,13 @@ def ket(amplitudes: Sequence[complex]) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a).T
+    """Conjugate transpose of an operator, or of each operator in a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dagger) / 2 of an operator, or of each operator in a stack."""
+    return (a + dagger(a)) / 2
 
 
 def outer(psi: np.ndarray) -> np.ndarray:
@@ -73,7 +79,7 @@ def is_density(rho: np.ndarray, trace_atol: float = ATOL_TRACE,
         return False
     if abs(np.trace(rho).real - 1.0) > trace_atol:
         return False
-    return float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2))) >= -psd_atol
+    return float(np.min(np.linalg.eigvalsh(hermitian_part(rho)))) >= -psd_atol
 
 
 def partial_trace(x: np.ndarray, dims: Sequence[int],
@@ -134,7 +140,7 @@ def eig_hermitian(h: np.ndarray, atol: float = 1e-9) -> SpectralDecomposition:
         raise ValueError("eig_hermitian expects a square operator")
     if not is_hermitian(h, atol=atol):
         raise ValueError("input is not Hermitian within tolerance")
-    eigs, v = np.linalg.eigh((h + dagger(h)) / 2.0)
+    eigs, v = np.linalg.eigh(hermitian_part(h))
     return SpectralDecomposition(eigs[::-1], v[:, ::-1])
 
 
@@ -151,4 +157,4 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
 def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian operator (symmetrised first)."""
     h = np.asarray(h, dtype=complex)
-    return float(eig_hermitian((h + dagger(h)) / 2).eigenvalues[-1])
+    return float(eig_hermitian(hermitian_part(h)).eigenvalues[-1])

@@ -19,11 +19,16 @@ follows the central path with Nesterov-Todd scaling: one Newton step per
 iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
 fraction-to-boundary rule.  Runs are reproducible bit for bit.
 
-The NT operator X -> W X W is applied, never stored: the Schur complement
-is assembled as M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> (Todd, Toh &
-Tutuncu, SIAM J. Optim. 8, 1998), so a d x d block costs O(m d^3) time per
-iteration, where a stored d^2 x d^2 operator would cost O(d^6).  The
-constraint count m is small, so all linear algebra is dense.
+Blocks of equal dimension d are grouped, in order of first appearance, and
+every iterate is held as one (B, d, d) stack per group: scaling, step
+lengths, inverses and svec run once per group, not once per block.  The NT
+operator X -> W X W is applied, never stored.  The Schur complement
+M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> (Todd, Toh & Tutuncu, SIAM J.
+Optim. 8, 1998) is assembled one column j at a time from the batched
+product W A_j W, so memory stays at one (B, d, d) product per group and a
+d x d block costs O(m d^3) time per iteration, where a stored d^2 x d^2
+operator would cost O(d^6).  The constraint count m is small, so all linear
+algebra is dense.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ATOL_ALGEBRA, dagger
+from .linalg import ATOL_ALGEBRA, dagger, hermitian_part
 
 
 class SdpError(RuntimeError):
@@ -65,8 +70,8 @@ _SQRT2 = np.sqrt(2.0)
 def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Strict upper-triangle indices of a d x d matrix, shared and read-only.
 
-    svec and smat run per block on every solver iteration; rebuilding the
-    indices each time dominates the cost of small blocks.
+    svec and smat run on every solver iteration; rebuilding the indices each
+    time dominates the cost of small blocks.
     """
     iu, ju = np.triu_indices(d, 1)
     iu.flags.writeable = ju.flags.writeable = False
@@ -74,55 +79,32 @@ def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svec(h: np.ndarray) -> np.ndarray:
-    """Real vector of length d**2 representing a Hermitian d x d operator."""
+    """Real vector of length d**2 representing a Hermitian d x d operator.
+
+    A stack of shape (..., d, d) maps to (..., d**2).
+    """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    iu, ju = _upper(d)
+    iu, ju = _upper(h.shape[-1])
+    upper = h[..., iu, ju]
     return np.concatenate([
-        np.real(np.diag(h)),
-        _SQRT2 * np.real(h[iu, ju]),
-        _SQRT2 * np.imag(h[iu, ju]),
-    ])
+        np.real(np.diagonal(h, axis1=-2, axis2=-1)),
+        _SQRT2 * np.real(upper),
+        _SQRT2 * np.imag(upper),
+    ], axis=-1)
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`, also on stacks (..., d**2) -> (..., d, d)."""
     v = np.asarray(v, dtype=float)
     iu, ju = _upper(d)
     k = iu.size
-    h = np.zeros((d, d), dtype=complex)
-    h[np.arange(d), np.arange(d)] = v[:d]
-    upper = (v[d:d + k] + 1j * v[d + k:d + 2 * k]) / _SQRT2
-    h[iu, ju] = upper
-    h[ju, iu] = upper.conj()
+    h = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    h[..., diag, diag] = v[..., :d]
+    upper = (v[..., d:d + k] + 1j * v[..., d + k:d + 2 * k]) / _SQRT2
+    h[..., iu, ju] = upper
+    h[..., ju, iu] = upper.conj()
     return h
-
-
-def _svec_stack(stack: np.ndarray) -> np.ndarray:
-    """Apply svec to a stack of Hermitian matrices, shape (k, d, d) -> (k, d**2)."""
-    k, d, _ = stack.shape
-    iu, ju = _upper(d)
-    return np.concatenate([
-        np.real(stack[:, np.arange(d), np.arange(d)]),
-        _SQRT2 * np.real(stack[:, iu, ju]),
-        _SQRT2 * np.imag(stack[:, iu, ju]),
-    ], axis=1)
-
-
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Stack of d**2 Hermitian basis matrices matching the svec ordering."""
-    out = np.zeros((d * d, d, d), dtype=complex)
-    for i in range(d):
-        out[i, i, i] = 1.0
-    iu, ju = _upper(d)
-    k = iu.size
-    for idx in range(k):
-        i, j = iu[idx], ju[idx]
-        out[d + idx, i, j] = 1 / _SQRT2
-        out[d + idx, j, i] = 1 / _SQRT2
-        out[d + k + idx, i, j] = 1j / _SQRT2
-        out[d + k + idx, j, i] = -1j / _SQRT2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +112,26 @@ def _hermitian_basis(d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Mapping[str, np.ndarray], float]
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The blocks of one dimension d, stacked in order of first appearance.
+
+    ``ops[j, k]`` is the operator of constraint j on block ``names[k]`` (zero
+    where the constraint does not touch the block), ``cost[k]`` its
+    objective operator.
+    """
+
+    d: int
+    names: tuple[str, ...]
+    ops: np.ndarray
+    cost: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Length of the group's svec segment."""
+        return len(self.names) * self.d ** 2
 
 
 @dataclass
@@ -141,6 +143,10 @@ class SdpProblem:
     constraint is a (coefficients, rhs) pair with Hermitian coefficient
     operators.  Constraint rows must be linearly independent after symmetric
     vectorisation; this is checked at construction.
+
+    Construction also stacks the data once for the solver: blocks of equal
+    dimension form one group, and the svec constraint matrix concatenates
+    the groups in order of first appearance.
     """
 
     blocks: Sequence[tuple[str, int]]
@@ -151,63 +157,62 @@ class SdpProblem:
         names = [n for n, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValueError("duplicate block names")
-        dims = dict(self.blocks)
-        for name, op in self.objective.items():
-            _check_coeff(op, dims, name, "objective")
-        for coeffs, _ in self.constraints:
-            for name, op in coeffs.items():
-                _check_coeff(op, dims, name, "constraint")
-        a = self._constraint_matrix()
-        if a.shape[0]:
+        by_dim: dict[int, list[str]] = {}
+        for name, d in self.blocks:
+            by_dim.setdefault(d, []).append(name)
+        where = {n: (g, k) for g, group in enumerate(by_dim.values())
+                 for k, n in enumerate(group)}
+        self._where = {n: where[n] for n in names}  # block order
+        cost = self._stack([self.objective], by_dim, "objective")
+        ops = self._stack([co for co, _ in self.constraints], by_dim, "constraint")
+        self._groups = [_Group(d, tuple(group), o, c[0])
+                        for (d, group), o, c in zip(by_dim.items(), ops, cost)]
+        m = len(self.constraints)
+        self._amat = np.concatenate([svec(g.ops).reshape(m, g.size) for g in self._groups],
+                                    axis=1)
+        self._c = np.concatenate([svec(g.cost).ravel() for g in self._groups])
+        self._b = np.array([float(r) for _, r in self.constraints])
+        if m:
+            a = self._amat
             rank = np.linalg.matrix_rank(a, tol=1e-9 * max(1.0, float(np.max(np.abs(a)))))
-            if rank < a.shape[0]:
+            if rank < m:
                 raise InfeasibleConstraintsError(
-                    f"constraint rows are rank deficient ({rank} < {a.shape[0]})"
+                    f"constraint rows are rank deficient ({rank} < {m})"
                 )
 
-    # --- svec assembly -----------------------------------------------------
+    def _stack(self, maps: Sequence[Mapping[str, np.ndarray]],
+               by_dim: Mapping[int, Sequence[str]], role: str) -> list[np.ndarray]:
+        """Coefficient operators as one (len(maps), B, d, d) stack per group.
 
-    def _offsets(self) -> dict[str, tuple[int, int]]:
-        out, pos = {}, 0
-        for name, d in self.blocks:
-            out[name] = (pos, d)
-            pos += d * d
-        return out
-
-    def _total_len(self) -> int:
-        return sum(d * d for _, d in self.blocks)
-
-    def _constraint_matrix(self) -> np.ndarray:
-        offs = self._offsets()
-        m = len(self.constraints)
-        a = np.zeros((m, self._total_len()))
-        for j, (coeffs, _) in enumerate(self.constraints):
+        Every operator must be Hermitian to ATOL_ALGEBRA relative to its
+        largest entry.
+        """
+        dims = list(by_dim)
+        stacks = [np.zeros((len(maps), len(group), d, d), dtype=complex)
+                  for d, group in by_dim.items()]
+        for j, coeffs in enumerate(maps):
             for name, op in coeffs.items():
-                pos, d = offs[name]
-                a[j, pos:pos + d * d] = svec(op)
-        return a
+                if name not in self._where:
+                    raise ValueError(f"{role} references unknown block {name!r}")
+                g, k = self._where[name]
+                op, d = np.asarray(op), dims[g]
+                if op.shape != (d, d):
+                    raise ValueError(f"{role} operator for block {name!r} has shape "
+                                     f"{op.shape}, expected {(d, d)}")
+                stacks[g][j, k] = op
+        for group, stack in zip(by_dim.values(), stacks):
+            for row in stack:  # one (B, d, d) row at a time keeps temporaries small
+                asym = np.max(np.abs(row - dagger(row)), axis=(-2, -1))
+                scale = np.maximum(1.0, np.max(np.abs(row), axis=(-2, -1)))
+                bad = np.flatnonzero(asym > ATOL_ALGEBRA * scale)
+                if bad.size:
+                    raise ValueError(f"{role} operator for block {group[bad[0]]!r} "
+                                     "is not Hermitian")
+        return stacks
 
-    def _rhs(self) -> np.ndarray:
-        return np.array([float(r) for _, r in self.constraints])
-
-    def _objective_vector(self) -> np.ndarray:
-        offs = self._offsets()
-        c = np.zeros(self._total_len())
-        for name, op in self.objective.items():
-            pos, d = offs[name]
-            c[pos:pos + d * d] = svec(op)
-        return c
-
-
-def _check_coeff(op: np.ndarray, dims: Mapping[str, int], name: str, role: str) -> None:
-    if name not in dims:
-        raise ValueError(f"{role} references unknown block {name!r}")
-    op = np.asarray(op)
-    d = dims[name]
-    if op.shape != (d, d):
-        raise ValueError(f"{role} operator for block {name!r} has shape {op.shape}, expected {(d, d)}")
-    if np.max(np.abs(op - dagger(op))) > ATOL_ALGEBRA * max(1.0, float(np.max(np.abs(op)))):
-        raise ValueError(f"{role} operator for block {name!r} is not Hermitian")
+    def _named(self, stacks: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+        """Name -> matrix views into one stack per group, in block order."""
+        return {n: stacks[g][k] for n, (g, k) in self._where.items()}
 
 
 @dataclass
@@ -259,26 +264,23 @@ def _chol(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The NT point W > 0 with W Z W = X."""
-    wz, vz = np.linalg.eigh((z + dagger(z)) / 2)
-    if wz[0] <= 0:
+    """The NT points W > 0 with W Z W = X, for stacks (B, d, d) of X and Z."""
+    wz, vz = np.linalg.eigh(hermitian_part(z))
+    if np.min(wz[:, 0]) <= 0:
         raise NumericalBreakdownError("dual iterate left the cone")
-    zh = (vz * np.sqrt(wz)) @ dagger(vz)
-    zih = (vz * (1.0 / np.sqrt(wz))) @ dagger(vz)
-    m = zh @ x @ zh
-    wm, vm = np.linalg.eigh((m + dagger(m)) / 2)
-    if wm[0] <= 0:
+    zh = (vz * np.sqrt(wz)[:, None, :]) @ dagger(vz)
+    zih = (vz * (1.0 / np.sqrt(wz))[:, None, :]) @ dagger(vz)
+    wm, vm = np.linalg.eigh(hermitian_part(zh @ x @ zh))
+    if np.min(wm[:, 0]) <= 0:
         raise NumericalBreakdownError("primal iterate left the cone")
-    mh = (vm * np.sqrt(wm)) @ dagger(vm)
+    mh = (vm * np.sqrt(wm)[:, None, :]) @ dagger(vm)
     return zih @ mh @ zih
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """sup {a : x + a*dx >= 0} for PSD x."""
-    l = _chol((x + dagger(x)) / 2, "step-length factorisation")
-    linv = np.linalg.inv(l)
-    s = linv @ dx @ dagger(linv)
-    lam = float(np.linalg.eigvalsh((s + dagger(s)) / 2)[0])
+    """sup {a : x + a*dx >= 0} over a stack (B, d, d) of PSD x."""
+    linv = np.linalg.inv(_chol(hermitian_part(x), "step-length factorisation"))
+    lam = float(np.min(np.linalg.eigvalsh(hermitian_part(linv @ dx @ dagger(linv)))[:, 0]))
     return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
@@ -289,42 +291,29 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     :class:`InfeasibleConstraintsError` on failure.
     """
     opts = options or SolveOptions()
-    names = [n for n, _ in problem.blocks]
-    dims = dict(problem.blocks)
-    offs = problem._offsets()
-    amat = problem._constraint_matrix()
-    b = problem._rhs()
-    c = problem._objective_vector()
+    groups = problem._groups
+    amat, b, c = problem._amat, problem._b, problem._c
     m = amat.shape[0]
-    ops = {n: np.zeros((m, dims[n], dims[n]), dtype=complex) for n in names}
-    for j, (coeffs, _) in enumerate(problem.constraints):
-        for n, op in coeffs.items():
-            ops[n][j] = op
+    splits = np.cumsum([g.size for g in groups])[:-1]
+
+    def pack(stacks: Sequence[np.ndarray]) -> np.ndarray:
+        return np.concatenate([svec(s).ravel() for s in stacks])
+
+    def unpack(vec: np.ndarray) -> list[np.ndarray]:
+        return [smat(v.reshape(len(g.names), g.d ** 2), g.d)
+                for g, v in zip(groups, np.split(vec, splits))]
 
     r_inf = float(np.max(np.abs(b))) if m else 0.0
-    x = {n: np.eye(dims[n], dtype=complex) * (1.0 + r_inf) for n in names}
-    z = {n: np.eye(dims[n], dtype=complex) for n in names}
+    x = [np.tile(np.eye(g.d, dtype=complex) * (1.0 + r_inf), (len(g.names), 1, 1))
+         for g in groups]
+    z = [np.tile(np.eye(g.d, dtype=complex), (len(g.names), 1, 1)) for g in groups]
     y = np.zeros(m)
 
-    total_dim = sum(dims[n] for n in names)
-    b_scale = 1.0 + (float(np.linalg.norm(b)) if m else 0.0)
+    total_dim = sum(g.d * len(g.names) for g in groups)
+    b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + float(np.linalg.norm(c))
     trace_lines: list[str] = []
     alpha_prev = 1.0
-
-    def pack(mats: dict[str, np.ndarray]) -> np.ndarray:
-        out = np.zeros(problem._total_len())
-        for n in names:
-            pos, d = offs[n]
-            out[pos:pos + d * d] = svec(mats[n])
-        return out
-
-    def unpack(vec: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        for n in names:
-            pos, d = offs[n]
-            out[n] = smat(vec[pos:pos + d * d], d)
-        return out
 
     status: SdpError | None = MaxIterationsError(
         f"no convergence within {opts.max_iterations} iterations")
@@ -332,14 +321,13 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     for it in range(opts.max_iterations):
         iterations = it + 1
         xv = pack(x)
-        zv = pack(z)
         pobj = float(c @ xv)
-        dobj = float(b @ y) if m else 0.0
-        rp = b - amat @ xv if m else np.zeros(0)
-        rd = c - (amat.T @ y if m else 0.0) + zv
-        mu = sum(np.real(np.trace(x[n] @ z[n])) for n in names) / total_dim
+        dobj = float(b @ y)
+        rp = b - amat @ xv
+        rd = c - amat.T @ y + pack(z)
+        mu = sum(float(np.einsum("bij,bji->", xg, zg).real) for xg, zg in zip(x, z)) / total_dim
         gap = abs(pobj - dobj)
-        pinf = float(np.linalg.norm(rp)) / b_scale if m else 0.0
+        pinf = float(np.linalg.norm(rp)) / b_scale
         dinf = float(np.linalg.norm(rd)) / c_scale
 
         if opts.trace_path is not None:
@@ -352,43 +340,40 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             status = None
             break
 
-        w = {n: _nt_scaling(x[n], z[n]) for n in names}
+        w = [_nt_scaling(xg, zg) for xg, zg in zip(x, z)]
 
         def apply_t(vec: np.ndarray) -> np.ndarray:
-            """svec(W X W) per block, for X = smat(vec)."""
-            out = np.zeros_like(vec)
-            for n in names:
-                pos, d = offs[n]
-                out[pos:pos + d * d] = svec(w[n] @ smat(vec[pos:pos + d * d], d) @ w[n])
-            return out
+            """svec(W X W) per group, for X = smat(vec)."""
+            return pack([wg @ s @ wg for wg, s in zip(w, unpack(vec))])
 
         sigma = float(np.clip((1.0 - alpha_prev) ** 2, 0.05, 0.8))
-        rcv = pack({n: sigma * mu * np.linalg.inv(z[n]) - x[n] for n in names})
+        rcv = pack([sigma * mu * np.linalg.inv(zg) - xg for xg, zg in zip(x, z)])
         if m:
-            schur = sum(amat[:, offs[n][0]:offs[n][0] + dims[n] ** 2]
-                        @ _svec_stack(w[n] @ ops[n] @ w[n]).T for n in names)
+            # Column j is <A_i, W A_j W> for all i, one (B, d, d) product at a
+            # time.  Viewing complex operators as real arrays turns
+            # Re Tr(A H) of a Hermitian H into a real dot product.
+            schur = np.zeros((m, m))
+            for g, wg in zip(groups, w):
+                a_flat = g.ops.reshape(m, -1).view(float)
+                for j in range(m):
+                    schur[:, j] += a_flat @ (wg @ g.ops[j] @ wg).reshape(-1).view(float)
             schur = (schur + schur.T) / 2
             ls = _chol(schur + 1e-14 * np.eye(m), "Schur complement")
             rhs = amat @ rcv + amat @ apply_t(rd) - rp
             dy = np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
         else:
             dy = np.zeros(0)
-        dzv = (amat.T @ dy if m else 0.0) - rd
+        dzv = amat.T @ dy - rd
         dx, dz = unpack(rcv - apply_t(dzv)), unpack(dzv)
 
-        alpha_p = min(1.0, min((opts.step_fraction * _max_step(x[n], dx[n]) for n in names),
-                               default=1.0))
-        alpha_d = min(1.0, min((opts.step_fraction * _max_step(z[n], dz[n]) for n in names),
-                               default=1.0))
+        alpha_p = min([1.0] + [opts.step_fraction * _max_step(xg, d) for xg, d in zip(x, dx)])
+        alpha_d = min([1.0] + [opts.step_fraction * _max_step(zg, d) for zg, d in zip(z, dz)])
         if max(alpha_p, alpha_d) < 1e-10:
             raise NumericalBreakdownError("step lengths collapsed")
         alpha_prev = min(alpha_p, alpha_d)
 
-        for n in names:
-            x[n] = x[n] + alpha_p * dx[n]
-            z[n] = z[n] + alpha_d * dz[n]
-            x[n] = (x[n] + dagger(x[n])) / 2
-            z[n] = (z[n] + dagger(z[n])) / 2
+        x = [hermitian_part(xg + alpha_p * d) for xg, d in zip(x, dx)]
+        z = [hermitian_part(zg + alpha_d * d) for zg, d in zip(z, dz)]
         y = y + alpha_d * dy
 
     if opts.trace_path is not None:
@@ -400,11 +385,10 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
                 "equality residual stalled; constraints look inconsistent") from status
         raise status
 
-    xv = pack(x)
-    pobj = float(c @ xv)
-    dobj = float(b @ y) if m else 0.0
+    pobj = float(c @ pack(x))
+    dobj = float(b @ y)
     return SdpSolution(
-        x={n: x[n] for n in names}, y=y.copy(), z={n: z[n] for n in names},
+        x=problem._named(x), y=y.copy(), z=problem._named(z),
         primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
         iterations=iterations,
     )
@@ -418,37 +402,27 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     slack matrices stored in the solution.  Complementary slackness is the
     largest |<X_b, Z_b>| across blocks.
     """
-    dims = dict(problem.blocks)
     names = [n for n, _ in problem.blocks]
     if set(solution.x) != set(names) or len(solution.y) != len(problem.constraints):
         raise ValueError("solution shapes do not match the problem")
-    for n in names:
-        if np.asarray(solution.x[n]).shape != (dims[n], dims[n]):
-            raise ValueError(f"primal block {n!r} has wrong shape")
+    wrong = [n for n, d in problem.blocks if np.shape(solution.x[n]) != (d, d)]
+    if wrong:
+        raise ValueError(f"primal block {wrong[0]!r} has wrong shape")
 
-    eq_res = 0.0
-    for coeffs, rhs in problem.constraints:
-        val = sum(float(np.real(np.trace(np.asarray(op, dtype=complex) @ solution.x[n])))
-                  for n, op in coeffs.items())
-        eq_res = max(eq_res, abs(val - rhs))
-
-    zimp = {n: -np.asarray(problem.objective.get(n, np.zeros((dims[n], dims[n]))),
-                           dtype=complex)
-            for n in names}
-    for j, (coeffs, _) in enumerate(problem.constraints):
-        for n, op in coeffs.items():
-            zimp[n] = zimp[n] + solution.y[j] * np.asarray(op, dtype=complex)
-
-    pmin = min(float(np.linalg.eigvalsh((solution.x[n] + dagger(solution.x[n])) / 2)[0])
-               for n in names)
-    dmin = min(float(np.linalg.eigvalsh((zimp[n] + dagger(zimp[n])) / 2)[0])
-               for n in names)
-    slack = max(abs(float(np.real(np.trace(solution.x[n] @ zimp[n])))) for n in names)
-
-    pobj = sum(float(np.real(np.trace(
-        np.asarray(problem.objective.get(n, np.zeros((dims[n], dims[n]))), dtype=complex)
-        @ solution.x[n]))) for n in names)
-    dobj = float(problem._rhs() @ solution.y) if len(solution.y) else 0.0
+    y = np.asarray(solution.y, dtype=float)
+    values = np.zeros(len(y))
+    pmin = dmin = np.inf
+    slack = pobj = 0.0
+    for g in problem._groups:
+        xg = np.array([solution.x[n] for n in g.names], dtype=complex)
+        zg = np.einsum("j,jbkl->bkl", y, g.ops) - g.cost
+        values += np.einsum("jbkl,blk->j", g.ops, xg).real
+        pmin = min(pmin, float(np.min(np.linalg.eigvalsh(hermitian_part(xg))[:, 0])))
+        dmin = min(dmin, float(np.min(np.linalg.eigvalsh(hermitian_part(zg))[:, 0])))
+        slack = max(slack, float(np.max(np.abs(np.einsum("bkl,blk->b", xg, zg).real))))
+        pobj += float(np.einsum("bkl,blk->", g.cost, xg).real)
+    eq_res = float(np.max(np.abs(values - problem._b), initial=0.0))
+    dobj = float(problem._b @ y)
 
     conditions = {
         "primal_equalities": eq_res <= tol,
@@ -470,7 +444,7 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 
 def povm_completeness_constraints(dim: int, block_names: Sequence[str]) -> list[Constraint]:
     """Constraints stating that the named blocks sum to the identity on C^dim."""
-    basis = _hermitian_basis(dim)
+    basis = smat(np.eye(dim * dim), dim)  # svec unit vectors as operators
     eye = svec(np.eye(dim))
     out: list[Constraint] = []
     for k in range(dim * dim):
@@ -490,7 +464,7 @@ def partial_trace_identity_constraints(block: str, dims: Sequence[int],
     if not 0 <= keep < len(dims):
         raise ValueError("keep index out of range")
     dk = dims[keep]
-    basis = _hermitian_basis(dk)
+    basis = smat(np.eye(dk * dk), dk)
     eye = svec(np.eye(dk))
     left = int(np.prod(dims[:keep])) if keep else 1
     right = int(np.prod(dims[keep + 1:])) if keep + 1 < len(dims) else 1

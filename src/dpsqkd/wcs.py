@@ -134,6 +134,7 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
     if unknown:
         raise ValueError(f"unknown WCS attack modes: {sorted(unknown)}")
     mu = params.mean_photon_number
+    e_slice = slice_averaged_qber(params) if "phase-randomized" in attacks else 0.0
     rows: list[dict[str, float]] = []
     for dist in distances:
         m = model.at_distance(float(dist))
@@ -152,7 +153,7 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
             row["tau_usd"] = tau_usd
             row["r_usd"] = secure_key_rate(m, tau_usd, q.e_b)
         if "phase-randomized" in attacks:
-            e_pr = min(0.5, q.e_b + slice_averaged_qber(params))
+            e_pr = min(0.5, q.e_b + e_slice)
             tau_pr = shrinking_factor(min(1.0, wcs_ir_fraction(mu)), 1.0)
             row["tau_phase_randomized"] = tau_pr
             row["r_phase_randomized"] = (

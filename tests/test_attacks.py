@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dpsqkd import sdp
-from dpsqkd.attacks import (UnitaryClonerParams, aligned_cloning_basis,
+from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             cloning_result_json,
                             apply_choi, apply_unitary_cloner,
                             collision_probability, cptp_residuals,
@@ -63,6 +63,50 @@ def test_pgm_matches_sdp_optimum(med3, med4, med5):
         povm = pgm_povm(ens.states, ens.priors)
         assert povm_success(povm, ens.states, ens.priors) == pytest.approx(
             med.p_success, abs=1e-7)
+
+
+@pytest.mark.parametrize("fixture", ["med3", "med4", "med5", "clone_med3", "unitary_med3"])
+def test_med_result_invariants(fixture, request):
+    """Confusion rows are probability distributions and the POVM is complete."""
+    result = request.getfixturevalue(fixture)
+    assert np.min(result.confusion) >= -1e-12
+    assert_allclose(result.confusion.sum(axis=1), 1.0, atol=1e-8)
+    d = result.povm.elements[0].shape[0]
+    assert_allclose(np.sum(result.povm.elements, axis=0), np.eye(d), atol=1e-8)
+
+
+def test_confusion_matches_trace_loop(med4):
+    ens = dps_ensemble(4)
+    loop = [[np.trace(ens.density(i) @ el).real for el in med4.povm.elements]
+            for i in range(len(ens.states))]
+    assert_allclose(med4.confusion, loop, rtol=0, atol=1e-12)
+    assert med4.p_success == pytest.approx(
+        sum(ens.priors[i] * loop[i][i] for i in range(len(loop))), abs=1e-12)
+
+
+@pytest.mark.parametrize("eps,valid", [(5e-10, True), (2e-9, False)])
+def test_povm_rejects_negative_elements(eps, valid):
+    elements = (np.diag([1.0, -eps]), np.diag([0.0, 1.0 + eps]))
+    if valid:
+        Povm(elements=elements)
+    else:
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            Povm(elements=elements)
+
+
+@pytest.mark.parametrize("eps,valid", [(5e-9, True), (2e-8, False)])
+def test_povm_rejects_incomplete_sets(eps, valid):
+    elements = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0 - eps]))
+    if valid:
+        Povm(elements=elements)
+    else:
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            Povm(elements=elements)
+
+
+def test_povm_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="share one dimension"):
+        Povm(elements=(np.eye(2), np.zeros((3, 3))))
 
 
 def test_holevo_certificate(ens3, med3):

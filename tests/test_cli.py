@@ -119,6 +119,12 @@ def test_keyrate_bad_grid(capsys):
         (("--baseline-error", "0", "--dark-count-prob", "0",
           "--finite-size", "n=1e6,k=1e4,eps=1e-9"), "observed error rate"),
         (("--finite-size", "n=1e6,k=1e4,eps=2"), "confidence parameter"),
+        (("--n-pulses", "7"), "pulse count"),
+        (("--n-pulses", "13"), "pulse count"),
+        (("--stop-km", "inf"), "finite"),
+        (("--step-km", "1e-9"), "points"),
+        (("--dark-count-prob", "0", "--loss-db-per-km", "100", "--start-km", "40",
+          "--stop-km", "40"), "click probability is zero"),
     ]:
         code, _, err = run_cli(capsys, "keyrate", *argv)
         assert code == 2, argv

@@ -63,6 +63,9 @@ def test_channel_validation():
         ChannelModel(loss_db_per_km=-1.0)
     with pytest.raises(ValueError):
         ChannelModel().at_distance(-50.0)
+    for n in (2, 7, 13):
+        with pytest.raises(ValueError, match="pulse count"):
+            ChannelModel(n_pulses=n)
 
 
 def test_binary_entropy():

@@ -38,6 +38,10 @@ def test_svec_roundtrip_and_inner_product(rng):
     b = (b + b.conj().T) / 2
     assert_allclose(smat(svec(a), 4), a, atol=1e-12)
     assert svec(a) @ svec(b) == pytest.approx(np.trace(a @ b).real, abs=1e-10)
+    # stacks map matrix by matrix
+    stack = np.stack([a, b])
+    assert_allclose(svec(stack), [svec(a), svec(b)], atol=0)
+    assert_allclose(smat(svec(stack), 4), stack, atol=1e-12)
 
 
 def test_orthogonal_discrimination_is_perfect():
@@ -134,6 +138,50 @@ def test_partial_trace_constraint_builder():
     expected = tensor(np.eye(2), e01, np.eye(2))
     found = any(np.allclose(c["J"], expected) for c, _ in cons)
     assert found
+
+
+def interleaved_problem(best):
+    """Blocks [A: 2, B: 3, C: 2] under Tr X_A + Tr X_B + Tr X_C = 1.
+
+    The optimum is the largest eigenvalue over all cost blocks, attained by
+    the projector onto its eigenvector; ``best`` gets the largest one.
+    """
+    dims = {"A": 2, "B": 3, "C": 2}
+    cost = {
+        "A": np.array([[1.0, 1j], [-1j, 0.0]]),
+        "B": np.array([[0.5, 0.2, 0.0], [0.2, -1.0, 0.3j], [0.0, -0.3j, 0.1]]),
+        "C": np.array([[-1.0, 0.5], [0.5, 0.2]]),
+    }
+    cost[best] = cost[best] + 3.0 * np.eye(dims[best])
+    constraints = [({n: np.eye(d) for n, d in dims.items()}, 1.0)]
+    return dims, cost, SdpProblem(blocks=list(dims.items()), objective=cost,
+                                  constraints=constraints)
+
+
+@pytest.mark.parametrize("best", ["A", "B", "C"])
+def test_interleaved_block_dimensions(best):
+    dims, cost, problem = interleaved_problem(best)
+    sol = solve(problem)
+    w, v = np.linalg.eigh(cost[best])
+    assert sol.primal_objective == pytest.approx(w[-1], abs=1e-6)
+    assert sol.y[0] == pytest.approx(w[-1], abs=1e-6)
+    assert list(sol.x) == list(dims)
+    for n, d in dims.items():
+        expected = np.outer(v[:, -1], v[:, -1].conj()) if n == best else np.zeros((d, d))
+        assert_allclose(sol.x[n], expected, atol=1e-5)
+    assert verify_kkt(problem, sol).passed
+
+
+def test_coefficient_errors_name_the_block():
+    _, cost, _ = interleaved_problem("A")
+    blocks = [("A", 2), ("B", 3), ("C", 2)]
+    skew = {"A": np.eye(2), "B": np.eye(3), "C": np.array([[0.0, 1.0], [0.0, 0.0]])}
+    with pytest.raises(ValueError, match="constraint operator for block 'C' is not Hermitian"):
+        SdpProblem(blocks=blocks, objective=cost, constraints=[(skew, 1.0)])
+    with pytest.raises(ValueError, match="objective operator for block 'B' has shape"):
+        SdpProblem(blocks=blocks, objective={"B": np.eye(2)}, constraints=[])
+    with pytest.raises(ValueError, match="unknown block 'D'"):
+        SdpProblem(blocks=blocks, objective={"D": np.eye(2)}, constraints=[])
 
 
 def test_rank_deficient_constraints_rejected():
