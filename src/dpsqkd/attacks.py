@@ -97,8 +97,12 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
     """Optimal minimum-error discrimination of an ensemble.
 
     Accepts a :class:`DpsEnsemble` or an explicit list of states (kets or
-    density operators) with priors.  The optimum is certified through the
-    KKT conditions before the result is returned.
+    density operators) with priors.  A :class:`DpsEnsemble` is solved through
+    its sign symmetry (see :func:`_covariant_med_solution`): one n x n seed
+    block instead of 2**(n-1) blocks.  Explicit lists run the general solve.
+    Either way the optimum is certified on the full problem
+    (:func:`med_problem`) through the KKT conditions before the result is
+    returned, so ``problem``, ``solution`` and ``kkt`` describe the full SDP.
     """
     if isinstance(ensemble, DpsEnsemble):
         states: Sequence[np.ndarray] = ensemble.states
@@ -113,7 +117,10 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
 
     rhos = _as_densities(states)
     problem = med_problem(rhos, priors)
-    solution = sdp.solve(problem, options)
+    if isinstance(ensemble, DpsEnsemble):
+        solution = _covariant_med_solution(ensemble, rhos, options)
+    else:
+        solution = sdp.solve(problem, options)
     kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
     names = _block_names(len(rhos))
     elements = _project_psd(np.array([solution.x[n] for n in names]))
@@ -125,6 +132,40 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
     return MedResult(povm=povm, confusion=confusion, p_success=p_success,
                      collision_probability=p_co, problem=problem,
                      solution=solution, kkt=kkt)
+
+
+def _covariant_med_solution(ensemble: DpsEnsemble, rhos: Sequence[np.ndarray],
+                            options: sdp.SolveOptions | None = None) -> sdp.SdpSolution:
+    """Solve the MED SDP of a DPS ensemble on one seed block and lift the
+    optimum onto the full problem of :func:`med_problem`.
+
+    Every state is U_g|+...+> with the diagonal sign matrix
+    U_g = diag(sqrt(n) psi_g), so an optimal POVM can be taken covariant,
+    P_g = U_g P0 U_g^dagger (Eldar, Megretski & Verghese, IEEE Trans. Inf.
+    Theory 49, 2003).  Since sum_g U_g P0 U_g^dagger = 2**(n-1) diag(P0),
+    completeness reduces to diag(P0) = 1/2**(n-1), and the objective to
+    <rho_bar, P0> with rho_bar = sum_g p_g U_g^dagger rho_g U_g.  The seed
+    dual y lifts to Y = diag(y)/2**(n-1), so the full problem's multipliers,
+    one per svec entry of the completeness constraint, are svec(Y) and its
+    slacks Z_g = Y - p_g rho_g.  The lifted pair is
+    returned uncertified; the caller checks it on the full problem.
+    """
+    count = len(rhos)
+    signs = np.sqrt(ensemble.n) * np.array(ensemble.states)  # rows: diagonals of U_g
+    weighted = np.asarray(ensemble.priors, dtype=float)[:, None, None] * np.array(rhos)
+    rho_bar = np.einsum("gk,gkl,gl->kl", signs.conj(), weighted, signs)
+    unit = np.eye(ensemble.n)
+    seed = sdp.SdpProblem(
+        blocks=[("P0", ensemble.n)], objective={"P0": rho_bar},
+        constraints=[({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(ensemble.n)])
+    sol = sdp.solve(seed, options)
+    lifted = signs[:, :, None] * sol.x["P0"] * signs.conj()[:, None, :]
+    dual = np.diag(sol.y / count)
+    names = _block_names(count)
+    return sdp.SdpSolution(
+        x=dict(zip(names, lifted)), y=sdp.svec(dual), z=dict(zip(names, dual - weighted)),
+        primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
+        gap=sol.gap, iterations=sol.iterations)
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:

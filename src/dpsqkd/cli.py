@@ -97,7 +97,8 @@ def _parse_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _channel_from_config(args: argparse.Namespace) -> tuple[ChannelModel, dict[str, Any]]:
+def _channel_from_config(args: argparse.Namespace,
+                         signal_scale: float = 1.0) -> tuple[ChannelModel, dict[str, Any]]:
     values: dict[str, Any] = {}
     path = args.config or os.environ.get(CONFIG_ENV)
     if path:
@@ -114,7 +115,7 @@ def _channel_from_config(args: argparse.Namespace) -> tuple[ChannelModel, dict[s
         if flag is not None:
             values[key] = flag
     try:
-        model = ChannelModel(**values)
+        model = ChannelModel(**values, signal_scale=signal_scale)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     resolved = {k: getattr(model, k) for k in _CHANNEL_KEYS}
@@ -308,10 +309,14 @@ def _cmd_finite_size(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_wcs(args: argparse.Namespace, out) -> int:
-    model, resolved = _channel_from_config(args)
-    wanted = tuple(a.strip() for a in args.attack.split(",") if a.strip())
     try:
         params = wcs.WcsParams(mean_photon_number=args.mu, slices=args.slices)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # the channel checks its click probability at the source intensity
+    model, resolved = _channel_from_config(args, params.mean_photon_number)
+    wanted = tuple(a.strip() for a in args.attack.split(",") if a.strip())
+    try:
         rows = wcs.wcs_key_rates(params, model, _distances(args), attacks=wanted)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -31,7 +31,11 @@ MAX_ATTACK_PULSES = 6
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Fibre loss, detector and error-correction parameters."""
+    """Fibre loss, detector and error-correction parameters.
+
+    Construction checks every field against its physical domain (all finite)
+    and the click probability p_signal + p_dark at ``distance_km`` against 1.
+    """
 
     loss_db_per_km: float = 0.2
     distance_km: float = 0.0
@@ -49,14 +53,20 @@ class ChannelModel:
             raise ValueError("dark count probability must be in [0, 1]")
         if not 0.0 <= self.baseline_error <= 0.5:
             raise ValueError("baseline error must be in [0, 0.5]")
-        if self.f_ec < 1.0:
-            raise ValueError("error correction inefficiency must be >= 1")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError("error correction inefficiency must be finite and >= 1")
         if not 3 <= self.n_pulses <= MAX_ATTACK_PULSES:
             raise ValueError(f"pulse count must lie in [3, {MAX_ATTACK_PULSES}]")
-        if not self.loss_db_per_km >= 0.0:
-            raise ValueError("fibre loss must be non-negative")
-        if not self.distance_km >= 0.0:
-            raise ValueError("distance must be non-negative")
+        if not 0.0 <= self.loss_db_per_km < math.inf:
+            raise ValueError("fibre loss must be finite and non-negative")
+        if not 0.0 <= self.distance_km < math.inf:
+            raise ValueError("distance must be finite and non-negative")
+        if not 0.0 <= self.signal_scale < math.inf:
+            raise ValueError("signal scale must be finite and non-negative")
+        if self.p_click > 1.0:
+            raise ValueError(f"click probability {self.p_click:.6g} exceeds 1 at "
+                             f"{self.distance_km:g} km (signal {self.p_signal:.6g} "
+                             f"+ dark counts {self.dark_count_prob:.6g})")
 
     def at_distance(self, distance_km: float) -> "ChannelModel":
         return replace(self, distance_km=distance_km)
@@ -64,6 +74,16 @@ class ChannelModel:
     @property
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db_per_km * self.distance_km / 10.0)
+
+    @property
+    def p_signal(self) -> float:
+        """Probability that the signal itself clicks: scale * eta * T."""
+        return self.signal_scale * self.detector_efficiency * self.transmittance
+
+    @property
+    def p_click(self) -> float:
+        """Click probability per frame: signal plus dark counts."""
+        return self.p_signal + self.dark_count_prob
 
     @property
     def sifting(self) -> float:
@@ -80,9 +100,7 @@ class QberBreakdown:
 
 def qber(model: ChannelModel) -> QberBreakdown:
     """Detection probabilities and the bit error rate they imply."""
-    p_signal = model.signal_scale * model.detector_efficiency * model.transmittance
-    p_dark = model.dark_count_prob
-    p_click = p_signal + p_dark
+    p_signal, p_dark, p_click = model.p_signal, model.dark_count_prob, model.p_click
     if p_click <= 0.0:
         raise ValueError(f"no detector clicks at {model.distance_km:g} km: the click "
                          "probability is zero")

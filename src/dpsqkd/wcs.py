@@ -38,8 +38,8 @@ class WcsParams:
     slices: int = 16
 
     def __post_init__(self) -> None:
-        if self.mean_photon_number <= 0.0:
-            raise ValueError("mean photon number must be positive")
+        if not 0.0 < self.mean_photon_number < math.inf:
+            raise ValueError("mean photon number must be positive and finite")
         if self.slices < 1:
             raise ValueError("slice count must be at least 1")
         if self.mean_photon_number > 1.0:

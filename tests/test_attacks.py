@@ -15,7 +15,7 @@ from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             med_on_cloned, med_result_json, optimize_unitary_q,
                             pgm_povm, povm_success, standard_attack_profiles,
                             unitary_cloner_output)
-from dpsqkd.dps import ber_of_state, dps_ensemble
+from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble
 from dpsqkd.keyrate import AttackProfile
 from dpsqkd.linalg import outer, partial_trace, tensor
 
@@ -73,6 +73,43 @@ def test_med_result_invariants(fixture, request):
     assert_allclose(result.confusion.sum(axis=1), 1.0, atol=1e-8)
     d = result.povm.elements[0].shape[0]
     assert_allclose(np.sum(result.povm.elements, axis=0), np.eye(d), atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_covariant_med_matches_general_solve(n, request):
+    """The seed-block route of a DpsEnsemble and the general 2**(n-1)-block
+    solve of the same states reach the same optimum."""
+    ens = dps_ensemble(n)
+    covariant = request.getfixturevalue(f"med{n}")
+    general = med_attack(list(ens.states), priors=ens.priors, bit_map=ens.bit_map)
+    assert covariant.p_success == pytest.approx(general.p_success, abs=1e-7)
+    assert covariant.collision_probability == pytest.approx(
+        general.collision_probability, abs=1e-7)
+    assert_allclose(covariant.confusion, general.confusion, rtol=0, atol=1e-7)
+    assert_allclose(covariant.povm.elements, general.povm.elements, rtol=0, atol=1e-7)
+    pgm = pgm_povm(ens.states, ens.priors)
+    assert_allclose(covariant.povm.elements, pgm.elements, rtol=0, atol=1e-7)
+    assert holevo_certificate(ens.states, ens.priors, covariant.povm)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_covariant_med_certified_on_full_problem(n, request):
+    result = request.getfixturevalue(f"med{n}") if n < 6 else med_attack(dps_ensemble(n))
+    count = 2 ** (n - 1)
+    assert len(result.problem.blocks) == count and len(result.solution.x) == count
+    assert len(result.solution.y) == n * n  # one multiplier per completeness entry
+    assert result.kkt.passed, result.kkt.conditions
+    assert result.p_success == pytest.approx(n / count, abs=1e-7)
+
+
+def test_covariant_lift_is_checked_not_assumed(ens3):
+    """Skewed priors break the sign symmetry; the lifted pair is then not
+    optimal, and the full-problem certificate says so."""
+    skewed = DpsEnsemble(n=3, states=ens3.states, priors=np.array([0.4, 0.2, 0.2, 0.2]),
+                         bit_map=ens3.bit_map)
+    result = med_attack(skewed)
+    assert not result.kkt.passed
+    assert not result.kkt.conditions["dual_psd"]
 
 
 def test_confusion_matches_trace_loop(med4):

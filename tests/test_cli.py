@@ -125,6 +125,14 @@ def test_keyrate_bad_grid(capsys):
         (("--step-km", "1e-9"), "points"),
         (("--dark-count-prob", "0", "--loss-db-per-km", "100", "--start-km", "40",
           "--stop-km", "40"), "click probability is zero"),
+        (("--f-ec", "nan"), "error correction"),
+        (("--f-ec", "inf"), "error correction"),
+        (("--loss-db-per-km", "inf"), "fibre loss"),
+        (("--loss-db-per-km", "nan"), "fibre loss"),
+        (("--dark-count-prob", "1", "--detector-efficiency", "1", "--stop-km", "0"),
+         "click probability 2 exceeds 1"),
+        (("--dark-count-prob", "0.5", "--detector-efficiency", "1"),
+         "click probability 1.5 exceeds 1"),
     ]:
         code, _, err = run_cli(capsys, "keyrate", *argv)
         assert code == 2, argv
@@ -204,3 +212,25 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["p_success"] == pytest.approx(0.75, abs=1e-6)
+
+
+def test_wcs_bad_source_and_channel(capsys):
+    for argv, message in [
+        (("--mu", "nan"), "mean photon number"),
+        (("--mu", "inf"), "mean photon number"),
+        (("--f-ec", "nan"), "error correction"),
+        (("--loss-db-per-km", "inf"), "fibre loss"),
+        (("--mu", "0.9", "--detector-efficiency", "1", "--dark-count-prob", "0.2"),
+         "click probability 1.1 exceeds 1"),
+    ]:
+        code, _, err = run_cli(capsys, "wcs", *argv)
+        assert code == 2, argv
+        assert "configuration error" in err and message in err
+
+
+def test_wcs_click_bound_uses_the_source_intensity(capsys):
+    # eta + p_dark = 1.5, but the clicks scale with mu: 0.4 * 1 + 0.5 <= 1
+    code, out, _ = run_cli(capsys, "wcs", "--detector-efficiency", "1",
+                           "--dark-count-prob", "0.5", "--stop-km", "0")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["p_click"] == pytest.approx(0.9, abs=1e-12)

@@ -66,6 +66,26 @@ def test_channel_validation():
     for n in (2, 7, 13):
         with pytest.raises(ValueError, match="pulse count"):
             ChannelModel(n_pulses=n)
+    for field, message in [("f_ec", "error correction"), ("loss_db_per_km", "fibre loss"),
+                           ("signal_scale", "signal scale"), ("distance_km", "distance")]:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=message):
+                ChannelModel(**{field: value})
+    for fields in ({"dark_count_prob": 1.0, "detector_efficiency": 1.0},
+                   {"dark_count_prob": 0.5, "detector_efficiency": 1.0},
+                   {"dark_count_prob": 1e-6, "detector_efficiency": 1.0},
+                   {"signal_scale": 2.0, "detector_efficiency": 0.6}):
+        with pytest.raises(ValueError, match="click probability .* exceeds 1"):
+            ChannelModel(**fields)
+
+
+def test_click_probability_bound_follows_the_distance():
+    edge = ChannelModel(dark_count_prob=0.0, detector_efficiency=1.0)
+    assert qber(edge).p_click == 1.0
+    far = ChannelModel(dark_count_prob=0.5, detector_efficiency=1.0, distance_km=50.0)
+    assert qber(far).p_click == pytest.approx(0.6, abs=1e-12)
+    with pytest.raises(ValueError, match="click probability"):
+        far.at_distance(0.0)
 
 
 def test_binary_entropy():

@@ -95,8 +95,9 @@ def test_slice_averaged_qber_value_at_16():
 
 
 def test_wcs_params_validation():
-    with pytest.raises(ValueError):
-        WcsParams(mean_photon_number=0.0)
+    for mu in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mean photon number"):
+            WcsParams(mean_photon_number=mu)
     with pytest.raises(ValueError):
         WcsParams(slices=0)
     with pytest.warns(UserWarning, match="weak-coherent"):
