@@ -7,7 +7,7 @@ Four eavesdropping strategies are modelled:
 * the optimal two-clone map, solved as a semidefinite program over the
   Choi operator of the cloning channel;
 * a symmetric unitary cloning machine with a single cloning coefficient,
-  optimised by scalar search;
+  whose optimum is the top eigenvector of a 2x2 quadratic form;
 * the intercept-resend baseline with a receiver-identical measurement.
 
 Every SDP is assembled through the named constraint builders of
@@ -380,13 +380,18 @@ class UnitaryClonerParams:
     basis: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q <= 1.0 / math.sqrt(2.0 * (self.d - 1)):
-            raise ValueError("cloning coefficient out of the unitary range")
         if len(self.basis) != self.d:
             raise ValueError("basis must contain d kets")
-        gram = np.array([[complex(np.vdot(a, b)) for b in self.basis] for a in self.basis])
-        if float(np.max(np.abs(gram - np.eye(self.d)))) > 1e-10:
+        b = self.basis_matrix
+        if float(np.max(np.abs(b @ dagger(b) - np.eye(self.d)))) > 1e-10:
             raise ValueError("basis is not orthonormal")
+        if not 0.0 <= self.q <= 1.0 / math.sqrt(2.0 * (self.d - 1)):
+            raise ValueError("cloning coefficient out of the unitary range")
+
+    @property
+    def basis_matrix(self) -> np.ndarray:
+        """(d, d) array whose rows are the basis kets."""
+        return np.array(self.basis, dtype=complex)
 
     @property
     def p(self) -> float:
@@ -424,23 +429,28 @@ def aligned_cloning_basis(ensemble: DpsEnsemble) -> tuple[np.ndarray, ...]:
     return tuple(vecs)
 
 
-def unitary_cloner_output(params: UnitaryClonerParams, psi: np.ndarray) -> np.ndarray:
-    """Joint (bob, eve) state after the cloning isometry, machine traced out."""
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+def _basis_coefficients(basis_matrix: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Coefficients <e_j|psi> of normalised kets (last axis) in the cloning basis."""
+    kets = np.asarray(kets, dtype=complex)
+    if np.any(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) > 1e-9):
         raise ValueError("input ket must be normalised")
-    d, q, p = params.d, params.q, params.p
-    coeffs = np.array([complex(np.vdot(b, psi)) for b in params.basis])
-    rho_ab = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        branch = coeffs[j] * p * np.kron(params.basis[j], params.basis[j])
-        for i in range(d):
-            if i != j:
-                branch = branch + q * coeffs[i] * (
-                    np.kron(params.basis[i], params.basis[j])
-                    + np.kron(params.basis[j], params.basis[i]))
-        rho_ab += np.outer(branch, branch.conj())
-    return rho_ab
+    return kets @ basis_matrix.conj().T
+
+
+def unitary_cloner_output(params: UnitaryClonerParams, psi: np.ndarray) -> np.ndarray:
+    """Joint (bob, eve) state after the cloning isometry, machine traced out.
+
+    The machine label X_k carries the branch sum_a v_ka (|e_a e_k> + |e_k e_a>)
+    with v_ka = q c_a for a != k and v_kk = p c_k / 2, c = <e|psi>; the state
+    is B B^dagger for the (d^2, d) matrix B of those branches.
+    """
+    e = params.basis_matrix
+    c = _basis_coefficients(e, psi)
+    d, q = params.d, params.q
+    v = q * np.broadcast_to(c, (d, d)) + np.diag((params.p / 2.0 - q) * c)
+    half = np.einsum("ka,ax,ky->xyk", v, e, e)
+    branches = (half + half.transpose(1, 0, 2)).reshape(d * d, d)
+    return branches @ dagger(branches)
 
 
 def apply_unitary_cloner(params: UnitaryClonerParams,
@@ -453,29 +463,18 @@ def apply_unitary_cloner(params: UnitaryClonerParams,
     return bob, eve
 
 
-def _unitary_avg_fidelity(q: float, states: Sequence[np.ndarray],
-                          priors: Sequence[float],
-                          basis: tuple[np.ndarray, ...]) -> float:
-    params = UnitaryClonerParams(d=len(basis), q=q, basis=basis)
-    total = 0.0
-    for i, s in enumerate(states):
-        s = np.asarray(s, dtype=complex)
-        bob, _ = apply_unitary_cloner(params, s)
-        total += priors[i] * float(np.real(s.conj() @ bob @ s))
-    return total
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimize_unitary_q(ensemble: DpsEnsemble | Sequence[np.ndarray],
                        basis: tuple[np.ndarray, ...] | None = None,
-                       priors: Sequence[float] | None = None,
-                       tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section maximisation of the mean single-clone fidelity over q.
+                       priors: Sequence[float] | None = None) -> tuple[float, float]:
+    """Exact maximum of the mean single-clone fidelity over the cloning coefficient.
 
-    Returns (q_opt, avg_fidelity).  The search interval is the full unitary
-    range [0, 1/sqrt(2(d-1))].
+    With w_gj = |<e_j|psi_g>|^2, the clone of psi_g has fidelity
+    F_g = sum_j (p w_gj + q (1 - w_gj))^2 + q^2 w_gj (1 - w_gj), so the mean
+    fidelity is the quadratic form [p q] G [p q]^T with G >= 0 entrywise,
+    maximised on the unitarity ellipse p^2 + 2(d-1) q^2 = 1.  The optimum is
+    the top eigenvector of D^(-1/2) G D^(-1/2), D = diag(1, 2(d-1)); by
+    Perron-Frobenius it can be taken non-negative, so it lies on the feasible
+    quarter-ellipse.  Returns (q_opt, avg_fidelity).
     """
     if isinstance(ensemble, DpsEnsemble):
         states: Sequence[np.ndarray] = ensemble.states
@@ -486,23 +485,13 @@ def optimize_unitary_q(ensemble: DpsEnsemble | Sequence[np.ndarray],
         states = ensemble
         if priors is None or basis is None:
             raise ValueError("explicit state lists need explicit priors and basis")
-    d = len(basis)
-    lo, hi = 0.0, 1.0 / math.sqrt(2.0 * (d - 1))
-    c1 = hi - _GOLDEN * (hi - lo)
-    c2 = lo + _GOLDEN * (hi - lo)
-    f1 = _unitary_avg_fidelity(c1, states, priors, basis)
-    f2 = _unitary_avg_fidelity(c2, states, priors, basis)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + _GOLDEN * (hi - lo)
-            f2 = _unitary_avg_fidelity(c2, states, priors, basis)
-        else:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - _GOLDEN * (hi - lo)
-            f1 = _unitary_avg_fidelity(c1, states, priors, basis)
-    q_opt = (lo + hi) / 2.0
-    return q_opt, _unitary_avg_fidelity(q_opt, states, priors, basis)
+    params = UnitaryClonerParams(d=len(basis), q=0.0, basis=tuple(basis))
+    w = np.abs(_basis_coefficients(params.basis_matrix, states)) ** 2
+    terms = np.stack([w * w, w * (1.0 - w), 1.0 - w]).sum(axis=2)
+    a, b, c = terms @ np.asarray(priors, dtype=float)
+    r = 1.0 / math.sqrt(2.0 * (params.d - 1))
+    lam, vecs = np.linalg.eigh(np.array([[a, b * r], [b * r, c * r * r]]))
+    return float(r * abs(vecs[1, -1])), float(lam[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ class WcsParams:
         if self.slices < 1:
             raise ValueError("slice count must be at least 1")
         if self.mean_photon_number > 1.0:
+            # level 3 skips the dataclass-generated __init__ and names the caller
             warnings.warn("mean photon number above 1 leaves the weak-coherent regime",
-                          stacklevel=2)
+                          stacklevel=3)
 
 
 def usd_success(mu: float) -> float:

@@ -184,7 +184,7 @@ def test_criterion_09_unitary_cloner(ens3, unitary3, unitary_med3):
     ber_plain = float(np.mean([ber_of_state(bobs[i], i, ens3) for i in range(4)]))
     clauses = [
         (abs(q_opt - 0.23) <= 1e-2,
-         f"golden-section q_opt = {q_opt:.6f} = 0.23 within 1e-2"),
+         f"closed-form q_opt = {q_opt:.6f} = 0.23 within 1e-2"),
         (params.unitarity_residual() <= 1e-12,
          f"unitarity residual {params.unitarity_residual():.1e} <= 1e-12"),
         (abs(avg_fid - 0.78) <= 1e-2,

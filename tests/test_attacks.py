@@ -282,26 +282,27 @@ def test_unitary_params_validation(ens3):
     assert params.unitarity_residual() <= 1e-12
 
 
-def test_unitary_cloner_is_isometry(ens3):
-    basis = aligned_cloning_basis(ens3)
-    params = UnitaryClonerParams(d=3, q=0.23, basis=basis)
-    d = 3
-    x = np.eye(d)
-    v = np.zeros((d ** 3, d), dtype=complex)
-    for i in range(d):
-        col = params.p * tensor(basis[i], basis[i], x[i])
-        for j in range(d):
-            if j != i:
-                col = col + params.q * (tensor(basis[i], basis[j], x[j])
-                                        + tensor(basis[j], basis[i], x[j]))
-        v[:, i] = col
-    assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
-    # tripartite output of any normalised input stays pure
-    for s in ens3.states:
-        out = v @ np.array([np.vdot(b, s) for b in basis])
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
-        rho_ab = partial_trace(outer(out), [d, d, d], keep=[0, 1])
-        assert_allclose(rho_ab, unitary_cloner_output(params, s), atol=1e-10)
+def test_unitary_cloner_is_isometry():
+    for d in (3, 5):
+        ens = dps_ensemble(d)
+        basis = aligned_cloning_basis(ens)
+        params = UnitaryClonerParams(d=d, q=0.23, basis=basis)
+        x = np.eye(d)
+        v = np.zeros((d ** 3, d), dtype=complex)
+        for i in range(d):
+            col = params.p * tensor(basis[i], basis[i], x[i])
+            for j in range(d):
+                if j != i:
+                    col = col + params.q * (tensor(basis[i], basis[j], x[j])
+                                            + tensor(basis[j], basis[i], x[j]))
+            v[:, i] = col
+        assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
+        # tripartite output of any normalised input stays pure
+        for s in ens.states:
+            out = v @ np.array([np.vdot(b, s) for b in basis])
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
+            rho_ab = partial_trace(outer(out), [d, d, d], keep=[0, 1])
+            assert_allclose(rho_ab, unitary_cloner_output(params, s), atol=1e-10)
 
 
 def test_unitary_cloner_symmetric_and_q0_identity(ens3):
@@ -354,6 +355,68 @@ def test_optimize_single_state_needs_no_cloning(ens3):
     q_opt, fid = optimize_unitary_q([basis[0]], basis=basis, priors=[1.0])
     assert q_opt == pytest.approx(0.0, abs=1e-4)
     assert fid == pytest.approx(1.0, abs=1e-6)
+
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def cloned_fidelity(q, states, priors, basis):
+    """Mean single-clone fidelity evaluated through apply_unitary_cloner."""
+    params = UnitaryClonerParams(d=len(basis), q=q, basis=basis)
+    return sum(pr * float(np.real(s.conj() @ apply_unitary_cloner(params, s)[0] @ s))
+               for pr, s in zip(priors, states))
+
+
+def golden_section_q(states, priors, basis, tol=1e-7):
+    """Independent route: golden-section search of the fidelity over the unitary range."""
+    lo, hi = 0.0, 1.0 / np.sqrt(2.0 * (len(basis) - 1))
+    c1, c2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = (cloned_fidelity(c, states, priors, basis) for c in (c1, c2))
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, c1, f1 = c1, c2, f2
+            c2 = lo + _GOLDEN * (hi - lo)
+            f2 = cloned_fidelity(c2, states, priors, basis)
+        else:
+            hi, c2, f2 = c2, c1, f1
+            c1 = hi - _GOLDEN * (hi - lo)
+            f1 = cloned_fidelity(c1, states, priors, basis)
+    q = (lo + hi) / 2.0
+    return q, cloned_fidelity(q, states, priors, basis)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_form_q_matches_golden_section(n):
+    ens = dps_ensemble(n)
+    basis = aligned_cloning_basis(ens)
+    q_opt, fid = optimize_unitary_q(ens, basis)
+    q_search, fid_search = golden_section_q(ens.states, ens.priors, basis)
+    assert q_opt == pytest.approx(q_search, abs=1e-6)
+    assert fid >= fid_search - 1e-12
+    assert fid == pytest.approx(cloned_fidelity(q_opt, ens.states, ens.priors, basis),
+                                abs=1e-12)
+
+
+def test_closed_form_q_at_eight_pulses():
+    ens = dps_ensemble(8)
+    basis = aligned_cloning_basis(ens)
+    q_opt, fid = optimize_unitary_q(ens, basis)
+    assert 0.0 < q_opt < 1.0 / np.sqrt(2.0 * 7)
+    assert fid == pytest.approx(cloned_fidelity(q_opt, ens.states, ens.priors, basis),
+                                abs=1e-12)
+
+
+def test_optimize_unitary_q_keeps_input_checks(ens3):
+    basis = aligned_cloning_basis(ens3)
+    states, priors = list(ens3.states), list(ens3.priors)
+    with pytest.raises(ValueError, match="orthonormal"):
+        optimize_unitary_q(ens3, (basis[0], basis[0], basis[2]))
+    with pytest.raises(ValueError, match="normalised"):
+        optimize_unitary_q([2.0 * states[0]] + states[1:], basis=basis, priors=priors)
+    with pytest.raises(ValueError, match="explicit priors and basis"):
+        optimize_unitary_q(states, basis=basis)
+    with pytest.raises(ValueError, match="explicit priors and basis"):
+        optimize_unitary_q(states, priors=priors)
 
 
 def test_unitary_ber_values(ens3, unitary3):

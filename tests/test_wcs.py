@@ -104,6 +104,12 @@ def test_wcs_params_validation():
         WcsParams(mean_photon_number=1.5)
 
 
+def test_strong_source_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="weak-coherent") as record:
+        WcsParams(mean_photon_number=1.5)
+    assert record[0].filename == __file__
+
+
 def test_usd_known_fraction_limits():
     assert usd_known_fraction(0.4, 1.0) == 0.0
     assert usd_known_fraction(0.4, 0.0) == pytest.approx(usd_block_identification(0.4))
