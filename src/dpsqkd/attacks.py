@@ -11,22 +11,27 @@ Four eavesdropping strategies are modelled:
 * the intercept-resend baseline with a receiver-identical measurement.
 
 Every SDP is assembled through the named constraint builders of
-:mod:`dpsqkd.sdp`; no attack code touches raw svec index arithmetic.
-Results carry confusion tables and collision probabilities that feed the
-shrinking factors in :mod:`dpsqkd.keyrate`.
+:mod:`dpsqkd.sdp`; no attack code touches raw svec index arithmetic.  An
+ensemble that is covariant under the sign group of the DPS states (see
+:func:`_sign_covariant`) is solved on a symmetry-reduced problem: MED on one
+n x n seed block, the optimal cloner on the character blocks of its Choi
+operator.  Either way the optimum is lifted back and certified on the full
+problem, so every result describes the full SDP.  Results carry confusion
+tables and collision probabilities that feed the shrinking factors in
+:mod:`dpsqkd.keyrate`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from . import sdp
-from .dps import DpsEnsemble, ber_of_state, dps_ensemble
+from .dps import MAX_PULSES, DpsEnsemble, ber_of_state, dps_ensemble
 from .keyrate import AttackProfile
 from .linalg import dagger, eig_hermitian, hermitian_part, outer, partial_trace
 
@@ -97,12 +102,14 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
     """Optimal minimum-error discrimination of an ensemble.
 
     Accepts a :class:`DpsEnsemble` or an explicit list of states (kets or
-    density operators) with priors.  A :class:`DpsEnsemble` is solved through
-    its sign symmetry (see :func:`_covariant_med_solution`): one n x n seed
-    block instead of 2**(n-1) blocks.  Explicit lists run the general solve.
-    Either way the optimum is certified on the full problem
-    (:func:`med_problem`) through the KKT conditions before the result is
-    returned, so ``problem``, ``solution`` and ``kkt`` describe the full SDP.
+    density operators) with priors.  A sign-covariant ensemble (see
+    :func:`_sign_covariant`), such as a DPS ensemble or the clones of the
+    optimal cloner, is solved on one n x n seed block instead of 2**(n-1)
+    blocks (see :func:`_covariant_med_solution`); any other ensemble runs
+    the general solve.  Either way the optimum is certified on the full
+    problem (:func:`med_problem`) through the KKT conditions before the
+    result is returned, so ``problem``, ``solution`` and ``kkt`` describe
+    the full SDP.
     """
     if isinstance(ensemble, DpsEnsemble):
         states: Sequence[np.ndarray] = ensemble.states
@@ -117,8 +124,8 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
 
     rhos = _as_densities(states)
     problem = med_problem(rhos, priors)
-    if isinstance(ensemble, DpsEnsemble):
-        solution = _covariant_med_solution(ensemble, rhos, options)
+    if _sign_covariant(rhos, priors):
+        solution = _covariant_med_solution(rhos, priors, options)
     else:
         solution = sdp.solve(problem, options)
     kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
@@ -134,32 +141,69 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
                      solution=solution, kkt=kkt)
 
 
-def _covariant_med_solution(ensemble: DpsEnsemble, rhos: Sequence[np.ndarray],
-                            options: sdp.SolveOptions | None = None) -> sdp.SdpSolution:
-    """Solve the MED SDP of a DPS ensemble on one seed block and lift the
-    optimum onto the full problem of :func:`med_problem`.
+_COVARIANCE_TOL = 1e-12
 
-    Every state is U_g|+...+> with the diagonal sign matrix
-    U_g = diag(sqrt(n) psi_g), so an optimal POVM can be taken covariant,
-    P_g = U_g P0 U_g^dagger (Eldar, Megretski & Verghese, IEEE Trans. Inf.
-    Theory 49, 2003).  Since sum_g U_g P0 U_g^dagger = 2**(n-1) diag(P0),
-    completeness reduces to diag(P0) = 1/2**(n-1), and the objective to
-    <rho_bar, P0> with rho_bar = sum_g p_g U_g^dagger rho_g U_g.  The seed
-    dual y lifts to Y = diag(y)/2**(n-1), so the full problem's multipliers,
-    one per svec entry of the completeness constraint, are svec(Y) and its
-    slacks Z_g = Y - p_g rho_g.  The lifted pair is
-    returned uncertified; the caller checks it on the full problem.
+
+@lru_cache(maxsize=None)
+def _sign_patterns(d: int) -> np.ndarray:
+    """(2**(d-1), d) array of exact +-1 signs: row g is the diagonal of the
+    sign matrix U_g that maps |+...+> to state g of ``dps_ensemble(d)``.
+
+    Shared and read-only: every symmetry-reduced solve and every route
+    check reads it.
     """
-    count = len(rhos)
-    signs = np.sqrt(ensemble.n) * np.array(ensemble.states)  # rows: diagonals of U_g
-    weighted = np.asarray(ensemble.priors, dtype=float)[:, None, None] * np.array(rhos)
-    rho_bar = np.einsum("gk,gkl,gl->kl", signs.conj(), weighted, signs)
-    unit = np.eye(ensemble.n)
+    signs = np.sign(np.array(dps_ensemble(d).states).real)
+    signs.flags.writeable = False
+    return signs
+
+
+def _sign_covariant(rhos: Sequence[np.ndarray], priors: Sequence[float]) -> bool:
+    """Whether an ensemble is covariant under the sign group of ``dps_ensemble(d)``.
+
+    True for 2**(d-1) states on C^d with uniform priors and
+    rho_g = U_g rho_0 U_g^dagger to _COVARIANCE_TOL of the largest entry,
+    in the order of ``dps_ensemble(d)``.  The DPS states and the clones of
+    the optimal cloner qualify; the clones of the unitary cloner, whose
+    basis is aligned with state 0, and skewed priors do not.
+    """
+    count, d = len(rhos), rhos[0].shape[0]
+    if not 3 <= d <= MAX_PULSES or count != 2 ** (d - 1):
+        return False
+    if np.max(np.abs(np.asarray(priors, dtype=float) - 1.0 / count)) > _COVARIANCE_TOL:
+        return False
+    stack = np.array(rhos)
+    signs = _sign_patterns(d)
+    moved = signs[:, :, None] * stack[0] * signs[:, None, :]
+    return bool(np.max(np.abs(stack - moved)) <= _COVARIANCE_TOL * np.max(np.abs(stack)))
+
+
+def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float],
+                            options: sdp.SolveOptions | None = None) -> sdp.SdpSolution:
+    """Solve the MED SDP of a sign-covariant ensemble on one seed block and
+    lift the optimum onto the full problem of :func:`med_problem`.
+
+    With the sign matrices U_g = diag(s_g) of :func:`_sign_patterns`, an
+    optimal POVM can be taken covariant, P_g = U_g P0 U_g^dagger (Eldar,
+    Megretski & Verghese, IEEE Trans. Inf. Theory 49, 2003).  Since
+    sum_g U_g P0 U_g^dagger = 2**(n-1) diag(P0), completeness reduces to
+    diag(P0) = 1/2**(n-1), and the objective to <rho_bar, P0> with
+    rho_bar = sum_g p_g U_g^dagger rho_g U_g.  The seed dual y lifts to
+    Y = diag(y)/2**(n-1), so the full problem's multipliers, one per svec
+    entry of the completeness constraint, are svec(Y) and its slacks
+    Z_g = Y - p_g rho_g.  The lifted pair is returned uncertified; the
+    caller checks it on the full problem, which fails when the ensemble is
+    not covariant.
+    """
+    count, n = len(rhos), rhos[0].shape[0]
+    signs = _sign_patterns(n)
+    weighted = np.asarray(priors, dtype=float)[:, None, None] * np.array(rhos)
+    rho_bar = np.einsum("gk,gkl,gl->kl", signs, weighted, signs)
+    unit = np.eye(n)
     seed = sdp.SdpProblem(
-        blocks=[("P0", ensemble.n)], objective={"P0": rho_bar},
-        constraints=[({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(ensemble.n)])
+        blocks=[("P0", n)], objective={"P0": rho_bar},
+        constraints=[({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
     sol = sdp.solve(seed, options)
-    lifted = signs[:, :, None] * sol.x["P0"] * signs.conj()[:, None, :]
+    lifted = signs[:, :, None] * sol.x["P0"] * signs[:, None, :]
     dual = np.diag(sol.y / count)
     names = _block_names(count)
     return sdp.SdpSolution(
@@ -219,13 +263,6 @@ def pgm_povm(states: Sequence[np.ndarray], priors: Sequence[float]) -> Povm:
     if float(np.max(np.abs(kernel))) > _POVM_SUM_ATOL:
         elements = [el + kernel / len(elements) for el in elements]
     return Povm(elements=tuple(elements))
-
-
-def povm_success(povm: Povm, states: Sequence[np.ndarray],
-                 priors: Sequence[float]) -> float:
-    rhos = _as_densities(states)
-    return float(sum(priors[i] * np.real(np.trace(rhos[i] @ povm.elements[i]))
-                     for i in range(len(rhos))))
 
 
 def holevo_certificate(states: Sequence[np.ndarray], priors: Sequence[float],
@@ -297,7 +334,15 @@ def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
                    priors: Sequence[float] | None = None,
                    options: sdp.SolveOptions | None = None) -> CloningResult:
-    """Solve for the optimal symmetric cloning channel of a pure-state ensemble."""
+    """Solve for the optimal symmetric cloning channel of a pure-state ensemble.
+
+    A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
+    ensemble, is solved on the character blocks of the Choi operator (see
+    :func:`_covariant_cloner_solution`); any other ensemble runs the general
+    solve over the one d**3 block.  Either way the optimum is certified on
+    the full problem (:func:`cloning_problem`) through the KKT conditions, so
+    ``problem``, ``solution`` and ``kkt`` describe the full SDP.
+    """
     if isinstance(ensemble, DpsEnsemble):
         states: Sequence[np.ndarray] = ensemble.states
         priors = ensemble.priors
@@ -307,7 +352,10 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
             raise ValueError("explicit state lists need explicit priors")
     d = np.asarray(states[0]).size
     problem = cloning_problem(states, priors)
-    solution = sdp.solve(problem, options)
+    if _sign_covariant(_as_densities(states), priors):
+        solution = _covariant_cloner_solution(problem, d, options)
+    else:
+        solution = sdp.solve(problem, options)
     kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
     choi = _project_psd(solution.x[CHOI_BLOCK])
 
@@ -328,6 +376,60 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
         per_state_clone_fidelity=fids, bob_states=bob_states,
         eve_states=eve_states, problem=problem, solution=solution, kkt=kkt,
     )
+
+
+def _character_blocks(d: int) -> list[np.ndarray]:
+    """Ket indices of the character blocks of (out) x (in) x (out).
+
+    The sign group acts on the Choi operator as U_g x conj(U_g) x U_g, which
+    multiplies the basis ket |i j k> by s_g(i) s_g(j) s_g(k).  Kets with the
+    same sign function g -> s_g(i) s_g(j) s_g(k) span one block of an
+    invariant Choi operator (Gatermann & Parrilo, J. Pure Appl. Algebra 192,
+    2004).  Blocks are listed in order of their first ket.
+    """
+    signs = _sign_patterns(d)
+    labels = np.einsum("gi,gj,gk->ijkg", signs, signs, signs).reshape(d ** 3, -1)
+    _, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    return [np.flatnonzero(inverse == b) for b in np.argsort(first)]
+
+
+def _covariant_cloner_solution(problem: sdp.SdpProblem, d: int,
+                               options: sdp.SolveOptions | None = None) -> sdp.SdpSolution:
+    """Solve the cloning SDP of a sign-covariant ensemble on the character
+    blocks of its Choi operator and lift the optimum onto ``problem``, the
+    full :func:`cloning_problem`.
+
+    The objective and the constraints are invariant under the sign group, so
+    an optimal Choi operator can be taken invariant, hence block diagonal
+    over :func:`_character_blocks`.  Each block keeps its part of the
+    objective.  Of the d**2 trace-preservation constraints
+    Tr_{out,out}(J) = I only the d diagonal ones touch the blocks: for each
+    input index k, the diagonal of J summed over the kets |i k l> is 1.  The
+    off-diagonal ones hold on any block-diagonal operator.  The block primal
+    and slack scatter into the full J and Z, and the d multipliers lift to
+    Y = diag(y), whose svec holds the full problem's multipliers.  The
+    lifted pair is returned uncertified; the caller checks it on the full
+    problem.
+    """
+    q = problem.objective[CHOI_BLOCK]
+    blocks = _character_blocks(d)
+    names = [f"J{b}" for b in range(len(blocks))]
+    inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
+    reduced = sdp.SdpProblem(
+        blocks=[(name, ix.size) for name, ix in zip(names, blocks)],
+        objective={name: q[np.ix_(ix, ix)] for name, ix in zip(names, blocks)},
+        constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
+                     for k in range(d)])
+    sol = sdp.solve(reduced, options)
+    choi, slack = np.zeros_like(q), np.zeros_like(q)
+    for name, ix in zip(names, blocks):
+        choi[np.ix_(ix, ix)] = sol.x[name]
+        slack[np.ix_(ix, ix)] = sol.z[name]
+    return sdp.SdpSolution(
+        x={CHOI_BLOCK: choi}, y=sdp.svec(np.diag(sol.y)), z={CHOI_BLOCK: slack},
+        primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
+        gap=sol.gap, iterations=sol.iterations)
 
 
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
@@ -548,6 +650,27 @@ def ir_monte_carlo_collision(samples: int, seed: int = 7, n: int = 3,
     return float(np.mean(collision))
 
 
+class UncertifiedOptimumError(sdp.SdpError):
+    """An attack optimum failed its KKT certificate on the full problem."""
+
+
+_Result = TypeVar("_Result", MedResult, CloningResult)
+
+
+def certified(result: _Result, attack: str) -> _Result:
+    """Return ``result`` if its KKT certificate passed.
+
+    Otherwise raise :class:`UncertifiedOptimumError` naming the attack and
+    the failing KKT conditions, so an uncertified optimum never reaches a
+    key rate or a report.
+    """
+    failed = [name for name, ok in result.kkt.conditions.items() if not ok]
+    if failed:
+        raise UncertifiedOptimumError(
+            f"{attack}: KKT certificate failed ({', '.join(failed)})")
+    return result
+
+
 def standard_attack_profiles(n: int = 3,
                              options: sdp.SolveOptions | None = None
                              ) -> dict[str, AttackProfile]:
@@ -560,7 +683,7 @@ def standard_attack_profiles(n: int = 3,
     clones.
     """
     ens = dps_ensemble(n)
-    med = med_attack(ens, options=options)
+    med = certified(med_attack(ens, options=options), "med")
     profiles = {
         "ir": ir_attack_profile(),
         "med": AttackProfile(
@@ -570,9 +693,9 @@ def standard_attack_profiles(n: int = 3,
         ),
     }
 
-    clone = optimal_cloner(ens, options=options)
-    clone_med = med_on_cloned(clone.eve_states, ens.priors, ens.bit_map,
-                              options=options)
+    clone = certified(optimal_cloner(ens, options=options), "optimal cloner")
+    clone_med = certified(med_on_cloned(clone.eve_states, ens.priors, ens.bit_map,
+                                        options=options), "MED after optimal cloning")
     ber_clone = float(np.mean([
         ber_of_state(clone.bob_states[i], i, ens, conditional=True)
         for i in range(len(ens.states))
@@ -586,7 +709,8 @@ def standard_attack_profiles(n: int = 3,
     q_opt, _ = optimize_unitary_q(ens, basis)
     params = UnitaryClonerParams(d=n, q=q_opt, basis=basis)
     ustates = [apply_unitary_cloner(params, s)[0] for s in ens.states]
-    unitary_med = med_on_cloned(ustates, ens.priors, ens.bit_map, options=options)
+    unitary_med = certified(med_on_cloned(ustates, ens.priors, ens.bit_map, options=options),
+                            "MED after unitary cloning")
     ber_unitary = float(np.mean([
         ber_of_state(ustates[i], i, ens, conditional=True)
         for i in range(len(ens.states))
@@ -602,7 +726,8 @@ def standard_attack_profiles(n: int = 3,
 # serialisation
 # ---------------------------------------------------------------------------
 
-def _complex_matrix_json(m: np.ndarray) -> list[list[list[float]]]:
+def complex_matrix_doc(m: np.ndarray) -> list[list[list[float]]]:
+    """Plain-data rendering of a complex matrix: rows of [real, imag] pairs."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
@@ -612,22 +737,6 @@ def med_result_doc(result: MedResult) -> dict:
         "p_success": result.p_success,
         "collision_probability": result.collision_probability,
         "confusion": [[float(v) for v in row] for row in result.confusion],
-        "povm": [_complex_matrix_json(el) for el in result.povm.elements],
+        "povm": [complex_matrix_doc(el) for el in result.povm.elements],
         "kkt_passed": result.kkt.passed,
     }
-
-
-def med_result_json(result: MedResult) -> str:
-    """Regression-friendly JSON snapshot of a discrimination result."""
-    return json.dumps(med_result_doc(result), sort_keys=True)
-
-
-def cloning_result_json(result: CloningResult) -> str:
-    """Regression-friendly JSON snapshot of a cloning result (states, fidelities)."""
-    doc = {
-        "avg_two_copy_fidelity": result.avg_two_copy_fidelity,
-        "per_state_clone_fidelity": list(result.per_state_clone_fidelity),
-        "bob_states": [_complex_matrix_json(b) for b in result.bob_states],
-        "kkt_passed": result.kkt.passed,
-    }
-    return json.dumps(doc, sort_keys=True)

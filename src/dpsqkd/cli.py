@@ -202,14 +202,16 @@ def _cmd_clone(args: argparse.Namespace, out) -> int:
     ens = dps_ensemble(3)
     doc: dict[str, Any] = {"config": {"command": "clone", "mode": args.mode}}
     if args.mode == "optimal":
-        result = attacks.optimal_cloner(ens)
-        med_after = attacks.med_on_cloned(result.eve_states, ens.priors, ens.bit_map)
+        result = attacks.certified(attacks.optimal_cloner(ens), "optimal cloner")
+        med_after = attacks.certified(
+            attacks.med_on_cloned(result.eve_states, ens.priors, ens.bit_map),
+            "MED after optimal cloning")
         fits = [attacks.depolarizing_fit(ens.density(i), result.bob_states[i])
                 for i in range(len(ens.states))]
         doc.update({
             "avg_two_copy_fidelity": result.avg_two_copy_fidelity,
             "per_state_clone_fidelity": result.per_state_clone_fidelity,
-            "bob_states": [attacks._complex_matrix_json(b) for b in result.bob_states],
+            "bob_states": [attacks.complex_matrix_doc(b) for b in result.bob_states],
             "depolarizing_p": [p for p, _ in fits],
             "depolarizing_residual": [r for _, r in fits],
             "ber": [ber_of_state(result.bob_states[i], i, ens)
@@ -229,13 +231,14 @@ def _cmd_clone(args: argparse.Namespace, out) -> int:
         q_opt, avg_fid = attacks.optimize_unitary_q(ens, basis)
         params = attacks.UnitaryClonerParams(d=3, q=q_opt, basis=basis)
         bobs = [attacks.apply_unitary_cloner(params, s)[0] for s in ens.states]
-        med_after = attacks.med_on_cloned(bobs, ens.priors, ens.bit_map)
+        med_after = attacks.certified(attacks.med_on_cloned(bobs, ens.priors, ens.bit_map),
+                                      "MED after unitary cloning")
         doc.update({
             "q_opt": q_opt,
             "p_coefficient": params.p,
             "unitarity_residual": params.unitarity_residual(),
             "avg_clone_fidelity": avg_fid,
-            "bob_states": [attacks._complex_matrix_json(b) for b in bobs],
+            "bob_states": [attacks.complex_matrix_doc(b) for b in bobs],
             "ber": [ber_of_state(bobs[i], i, ens) for i in range(len(ens.states))],
             "ber_conditional": [ber_of_state(bobs[i], i, ens, conditional=True)
                                 for i in range(len(ens.states))],

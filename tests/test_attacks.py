@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dpsqkd import sdp
+from dpsqkd import attacks, sdp
 from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
-                            cloning_result_json,
                             apply_choi, apply_unitary_cloner,
-                            collision_probability, cptp_residuals,
+                            cloning_problem, collision_probability,
+                            complex_matrix_doc, cptp_residuals,
                             depolarizing_fit, holevo_certificate,
                             ir_attack_profile,
                             ir_monte_carlo_collision, med_attack,
-                            med_on_cloned, med_result_json, optimize_unitary_q,
-                            pgm_povm, povm_success, standard_attack_profiles,
+                            med_on_cloned, med_problem, med_result_doc,
+                            optimal_cloner, optimize_unitary_q,
+                            pgm_povm, standard_attack_profiles,
                             unitary_cloner_output)
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble
 from dpsqkd.keyrate import AttackProfile
@@ -61,8 +62,9 @@ def test_pgm_matches_sdp_optimum(med3, med4, med5):
     for n, med in ((3, med3), (4, med4), (5, med5)):
         ens = dps_ensemble(n)
         povm = pgm_povm(ens.states, ens.priors)
-        assert povm_success(povm, ens.states, ens.priors) == pytest.approx(
-            med.p_success, abs=1e-7)
+        success = sum(p * np.trace(ens.density(i) @ povm.elements[i]).real
+                      for i, p in enumerate(ens.priors))
+        assert success == pytest.approx(med.p_success, abs=1e-7)
 
 
 @pytest.mark.parametrize("fixture", ["med3", "med4", "med5", "clone_med3", "unitary_med3"])
@@ -75,18 +77,45 @@ def test_med_result_invariants(fixture, request):
     assert_allclose(np.sum(result.povm.elements, axis=0), np.eye(d), atol=1e-8)
 
 
+def general_med(states, priors, bit_map):
+    """Independent route: the general solve of the full MED problem, read out
+    without the covariant lift or the PSD clipping of ``med_attack``.
+    Returns (p_success, collision, confusion, povm elements)."""
+    rhos = [outer(s) if np.ndim(s) == 1 else np.asarray(s) for s in states]
+    sol = sdp.solve(med_problem(rhos, priors))
+    elements = np.array([sol.x[f"P{i + 1}"] for i in range(len(rhos))])
+    confusion = np.array([[np.trace(rho @ el).real for el in elements] for rho in rhos])
+    p_success = float(np.asarray(priors) @ np.diag(confusion))
+    return p_success, collision_probability(confusion, priors, bit_map), confusion, elements
+
+
+def assert_matches_general_med(result, states, priors, bit_map):
+    p_success, collision, confusion, elements = general_med(states, priors, bit_map)
+    assert result.p_success == pytest.approx(p_success, abs=1e-7)
+    assert result.collision_probability == pytest.approx(collision, abs=1e-7)
+    assert_allclose(result.confusion, confusion, rtol=0, atol=1e-7)
+    assert_allclose(result.povm.elements, elements, rtol=0, atol=1e-7)
+
+
+@pytest.fixture
+def covariant_calls(monkeypatch):
+    """Names of the symmetry-reduced solutions taken while the test runs."""
+    calls = []
+    for name in ("_covariant_med_solution", "_covariant_cloner_solution"):
+        def spy(*args, _name=name, _real=getattr(attacks, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(attacks, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_covariant_med_matches_general_solve(n, request):
     """The seed-block route of a DpsEnsemble and the general 2**(n-1)-block
     solve of the same states reach the same optimum."""
     ens = dps_ensemble(n)
     covariant = request.getfixturevalue(f"med{n}")
-    general = med_attack(list(ens.states), priors=ens.priors, bit_map=ens.bit_map)
-    assert covariant.p_success == pytest.approx(general.p_success, abs=1e-7)
-    assert covariant.collision_probability == pytest.approx(
-        general.collision_probability, abs=1e-7)
-    assert_allclose(covariant.confusion, general.confusion, rtol=0, atol=1e-7)
-    assert_allclose(covariant.povm.elements, general.povm.elements, rtol=0, atol=1e-7)
+    assert_matches_general_med(covariant, ens.states, ens.priors, ens.bit_map)
     pgm = pgm_povm(ens.states, ens.priors)
     assert_allclose(covariant.povm.elements, pgm.elements, rtol=0, atol=1e-7)
     assert holevo_certificate(ens.states, ens.priors, covariant.povm)
@@ -102,14 +131,42 @@ def test_covariant_med_certified_on_full_problem(n, request):
     assert result.p_success == pytest.approx(n / count, abs=1e-7)
 
 
-def test_covariant_lift_is_checked_not_assumed(ens3):
-    """Skewed priors break the sign symmetry; the lifted pair is then not
-    optimal, and the full-problem certificate says so."""
-    skewed = DpsEnsemble(n=3, states=ens3.states, priors=np.array([0.4, 0.2, 0.2, 0.2]),
-                         bit_map=ens3.bit_map)
+def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
+    """Skewed priors break the sign symmetry; the lifted seed pair is then
+    not optimal, and the full-problem certificate says so.  ``med_attack``
+    therefore takes the general route for them, which passes."""
+    priors = np.array([0.4, 0.2, 0.2, 0.2])
+    rhos = [ens3.density(i) for i in range(4)]
+    lifted = attacks._covariant_med_solution(rhos, priors)
+    report = sdp.verify_kkt(med_problem(rhos, priors), lifted, tol=1e-6)
+    assert not report.passed
+    assert not report.conditions["dual_psd"]
+    del covariant_calls[:]
+    skewed = DpsEnsemble(n=3, states=ens3.states, priors=priors, bit_map=ens3.bit_map)
     result = med_attack(skewed)
-    assert not result.kkt.passed
-    assert not result.kkt.conditions["dual_psd"]
+    assert covariant_calls == []
+    assert result.kkt.passed, result.kkt.conditions
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_optimal_clone_med_matches_general_solve(n, covariant_calls):
+    """Eve's optimal-cloner clones are sign covariant, so their MED runs on
+    the seed block and reaches the general solve's optimum."""
+    ens = dps_ensemble(n)
+    clone = optimal_cloner(ens)
+    del covariant_calls[:]
+    result = med_on_cloned(clone.eve_states, ens.priors, ens.bit_map)
+    assert covariant_calls == ["_covariant_med_solution"]
+    assert result.kkt.passed, result.kkt.conditions
+    assert_matches_general_med(result, clone.eve_states, ens.priors, ens.bit_map)
+
+
+def test_unitary_clones_keep_the_general_route(ens3, unitary3, covariant_calls):
+    _, _, _, _, bobs = unitary3
+    assert not attacks._sign_covariant(bobs, ens3.priors)
+    result = med_on_cloned(bobs, ens3.priors, ens3.bit_map)
+    assert covariant_calls == []
+    assert result.kkt.passed
 
 
 def test_confusion_matches_trace_loop(med4):
@@ -163,16 +220,21 @@ def test_collision_probability_perfect_discrimination(ens3):
 
 
 def test_med_result_serialises(med3):
-    doc = json.loads(med_result_json(med3))
+    doc = json.loads(json.dumps(med_result_doc(med3), sort_keys=True))
     assert doc["kkt_passed"] is True
     assert doc["p_success"] == pytest.approx(0.75, abs=1e-6)
     assert len(doc["povm"]) == 4
 
 
 def test_cloning_result_serialises(clone3):
-    doc = json.loads(cloning_result_json(clone3))
-    assert doc["avg_two_copy_fidelity"] == pytest.approx(7 / 9, abs=1e-5)
-    assert len(doc["bob_states"]) == 4
+    """The clone report renders each Bob state with complex_matrix_doc; the
+    JSON round trip gives the matrices back exactly."""
+    doc = json.loads(json.dumps([complex_matrix_doc(b) for b in clone3.bob_states]))
+    assert len(doc) == 4
+    for bob, rendered in zip(clone3.bob_states, doc):
+        pairs = np.array(rendered)
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], bob)
+    assert clone3.avg_two_copy_fidelity == pytest.approx(7 / 9, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +260,70 @@ def test_cloning_is_cptp(clone3):
     neg, tp = cptp_residuals(clone3.choi, 3)
     assert neg <= 1e-7
     assert tp <= 1e-7
+
+
+def full_cloner(ens):
+    """Independent route: the general solve of the one d**3 Choi block, read
+    out through apply_choi.  Returns (choi, two-copy fidelity, per-state
+    fidelities, Bob's states, Eve's states)."""
+    d = ens.n
+    choi = sdp.solve(cloning_problem(ens.states, ens.priors)).x["J"]
+    two_copy, fids, bobs, eves = 0.0, [], [], []
+    for p, s in zip(ens.priors, ens.states):
+        joint = apply_choi(choi, outer(s))
+        bobs.append(partial_trace(joint, [d, d], keep=[0]))
+        eves.append(partial_trace(joint, [d, d], keep=[1]))
+        fids.append(np.vdot(s, bobs[-1] @ s).real)
+        pair = np.kron(s, s)
+        two_copy += p * np.vdot(pair, joint @ pair).real
+    return choi, two_copy, fids, bobs, eves
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_character_block_cloner_matches_full_solve(n, covariant_calls):
+    ens = dps_ensemble(n)
+    result = optimal_cloner(ens)
+    assert covariant_calls == ["_covariant_cloner_solution"]
+    choi, two_copy, fids, bobs, eves = full_cloner(ens)
+    assert_allclose(result.choi, choi, rtol=0, atol=1e-7)
+    assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-7)
+    assert_allclose(result.per_state_clone_fidelity, fids, rtol=0, atol=1e-7)
+    assert_allclose(result.bob_states, bobs, rtol=0, atol=1e-7)
+    assert_allclose(result.eve_states, eves, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("n,count,largest", [(3, 4, 7), (4, 8, 10), (5, 15, 13), (6, 26, 16)])
+def test_character_blocks(n, count, largest):
+    blocks = attacks._character_blocks(n)
+    assert len(blocks) == count
+    assert max(ix.size for ix in blocks) == largest
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n ** 3))
+    # the cloning objective of the DPS ensemble has no weight between blocks
+    ens = dps_ensemble(n)
+    q = cloning_problem(ens.states, ens.priors).objective["J"]
+    label = np.zeros(n ** 3, dtype=int)
+    for b, ix in enumerate(blocks):
+        label[ix] = b
+    assert np.max(np.abs(q[label[:, None] != label[None, :]])) <= 1e-15
+
+
+@pytest.mark.parametrize("n,two_copy", [(3, 7 / 9), (4, 0.625), (5, 0.52), (6, 0.444444)])
+def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant_calls):
+    ens = dps_ensemble(n)
+    result = optimal_cloner(ens)
+    assert covariant_calls == ["_covariant_cloner_solution"]
+    assert result.problem.blocks == [("J", n ** 3)]
+    assert len(result.solution.y) == n * n  # one multiplier per trace-preservation entry
+    assert result.kkt.passed, result.kkt.conditions
+    report = sdp.verify_kkt(cloning_problem(ens.states, ens.priors), result.solution, tol=1e-6)
+    assert report.passed, report.conditions
+    assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-6)
+
+
+def test_skewed_priors_take_the_general_cloner_route(ens3, covariant_calls):
+    result = optimal_cloner(list(ens3.states), priors=[0.4, 0.2, 0.2, 0.2])
+    assert covariant_calls == []
+    assert result.kkt.passed, result.kkt.conditions
 
 
 def test_apply_choi_convention():
@@ -503,6 +629,27 @@ def test_standard_attack_profiles_n4(monkeypatch):
         assert got[name] == pytest.approx(want, abs=1e-6), name
     assert len(reports) == 4  # MED, cloner, MED on each of the two clone ensembles
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("failing,attack", [
+    (0, "med"), (1, "optimal cloner"), (2, "MED after optimal cloning"),
+    (3, "MED after unitary cloning")])
+def test_uncertified_optimum_never_reaches_a_profile(monkeypatch, failing, attack):
+    calls = []
+
+    def verify_kkt_failing_once(*args, **kwargs):
+        report = verify_kkt(*args, **kwargs)
+        if len(calls) == failing:
+            report.conditions["dual_psd"] = False
+        calls.append(report)
+        return report
+
+    verify_kkt = sdp.verify_kkt
+    monkeypatch.setattr(sdp, "verify_kkt", verify_kkt_failing_once)
+    with pytest.raises(attacks.UncertifiedOptimumError,
+                       match=f"^{attack}: KKT certificate failed \\(dual_psd\\)$"):
+        standard_attack_profiles(3)
+    assert len(calls) == failing + 1
 
 
 def test_med_attack_requires_priors(ens3):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dpsqkd import attacks
 from dpsqkd.cli import main
+from dpsqkd.sdp import KktReport
 
 
 def run_cli(capsys, *argv):
@@ -234,3 +236,20 @@ def test_wcs_click_bound_uses_the_source_intensity(capsys):
                            "--dark-count-prob", "0.5", "--stop-km", "0")
     assert code == 0
     assert json.loads(out)["rows"][0]["p_click"] == pytest.approx(0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv,attack", [
+    (("keyrate",), "med"),
+    (("clone", "--mode", "optimal"), "optimal cloner"),
+    (("clone", "--mode", "unitary"), "MED after unitary cloning"),
+])
+def test_uncertified_optimum_exits_3(monkeypatch, capsys, argv, attack):
+    failing = KktReport(equality_residual=0.0, primal_min_eigenvalue=0.0,
+                        dual_min_eigenvalue=-1.0, complementary_slackness=0.0,
+                        duality_gap=0.0, tol=1e-6,
+                        conditions={"primal_psd": True, "dual_psd": False})
+    monkeypatch.setattr(attacks.sdp, "verify_kkt", lambda *args, **kwargs: failing)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert f"solver failure: {attack}: KKT certificate failed (dual_psd)" in err
