@@ -16,9 +16,10 @@ ensemble that is covariant under the sign group of the DPS states (see
 :func:`_sign_covariant`) is solved on a symmetry-reduced problem: MED on one
 n x n seed block, the optimal cloner on the character blocks of its Choi
 operator.  Either way the optimum is lifted back and certified on the full
-problem, so every result describes the full SDP.  Results carry confusion
-tables and collision probabilities that feed the shrinking factors in
-:mod:`dpsqkd.keyrate`.
+problem, so every result describes the full SDP.  Each cloning attack is one
+certified :class:`CloningAttack`, read by the ``clone`` report and by its
+key-rate profile.  :data:`ATTACK_PROFILES` builds the per-intercept errors and
+collision probabilities that feed the shrinking factors in :mod:`dpsqkd.keyrate`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -97,8 +98,7 @@ def med_problem(states: Sequence[np.ndarray], priors: Sequence[float]) -> sdp.Sd
 
 def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
                priors: Sequence[float] | None = None,
-               bit_map: Sequence[Sequence[int]] | None = None,
-               options: sdp.SolveOptions | None = None) -> MedResult:
+               bit_map: Sequence[Sequence[int]] | None = None) -> MedResult:
     """Optimal minimum-error discrimination of an ensemble.
 
     Accepts a :class:`DpsEnsemble` or an explicit list of states (kets or
@@ -125,9 +125,9 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
     rhos = _as_densities(states)
     problem = med_problem(rhos, priors)
     if _sign_covariant(rhos, priors):
-        solution = _covariant_med_solution(rhos, priors, options)
+        solution = _covariant_med_solution(rhos, priors)
     else:
-        solution = sdp.solve(problem, options)
+        solution = sdp.solve(problem)
     kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
     names = _block_names(len(rhos))
     elements = _project_psd(np.array([solution.x[n] for n in names]))
@@ -177,8 +177,7 @@ def _sign_covariant(rhos: Sequence[np.ndarray], priors: Sequence[float]) -> bool
     return bool(np.max(np.abs(stack - moved)) <= _COVARIANCE_TOL * np.max(np.abs(stack)))
 
 
-def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float],
-                            options: sdp.SolveOptions | None = None) -> sdp.SdpSolution:
+def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float]) -> sdp.SdpSolution:
     """Solve the MED SDP of a sign-covariant ensemble on one seed block and
     lift the optimum onto the full problem of :func:`med_problem`.
 
@@ -202,7 +201,7 @@ def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float],
     seed = sdp.SdpProblem(
         blocks=[("P0", n)], objective={"P0": rho_bar},
         constraints=[({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
-    sol = sdp.solve(seed, options)
+    sol = sdp.solve(seed)
     lifted = signs[:, :, None] * sol.x["P0"] * signs[:, None, :]
     dual = np.diag(sol.y / count)
     names = _block_names(count)
@@ -332,8 +331,7 @@ def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
-                   priors: Sequence[float] | None = None,
-                   options: sdp.SolveOptions | None = None) -> CloningResult:
+                   priors: Sequence[float] | None = None) -> CloningResult:
     """Solve for the optimal symmetric cloning channel of a pure-state ensemble.
 
     A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
@@ -353,9 +351,9 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
     d = np.asarray(states[0]).size
     problem = cloning_problem(states, priors)
     if _sign_covariant(_as_densities(states), priors):
-        solution = _covariant_cloner_solution(problem, d, options)
+        solution = _covariant_cloner_solution(problem, d)
     else:
-        solution = sdp.solve(problem, options)
+        solution = sdp.solve(problem)
     kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
     choi = _project_psd(solution.x[CHOI_BLOCK])
 
@@ -394,8 +392,7 @@ def _character_blocks(d: int) -> list[np.ndarray]:
     return [np.flatnonzero(inverse == b) for b in np.argsort(first)]
 
 
-def _covariant_cloner_solution(problem: sdp.SdpProblem, d: int,
-                               options: sdp.SolveOptions | None = None) -> sdp.SdpSolution:
+def _covariant_cloner_solution(problem: sdp.SdpProblem, d: int) -> sdp.SdpSolution:
     """Solve the cloning SDP of a sign-covariant ensemble on the character
     blocks of its Choi operator and lift the optimum onto ``problem``, the
     full :func:`cloning_problem`.
@@ -421,7 +418,7 @@ def _covariant_cloner_solution(problem: sdp.SdpProblem, d: int,
         objective={name: q[np.ix_(ix, ix)] for name, ix in zip(names, blocks)},
         constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
                      for k in range(d)])
-    sol = sdp.solve(reduced, options)
+    sol = sdp.solve(reduced)
     choi, slack = np.zeros_like(q), np.zeros_like(q)
     for name, ix in zip(names, blocks):
         choi[np.ix_(ix, ix)] = sol.x[name]
@@ -601,14 +598,12 @@ def optimize_unitary_q(ensemble: DpsEnsemble | Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 def med_on_cloned(eve_states: Sequence[np.ndarray], priors: Sequence[float],
-                  bit_map: Sequence[Sequence[int]] | None = None,
-                  options: sdp.SolveOptions | None = None) -> MedResult:
+                  bit_map: Sequence[Sequence[int]] | None = None) -> MedResult:
     """Minimum-error discrimination of the (generally mixed) clone ensemble."""
     stack = np.array(eve_states, dtype=complex)
     if float(np.min(np.linalg.eigvalsh(hermitian_part(stack)))) < -1e-7:
         raise ValueError("clone states must be valid density operators")
-    return med_attack(list(eve_states), priors=priors, bit_map=bit_map,
-                      options=options)
+    return med_attack(list(eve_states), priors=priors, bit_map=bit_map)
 
 
 IR_ERROR = 1.0 / 3.0
@@ -671,55 +666,76 @@ def certified(result: _Result, attack: str) -> _Result:
     return result
 
 
-def standard_attack_profiles(n: int = 3,
-                             options: sdp.SolveOptions | None = None
-                             ) -> dict[str, AttackProfile]:
-    """The four explicit attacks as key-rate profiles, computed from scratch.
+@dataclass
+class CloningAttack:
+    """A certified cloning attack on a DPS ensemble: ``cloner`` is a :class:`CloningResult`
+    (two-copy ``fidelity``) or :class:`UnitaryClonerParams` (mean single-clone
+    ``fidelity``), and ``med_after`` is Eve's certified MED of her clones."""
 
-    MED uses the state-level error probability 1 - p_success per intercepted
-    frame.  The cloning attacks disturb every frame they touch, so their
-    error budget is the detection-conditioned bit error rate of the cloned
-    states, and Eve's collision probability comes from discriminating her
-    clones.
-    """
-    ens = dps_ensemble(n)
-    med = certified(med_attack(ens, options=options), "med")
-    profiles = {
-        "ir": ir_attack_profile(),
-        "med": AttackProfile(
-            name="med",
-            per_intercept_error=1.0 - med.p_success,
-            per_attacked_bit_collision=med.collision_probability,
-        ),
-    }
+    name: str
+    ensemble: DpsEnsemble
+    cloner: CloningResult | UnitaryClonerParams
+    fidelity: float
+    bob_states: list[np.ndarray]
+    med_after: MedResult
 
-    clone = certified(optimal_cloner(ens, options=options), "optimal cloner")
-    clone_med = certified(med_on_cloned(clone.eve_states, ens.priors, ens.bit_map,
-                                        options=options), "MED after optimal cloning")
-    ber_clone = float(np.mean([
-        ber_of_state(clone.bob_states[i], i, ens, conditional=True)
-        for i in range(len(ens.states))
-    ]))
-    profiles["cloning"] = AttackProfile(
-        name="cloning", per_intercept_error=ber_clone,
-        per_attacked_bit_collision=clone_med.collision_probability,
-    )
+    def ber(self, conditional: bool = False) -> list[float]:
+        """Bit-error rate of each of Bob's clones (see :func:`ber_of_state`)."""
+        return [ber_of_state(bob, i, self.ensemble, conditional=conditional)
+                for i, bob in enumerate(self.bob_states)]
 
+    @property
+    def profile(self) -> AttackProfile:
+        """Cloning disturbs every frame it touches: the error is the mean
+        detection-conditioned BER of Bob's clones, the collision from ``med_after``."""
+        return AttackProfile(name=self.name,
+                             per_intercept_error=float(np.mean(self.ber(conditional=True))),
+                             per_attacked_bit_collision=self.med_after.collision_probability)
+
+
+def optimal_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
+    """The optimal cloner, followed by MED of Eve's clones."""
+    clone = certified(optimal_cloner(ens), "optimal cloner")
+    med_after = certified(med_on_cloned(clone.eve_states, ens.priors, ens.bit_map),
+                          "MED after optimal cloning")
+    return CloningAttack(name="cloning", ensemble=ens, cloner=clone,
+                         fidelity=clone.avg_two_copy_fidelity,
+                         bob_states=clone.bob_states, med_after=med_after)
+
+
+def unitary_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
+    """The unitary cloner at its optimal coefficient in the aligned basis, then
+    MED of the clones, which the symmetric isometry makes equal for Bob and Eve."""
     basis = aligned_cloning_basis(ens)
-    q_opt, _ = optimize_unitary_q(ens, basis)
-    params = UnitaryClonerParams(d=n, q=q_opt, basis=basis)
-    ustates = [apply_unitary_cloner(params, s)[0] for s in ens.states]
-    unitary_med = certified(med_on_cloned(ustates, ens.priors, ens.bit_map, options=options),
-                            "MED after unitary cloning")
-    ber_unitary = float(np.mean([
-        ber_of_state(ustates[i], i, ens, conditional=True)
-        for i in range(len(ens.states))
-    ]))
-    profiles["unitary"] = AttackProfile(
-        name="unitary", per_intercept_error=ber_unitary,
-        per_attacked_bit_collision=unitary_med.collision_probability,
-    )
-    return profiles
+    q_opt, fidelity = optimize_unitary_q(ens, basis)
+    params = UnitaryClonerParams(d=ens.n, q=q_opt, basis=basis)
+    bobs = [apply_unitary_cloner(params, s)[0] for s in ens.states]
+    med_after = certified(med_on_cloned(bobs, ens.priors, ens.bit_map),
+                          "MED after unitary cloning")
+    return CloningAttack(name="unitary", ensemble=ens, cloner=params, fidelity=fidelity,
+                         bob_states=bobs, med_after=med_after)
+
+
+def _med_profile(ens: DpsEnsemble) -> AttackProfile:
+    """MED errs with the state-level probability 1 - p_success per intercepted frame."""
+    med = certified(med_attack(ens), "med")
+    return AttackProfile(name="med", per_intercept_error=1.0 - med.p_success,
+                         per_attacked_bit_collision=med.collision_probability)
+
+
+# Each explicit attack by name, as a builder ensemble -> key-rate profile.
+ATTACK_PROFILES: dict[str, Callable[[DpsEnsemble], AttackProfile]] = {
+    "ir": lambda ens: ir_attack_profile(),
+    "med": _med_profile,
+    "cloning": lambda ens: optimal_cloning_attack(ens).profile,
+    "unitary": lambda ens: unitary_cloning_attack(ens).profile,
+}
+
+
+def standard_attack_profiles(n: int = 3) -> dict[str, AttackProfile]:
+    """Every attack of :data:`ATTACK_PROFILES` on ``dps_ensemble(n)``, in table order."""
+    ens = dps_ensemble(n)
+    return {name: build(ens) for name, build in ATTACK_PROFILES.items()}
 
 
 # ---------------------------------------------------------------------------

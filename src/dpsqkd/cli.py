@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import attacks, wcs
-from .dps import ber_of_state, dps_ensemble, spectral_error_terms
+from .dps import dps_ensemble, spectral_error_terms
 from .keyrate import (MAX_ATTACK_PULSES, ChannelModel, FiniteSizeParams,
                       finite_size_deviation, keyrate_sweep)
 from .sdp import SdpError
@@ -202,53 +202,34 @@ def _cmd_clone(args: argparse.Namespace, out) -> int:
     ens = dps_ensemble(3)
     doc: dict[str, Any] = {"config": {"command": "clone", "mode": args.mode}}
     if args.mode == "optimal":
-        result = attacks.certified(attacks.optimal_cloner(ens), "optimal cloner")
-        med_after = attacks.certified(
-            attacks.med_on_cloned(result.eve_states, ens.priors, ens.bit_map),
-            "MED after optimal cloning")
-        fits = [attacks.depolarizing_fit(ens.density(i), result.bob_states[i])
-                for i in range(len(ens.states))]
+        attack = attacks.optimal_cloning_attack(ens)
+        fits = [attacks.depolarizing_fit(ens.density(i), b)
+                for i, b in enumerate(attack.bob_states)]
         doc.update({
-            "avg_two_copy_fidelity": result.avg_two_copy_fidelity,
-            "per_state_clone_fidelity": result.per_state_clone_fidelity,
-            "bob_states": [attacks.complex_matrix_doc(b) for b in result.bob_states],
+            "avg_two_copy_fidelity": attack.fidelity,
+            "per_state_clone_fidelity": attack.cloner.per_state_clone_fidelity,
             "depolarizing_p": [p for p, _ in fits],
             "depolarizing_residual": [r for _, r in fits],
-            "ber": [ber_of_state(result.bob_states[i], i, ens)
-                    for i in range(len(ens.states))],
-            "ber_conditional": [ber_of_state(result.bob_states[i], i, ens, conditional=True)
-                                for i in range(len(ens.states))],
-            "spectral_error_terms": spectral_error_terms(result.bob_states[0], 0, ens),
-            "med_after": {
-                "p_success": med_after.p_success,
-                "collision_probability": med_after.collision_probability,
-                "confusion_diagonal": [float(med_after.confusion[i, i])
-                                       for i in range(len(ens.states))],
-            },
+            "spectral_error_terms": spectral_error_terms(attack.bob_states[0], 0, ens),
         })
     else:
-        basis = attacks.aligned_cloning_basis(ens)
-        q_opt, avg_fid = attacks.optimize_unitary_q(ens, basis)
-        params = attacks.UnitaryClonerParams(d=3, q=q_opt, basis=basis)
-        bobs = [attacks.apply_unitary_cloner(params, s)[0] for s in ens.states]
-        med_after = attacks.certified(attacks.med_on_cloned(bobs, ens.priors, ens.bit_map),
-                                      "MED after unitary cloning")
+        attack = attacks.unitary_cloning_attack(ens)
         doc.update({
-            "q_opt": q_opt,
-            "p_coefficient": params.p,
-            "unitarity_residual": params.unitarity_residual(),
-            "avg_clone_fidelity": avg_fid,
-            "bob_states": [attacks.complex_matrix_doc(b) for b in bobs],
-            "ber": [ber_of_state(bobs[i], i, ens) for i in range(len(ens.states))],
-            "ber_conditional": [ber_of_state(bobs[i], i, ens, conditional=True)
-                                for i in range(len(ens.states))],
-            "med_after": {
-                "p_success": med_after.p_success,
-                "collision_probability": med_after.collision_probability,
-                "confusion_diagonal": [float(med_after.confusion[i, i])
-                                       for i in range(len(ens.states))],
-            },
+            "q_opt": attack.cloner.q,
+            "p_coefficient": attack.cloner.p,
+            "unitarity_residual": attack.cloner.unitarity_residual(),
+            "avg_clone_fidelity": attack.fidelity,
         })
+    doc.update({
+        "bob_states": [attacks.complex_matrix_doc(b) for b in attack.bob_states],
+        "ber": attack.ber(),
+        "ber_conditional": attack.ber(conditional=True),
+        "med_after": {
+            "p_success": attack.med_after.p_success,
+            "collision_probability": attack.med_after.collision_probability,
+            "confusion_diagonal": [float(v) for v in np.diag(attack.med_after.confusion)],
+        },
+    })
     if args.format == "json":
         _emit_json(doc, out)
     else:
@@ -266,15 +247,17 @@ def _cmd_clone(args: argparse.Namespace, out) -> int:
 def _cmd_keyrate(args: argparse.Namespace, out) -> int:
     model, resolved = _channel_from_config(args)
     wanted = [a.strip() for a in args.attacks.split(",") if a.strip()]
-    profiles = attacks.standard_attack_profiles(model.n_pulses)
-    unknown = set(wanted) - (set(profiles) | {"lower-bound", "unconditional"})
+    unknown = set(wanted) - (set(attacks.ATTACK_PROFILES) | {"lower-bound", "unconditional"})
     if unknown:
         raise ConfigError(f"unknown attacks: {sorted(unknown)}")
+    fs, distances = _finite_size(args.finite_size), _distances(args)
+    ens = dps_ensemble(model.n_pulses)
+    profiles = {name: attacks.ATTACK_PROFILES[name](ens)
+                for name in dict.fromkeys(wanted) if name in attacks.ATTACK_PROFILES}
     selected = [profiles[name] for name in wanted if name in profiles]
     include_bounds = bool({"lower-bound", "unconditional"} & set(wanted))
-    fs = _finite_size(args.finite_size)
     try:
-        rows = keyrate_sweep(model, selected, _distances(args), finite_size=fs,
+        rows = keyrate_sweep(model, selected, distances, finite_size=fs,
                              include_bounds=include_bounds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dpsqkd.attacks import (UnitaryClonerParams, aligned_cloning_basis,
-                            apply_unitary_cloner, med_attack, med_on_cloned,
-                            optimal_cloner, optimize_unitary_q)
+from dpsqkd.attacks import (med_attack, optimal_cloner, optimal_cloning_attack,
+                            unitary_cloning_attack)
 from dpsqkd.dps import dps_ensemble
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
@@ -37,24 +36,30 @@ def clone3(ens3):
 
 
 @pytest.fixture(scope="session")
-def clone_med3(ens3, clone3):
-    return med_on_cloned(clone3.eve_states, ens3.priors, ens3.bit_map)
+def cloning_attack3(ens3):
+    return optimal_cloning_attack(ens3)
 
 
 @pytest.fixture(scope="session")
-def unitary3(ens3):
+def clone_med3(cloning_attack3):
+    return cloning_attack3.med_after
+
+
+@pytest.fixture(scope="session")
+def unitary_attack3(ens3):
+    return unitary_cloning_attack(ens3)
+
+
+@pytest.fixture(scope="session")
+def unitary3(unitary_attack3):
     """(basis, q_opt, avg_fidelity, params, bob_states) of the unitary cloner."""
-    basis = aligned_cloning_basis(ens3)
-    q_opt, avg_fid = optimize_unitary_q(ens3, basis)
-    params = UnitaryClonerParams(d=3, q=q_opt, basis=basis)
-    bobs = [apply_unitary_cloner(params, s)[0] for s in ens3.states]
-    return basis, q_opt, avg_fid, params, bobs
+    params = unitary_attack3.cloner
+    return params.basis, params.q, unitary_attack3.fidelity, params, unitary_attack3.bob_states
 
 
 @pytest.fixture(scope="session")
-def unitary_med3(ens3, unitary3):
-    _, _, _, _, bobs = unitary3
-    return med_on_cloned(bobs, ens3.priors, ens3.bit_map)
+def unitary_med3(unitary_attack3):
+    return unitary_attack3.med_after
 
 
 @pytest.fixture(scope="session")

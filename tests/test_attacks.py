@@ -13,9 +13,11 @@ from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             ir_attack_profile,
                             ir_monte_carlo_collision, med_attack,
                             med_on_cloned, med_problem, med_result_doc,
-                            optimal_cloner, optimize_unitary_q,
-                            pgm_povm, standard_attack_profiles,
-                            unitary_cloner_output)
+                            optimal_cloner, optimal_cloning_attack,
+                            optimize_unitary_q, pgm_povm,
+                            standard_attack_profiles, unitary_cloner_output,
+                            unitary_cloning_attack)
+from dpsqkd.cli import main
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble
 from dpsqkd.keyrate import AttackProfile
 from dpsqkd.linalg import outer, partial_trace, tensor
@@ -650,6 +652,40 @@ def test_uncertified_optimum_never_reaches_a_profile(monkeypatch, failing, attac
                        match=f"^{attack}: KKT certificate failed \\(dual_psd\\)$"):
         standard_attack_profiles(3)
     assert len(calls) == failing + 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cloning_profiles_read_the_cloning_attacks(n):
+    ens = dps_ensemble(n)
+    profiles = standard_attack_profiles(n)
+    assert optimal_cloning_attack(ens).profile == profiles["cloning"]
+    assert unitary_cloning_attack(ens).profile == profiles["unitary"]
+
+
+@pytest.mark.parametrize("mode,attack", [("optimal", "cloning"), ("unitary", "unitary")])
+def test_clone_report_reads_the_profiled_attack(capsys, mode, attack):
+    profile = standard_attack_profiles(3)[attack]
+    assert main(["clone", "--mode", mode]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert np.mean(doc["ber_conditional"]) == pytest.approx(
+        profile.per_intercept_error, abs=1e-11)
+    assert doc["med_after"]["collision_probability"] == pytest.approx(
+        profile.per_attacked_bit_collision, abs=1e-11)
+
+
+def test_keyrate_builds_each_named_profile_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_med_attack(*args, **kwargs):
+        calls.append(args)
+        return med_attack_real(*args, **kwargs)
+
+    med_attack_real = attacks.med_attack
+    monkeypatch.setattr(attacks, "med_attack", counting_med_attack)
+    assert main(["keyrate", "--attacks", "med,med", "--stop-km", "0"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert len(calls) == 1
+    assert "tau_med" in row
 
 
 def test_med_attack_requires_priors(ens3):

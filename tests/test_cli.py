@@ -4,7 +4,7 @@ import pytest
 
 from dpsqkd import attacks
 from dpsqkd.cli import main
-from dpsqkd.sdp import KktReport
+from dpsqkd.sdp import KktReport, SdpError
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,23 @@ def test_keyrate_unknown_attack(capsys):
     code, _, err = run_cli(capsys, "keyrate", "--attacks", "pns")
     assert code == 2
     assert "unknown attacks" in err
+
+
+def test_keyrate_checks_its_configuration_before_any_solve(monkeypatch, capsys):
+    def failing_solve(*args, **kwargs):
+        raise SdpError("solver must not run")
+
+    monkeypatch.setattr(attacks.sdp, "solve", failing_solve)
+    for argv, message in [(("--attacks", "pns"), "unknown attacks"),
+                          (("--finite-size", "n=1e6"), "missing"),
+                          (("--start-km", "10", "--stop-km", "0"), "grid")]:
+        code, _, err = run_cli(capsys, "keyrate", *argv)
+        assert code == 2, argv
+        assert message in err
+    code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir,lower-bound", "--stop-km", "0")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert "tau_ir" in row and "r_lower-bound" in row
 
 
 def test_keyrate_bad_grid(capsys):
