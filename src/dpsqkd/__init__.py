@@ -25,8 +25,7 @@ from .keyrate import (ChannelModel, FiniteSizeParams, QberBreakdown,
                       tau_lower_bound, unconditional_rate)
 from .linalg import (SpectralDecomposition, eig_hermitian, fidelity_pure,
                      partial_trace, tensor)
-from .sdp import (KktReport, SdpProblem, SdpSolution, SolveOptions, solve,
-                  verify_kkt)
+from .sdp import KktReport, SdpProblem, SdpSolution, solve, verify_kkt
 from .wcs import (WcsParams, phase_mismatch_qber, slice_averaged_qber,
                   usd_block_identification, usd_success, wcs_ir_fraction,
                   wcs_key_rates)

@@ -208,7 +208,7 @@ def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float])
     return sdp.SdpSolution(
         x=dict(zip(names, lifted)), y=sdp.svec(dual), z=dict(zip(names, dual - weighted)),
         primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
-        gap=sol.gap, iterations=sol.iterations)
+        gap=sol.gap, iterations=sol.iterations, iterates=sol.iterates)
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
@@ -426,7 +426,7 @@ def _covariant_cloner_solution(problem: sdp.SdpProblem, d: int) -> sdp.SdpSoluti
     return sdp.SdpSolution(
         x={CHOI_BLOCK: choi}, y=sdp.svec(np.diag(sol.y)), z={CHOI_BLOCK: slack},
         primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
-        gap=sol.gap, iterations=sol.iterations)
+        gap=sol.gap, iterations=sol.iterations, iterates=sol.iterates)
 
 
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:

@@ -119,9 +119,6 @@ class ClickDistribution:
     def total(self) -> float:
         return float(np.sum(self.constructive) + np.sum(self.destructive))
 
-    def key_slots(self) -> slice:
-        return slice(1, self.constructive.size - 1)
-
 
 def mzi_click_distribution(state: np.ndarray, mzi: MziModel = MziModel()) -> ClickDistribution:
     """Click distribution of a ket or density operator after the MZI.

@@ -12,30 +12,36 @@ operators.  The dual reads
     minimize    sum_j r_j y_j
     subject to  Z_b := sum_j y_j A_{j,b} - C_b >= 0.
 
-Each Hermitian block is mapped to a real vector by the symmetric
-vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled real and
-imaginary off-diagonal parts), which preserves inner products.  The solver
-follows the central path with Nesterov-Todd scaling: one Newton step per
-iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
+The solver follows the central path with Nesterov-Todd scaling: one Newton
+step per iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
 fraction-to-boundary rule.  Runs are reproducible bit for bit.
 
 Blocks of equal dimension d are grouped, in order of first appearance, and
-every iterate is held as one (B, d, d) stack per group: scaling, step
-lengths, inverses and svec run once per group, not once per block.  The NT
-operator X -> W X W is applied, never stored.  The Schur complement
-M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> (Todd, Toh & Tutuncu, SIAM J.
-Optim. 8, 1998) is assembled one column j at a time from the batched
-product W A_j W, so memory stays at one (B, d, d) product per group and a
-d x d block costs O(m d^3) time per iteration, where a stored d^2 x d^2
-operator would cost O(d^6).  The constraint count m is small, so all linear
-algebra is dense.
+every operator the iteration touches (iterates, residuals, search
+directions, constraint and cost data) is held as one (B, d, d) stack per
+group: scaling, step lengths and inverses run once per group, not once per
+block.  The constraint map A(X)_j = sum_b <A_{j,b}, X_b> and its adjoint
+A*(y)_b = sum_j y_j A_{j,b} are real matrix-vector products on the real
+view of the complex stacks, since Re Tr(A H) of Hermitian A and H is the
+real dot product of their entries.  The NT operator X -> W X W is applied,
+never stored.  The Schur complement M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b>
+(Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998) is assembled one column j at
+a time as A(W A_j W), so memory stays at one (B, d, d) product per group
+and a d x d block costs O(m d^3) time per iteration, where a stored
+d^2 x d^2 operator would cost O(d^6).  The constraint count m is small, so
+all linear algebra is dense.
+
+The symmetric vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled
+real and imaginary off-diagonal parts) maps a Hermitian operator to a real
+vector and preserves inner products.  It is the basis in which the
+constraint builders below state their rows and in which the symmetry lifts
+of :mod:`dpsqkd.attacks` express their multipliers; the iteration itself
+never vectorises.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,23 +65,19 @@ class InfeasibleConstraintsError(SdpError):
     """Constraint rows are rank deficient or mutually inconsistent."""
 
 
+# Convergence: relative duality gap, relative primal and dual infeasibility.
+GAP_TOL = 1e-7
+PRIMAL_FEAS_TOL = 1e-9
+DUAL_FEAS_TOL = 1e-8
+STEP_FRACTION = 0.98  # fraction-to-boundary rule
+MAX_ITERATIONS = 200
+
+
 # ---------------------------------------------------------------------------
 # symmetric vectorisation
 # ---------------------------------------------------------------------------
 
 _SQRT2 = np.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strict upper-triangle indices of a d x d matrix, shared and read-only.
-
-    svec and smat run on every solver iteration; rebuilding the indices each
-    time dominates the cost of small blocks.
-    """
-    iu, ju = np.triu_indices(d, 1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
 
 
 def svec(h: np.ndarray) -> np.ndarray:
@@ -84,7 +86,7 @@ def svec(h: np.ndarray) -> np.ndarray:
     A stack of shape (..., d, d) maps to (..., d**2).
     """
     h = np.asarray(h, dtype=complex)
-    iu, ju = _upper(h.shape[-1])
+    iu, ju = np.triu_indices(h.shape[-1], 1)
     upper = h[..., iu, ju]
     return np.concatenate([
         np.real(np.diagonal(h, axis1=-2, axis2=-1)),
@@ -96,7 +98,7 @@ def svec(h: np.ndarray) -> np.ndarray:
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`svec`, also on stacks (..., d**2) -> (..., d, d)."""
     v = np.asarray(v, dtype=float)
-    iu, ju = _upper(d)
+    iu, ju = np.triu_indices(d, 1)
     k = iu.size
     h = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
     diag = np.arange(d)
@@ -129,9 +131,10 @@ class _Group:
     cost: np.ndarray
 
     @property
-    def size(self) -> int:
-        """Length of the group's svec segment."""
-        return len(self.names) * self.d ** 2
+    def rows(self) -> np.ndarray:
+        """``ops`` as m real rows, a view: row j holds the real and imaginary
+        parts of the entries of constraint j's operators on the group."""
+        return self.ops.reshape(len(self.ops), len(self.names) * self.d ** 2).view(float)
 
 
 @dataclass
@@ -145,8 +148,10 @@ class SdpProblem:
     vectorisation; this is checked at construction.
 
     Construction also stacks the data once for the solver: blocks of equal
-    dimension form one group, and the svec constraint matrix concatenates
-    the groups in order of first appearance.
+    dimension form one group, in order of first appearance, holding one
+    (m, B, d, d) stack of constraint operators and one (B, d, d) stack of
+    cost operators.  The solver and :func:`verify_kkt` read only these
+    stacks; the svec constraint matrix exists only while the rank is checked.
     """
 
     blocks: Sequence[tuple[str, int]]
@@ -168,12 +173,9 @@ class SdpProblem:
         self._groups = [_Group(d, tuple(group), o, c[0])
                         for (d, group), o, c in zip(by_dim.items(), ops, cost)]
         m = len(self.constraints)
-        self._amat = np.concatenate([svec(g.ops).reshape(m, g.size) for g in self._groups],
-                                    axis=1)
-        self._c = np.concatenate([svec(g.cost).ravel() for g in self._groups])
         self._b = np.array([float(r) for _, r in self.constraints])
         if m:
-            a = self._amat
+            a = np.concatenate([svec(g.ops).reshape(m, -1) for g in self._groups], axis=1)
             # the tall transpose has the same singular values; LAPACK finds
             # them two to three times faster for these wide rows
             rank = np.linalg.matrix_rank(a.T, tol=1e-9 * max(1.0, float(np.max(np.abs(a)))))
@@ -218,16 +220,14 @@ class SdpProblem:
 
 
 @dataclass
-class SolveOptions:
-    gap_tol: float = 1e-7
-    feas_tol: float = 1e-9
-    max_iterations: int = 200
-    step_fraction: float = 0.98
-    trace_path: str | None = None
-
-
-@dataclass
 class SdpSolution:
+    """A primal/dual pair and how the solver reached it.
+
+    ``iterates`` holds one record per iteration, the converged one last, with
+    keys ``iteration``, ``mu``, ``gap``, ``primal_infeasibility`` and
+    ``dual_infeasibility``.
+    """
+
     x: dict[str, np.ndarray]
     y: np.ndarray
     z: dict[str, np.ndarray]
@@ -235,6 +235,7 @@ class SdpSolution:
     dual_objective: float
     gap: float
     iterations: int
+    iterates: list[dict[str, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -265,6 +266,25 @@ def _chol(mat: np.ndarray, what: str) -> np.ndarray:
         raise NumericalBreakdownError(f"{what} lost positive definiteness") from exc
 
 
+def _apply(groups: Sequence[_Group], x: Sequence[np.ndarray]) -> np.ndarray:
+    """A(X)_j = sum_b Re<A_{j,b}, X_b> for one (B, d, d) stack per group.
+
+    Re Tr(A X) = Re sum_kl A_kl conj(X_kl) for Hermitian A, a real dot
+    product of the real views: one matrix-vector product per group.
+    """
+    return sum(g.rows @ xg.reshape(-1).view(float) for g, xg in zip(groups, x))
+
+
+def _adjoint(groups: Sequence[_Group], y: np.ndarray) -> list[np.ndarray]:
+    """A*(y)_b = sum_j y_j A_{j,b} as one (B, d, d) stack per group."""
+    return [(y @ g.rows).view(complex).reshape(g.ops.shape[1:]) for g in groups]
+
+
+def _norm(stacks: Sequence[np.ndarray]) -> float:
+    """Frobenius norm over all blocks of all stacks."""
+    return float(np.sqrt(sum(np.vdot(s, s).real for s in stacks)))
+
+
 def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The NT points W > 0 with W Z W = X, for stacks (B, d, d) of X and Z."""
     wz, vz = np.linalg.eigh(hermitian_part(z))
@@ -286,26 +306,18 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
-def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
-    """Solve the block SDP; deterministic for identical inputs and options.
+def solve(problem: SdpProblem) -> SdpSolution:
+    """Solve the block SDP; deterministic for identical inputs.
 
-    Raises :class:`MaxIterationsError`, :class:`NumericalBreakdownError` or
-    :class:`InfeasibleConstraintsError` on failure.
+    Converges when the duality gap is within GAP_TOL of 1 + |primal
+    objective| and the primal and dual residuals, relative to 1 + |r| and
+    1 + |C|, are within PRIMAL_FEAS_TOL and DUAL_FEAS_TOL.  Raises
+    :class:`MaxIterationsError` after MAX_ITERATIONS iterations,
+    :class:`NumericalBreakdownError` or :class:`InfeasibleConstraintsError`.
     """
-    opts = options or SolveOptions()
-    groups = problem._groups
-    amat, b, c = problem._amat, problem._b, problem._c
-    m = amat.shape[0]
-    splits = np.cumsum([g.size for g in groups])[:-1]
-
-    def pack(stacks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([svec(s).ravel() for s in stacks])
-
-    def unpack(vec: np.ndarray) -> list[np.ndarray]:
-        return [smat(v.reshape(len(g.names), g.d ** 2), g.d)
-                for g, v in zip(groups, np.split(vec, splits))]
-
-    r_inf = float(np.max(np.abs(b))) if m else 0.0
+    groups, b = problem._groups, problem._b
+    m = b.size
+    r_inf = float(np.max(np.abs(b), initial=0.0))
     x = [np.tile(np.eye(g.d, dtype=complex) * (1.0 + r_inf), (len(g.names), 1, 1))
          for g in groups]
     z = [np.tile(np.eye(g.d, dtype=complex), (len(g.names), 1, 1)) for g in groups]
@@ -313,63 +325,44 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
 
     total_dim = sum(g.d * len(g.names) for g in groups)
     b_scale = 1.0 + float(np.linalg.norm(b))
-    c_scale = 1.0 + float(np.linalg.norm(c))
-    trace_lines: list[str] = []
+    c_scale = 1.0 + _norm([g.cost for g in groups])
+    iterates: list[dict[str, float]] = []
     alpha_prev = 1.0
 
     status: SdpError | None = MaxIterationsError(
-        f"no convergence within {opts.max_iterations} iterations")
-    iterations = 0
-    for it in range(opts.max_iterations):
-        iterations = it + 1
-        xv = pack(x)
-        pobj = float(c @ xv)
+        f"no convergence within {MAX_ITERATIONS} iterations")
+    for it in range(MAX_ITERATIONS):
+        pobj = sum(float(np.vdot(g.cost, xg).real) for g, xg in zip(groups, x))
         dobj = float(b @ y)
-        rp = b - amat @ xv
-        rd = c - amat.T @ y + pack(z)
+        rp = b - _apply(groups, x)
+        rd = [g.cost - a + zg for g, a, zg in zip(groups, _adjoint(groups, y), z)]
         mu = sum(float(np.einsum("bij,bji->", xg, zg).real) for xg, zg in zip(x, z)) / total_dim
         gap = abs(pobj - dobj)
         pinf = float(np.linalg.norm(rp)) / b_scale
-        dinf = float(np.linalg.norm(rd)) / c_scale
-
-        if opts.trace_path is not None:
-            trace_lines.append(json.dumps({
-                "iteration": it, "mu": mu, "gap": gap,
-                "primal_infeasibility": pinf, "dual_infeasibility": dinf,
-            }))
-        if (gap <= opts.gap_tol * (1.0 + abs(pobj))
-                and pinf <= opts.feas_tol and dinf <= max(opts.feas_tol, 1e-8)):
+        dinf = _norm(rd) / c_scale
+        iterates.append({"iteration": it, "mu": mu, "gap": gap,
+                         "primal_infeasibility": pinf, "dual_infeasibility": dinf})
+        if (gap <= GAP_TOL * (1.0 + abs(pobj))
+                and pinf <= PRIMAL_FEAS_TOL and dinf <= DUAL_FEAS_TOL):
             status = None
             break
 
         w = [_nt_scaling(xg, zg) for xg, zg in zip(x, z)]
-
-        def apply_t(vec: np.ndarray) -> np.ndarray:
-            """svec(W X W) per group, for X = smat(vec)."""
-            return pack([wg @ s @ wg for wg, s in zip(w, unpack(vec))])
-
         sigma = float(np.clip((1.0 - alpha_prev) ** 2, 0.05, 0.8))
-        rcv = pack([sigma * mu * np.linalg.inv(zg) - xg for xg, zg in zip(x, z)])
-        if m:
-            # Column j is <A_i, W A_j W> for all i, one (B, d, d) product at a
-            # time.  Viewing complex operators as real arrays turns
-            # Re Tr(A H) of a Hermitian H into a real dot product.
-            schur = np.zeros((m, m))
-            for g, wg in zip(groups, w):
-                a_flat = g.ops.reshape(m, -1).view(float)
-                for j in range(m):
-                    schur[:, j] += a_flat @ (wg @ g.ops[j] @ wg).reshape(-1).view(float)
-            schur = (schur + schur.T) / 2
-            ls = _chol(schur + 1e-14 * np.eye(m), "Schur complement")
-            rhs = amat @ rcv + amat @ apply_t(rd) - rp
-            dy = np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
-        else:
-            dy = np.zeros(0)
-        dzv = amat.T @ dy - rd
-        dx, dz = unpack(rcv - apply_t(dzv)), unpack(dzv)
+        rc = [sigma * mu * np.linalg.inv(zg) - xg for xg, zg in zip(x, z)]
+        # Column j is A(W A_j W), one (B, d, d) product per group at a time.
+        schur = np.zeros((m, m))
+        for j in range(m):
+            schur[:, j] = _apply(groups, [wg @ g.ops[j] @ wg for g, wg in zip(groups, w)])
+        schur = (schur + schur.T) / 2
+        ls = _chol(schur + 1e-14 * np.eye(m), "Schur complement")
+        rhs = _apply(groups, [r + wg @ d @ wg for r, wg, d in zip(rc, w, rd)]) - rp
+        dy = np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
+        dz = [a - d for a, d in zip(_adjoint(groups, dy), rd)]
+        dx = [r - wg @ d @ wg for r, wg, d in zip(rc, w, dz)]
 
-        alpha_p = min([1.0] + [opts.step_fraction * _max_step(xg, d) for xg, d in zip(x, dx)])
-        alpha_d = min([1.0] + [opts.step_fraction * _max_step(zg, d) for zg, d in zip(z, dz)])
+        alpha_p = min([1.0] + [STEP_FRACTION * _max_step(xg, d) for xg, d in zip(x, dx)])
+        alpha_d = min([1.0] + [STEP_FRACTION * _max_step(zg, d) for zg, d in zip(z, dz)])
         if max(alpha_p, alpha_d) < 1e-10:
             raise NumericalBreakdownError("step lengths collapsed")
         alpha_prev = min(alpha_p, alpha_d)
@@ -378,21 +371,16 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         z = [hermitian_part(zg + alpha_d * d) for zg, d in zip(z, dz)]
         y = y + alpha_d * dy
 
-    if opts.trace_path is not None:
-        with open(opts.trace_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace_lines) + "\n")
     if status is not None:
-        if m and float(np.linalg.norm(b - amat @ pack(x))) / b_scale > 1e-5:
+        if float(np.linalg.norm(b - _apply(groups, x))) / b_scale > 1e-5:
             raise InfeasibleConstraintsError(
                 "equality residual stalled; constraints look inconsistent") from status
         raise status
 
-    pobj = float(c @ pack(x))
-    dobj = float(b @ y)
     return SdpSolution(
         x=problem._named(x), y=y.copy(), z=problem._named(z),
-        primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
-        iterations=iterations,
+        primal_objective=pobj, dual_objective=dobj, gap=gap,
+        iterations=len(iterates), iterates=iterates,
     )
 
 
@@ -411,19 +399,18 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     if wrong:
         raise ValueError(f"primal block {wrong[0]!r} has wrong shape")
 
+    groups = problem._groups
     y = np.asarray(solution.y, dtype=float)
-    values = np.zeros(len(y))
+    x = [np.array([solution.x[n] for n in g.names], dtype=complex) for g in groups]
+    z = [a - g.cost for g, a in zip(groups, _adjoint(groups, y))]
     pmin = dmin = np.inf
     slack = pobj = 0.0
-    for g in problem._groups:
-        xg = np.array([solution.x[n] for n in g.names], dtype=complex)
-        zg = np.einsum("j,jbkl->bkl", y, g.ops) - g.cost
-        values += np.einsum("jbkl,blk->j", g.ops, xg).real
+    for g, xg, zg in zip(groups, x, z):
         pmin = min(pmin, float(np.min(np.linalg.eigvalsh(hermitian_part(xg))[:, 0])))
         dmin = min(dmin, float(np.min(np.linalg.eigvalsh(hermitian_part(zg))[:, 0])))
         slack = max(slack, float(np.max(np.abs(np.einsum("bkl,blk->b", xg, zg).real))))
         pobj += float(np.einsum("bkl,blk->", g.cost, xg).real)
-    eq_res = float(np.max(np.abs(values - problem._b), initial=0.0))
+    eq_res = float(np.max(np.abs(_apply(groups, x) - problem._b), initial=0.0))
     dobj = float(problem._b @ y)
 
     conditions = {

@@ -69,22 +69,19 @@ def wcs_ir_fraction(mu: float) -> float:
     return (2.0 / 9.0) * mu * math.exp(-mu)
 
 
-def phase_mismatch_qber(mu: float, delta: float, strict_half_angle: bool = True) -> float:
+def phase_mismatch_qber(mu: float, delta: float) -> float:
     """QBER from a phase offset ``delta`` between sender and receiver.
 
     The destructive-port amplitude alpha (1 - exp(i delta)) / 2 carries mean
     photon number mu sin^2(delta/2), so the click probability is
-    1 - exp(-mu sin^2(delta/2)).  ``strict_half_angle=False`` evaluates the
-    variant 1 - exp(-mu sin^2(delta) / 2) instead, for comparison.
+    1 - exp(-mu sin^2(delta/2)).
     """
     if mu < 0.0:
         raise ValueError("mean photon number must be non-negative")
-    if strict_half_angle:
-        return -math.expm1(-mu * math.sin(delta / 2.0) ** 2)
-    return -math.expm1(-mu * math.sin(delta) ** 2 / 2.0)
+    return -math.expm1(-mu * math.sin(delta / 2.0) ** 2)
 
 
-def slice_averaged_qber(params: WcsParams, strict_half_angle: bool = True) -> float:
+def slice_averaged_qber(params: WcsParams) -> float:
     """Expected phase-mismatch QBER after same-slice post-selection.
 
     Both phases are uniform within one slice of width 2pi/M, so their
@@ -95,10 +92,7 @@ def slice_averaged_qber(params: WcsParams, strict_half_angle: bool = True) -> fl
     x, wt = leggauss(_QUAD_NODES)
     delta = 0.5 * w * (x + 1.0)  # fold the symmetric triangular law onto [0, w]
     density = 2.0 * (w - delta) / w ** 2
-    if strict_half_angle:
-        vals = -np.expm1(-params.mean_photon_number * np.sin(delta / 2.0) ** 2)
-    else:
-        vals = -np.expm1(-params.mean_photon_number * np.sin(delta) ** 2 / 2.0)
+    vals = -np.expm1(-params.mean_photon_number * np.sin(delta / 2.0) ** 2)
     return float(np.sum(wt * 0.5 * w * density * vals))
 
 

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -80,11 +81,23 @@ def _reject_constant(name: str):
     raise AssertionError(f"report holds the non-JSON constant {name}")
 
 
+HIGH_MU = "mean photon number above 1 leaves the weak-coherent regime"
+
+
 def run(argv: list[str]) -> dict | None:
-    """The parsed report of a successful run, None after an error exit."""
+    """The parsed report of a successful run, None after an error exit.
+
+    The only warning a run may raise is the weak-coherent-regime one, and
+    it is raised exactly when ``wcs`` gets a finite ``--mu`` above 1.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(argv)
+    mu = [float(a.partition("=")[2]) for a in argv if a.startswith("--mu=")]
+    high = argv[0] == "wcs" and any(math.isfinite(v) and v > 1.0 for v in mu)
+    assert [str(w.message) for w in caught] == ([HIGH_MU] if high else []), argv
     assert code in (0, 2, 3), (argv, err.getvalue())
     event(f"{argv[0]} exit {code}")
     return json.loads(out.getvalue(), parse_constant=_reject_constant) if code == 0 else None

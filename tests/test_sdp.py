@@ -1,13 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dpsqkd import attacks, sdp
 from dpsqkd.dps import dps_ensemble
-from dpsqkd.linalg import outer, tensor
+from dpsqkd.linalg import hermitian_part, outer, tensor
 from dpsqkd.sdp import (InfeasibleConstraintsError, MaxIterationsError,
-                        SdpProblem, SdpSolution, SolveOptions,
+                        SdpProblem, SdpSolution,
                         partial_trace_identity_constraints,
                         povm_completeness_constraints, smat, solve, svec,
                         verify_kkt)
@@ -197,10 +196,11 @@ def test_non_hermitian_data_rejected():
                    constraints=povm_completeness_constraints(2, ["P1"]))
 
 
-def test_max_iterations_error():
+def test_max_iterations_error(monkeypatch):
     _, problem = med3_problem()
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     with pytest.raises(MaxIterationsError):
-        solve(problem, SolveOptions(max_iterations=2))
+        solve(problem)
 
 
 def test_deterministic_resolves():
@@ -213,11 +213,49 @@ def test_deterministic_resolves():
         assert np.array_equal(a.x[n], b.x[n])
 
 
-def test_iterate_trace_dump(tmp_path):
+def test_iterate_trace_dump():
     _, problem = med3_problem()
-    path = tmp_path / "trace.jsonl"
-    solve(problem, SolveOptions(trace_path=str(path)))
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) >= 3
-    assert {"iteration", "mu", "gap"} <= set(lines[0])
-    assert lines[-1]["mu"] < lines[0]["mu"]
+    records = solve(problem).iterates
+    assert len(records) >= 3
+    assert {"iteration", "mu", "gap"} <= set(records[0])
+    assert records[-1]["mu"] < records[0]["mu"]
+    # the symmetry-reduced attacks carry the records of their reduced solve
+    for solution in (attacks.med_attack(dps_ensemble(4)).solution,
+                     attacks.optimal_cloner(dps_ensemble(3)).solution):
+        assert len(solution.iterates) == solution.iterations
+
+
+def cloning3_problem():
+    ens = dps_ensemble(3)
+    return attacks.cloning_problem(ens.states, ens.priors)
+
+
+@pytest.mark.parametrize("build", [lambda: interleaved_problem("B")[2], cloning3_problem],
+                         ids=["interleaved", "cloning-n3"])
+def test_constraint_map_matches_svec_reference(build, rng):
+    """A(X) and A*(y) against the svec constraint matrix, groups concatenated
+    in order of first appearance: the representation the solver iterated
+    on before, kept here as the oracle."""
+    problem = build()
+    groups, m = problem._groups, len(problem.constraints)
+    amat = np.concatenate([svec(g.ops).reshape(m, -1) for g in groups], axis=1)
+    x = [hermitian_part(rng.normal(size=g.ops.shape[1:]) + 1j * rng.normal(size=g.ops.shape[1:]))
+         for g in groups]
+    y = rng.normal(size=m)
+    ax, adj = sdp._apply(groups, x), sdp._adjoint(groups, y)
+    assert_allclose(ax, amat @ np.concatenate([svec(xg).ravel() for xg in x]), rtol=0, atol=1e-12)
+    assert_allclose(np.concatenate([svec(a).ravel() for a in adj]), amat.T @ y,
+                    rtol=0, atol=1e-12)
+    # <A(X), y> = sum_b <X_b, A*(y)_b>
+    pairing = sum(np.einsum("bkl,blk->", xg, a).real for xg, a in zip(x, adj))
+    assert ax @ y == pytest.approx(pairing, abs=1e-12)
+
+
+def test_solve_without_constraints():
+    """maximize <-I, X> over X >= 0 alone: the optimum is X = 0, value 0."""
+    problem = SdpProblem(blocks=[("X", 2)], objective={"X": -np.eye(2)}, constraints=[])
+    sol = solve(problem)
+    assert sol.y.shape == (0,)
+    assert sol.primal_objective == pytest.approx(0.0, abs=1e-7)
+    assert_allclose(sol.x["X"], np.zeros((2, 2)), atol=1e-7)
+    assert verify_kkt(problem, sol).passed

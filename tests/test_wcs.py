@@ -68,9 +68,6 @@ def test_phase_mismatch_qber():
     for delta in (1e-3, 5e-3, 1e-2):
         approx = 0.4 * delta ** 2 / 4.0
         assert phase_mismatch_qber(0.4, delta) == pytest.approx(approx, rel=1e-3)
-    # the plain-half variant differs beyond small angles
-    strict = phase_mismatch_qber(0.4, 1.0, strict_half_angle=False)
-    assert strict == pytest.approx(1.0 - math.exp(-0.4 * math.sin(1.0) ** 2 / 2.0), abs=1e-15)
 
 
 def test_slice_averaged_qber_matches_independent_quadrature():
