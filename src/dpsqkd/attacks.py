@@ -91,7 +91,7 @@ def med_problem(states: Sequence[np.ndarray], priors: Sequence[float]) -> sdp.Sd
     d = rhos[0].shape[0]
     names = _block_names(len(rhos))
     objective = {n: priors[i] * rhos[i] for i, n in enumerate(names)}
-    constraints = sdp.povm_completeness_constraints(d, names)
+    constraints = sdp.povm_completeness_constraints(d)
     return sdp.SdpProblem(blocks=[(n, d) for n in names], objective=objective,
                           constraints=constraints)
 

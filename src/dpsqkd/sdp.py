@@ -20,16 +20,21 @@ Blocks of equal dimension d are grouped, in order of first appearance, and
 every operator the iteration touches (iterates, residuals, search
 directions, constraint and cost data) is held as one (B, d, d) stack per
 group: scaling, step lengths and inverses run once per group, not once per
-block.  The constraint map A(X)_j = sum_b <A_{j,b}, X_b> and its adjoint
-A*(y)_b = sum_j y_j A_{j,b} are real matrix-vector products on the real
-view of the complex stacks, since Re Tr(A H) of Hermitian A and H is the
-real dot product of their entries.  The NT operator X -> W X W is applied,
-never stored.  The Schur complement M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b>
-(Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998) is assembled one column j at
-a time as A(W A_j W), so memory stays at one (B, d, d) product per group
-and a d x d block costs O(m d^3) time per iteration, where a stored
-d^2 x d^2 operator would cost O(d^6).  The constraint count m is small, so
-all linear algebra is dense.
+block.  A constraint may carry one shared operator that acts on every block
+of its dimension, as the POVM completeness constraints do.  A group touched
+only by shared operators stores them once, as an (m, 1, d, d) stack; any
+other group stores (m, B, d, d).  The constraint map
+A(X)_j = sum_b <A_{j,b}, X_b> and its adjoint A*(y)_b = sum_j y_j A_{j,b}
+are real matrix-vector products on the real view of the complex stacks,
+since Re Tr(A H) of Hermitian A and H is the real dot product of their
+entries; on a shared stack A(X) pairs A_j with sum_b X_b and A*(y) is one
+(d, d) operator broadcast over the blocks.
+The NT operator X -> W X W is applied, never stored.  The Schur complement
+M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> (Todd, Toh & Tutuncu, SIAM J.
+Optim. 8, 1998) is assembled one column j at a time as A(W A_j W), so
+memory stays at one (B, d, d) product per group and a d x d block costs
+O(m d^3) time per iteration, where a stored d^2 x d^2 operator would cost
+O(d^6).  The constraint count m is small, so all linear algebra is dense.
 
 The symmetric vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled
 real and imaginary off-diagonal parts) maps a Hermitian operator to a real
@@ -113,7 +118,9 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 # problem and solution containers
 # ---------------------------------------------------------------------------
 
-Constraint = tuple[Mapping[str, np.ndarray], float]
+# (coefficients, rhs): a block name -> operator map, or one (d, d) array
+# shared by every block of dimension d
+Constraint = tuple[Mapping[str, np.ndarray] | np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,8 @@ class _Group:
 
     ``ops[j, k]`` is the operator of constraint j on block ``names[k]`` (zero
     where the constraint does not touch the block), ``cost[k]`` its
-    objective operator.
+    objective operator.  A group that only shared constraint operators touch
+    stores ``ops`` as (m, 1, d, d): ``ops[j, 0]`` acts on every block.
     """
 
     d: int
@@ -131,10 +139,15 @@ class _Group:
     cost: np.ndarray
 
     @property
+    def shared(self) -> bool:
+        """Whether ``ops[:, 0]`` acts on every one of several blocks."""
+        return self.ops.shape[1] < len(self.names)
+
+    @property
     def rows(self) -> np.ndarray:
         """``ops`` as m real rows, a view: row j holds the real and imaginary
         parts of the entries of constraint j's operators on the group."""
-        return self.ops.reshape(len(self.ops), len(self.names) * self.d ** 2).view(float)
+        return self.ops.reshape(len(self.ops), self.ops.shape[1] * self.d ** 2).view(float)
 
 
 @dataclass
@@ -142,15 +155,20 @@ class SdpProblem:
     """Standard-form SDP over named Hermitian PSD blocks.
 
     ``blocks`` lists (name, dimension) pairs.  ``objective`` maps block names
-    to Hermitian cost operators (missing blocks contribute zero), and each
-    constraint is a (coefficients, rhs) pair with Hermitian coefficient
-    operators.  Constraint rows must be linearly independent after symmetric
-    vectorisation; this is checked at construction.
+    to Hermitian cost operators (missing blocks contribute zero).  Each
+    constraint is a (coefficients, rhs) pair whose coefficients are either a
+    map from block names to Hermitian operators or one Hermitian (d, d)
+    operator shared by every block of dimension d.  Constraint rows must be
+    linearly independent after symmetric vectorisation; this is checked at
+    construction.
 
     Construction also stacks the data once for the solver: blocks of equal
     dimension form one group, in order of first appearance, holding one
-    (m, B, d, d) stack of constraint operators and one (B, d, d) stack of
-    cost operators.  The solver and :func:`verify_kkt` read only these
+    (B, d, d) stack of cost operators and one stack of constraint operators.
+    That stack is (m, 1, d, d) when only shared operators touch the group,
+    so a shared operator is stored, checked and rank-tested once, not once
+    per block; otherwise it is (m, B, d, d), with shared operators copied
+    into every block.  The solver and :func:`verify_kkt` read only these
     stacks; the svec constraint matrix exists only while the rank is checked.
     """
 
@@ -184,17 +202,29 @@ class SdpProblem:
                     f"constraint rows are rank deficient ({rank} < {m})"
                 )
 
-    def _stack(self, maps: Sequence[Mapping[str, np.ndarray]],
+    def _stack(self, maps: Sequence[Mapping[str, np.ndarray] | np.ndarray],
                by_dim: Mapping[int, Sequence[str]], role: str) -> list[np.ndarray]:
-        """Coefficient operators as one (len(maps), B, d, d) stack per group.
+        """Coefficient operators as one (len(maps), B, d, d) stack per group,
+        or (len(maps), 1, d, d) for a group that only shared operators touch.
 
         Every operator must be Hermitian to ATOL_ALGEBRA relative to its
         largest entry.
         """
         dims = list(by_dim)
-        stacks = [np.zeros((len(maps), len(group), d, d), dtype=complex)
-                  for d, group in by_dim.items()]
+        shared = {co.shape for co in maps if isinstance(co, np.ndarray)}
+        named = {self._where[n][0] for co in maps if not isinstance(co, np.ndarray)
+                 for n in co if n in self._where}
+        stacks = [np.zeros((len(maps), 1 if (d, d) in shared and g not in named
+                            else len(group), d, d), dtype=complex)
+                  for g, (d, group) in enumerate(by_dim.items())]
         for j, coeffs in enumerate(maps):
+            if isinstance(coeffs, np.ndarray):
+                if (coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]
+                        or coeffs.shape[0] not in by_dim):
+                    raise ValueError(f"shared {role} operator of shape {coeffs.shape} "
+                                     "matches no block dimension")
+                stacks[dims.index(len(coeffs))][j] = coeffs  # broadcasts over the blocks
+                continue
             for name, op in coeffs.items():
                 if name not in self._where:
                     raise ValueError(f"{role} references unknown block {name!r}")
@@ -205,13 +235,18 @@ class SdpProblem:
                                      f"{op.shape}, expected {(d, d)}")
                 stacks[g][j, k] = op
         for group, stack in zip(by_dim.values(), stacks):
-            for row in stack:  # one (B, d, d) row at a time keeps temporaries small
-                asym = np.max(np.abs(row - dagger(row)), axis=(-2, -1))
-                scale = np.maximum(1.0, np.max(np.abs(row), axis=(-2, -1)))
+            d, width = stack.shape[-1], stack.shape[1]
+            ops = stack.reshape(-1, d, d)
+            step = max(1, 2 ** 14 // d ** 2)  # operators per check keeps temporaries small
+            for lo in range(0, len(ops), step):
+                chunk = ops[lo:lo + step]
+                asym = np.max(np.abs(chunk - dagger(chunk)), axis=(-2, -1))
+                scale = np.maximum(1.0, np.max(np.abs(chunk), axis=(-2, -1)))
                 bad = np.flatnonzero(asym > ATOL_ALGEBRA * scale)
                 if bad.size:
-                    raise ValueError(f"{role} operator for block {group[bad[0]]!r} "
-                                     "is not Hermitian")
+                    where = (f"block {group[(lo + bad[0]) % width]!r}" if width == len(group)
+                             else f"the blocks of dimension {d}")
+                    raise ValueError(f"{role} operator for {where} is not Hermitian")
         return stacks
 
     def _named(self, stacks: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
@@ -270,13 +305,16 @@ def _apply(groups: Sequence[_Group], x: Sequence[np.ndarray]) -> np.ndarray:
     """A(X)_j = sum_b Re<A_{j,b}, X_b> for one (B, d, d) stack per group.
 
     Re Tr(A X) = Re sum_kl A_kl conj(X_kl) for Hermitian A, a real dot
-    product of the real views: one matrix-vector product per group.
+    product of the real views: one matrix-vector product per group.  A
+    shared group pairs A_j with sum_b X_b.
     """
-    return sum(g.rows @ xg.reshape(-1).view(float) for g, xg in zip(groups, x))
+    return sum(g.rows @ (np.add.reduce(xg) if g.shared else xg).reshape(-1).view(float)
+               for g, xg in zip(groups, x))
 
 
 def _adjoint(groups: Sequence[_Group], y: np.ndarray) -> list[np.ndarray]:
-    """A*(y)_b = sum_j y_j A_{j,b} as one (B, d, d) stack per group."""
+    """A*(y)_b = sum_j y_j A_{j,b} as one (B, d, d) stack per group; for a
+    shared group one (1, d, d) operator, which broadcasts over the blocks."""
     return [(y @ g.rows).view(complex).reshape(g.ops.shape[1:]) for g in groups]
 
 
@@ -328,9 +366,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     c_scale = 1.0 + _norm([g.cost for g in groups])
     iterates: list[dict[str, float]] = []
     alpha_prev = 1.0
+    gap = pinf = dinf = np.nan  # reported if no iteration runs
 
-    status: SdpError | None = MaxIterationsError(
-        f"no convergence within {MAX_ITERATIONS} iterations")
     for it in range(MAX_ITERATIONS):
         pobj = sum(float(np.vdot(g.cost, xg).real) for g, xg in zip(groups, x))
         dobj = float(b @ y)
@@ -344,7 +381,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
                          "primal_infeasibility": pinf, "dual_infeasibility": dinf})
         if (gap <= GAP_TOL * (1.0 + abs(pobj))
                 and pinf <= PRIMAL_FEAS_TOL and dinf <= DUAL_FEAS_TOL):
-            status = None
             break
 
         w = [_nt_scaling(xg, zg) for xg, zg in zip(x, z)]
@@ -370,11 +406,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
         x = [hermitian_part(xg + alpha_p * d) for xg, d in zip(x, dx)]
         z = [hermitian_part(zg + alpha_d * d) for zg, d in zip(z, dz)]
         y = y + alpha_d * dy
-
-    if status is not None:
+    else:
+        last = (f"last iterate: gap {gap:.3e}, primal infeasibility {pinf:.3e}, "
+                f"dual infeasibility {dinf:.3e}")
+        status = MaxIterationsError(
+            f"no convergence within {MAX_ITERATIONS} iterations; {last}")
         if float(np.linalg.norm(b - _apply(groups, x))) / b_scale > 1e-5:
             raise InfeasibleConstraintsError(
-                "equality residual stalled; constraints look inconsistent") from status
+                f"equality residual stalled; constraints look inconsistent; {last}") from status
         raise status
 
     return SdpSolution(
@@ -431,15 +470,13 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 # named constraint builders
 # ---------------------------------------------------------------------------
 
-def povm_completeness_constraints(dim: int, block_names: Sequence[str]) -> list[Constraint]:
-    """Constraints stating that the named blocks sum to the identity on C^dim."""
+def povm_completeness_constraints(dim: int) -> list[Constraint]:
+    """Constraints stating that the blocks of dimension ``dim`` sum to the
+    identity on C^dim: one shared operator per svec entry, acting on every
+    block of that dimension."""
     basis = smat(np.eye(dim * dim), dim)  # svec unit vectors as operators
     eye = svec(np.eye(dim))
-    out: list[Constraint] = []
-    for k in range(dim * dim):
-        coeffs = {n: basis[k].copy() for n in block_names}
-        out.append((coeffs, float(eye[k])))
-    return out
+    return [(basis[k], float(eye[k])) for k in range(dim * dim)]
 
 
 def partial_trace_identity_constraints(block: str, dims: Sequence[int],

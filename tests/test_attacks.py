@@ -133,6 +133,20 @@ def test_covariant_med_certified_on_full_problem(n, request):
     assert result.p_success == pytest.approx(n / count, abs=1e-7)
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_covariant_med_certified_above_the_attack_cap(n):
+    """The full-problem certificate stays cheap beyond the CLI's n = 6 cap:
+    the completeness operators are stored once, not once per block."""
+    ens = dps_ensemble(n)
+    result = med_attack(ens)
+    count = 2 ** (n - 1)
+    assert len(result.problem.blocks) == count and len(result.solution.x) == count
+    assert result.kkt.passed, result.kkt.conditions
+    assert result.p_success == pytest.approx(n / count, abs=1e-7)
+    pgm = pgm_povm(ens.states, ens.priors)
+    assert_allclose(result.povm.elements, pgm.elements, rtol=0, atol=1e-7)
+
+
 def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
     """Skewed priors break the sign symmetry; the lifted seed pair is then
     not optimal, and the full-problem certificate says so.  ``med_attack``

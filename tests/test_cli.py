@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dpsqkd import attacks
+from dpsqkd import attacks, sdp
 from dpsqkd.cli import main
 from dpsqkd.sdp import KktReport, SdpError
 
@@ -39,6 +39,14 @@ def test_med_out_of_range(capsys):
     code, _, err = run_cli(capsys, "med", "--n", "7")
     assert code == 2
     assert "configuration error" in err
+
+
+def test_solver_failure_reports_last_iterate(monkeypatch, capsys):
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    code, out, err = run_cli(capsys, "med", "--n", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("solver failure: ")
+    assert "last iterate: gap " in err
 
 
 def test_med_deterministic_output(capsys):

@@ -18,7 +18,7 @@ def two_state_problem():
     return SdpProblem(
         blocks=[(n, 2) for n in names],
         objective={"P1": 0.5 * outer(e0), "P2": 0.5 * outer(e1)},
-        constraints=povm_completeness_constraints(2, names),
+        constraints=povm_completeness_constraints(2),
     )
 
 
@@ -27,7 +27,7 @@ def med3_problem():
     names = [f"P{i + 1}" for i in range(4)]
     objective = {names[i]: 0.25 * ens.density(i) for i in range(4)}
     return ens, SdpProblem(blocks=[(n, 3) for n in names], objective=objective,
-                           constraints=povm_completeness_constraints(3, names))
+                           constraints=povm_completeness_constraints(3))
 
 
 def test_svec_roundtrip_and_inner_product(rng):
@@ -120,7 +120,7 @@ def test_unitary_conjugation_invariance():
     names = [f"P{i + 1}" for i in range(4)]
     objective = {names[i]: 0.25 * (u @ ens.density(i) @ u.conj().T) for i in range(4)}
     rotated = SdpProblem(blocks=[(n, 3) for n in names], objective=objective,
-                         constraints=povm_completeness_constraints(3, names))
+                         constraints=povm_completeness_constraints(3))
     base = solve(problem).primal_objective
     assert solve(rotated).primal_objective == pytest.approx(base, abs=1e-8)
 
@@ -187,19 +187,29 @@ def test_rank_deficient_constraints_rejected():
     cons = [({"P1": np.eye(2)}, 1.0), ({"P1": 2.0 * np.eye(2)}, 3.0)]
     with pytest.raises(InfeasibleConstraintsError):
         SdpProblem(blocks=[("P1", 2)], objective={"P1": np.eye(2)}, constraints=cons)
+    # a repeated shared operator
+    shared = povm_completeness_constraints(2)
+    with pytest.raises(InfeasibleConstraintsError, match=r"rank deficient \(4 < 5\)"):
+        SdpProblem(blocks=[("P1", 2), ("P2", 2)], objective={},
+                   constraints=shared + [shared[1]])
 
 
 def test_non_hermitian_data_rejected():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):
         SdpProblem(blocks=[("P1", 2)], objective={"P1": bad},
-                   constraints=povm_completeness_constraints(2, ["P1"]))
+                   constraints=povm_completeness_constraints(2))
+    with pytest.raises(ValueError, match="constraint operator for the blocks of dimension 2 "
+                                         "is not Hermitian"):
+        SdpProblem(blocks=[("P1", 2), ("P2", 2)], objective={}, constraints=[(bad, 1.0)])
 
 
 def test_max_iterations_error(monkeypatch):
     _, problem = med3_problem()
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
-    with pytest.raises(MaxIterationsError):
+    with pytest.raises(MaxIterationsError,
+                       match=r"within 2 iterations; last iterate: gap \S+, primal "
+                             r"infeasibility \S+, dual infeasibility \S+$"):
         solve(problem)
 
 
@@ -230,25 +240,70 @@ def cloning3_problem():
     return attacks.cloning_problem(ens.states, ens.priors)
 
 
-@pytest.mark.parametrize("build", [lambda: interleaved_problem("B")[2], cloning3_problem],
-                         ids=["interleaved", "cloning-n3"])
+def svec_reference(problem):
+    """The svec constraint matrix expanded block by block from
+    ``problem.constraints``: a shared operator is repeated on every block of
+    its dimension, and blocks are grouped by dimension in order of first
+    appearance."""
+    first: dict[int, int] = {}
+    for _, d in problem.blocks:
+        first.setdefault(d, len(first))
+    order = sorted(problem.blocks, key=lambda block: first[block[1]])
+    rows = []
+    for coeffs, _ in problem.constraints:
+        ops = [coeffs.get(n, np.zeros((d, d))) if isinstance(coeffs, dict)
+               else coeffs if np.shape(coeffs) == (d, d) else np.zeros((d, d))
+               for n, d in order]
+        rows.append(np.concatenate([svec(op) for op in ops]))
+    return np.array(rows)
+
+
+def med4_problem():
+    ens = dps_ensemble(4)
+    return attacks.med_problem(ens.states, ens.priors)
+
+
+def mixed_problem():
+    """Blocks [A: 2, B: 3, C: 2]: a shared operator on A and C next to a
+    per-block row, so the shared one is copied into both blocks."""
+    return SdpProblem(blocks=[("A", 2), ("B", 3), ("C", 2)], objective={},
+                      constraints=[(np.array([[1.0, 0.5j], [-0.5j, 2.0]]), 1.0),
+                                   ({"A": np.eye(2), "B": np.eye(3)}, 1.0)])
+
+
+@pytest.mark.parametrize("build", [lambda: interleaved_problem("B")[2], cloning3_problem,
+                                   med4_problem, mixed_problem],
+                         ids=["interleaved", "cloning-n3", "med-n4-shared", "mixed"])
 def test_constraint_map_matches_svec_reference(build, rng):
-    """A(X) and A*(y) against the svec constraint matrix, groups concatenated
-    in order of first appearance: the representation the solver iterated
-    on before, kept here as the oracle."""
+    """A(X) and A*(y) against the svec constraint matrix: the representation
+    the solver iterated on before, kept here as the oracle."""
     problem = build()
     groups, m = problem._groups, len(problem.constraints)
-    amat = np.concatenate([svec(g.ops).reshape(m, -1) for g in groups], axis=1)
-    x = [hermitian_part(rng.normal(size=g.ops.shape[1:]) + 1j * rng.normal(size=g.ops.shape[1:]))
-         for g in groups]
+    amat = svec_reference(problem)
+    x = [hermitian_part(rng.normal(size=(len(g.names), g.d, g.d))
+                        + 1j * rng.normal(size=(len(g.names), g.d, g.d))) for g in groups]
     y = rng.normal(size=m)
-    ax, adj = sdp._apply(groups, x), sdp._adjoint(groups, y)
+    ax = sdp._apply(groups, x)
+    adj = [np.broadcast_to(a, xg.shape) for a, xg in zip(sdp._adjoint(groups, y), x)]
     assert_allclose(ax, amat @ np.concatenate([svec(xg).ravel() for xg in x]), rtol=0, atol=1e-12)
     assert_allclose(np.concatenate([svec(a).ravel() for a in adj]), amat.T @ y,
                     rtol=0, atol=1e-12)
     # <A(X), y> = sum_b <X_b, A*(y)_b>
     pairing = sum(np.einsum("bkl,blk->", xg, a).real for xg, a in zip(x, adj))
     assert ax @ y == pytest.approx(pairing, abs=1e-12)
+
+
+def test_shared_operators_stored_once():
+    """The 16 completeness operators of the 8-block n=4 MED are stored as
+    m * d**2 entries, not m * B * d**2; next to a per-block row a shared
+    operator is copied into every block."""
+    (group,) = med4_problem()._groups
+    assert len(group.names) == 8
+    assert group.ops.size == 16 * 4 * 4
+    pair, single = mixed_problem()._groups
+    assert pair.names == ("A", "C") and pair.ops.shape == (2, 2, 2, 2)
+    assert_allclose(pair.ops[0, 1], pair.ops[0, 0], rtol=0, atol=0)
+    assert single.ops.shape == (2, 1, 3, 3)
 
 
 def test_solve_without_constraints():
