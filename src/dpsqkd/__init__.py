@@ -15,8 +15,8 @@ from .attacks import (AttackProfile, CloningResult, MedResult, Povm,
                       depolarizing_fit, ir_attack_profile,
                       med_attack, med_on_cloned, optimal_cloner,
                       optimize_unitary_q, pgm_povm, standard_attack_profiles)
-from .dps import (BerReport, ClickDistribution, DpsEnsemble, MziModel,
-                  ber_of_state, ber_report, dps_ensemble,
+from .dps import (ClickDistribution, DpsEnsemble, MziModel,
+                  ber_of_state, dps_ensemble,
                   mzi_click_distribution, mzi_transfer, sifted_rate,
                   spectral_error_terms)
 from .keyrate import (ChannelModel, FiniteSizeParams, QberBreakdown,

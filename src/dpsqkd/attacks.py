@@ -15,17 +15,19 @@ Every SDP is assembled through the named constraint builders of
 ensemble that is covariant under the sign group of the DPS states (see
 :func:`_sign_covariant`) is solved on a symmetry-reduced problem: MED on one
 n x n seed block, the optimal cloner on the character blocks of its Choi
-operator.  Either way the optimum is lifted back and certified on the full
-problem, so every result describes the full SDP.  Each cloning attack is one
-certified :class:`CloningAttack`, read by the ``clone`` report and by its
-key-rate profile.  :data:`ATTACK_PROFILES` builds the per-intercept errors and
-collision probabilities that feed the shrinking factors in :mod:`dpsqkd.keyrate`.
+operator.  MED lifts its optimum back and certifies it on the full problem;
+the cloner certifies its blocks through an equivalent reduced certificate
+(see :func:`_reduced_cloner_kkt`) and never builds the d**3 x d**3
+problem.  Each cloning attack is one certified :class:`CloningAttack`, read
+by the ``clone`` report and by its key-rate profile.  :data:`ATTACK_PROFILES`
+builds the per-intercept errors and collision probabilities that feed the
+shrinking factors in :mod:`dpsqkd.keyrate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
 
@@ -132,7 +134,10 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
     names = _block_names(len(rhos))
     elements = _project_psd(np.array([solution.x[n] for n in names]))
     povm = Povm(elements=tuple(elements))
-    confusion = np.einsum("ikl,jlk->ij", np.array(rhos), elements).real
+    # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j^T[k, l]: one matrix product
+    count, d = len(rhos), elements.shape[-1]
+    confusion = (np.array(rhos).reshape(count, d * d)
+                 @ elements.transpose(0, 2, 1).reshape(count, d * d).T).real
     p_success = float(np.asarray(priors, dtype=float) @ np.diag(confusion))
     p_co = (collision_probability(confusion, priors, bit_map)
             if bit_map is not None else math.nan)
@@ -292,6 +297,11 @@ class CloningResult:
 
     The Choi operator lives on (bob-out) x (input) x (eve-out) with the input
     factor in the middle; trace preservation reads Tr_{out,out}(J) = I_in.
+    On the general route ``problem``, ``solution`` and ``kkt`` describe the
+    full :func:`cloning_problem`.  On the sign-covariant route they describe
+    the character-block problem, and ``kkt`` carries the extra condition
+    ``objective_block_diagonal`` of the reduced certificate (see
+    :func:`_reduced_cloner_kkt`); ``choi`` is then the scatter of the blocks.
     """
 
     choi: np.ndarray
@@ -304,19 +314,28 @@ class CloningResult:
     kkt: sdp.KktReport
 
 
+def _choi_kets(states: Sequence[np.ndarray]) -> np.ndarray:
+    """(G, d**3) matrix V whose row g is psi_g x conj(psi_g) x psi_g, so that
+    the cloning objective is Q = V^T diag(p) conj(V)."""
+    s = np.array(states, dtype=complex)
+    return np.einsum("gi,gj,gk->gijk", s, s.conj(), s).reshape(len(s), -1)
+
+
+def _cloning_objective(v: np.ndarray, priors: Sequence[float]) -> np.ndarray:
+    """Q = V^T diag(p) conj(V) = sum_g p_g |v_g><v_g|, one matrix product."""
+    return v.T @ (np.asarray(priors, dtype=float)[:, None] * v.conj())
+
+
 def cloning_problem(states: Sequence[np.ndarray],
                     priors: Sequence[float]) -> sdp.SdpProblem:
     """SDP for the optimal symmetric cloner in the Choi representation.
 
     Maximises the prior-averaged two-copy fidelity <psi psi| Phi(psi)|psi psi>
-    over completely positive trace-preserving maps Phi.
+    over completely positive trace-preserving maps Phi; the conjugate ket sits
+    on the input factor.
     """
     d = np.asarray(states[0]).size
-    q = np.zeros((d ** 3, d ** 3), dtype=complex)
-    for i, s in enumerate(states):
-        s = np.asarray(s, dtype=complex)
-        v = np.kron(s, np.kron(s.conj(), s))  # conjugate sits on the input factor
-        q += priors[i] * np.outer(v, v.conj())
+    q = _cloning_objective(_choi_kets(states), priors)
     constraints = sdp.partial_trace_identity_constraints(CHOI_BLOCK, [d, d, d], keep=1)
     return sdp.SdpProblem(blocks=[(CHOI_BLOCK, d ** 3)], objective={CHOI_BLOCK: q},
                           constraints=constraints)
@@ -330,16 +349,26 @@ def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return partial_trace(sandwich, [d, d, d], keep=[0, 2])
 
 
+def _clones(joint: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bob's and Eve's reduced states of a joint output and its two-copy
+    fidelity <psi psi|joint|psi psi>."""
+    d = psi.size
+    pair = np.kron(psi, psi)
+    return (partial_trace(joint, [d, d], keep=[0]), partial_trace(joint, [d, d], keep=[1]),
+            float(np.real(pair.conj() @ joint @ pair)))
+
+
 def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
                    priors: Sequence[float] | None = None) -> CloningResult:
     """Solve for the optimal symmetric cloning channel of a pure-state ensemble.
 
     A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
-    ensemble, is solved on the character blocks of the Choi operator (see
-    :func:`_covariant_cloner_solution`); any other ensemble runs the general
-    solve over the one d**3 block.  Either way the optimum is certified on
-    the full problem (:func:`cloning_problem`) through the KKT conditions, so
-    ``problem``, ``solution`` and ``kkt`` describe the full SDP.
+    ensemble, is solved and certified on the character blocks of the Choi
+    operator (see :func:`_covariant_cloner_solution` and
+    :func:`_reduced_cloner_kkt`), and its clones are read off the blocks (see
+    :func:`_block_clones`); no d**3 x d**3 problem is built.  Any other
+    ensemble runs the general solve over the one d**3 block, certified on
+    that problem, and reads each clone through :func:`apply_choi`.
     """
     if isinstance(ensemble, DpsEnsemble):
         states: Sequence[np.ndarray] = ensemble.states
@@ -348,27 +377,22 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
         states = ensemble
         if priors is None:
             raise ValueError("explicit state lists need explicit priors")
-    d = np.asarray(states[0]).size
-    problem = cloning_problem(states, priors)
+    states = [np.asarray(s, dtype=complex) for s in states]
+    d = states[0].size
     if _sign_covariant(_as_densities(states), priors):
-        solution = _covariant_cloner_solution(problem, d)
+        v = _choi_kets(states)
+        problem, solution = _covariant_cloner_solution(v, priors, d)
+        kkt = _reduced_cloner_kkt(problem, solution, _cloning_objective(v, priors), d)
+        choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, states[0])
     else:
+        problem = cloning_problem(states, priors)
         solution = sdp.solve(problem)
-    kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
-    choi = _project_psd(solution.x[CHOI_BLOCK])
-
-    bob_states, eve_states, fids = [], [], []
-    two_copy = 0.0
-    for i, s in enumerate(states):
-        s = np.asarray(s, dtype=complex)
-        joint = apply_choi(choi, outer(s))
-        bob = partial_trace(joint, [d, d], keep=[0])
-        eve = partial_trace(joint, [d, d], keep=[1])
-        bob_states.append(bob)
-        eve_states.append(eve)
-        fids.append(float(np.real(s.conj() @ bob @ s)))
-        pair = np.kron(s, s)
-        two_copy += priors[i] * float(np.real(pair.conj() @ joint @ pair))
+        kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
+        choi = _project_psd(solution.x[CHOI_BLOCK])
+        bob_states, eve_states, pair_fids = map(
+            list, zip(*(_clones(apply_choi(choi, outer(s)), s) for s in states)))
+        two_copy = float(np.asarray(priors, dtype=float) @ pair_fids)
+    fids = [float(np.real(s.conj() @ bob @ s)) for s, bob in zip(states, bob_states)]
     return CloningResult(
         choi=choi, avg_two_copy_fidelity=two_copy,
         per_state_clone_fidelity=fids, bob_states=bob_states,
@@ -376,57 +400,116 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
     )
 
 
-def _character_blocks(d: int) -> list[np.ndarray]:
+@lru_cache(maxsize=None)
+def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     """Ket indices of the character blocks of (out) x (in) x (out).
 
     The sign group acts on the Choi operator as U_g x conj(U_g) x U_g, which
     multiplies the basis ket |i j k> by s_g(i) s_g(j) s_g(k).  Kets with the
     same sign function g -> s_g(i) s_g(j) s_g(k) span one block of an
     invariant Choi operator (Gatermann & Parrilo, J. Pure Appl. Algebra 192,
-    2004).  Blocks are listed in order of their first ket.
+    2004).  Blocks are listed in order of their first ket.  Shared and
+    read-only, like :func:`_sign_patterns`.
     """
     signs = _sign_patterns(d)
     labels = np.einsum("gi,gj,gk->ijkg", signs, signs, signs).reshape(d ** 3, -1)
-    _, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+    # one bit per pattern: sorting 2**(d-1)/8 bytes per ket, not 2**(d-1) floats
+    packed = np.packbits(labels > 0, axis=1)
+    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
     inverse = inverse.ravel()
-    return [np.flatnonzero(inverse == b) for b in np.argsort(first)]
+    blocks = tuple(np.flatnonzero(inverse == b) for b in np.argsort(first))
+    for ix in blocks:
+        ix.flags.writeable = False
+    return blocks
 
 
-def _covariant_cloner_solution(problem: sdp.SdpProblem, d: int) -> sdp.SdpSolution:
-    """Solve the cloning SDP of a sign-covariant ensemble on the character
-    blocks of its Choi operator and lift the optimum onto ``problem``, the
-    full :func:`cloning_problem`.
+def _covariant_cloner_solution(v: np.ndarray, priors: Sequence[float],
+                               d: int) -> tuple[sdp.SdpProblem, sdp.SdpSolution]:
+    """The cloning SDP of a sign-covariant ensemble on the character blocks of
+    its Choi operator, and its solution.  ``v`` is :func:`_choi_kets`.
 
     The objective and the constraints are invariant under the sign group, so
     an optimal Choi operator can be taken invariant, hence block diagonal
-    over :func:`_character_blocks`.  Each block keeps its part of the
-    objective.  Of the d**2 trace-preservation constraints
-    Tr_{out,out}(J) = I only the d diagonal ones touch the blocks: for each
-    input index k, the diagonal of J summed over the kets |i k l> is 1.  The
-    off-diagonal ones hold on any block-diagonal operator.  The block primal
-    and slack scatter into the full J and Z, and the d multipliers lift to
-    Y = diag(y), whose svec holds the full problem's multipliers.  The
-    lifted pair is returned uncertified; the caller checks it on the full
-    problem.
+    over :func:`_character_blocks`.  Block b keeps its part of the
+    objective, V[:, b]^T diag(p) conj(V[:, b]).  Of the d**2
+    trace-preservation constraints Tr_{out,out}(J) = I only the d diagonal
+    ones touch the blocks: for each input index k, the diagonal of J summed
+    over the kets |i k l> is 1.  The pair is returned uncertified; see
+    :func:`_reduced_cloner_kkt`.
     """
-    q = problem.objective[CHOI_BLOCK]
+    p = np.asarray(priors, dtype=float)[:, None]
     blocks = _character_blocks(d)
     names = [f"J{b}" for b in range(len(blocks))]
     inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
-    reduced = sdp.SdpProblem(
+    problem = sdp.SdpProblem(
         blocks=[(name, ix.size) for name, ix in zip(names, blocks)],
-        objective={name: q[np.ix_(ix, ix)] for name, ix in zip(names, blocks)},
+        objective={name: v[:, ix].T @ (p * v[:, ix].conj()) for name, ix in zip(names, blocks)},
         constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
                      for k in range(d)])
-    sol = sdp.solve(reduced)
-    choi, slack = np.zeros_like(q), np.zeros_like(q)
-    for name, ix in zip(names, blocks):
-        choi[np.ix_(ix, ix)] = sol.x[name]
-        slack[np.ix_(ix, ix)] = sol.z[name]
-    return sdp.SdpSolution(
-        x={CHOI_BLOCK: choi}, y=sdp.svec(np.diag(sol.y)), z={CHOI_BLOCK: slack},
-        primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
-        gap=sol.gap, iterations=sol.iterations, iterates=sol.iterates)
+    return problem, sdp.solve(problem)
+
+
+def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
+                        q: np.ndarray, d: int, tol: float = 1e-6) -> sdp.KktReport:
+    """KKT certificate of a character-block cloner pair, equivalent to the
+    one on the full :func:`cloning_problem` with objective ``q``.
+
+    Scatter the blocks into J and Z, and lift the d multipliers y to
+    Y = diag(y), whose svec gives the full problem's d**2 multipliers.  Then
+    the full conditions reduce to three checks:
+
+    (a) ``verify_kkt`` on the block problem.  J is PSD iff its blocks are,
+        and <Q, J> is the sum of the block objectives, since J has no
+        off-block entries.  A trace-preservation constraint with j != k
+        pairs kets |i j l>, |i k l> whose sign labels differ (some pattern
+        has s_g(j) != s_g(k)), so it reads off-block entries of J only: zero,
+        its right-hand side.  The diagonal constraints are the block ones.
+        A*(svec Y) is the diagonal operator y_j on |i j l>, so the full
+        slack Z = A*(svec Y) - Q has the block slacks on its blocks, and the
+        dual objective is sum_k y_k.  <J, Z> is the sum of the block terms,
+        which the block gap and equalities bound.
+    (b) Q has no off-block entries, to ``tol``: the off-block part of Z is
+        -Q_off, and by Weyl's inequality the smallest eigenvalue of the full
+        Z lies within ||Q_off||_2 <= ||Q_off||_F of that of its blocks.
+        This is the condition ``objective_block_diagonal``, on the Frobenius
+        norm of Q_off.
+    (c) The multipliers of the j != k constraints are zero, which holds by
+        construction of Y.
+
+    A skewed prior breaks (b), so a non-covariant ensemble cannot pass.
+    """
+    report = sdp.verify_kkt(problem, solution, tol=tol)
+    label = np.empty(len(q), dtype=int)
+    for b, ix in enumerate(_character_blocks(d)):
+        label[ix] = b
+    off = float(np.linalg.norm(q[label[:, None] != label[None, :]]))
+    return replace(report, conditions={**report.conditions, "objective_block_diagonal": off <= tol})
+
+
+def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
+                  ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], float]:
+    """(Choi operator, Bob's clones, Eve's clones, two-copy fidelity) of a
+    character-block cloner optimum; ``psi`` is state 0 of the ensemble.
+
+    Negative eigenvalues are clipped one block at a time, and the clipped
+    blocks scatter into the Choi operator.  The joint output of ``psi`` is
+    read off the blocks; a block-diagonal Choi operator is invariant under
+    the sign group, so Bob_g = U_g Bob_0 U_g^dagger, likewise Eve_g, and
+    every state has the same two-copy fidelity.
+    """
+    d = psi.size
+    choi = np.zeros((d ** 3, d ** 3), dtype=complex)
+    joint = np.zeros((d * d, d * d), dtype=complex)
+    for ix, (name, _) in zip(_character_blocks(d), problem.blocks):
+        block = _project_psd(solution.x[name])
+        choi[np.ix_(ix, ix)] = block
+        # joint[(i k), (i' k')] = sum_{j j'} psi_j J[(i j k), (i' j' k')] conj(psi_j')
+        i, j, k = np.unravel_index(ix, (d, d, d))
+        np.add.at(joint, np.ix_(i * d + k, i * d + k), psi[j, None] * block * psi[j].conj())
+    bob, eve, two_copy = _clones(joint, psi)
+    signs = _sign_patterns(d)
+    return (choi, list(signs[:, :, None] * bob * signs[:, None, :]),
+            list(signs[:, :, None] * eve * signs[:, None, :]), two_copy)
 
 
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
@@ -652,13 +735,18 @@ class UncertifiedOptimumError(sdp.SdpError):
 _Result = TypeVar("_Result", MedResult, CloningResult)
 
 
-def certified(result: _Result, attack: str) -> _Result:
-    """Return ``result`` if its KKT certificate passed.
+def certified(attack: str, build: Callable[..., _Result], *args) -> _Result:
+    """Return ``build(*args)`` if its KKT certificate passed.
 
     Otherwise raise :class:`UncertifiedOptimumError` naming the attack and
     the failing KKT conditions, so an uncertified optimum never reaches a
-    key rate or a report.
+    key rate or a report.  A solver failure inside ``build`` is re-raised as
+    the same class with the attack's name in front of its message.
     """
+    try:
+        result = build(*args)
+    except sdp.SdpError as exc:
+        raise type(exc)(f"{attack}: {exc}") from exc
     failed = [name for name, ok in result.kkt.conditions.items() if not ok]
     if failed:
         raise UncertifiedOptimumError(
@@ -695,9 +783,9 @@ class CloningAttack:
 
 def optimal_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
     """The optimal cloner, followed by MED of Eve's clones."""
-    clone = certified(optimal_cloner(ens), "optimal cloner")
-    med_after = certified(med_on_cloned(clone.eve_states, ens.priors, ens.bit_map),
-                          "MED after optimal cloning")
+    clone = certified("optimal cloner", optimal_cloner, ens)
+    med_after = certified("MED after optimal cloning", med_on_cloned,
+                          clone.eve_states, ens.priors, ens.bit_map)
     return CloningAttack(name="cloning", ensemble=ens, cloner=clone,
                          fidelity=clone.avg_two_copy_fidelity,
                          bob_states=clone.bob_states, med_after=med_after)
@@ -710,15 +798,15 @@ def unitary_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
     q_opt, fidelity = optimize_unitary_q(ens, basis)
     params = UnitaryClonerParams(d=ens.n, q=q_opt, basis=basis)
     bobs = [apply_unitary_cloner(params, s)[0] for s in ens.states]
-    med_after = certified(med_on_cloned(bobs, ens.priors, ens.bit_map),
-                          "MED after unitary cloning")
+    med_after = certified("MED after unitary cloning", med_on_cloned,
+                          bobs, ens.priors, ens.bit_map)
     return CloningAttack(name="unitary", ensemble=ens, cloner=params, fidelity=fidelity,
                          bob_states=bobs, med_after=med_after)
 
 
 def _med_profile(ens: DpsEnsemble) -> AttackProfile:
     """MED errs with the state-level probability 1 - p_success per intercepted frame."""
-    med = certified(med_attack(ens), "med")
+    med = certified("med", med_attack, ens)
     return AttackProfile(name="med", per_intercept_error=1.0 - med.p_success,
                          per_attacked_bit_collision=med.collision_probability)
 

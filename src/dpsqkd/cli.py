@@ -48,9 +48,10 @@ class ConfigError(Exception):
 
 
 def _fmt(value: Any) -> Any:
-    """12-significant-digit float rendering for deterministic output."""
+    """12-significant-digit float rendering for deterministic output; a
+    negative zero renders as 0.0."""
     if isinstance(value, float):
-        return float(format(value, ".12g"))
+        return float(format(value, ".12g")) + 0.0
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

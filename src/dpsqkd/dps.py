@@ -176,26 +176,6 @@ def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
     return float(np.sum(wrong))
 
 
-@dataclass(frozen=True)
-class BerReport:
-    """Click distribution together with both error-rate accountings."""
-
-    distribution: ClickDistribution
-    ber: float
-    ber_conditional: float
-    note: str = ("port convention: constructive = bit 0, destructive = bit 1; "
-                 "slots 1 and n+1 are discarded boundary slots")
-
-
-def ber_report(received: np.ndarray, index: int, ensemble: DpsEnsemble,
-               mzi: MziModel = MziModel()) -> BerReport:
-    return BerReport(
-        distribution=mzi_click_distribution(np.asarray(received, dtype=complex), mzi),
-        ber=ber_of_state(received, index, ensemble, mzi),
-        ber_conditional=ber_of_state(received, index, ensemble, mzi, conditional=True),
-    )
-
-
 def spectral_error_terms(received: np.ndarray, index: int, ensemble: DpsEnsemble,
                          mzi: MziModel = MziModel()) -> list[tuple[float, float]]:
     """Per-eigencomponent (eigenvalue, wrong-port key-slot probability) terms.

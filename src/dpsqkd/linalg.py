@@ -153,8 +153,3 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
     val = complex(psi.conj() @ rho @ psi)
     return float(val.real)
 
-
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian operator (symmetrised first)."""
-    h = np.asarray(h, dtype=complex)
-    return float(eig_hermitian(hermitian_part(h)).eigenvalues[-1])

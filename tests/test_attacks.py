@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -323,17 +324,106 @@ def test_character_blocks(n, count, largest):
     assert np.max(np.abs(q[label[:, None] != label[None, :]])) <= 1e-15
 
 
+def scattered(problem, solution, d):
+    """A character-block cloner pair placed on the full cloning problem: the
+    primal and slack blocks at their kets, the multipliers as Y = diag(y)."""
+    x = np.zeros((d ** 3, d ** 3), dtype=complex)
+    z = np.zeros_like(x)
+    for (name, _), ix in zip(problem.blocks, attacks._character_blocks(d)):
+        x[np.ix_(ix, ix)] = solution.x[name]
+        z[np.ix_(ix, ix)] = solution.z[name]
+    return dataclasses.replace(solution, x={"J": x}, y=sdp.svec(np.diag(solution.y)),
+                               z={"J": z})
+
+
 @pytest.mark.parametrize("n,two_copy", [(3, 7 / 9), (4, 0.625), (5, 0.52), (6, 0.444444)])
 def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant_calls):
     ens = dps_ensemble(n)
     result = optimal_cloner(ens)
     assert covariant_calls == ["_covariant_cloner_solution"]
-    assert result.problem.blocks == [("J", n ** 3)]
-    assert len(result.solution.y) == n * n  # one multiplier per trace-preservation entry
+    assert len(result.problem.blocks) == len(attacks._character_blocks(n))
+    assert len(result.solution.y) == n  # one multiplier per diagonal trace-preservation entry
     assert result.kkt.passed, result.kkt.conditions
-    report = sdp.verify_kkt(cloning_problem(ens.states, ens.priors), result.solution, tol=1e-6)
+    full = scattered(result.problem, result.solution, n)
+    report = sdp.verify_kkt(cloning_problem(ens.states, ens.priors), full, tol=1e-6)
     assert report.passed, report.conditions
+    assert_allclose(result.choi, full.x["J"], rtol=0, atol=1e-9)
     assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reduced_cloner_certificate_agrees_with_full(n):
+    """The reduced certificate and the full problem's KKT check give the same
+    verdict on the block optimum and on three mutations of it."""
+    ens = dps_ensemble(n)
+    v = attacks._choi_kets(ens.states)
+    q = attacks._cloning_objective(v, ens.priors)
+    full = cloning_problem(ens.states, ens.priors)
+    problem, solution = attacks._covariant_cloner_solution(v, ens.priors, n)
+
+    def verdicts(problem, solution, q):
+        reduced = attacks._reduced_cloner_kkt(problem, solution, q, n)
+        objective = sdp.SdpProblem(blocks=full.blocks, objective={"J": q},
+                                   constraints=full.constraints)
+        return (reduced.passed,
+                sdp.verify_kkt(objective, scattered(problem, solution, n), tol=1e-6).passed)
+
+    assert verdicts(problem, solution, q) == (True, True)
+    zeroed = dataclasses.replace(solution, y=np.zeros_like(solution.y))
+    assert verdicts(problem, zeroed, q) == (False, False)
+    skewed = np.array(ens.priors) * np.linspace(0.5, 1.5, len(ens.priors))
+    skewed /= skewed.sum()
+    assert verdicts(*attacks._covariant_cloner_solution(v, skewed, n),
+                    attacks._cloning_objective(v, skewed)) == (False, False)
+    # one entry between the kets of largest weight in the first two blocks
+    first, second = attacks._character_blocks(n)[:2]
+    diag = np.diag(scattered(problem, solution, n).x["J"]).real
+    a, b = first[np.argmax(diag[first])], second[np.argmax(diag[second])]
+    bumped = q.copy()
+    bumped[a, b] = bumped[b, a] = 1e-3
+    assert verdicts(problem, solution, bumped) == (False, False)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_calls):
+    """The sign-covariant route neither builds the dense problem nor reads
+    clones through the Choi product, and diagonalises nothing of size n**3."""
+    dense, sizes = [], []
+
+    def spy(module, name, record):
+        real = getattr(module, name)
+
+        def wrapper(a, *args, **kwargs):
+            record(a)
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("cloning_problem", "apply_choi"):
+        spy(attacks, name, lambda a, _name=name: dense.append(_name))
+    for name in ("eigh", "eigvalsh"):
+        spy(np.linalg, name, lambda a: sizes.append(np.shape(a)[-1]))
+    result = optimal_cloner(dps_ensemble(n))
+    assert covariant_calls == ["_covariant_cloner_solution"]
+    assert dense == []
+    assert max(sizes) < n ** 3
+    assert result.kkt.passed, result.kkt.conditions
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_character_block_cloner_above_the_attack_cap(n):
+    """Above the CLI's cap the reduced certificate passes, the clones are
+    exactly depolarized, and two closed forms hold: the two-copy fidelity
+    (3n-2)/n**2 and the post-cloning MED ((1-p)n + p)/2**(n-1)."""
+    ens = dps_ensemble(n)
+    attack = optimal_cloning_attack(ens)
+    clone = attack.cloner
+    assert clone.kkt.passed, clone.kkt.conditions
+    assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, abs=1e-6)
+    fits = [depolarizing_fit(ens.density(i), c)
+            for i in range(len(ens.states)) for c in (clone.bob_states[i], clone.eve_states[i])]
+    assert max(r for _, r in fits) <= 1e-12
+    p = fits[0][0]
+    assert attack.med_after.p_success == pytest.approx(((1 - p) * n + p) / 2 ** (n - 1), abs=1e-7)
 
 
 def test_skewed_priors_take_the_general_cloner_route(ens3, covariant_calls):
@@ -666,6 +756,16 @@ def test_uncertified_optimum_never_reaches_a_profile(monkeypatch, failing, attac
                        match=f"^{attack}: KKT certificate failed \\(dual_psd\\)$"):
         standard_attack_profiles(3)
     assert len(calls) == failing + 1
+
+
+@pytest.mark.parametrize("error", [sdp.MaxIterationsError, sdp.NumericalBreakdownError])
+def test_solver_failure_keeps_its_class_and_names_the_attack(monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("no convergence")
+
+    monkeypatch.setattr(attacks, "med_attack", failing)
+    with pytest.raises(error, match="^med: no convergence$"):
+        standard_attack_profiles(3)
 
 
 @pytest.mark.parametrize("n", [3, 4])

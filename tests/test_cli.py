@@ -49,6 +49,19 @@ def test_solver_failure_reports_last_iterate(monkeypatch, capsys):
     assert "last iterate: gap " in err
 
 
+@pytest.mark.parametrize("argv,attack", [
+    (("keyrate",), "med"),
+    (("clone", "--mode", "optimal"), "optimal cloner"),
+    (("clone", "--mode", "unitary"), "MED after unitary cloning"),
+])
+def test_solver_failure_names_the_attack(monkeypatch, capsys, argv, attack):
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"solver failure: {attack}: ")
+    assert "last iterate: gap " in err
+
+
 def test_med_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "med", "--n", "3")
     _, out2, _ = run_cli(capsys, "med", "--n", "3")

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dpsqkd.linalg import (eig_hermitian, fidelity_pure, min_eigenvalue,
+from dpsqkd.linalg import (eig_hermitian, fidelity_pure,
                            outer, partial_trace, tensor)
 
 S3 = np.sqrt(3.0)
@@ -124,11 +124,6 @@ def test_eig_invariants_random(rng, d):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_min_eigenvalue(rng):
-    h = random_hermitian(rng, 6)
-    assert min_eigenvalue(h) == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
