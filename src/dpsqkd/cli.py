@@ -3,12 +3,16 @@
 Subcommands mirror the analyses: ``med``, ``clone``, ``keyrate``,
 ``finite-size`` and ``wcs``.  Every report embeds the fully resolved
 configuration, floats are rendered with 12 significant digits, and identical
-configurations produce byte-identical output.
+configurations produce byte-identical output.  Each subcommand returns its
+report as data; :func:`main` alone renders it as JSON or CSV and writes it,
+to ``--output`` only once the run has succeeded.
 
 Configuration may come from a flat key=value file with ``[section]`` headers
 (channel keys in ``[channel]``), selected with ``--config`` or the
 ``DPSQKD_CONFIG`` environment variable; command-line flags override file
-values.  Exit codes: 0 success, 2 configuration error, 3 solver failure.
+values.  Exit codes: 0 success, 2 configuration error (including an
+unreadable configuration file and an unwritable ``--output``), 3 solver
+failure or an uncertified optimum.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +47,10 @@ _CHANNEL_KEYS = {
 }
 
 
+# A subcommand's report: the JSON document, the CSV rows and the CSV header.
+Report = tuple[dict, list[Mapping[str, float]], Mapping[str, Any]]
+
+
 class ConfigError(Exception):
     pass
 
@@ -63,38 +71,43 @@ def _fmt(value: Any) -> Any:
     return value
 
 
-def _emit_json(doc: dict, out) -> None:
-    json.dump(_fmt(doc), out, sort_keys=True, indent=1)
-    out.write("\n")
-
-
-def _emit_csv(rows: Sequence[Mapping[str, float]], config: Mapping[str, Any], out) -> None:
-    for key in sorted(config):
-        out.write(f"# {key}={config[key]}\n")
-    if not rows:
+def _render(report: Report, fmt: str) -> Iterator[str]:
+    """The report as JSON, or as CSV: sorted ``# key=value`` header lines,
+    then the rows under their column names.  Yielded piece by piece, so a
+    long sweep is written as it is encoded rather than held whole."""
+    doc, rows, header = report
+    if fmt == "json":
+        yield from json.JSONEncoder(sort_keys=True, indent=1).iterencode(_fmt(doc))
+        yield "\n"
         return
-    header = list(rows[0].keys())
-    out.write(",".join(header) + "\n")
+    for key in sorted(header):
+        yield f"# {key}={header[key]}\n"
+    columns = list(rows[0])  # every subcommand reports at least one row
+    yield ",".join(columns) + "\n"
     for row in rows:
-        out.write(",".join(format(float(row[h]), ".12g") for h in header) + "\n")
+        yield ",".join(format(float(row[c]), ".12g") for c in columns) + "\n"
 
 
 def _parse_config_file(path: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current = "channel"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            sections.setdefault(current, {})[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        sections.setdefault(current, {})[key.strip()] = value.strip()
     return sections
 
 
@@ -108,9 +121,14 @@ def _channel_from_config(args: argparse.Namespace,
         if unknown_sections:
             raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
         for key, raw in sections.get("channel", {}).items():
-            if key not in _CHANNEL_KEYS:
+            kind = _CHANNEL_KEYS.get(key)
+            if kind is None:
                 raise ConfigError(f"unknown channel key {key!r}")
-            values[key] = _CHANNEL_KEYS[key](raw)
+            try:
+                values[key] = kind(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"channel key {key!r} needs {kind.__name__}, got {raw!r}") from exc
     for key in _CHANNEL_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -124,15 +142,12 @@ def _channel_from_config(args: argparse.Namespace,
 
 
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loss-db-per-km", dest="loss_db_per_km", type=float)
-    p.add_argument("--dark-count-prob", dest="dark_count_prob", type=float)
-    p.add_argument("--detector-efficiency", dest="detector_efficiency", type=float)
-    p.add_argument("--baseline-error", dest="baseline_error", type=float)
-    p.add_argument("--f-ec", dest="f_ec", type=float)
-    p.add_argument("--n-pulses", dest="n_pulses", type=int)
+    for key, kind in _CHANNEL_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, handler: Callable[..., Report]) -> None:
+    p.set_defaults(handler=handler)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.add_argument("--config", default=None, help="key=value configuration file")
@@ -180,26 +195,19 @@ def _finite_size(spec: str | None) -> FiniteSizeParams | None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_med(args: argparse.Namespace, out) -> int:
+def _cmd_med(args: argparse.Namespace) -> Report:
     if not 3 <= args.n <= MAX_ATTACK_PULSES:
         raise ConfigError(f"pulse count for med must lie in [3, {MAX_ATTACK_PULSES}]")
-    ens = dps_ensemble(args.n)
-    result = attacks.med_attack(ens)
+    result = attacks.certified("med", attacks.med_attack, dps_ensemble(args.n))
     doc = {"config": {"command": "med", "n": args.n}, **attacks.med_result_doc(result)}
-    if args.format == "json":
-        _emit_json(doc, out)
-    else:
-        rows = [{"state": float(i), **{f"p_outcome_{j + 1}": result.confusion[i, j]
-                                       for j in range(result.confusion.shape[1])}}
-                for i in range(result.confusion.shape[0])]
-        _emit_csv(rows, {"command": "med", "n": args.n,
-                         "p_success": format(result.p_success, ".12g"),
-                         "collision_probability": format(result.collision_probability, ".12g")},
-                  out)
-    return 0
+    rows = [{"state": float(i), **{f"p_outcome_{j + 1}": p for j, p in enumerate(row)}}
+            for i, row in enumerate(result.confusion)]
+    return doc, rows, {"command": "med", "n": args.n,
+                       "p_success": format(result.p_success, ".12g"),
+                       "collision_probability": format(result.collision_probability, ".12g")}
 
 
-def _cmd_clone(args: argparse.Namespace, out) -> int:
+def _cmd_clone(args: argparse.Namespace) -> Report:
     ens = dps_ensemble(3)
     doc: dict[str, Any] = {"config": {"command": "clone", "mode": args.mode}}
     if args.mode == "optimal":
@@ -231,21 +239,18 @@ def _cmd_clone(args: argparse.Namespace, out) -> int:
             "confusion_diagonal": [float(v) for v in np.diag(attack.med_after.confusion)],
         },
     })
-    if args.format == "json":
-        _emit_json(doc, out)
-    else:
-        flat: dict[str, float] = {}
-        for key, val in doc.items():
-            if isinstance(val, float):
-                flat[key] = val
-            elif isinstance(val, list) and val and isinstance(val[0], float):
-                for i, v in enumerate(val):
-                    flat[f"{key}_{i}"] = v
-        _emit_csv([flat], doc["config"], out)
-    return 0
+    # one CSV row: the float fields, and each list of floats as key_0, key_1, ...
+    flat: dict[str, float] = {}
+    for key, val in doc.items():
+        if isinstance(val, float):
+            flat[key] = val
+        elif isinstance(val, list) and val and isinstance(val[0], float):
+            for i, v in enumerate(val):
+                flat[f"{key}_{i}"] = v
+    return doc, [flat], doc["config"]
 
 
-def _cmd_keyrate(args: argparse.Namespace, out) -> int:
+def _cmd_keyrate(args: argparse.Namespace) -> Report:
     model, resolved = _channel_from_config(args)
     wanted = [a.strip() for a in args.attacks.split(",") if a.strip()]
     unknown = set(wanted) - (set(attacks.ATTACK_PROFILES) | {"lower-bound", "unconditional"})
@@ -266,36 +271,22 @@ def _cmd_keyrate(args: argparse.Namespace, out) -> int:
               "attacks": ",".join(wanted),
               "start_km": args.start_km, "stop_km": args.stop_km,
               "step_km": args.step_km, "finite_size": args.finite_size or ""}
-    if args.format == "json":
-        _emit_json({"config": config, "rows": rows}, out)
-    else:
-        _emit_csv(rows, config, out)
-    return 0
+    return {"config": config, "rows": rows}, rows, config
 
 
-def _cmd_finite_size(args: argparse.Namespace, out) -> int:
+def _cmd_finite_size(args: argparse.Namespace) -> Report:
     fs = _finite_size(args.params)
-    if fs is None:
-        raise ConfigError("finite-size needs --params n=..,k=..,eps=..")
     try:
         t = finite_size_deviation(fs, args.e_obs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    doc = {
-        "config": {"command": "finite-size", "n": fs.n_key, "k": fs.k_pe,
-                   "eps": fs.eps_prime, "e_obs": args.e_obs},
-        "deviation": t,
-        "e_key_bound": args.e_obs + t,
-    }
-    if args.format == "json":
-        _emit_json(doc, out)
-    else:
-        _emit_csv([{"deviation": t, "e_key_bound": args.e_obs + t}],
-                  doc["config"], out)
-    return 0
+    config = {"command": "finite-size", "n": fs.n_key, "k": fs.k_pe,
+              "eps": fs.eps_prime, "e_obs": args.e_obs}
+    figures = {"deviation": t, "e_key_bound": args.e_obs + t}
+    return {"config": config, **figures}, [figures], config
 
 
-def _cmd_wcs(args: argparse.Namespace, out) -> int:
+def _cmd_wcs(args: argparse.Namespace) -> Report:
     try:
         params = wcs.WcsParams(mean_photon_number=args.mu, slices=args.slices)
     except ValueError as exc:
@@ -310,13 +301,9 @@ def _cmd_wcs(args: argparse.Namespace, out) -> int:
     config = {"command": "wcs", **resolved, "mu": args.mu, "slices": args.slices,
               "attack": ",".join(wanted), "start_km": args.start_km,
               "stop_km": args.stop_km, "step_km": args.step_km}
-    if args.format == "json":
-        _emit_json({"config": config, "rows": rows,
-                    "slice_averaged_qber": wcs.slice_averaged_qber(params),
-                    "usd_success": wcs.usd_success(args.mu)}, out)
-    else:
-        _emit_csv(rows, config, out)
-    return 0
+    return ({"config": config, "rows": rows,
+             "slice_averaged_qber": wcs.slice_averaged_qber(params),
+             "usd_success": wcs.usd_success(args.mu)}, rows, config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_med = sub.add_parser("med", help="minimum-error discrimination of the signal states")
     p_med.add_argument("--n", type=int, default=3)
-    _add_common(p_med)
+    _add_common(p_med, _cmd_med)
 
     p_clone = sub.add_parser("clone", help="optimal or unitary cloning attack dossier")
     p_clone.add_argument("--mode", choices=("optimal", "unitary"), default="optimal")
-    _add_common(p_clone)
+    _add_common(p_clone, _cmd_clone)
 
     p_key = sub.add_parser("keyrate", help="secure key rate and shrinking factors vs distance")
     p_key.add_argument("--attacks", default="ir,med,cloning,unitary,lower-bound,unconditional")
@@ -343,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_key.add_argument("--finite-size", dest="finite_size", default=None,
                        help="n=..,k=..,eps=..")
     _add_channel_flags(p_key)
-    _add_common(p_key)
+    _add_common(p_key, _cmd_keyrate)
 
     p_fs = sub.add_parser("finite-size", help="parameter-estimation deviation")
     p_fs.add_argument("--params", required=True, help="n=..,k=..,eps=..")
     p_fs.add_argument("--e-obs", dest="e_obs", type=float, default=0.02)
-    _add_common(p_fs)
+    _add_common(p_fs, _cmd_finite_size)
 
     p_wcs = sub.add_parser("wcs", help="weak-coherent-state analysis")
     p_wcs.add_argument("--mu", type=float, default=0.4)
@@ -358,35 +345,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_wcs.add_argument("--stop-km", dest="stop_km", type=float, default=100.0)
     p_wcs.add_argument("--step-km", dest="step_km", type=float, default=10.0)
     _add_channel_flags(p_wcs)
-    _add_common(p_wcs)
+    _add_common(p_wcs, _cmd_wcs)
 
     return parser
 
 
-_HANDLERS = {
-    "med": _cmd_med,
-    "clone": _cmd_clone,
-    "keyrate": _cmd_keyrate,
-    "finite-size": _cmd_finite_size,
-    "wcs": _cmd_wcs,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     try:
+        report = args.handler(args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
-                return handler(args, out)
-        return handler(args, sys.stdout)
-    except ConfigError as exc:
+                out.writelines(_render(report, args.format))
+            return 0
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SdpError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    sys.stdout.writelines(_render(report, args.format))
+    return 0
 
 
 if __name__ == "__main__":

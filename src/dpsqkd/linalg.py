@@ -26,14 +26,6 @@ ATOL_TRACE = 1e-10
 ATOL_PSD = 1e-9
 
 
-def ket(amplitudes: Sequence[complex]) -> np.ndarray:
-    """Return a complex state vector (no normalisation is applied)."""
-    v = np.asarray(amplitudes, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("a ket must be a non-empty one-dimensional vector")
-    return v
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator, or of each operator in a stack."""
     return np.conj(np.swapaxes(a, -1, -2))
@@ -48,10 +40,6 @@ def outer(psi: np.ndarray) -> np.ndarray:
     """Density operator |psi><psi| of a ket."""
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:

@@ -123,8 +123,13 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
     knows a flat wcs_ir_fraction(mu) of the sifted key; the USD attacker
     reads the channel loss (see :func:`usd_known_fraction`); phase
     randomisation keeps the intercept-resend attacker but multiplies the
-    sifted rate by 1/M and adds the slice-averaged mismatch QBER.
+    sifted rate by 1/M and adds the slice-averaged mismatch QBER.  The
+    intercept-resend and USD fractions are three-pulse results, so the
+    channel must carry ``n_pulses == 3``.
     """
+    if model.n_pulses != 3:
+        raise ValueError(f"the weak-coherent-state analysis is three-pulse only "
+                         f"(n_pulses = {model.n_pulses})")
     unknown = set(attacks) - set(WCS_ATTACKS)
     if unknown:
         raise ValueError(f"unknown WCS attack modes: {sorted(unknown)}")

@@ -53,6 +53,7 @@ def test_solver_failure_reports_last_iterate(monkeypatch, capsys):
     (("keyrate",), "med"),
     (("clone", "--mode", "optimal"), "optimal cloner"),
     (("clone", "--mode", "unitary"), "MED after unitary cloning"),
+    (("med", "--n", "3"), "med"),
 ])
 def test_solver_failure_names_the_attack(monkeypatch, capsys, argv, attack):
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
@@ -246,12 +247,55 @@ def test_wcs_command(capsys):
         assert row["r_phase_randomized"] <= row["r_usd"] + 1e-15
 
 
-def test_output_file(tmp_path, capsys):
+def test_output_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "med.json"
-    code = main(["med", "--n", "3", "--output", str(path)])
-    assert code == 0
+    code, out, _ = run_cli(capsys, "med", "--n", "3", "--output", str(path))
+    assert code == 0 and out == ""
     doc = json.loads(path.read_text())
     assert doc["p_success"] == pytest.approx(0.75, abs=1e-6)
+    # a failed run leaves an existing report byte for byte as it was
+    before = path.read_bytes()
+    code, out, _ = run_cli(capsys, "keyrate", "--f-ec", "nan", "--output", str(path))
+    assert code == 2 and out == ""
+    assert path.read_bytes() == before
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    code, out, _ = run_cli(capsys, "med", "--n", "3", "--output", str(path))
+    assert code == 3 and out == ""
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("where", ["missing-dir/out.json", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "finite-size", "--params", "n=1e6,k=1e4,eps=1e-9",
+                             "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and str(target) in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    for path in (tmp_path / "absent.cfg", tmp_path):
+        code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"configuration error: cannot read config file {str(path)!r}")
+    monkeypatch.setenv("DPSQKD_CONFIG", str(tmp_path / "absent.cfg"))
+    code, out, err = run_cli(capsys, "wcs")
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: cannot read config file")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("n_pulses = abc", "channel key 'n_pulses' needs int, got 'abc'"),
+    ("n_pulses = 4.0", "channel key 'n_pulses' needs int, got '4.0'"),
+    ("f_ec = high", "channel key 'f_ec' needs float, got 'high'"),
+])
+def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[channel]\n{line}\n")
+    code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"configuration error: {message}\n"
 
 
 def test_wcs_bad_source_and_channel(capsys):
@@ -262,6 +306,8 @@ def test_wcs_bad_source_and_channel(capsys):
         (("--loss-db-per-km", "inf"), "fibre loss"),
         (("--mu", "0.9", "--detector-efficiency", "1", "--dark-count-prob", "0.2"),
          "click probability 1.1 exceeds 1"),
+        (("--n-pulses", "6"), "three-pulse only (n_pulses = 6)"),
+        (("--n-pulses", "4", "--stop-km", "0"), "three-pulse only (n_pulses = 4)"),
     ]:
         code, _, err = run_cli(capsys, "wcs", *argv)
         assert code == 2, argv
@@ -280,6 +326,7 @@ def test_wcs_click_bound_uses_the_source_intensity(capsys):
     (("keyrate",), "med"),
     (("clone", "--mode", "optimal"), "optimal cloner"),
     (("clone", "--mode", "unitary"), "MED after unitary cloning"),
+    (("med", "--n", "3"), "med"),
 ])
 def test_uncertified_optimum_exits_3(monkeypatch, capsys, argv, attack):
     failing = KktReport(equality_residual=0.0, primal_min_eigenvalue=0.0,

@@ -143,3 +143,11 @@ def test_wcs_single_slice_degenerates_to_plain_ir():
 def test_wcs_unknown_attack_rejected():
     with pytest.raises(ValueError, match="unknown WCS attack"):
         wcs_key_rates(WcsParams(), ChannelModel(), [0.0], attacks=("bs",))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_wcs_key_rates_are_three_pulse_only(n):
+    # the IR and USD fractions are three-pulse results; an (n-1)/n sifting
+    # rescale of them is no n-pulse key rate
+    with pytest.raises(ValueError, match=rf"three-pulse only \(n_pulses = {n}\)"):
+        wcs_key_rates(WcsParams(), ChannelModel(n_pulses=n), [0.0])
