@@ -7,12 +7,12 @@ configurations produce byte-identical output.  Each subcommand returns its
 report as data; :func:`main` alone renders it as JSON or CSV and writes it,
 to ``--output`` only once the run has succeeded.
 
-Configuration may come from a flat key=value file with ``[section]`` headers
-(channel keys in ``[channel]``), selected with ``--config`` or the
-``DPSQKD_CONFIG`` environment variable; command-line flags override file
-values.  Exit codes: 0 success, 2 configuration error (including an
-unreadable configuration file and an unwritable ``--output``), 3 solver
-failure or an uncertified optimum.
+Configuration may come from a flat key=value file whose one section is
+``[channel]``, selected with ``--config`` or the ``DPSQKD_CONFIG``
+environment variable; command-line flags override file values.  Exit codes:
+0 success, 2 configuration error (including an unreadable configuration file
+and an ``--output`` or stdout that cannot take the report), 3 solver failure
+or an uncertified optimum.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _channel_from_config(args: argparse.Namespace,
     path = args.config or os.environ.get(CONFIG_ENV)
     if path:
         sections = _parse_config_file(path)
-        unknown_sections = set(sections) - {"channel", "run"}
+        unknown_sections = set(sections) - {"channel"}
         if unknown_sections:
             raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
         for key, raw in sections.get("channel", {}).items():
@@ -357,14 +357,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
                 out.writelines(_render(report, args.format))
-            return 0
+        else:
+            # flushed here, so a full stdout fails inside the mapping below
+            # rather than at interpreter exit
+            sys.stdout.writelines(_render(report, args.format))
+            sys.stdout.flush()
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SdpError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    sys.stdout.writelines(_render(report, args.format))
     return 0
 
 

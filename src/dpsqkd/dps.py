@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import eig_hermitian, is_density
+from .linalg import ATOL_PSD, eig_hermitian, is_density
 
 MAX_PULSES = 12
 
@@ -178,17 +178,23 @@ def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
 
 def spectral_error_terms(received: np.ndarray, index: int, ensemble: DpsEnsemble,
                          mzi: MziModel = MziModel()) -> list[tuple[float, float]]:
-    """Per-eigencomponent (eigenvalue, wrong-port key-slot probability) terms.
+    """Per-eigenvector (eigenvalue, wrong-port key-slot probability) terms,
+    eigenvalues in descending order.
 
-    The eigenvalue-weighted sum of the second entries equals the default
-    ``ber_of_state`` exactly.  Individual terms within a degenerate eigenspace
-    depend on the basis choice; only their weighted sum is basis-invariant.
+    Sorted eigenvalues within ATOL_PSD of their neighbour form one eigenspace
+    Pi, and each of its eigenvectors carries Tr(Pi W) / dim Pi, where W is the
+    wrong-port operator: the terms do not depend on the basis LAPACK picks
+    inside a degenerate eigenspace.  The eigenvalue-weighted sum of the
+    second entries equals the default ``ber_of_state``, up to the spread of
+    the eigenvalues merged into one eigenspace.
     """
     dec = eig_hermitian(np.asarray(received, dtype=complex))
+    wrong = [float(np.sum(_wrong_port_probs(np.outer(vec, vec.conj()),
+                                            ensemble.bit_map[index], mzi)[0]))
+             for vec in dec.eigenvectors.T]
+    cuts = [0, *(np.flatnonzero(-np.diff(dec.eigenvalues) > ATOL_PSD) + 1).tolist(), len(wrong)]
     out = []
-    for k in range(dec.eigenvalues.size):
-        vec = dec.eigenvectors[:, k]
-        wrong, _ = _wrong_port_probs(np.outer(vec, vec.conj()),
-                                     ensemble.bit_map[index], mzi)
-        out.append((float(dec.eigenvalues[k]), float(np.sum(wrong))))
+    for lo, hi in zip(cuts, cuts[1:]):
+        share = sum(wrong[lo:hi]) / (hi - lo)
+        out.extend((float(lam), share) for lam in dec.eigenvalues[lo:hi])
     return out

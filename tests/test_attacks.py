@@ -638,6 +638,21 @@ def test_closed_form_q_at_eight_pulses():
                                 abs=1e-12)
 
 
+def test_unitary_cloning_attack_at_eight_pulses(monkeypatch):
+    """Above the attack cap the post-cloning MED of the unitary clones runs the
+    general solve over 2**7 blocks of 8 x 8 with 64 shared completeness
+    operators, and its optimum passes the KKT conditions on the full problem.
+    A channel cannot raise the MED success probability n / 2**(n-1)."""
+    solve, solved = sdp.solve, []
+    monkeypatch.setattr(sdp, "solve", lambda problem: solved.append(problem) or solve(problem))
+    med = unitary_cloning_attack(dps_ensemble(8)).med_after
+    assert len(solved) == 1 and solved[0] is med.problem
+    assert len(med.problem.blocks) == 2 ** 7 and len(med.problem.constraints) == 64
+    report = sdp.verify_kkt(med.problem, med.solution)
+    assert report.passed, report.conditions
+    assert 1.0 / 2 ** 7 < med.p_success < 8.0 / 2 ** 7
+
+
 def test_optimize_unitary_q_keeps_input_checks(ens3):
     basis = aligned_cloning_basis(ens3)
     states, priors = list(ens3.states), list(ens3.priors)

@@ -1,7 +1,14 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dpsqkd
 from dpsqkd import attacks, sdp
 from dpsqkd.cli import main
 from dpsqkd.sdp import KktReport, SdpError
@@ -215,6 +222,16 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown channel key" in err
 
 
+@pytest.mark.parametrize("text", ["[run]\nstop_km = 0\n", "[output]\n"], ids=["run", "output"])
+def test_config_rejects_unknown_section(tmp_path, capsys, text):
+    """A section the CLI does not read is an error, not a silently dropped setting."""
+    cfg = tmp_path / "sections.cfg"
+    cfg.write_text(f"[channel]\nf_ec = 1.2\n{text}")
+    code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: unknown config sections")
+
+
 def test_finite_size_command(capsys):
     code, out, _ = run_cli(capsys, "finite-size", "--params", "n=1e6,k=1e4,eps=1e-9",
                            "--e-obs", "0.02")
@@ -272,6 +289,49 @@ def test_unwritable_output_exits_2(tmp_path, capsys, where):
     assert code == 2 and out == ""
     assert err.startswith("configuration error: ") and str(target) in err
     assert sorted(tmp_path.iterdir()) == []
+
+
+FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: ``flush`` fails, and so does ``write`` when
+    ``failing == "write"``."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise FULL
+        return super().write(text)
+
+    def flush(self):
+        raise FULL
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_stdout_exits_2(monkeypatch, capsys, failing):
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+    code = main(["finite-size", "--params", "n=1e6,k=1e4,eps=1e-9"])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {FULL}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["finite-size", "--params", "n=1e6,k=1e4,eps=1e-9"],  # fits the stdout buffer
+    ["keyrate", "--attacks", "ir", "--step-km", "0.01"],  # overflows it
+])
+def test_full_stdout_exits_2_in_a_fresh_process(argv):
+    """Nothing is left to fail at interpreter exit, which would exit 120."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dpsqkd.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "dpsqkd.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"configuration error: {FULL}\n"
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):

@@ -179,9 +179,9 @@ def test_spectral_terms_sum_matches_direct(ens3):
     terms = spectral_error_terms(CLONED_EXACT, 0, ens3)
     total = sum(lam * w for lam, w in terms)
     assert total == pytest.approx(ber_of_state(CLONED_EXACT, 0, ens3), abs=1e-12)
-    # the canonical eigenbasis exhibits the per-component pattern {0, 3/8, 5/8}
+    # the degenerate 2/21 eigenspace shares its wrong-port weight 1 evenly
     weights = sorted(w for _, w in terms)
-    assert_allclose(weights, [0.0, 3.0 / 8.0, 5.0 / 8.0], atol=1e-9)
+    assert_allclose(weights, [0.0, 1.0 / 2.0, 1.0 / 2.0], atol=1e-9)
 
 
 def test_ber_invariant_under_degenerate_basis_rotation(ens3, rng):
@@ -199,7 +199,9 @@ def test_ber_invariant_under_degenerate_basis_rotation(ens3, rng):
         rotated = (17.0 / 21.0 * outer(ens3.states[0])
                    + lam_deg * outer(f2) + lam_deg * outer(f3))
         assert_allclose(rotated, CLONED_EXACT, atol=1e-12)
-        total = sum(lam * w for lam, w in spectral_error_terms(rotated, 0, ens3))
+        terms = spectral_error_terms(rotated, 0, ens3)
+        assert_allclose(terms, base_terms, rtol=0, atol=1e-10)
+        total = sum(lam * w for lam, w in terms)
         assert total == pytest.approx(base, abs=1e-10)
 
 

@@ -229,6 +229,14 @@ def test_iterate_trace_dump():
     assert len(records) >= 3
     assert {"iteration", "mu", "gap"} <= set(records[0])
     assert records[-1]["mu"] < records[0]["mu"]
+    # every record but the converged last one carries the step taken from it
+    step_keys = {"alpha_p", "alpha_d", "sigma", "scaling_s", "schur_s", "step_s"}
+    for record in records[:-1]:
+        assert step_keys <= set(record)
+        assert 0.0 < record["alpha_p"] <= 1.0 and 0.0 < record["alpha_d"] <= 1.0
+        assert 0.05 <= record["sigma"] <= 0.8
+        assert min(record[k] for k in ("scaling_s", "schur_s", "step_s")) >= 0.0
+    assert not step_keys & set(records[-1])
     # the symmetry-reduced attacks carry the records of their reduced solve
     for solution in (attacks.med_attack(dps_ensemble(4)).solution,
                      attacks.optimal_cloner(dps_ensemble(3)).solution):
@@ -291,6 +299,34 @@ def test_constraint_map_matches_svec_reference(build, rng):
     # <A(X), y> = sum_b <X_b, A*(y)_b>
     pairing = sum(np.einsum("bkl,blk->", xg, a).real for xg, a in zip(x, adj))
     assert ax @ y == pytest.approx(pairing, abs=1e-12)
+
+
+def random_scalings(groups, rng):
+    """One random positive definite (B, d, d) stack per group."""
+    out = []
+    for g in groups:
+        a = (rng.normal(size=(len(g.names), g.d, g.d))
+             + 1j * rng.normal(size=(len(g.names), g.d, g.d)))
+        out.append(a @ a.conj().transpose(0, 2, 1) / g.d + np.eye(g.d))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [sdp.SCHUR_CHUNK, 1, 2000])
+@pytest.mark.parametrize("build", [lambda: interleaved_problem("B")[2], cloning3_problem,
+                                   med4_problem, mixed_problem],
+                         ids=["interleaved", "cloning-n3", "med-n4-shared", "mixed"])
+def test_schur_matches_per_column_oracle(build, chunk, rng, monkeypatch):
+    """The loop-free Schur complement against its per-column form, column j =
+    A(W A_j W); small chunk constants split the batched products into
+    several chunks."""
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK", chunk)
+    problem = build()
+    groups, m = problem._groups, len(problem.constraints)
+    w = random_scalings(groups, rng)
+    oracle = np.column_stack([sdp._apply(groups, [wg @ g.ops[j] @ wg
+                                                  for g, wg in zip(groups, w)])
+                              for j in range(m)])
+    assert_allclose(sdp._schur(groups, w, m), oracle, rtol=0, atol=1e-12)
 
 
 def test_shared_operators_stored_once():
