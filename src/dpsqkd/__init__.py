@@ -17,12 +17,10 @@ from .attacks import (AttackProfile, CloningResult, MedResult, Povm,
                       optimize_unitary_q, pgm_povm, standard_attack_profiles)
 from .dps import (ClickDistribution, DpsEnsemble, MziModel,
                   ber_of_state, dps_ensemble,
-                  mzi_click_distribution, mzi_transfer, sifted_rate,
-                  spectral_error_terms)
-from .keyrate import (ChannelModel, FiniteSizeParams, QberBreakdown,
-                      binary_entropy, finite_size_deviation, keyrate_sweep,
-                      qber, secure_key_rate, shrinking_factor,
-                      tau_lower_bound, unconditional_rate)
+                  mzi_click_distribution, mzi_transfer, spectral_error_terms)
+from .keyrate import (ChannelModel, FiniteSizeParams, binary_entropy,
+                      finite_size_deviation, keyrate_sweep, secure_key_rate,
+                      shrinking_factor, tau_lower_bound, unconditional_rate)
 from .linalg import (SpectralDecomposition, eig_hermitian, fidelity_pure,
                      partial_trace, tensor)
 from .sdp import KktReport, SdpProblem, SdpSolution, solve, verify_kkt

@@ -34,12 +34,13 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from . import sdp
-from .dps import MAX_PULSES, DpsEnsemble, ber_of_state, dps_ensemble
+from .dps import MAX_PULSES, DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
 from .keyrate import AttackProfile
 from .linalg import dagger, eig_hermitian, hermitian_part, outer, partial_trace
 
 _POVM_SUM_ATOL = 1e-8
 _POVM_PSD_ATOL = 1e-9
+_KKT_TOL = 1e-6  # of every attack optimum's KKT certificate
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +131,7 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
         solution = _covariant_med_solution(rhos, priors)
     else:
         solution = sdp.solve(problem)
-    kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
+    kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
     names = _block_names(len(rhos))
     elements = _project_psd(np.array([solution.x[n] for n in names]))
     povm = Povm(elements=tuple(elements))
@@ -149,19 +150,6 @@ def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
 _COVARIANCE_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
-def _sign_patterns(d: int) -> np.ndarray:
-    """(2**(d-1), d) array of exact +-1 signs: row g is the diagonal of the
-    sign matrix U_g that maps |+...+> to state g of ``dps_ensemble(d)``.
-
-    Shared and read-only: every symmetry-reduced solve and every route
-    check reads it.
-    """
-    signs = np.sign(np.array(dps_ensemble(d).states).real)
-    signs.flags.writeable = False
-    return signs
-
-
 def _sign_covariant(rhos: Sequence[np.ndarray], priors: Sequence[float]) -> bool:
     """Whether an ensemble is covariant under the sign group of ``dps_ensemble(d)``.
 
@@ -177,7 +165,7 @@ def _sign_covariant(rhos: Sequence[np.ndarray], priors: Sequence[float]) -> bool
     if np.max(np.abs(np.asarray(priors, dtype=float) - 1.0 / count)) > _COVARIANCE_TOL:
         return False
     stack = np.array(rhos)
-    signs = _sign_patterns(d)
+    signs = sign_patterns(d)
     moved = signs[:, :, None] * stack[0] * signs[:, None, :]
     return bool(np.max(np.abs(stack - moved)) <= _COVARIANCE_TOL * np.max(np.abs(stack)))
 
@@ -186,8 +174,8 @@ def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float])
     """Solve the MED SDP of a sign-covariant ensemble on one seed block and
     lift the optimum onto the full problem of :func:`med_problem`.
 
-    With the sign matrices U_g = diag(s_g) of :func:`_sign_patterns`, an
-    optimal POVM can be taken covariant, P_g = U_g P0 U_g^dagger (Eldar,
+    With the sign matrices U_g = diag(s_g) of :func:`~dpsqkd.dps.sign_patterns`,
+    an optimal POVM can be taken covariant, P_g = U_g P0 U_g^dagger (Eldar,
     Megretski & Verghese, IEEE Trans. Inf. Theory 49, 2003).  Since
     sum_g U_g P0 U_g^dagger = 2**(n-1) diag(P0), completeness reduces to
     diag(P0) = 1/2**(n-1), and the objective to <rho_bar, P0> with
@@ -199,7 +187,7 @@ def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float])
     not covariant.
     """
     count, n = len(rhos), rhos[0].shape[0]
-    signs = _sign_patterns(n)
+    signs = sign_patterns(n)
     weighted = np.asarray(priors, dtype=float)[:, None, None] * np.array(rhos)
     rho_bar = np.einsum("gk,gkl,gl->kl", signs, weighted, signs)
     unit = np.eye(n)
@@ -387,7 +375,7 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
     else:
         problem = cloning_problem(states, priors)
         solution = sdp.solve(problem)
-        kkt = sdp.verify_kkt(problem, solution, tol=1e-6)
+        kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
         choi = _project_psd(solution.x[CHOI_BLOCK])
         bob_states, eve_states, pair_fids = map(
             list, zip(*(_clones(apply_choi(choi, outer(s)), s) for s in states)))
@@ -409,9 +397,9 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     same sign function g -> s_g(i) s_g(j) s_g(k) span one block of an
     invariant Choi operator (Gatermann & Parrilo, J. Pure Appl. Algebra 192,
     2004).  Blocks are listed in order of their first ket.  Shared and
-    read-only, like :func:`_sign_patterns`.
+    read-only, like :func:`~dpsqkd.dps.sign_patterns`.
     """
-    signs = _sign_patterns(d)
+    signs = sign_patterns(d)
     labels = np.einsum("gi,gj,gk->ijkg", signs, signs, signs).reshape(d ** 3, -1)
     # one bit per pattern: sorting 2**(d-1)/8 bytes per ket, not 2**(d-1) floats
     packed = np.packbits(labels > 0, axis=1)
@@ -450,7 +438,7 @@ def _covariant_cloner_solution(v: np.ndarray, priors: Sequence[float],
 
 
 def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
-                        q: np.ndarray, d: int, tol: float = 1e-6) -> sdp.KktReport:
+                        q: np.ndarray, d: int) -> sdp.KktReport:
     """KKT certificate of a character-block cloner pair, equivalent to the
     one on the full :func:`cloning_problem` with objective ``q``.
 
@@ -468,7 +456,7 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
         slack Z = A*(svec Y) - Q has the block slacks on its blocks, and the
         dual objective is sum_k y_k.  <J, Z> is the sum of the block terms,
         which the block gap and equalities bound.
-    (b) Q has no off-block entries, to ``tol``: the off-block part of Z is
+    (b) Q has no off-block entries, to ``_KKT_TOL``: the off-block part of Z is
         -Q_off, and by Weyl's inequality the smallest eigenvalue of the full
         Z lies within ||Q_off||_2 <= ||Q_off||_F of that of its blocks.
         This is the condition ``objective_block_diagonal``, on the Frobenius
@@ -478,12 +466,13 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
 
     A skewed prior breaks (b), so a non-covariant ensemble cannot pass.
     """
-    report = sdp.verify_kkt(problem, solution, tol=tol)
+    report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
     label = np.empty(len(q), dtype=int)
     for b, ix in enumerate(_character_blocks(d)):
         label[ix] = b
     off = float(np.linalg.norm(q[label[:, None] != label[None, :]]))
-    return replace(report, conditions={**report.conditions, "objective_block_diagonal": off <= tol})
+    return replace(report, conditions={**report.conditions,
+                                       "objective_block_diagonal": off <= _KKT_TOL})
 
 
 def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
@@ -507,7 +496,7 @@ def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.nd
         i, j, k = np.unravel_index(ix, (d, d, d))
         np.add.at(joint, np.ix_(i * d + k, i * d + k), psi[j, None] * block * psi[j].conj())
     bob, eve, two_copy = _clones(joint, psi)
-    signs = _sign_patterns(d)
+    signs = sign_patterns(d)
     return (choi, list(signs[:, :, None] * bob * signs[:, None, :]),
             list(signs[:, :, None] * eve * signs[:, None, :]), two_copy)
 
@@ -638,11 +627,7 @@ def unitary_cloner_output(params: UnitaryClonerParams, psi: np.ndarray) -> np.nd
 def apply_unitary_cloner(params: UnitaryClonerParams,
                          psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(bob_state, eve_state) reduced density operators of the two clones."""
-    rho_ab = unitary_cloner_output(params, psi)
-    d = params.d
-    bob = partial_trace(rho_ab, [d, d], keep=[0])
-    eve = partial_trace(rho_ab, [d, d], keep=[1])
-    return bob, eve
+    return _clones(unitary_cloner_output(params, psi), psi)[:2]
 
 
 def optimize_unitary_q(ensemble: DpsEnsemble | Sequence[np.ndarray],
@@ -825,22 +810,3 @@ def standard_attack_profiles(n: int = 3) -> dict[str, AttackProfile]:
     ens = dps_ensemble(n)
     return {name: build(ens) for name, build in ATTACK_PROFILES.items()}
 
-
-# ---------------------------------------------------------------------------
-# serialisation
-# ---------------------------------------------------------------------------
-
-def complex_matrix_doc(m: np.ndarray) -> list[list[list[float]]]:
-    """Plain-data rendering of a complex matrix: rows of [real, imag] pairs."""
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def med_result_doc(result: MedResult) -> dict:
-    """Plain-data report of a discrimination result: figures, confusion, POVM, KKT."""
-    return {
-        "p_success": result.p_success,
-        "collision_probability": result.collision_probability,
-        "confusion": [[float(v) for v in row] for row in result.confusion],
-        "povm": [complex_matrix_doc(el) for el in result.povm.elements],
-        "kkt_passed": result.kkt.passed,
-    }

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import attacks, wcs
 from .dps import dps_ensemble, spectral_error_terms
-from .keyrate import (MAX_ATTACK_PULSES, ChannelModel, FiniteSizeParams,
-                      finite_size_deviation, keyrate_sweep)
+from .keyrate import (LOWER_BOUND, MAX_ATTACK_PULSES, UNCONDITIONAL, ChannelModel,
+                      FiniteSizeParams, finite_size_deviation, keyrate_sweep)
 from .sdp import SdpError
 
 CONFIG_ENV = "DPSQKD_CONFIG"
@@ -57,7 +57,8 @@ class ConfigError(Exception):
 
 def _fmt(value: Any) -> Any:
     """12-significant-digit float rendering for deterministic output; a
-    negative zero renders as 0.0."""
+    negative zero renders as 0.0, an array as nested lists, and a complex
+    number as its [real, imag] pair."""
     if isinstance(value, float):
         return float(format(value, ".12g")) + 0.0
     if isinstance(value, dict):
@@ -199,7 +200,10 @@ def _cmd_med(args: argparse.Namespace) -> Report:
     if not 3 <= args.n <= MAX_ATTACK_PULSES:
         raise ConfigError(f"pulse count for med must lie in [3, {MAX_ATTACK_PULSES}]")
     result = attacks.certified("med", attacks.med_attack, dps_ensemble(args.n))
-    doc = {"config": {"command": "med", "n": args.n}, **attacks.med_result_doc(result)}
+    doc = {"config": {"command": "med", "n": args.n}, "p_success": result.p_success,
+           "collision_probability": result.collision_probability,
+           "confusion": result.confusion, "povm": result.povm.elements,
+           "kkt_passed": result.kkt.passed}
     rows = [{"state": float(i), **{f"p_outcome_{j + 1}": p for j, p in enumerate(row)}}
             for i, row in enumerate(result.confusion)]
     return doc, rows, {"command": "med", "n": args.n,
@@ -230,13 +234,13 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
             "avg_clone_fidelity": attack.fidelity,
         })
     doc.update({
-        "bob_states": [attacks.complex_matrix_doc(b) for b in attack.bob_states],
+        "bob_states": attack.bob_states,
         "ber": attack.ber(),
         "ber_conditional": attack.ber(conditional=True),
         "med_after": {
             "p_success": attack.med_after.p_success,
             "collision_probability": attack.med_after.collision_probability,
-            "confusion_diagonal": [float(v) for v in np.diag(attack.med_after.confusion)],
+            "confusion_diagonal": np.diag(attack.med_after.confusion),
         },
     })
     # one CSV row: the float fields, and each list of floats as key_0, key_1, ...
@@ -253,7 +257,7 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
 def _cmd_keyrate(args: argparse.Namespace) -> Report:
     model, resolved = _channel_from_config(args)
     wanted = [a.strip() for a in args.attacks.split(",") if a.strip()]
-    unknown = set(wanted) - (set(attacks.ATTACK_PROFILES) | {"lower-bound", "unconditional"})
+    unknown = set(wanted) - set(attacks.ATTACK_PROFILES) - {LOWER_BOUND, UNCONDITIONAL}
     if unknown:
         raise ConfigError(f"unknown attacks: {sorted(unknown)}")
     fs, distances = _finite_size(args.finite_size), _distances(args)
@@ -261,10 +265,9 @@ def _cmd_keyrate(args: argparse.Namespace) -> Report:
     profiles = {name: attacks.ATTACK_PROFILES[name](ens)
                 for name in dict.fromkeys(wanted) if name in attacks.ATTACK_PROFILES}
     selected = [profiles[name] for name in wanted if name in profiles]
-    include_bounds = bool({"lower-bound", "unconditional"} & set(wanted))
     try:
         rows = keyrate_sweep(model, selected, distances, finite_size=fs,
-                             include_bounds=include_bounds)
+                             bounds=set(wanted) - set(profiles))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     config = {"command": "keyrate", **resolved,
@@ -323,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_clone, _cmd_clone)
 
     p_key = sub.add_parser("keyrate", help="secure key rate and shrinking factors vs distance")
-    p_key.add_argument("--attacks", default="ir,med,cloning,unitary,lower-bound,unconditional")
+    p_key.add_argument("--attacks", default=",".join([*attacks.ATTACK_PROFILES,
+                                                       LOWER_BOUND, UNCONDITIONAL]))
     p_key.add_argument("--start-km", dest="start_km", type=float, default=0.0)
     p_key.add_argument("--stop-km", dest="stop_km", type=float, default=150.0)
     p_key.add_argument("--step-km", dest="step_km", type=float, default=10.0)

@@ -3,9 +3,10 @@
 An n-pulse DPS sender encodes n-1 key bits in the relative phases {0, pi}
 between adjacent pulses of a single photon split over n time slots.  With the
 global-phase convention that the first amplitude is +1/sqrt(n), the ensemble
-consists of the 2**(n-1) sign patterns [1, +-1, ..., +-1]/sqrt(n), sent with
-uniform priors.  Bit convention: bit j = 0 iff amplitudes j and j+1 share a
-sign (relative phase 0), bit j = 1 for a sign flip (relative phase pi).
+consists of the 2**(n-1) sign patterns [1, +-1, ..., +-1]/sqrt(n) of
+:func:`sign_patterns`, sent with uniform priors.  Bit convention: bit j = 0
+iff amplitudes j and j+1 share a sign (relative phase 0), bit j = 1 for a
+sign flip (relative phase pi).
 
 The receiver interferes each pulse with its one-slot-delayed predecessor in
 an asymmetric Mach-Zehnder interferometer.  Input mode k contributes
@@ -43,35 +44,33 @@ class DpsEnsemble:
         return np.outer(s, s.conj())
 
 
+@lru_cache(maxsize=None)
+def sign_patterns(n: int) -> np.ndarray:
+    """(2**(n-1), n) array of exact +-1 signs: row k is the diagonal of the
+    sign matrix U_k that maps |+...+> to state k of :func:`dps_ensemble`.
+
+    Amplitude j flips sign against amplitude j-1 where bit j-1 of k is 1; the
+    shifts read a zero bit for j = 0.  Shared and read-only.
+    """
+    if not 3 <= n <= MAX_PULSES:
+        raise ValueError(f"pulse count must be in [3, {MAX_PULSES}], got {n}")
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    signs = np.cumprod(1.0 - 2.0 * bits, axis=1)
+    signs.flags.writeable = False
+    return signs
+
+
 def dps_ensemble(n: int) -> DpsEnsemble:
     """Build the n-pulse ensemble; states are indexed by their bit string.
 
     State k has bits equal to the binary digits of k (most significant bit =
     phase position 1), so the all-zero index is the all-plus state.
     """
-    if not 3 <= n <= MAX_PULSES:
-        raise ValueError(f"pulse count must be in [3, {MAX_PULSES}], got {n}")
-    count = 2 ** (n - 1)
-    states = []
-    bit_map = []
-    for k in range(count):
-        bits = tuple((k >> (n - 2 - j)) & 1 for j in range(n - 1))
-        amps = np.empty(n)
-        amps[0] = 1.0
-        for j, b in enumerate(bits):
-            amps[j + 1] = amps[j] * (1.0 if b == 0 else -1.0)
-        states.append(amps.astype(complex) / np.sqrt(n))
-        bit_map.append(bits)
-    priors = np.full(count, 1.0 / count)
-    return DpsEnsemble(n=n, states=tuple(states), priors=priors,
-                       bit_map=tuple(bit_map))
-
-
-def sifted_rate(n: int) -> float:
-    """Fraction of detection slots usable for key: (n-1)/n."""
-    if n < 3:
-        raise ValueError("DPS needs at least 3 pulses")
-    return (n - 1) / n
+    signs = sign_patterns(n)
+    bit_map = (signs[:, :-1] != signs[:, 1:]).astype(int)
+    return DpsEnsemble(n=n, states=tuple(signs.astype(complex) / np.sqrt(n)),
+                       priors=np.full(len(signs), 1.0 / len(signs)),
+                       bit_map=tuple(map(tuple, bit_map.tolist())))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Channel model, QBER, shrinking factors and secure key rates.
+"""Channel model and its error rate, shrinking factors and secure key rates.
 
 The asymptotic secure key rate against an individual attack is
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 _SQRT5 = math.sqrt(5.0)
 
@@ -89,26 +89,18 @@ class ChannelModel:
         return self.p_signal + self.dark_count_prob
 
     @property
+    def e_b(self) -> float:
+        """Bit error rate per click: half the dark counts and the baseline
+        error of the signal clicks."""
+        if self.p_click <= 0.0:
+            raise ValueError(f"no detector clicks at {self.distance_km:g} km: the click "
+                             "probability is zero")
+        return (0.5 * self.dark_count_prob + self.baseline_error * self.p_signal) / self.p_click
+
+    @property
     def sifting(self) -> float:
+        """Fraction of detection slots usable for key: (n-1)/n."""
         return (self.n_pulses - 1) / self.n_pulses
-
-
-@dataclass(frozen=True)
-class QberBreakdown:
-    p_signal: float
-    p_dark: float
-    p_click: float
-    e_b: float
-
-
-def qber(model: ChannelModel) -> QberBreakdown:
-    """Detection probabilities and the bit error rate they imply."""
-    p_signal, p_dark, p_click = model.p_signal, model.dark_count_prob, model.p_click
-    if p_click <= 0.0:
-        raise ValueError(f"no detector clicks at {model.distance_km:g} km: the click "
-                         "probability is zero")
-    e_b = (0.5 * p_dark + model.baseline_error * p_signal) / p_click
-    return QberBreakdown(p_signal=p_signal, p_dark=p_dark, p_click=p_click, e_b=e_b)
 
 
 def binary_entropy(x: float) -> float:
@@ -158,9 +150,8 @@ def _tau_lower_clamped(e_b: float) -> float:
 
 
 def secure_key_rate(model: ChannelModel, tau: float, e_b: float) -> float:
-    """R = max(0, s * p_click * (tau - f_ec * h(e_b)))."""
-    p_click = qber(model).p_click
-    return max(0.0, model.sifting * p_click * (tau - model.f_ec * binary_entropy(e_b)))
+    """R = max(0, s * p_click * (tau - f_ec * h(e_b))); zero on a channel with no clicks."""
+    return max(0.0, model.sifting * model.p_click * (tau - model.f_ec * binary_entropy(e_b)))
 
 
 def unconditional_rate(e_b: float, r_sifted: float) -> float:
@@ -258,9 +249,12 @@ def keyrate_sweep(model: ChannelModel,
                   profiles: Mapping[str, AttackProfile] | Sequence[AttackProfile],
                   distances: Sequence[float],
                   finite_size: FiniteSizeParams | None = None,
-                  include_bounds: bool = True) -> list[dict[str, float]]:
+                  bounds: Collection[str] = (LOWER_BOUND, UNCONDITIONAL)
+                  ) -> list[dict[str, float]]:
     """One row per distance with e_b, p_click and per-attack tau and R.
 
+    Each name in ``bounds`` adds its columns after the attacks', in this
+    order: tau and R of :data:`LOWER_BOUND`, R of :data:`UNCONDITIONAL`.
     In finite-size mode the observed e_b is inflated by the parameter
     estimation deviation before entering the shrinking factors and the
     entropy terms; detection probabilities are unchanged.  Rows are emitted
@@ -273,27 +267,23 @@ def keyrate_sweep(model: ChannelModel,
     rows: list[dict[str, float]] = []
     for dist in distances:
         m = model.at_distance(float(dist))
-        q = qber(m)
-        e_eff = q.e_b
+        e_b = e_eff = m.e_b
         if finite_size is not None:
-            e_eff = q.e_b + finite_size_deviation(finite_size, q.e_b)
-        row: dict[str, float] = {
-            "distance_km": float(dist),
-            "e_b": q.e_b,
-            "p_click": q.p_click,
-        }
+            e_eff = e_b + finite_size_deviation(finite_size, e_b)
+        row: dict[str, float] = {"distance_km": float(dist), "e_b": e_b, "p_click": m.p_click}
         if finite_size is not None:
             row["e_b_finite"] = e_eff
         for prof in profile_list:
             tau = prof.tau(e_eff, m.sifting)
             row[f"tau_{prof.name}"] = tau
             row[f"r_{prof.name}"] = secure_key_rate(m, tau, e_eff)
-        if include_bounds:
+        if LOWER_BOUND in bounds:
             tau_low = _tau_lower_clamped(e_eff)
             row[f"tau_{LOWER_BOUND}"] = tau_low
             row[f"r_{LOWER_BOUND}"] = secure_key_rate(m, tau_low, e_eff)
+        if UNCONDITIONAL in bounds:
             row[f"r_{UNCONDITIONAL}"] = (
-                unconditional_rate(e_eff, m.sifting * q.p_click)
+                unconditional_rate(e_eff, m.sifting * m.p_click)
                 if (3.0 + _SQRT5) * e_eff <= 1.0 else 0.0
             )
         rows.append(row)

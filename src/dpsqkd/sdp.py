@@ -336,12 +336,13 @@ def _norm(stacks: Sequence[np.ndarray]) -> float:
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The NT points W > 0 with W Z W = X, for stacks (B, d, d) of X and Z."""
-    wz, vz = np.linalg.eigh(hermitian_part(z))
+    """The NT points W > 0 with W Z W = X, for exactly Hermitian stacks (B, d, d)."""
+    wz, vz = np.linalg.eigh(z)
     if np.min(wz[:, 0]) <= 0:
         raise NumericalBreakdownError("dual iterate left the cone")
-    zh = (vz * np.sqrt(wz)[:, None, :]) @ dagger(vz)
-    zih = (vz * (1.0 / np.sqrt(wz))[:, None, :]) @ dagger(vz)
+    vzh = dagger(vz)
+    zh = (vz * np.sqrt(wz)[:, None, :]) @ vzh
+    zih = (vz * (1.0 / np.sqrt(wz))[:, None, :]) @ vzh
     wm, vm = np.linalg.eigh(hermitian_part(zh @ x @ zh))
     if np.min(wm[:, 0]) <= 0:
         raise NumericalBreakdownError("primal iterate left the cone")
@@ -375,8 +376,8 @@ def _schur(groups: Sequence[_Group], w: Sequence[np.ndarray], m: int) -> np.ndar
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """sup {a : x_b + a*dx_b >= 0} for each PSD x_b of a stack (B, d, d)."""
-    linv = np.linalg.inv(_chol(hermitian_part(x), "step-length factorisation"))
+    """sup {a : x_b + a*dx_b >= 0} for each exactly Hermitian PSD x_b of (B, d, d)."""
+    linv = np.linalg.inv(_chol(x, "step-length factorisation"))
     lam = np.linalg.eigvalsh(hermitian_part(linv @ dx @ dagger(linv)))[:, 0]
     return np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .keyrate import ChannelModel, qber, secure_key_rate, shrinking_factor
+from .keyrate import ChannelModel, secure_key_rate, shrinking_factor
 
 _QUAD_NODES = 160
 
@@ -140,20 +140,19 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
         m = model.at_distance(float(dist))
         if m.signal_scale != mu:
             m = replace(m, signal_scale=mu)
-        q = qber(m)
-        row: dict[str, float] = {"distance_km": float(dist), "e_b": q.e_b,
-                                 "p_click": q.p_click}
+        e_b = m.e_b
+        row: dict[str, float] = {"distance_km": float(dist), "e_b": e_b, "p_click": m.p_click}
         if "ir" in attacks:
             # bits Eve learns are known perfectly (collision probability 1)
             tau_ir = shrinking_factor(min(1.0, wcs_ir_fraction(mu)), 1.0)
             row["tau_ir"] = tau_ir
-            row["r_ir"] = secure_key_rate(m, tau_ir, q.e_b)
+            row["r_ir"] = secure_key_rate(m, tau_ir, e_b)
         if "usd" in attacks:
             tau_usd = shrinking_factor(usd_known_fraction(mu, m.transmittance), 1.0)
             row["tau_usd"] = tau_usd
-            row["r_usd"] = secure_key_rate(m, tau_usd, q.e_b)
+            row["r_usd"] = secure_key_rate(m, tau_usd, e_b)
         if "phase-randomized" in attacks:
-            e_pr = min(0.5, q.e_b + e_slice)
+            e_pr = min(0.5, e_b + e_slice)
             tau_pr = shrinking_factor(min(1.0, wcs_ir_fraction(mu)), 1.0)
             row["tau_phase_randomized"] = tau_pr
             row["r_phase_randomized"] = (

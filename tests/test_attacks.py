@@ -9,11 +9,11 @@ from dpsqkd import attacks, sdp
 from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             apply_choi, apply_unitary_cloner,
                             cloning_problem, collision_probability,
-                            complex_matrix_doc, cptp_residuals,
+                            cptp_residuals,
                             depolarizing_fit, holevo_certificate,
                             ir_attack_profile,
                             ir_monte_carlo_collision, med_attack,
-                            med_on_cloned, med_problem, med_result_doc,
+                            med_on_cloned, med_problem,
                             optimal_cloner, optimal_cloning_attack,
                             optimize_unitary_q, pgm_povm,
                             standard_attack_profiles, unitary_cloner_output,
@@ -236,21 +236,32 @@ def test_collision_probability_perfect_discrimination(ens3):
     assert collision_probability(np.eye(4), ens3.priors, ens3.bit_map) == pytest.approx(1.0)
 
 
-def test_med_result_serialises(med3):
-    doc = json.loads(json.dumps(med_result_doc(med3), sort_keys=True))
+def _report(capsys, *argv):
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _complex(pairs):
+    """A rendered complex array, [real, imag] pairs in its last axis, back as numbers."""
+    pairs = np.array(pairs)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def test_med_result_serialises(med3, capsys):
+    """The med report renders the confusion table and the POVM elements to
+    12 significant digits, complex entries as [real, imag] pairs."""
+    doc = _report(capsys, "med", "--n", "3")
     assert doc["kkt_passed"] is True
     assert doc["p_success"] == pytest.approx(0.75, abs=1e-6)
-    assert len(doc["povm"]) == 4
+    assert_allclose(doc["confusion"], med3.confusion, rtol=1e-11, atol=1e-13)
+    assert_allclose(_complex(doc["povm"]), np.array(med3.povm.elements), rtol=1e-11, atol=1e-13)
 
 
-def test_cloning_result_serialises(clone3):
-    """The clone report renders each Bob state with complex_matrix_doc; the
-    JSON round trip gives the matrices back exactly."""
-    doc = json.loads(json.dumps([complex_matrix_doc(b) for b in clone3.bob_states]))
-    assert len(doc) == 4
-    for bob, rendered in zip(clone3.bob_states, doc):
-        pairs = np.array(rendered)
-        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], bob)
+def test_cloning_result_serialises(clone3, capsys):
+    """The clone report renders each Bob state as rows of [real, imag] pairs."""
+    doc = _report(capsys, "clone", "--mode", "optimal")
+    assert_allclose(_complex(doc["bob_states"]), np.array(clone3.bob_states),
+                    rtol=1e-11, atol=1e-13)
     assert clone3.avg_two_copy_fidelity == pytest.approx(7 / 9, abs=1e-5)
 
 

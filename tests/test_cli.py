@@ -159,6 +159,18 @@ def test_keyrate_checks_its_configuration_before_any_solve(monkeypatch, capsys):
     assert "tau_ir" in row and "r_lower-bound" in row
 
 
+@pytest.mark.parametrize("bounds,columns", [
+    ("lower-bound", ["tau_lower-bound", "r_lower-bound"]),
+    ("unconditional", ["r_unconditional"]),
+])
+def test_keyrate_selects_each_bound_by_name(capsys, bounds, columns):
+    code, out, _ = run_cli(capsys, "keyrate", "--attacks", f"ir,{bounds}", "--stop-km", "0",
+                           "--format", "csv")
+    assert code == 0
+    header = next(l for l in out.splitlines() if not l.startswith("#"))
+    assert header.split(",") == ["distance_km", "e_b", "p_click", "tau_ir", "r_ir", *columns]
+
+
 def test_keyrate_bad_grid(capsys):
     for argv, message in [
         (("--start-km", "10", "--stop-km", "0"), "grid"),

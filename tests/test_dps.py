@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dpsqkd.dps import (MziModel, ber_of_state, dps_ensemble,
-                        mzi_click_distribution, mzi_transfer, sifted_rate,
+from dpsqkd.dps import (MAX_PULSES, MziModel, ber_of_state, dps_ensemble,
+                        mzi_click_distribution, mzi_transfer, sign_patterns,
                         spectral_error_terms)
+from dpsqkd.keyrate import MAX_ATTACK_PULSES, ChannelModel
 from dpsqkd.linalg import outer
 
 S3 = np.sqrt(3.0)
@@ -73,14 +74,37 @@ def test_pulse_count_range():
         dps_ensemble(13)
 
 
+@pytest.mark.parametrize("n", range(3, MAX_PULSES + 1))
+def test_sign_patterns(n):
+    """Exact, shared and read-only signs that rebuild the ensemble's states and bits."""
+    signs = sign_patterns(n)
+    assert signs is sign_patterns(n)
+    assert signs.shape == (2 ** (n - 1), n) and not signs.flags.writeable
+    assert np.all(np.abs(signs) == 1.0)
+    ens = dps_ensemble(n)
+    digits = tuple(tuple((k >> (n - 2 - j)) & 1 for j in range(n - 1))
+                   for k in range(2 ** (n - 1)))
+    assert ens.bit_map == digits
+    assert np.all(signs[:, 0] == 1.0)
+    assert np.array_equal(signs[:, :-1] * signs[:, 1:], 1.0 - 2.0 * np.array(digits))
+    states = np.array(ens.states)
+    assert np.array_equal(np.sign(states.real), signs) and not np.any(states.imag)
+
+
+def test_sign_patterns_range():
+    for n in (2, MAX_PULSES + 1):
+        with pytest.raises(ValueError, match="pulse count"):
+            sign_patterns(n)
+
+
 def test_sifted_rate():
-    assert sifted_rate(3) == pytest.approx(2.0 / 3.0)
-    assert sifted_rate(4) == pytest.approx(0.75)
-    rates = [sifted_rate(n) for n in range(3, 12)]
+    assert ChannelModel(n_pulses=3).sifting == pytest.approx(2.0 / 3.0)
+    assert ChannelModel(n_pulses=4).sifting == pytest.approx(0.75)
+    rates = [ChannelModel(n_pulses=n).sifting for n in range(3, MAX_ATTACK_PULSES + 1)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[-1] < 1.0
-    with pytest.raises(ValueError):
-        sifted_rate(2)
+    with pytest.raises(ValueError, match="pulse count"):
+        ChannelModel(n_pulses=2)
 
 
 # ---------------------------------------------------------------------------

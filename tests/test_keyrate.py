@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dpsqkd.keyrate import (AttackProfile, ChannelModel, FiniteSizeParams,
-                            binary_entropy, finite_size_deviation,
-                            keyrate_sweep, qber, secure_key_rate,
-                            shrinking_factor, tau_lower_bound,
-                            unconditional_rate)
+from dpsqkd.keyrate import (LOWER_BOUND, UNCONDITIONAL, AttackProfile,
+                            ChannelModel, FiniteSizeParams, binary_entropy,
+                            finite_size_deviation, keyrate_sweep,
+                            secure_key_rate, shrinking_factor,
+                            tau_lower_bound, unconditional_rate)
 
 DEFAULT_PROFILES = {
     "ir": AttackProfile("ir", 1.0 / 3.0, 0.75),
@@ -32,24 +32,22 @@ def alt_finite_size_deviation(n, k, e, eps):
 # ---------------------------------------------------------------------------
 
 def test_qber_at_zero_distance():
-    q = qber(ChannelModel())
-    assert q.p_signal == pytest.approx(0.1)
-    assert q.p_click == pytest.approx(0.100001)
-    assert q.e_b == pytest.approx((5e-7 + 1e-3) / 0.100001, abs=1e-12)
-    assert q.e_b == pytest.approx(0.0100, abs=1e-4)
+    m = ChannelModel()
+    assert m.p_signal == pytest.approx(0.1)
+    assert m.p_click == pytest.approx(0.100001)
+    assert m.e_b == pytest.approx((5e-7 + 1e-3) / 0.100001, abs=1e-12)
+    assert m.e_b == pytest.approx(0.0100, abs=1e-4)
 
 
 def test_qber_dark_count_limit():
-    q = qber(ChannelModel(distance_km=400.0))
-    assert q.e_b == pytest.approx(0.5, abs=1e-2)
-    q0 = qber(ChannelModel(baseline_error=0.0, dark_count_prob=0.0))
-    assert q0.e_b == 0.0
+    assert ChannelModel(distance_km=400.0).e_b == pytest.approx(0.5, abs=1e-2)
+    assert ChannelModel(baseline_error=0.0, dark_count_prob=0.0).e_b == 0.0
 
 
 def test_qber_monotone_in_distance():
     models = [ChannelModel(distance_km=d) for d in np.linspace(0, 200, 41)]
-    ebs = [qber(m).e_b for m in models]
-    clicks = [qber(m).p_click for m in models]
+    ebs = [m.e_b for m in models]
+    clicks = [m.p_click for m in models]
     assert all(b >= a - 1e-15 for a, b in zip(ebs, ebs[1:]))
     assert all(b <= a + 1e-15 for a, b in zip(clicks, clicks[1:]))
 
@@ -81,11 +79,20 @@ def test_channel_validation():
 
 def test_click_probability_bound_follows_the_distance():
     edge = ChannelModel(dark_count_prob=0.0, detector_efficiency=1.0)
-    assert qber(edge).p_click == 1.0
+    assert edge.p_click == 1.0
     far = ChannelModel(dark_count_prob=0.5, detector_efficiency=1.0, distance_km=50.0)
-    assert qber(far).p_click == pytest.approx(0.6, abs=1e-12)
+    assert far.p_click == pytest.approx(0.6, abs=1e-12)
     with pytest.raises(ValueError, match="click probability"):
         far.at_distance(0.0)
+
+
+def test_zero_click_channel():
+    """With no clicks the error rate is undefined and names why; the key rate is 0."""
+    dark = ChannelModel(signal_scale=0.0, dark_count_prob=0.0)
+    assert dark.p_click == 0.0
+    with pytest.raises(ValueError, match="no detector clicks at 0 km"):
+        dark.e_b
+    assert secure_key_rate(dark, 1.0, 0.01) == 0.0
 
 
 def test_binary_entropy():
@@ -162,7 +169,7 @@ def test_unconditional_rate():
 
 def test_med_beats_lower_bound_at_50km():
     m = ChannelModel(distance_km=50.0)
-    e = qber(m).e_b
+    e = m.e_b
     r_med = secure_key_rate(m, DEFAULT_PROFILES["med"].tau(e, m.sifting), e)
     r_low = secure_key_rate(m, tau_lower_bound(e), e)
     assert r_med > r_low > 0.0
@@ -214,6 +221,21 @@ def test_sweep_rows_and_orderings():
         assert all(0.0 <= t <= 1.0 for t in taus)
         assert row["tau_lower-bound"] <= min(taus) + 1e-12
         assert all(row[f"r_{n}"] >= 0.0 for n in DEFAULT_PROFILES)
+
+
+@pytest.mark.parametrize("bounds,columns", [
+    ((LOWER_BOUND,), ["tau_lower-bound", "r_lower-bound"]),
+    ((UNCONDITIONAL,), ["r_unconditional"]),
+    ((UNCONDITIONAL, LOWER_BOUND), ["tau_lower-bound", "r_lower-bound", "r_unconditional"]),
+    ((), []),
+])
+def test_sweep_selects_each_bound_by_name(bounds, columns):
+    """Each bound name adds only its own columns, after the attacks, in a fixed order."""
+    rows = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, [0.0, 50.0], bounds=bounds)
+    both = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, [0.0, 50.0])
+    for row, full in zip(rows, both):
+        assert list(row) == list(full)[:-3] + columns
+        assert all(row[c] == full[c] for c in row)
 
 
 def test_sweep_empty():
