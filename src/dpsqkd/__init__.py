@@ -15,7 +15,7 @@ from .attacks import (AttackProfile, CloningResult, MedResult, Povm,
                       depolarizing_fit, ir_attack_profile,
                       med_attack, med_on_cloned, optimal_cloner,
                       optimize_unitary_q, pgm_povm, standard_attack_profiles)
-from .dps import (ClickDistribution, DpsEnsemble, MziModel,
+from .dps import (ClickDistribution, DpsEnsemble,
                   ber_of_state, dps_ensemble,
                   mzi_click_distribution, mzi_transfer, spectral_error_terms)
 from .keyrate import (ChannelModel, FiniteSizeParams, binary_entropy,

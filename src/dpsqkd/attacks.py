@@ -36,7 +36,7 @@ import numpy as np
 from . import sdp
 from .dps import MAX_PULSES, DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
 from .keyrate import AttackProfile
-from .linalg import dagger, eig_hermitian, hermitian_part, outer, partial_trace
+from .linalg import dagger, hermitian_part, outer, partial_trace
 
 _POVM_SUM_ATOL = 1e-8
 _POVM_PSD_ATOL = 1e-9
@@ -75,102 +75,70 @@ class MedResult:
     kkt: sdp.KktReport
 
 
-def _as_densities(states: Sequence[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    for s in states:
-        s = np.asarray(s, dtype=complex)
-        out.append(outer(s) if s.ndim == 1 else s)
-    return out
-
-
 def _block_names(count: int) -> list[str]:
     return [f"P{i + 1}" for i in range(count)]
 
 
-def med_problem(states: Sequence[np.ndarray], priors: Sequence[float]) -> sdp.SdpProblem:
+def med_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     """SDP for minimum-error discrimination: maximise sum_i p(i) <rho_i, P_i>
     over POVMs {P_i}."""
-    rhos = _as_densities(states)
-    d = rhos[0].shape[0]
-    names = _block_names(len(rhos))
-    objective = {n: priors[i] * rhos[i] for i, n in enumerate(names)}
-    constraints = sdp.povm_completeness_constraints(d)
-    return sdp.SdpProblem(blocks=[(n, d) for n in names], objective=objective,
-                          constraints=constraints)
+    names = _block_names(len(ens.priors))
+    objective = {name: p * rho for name, p, rho in zip(names, ens.priors, ens.densities)}
+    return sdp.SdpProblem(blocks=[(name, ens.n) for name in names], objective=objective,
+                          constraints=sdp.povm_completeness_constraints(ens.n))
 
 
-def med_attack(ensemble: DpsEnsemble | Sequence[np.ndarray],
-               priors: Sequence[float] | None = None,
-               bit_map: Sequence[Sequence[int]] | None = None) -> MedResult:
+def med_attack(ens: DpsEnsemble) -> MedResult:
     """Optimal minimum-error discrimination of an ensemble.
 
-    Accepts a :class:`DpsEnsemble` or an explicit list of states (kets or
-    density operators) with priors.  A sign-covariant ensemble (see
-    :func:`_sign_covariant`), such as a DPS ensemble or the clones of the
-    optimal cloner, is solved on one n x n seed block instead of 2**(n-1)
-    blocks (see :func:`_covariant_med_solution`); any other ensemble runs
-    the general solve.  Either way the optimum is certified on the full
-    problem (:func:`med_problem`) through the KKT conditions before the
-    result is returned, so ``problem``, ``solution`` and ``kkt`` describe
-    the full SDP.
+    A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
+    ensemble or the clones of the optimal cloner, is solved on one n x n seed
+    block instead of 2**(n-1) blocks (see :func:`_covariant_med_solution`);
+    any other ensemble runs the general solve.  Either way the optimum is
+    certified on the full problem (:func:`med_problem`) through the KKT
+    conditions before the result is returned, so ``problem``, ``solution``
+    and ``kkt`` describe the full SDP.
     """
-    if isinstance(ensemble, DpsEnsemble):
-        states: Sequence[np.ndarray] = ensemble.states
-        priors = ensemble.priors
-        bit_map = ensemble.bit_map
-    else:
-        states = ensemble
-        if priors is None:
-            raise ValueError("explicit state lists need explicit priors")
-    if abs(sum(priors) - 1.0) > 1e-9:
-        raise ValueError("priors must sum to 1")
-
-    rhos = _as_densities(states)
-    problem = med_problem(rhos, priors)
-    if _sign_covariant(rhos, priors):
-        solution = _covariant_med_solution(rhos, priors)
-    else:
-        solution = sdp.solve(problem)
+    problem = med_problem(ens)
+    solution = _covariant_med_solution(ens) if _sign_covariant(ens) else sdp.solve(problem)
     kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-    names = _block_names(len(rhos))
-    elements = _project_psd(np.array([solution.x[n] for n in names]))
+    count = len(ens.priors)
+    elements = _project_psd(np.array([solution.x[name] for name in _block_names(count)]))
     povm = Povm(elements=tuple(elements))
     # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j^T[k, l]: one matrix product
-    count, d = len(rhos), elements.shape[-1]
-    confusion = (np.array(rhos).reshape(count, d * d)
-                 @ elements.transpose(0, 2, 1).reshape(count, d * d).T).real
-    p_success = float(np.asarray(priors, dtype=float) @ np.diag(confusion))
-    p_co = (collision_probability(confusion, priors, bit_map)
-            if bit_map is not None else math.nan)
-    return MedResult(povm=povm, confusion=confusion, p_success=p_success,
-                     collision_probability=p_co, problem=problem,
-                     solution=solution, kkt=kkt)
+    confusion = (ens.densities.reshape(count, -1)
+                 @ elements.transpose(0, 2, 1).reshape(count, -1).T).real
+    return MedResult(povm=povm, confusion=confusion,
+                     p_success=float(ens.priors @ np.diag(confusion)),
+                     collision_probability=collision_probability(confusion, ens.priors,
+                                                                 ens.bit_map),
+                     problem=problem, solution=solution, kkt=kkt)
 
 
 _COVARIANCE_TOL = 1e-12
 
 
-def _sign_covariant(rhos: Sequence[np.ndarray], priors: Sequence[float]) -> bool:
-    """Whether an ensemble is covariant under the sign group of ``dps_ensemble(d)``.
+def _sign_covariant(ens: DpsEnsemble) -> bool:
+    """Whether an ensemble is covariant under the sign group of ``dps_ensemble(n)``.
 
-    True for 2**(d-1) states on C^d with uniform priors and
+    True for 2**(n-1) states on C^n with uniform priors and
     rho_g = U_g rho_0 U_g^dagger to _COVARIANCE_TOL of the largest entry,
-    in the order of ``dps_ensemble(d)``.  The DPS states and the clones of
+    in the order of ``dps_ensemble(n)``.  The DPS states and the clones of
     the optimal cloner qualify; the clones of the unitary cloner, whose
     basis is aligned with state 0, and skewed priors do not.
     """
-    count, d = len(rhos), rhos[0].shape[0]
-    if not 3 <= d <= MAX_PULSES or count != 2 ** (d - 1):
+    count, n = len(ens.priors), ens.n
+    if not 3 <= n <= MAX_PULSES or count != 2 ** (n - 1):
         return False
-    if np.max(np.abs(np.asarray(priors, dtype=float) - 1.0 / count)) > _COVARIANCE_TOL:
+    if np.max(np.abs(ens.priors - 1.0 / count)) > _COVARIANCE_TOL:
         return False
-    stack = np.array(rhos)
-    signs = sign_patterns(d)
+    stack = ens.densities
+    signs = sign_patterns(n)
     moved = signs[:, :, None] * stack[0] * signs[:, None, :]
     return bool(np.max(np.abs(stack - moved)) <= _COVARIANCE_TOL * np.max(np.abs(stack)))
 
 
-def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float]) -> sdp.SdpSolution:
+def _covariant_med_solution(ens: DpsEnsemble) -> sdp.SdpSolution:
     """Solve the MED SDP of a sign-covariant ensemble on one seed block and
     lift the optimum onto the full problem of :func:`med_problem`.
 
@@ -186,9 +154,9 @@ def _covariant_med_solution(rhos: Sequence[np.ndarray], priors: Sequence[float])
     caller checks it on the full problem, which fails when the ensemble is
     not covariant.
     """
-    count, n = len(rhos), rhos[0].shape[0]
+    count, n = len(ens.priors), ens.n
     signs = sign_patterns(n)
-    weighted = np.asarray(priors, dtype=float)[:, None, None] * np.array(rhos)
+    weighted = ens.priors[:, None, None] * ens.densities
     rho_bar = np.einsum("gk,gkl,gl->kl", signs, weighted, signs)
     unit = np.eye(n)
     seed = sdp.SdpProblem(
@@ -233,43 +201,33 @@ def collision_probability(confusion: np.ndarray, priors: Sequence[float],
     return total / bits.shape[1]
 
 
-def pgm_povm(states: Sequence[np.ndarray], priors: Sequence[float]) -> Povm:
+def pgm_povm(ens: DpsEnsemble) -> Povm:
     """Square-root ("pretty good") measurement of an ensemble.
 
     P_i = S^{-1/2} p_i rho_i S^{-1/2} with S the average state; for the
     symmetric DPS ensembles this measurement attains the minimum-error
     optimum, which makes it an independent check on the SDP route.
     """
-    rhos = _as_densities(states)
-    d = rhos[0].shape[0]
-    s = sum(priors[i] * rhos[i] for i in range(len(rhos)))
-    dec = eig_hermitian(s)
-    inv_sqrt = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        if dec.eigenvalues[k] > 1e-12:
-            v = dec.eigenvectors[:, k]
-            inv_sqrt += np.outer(v, v.conj()) / np.sqrt(dec.eigenvalues[k])
-    elements = [inv_sqrt @ (priors[i] * rhos[i]) @ inv_sqrt for i in range(len(rhos))]
+    weighted = ens.priors[:, None, None] * ens.densities
+    lam, vecs = np.linalg.eigh(weighted.sum(axis=0))
+    keep = lam > 1e-12
+    inv_sqrt = (vecs[:, keep] / np.sqrt(lam[keep])) @ dagger(vecs[:, keep])
+    elements = inv_sqrt @ weighted @ inv_sqrt
     # on a rank-deficient average state, spread the kernel evenly to complete the POVM
-    kernel = np.eye(d, dtype=complex) - sum(elements)
+    kernel = np.eye(ens.n) - elements.sum(axis=0)
     if float(np.max(np.abs(kernel))) > _POVM_SUM_ATOL:
-        elements = [el + kernel / len(elements) for el in elements]
+        elements = elements + kernel / len(elements)
     return Povm(elements=tuple(elements))
 
 
-def holevo_certificate(states: Sequence[np.ndarray], priors: Sequence[float],
-                       povm: Povm, atol: float = 1e-6) -> bool:
-    """Helstrom optimality witness: Y = sum_i p_i rho_i P_i is Hermitian and
-    Y - p_j rho_j is PSD for every j."""
-    rhos = _as_densities(states)
-    y = sum(priors[i] * rhos[i] @ povm.elements[i] for i in range(len(rhos)))
-    if float(np.max(np.abs(y - dagger(y)))) > atol:
+def holevo_certificate(ens: DpsEnsemble, povm: Povm) -> bool:
+    """Helstrom optimality witness, to ``_KKT_TOL``: Y = sum_i p_i rho_i P_i
+    is Hermitian and Y - p_j rho_j is PSD for every j."""
+    weighted = ens.priors[:, None, None] * ens.densities
+    y = np.sum(weighted @ np.array(povm.elements), axis=0)
+    if float(np.max(np.abs(y - dagger(y)))) > _KKT_TOL:
         return False
-    y = hermitian_part(y)
-    return all(
-        float(np.min(np.linalg.eigvalsh(y - priors[j] * rhos[j]))) >= -atol
-        for j in range(len(rhos))
-    )
+    return float(np.min(np.linalg.eigvalsh(hermitian_part(y) - weighted))) >= -_KKT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -302,39 +260,44 @@ class CloningResult:
     kkt: sdp.KktReport
 
 
-def _choi_kets(states: Sequence[np.ndarray]) -> np.ndarray:
+def _kets(ens: DpsEnsemble) -> np.ndarray:
+    """The (G, n) ket stack of a pure-state ensemble; the cloners take no other."""
+    if ens.states.ndim != 2:
+        raise ValueError("cloning needs a pure-state ensemble, not density operators")
+    return ens.states
+
+
+def _choi_kets(ens: DpsEnsemble) -> np.ndarray:
     """(G, d**3) matrix V whose row g is psi_g x conj(psi_g) x psi_g, so that
     the cloning objective is Q = V^T diag(p) conj(V)."""
-    s = np.array(states, dtype=complex)
+    s = _kets(ens)
     return np.einsum("gi,gj,gk->gijk", s, s.conj(), s).reshape(len(s), -1)
 
 
-def _cloning_objective(v: np.ndarray, priors: Sequence[float]) -> np.ndarray:
+def _cloning_objective(v: np.ndarray, priors: np.ndarray) -> np.ndarray:
     """Q = V^T diag(p) conj(V) = sum_g p_g |v_g><v_g|, one matrix product."""
-    return v.T @ (np.asarray(priors, dtype=float)[:, None] * v.conj())
+    return v.T @ (priors[:, None] * v.conj())
 
 
-def cloning_problem(states: Sequence[np.ndarray],
-                    priors: Sequence[float]) -> sdp.SdpProblem:
+def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     """SDP for the optimal symmetric cloner in the Choi representation.
 
     Maximises the prior-averaged two-copy fidelity <psi psi| Phi(psi)|psi psi>
     over completely positive trace-preserving maps Phi; the conjugate ket sits
     on the input factor.
     """
-    d = np.asarray(states[0]).size
-    q = _cloning_objective(_choi_kets(states), priors)
+    d = ens.n
+    q = _cloning_objective(_choi_kets(ens), ens.priors)
     constraints = sdp.partial_trace_identity_constraints(CHOI_BLOCK, [d, d, d], keep=1)
     return sdp.SdpProblem(blocks=[(CHOI_BLOCK, d ** 3)], objective={CHOI_BLOCK: q},
                           constraints=constraints)
 
 
 def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Joint (bob, eve) output state of the cloning channel on input ``rho``."""
-    rho = np.asarray(rho, dtype=complex)
+    """Joint (bob, eve) output state of the cloning channel on input ``rho``:
+    out[(i k), (a b)] = sum_{j l} J[(i j k), (a l b)] rho[j, l]."""
     d = rho.shape[0]
-    sandwich = choi @ np.kron(np.eye(d), np.kron(rho.T, np.eye(d)))
-    return partial_trace(sandwich, [d, d, d], keep=[0, 2])
+    return np.einsum("ijkalb,jl->ikab", choi.reshape((d,) * 6), rho).reshape(d * d, d * d)
 
 
 def _clones(joint: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -346,9 +309,9 @@ def _clones(joint: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             float(np.real(pair.conj() @ joint @ pair)))
 
 
-def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
-                   priors: Sequence[float] | None = None) -> CloningResult:
-    """Solve for the optimal symmetric cloning channel of a pure-state ensemble.
+def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
+    """Solve for the optimal symmetric cloning channel of a pure-state ensemble;
+    an ensemble of density operators raises ``ValueError``.
 
     A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
     ensemble, is solved and certified on the character blocks of the Choi
@@ -358,29 +321,21 @@ def optimal_cloner(ensemble: DpsEnsemble | Sequence[np.ndarray],
     ensemble runs the general solve over the one d**3 block, certified on
     that problem, and reads each clone through :func:`apply_choi`.
     """
-    if isinstance(ensemble, DpsEnsemble):
-        states: Sequence[np.ndarray] = ensemble.states
-        priors = ensemble.priors
+    if _sign_covariant(ens):
+        v = _choi_kets(ens)
+        problem, solution = _covariant_cloner_solution(v, ens.priors, ens.n)
+        kkt = _reduced_cloner_kkt(problem, solution, _cloning_objective(v, ens.priors), ens.n)
+        choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
     else:
-        states = ensemble
-        if priors is None:
-            raise ValueError("explicit state lists need explicit priors")
-    states = [np.asarray(s, dtype=complex) for s in states]
-    d = states[0].size
-    if _sign_covariant(_as_densities(states), priors):
-        v = _choi_kets(states)
-        problem, solution = _covariant_cloner_solution(v, priors, d)
-        kkt = _reduced_cloner_kkt(problem, solution, _cloning_objective(v, priors), d)
-        choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, states[0])
-    else:
-        problem = cloning_problem(states, priors)
+        problem = cloning_problem(ens)
         solution = sdp.solve(problem)
         kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
         choi = _project_psd(solution.x[CHOI_BLOCK])
         bob_states, eve_states, pair_fids = map(
-            list, zip(*(_clones(apply_choi(choi, outer(s)), s) for s in states)))
-        two_copy = float(np.asarray(priors, dtype=float) @ pair_fids)
-    fids = [float(np.real(s.conj() @ bob @ s)) for s, bob in zip(states, bob_states)]
+            list, zip(*(_clones(apply_choi(choi, rho), s)
+                        for s, rho in zip(ens.states, ens.densities))))
+        two_copy = float(ens.priors @ pair_fids)
+    fids = [float(np.real(s.conj() @ bob @ s)) for s, bob in zip(ens.states, bob_states)]
     return CloningResult(
         choi=choi, avg_two_copy_fidelity=two_copy,
         per_state_clone_fidelity=fids, bob_states=bob_states,
@@ -411,7 +366,7 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _covariant_cloner_solution(v: np.ndarray, priors: Sequence[float],
+def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray,
                                d: int) -> tuple[sdp.SdpProblem, sdp.SdpSolution]:
     """The cloning SDP of a sign-covariant ensemble on the character blocks of
     its Choi operator, and its solution.  ``v`` is :func:`_choi_kets`.
@@ -425,7 +380,7 @@ def _covariant_cloner_solution(v: np.ndarray, priors: Sequence[float],
     over the kets |i k l> is 1.  The pair is returned uncertified; see
     :func:`_reduced_cloner_kkt`.
     """
-    p = np.asarray(priors, dtype=float)[:, None]
+    p = priors[:, None]
     blocks = _character_blocks(d)
     names = [f"J{b}" for b in range(len(blocks))]
     inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
@@ -481,21 +436,16 @@ def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.nd
     character-block cloner optimum; ``psi`` is state 0 of the ensemble.
 
     Negative eigenvalues are clipped one block at a time, and the clipped
-    blocks scatter into the Choi operator.  The joint output of ``psi`` is
-    read off the blocks; a block-diagonal Choi operator is invariant under
-    the sign group, so Bob_g = U_g Bob_0 U_g^dagger, likewise Eve_g, and
-    every state has the same two-copy fidelity.
+    blocks scatter into the Choi operator.  The joint output of ``psi``
+    comes from :func:`apply_choi`; a block-diagonal Choi operator is
+    invariant under the sign group, so Bob_g = U_g Bob_0 U_g^dagger,
+    likewise Eve_g, and every state has the same two-copy fidelity.
     """
     d = psi.size
     choi = np.zeros((d ** 3, d ** 3), dtype=complex)
-    joint = np.zeros((d * d, d * d), dtype=complex)
     for ix, (name, _) in zip(_character_blocks(d), problem.blocks):
-        block = _project_psd(solution.x[name])
-        choi[np.ix_(ix, ix)] = block
-        # joint[(i k), (i' k')] = sum_{j j'} psi_j J[(i j k), (i' j' k')] conj(psi_j')
-        i, j, k = np.unravel_index(ix, (d, d, d))
-        np.add.at(joint, np.ix_(i * d + k, i * d + k), psi[j, None] * block * psi[j].conj())
-    bob, eve, two_copy = _clones(joint, psi)
+        choi[np.ix_(ix, ix)] = _project_psd(solution.x[name])
+    bob, eve, two_copy = _clones(apply_choi(choi, outer(psi)), psi)
     signs = sign_patterns(d)
     return (choi, list(signs[:, :, None] * bob * signs[:, None, :]),
             list(signs[:, :, None] * eve * signs[:, None, :]), two_copy)
@@ -580,7 +530,7 @@ def aligned_cloning_basis(ensemble: DpsEnsemble) -> tuple[np.ndarray, ...]:
     best.  The remaining vectors complete the basis by Gram-Schmidt and are
     sign-normalised so the first non-zero component is positive.
     """
-    vecs = [np.asarray(ensemble.states[0], dtype=complex)]
+    vecs = [_kets(ensemble)[0]]
     n = ensemble.n
     for cand_idx in range(n - 1, -1, -1):
         if len(vecs) == n:
@@ -630,9 +580,8 @@ def apply_unitary_cloner(params: UnitaryClonerParams,
     return _clones(unitary_cloner_output(params, psi), psi)[:2]
 
 
-def optimize_unitary_q(ensemble: DpsEnsemble | Sequence[np.ndarray],
-                       basis: tuple[np.ndarray, ...] | None = None,
-                       priors: Sequence[float] | None = None) -> tuple[float, float]:
+def optimize_unitary_q(ens: DpsEnsemble,
+                       basis: tuple[np.ndarray, ...] | None = None) -> tuple[float, float]:
     """Exact maximum of the mean single-clone fidelity over the cloning coefficient.
 
     With w_gj = |<e_j|psi_g>|^2, the clone of psi_g has fidelity
@@ -641,21 +590,15 @@ def optimize_unitary_q(ensemble: DpsEnsemble | Sequence[np.ndarray],
     maximised on the unitarity ellipse p^2 + 2(d-1) q^2 = 1.  The optimum is
     the top eigenvector of D^(-1/2) G D^(-1/2), D = diag(1, 2(d-1)); by
     Perron-Frobenius it can be taken non-negative, so it lies on the feasible
-    quarter-ellipse.  Returns (q_opt, avg_fidelity).
+    quarter-ellipse.  The basis defaults to :func:`aligned_cloning_basis`.
+    Returns (q_opt, avg_fidelity).
     """
-    if isinstance(ensemble, DpsEnsemble):
-        states: Sequence[np.ndarray] = ensemble.states
-        priors = ensemble.priors
-        if basis is None:
-            basis = aligned_cloning_basis(ensemble)
-    else:
-        states = ensemble
-        if priors is None or basis is None:
-            raise ValueError("explicit state lists need explicit priors and basis")
+    if basis is None:
+        basis = aligned_cloning_basis(ens)
     params = UnitaryClonerParams(d=len(basis), q=0.0, basis=tuple(basis))
-    w = np.abs(_basis_coefficients(params.basis_matrix, states)) ** 2
+    w = np.abs(_basis_coefficients(params.basis_matrix, _kets(ens))) ** 2
     terms = np.stack([w * w, w * (1.0 - w), 1.0 - w]).sum(axis=2)
-    a, b, c = terms @ np.asarray(priors, dtype=float)
+    a, b, c = terms @ ens.priors
     r = 1.0 / math.sqrt(2.0 * (params.d - 1))
     lam, vecs = np.linalg.eigh(np.array([[a, b * r], [b * r, c * r * r]]))
     return float(r * abs(vecs[1, -1])), float(lam[-1])
@@ -665,13 +608,10 @@ def optimize_unitary_q(ensemble: DpsEnsemble | Sequence[np.ndarray],
 # post-cloning discrimination and attack profiles
 # ---------------------------------------------------------------------------
 
-def med_on_cloned(eve_states: Sequence[np.ndarray], priors: Sequence[float],
-                  bit_map: Sequence[Sequence[int]] | None = None) -> MedResult:
-    """Minimum-error discrimination of the (generally mixed) clone ensemble."""
-    stack = np.array(eve_states, dtype=complex)
-    if float(np.min(np.linalg.eigvalsh(hermitian_part(stack)))) < -1e-7:
-        raise ValueError("clone states must be valid density operators")
-    return med_attack(list(eve_states), priors=priors, bit_map=bit_map)
+def med_on_cloned(ens: DpsEnsemble, clones: Sequence[np.ndarray]) -> MedResult:
+    """Minimum-error discrimination of the clones of the states of ``ens``,
+    with its priors and key bits."""
+    return med_attack(replace(ens, states=clones))
 
 
 IR_ERROR = 1.0 / 3.0
@@ -769,8 +709,7 @@ class CloningAttack:
 def optimal_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
     """The optimal cloner, followed by MED of Eve's clones."""
     clone = certified("optimal cloner", optimal_cloner, ens)
-    med_after = certified("MED after optimal cloning", med_on_cloned,
-                          clone.eve_states, ens.priors, ens.bit_map)
+    med_after = certified("MED after optimal cloning", med_on_cloned, ens, clone.eve_states)
     return CloningAttack(name="cloning", ensemble=ens, cloner=clone,
                          fidelity=clone.avg_two_copy_fidelity,
                          bob_states=clone.bob_states, med_after=med_after)
@@ -783,8 +722,7 @@ def unitary_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
     q_opt, fidelity = optimize_unitary_q(ens, basis)
     params = UnitaryClonerParams(d=ens.n, q=q_opt, basis=basis)
     bobs = [apply_unitary_cloner(params, s)[0] for s in ens.states]
-    med_after = certified("MED after unitary cloning", med_on_cloned,
-                          bobs, ens.priors, ens.bit_map)
+    med_after = certified("MED after unitary cloning", med_on_cloned, ens, bobs)
     return CloningAttack(name="unitary", ensemble=ens, cloner=params, fidelity=fidelity,
                          bob_states=bobs, med_after=med_after)
 

@@ -216,7 +216,7 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
     doc: dict[str, Any] = {"config": {"command": "clone", "mode": args.mode}}
     if args.mode == "optimal":
         attack = attacks.optimal_cloning_attack(ens)
-        fits = [attacks.depolarizing_fit(ens.density(i), b)
+        fits = [attacks.depolarizing_fit(ens.densities[i], b)
                 for i, b in enumerate(attack.bob_states)]
         doc.update({
             "avg_two_copy_fidelity": attack.fidelity,

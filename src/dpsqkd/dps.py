@@ -10,18 +10,18 @@ sign flip (relative phase pi).
 
 The receiver interferes each pulse with its one-slot-delayed predecessor in
 an asymmetric Mach-Zehnder interferometer.  Input mode k contributes
-amplitude (u_k + i v_k)/2 at slot k and exp(i phase_b) (u_{k+1} - i v_{k+1})/2
-at slot k+1, where u is the constructive and v the destructive output port.
-With phase_b = 0 an ideally prepared state never clicks in the destructive
-port at the interior slots 2..n (the key slots); slots 1 and n+1 carry no
-phase information and are discarded during sifting.  Port convention:
-constructive click = bit 0, destructive click = bit 1.
+amplitude (u_k + i v_k)/2 at slot k and (u_{k+1} - i v_{k+1})/2 at slot
+k+1, where u is the constructive and v the destructive output port.  An
+ideally prepared state never clicks in the destructive port at the interior
+slots 2..n (the key slots); slots 1 and n+1 carry no phase information and
+are discarded during sifting.  Port convention: constructive click = bit 0,
+destructive click = bit 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,18 +30,60 @@ from .linalg import ATOL_PSD, eig_hermitian, is_density
 MAX_PULSES = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DpsEnsemble:
-    """The 2**(n-1) n-pulse DPS signal states with uniform priors."""
+    """A signal ensemble: G states on C^n with their priors and key bits.
 
-    n: int
-    states: tuple[np.ndarray, ...]
+    ``states`` is a (G, n) stack of kets or a (G, n, n) stack of density
+    operators, such as Eve's clones of the signal states; ``priors`` has
+    shape (G,), and row g of the (G, n-1) ``bit_map`` holds the key bits of
+    state g.  Every attack takes its ensemble in this one form.  The fields
+    are stored as read-only copies, checked here against their physical
+    domains: the priors are finite, non-negative and sum to 1 within 1e-9;
+    kets have unit norm within 1e-9; density operators are Hermitian, with
+    unit trace within 1e-8 and no eigenvalue below -1e-7; bits are 0 or 1.
+    """
+
+    states: np.ndarray
     priors: np.ndarray
-    bit_map: tuple[tuple[int, ...], ...]
+    bit_map: np.ndarray
 
-    def density(self, i: int) -> np.ndarray:
-        s = self.states[i]
-        return np.outer(s, s.conj())
+    def __post_init__(self) -> None:
+        try:
+            states = np.array(self.states, dtype=complex)
+        except ValueError as exc:  # a ragged sequence
+            raise ValueError("ensemble states must share one dimension") from exc
+        if not (states.ndim == 2 or states.ndim == 3 and states.shape[1] == states.shape[2]):
+            raise ValueError("ensemble states must be a (G, n) ket or (G, n, n) density stack")
+        count, n = states.shape[:2]
+        priors = np.array(self.priors, dtype=float)
+        if priors.shape != (count,) or not np.all(np.isfinite(priors) & (priors >= 0.0)):
+            raise ValueError(f"priors must be {count} finite non-negative numbers")
+        if not abs(priors.sum() - 1.0) <= 1e-9:
+            raise ValueError("priors must sum to 1")
+        if states.ndim == 2 and not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("ensemble kets must have unit norm")
+        if states.ndim == 3 and not is_density(states, trace_atol=1e-8, psd_atol=1e-7):
+            raise ValueError("ensemble states are not valid density operators")
+        bits = np.array(self.bit_map)
+        if bits.shape != (count, n - 1) or not np.all((bits == 0) | (bits == 1)):
+            raise ValueError(f"bit_map must be a ({count}, {n - 1}) array of 0s and 1s")
+        for name, value in (("states", states), ("priors", priors), ("bit_map", bits.astype(int))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[1]
+
+    @cached_property
+    def densities(self) -> np.ndarray:
+        """(G, n, n) read-only stack of the density operators of the states."""
+        if self.states.ndim == 3:
+            return self.states
+        rhos = self.states[:, :, None] * self.states[:, None, :].conj()
+        rhos.flags.writeable = False
+        return rhos
 
 
 @lru_cache(maxsize=None)
@@ -67,38 +109,25 @@ def dps_ensemble(n: int) -> DpsEnsemble:
     phase position 1), so the all-zero index is the all-plus state.
     """
     signs = sign_patterns(n)
-    bit_map = (signs[:, :-1] != signs[:, 1:]).astype(int)
-    return DpsEnsemble(n=n, states=tuple(signs.astype(complex) / np.sqrt(n)),
+    return DpsEnsemble(states=signs.astype(complex) / np.sqrt(n),
                        priors=np.full(len(signs), 1.0 / len(signs)),
-                       bit_map=tuple(map(tuple, bit_map.tolist())))
-
-
-@dataclass(frozen=True)
-class MziModel:
-    """Asymmetric MZI with a one-slot delay and phase ``phase_b`` in the delay arm."""
-
-    phase_b: float = 0.0
+                       bit_map=signs[:, :-1] != signs[:, 1:])
 
 
 @lru_cache(maxsize=None)
-def _transfer(n: int, phase_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(T_u, T_v): (n+1) x n amplitude transfer matrices to the two ports."""
-    ph = np.exp(1j * phase_b)
+def mzi_transfer(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T_u, T_v): read-only (n+1) x n amplitude transfer matrices from the
+    n input pulses to the constructive and destructive ports."""
     tu = np.zeros((n + 1, n), dtype=complex)
     tv = np.zeros((n + 1, n), dtype=complex)
     for k in range(n):
         tu[k, k] += 0.5
         tv[k, k] += 0.5j
-        tu[k + 1, k] += 0.5 * ph
-        tv[k + 1, k] += -0.5j * ph
+        tu[k + 1, k] += 0.5
+        tv[k + 1, k] += -0.5j
     tu.setflags(write=False)
     tv.setflags(write=False)
     return tu, tv
-
-
-def mzi_transfer(n: int, mzi: MziModel = MziModel()) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude transfer matrices (constructive, destructive) for n pulses."""
-    return _transfer(n, float(mzi.phase_b))
 
 
 @dataclass(frozen=True)
@@ -119,7 +148,7 @@ class ClickDistribution:
         return float(np.sum(self.constructive) + np.sum(self.destructive))
 
 
-def mzi_click_distribution(state: np.ndarray, mzi: MziModel = MziModel()) -> ClickDistribution:
+def mzi_click_distribution(state: np.ndarray) -> ClickDistribution:
     """Click distribution of a ket or density operator after the MZI.
 
     Mixed states are handled exactly: the quadratic form through the
@@ -128,34 +157,26 @@ def mzi_click_distribution(state: np.ndarray, mzi: MziModel = MziModel()) -> Cli
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        n = state.size
-        tu, tv = mzi_transfer(n, mzi)
+        tu, tv = mzi_transfer(state.size)
         return ClickDistribution(np.abs(tu @ state) ** 2, np.abs(tv @ state) ** 2)
     if state.ndim == 2 and state.shape[0] == state.shape[1]:
-        n = state.shape[0]
-        tu, tv = mzi_transfer(n, mzi)
+        tu, tv = mzi_transfer(state.shape[0])
         pu = np.real(np.einsum("ti,ij,tj->t", tu, state, tu.conj()))
         pv = np.real(np.einsum("ti,ij,tj->t", tv, state, tv.conj()))
         return ClickDistribution(pu, pv)
     raise ValueError("state must be a ket or a square density operator")
 
 
-def _wrong_port_probs(received: np.ndarray, bits: tuple[int, ...],
-                      mzi: MziModel) -> tuple[np.ndarray, np.ndarray]:
+def _wrong_port_probs(received: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(wrong, total) per key slot for a density operator and a bit pattern."""
-    dist = mzi_click_distribution(received, mzi)
-    n = len(bits) + 1
-    wrong = np.empty(n - 1)
-    tot = np.empty(n - 1)
-    for j, b in enumerate(bits):
-        t = j + 1  # key slot j+2 in 1-based counting; index j+1 in 0-based arrays
-        wrong[j] = dist.destructive[t] if b == 0 else dist.constructive[t]
-        tot[j] = dist.constructive[t] + dist.destructive[t]
-    return wrong, tot
+    dist = mzi_click_distribution(received)
+    # key slots 2..n in 1-based counting, indices 1..n-1 of the port arrays
+    u, v = dist.constructive[1:-1], dist.destructive[1:-1]
+    return np.where(bits == 0, v, u), u + v
 
 
 def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
-                 mzi: MziModel = MziModel(), conditional: bool = False) -> float:
+                 conditional: bool = False) -> float:
     """Bit-error rate that ``received`` induces when sent as ensemble state ``index``.
 
     The default accounting sums the wrong-port click probabilities over the
@@ -169,14 +190,14 @@ def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
         raise ValueError("received state has the wrong dimension for the ensemble")
     if not is_density(received, trace_atol=1e-8, psd_atol=1e-7):
         raise ValueError("received state is not a valid density operator")
-    wrong, tot = _wrong_port_probs(received, ensemble.bit_map[index], mzi)
+    wrong, tot = _wrong_port_probs(received, ensemble.bit_map[index])
     if conditional:
         return float(np.sum(wrong) / np.sum(tot))
     return float(np.sum(wrong))
 
 
-def spectral_error_terms(received: np.ndarray, index: int, ensemble: DpsEnsemble,
-                         mzi: MziModel = MziModel()) -> list[tuple[float, float]]:
+def spectral_error_terms(received: np.ndarray, index: int,
+                         ensemble: DpsEnsemble) -> list[tuple[float, float]]:
     """Per-eigenvector (eigenvalue, wrong-port key-slot probability) terms,
     eigenvalues in descending order.
 
@@ -189,7 +210,7 @@ def spectral_error_terms(received: np.ndarray, index: int, ensemble: DpsEnsemble
     """
     dec = eig_hermitian(np.asarray(received, dtype=complex))
     wrong = [float(np.sum(_wrong_port_probs(np.outer(vec, vec.conj()),
-                                            ensemble.bit_map[index], mzi)[0]))
+                                            ensemble.bit_map[index])[0]))
              for vec in dec.eigenvectors.T]
     cuts = [0, *(np.flatnonzero(-np.diff(dec.eigenvalues) > ATOL_PSD) + 1).tolist(), len(wrong)]
     out = []

@@ -61,13 +61,16 @@ def is_hermitian(h: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
 
 def is_density(rho: np.ndarray, trace_atol: float = ATOL_TRACE,
                psd_atol: float = ATOL_PSD) -> bool:
-    """True if ``rho`` is Hermitian, unit trace and PSD within tolerance."""
+    """True if ``rho``, or every operator of a stack (..., d, d), is
+    Hermitian within 1e-9, unit trace and PSD within tolerance."""
     rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, atol=1e-9):
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         return False
-    if abs(np.trace(rho).real - 1.0) > trace_atol:
+    if not np.all(np.abs(rho - dagger(rho)) <= 1e-9):
         return False
-    return float(np.min(np.linalg.eigvalsh(hermitian_part(rho)))) >= -psd_atol
+    if not np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= trace_atol):
+        return False
+    return bool(np.min(np.linalg.eigvalsh(hermitian_part(rho))) >= -psd_atol)
 
 
 def partial_trace(x: np.ndarray, dims: Sequence[int],

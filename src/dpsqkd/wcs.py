@@ -69,8 +69,9 @@ def wcs_ir_fraction(mu: float) -> float:
     return (2.0 / 9.0) * mu * math.exp(-mu)
 
 
-def phase_mismatch_qber(mu: float, delta: float) -> float:
-    """QBER from a phase offset ``delta`` between sender and receiver.
+def phase_mismatch_qber(mu: float, delta: float | np.ndarray) -> float | np.ndarray:
+    """QBER from a phase offset ``delta`` between sender and receiver, or
+    from each offset of an array.
 
     The destructive-port amplitude alpha (1 - exp(i delta)) / 2 carries mean
     photon number mu sin^2(delta/2), so the click probability is
@@ -78,7 +79,7 @@ def phase_mismatch_qber(mu: float, delta: float) -> float:
     """
     if mu < 0.0:
         raise ValueError("mean photon number must be non-negative")
-    return -math.expm1(-mu * math.sin(delta / 2.0) ** 2)
+    return -np.expm1(-mu * np.sin(delta / 2.0) ** 2)
 
 
 def slice_averaged_qber(params: WcsParams) -> float:
@@ -92,7 +93,7 @@ def slice_averaged_qber(params: WcsParams) -> float:
     x, wt = leggauss(_QUAD_NODES)
     delta = 0.5 * w * (x + 1.0)  # fold the symmetric triangular law onto [0, w]
     density = 2.0 * (w - delta) / w ** 2
-    vals = -np.expm1(-params.mean_photon_number * np.sin(delta / 2.0) ** 2)
+    vals = phase_mismatch_qber(params.mean_photon_number, delta)
     return float(np.sum(wt * 0.5 * w * density * vals))
 
 

@@ -47,7 +47,7 @@ def test_criterion_01_med_optimum(med3):
 
 
 def test_criterion_02_handbuilt_povm_optimal(ens3, med3):
-    hand = {f"P{i + 1}": 0.75 * ens3.density(i) for i in range(4)}
+    hand = {f"P{i + 1}": 0.75 * ens3.densities[i] for i in range(4)}
     candidate = SdpSolution(x=hand, y=med3.solution.y, z=med3.solution.z,
                             primal_objective=0.75,
                             dual_objective=med3.solution.dual_objective,
@@ -118,9 +118,9 @@ def test_criterion_05_optimal_cloning(clone3):
 
 def test_criterion_06_depolarizing_identification(ens3, clone3):
     from dpsqkd.attacks import depolarizing_fit
-    printed = [0.69 * ens3.density(i) + (0.31 / 3) * np.eye(3) for i in range(4)]
-    fits_printed = [depolarizing_fit(ens3.density(i), printed[i])[0] for i in range(4)]
-    fits_solver = [depolarizing_fit(ens3.density(i), clone3.bob_states[i])[0]
+    printed = [0.69 * ens3.densities[i] + (0.31 / 3) * np.eye(3) for i in range(4)]
+    fits_printed = [depolarizing_fit(ens3.densities[i], printed[i])[0] for i in range(4)]
+    fits_solver = [depolarizing_fit(ens3.densities[i], clone3.bob_states[i])[0]
                    for i in range(4)]
     clauses = [
         (all(abs(p - 0.31) <= 1e-2 for p in fits_printed),
@@ -147,10 +147,9 @@ def test_criterion_07_cloning_ber(ens3, clone3):
          f"spectral and direct mixed-state routes agree to {agreement:.1e}"),
         (all(abs(b - 0.13) <= 5e-3 for b in direct),
          f"key-slot wrong-port probability is {direct[0]:.6f} = (1 - 17/21)/2 = 2/21, "
-         "not 0.13: the interferometer transfer weights the two error eigencomponents "
-         "3/8 and 5/8 (summing to 1), whereas 0.13 = 0.095*(3/8) + 0.095 counts the "
-         "antisymmetric component twice over; the detection-conditioned variant gives "
-         "1/7 = 0.1429, also outside 0.13 +- 5e-3"),
+         "not 0.13: the clone's degenerate 2/21 error eigenspace carries total "
+         "wrong-port weight 1, so the direct rate is 2/21 = 0.0952 in any eigenbasis; "
+         "the detection-conditioned variant gives 1/7 = 0.1429, also outside 0.13 +- 5e-3"),
     ]
     check(7, "cloning bit-error rate via two independent routes", clauses)
 

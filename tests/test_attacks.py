@@ -64,8 +64,8 @@ def test_medn_success(n, expected, request):
 def test_pgm_matches_sdp_optimum(med3, med4, med5):
     for n, med in ((3, med3), (4, med4), (5, med5)):
         ens = dps_ensemble(n)
-        povm = pgm_povm(ens.states, ens.priors)
-        success = sum(p * np.trace(ens.density(i) @ povm.elements[i]).real
+        povm = pgm_povm(ens)
+        success = sum(p * np.trace(ens.densities[i] @ povm.elements[i]).real
                       for i, p in enumerate(ens.priors))
         assert success == pytest.approx(med.p_success, abs=1e-7)
 
@@ -80,20 +80,19 @@ def test_med_result_invariants(fixture, request):
     assert_allclose(np.sum(result.povm.elements, axis=0), np.eye(d), atol=1e-8)
 
 
-def general_med(states, priors, bit_map):
+def general_med(ens):
     """Independent route: the general solve of the full MED problem, read out
     without the covariant lift or the PSD clipping of ``med_attack``.
     Returns (p_success, collision, confusion, povm elements)."""
-    rhos = [outer(s) if np.ndim(s) == 1 else np.asarray(s) for s in states]
-    sol = sdp.solve(med_problem(rhos, priors))
-    elements = np.array([sol.x[f"P{i + 1}"] for i in range(len(rhos))])
-    confusion = np.array([[np.trace(rho @ el).real for el in elements] for rho in rhos])
-    p_success = float(np.asarray(priors) @ np.diag(confusion))
-    return p_success, collision_probability(confusion, priors, bit_map), confusion, elements
+    sol = sdp.solve(med_problem(ens))
+    elements = np.array([sol.x[f"P{i + 1}"] for i in range(len(ens.priors))])
+    confusion = np.array([[np.trace(rho @ el).real for el in elements] for rho in ens.densities])
+    p_success = float(ens.priors @ np.diag(confusion))
+    return p_success, collision_probability(confusion, ens.priors, ens.bit_map), confusion, elements
 
 
-def assert_matches_general_med(result, states, priors, bit_map):
-    p_success, collision, confusion, elements = general_med(states, priors, bit_map)
+def assert_matches_general_med(result, ens):
+    p_success, collision, confusion, elements = general_med(ens)
     assert result.p_success == pytest.approx(p_success, abs=1e-7)
     assert result.collision_probability == pytest.approx(collision, abs=1e-7)
     assert_allclose(result.confusion, confusion, rtol=0, atol=1e-7)
@@ -118,10 +117,10 @@ def test_covariant_med_matches_general_solve(n, request):
     solve of the same states reach the same optimum."""
     ens = dps_ensemble(n)
     covariant = request.getfixturevalue(f"med{n}")
-    assert_matches_general_med(covariant, ens.states, ens.priors, ens.bit_map)
-    pgm = pgm_povm(ens.states, ens.priors)
+    assert_matches_general_med(covariant, ens)
+    pgm = pgm_povm(ens)
     assert_allclose(covariant.povm.elements, pgm.elements, rtol=0, atol=1e-7)
-    assert holevo_certificate(ens.states, ens.priors, covariant.povm)
+    assert holevo_certificate(ens, covariant.povm)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -144,7 +143,7 @@ def test_covariant_med_certified_above_the_attack_cap(n):
     assert len(result.problem.blocks) == count and len(result.solution.x) == count
     assert result.kkt.passed, result.kkt.conditions
     assert result.p_success == pytest.approx(n / count, abs=1e-7)
-    pgm = pgm_povm(ens.states, ens.priors)
+    pgm = pgm_povm(ens)
     assert_allclose(result.povm.elements, pgm.elements, rtol=0, atol=1e-7)
 
 
@@ -152,14 +151,12 @@ def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
     """Skewed priors break the sign symmetry; the lifted seed pair is then
     not optimal, and the full-problem certificate says so.  ``med_attack``
     therefore takes the general route for them, which passes."""
-    priors = np.array([0.4, 0.2, 0.2, 0.2])
-    rhos = [ens3.density(i) for i in range(4)]
-    lifted = attacks._covariant_med_solution(rhos, priors)
-    report = sdp.verify_kkt(med_problem(rhos, priors), lifted, tol=1e-6)
+    skewed = dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2])
+    lifted = attacks._covariant_med_solution(skewed)
+    report = sdp.verify_kkt(med_problem(skewed), lifted, tol=1e-6)
     assert not report.passed
     assert not report.conditions["dual_psd"]
     del covariant_calls[:]
-    skewed = DpsEnsemble(n=3, states=ens3.states, priors=priors, bit_map=ens3.bit_map)
     result = med_attack(skewed)
     assert covariant_calls == []
     assert result.kkt.passed, result.kkt.conditions
@@ -172,23 +169,23 @@ def test_optimal_clone_med_matches_general_solve(n, covariant_calls):
     ens = dps_ensemble(n)
     clone = optimal_cloner(ens)
     del covariant_calls[:]
-    result = med_on_cloned(clone.eve_states, ens.priors, ens.bit_map)
+    result = med_on_cloned(ens, clone.eve_states)
     assert covariant_calls == ["_covariant_med_solution"]
     assert result.kkt.passed, result.kkt.conditions
-    assert_matches_general_med(result, clone.eve_states, ens.priors, ens.bit_map)
+    assert_matches_general_med(result, dataclasses.replace(ens, states=clone.eve_states))
 
 
 def test_unitary_clones_keep_the_general_route(ens3, unitary3, covariant_calls):
     _, _, _, _, bobs = unitary3
-    assert not attacks._sign_covariant(bobs, ens3.priors)
-    result = med_on_cloned(bobs, ens3.priors, ens3.bit_map)
+    assert not attacks._sign_covariant(dataclasses.replace(ens3, states=bobs))
+    result = med_on_cloned(ens3, bobs)
     assert covariant_calls == []
     assert result.kkt.passed
 
 
 def test_confusion_matches_trace_loop(med4):
     ens = dps_ensemble(4)
-    loop = [[np.trace(ens.density(i) @ el).real for el in med4.povm.elements]
+    loop = [[np.trace(ens.densities[i] @ el).real for el in med4.povm.elements]
             for i in range(len(ens.states))]
     assert_allclose(med4.confusion, loop, rtol=0, atol=1e-12)
     assert med4.p_success == pytest.approx(
@@ -221,8 +218,8 @@ def test_povm_rejects_mixed_dimensions():
 
 
 def test_holevo_certificate(ens3, med3):
-    assert holevo_certificate(ens3.states, ens3.priors, med3.povm)
-    assert holevo_certificate(ens3.states, ens3.priors, pgm_povm(ens3.states, ens3.priors))
+    assert holevo_certificate(ens3, med3.povm)
+    assert holevo_certificate(ens3, pgm_povm(ens3))
 
 
 def test_collision_probability_table(med3, ens3):
@@ -295,7 +292,7 @@ def full_cloner(ens):
     out through apply_choi.  Returns (choi, two-copy fidelity, per-state
     fidelities, Bob's states, Eve's states)."""
     d = ens.n
-    choi = sdp.solve(cloning_problem(ens.states, ens.priors)).x["J"]
+    choi = sdp.solve(cloning_problem(ens)).x["J"]
     two_copy, fids, bobs, eves = 0.0, [], [], []
     for p, s in zip(ens.priors, ens.states):
         joint = apply_choi(choi, outer(s))
@@ -328,7 +325,7 @@ def test_character_blocks(n, count, largest):
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n ** 3))
     # the cloning objective of the DPS ensemble has no weight between blocks
     ens = dps_ensemble(n)
-    q = cloning_problem(ens.states, ens.priors).objective["J"]
+    q = cloning_problem(ens).objective["J"]
     label = np.zeros(n ** 3, dtype=int)
     for b, ix in enumerate(blocks):
         label[ix] = b
@@ -356,7 +353,7 @@ def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant
     assert len(result.solution.y) == n  # one multiplier per diagonal trace-preservation entry
     assert result.kkt.passed, result.kkt.conditions
     full = scattered(result.problem, result.solution, n)
-    report = sdp.verify_kkt(cloning_problem(ens.states, ens.priors), full, tol=1e-6)
+    report = sdp.verify_kkt(cloning_problem(ens), full, tol=1e-6)
     assert report.passed, report.conditions
     assert_allclose(result.choi, full.x["J"], rtol=0, atol=1e-9)
     assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-6)
@@ -367,9 +364,9 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     """The reduced certificate and the full problem's KKT check give the same
     verdict on the block optimum and on three mutations of it."""
     ens = dps_ensemble(n)
-    v = attacks._choi_kets(ens.states)
+    v = attacks._choi_kets(ens)
     q = attacks._cloning_objective(v, ens.priors)
-    full = cloning_problem(ens.states, ens.priors)
+    full = cloning_problem(ens)
     problem, solution = attacks._covariant_cloner_solution(v, ens.priors, n)
 
     def verdicts(problem, solution, q):
@@ -382,7 +379,7 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     assert verdicts(problem, solution, q) == (True, True)
     zeroed = dataclasses.replace(solution, y=np.zeros_like(solution.y))
     assert verdicts(problem, zeroed, q) == (False, False)
-    skewed = np.array(ens.priors) * np.linspace(0.5, 1.5, len(ens.priors))
+    skewed = ens.priors * np.linspace(0.5, 1.5, len(ens.priors))
     skewed /= skewed.sum()
     assert verdicts(*attacks._covariant_cloner_solution(v, skewed, n),
                     attacks._cloning_objective(v, skewed)) == (False, False)
@@ -397,8 +394,8 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_calls):
-    """The sign-covariant route neither builds the dense problem nor reads
-    clones through the Choi product, and diagonalises nothing of size n**3."""
+    """The sign-covariant route builds no dense problem and diagonalises
+    nothing of size n**3; it reads its one joint output through apply_choi."""
     dense, sizes = [], []
 
     def spy(module, name, record):
@@ -409,8 +406,7 @@ def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_call
             return real(a, *args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("cloning_problem", "apply_choi"):
-        spy(attacks, name, lambda a, _name=name: dense.append(_name))
+    spy(attacks, "cloning_problem", lambda a: dense.append("cloning_problem"))
     for name in ("eigh", "eigvalsh"):
         spy(np.linalg, name, lambda a: sizes.append(np.shape(a)[-1]))
     result = optimal_cloner(dps_ensemble(n))
@@ -430,7 +426,7 @@ def test_character_block_cloner_above_the_attack_cap(n):
     clone = attack.cloner
     assert clone.kkt.passed, clone.kkt.conditions
     assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, abs=1e-6)
-    fits = [depolarizing_fit(ens.density(i), c)
+    fits = [depolarizing_fit(ens.densities[i], c)
             for i in range(len(ens.states)) for c in (clone.bob_states[i], clone.eve_states[i])]
     assert max(r for _, r in fits) <= 1e-12
     p = fits[0][0]
@@ -438,9 +434,35 @@ def test_character_block_cloner_above_the_attack_cap(n):
 
 
 def test_skewed_priors_take_the_general_cloner_route(ens3, covariant_calls):
-    result = optimal_cloner(list(ens3.states), priors=[0.4, 0.2, 0.2, 0.2])
+    result = optimal_cloner(dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2]))
     assert covariant_calls == []
     assert result.kkt.passed, result.kkt.conditions
+
+
+def test_cloners_reject_density_operators(ens3):
+    mixed = dataclasses.replace(ens3, states=ens3.densities)
+    basis = aligned_cloning_basis(ens3)
+    for cloner in (optimal_cloner, cloning_problem, aligned_cloning_basis, optimize_unitary_q,
+                   lambda ens: optimize_unitary_q(ens, basis)):
+        with pytest.raises(ValueError, match="pure-state ensemble"):
+            cloner(mixed)
+
+
+def random_density(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_apply_choi_matches_the_kronecker_product(d):
+    """The contraction equals J (I x rho^T x I) traced over the input factor."""
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d ** 3, d ** 3)) + 1j * rng.normal(size=(d ** 3, d ** 3))
+    rho = random_density(rng, d)
+    sandwich = a @ np.kron(np.eye(d), np.kron(rho.T, np.eye(d)))
+    assert_allclose(apply_choi(a, rho), partial_trace(sandwich, [d, d, d], keep=[0, 2]),
+                    rtol=1e-13, atol=1e-13)
 
 
 def test_apply_choi_convention():
@@ -462,7 +484,7 @@ def test_apply_choi_convention():
 
 
 def test_depolarizing_fit_of_solver_output(clone3, ens3):
-    fits = [depolarizing_fit(ens3.density(i), clone3.bob_states[i]) for i in range(4)]
+    fits = [depolarizing_fit(ens3.densities[i], clone3.bob_states[i]) for i in range(4)]
     ps = [p for p, _ in fits]
     assert_allclose(ps, np.full(4, 2.0 / 7.0), atol=1e-6)
     assert max(ps) - min(ps) <= 1e-3
@@ -470,7 +492,7 @@ def test_depolarizing_fit_of_solver_output(clone3, ens3):
 
 
 def test_depolarizing_fit_trivials(ens3):
-    rho = ens3.density(0)
+    rho = ens3.densities[0]
     p, resid = depolarizing_fit(rho, rho)
     assert p == pytest.approx(0.0, abs=1e-12) and resid <= 1e-12
     p, resid = depolarizing_fit(rho, np.eye(3) / 3)
@@ -481,7 +503,7 @@ def test_depolarizing_fit_two_decimal_matrix(ens3):
     """Fitting the two-decimal rendering of the clone (off-diagonal 0.23)
     gives p = 0.31 exactly: 1 - 3*0.23."""
     for i in range(4):
-        rho = ens3.density(i)
+        rho = ens3.densities[i]
         printed = 0.69 * rho + (0.31 / 3.0) * np.eye(3)
         p, resid = depolarizing_fit(rho, printed)
         assert p == pytest.approx(0.31, abs=1e-12)
@@ -495,7 +517,7 @@ def test_med_on_cloned(clone_med3):
 
 
 def test_med_on_pure_states_reduces_to_direct(ens3, med3):
-    again = med_on_cloned([ens3.density(i) for i in range(4)], ens3.priors, ens3.bit_map)
+    again = med_on_cloned(ens3, ens3.densities)
     assert again.p_success == pytest.approx(med3.p_success, abs=1e-6)
 
 
@@ -556,7 +578,7 @@ def test_unitary_cloner_symmetric_and_q0_identity(ens3):
         assert_allclose(bob, eve, atol=1e-10)
     trivial = UnitaryClonerParams(d=3, q=0.0, basis=basis)
     bob, _ = apply_unitary_cloner(trivial, ens3.states[0])
-    assert_allclose(bob, ens3.density(0), atol=1e-12)
+    assert_allclose(bob, ens3.densities[0], atol=1e-12)
 
 
 def test_unitary_cloner_rejects_unnormalised(ens3):
@@ -595,7 +617,8 @@ def test_optimize_unitary_q(unitary3):
 
 def test_optimize_single_state_needs_no_cloning(ens3):
     basis = aligned_cloning_basis(ens3)
-    q_opt, fid = optimize_unitary_q([basis[0]], basis=basis, priors=[1.0])
+    single = DpsEnsemble(states=[basis[0]], priors=[1.0], bit_map=[ens3.bit_map[0]])
+    q_opt, fid = optimize_unitary_q(single, basis)
     assert q_opt == pytest.approx(0.0, abs=1e-4)
     assert fid == pytest.approx(1.0, abs=1e-6)
 
@@ -666,15 +689,12 @@ def test_unitary_cloning_attack_at_eight_pulses(monkeypatch):
 
 def test_optimize_unitary_q_keeps_input_checks(ens3):
     basis = aligned_cloning_basis(ens3)
-    states, priors = list(ens3.states), list(ens3.priors)
     with pytest.raises(ValueError, match="orthonormal"):
         optimize_unitary_q(ens3, (basis[0], basis[0], basis[2]))
-    with pytest.raises(ValueError, match="normalised"):
-        optimize_unitary_q([2.0 * states[0]] + states[1:], basis=basis, priors=priors)
-    with pytest.raises(ValueError, match="explicit priors and basis"):
-        optimize_unitary_q(states, basis=basis)
-    with pytest.raises(ValueError, match="explicit priors and basis"):
-        optimize_unitary_q(states, priors=priors)
+    # an unnormalised state cannot reach the optimisation: its ensemble is refused
+    with pytest.raises(ValueError, match="unit norm"):
+        optimize_unitary_q(dataclasses.replace(ens3, states=[2.0 * ens3.states[0],
+                                                             *ens3.states[1:]]), basis)
 
 
 def test_unitary_ber_values(ens3, unitary3):
@@ -826,8 +846,3 @@ def test_keyrate_builds_each_named_profile_once(monkeypatch, capsys):
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert len(calls) == 1
     assert "tau_med" in row
-
-
-def test_med_attack_requires_priors(ens3):
-    with pytest.raises(ValueError, match="priors"):
-        med_attack(list(ens3.states))

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dpsqkd.dps import (MAX_PULSES, MziModel, ber_of_state, dps_ensemble,
+from dpsqkd.dps import (MAX_PULSES, DpsEnsemble, ber_of_state, dps_ensemble,
                         mzi_click_distribution, mzi_transfer, sign_patterns,
                         spectral_error_terms)
 from dpsqkd.keyrate import MAX_ATTACK_PULSES, ChannelModel
@@ -67,6 +67,74 @@ def test_states_linearly_dependent(n):
     assert len(ens.states) == 2 ** (n - 1) > n
 
 
+def test_ensemble_fields_are_read_only_arrays(ens3):
+    assert ens3.states.shape == (4, 3) and ens3.n == 3
+    assert ens3.bit_map.shape == (4, 2) and ens3.priors.shape == (4,)
+    assert_allclose(ens3.densities, [outer(s) for s in ens3.states], rtol=0, atol=0)
+    for field in (ens3.states, ens3.priors, ens3.bit_map, ens3.densities):
+        assert not field.flags.writeable
+
+
+def test_ensemble_of_density_operators(ens3):
+    """A density stack is its own ``densities``; its dimension is n."""
+    clones = 0.5 * ens3.densities + 0.5 * np.eye(3) / 3
+    mixed = DpsEnsemble(states=clones, priors=ens3.priors, bit_map=ens3.bit_map)
+    assert mixed.n == 3 and mixed.densities is mixed.states
+    assert_allclose(mixed.densities, clones, rtol=0, atol=0)
+
+
+def ensemble_of(ens, **fields):
+    return DpsEnsemble(**{"states": ens.states, "priors": ens.priors,
+                          "bit_map": ens.bit_map, **fields})
+
+
+def test_ensemble_rejects_a_negative_prior(ens3):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        ensemble_of(ens3, priors=[0.5, 0.5, 0.25, -0.25])
+
+
+def test_ensemble_rejects_priors_that_do_not_sum_to_one(ens3):
+    ensemble_of(ens3, priors=ens3.priors + 2e-10)
+    with pytest.raises(ValueError, match="sum to 1"):
+        ensemble_of(ens3, priors=ens3.priors + 1e-9)
+
+
+def test_ensemble_rejects_an_unnormalised_ket(ens3):
+    states = ens3.states.copy()
+    states[1] *= 1.0 + 2e-9
+    with pytest.raises(ValueError, match="unit norm"):
+        ensemble_of(ens3, states=states)
+
+
+def test_ensemble_rejects_a_non_psd_clone(ens3):
+    """Hermitian, unit-trace clones whose smallest eigenvalue lies just inside
+    and just outside the -1e-7 bound."""
+    clones = 0.5 * ens3.densities + 0.5 * np.eye(3) / 3
+    _, vecs = np.linalg.eigh(clones[2])
+    for lowest, valid in ((-5e-8, True), (-1e-6, False)):
+        clones[2] = (vecs * [lowest, 1 / 6, 5 / 6 - lowest]) @ vecs.conj().T
+        if valid:
+            ensemble_of(ens3, states=clones)
+        else:
+            with pytest.raises(ValueError, match="density operators"):
+                ensemble_of(ens3, states=clones)
+
+
+def test_ensemble_rejects_a_wrong_bit_map_shape(ens3):
+    with pytest.raises(ValueError, match=r"\(4, 2\) array"):
+        ensemble_of(ens3, bit_map=ens3.bit_map[:, :1])
+    with pytest.raises(ValueError, match=r"\(4, 2\) array"):
+        ensemble_of(ens3, bit_map=2 * ens3.bit_map)
+
+
+def test_ensemble_rejects_mixed_dimensions(ens3):
+    states = [*ens3.states[:3], np.append(ens3.states[3], 0.0)]
+    with pytest.raises(ValueError, match="share one dimension"):
+        ensemble_of(ens3, states=states)
+    with pytest.raises(ValueError, match="density stack"):
+        ensemble_of(ens3, states=np.zeros((4, 3, 2)))
+
+
 def test_pulse_count_range():
     with pytest.raises(ValueError):
         dps_ensemble(2)
@@ -84,7 +152,7 @@ def test_sign_patterns(n):
     ens = dps_ensemble(n)
     digits = tuple(tuple((k >> (n - 2 - j)) & 1 for j in range(n - 1))
                    for k in range(2 ** (n - 1)))
-    assert ens.bit_map == digits
+    assert np.array_equal(ens.bit_map, digits)
     assert np.all(signs[:, 0] == 1.0)
     assert np.array_equal(signs[:, :-1] * signs[:, 1:], 1.0 - 2.0 * np.array(digits))
     states = np.array(ens.states)
@@ -124,24 +192,18 @@ def test_single_pulse_has_no_interference():
     assert dist.constructive[2:].sum() + dist.destructive[2:].sum() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_delay_phase_pi_swaps_ports(ens3):
-    dist = mzi_click_distribution(ens3.states[0], MziModel(phase_b=np.pi))
-    assert_allclose(dist.destructive[1:3], [1 / 3, 1 / 3], atol=1e-12)
-    assert_allclose(dist.constructive[1:3], [0.0, 0.0], atol=1e-12)
-
-
 def test_transfer_is_unitary():
     for n in (3, 4, 7):
         tu, tv = mzi_transfer(n)
         assert_allclose(tu.conj().T @ tu + tv.conj().T @ tv, np.eye(n), atol=1e-12)
 
 
-@given(st.integers(3, 8), st.integers(0, 10_000), st.floats(0, 2 * np.pi))
-def test_probability_conservation(n, seed, phase):
+@given(st.integers(3, 8), st.integers(0, 10_000))
+def test_probability_conservation(n, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi /= np.linalg.norm(psi)
-    dist = mzi_click_distribution(psi, MziModel(phase_b=phase))
+    dist = mzi_click_distribution(psi)
     assert dist.total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -187,7 +249,7 @@ def test_ber_symmetric_across_states(ens3):
     # the depolarised clones of all four signals share one error rate
     p = 2.0 / 7.0
     for i in range(4):
-        rho = (1 - p) * ens3.density(i) + p / 3.0 * np.eye(3)
+        rho = (1 - p) * ens3.densities[i] + p / 3.0 * np.eye(3)
         assert ber_of_state(rho, i, ens3) == pytest.approx(2.0 / 21.0, abs=1e-12)
 
 

@@ -25,7 +25,7 @@ def two_state_problem():
 def med3_problem():
     ens = dps_ensemble(3)
     names = [f"P{i + 1}" for i in range(4)]
-    objective = {names[i]: 0.25 * ens.density(i) for i in range(4)}
+    objective = {names[i]: 0.25 * ens.densities[i] for i in range(4)}
     return ens, SdpProblem(blocks=[(n, 3) for n in names], objective=objective,
                            constraints=povm_completeness_constraints(3))
 
@@ -87,7 +87,7 @@ def test_hand_built_optimal_povm_certified_by_solver_dual():
     they must satisfy complementary slackness against the solver's dual."""
     ens, problem = med3_problem()
     sol = solve(problem)
-    hand = {f"P{i + 1}": 0.75 * ens.density(i) for i in range(4)}
+    hand = {f"P{i + 1}": 0.75 * ens.densities[i] for i in range(4)}
     candidate = SdpSolution(x=hand, y=sol.y, z=sol.z,
                             primal_objective=0.75, dual_objective=sol.dual_objective,
                             gap=abs(0.75 - sol.dual_objective), iterations=0)
@@ -108,7 +108,7 @@ def test_feasible_povm_never_beats_optimum(rng):
         w, v = np.linalg.eigh(total)
         inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         povm = [inv_sqrt @ p @ inv_sqrt for p in raw]
-        value = sum(0.25 * np.trace(ens.density(i) @ povm[i]).real for i in range(4))
+        value = sum(0.25 * np.trace(ens.densities[i] @ povm[i]).real for i in range(4))
         assert value <= opt + 1e-7
 
 
@@ -118,7 +118,7 @@ def test_unitary_conjugation_invariance():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u, _ = np.linalg.qr(a)
     names = [f"P{i + 1}" for i in range(4)]
-    objective = {names[i]: 0.25 * (u @ ens.density(i) @ u.conj().T) for i in range(4)}
+    objective = {names[i]: 0.25 * (u @ ens.densities[i] @ u.conj().T) for i in range(4)}
     rotated = SdpProblem(blocks=[(n, 3) for n in names], objective=objective,
                          constraints=povm_completeness_constraints(3))
     base = solve(problem).primal_objective
@@ -245,7 +245,7 @@ def test_iterate_trace_dump():
 
 def cloning3_problem():
     ens = dps_ensemble(3)
-    return attacks.cloning_problem(ens.states, ens.priors)
+    return attacks.cloning_problem(ens)
 
 
 def svec_reference(problem):
@@ -268,7 +268,7 @@ def svec_reference(problem):
 
 def med4_problem():
     ens = dps_ensemble(4)
-    return attacks.med_problem(ens.states, ens.priors)
+    return attacks.med_problem(ens)
 
 
 def mixed_problem():
