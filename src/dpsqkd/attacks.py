@@ -4,10 +4,12 @@ Four eavesdropping strategies are modelled:
 
 * minimum-error discrimination (MED) of the signal ensemble, solved as a
   semidefinite program over POVM elements;
-* the optimal two-clone map, solved as a semidefinite program over the
-  Choi operator of the cloning channel;
+* the optimal two-clone map of a sign-covariant ensemble, solved as a
+  semidefinite program over the character blocks of the Choi operator of
+  the cloning channel;
 * a symmetric unitary cloning machine with a single cloning coefficient,
-  whose optimum is the top eigenvector of a 2x2 quadratic form;
+  whose optimum is the top eigenvector of a 2x2 quadratic form and whose
+  clones have a closed form;
 * the intercept-resend baseline with a receiver-identical measurement.
 
 Every SDP is assembled through the named constraint builders of
@@ -16,12 +18,14 @@ ensemble that is covariant under the sign group of the DPS states (see
 :func:`_sign_covariant`) is solved on a symmetry-reduced problem: MED on one
 n x n seed block, the optimal cloner on the character blocks of its Choi
 operator.  MED lifts its optimum back and certifies it on the full problem;
-the cloner certifies its blocks through an equivalent reduced certificate
-(see :func:`_reduced_cloner_kkt`) and never builds the d**3 x d**3
-problem.  Each cloning attack is one certified :class:`CloningAttack`, read
-by the ``clone`` report and by its key-rate profile.  :data:`ATTACK_PROFILES`
-builds the per-intercept errors and collision probabilities that feed the
-shrinking factors in :mod:`dpsqkd.keyrate`.
+any other ensemble runs the general MED solve.  The cloner takes
+sign-covariant ensembles only, and certifies its blocks through a reduced
+certificate equivalent to the one on the full :func:`cloning_problem` (see
+:func:`_reduced_cloner_kkt`), which it never builds.  Each cloning attack is
+one certified :class:`CloningAttack`, read by the ``clone`` report and by its
+key-rate profile.  :data:`ATTACK_PROFILES` builds the per-intercept errors
+and collision probabilities that feed the shrinking factors in
+:mod:`dpsqkd.keyrate`.
 """
 
 from __future__ import annotations
@@ -243,18 +247,18 @@ class CloningResult:
 
     The Choi operator lives on (bob-out) x (input) x (eve-out) with the input
     factor in the middle; trace preservation reads Tr_{out,out}(J) = I_in.
-    On the general route ``problem``, ``solution`` and ``kkt`` describe the
-    full :func:`cloning_problem`.  On the sign-covariant route they describe
-    the character-block problem, and ``kkt`` carries the extra condition
-    ``objective_block_diagonal`` of the reduced certificate (see
-    :func:`_reduced_cloner_kkt`); ``choi`` is then the scatter of the blocks.
+    ``choi`` is the scatter of the character blocks.  ``problem``,
+    ``solution`` and ``kkt`` describe the character-block problem, and
+    ``kkt`` carries the extra condition ``objective_block_diagonal`` of the
+    reduced certificate (see :func:`_reduced_cloner_kkt`).  The clones are
+    (G, n, n) stacks in the order of the ensemble's states.
     """
 
     choi: np.ndarray
     avg_two_copy_fidelity: float
     per_state_clone_fidelity: list[float]
-    bob_states: list[np.ndarray]
-    eve_states: list[np.ndarray]
+    bob_states: np.ndarray
+    eve_states: np.ndarray
     problem: sdp.SdpProblem
     solution: sdp.SdpSolution
     kkt: sdp.KktReport
@@ -300,42 +304,24 @@ def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ijkalb,jl->ikab", choi.reshape((d,) * 6), rho).reshape(d * d, d * d)
 
 
-def _clones(joint: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bob's and Eve's reduced states of a joint output and its two-copy
-    fidelity <psi psi|joint|psi psi>."""
-    d = psi.size
-    pair = np.kron(psi, psi)
-    return (partial_trace(joint, [d, d], keep=[0]), partial_trace(joint, [d, d], keep=[1]),
-            float(np.real(pair.conj() @ joint @ pair)))
-
-
 def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
-    """Solve for the optimal symmetric cloning channel of a pure-state ensemble;
-    an ensemble of density operators raises ``ValueError``.
+    """Solve for the optimal symmetric cloning channel of a sign-covariant
+    pure-state ensemble, such as a DPS ensemble.
 
-    A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
-    ensemble, is solved and certified on the character blocks of the Choi
-    operator (see :func:`_covariant_cloner_solution` and
-    :func:`_reduced_cloner_kkt`), and its clones are read off the blocks (see
-    :func:`_block_clones`); no d**3 x d**3 problem is built.  Any other
-    ensemble runs the general solve over the one d**3 block, certified on
-    that problem, and reads each clone through :func:`apply_choi`.
+    An ensemble of density operators, or one that is not sign-covariant (see
+    :func:`_sign_covariant`), raises ``ValueError``.  The problem is solved
+    and certified on the character blocks of the Choi operator (see
+    :func:`_covariant_cloner_solution` and :func:`_reduced_cloner_kkt`), and
+    the clones are read off the blocks (see :func:`_block_clones`); no
+    d**3 x d**3 problem is built.
     """
-    if _sign_covariant(ens):
-        v = _choi_kets(ens)
-        problem, solution = _covariant_cloner_solution(v, ens.priors, ens.n)
-        kkt = _reduced_cloner_kkt(problem, solution, _cloning_objective(v, ens.priors), ens.n)
-        choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
-    else:
-        problem = cloning_problem(ens)
-        solution = sdp.solve(problem)
-        kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-        choi = _project_psd(solution.x[CHOI_BLOCK])
-        bob_states, eve_states, pair_fids = map(
-            list, zip(*(_clones(apply_choi(choi, rho), s)
-                        for s, rho in zip(ens.states, ens.densities))))
-        two_copy = float(ens.priors @ pair_fids)
-    fids = [float(np.real(s.conj() @ bob @ s)) for s, bob in zip(ens.states, bob_states)]
+    v = _choi_kets(ens)
+    if not _sign_covariant(ens):
+        raise ValueError("the optimal cloner needs a sign-covariant ensemble")
+    problem, solution = _covariant_cloner_solution(v, ens.priors, ens.n)
+    kkt = _reduced_cloner_kkt(problem, solution, _cloning_objective(v, ens.priors), ens.n)
+    choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
+    fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
         choi=choi, avg_two_copy_fidelity=two_copy,
         per_state_clone_fidelity=fids, bob_states=bob_states,
@@ -431,24 +417,27 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
 
 
 def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
-                  ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], float]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(Choi operator, Bob's clones, Eve's clones, two-copy fidelity) of a
     character-block cloner optimum; ``psi`` is state 0 of the ensemble.
 
     Negative eigenvalues are clipped one block at a time, and the clipped
     blocks scatter into the Choi operator.  The joint output of ``psi``
-    comes from :func:`apply_choi`; a block-diagonal Choi operator is
-    invariant under the sign group, so Bob_g = U_g Bob_0 U_g^dagger,
-    likewise Eve_g, and every state has the same two-copy fidelity.
+    comes from :func:`apply_choi`, and its partial traces are Bob's and
+    Eve's clones of ``psi``.  A block-diagonal Choi operator is invariant
+    under the sign group, so Bob_g = U_g Bob_0 U_g^dagger, likewise Eve_g,
+    and every state has the two-copy fidelity <psi psi|joint|psi psi>.
     """
     d = psi.size
     choi = np.zeros((d ** 3, d ** 3), dtype=complex)
     for ix, (name, _) in zip(_character_blocks(d), problem.blocks):
         choi[np.ix_(ix, ix)] = _project_psd(solution.x[name])
-    bob, eve, two_copy = _clones(apply_choi(choi, outer(psi)), psi)
+    joint = apply_choi(choi, outer(psi))
+    pair = np.kron(psi, psi)
     signs = sign_patterns(d)
-    return (choi, list(signs[:, :, None] * bob * signs[:, None, :]),
-            list(signs[:, :, None] * eve * signs[:, None, :]), two_copy)
+    bob, eve = (signs[:, :, None] * partial_trace(joint, [d, d], keep=[k]) * signs[:, None, :]
+                for k in (0, 1))
+    return choi, bob, eve, float(np.real(pair.conj() @ joint @ pair))
 
 
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
@@ -485,9 +474,10 @@ def depolarizing_fit(original: np.ndarray, cloned: np.ndarray) -> tuple[float, f
 # unitary symmetric cloner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryClonerParams:
-    """Symmetric cloning isometry on basis kets {e_i}:
+    """Symmetric cloning isometry on the orthonormal basis kets {e_i}, the
+    rows of the (d, d) array ``basis`` (stored as a read-only copy):
 
         |e_i>|0>|X>  ->  p |e_i>|e_i>|X_i>
                          + q sum_{j != i} (|e_i>|e_j> + |e_j>|e_i>) |X_j>,
@@ -496,23 +486,23 @@ class UnitaryClonerParams:
     register states X_j are orthonormal labels and never materialise.
     """
 
-    d: int
     q: float
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.basis) != self.d:
-            raise ValueError("basis must contain d kets")
-        b = self.basis_matrix
-        if float(np.max(np.abs(b @ dagger(b) - np.eye(self.d)))) > 1e-10:
+        b = np.array(self.basis, dtype=complex)
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError("basis must be a (d, d) array of d kets")
+        if float(np.max(np.abs(b @ dagger(b) - np.eye(len(b))))) > 1e-10:
             raise ValueError("basis is not orthonormal")
+        b.flags.writeable = False
+        object.__setattr__(self, "basis", b)
         if not 0.0 <= self.q <= 1.0 / math.sqrt(2.0 * (self.d - 1)):
             raise ValueError("cloning coefficient out of the unitary range")
 
     @property
-    def basis_matrix(self) -> np.ndarray:
-        """(d, d) array whose rows are the basis kets."""
-        return np.array(self.basis, dtype=complex)
+    def d(self) -> int:
+        return len(self.basis)
 
     @property
     def p(self) -> float:
@@ -522,8 +512,9 @@ class UnitaryClonerParams:
         return abs(self.p ** 2 + 2.0 * (self.d - 1) * self.q ** 2 - 1.0)
 
 
-def aligned_cloning_basis(ensemble: DpsEnsemble) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis whose first vector is the all-plus ensemble state.
+def aligned_cloning_basis(ensemble: DpsEnsemble) -> np.ndarray:
+    """Orthonormal basis, as the rows of an (n, n) array, whose first vector
+    is the all-plus ensemble state.
 
     Aligning the basis with one ensemble state maximises the fourth powers of
     the expansion coefficients, which is where the symmetric cloner performs
@@ -547,42 +538,35 @@ def aligned_cloning_basis(ensemble: DpsEnsemble) -> tuple[np.ndarray, ...]:
         if abs(first) > 1e-12 and first.real < 0:
             cand = -cand
         vecs.append(cand)
-    return tuple(vecs)
+    return np.array(vecs)
 
 
-def _basis_coefficients(basis_matrix: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Coefficients <e_j|psi> of normalised kets (last axis) in the cloning basis."""
+def apply_unitary_cloner(params: UnitaryClonerParams, kets: np.ndarray) -> np.ndarray:
+    """(G, d, d) stack of the clones of a (G, d) stack of normalised kets.
+
+    Bob's and Eve's clones are equal, by the isometry's swap symmetry.  With
+    c_g = <e|psi_g> in the cloning basis and r = p - 2q, machine label X_k
+    carries the (bob, eve) amplitude matrix M_k = q (c e_k^T + e_k c^T)
+    + r c_k e_k e_k^T in that basis.  Each M_k is symmetric, so both clones
+    are sum_k M_k M_k^dagger, which expands with |c| = 1 to
+
+        ((d+2) q^2 + 2qr) |psi><psi| + q^2 I + (2qr + r^2) sum_a |c_a|^2 |e_a><e_a|,
+
+    of trace 2(d-1) q^2 + p^2 = 1.
+    """
     kets = np.asarray(kets, dtype=complex)
     if np.any(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) > 1e-9):
-        raise ValueError("input ket must be normalised")
-    return kets @ basis_matrix.conj().T
+        raise ValueError("input kets must be normalised")
+    e, d, q = params.basis, params.d, params.q
+    r = params.p - 2.0 * q
+    w = np.abs(kets @ e.conj().T) ** 2
+    return (((d + 2) * q * q + 2.0 * q * r) * (kets[:, :, None] * kets[:, None, :].conj())
+            + q * q * np.eye(d) + (2.0 * q * r + r * r) * ((e.T * w[:, None, :]) @ e.conj()))
 
 
-def unitary_cloner_output(params: UnitaryClonerParams, psi: np.ndarray) -> np.ndarray:
-    """Joint (bob, eve) state after the cloning isometry, machine traced out.
-
-    The machine label X_k carries the branch sum_a v_ka (|e_a e_k> + |e_k e_a>)
-    with v_ka = q c_a for a != k and v_kk = p c_k / 2, c = <e|psi>; the state
-    is B B^dagger for the (d^2, d) matrix B of those branches.
-    """
-    e = params.basis_matrix
-    c = _basis_coefficients(e, psi)
-    d, q = params.d, params.q
-    v = q * np.broadcast_to(c, (d, d)) + np.diag((params.p / 2.0 - q) * c)
-    half = np.einsum("ka,ax,ky->xyk", v, e, e)
-    branches = (half + half.transpose(1, 0, 2)).reshape(d * d, d)
-    return branches @ dagger(branches)
-
-
-def apply_unitary_cloner(params: UnitaryClonerParams,
-                         psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(bob_state, eve_state) reduced density operators of the two clones."""
-    return _clones(unitary_cloner_output(params, psi), psi)[:2]
-
-
-def optimize_unitary_q(ens: DpsEnsemble,
-                       basis: tuple[np.ndarray, ...] | None = None) -> tuple[float, float]:
-    """Exact maximum of the mean single-clone fidelity over the cloning coefficient.
+def optimize_unitary_q(ens: DpsEnsemble) -> tuple[float, float]:
+    """Exact maximum of the mean single-clone fidelity over the cloning
+    coefficient, in the basis of :func:`aligned_cloning_basis`.
 
     With w_gj = |<e_j|psi_g>|^2, the clone of psi_g has fidelity
     F_g = sum_j (p w_gj + q (1 - w_gj))^2 + q^2 w_gj (1 - w_gj), so the mean
@@ -590,16 +574,12 @@ def optimize_unitary_q(ens: DpsEnsemble,
     maximised on the unitarity ellipse p^2 + 2(d-1) q^2 = 1.  The optimum is
     the top eigenvector of D^(-1/2) G D^(-1/2), D = diag(1, 2(d-1)); by
     Perron-Frobenius it can be taken non-negative, so it lies on the feasible
-    quarter-ellipse.  The basis defaults to :func:`aligned_cloning_basis`.
-    Returns (q_opt, avg_fidelity).
+    quarter-ellipse.  Returns (q_opt, avg_fidelity).
     """
-    if basis is None:
-        basis = aligned_cloning_basis(ens)
-    params = UnitaryClonerParams(d=len(basis), q=0.0, basis=tuple(basis))
-    w = np.abs(_basis_coefficients(params.basis_matrix, _kets(ens))) ** 2
+    w = np.abs(_kets(ens) @ aligned_cloning_basis(ens).conj().T) ** 2
     terms = np.stack([w * w, w * (1.0 - w), 1.0 - w]).sum(axis=2)
     a, b, c = terms @ ens.priors
-    r = 1.0 / math.sqrt(2.0 * (params.d - 1))
+    r = 1.0 / math.sqrt(2.0 * (ens.n - 1))
     lam, vecs = np.linalg.eigh(np.array([[a, b * r], [b * r, c * r * r]]))
     return float(r * abs(vecs[1, -1])), float(lam[-1])
 
@@ -608,7 +588,7 @@ def optimize_unitary_q(ens: DpsEnsemble,
 # post-cloning discrimination and attack profiles
 # ---------------------------------------------------------------------------
 
-def med_on_cloned(ens: DpsEnsemble, clones: Sequence[np.ndarray]) -> MedResult:
+def med_on_cloned(ens: DpsEnsemble, clones: np.ndarray) -> MedResult:
     """Minimum-error discrimination of the clones of the states of ``ens``,
     with its priors and key bits."""
     return med_attack(replace(ens, states=clones))
@@ -689,7 +669,7 @@ class CloningAttack:
     ensemble: DpsEnsemble
     cloner: CloningResult | UnitaryClonerParams
     fidelity: float
-    bob_states: list[np.ndarray]
+    bob_states: np.ndarray
     med_after: MedResult
 
     def ber(self, conditional: bool = False) -> list[float]:
@@ -718,10 +698,9 @@ def optimal_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
 def unitary_cloning_attack(ens: DpsEnsemble) -> CloningAttack:
     """The unitary cloner at its optimal coefficient in the aligned basis, then
     MED of the clones, which the symmetric isometry makes equal for Bob and Eve."""
-    basis = aligned_cloning_basis(ens)
-    q_opt, fidelity = optimize_unitary_q(ens, basis)
-    params = UnitaryClonerParams(d=ens.n, q=q_opt, basis=basis)
-    bobs = [apply_unitary_cloner(params, s)[0] for s in ens.states]
+    q_opt, fidelity = optimize_unitary_q(ens)
+    params = UnitaryClonerParams(q=q_opt, basis=aligned_cloning_basis(ens))
+    bobs = apply_unitary_cloner(params, ens.states)
     med_after = certified("MED after unitary cloning", med_on_cloned, ens, bobs)
     return CloningAttack(name="unitary", ensemble=ens, cloner=params, fidelity=fidelity,
                          bob_states=bobs, med_after=med_after)

@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 _SQRT5 = math.sqrt(5.0)
 
 # Largest pulse count whose attacks are built and certified.  MED and the
-# optimal cloner solve small symmetry-reduced problems and are certified in
-# under 2 s up to n = 12.  The unitary attack's post-cloning MED is a
-# general solve over 2**(n-1) blocks with n**2 constraints; it takes 0.5 s
-# at n = 8 and 2.4 s at n = 10 on a 2-vCPU host, so the CLI stops at 6.
+# optimal cloner solve small symmetry-reduced problems; at n = 12 they are
+# certified in 0.6-1.0 s and 1.8-2.2 s.  The unitary attack's post-cloning
+# MED is a general solve over 2**(n-1) blocks with n**2 constraints; the
+# attack takes 0.3-0.5 s at n = 8 and 1.5-1.7 s at n = 10.  (One fresh
+# process per run on a 2-vCPU host with numpy 2.4.)  So the CLI stops at 6.
 MAX_ATTACK_PULSES = 6
 
 
@@ -246,7 +247,7 @@ UNCONDITIONAL = "unconditional"
 
 
 def keyrate_sweep(model: ChannelModel,
-                  profiles: Mapping[str, AttackProfile] | Sequence[AttackProfile],
+                  profiles: Sequence[AttackProfile],
                   distances: Sequence[float],
                   finite_size: FiniteSizeParams | None = None,
                   bounds: Collection[str] = (LOWER_BOUND, UNCONDITIONAL)
@@ -260,10 +261,6 @@ def keyrate_sweep(model: ChannelModel,
     entropy terms; detection probabilities are unchanged.  Rows are emitted
     in the given distance order and are fully deterministic.
     """
-    if isinstance(profiles, Mapping):
-        profile_list = list(profiles.values())
-    else:
-        profile_list = list(profiles)
     rows: list[dict[str, float]] = []
     for dist in distances:
         m = model.at_distance(float(dist))
@@ -273,7 +270,7 @@ def keyrate_sweep(model: ChannelModel,
         row: dict[str, float] = {"distance_km": float(dist), "e_b": e_b, "p_click": m.p_click}
         if finite_size is not None:
             row["e_b_finite"] = e_eff
-        for prof in profile_list:
+        for prof in profiles:
             tau = prof.tau(e_eff, m.sifting)
             row[f"tau_{prof.name}"] = tau
             row[f"r_{prof.name}"] = secure_key_rate(m, tau, e_eff)

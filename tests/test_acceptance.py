@@ -238,8 +238,8 @@ def test_criterion_11_finite_size(profiles3):
     t_by_eps = [finite_size_deviation(FiniteSizeParams(10 ** 6, 10 ** 4, e), 0.02)
                 for e in epss]
     dists = np.arange(0.0, 101.0, 10.0)
-    asym = keyrate_sweep(ChannelModel(), profiles3, dists)
-    fin = keyrate_sweep(ChannelModel(), profiles3, dists, finite_size=fs)
+    asym = keyrate_sweep(ChannelModel(), list(profiles3.values()), dists)
+    fin = keyrate_sweep(ChannelModel(), list(profiles3.values()), dists, finite_size=fs)
     reduced = all(
         fin[i][f"r_{name}"] <= asym[i][f"r_{name}"] + 1e-15
         for i in range(len(dists)) for name in profiles3

@@ -16,11 +16,10 @@ from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             med_on_cloned, med_problem,
                             optimal_cloner, optimal_cloning_attack,
                             optimize_unitary_q, pgm_povm,
-                            standard_attack_profiles, unitary_cloner_output,
-                            unitary_cloning_attack)
+                            standard_attack_profiles, unitary_cloning_attack)
 from dpsqkd.cli import main
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble
-from dpsqkd.keyrate import AttackProfile
+from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace, tensor
 
 
@@ -433,17 +432,23 @@ def test_character_block_cloner_above_the_attack_cap(n):
     assert attack.med_after.p_success == pytest.approx(((1 - p) * n + p) / 2 ** (n - 1), abs=1e-7)
 
 
-def test_skewed_priors_take_the_general_cloner_route(ens3, covariant_calls):
-    result = optimal_cloner(dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2]))
+def test_optimal_cloner_rejects_non_covariant_ensembles(ens3, covariant_calls):
+    """Skewed priors, a subset of the states and a reordering of them each break
+    the sign covariance; the cloner refuses them before any solve."""
+    skewed = dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2])
+    subset = DpsEnsemble(states=ens3.states[:2], priors=[0.5, 0.5], bit_map=ens3.bit_map[:2])
+    order = [1, 0, 2, 3]
+    swapped = DpsEnsemble(states=ens3.states[order], priors=ens3.priors,
+                          bit_map=ens3.bit_map[order])
+    for ens in (skewed, subset, swapped):
+        with pytest.raises(ValueError, match="^the optimal cloner needs a sign-covariant ensemble$"):
+            optimal_cloner(ens)
     assert covariant_calls == []
-    assert result.kkt.passed, result.kkt.conditions
 
 
 def test_cloners_reject_density_operators(ens3):
     mixed = dataclasses.replace(ens3, states=ens3.densities)
-    basis = aligned_cloning_basis(ens3)
-    for cloner in (optimal_cloner, cloning_problem, aligned_cloning_basis, optimize_unitary_q,
-                   lambda ens: optimize_unitary_q(ens, basis)):
+    for cloner in (optimal_cloner, cloning_problem, aligned_cloning_basis, optimize_unitary_q):
         with pytest.raises(ValueError, match="pure-state ensemble"):
             cloner(mixed)
 
@@ -540,18 +545,24 @@ def test_aligned_basis(ens3):
 def test_unitary_params_validation(ens3):
     basis = aligned_cloning_basis(ens3)
     with pytest.raises(ValueError, match="unitary range"):
-        UnitaryClonerParams(d=3, q=0.6, basis=basis)
+        UnitaryClonerParams(q=0.6, basis=basis)
     with pytest.raises(ValueError, match="orthonormal"):
-        UnitaryClonerParams(d=3, q=0.2, basis=(basis[0], basis[0], basis[2]))
-    params = UnitaryClonerParams(d=3, q=0.23, basis=basis)
+        UnitaryClonerParams(q=0.2, basis=(basis[0], basis[0], basis[2]))
+    with pytest.raises(ValueError, match=r"\(d, d\) array"):
+        UnitaryClonerParams(q=0.2, basis=basis[:2])
+    params = UnitaryClonerParams(q=0.23, basis=basis)
+    assert params.d == 3
     assert params.unitarity_residual() <= 1e-12
 
 
 def test_unitary_cloner_is_isometry():
-    for d in (3, 5):
+    """The isometry, built term by term, keeps every input pure, and the
+    partial traces of its output onto each clone factor are the closed-form
+    clones of apply_unitary_cloner, at n = 3..8."""
+    for d in range(3, 9):
         ens = dps_ensemble(d)
         basis = aligned_cloning_basis(ens)
-        params = UnitaryClonerParams(d=d, q=0.23, basis=basis)
+        params = UnitaryClonerParams(q=0.23, basis=basis)
         x = np.eye(d)
         v = np.zeros((d ** 3, d), dtype=complex)
         for i in range(d):
@@ -562,38 +573,42 @@ def test_unitary_cloner_is_isometry():
                                             + tensor(basis[j], basis[i], x[j]))
             v[:, i] = col
         assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
+        clones = apply_unitary_cloner(params, ens.states)
+        assert clones.shape == (len(ens.states), d, d)
         # tripartite output of any normalised input stays pure
-        for s in ens.states:
+        for s, clone in zip(ens.states, clones):
             out = v @ np.array([np.vdot(b, s) for b in basis])
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
-            rho_ab = partial_trace(outer(out), [d, d, d], keep=[0, 1])
-            assert_allclose(rho_ab, unitary_cloner_output(params, s), atol=1e-10)
+            for factor in (0, 1):
+                assert_allclose(partial_trace(outer(out), [d, d, d], keep=[factor]), clone,
+                                rtol=0, atol=1e-12)
 
 
 def test_unitary_cloner_symmetric_and_q0_identity(ens3):
+    """The clone stack holds density operators, and at q = 0 the cloner copies
+    its basis kets exactly, such as state 0, the first aligned basis ket."""
     basis = aligned_cloning_basis(ens3)
-    params = UnitaryClonerParams(d=3, q=0.23, basis=basis)
-    for s in ens3.states:
-        bob, eve = apply_unitary_cloner(params, s)
-        assert_allclose(bob, eve, atol=1e-10)
-    trivial = UnitaryClonerParams(d=3, q=0.0, basis=basis)
-    bob, _ = apply_unitary_cloner(trivial, ens3.states[0])
-    assert_allclose(bob, ens3.densities[0], atol=1e-12)
+    clones = apply_unitary_cloner(UnitaryClonerParams(q=0.23, basis=basis), ens3.states)
+    assert_allclose(clones, clones.conj().transpose(0, 2, 1), atol=1e-15)
+    assert_allclose(np.trace(clones, axis1=1, axis2=2), np.ones(4), atol=1e-12)
+    assert np.min(np.linalg.eigvalsh(clones)) >= -1e-12
+    trivial = UnitaryClonerParams(q=0.0, basis=basis)
+    assert_allclose(apply_unitary_cloner(trivial, ens3.states)[0], ens3.densities[0], atol=1e-12)
 
 
 def test_unitary_cloner_rejects_unnormalised(ens3):
     basis = aligned_cloning_basis(ens3)
-    params = UnitaryClonerParams(d=3, q=0.23, basis=basis)
+    params = UnitaryClonerParams(q=0.23, basis=basis)
     with pytest.raises(ValueError, match="normalised"):
-        apply_unitary_cloner(params, 2.0 * ens3.states[0])
+        apply_unitary_cloner(params, np.array([ens3.states[0], 2.0 * ens3.states[1]]))
 
 
 def test_transformed_matrices_at_printed_q(ens3):
     """At q = 0.23 the four clone outputs show the expected entry pattern."""
     basis = aligned_cloning_basis(ens3)
-    params = UnitaryClonerParams(d=3, q=0.23, basis=basis)
-    bobs = {tuple(ens3.bit_map[i]): apply_unitary_cloner(params, ens3.states[i])[0].real
-            for i in range(4)}
+    params = UnitaryClonerParams(q=0.23, basis=basis)
+    clones = apply_unitary_cloner(params, ens3.states).real
+    bobs = {tuple(bits): clone for bits, clone in zip(ens3.bit_map, clones)}
     b00 = bobs[(0, 0)]
     assert_allclose(np.diag(b00), np.full(3, 1 / 3), atol=1e-6)
     assert b00[0, 1] == pytest.approx(0.28, abs=1e-2)
@@ -618,7 +633,7 @@ def test_optimize_unitary_q(unitary3):
 def test_optimize_single_state_needs_no_cloning(ens3):
     basis = aligned_cloning_basis(ens3)
     single = DpsEnsemble(states=[basis[0]], priors=[1.0], bit_map=[ens3.bit_map[0]])
-    q_opt, fid = optimize_unitary_q(single, basis)
+    q_opt, fid = optimize_unitary_q(single)
     assert q_opt == pytest.approx(0.0, abs=1e-4)
     assert fid == pytest.approx(1.0, abs=1e-6)
 
@@ -628,9 +643,8 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def cloned_fidelity(q, states, priors, basis):
     """Mean single-clone fidelity evaluated through apply_unitary_cloner."""
-    params = UnitaryClonerParams(d=len(basis), q=q, basis=basis)
-    return sum(pr * float(np.real(s.conj() @ apply_unitary_cloner(params, s)[0] @ s))
-               for pr, s in zip(priors, states))
+    clones = apply_unitary_cloner(UnitaryClonerParams(q=q, basis=basis), states)
+    return float(priors @ np.einsum("gi,gij,gj->g", states.conj(), clones, states).real)
 
 
 def golden_section_q(states, priors, basis, tol=1e-7):
@@ -655,7 +669,7 @@ def golden_section_q(states, priors, basis, tol=1e-7):
 def test_closed_form_q_matches_golden_section(n):
     ens = dps_ensemble(n)
     basis = aligned_cloning_basis(ens)
-    q_opt, fid = optimize_unitary_q(ens, basis)
+    q_opt, fid = optimize_unitary_q(ens)
     q_search, fid_search = golden_section_q(ens.states, ens.priors, basis)
     assert q_opt == pytest.approx(q_search, abs=1e-6)
     assert fid >= fid_search - 1e-12
@@ -666,7 +680,7 @@ def test_closed_form_q_matches_golden_section(n):
 def test_closed_form_q_at_eight_pulses():
     ens = dps_ensemble(8)
     basis = aligned_cloning_basis(ens)
-    q_opt, fid = optimize_unitary_q(ens, basis)
+    q_opt, fid = optimize_unitary_q(ens)
     assert 0.0 < q_opt < 1.0 / np.sqrt(2.0 * 7)
     assert fid == pytest.approx(cloned_fidelity(q_opt, ens.states, ens.priors, basis),
                                 abs=1e-12)
@@ -688,13 +702,10 @@ def test_unitary_cloning_attack_at_eight_pulses(monkeypatch):
 
 
 def test_optimize_unitary_q_keeps_input_checks(ens3):
-    basis = aligned_cloning_basis(ens3)
-    with pytest.raises(ValueError, match="orthonormal"):
-        optimize_unitary_q(ens3, (basis[0], basis[0], basis[2]))
     # an unnormalised state cannot reach the optimisation: its ensemble is refused
     with pytest.raises(ValueError, match="unit norm"):
         optimize_unitary_q(dataclasses.replace(ens3, states=[2.0 * ens3.states[0],
-                                                             *ens3.states[1:]]), basis)
+                                                             *ens3.states[1:]]))
 
 
 def test_unitary_ber_values(ens3, unitary3):
@@ -708,6 +719,85 @@ def test_unitary_ber_values(ens3, unitary3):
 def test_unitary_med_after(unitary_med3):
     assert unitary_med3.p_success == pytest.approx(0.6031312, abs=1e-5)
     assert unitary_med3.collision_probability == pytest.approx(0.6318782, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# closed forms at every pulse count
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_TOL = 1e-6  # the perfbench gate's TOL; the solver stops at GAP_TOL = 1e-7
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_closed_forms_at_every_pulse_count(n):
+    """The certified optima of MED and of the optimal cloner, and the shrinking
+    factors they imply, against closed forms; G = 2**(n-1).
+
+    MED.  With psi_g = s_g/sqrt(n) and t = s_g * s_h entrywise,
+    <psi_g|psi_h> = sum_i t_i / n.  For i != j half of the sign patterns have
+    s_i s_j = -1, so sum_g |psi_g><psi_g| = (G/n) I.  The average state is
+    I/n, and the square-root measurement P_h = (n/G)|psi_h><psi_h| has the
+    table (n/G)|<psi_g|psi_h>|**2, whose diagonal gives p_success = n/G.
+    Every outcome has probability 1/G, and its posterior that key bit j
+    of state g equals that of state h exceeds the opposite one by
+    D = (1/(nG)) sum_t (sum_i t_i)**2 t_j t_{j+1} = 2/n, since only the two
+    index pairs {i, k} = {j, j+1} survive the sign average.  The collision
+    probability is ((1+D)/2)**2 + ((1-D)/2)**2 = 1/2 + D**2/2 = 1/2 + 2/n**2.
+
+    Optimal cloner.  With v_g = psi_g x conj(psi_g) x psi_g the objective is
+    Q = sum_g v_g v_g^dagger / G.  Its nonzero eigenvalues are those of the
+    group-circulant Gram matrix <v_g|v_h>/G = (sum_i t_i / n)**3 / G, one per
+    character of the sign group.  The character t -> t_m gives
+    E_t[(sum_i t_i)**3 t_m] / n**3 = (3n-2)/n**3, as 3n-2 index triples pair
+    up with m.  Three-index characters give 6/n**3, and all others give 0.
+    The dual point Y = lambda_max(Q) I is feasible, so the two-copy fidelity
+    is at most n lambda_max = (3n-2)/n**2.  The Choi operator
+    J = sum_m |w_m><w_m| / (3n-2), with w_m = sum_a (|a a m> + |a m a>
+    + |m a a>) - 2|m m m> the top eigenvector of the character t_m, is
+    trace preserving (each ||w_m||**2 = 3n-2) and attains the bound.  It
+    maps psi to the joint output sum_m U_m U_m^T / (3n-2), where
+    U_m = psi e_m^T + e_m psi^T + psi_m (I - 2 e_m e_m^T).  Both clones are
+    ((n+2) |psi><psi| + (2 - 4/n) I) / (3n-2): depolarised with
+    p = 2(n-2)/(3n-2).
+
+    Post-cloning MED.  On the clones (1-p) rho_g + p I/n, the objective of
+    any POVM is (1-p) times its objective on the states plus p/G.  So the
+    same measurement stays optimal, with p_success ((1-p)n + p)/G and table
+    (1-p) C + p/G.  The uniform p/G splits each key bit evenly, so D shrinks
+    to (1-p) D.  The collision probability is
+    1/2 + 2(1-p)**2/n**2 = 1/2 + 2(n+2)**2/(n**2 (3n-2)**2).
+
+    Shrinking factors.  With collision probability (1 + D**2)/2 on a
+    touched fraction g, tau = -g log2 p_co + 1 - g = 1 - g log2(1 + D**2).
+    """
+    ens = dps_ensemble(n)
+    count = 2 ** (n - 1)
+    med = med_attack(ens)
+    pgm_table = n / count * np.abs(ens.states.conj() @ ens.states.T) ** 2
+    assert med.p_success == pytest.approx(n / count, abs=CLOSED_FORM_TOL)
+    assert_allclose(med.confusion, pgm_table, rtol=0, atol=CLOSED_FORM_TOL)
+    d_med = 2 / n
+    assert med.collision_probability == pytest.approx(0.5 + d_med ** 2 / 2,
+                                                      abs=CLOSED_FORM_TOL)
+
+    attack = optimal_cloning_attack(ens)
+    assert attack.fidelity == pytest.approx((3 * n - 2) / n ** 2, abs=CLOSED_FORM_TOL)
+    p = 2 * (n - 2) / (3 * n - 2)
+    clones = [*attack.cloner.bob_states, *attack.cloner.eve_states]
+    fits = [depolarizing_fit(rho, c) for rho, c in zip([*ens.densities] * 2, clones)]
+    assert_allclose([fit for fit, _ in fits], p, rtol=0, atol=CLOSED_FORM_TOL)
+    after = attack.med_after
+    assert after.p_success == pytest.approx(((1 - p) * n + p) / count, abs=CLOSED_FORM_TOL)
+    assert_allclose(after.confusion, (1 - p) * pgm_table + p / count,
+                    rtol=0, atol=CLOSED_FORM_TOL)
+    d_clone = (1 - p) * d_med
+    assert after.collision_probability == pytest.approx(
+        0.5 + 2 * (n + 2) ** 2 / (n ** 2 * (3 * n - 2) ** 2), abs=CLOSED_FORM_TOL)
+
+    for g in (0.5, 1.0):
+        for result, d in ((med, d_med), (after, d_clone)):
+            assert shrinking_factor(g, result.collision_probability) == pytest.approx(
+                1 - g * np.log2(1 + d ** 2), abs=CLOSED_FORM_TOL)
 
 
 # ---------------------------------------------------------------------------

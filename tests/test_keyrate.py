@@ -15,6 +15,7 @@ DEFAULT_PROFILES = {
     "cloning": AttackProfile("cloning", 1.0 / 7.0, 0.6133786848),
     "unitary": AttackProfile("unitary", 0.1527084, 0.6318782),
 }
+PROFILE_LIST = list(DEFAULT_PROFILES.values())  # the sweep's one input type
 
 
 def alt_finite_size_deviation(n, k, e, eps):
@@ -214,7 +215,7 @@ def test_finite_size_domain():
 # ---------------------------------------------------------------------------
 
 def test_sweep_rows_and_orderings():
-    rows = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, np.arange(0.0, 151.0, 5.0))
+    rows = keyrate_sweep(ChannelModel(), PROFILE_LIST, np.arange(0.0, 151.0, 5.0))
     assert len(rows) == 31
     for row in rows:
         taus = [row[f"tau_{n}"] for n in DEFAULT_PROFILES]
@@ -231,28 +232,28 @@ def test_sweep_rows_and_orderings():
 ])
 def test_sweep_selects_each_bound_by_name(bounds, columns):
     """Each bound name adds only its own columns, after the attacks, in a fixed order."""
-    rows = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, [0.0, 50.0], bounds=bounds)
-    both = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, [0.0, 50.0])
+    rows = keyrate_sweep(ChannelModel(), PROFILE_LIST, [0.0, 50.0], bounds=bounds)
+    both = keyrate_sweep(ChannelModel(), PROFILE_LIST, [0.0, 50.0])
     for row, full in zip(rows, both):
         assert list(row) == list(full)[:-3] + columns
         assert all(row[c] == full[c] for c in row)
 
 
 def test_sweep_empty():
-    assert keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, []) == []
+    assert keyrate_sweep(ChannelModel(), PROFILE_LIST, []) == []
 
 
 def test_sweep_deterministic():
-    a = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, [0.0, 25.0, 50.0])
-    b = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, [0.0, 25.0, 50.0])
+    a = keyrate_sweep(ChannelModel(), PROFILE_LIST, [0.0, 25.0, 50.0])
+    b = keyrate_sweep(ChannelModel(), PROFILE_LIST, [0.0, 25.0, 50.0])
     assert a == b
 
 
 def test_finite_size_sweep_reduces_rates():
     fs = FiniteSizeParams(n_key=10 ** 6, k_pe=10 ** 4, eps_prime=1e-9)
     dists = np.arange(0.0, 101.0, 10.0)
-    asym = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, dists)
-    fin = keyrate_sweep(ChannelModel(), DEFAULT_PROFILES, dists, finite_size=fs)
+    asym = keyrate_sweep(ChannelModel(), PROFILE_LIST, dists)
+    fin = keyrate_sweep(ChannelModel(), PROFILE_LIST, dists, finite_size=fs)
     for ra, rf in zip(asym, fin):
         assert rf["e_b_finite"] > rf["e_b"]
         for name in DEFAULT_PROFILES:
