@@ -186,9 +186,8 @@ def _finite_size(spec: str | None) -> FiniteSizeParams | None:
     if missing:
         raise ConfigError(f"finite-size spec is missing {sorted(missing)}")
     try:
-        return FiniteSizeParams(n_key=int(fields["n"]), k_pe=int(fields["k"]),
-                                eps_prime=fields["eps"])
-    except (ValueError, OverflowError) as exc:
+        return FiniteSizeParams(n_key=fields["n"], k_pe=fields["k"], eps_prime=fields["eps"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

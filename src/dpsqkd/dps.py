@@ -20,6 +20,7 @@ destructive click = bit 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -63,7 +64,7 @@ class DpsEnsemble:
             raise ValueError("priors must sum to 1")
         if states.ndim == 2 and not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-9):
             raise ValueError("ensemble kets must have unit norm")
-        if states.ndim == 3 and not is_density(states, trace_atol=1e-8, psd_atol=1e-7):
+        if states.ndim == 3 and not is_density(states):
             raise ValueError("ensemble states are not valid density operators")
         bits = np.array(self.bit_map)
         if bits.shape != (count, n - 1) or not np.all((bits == 0) | (bits == 1)):
@@ -175,6 +176,22 @@ def _wrong_port_probs(received: np.ndarray, bits: np.ndarray) -> tuple[np.ndarra
     return np.where(bits == 0, v, u), u + v
 
 
+def _received_state(received: np.ndarray, index: int,
+                    ensemble: DpsEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """``received`` as a complex array and the key bits of state ``index``,
+    after checking that ``received`` is an (n, n) density operator (see
+    :func:`is_density`) and ``index`` an integer with 0 <= index < G."""
+    received = np.asarray(received, dtype=complex)
+    if received.shape != (ensemble.n, ensemble.n):
+        raise ValueError("received state has the wrong dimension for the ensemble")
+    if not is_density(received):
+        raise ValueError("received state is not a valid density operator")
+    count = len(ensemble.states)
+    if not (isinstance(index, numbers.Integral) and 0 <= index < count):
+        raise ValueError(f"state index {index!r} is not an integer in [0, {count})")
+    return received, ensemble.bit_map[int(index)]
+
+
 def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
                  conditional: bool = False) -> float:
     """Bit-error rate that ``received`` induces when sent as ensemble state ``index``.
@@ -185,12 +202,7 @@ def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
     divided by the total key-slot click probability, giving the error rate
     per detected key bit.
     """
-    received = np.asarray(received, dtype=complex)
-    if received.ndim != 2 or received.shape != (ensemble.n, ensemble.n):
-        raise ValueError("received state has the wrong dimension for the ensemble")
-    if not is_density(received, trace_atol=1e-8, psd_atol=1e-7):
-        raise ValueError("received state is not a valid density operator")
-    wrong, tot = _wrong_port_probs(received, ensemble.bit_map[index])
+    wrong, tot = _wrong_port_probs(*_received_state(received, index, ensemble))
     if conditional:
         return float(np.sum(wrong) / np.sum(tot))
     return float(np.sum(wrong))
@@ -206,11 +218,12 @@ def spectral_error_terms(received: np.ndarray, index: int,
     wrong-port operator: the terms do not depend on the basis LAPACK picks
     inside a degenerate eigenspace.  The eigenvalue-weighted sum of the
     second entries equals the default ``ber_of_state``, up to the spread of
-    the eigenvalues merged into one eigenspace.
+    the eigenvalues merged into one eigenspace.  ``received`` and ``index``
+    are checked as in ``ber_of_state``.
     """
-    dec = eig_hermitian(np.asarray(received, dtype=complex))
-    wrong = [float(np.sum(_wrong_port_probs(np.outer(vec, vec.conj()),
-                                            ensemble.bit_map[index])[0]))
+    received, bits = _received_state(received, index, ensemble)
+    dec = eig_hermitian(received)
+    wrong = [float(np.sum(_wrong_port_probs(np.outer(vec, vec.conj()), bits)[0]))
              for vec in dec.eigenvectors.T]
     cuts = [0, *(np.flatnonzero(-np.diff(dec.eigenvalues) > ATOL_PSD) + 1).tolist(), len(wrong)]
     out = []

@@ -33,12 +33,21 @@ _SQRT5 = math.sqrt(5.0)
 MAX_ATTACK_PULSES = 6
 
 
+def _whole(value: float, what: str) -> int:
+    """``value`` as an int; raises ``ValueError`` naming ``what`` when it has
+    a fractional part or is not finite."""
+    if value % 1 != 0:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Fibre loss, detector and error-correction parameters.
 
-    Construction checks every field against its physical domain (all finite)
-    and the click probability p_signal + p_dark at ``distance_km`` against 1.
+    Construction checks every field against its physical domain (all finite,
+    the pulse count whole) and the click probability p_signal + p_dark at
+    ``distance_km`` against 1.
     """
 
     loss_db_per_km: float = 0.2
@@ -51,6 +60,7 @@ class ChannelModel:
     signal_scale: float = 1.0  # source intensity factor, e.g. mean photon number
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_pulses", _whole(self.n_pulses, "pulse count"))
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must be in (0, 1]")
         if not 0.0 <= self.dark_count_prob <= 1.0:
@@ -206,13 +216,16 @@ class AttackProfile:
 @dataclass(frozen=True)
 class FiniteSizeParams:
     """Block sizes for parameter estimation: n_key key bits, k_pe sampled bits,
-    confidence parameter eps_prime."""
+    confidence parameter eps_prime.  Both block sizes must be positive whole
+    numbers; a whole float such as 1e6 is stored as an int."""
 
     n_key: int
     k_pe: int
     eps_prime: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_key", _whole(self.n_key, "block size n"))
+        object.__setattr__(self, "k_pe", _whole(self.k_pe, "block size k"))
         if self.n_key < 1 or self.k_pe < 1:
             raise ValueError("block sizes must be positive")
         if not 0.0 < self.eps_prime < 1.0:

@@ -4,14 +4,16 @@ Kets are one-dimensional complex numpy arrays, operators are square
 two-dimensional arrays.  Composite spaces use row-major subsystem ordering,
 i.e. the first tensor factor varies slowest, matching ``numpy.kron``.
 
-The tolerance ladder used throughout the package:
+The tolerances in use:
 
-* ``ATOL_ALGEBRA`` (1e-12): exact algebraic identities,
-* ``ATOL_TRACE`` (1e-10): trace and completeness checks,
-* ``ATOL_PSD`` (1e-9): eigenvalue slack accepted as "positive semidefinite".
-
-These levels match double-precision accumulation for dimensions up to ~32,
-which covers everything this package touches.
+* ``ATOL_ALGEBRA`` (1e-12): exact algebraic identities, such as the
+  Hermiticity of the SDP data,
+* ``ATOL_PSD`` (1e-9): sorted eigenvalues closer than this form one
+  eigenspace in :func:`dpsqkd.dps.spectral_error_terms`,
+* 1e-9: the Hermiticity of an input to :func:`eig_hermitian`,
+* :func:`is_density` (1e-9 / 1e-8 / 1e-7): the Hermiticity, unit trace and
+  smallest eigenvalue of a state handed to the analyses, loose enough for
+  clones read off a solver optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ATOL_ALGEBRA = 1e-12
-ATOL_TRACE = 1e-10
 ATOL_PSD = 1e-9
 
 
@@ -42,35 +43,18 @@ def outer(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of kets and/or operators, first factor slowest."""
-    if not factors:
-        raise ValueError("tensor() needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
-
-
-def is_hermitian(h: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
-    h = np.asarray(h)
-    return h.ndim == 2 and h.shape[0] == h.shape[1] and bool(
-        np.all(np.abs(h - dagger(h)) <= atol)
-    )
-
-
-def is_density(rho: np.ndarray, trace_atol: float = ATOL_TRACE,
-               psd_atol: float = ATOL_PSD) -> bool:
-    """True if ``rho``, or every operator of a stack (..., d, d), is
-    Hermitian within 1e-9, unit trace and PSD within tolerance."""
+def is_density(rho: np.ndarray) -> bool:
+    """True if ``rho``, or every operator of a stack (..., d, d), is a
+    density operator: Hermitian within 1e-9, of unit trace within 1e-8 and
+    with no eigenvalue below -1e-7."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         return False
     if not np.all(np.abs(rho - dagger(rho)) <= 1e-9):
         return False
-    if not np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= trace_atol):
+    if not np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= 1e-8):
         return False
-    return bool(np.min(np.linalg.eigvalsh(hermitian_part(rho))) >= -psd_atol)
+    return bool(np.min(np.linalg.eigvalsh(hermitian_part(rho))) >= -1e-7)
 
 
 def partial_trace(x: np.ndarray, dims: Sequence[int],
@@ -114,33 +98,18 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
 
-
-def eig_hermitian(h: np.ndarray, atol: float = 1e-9) -> SpectralDecomposition:
+def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
     """Diagonalise a Hermitian operator with LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues come back in descending order with orthonormal eigenvector
     columns.  Raises ``ValueError`` when the input is not square or not
-    Hermitian within ``atol``.
+    Hermitian within 1e-9.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("eig_hermitian expects a square operator")
-    if not is_hermitian(h, atol=atol):
+    if not np.all(np.abs(h - dagger(h)) <= 1e-9):
         raise ValueError("input is not Hermitian within tolerance")
     eigs, v = np.linalg.eigh(hermitian_part(h))
     return SpectralDecomposition(eigs[::-1], v[:, ::-1])
-
-
-def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a pure state with a density operator."""
-    psi = np.asarray(psi, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if psi.ndim != 1 or rho.shape != (psi.size, psi.size):
-        raise ValueError("dimension mismatch between ket and operator")
-    val = complex(psi.conj() @ rho @ psi)
-    return float(val.real)
-

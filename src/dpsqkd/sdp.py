@@ -35,12 +35,13 @@ Optim. 8, 1998) is assembled without a loop over constraints.  On a shared
 group it is Re(A K A^T), with A the (m, d^2) operator matrix and
 K = sum_b W_b^T (x) W_b, its indices permuted to match A: one (d^2, B) x
 (B, d^2) product, O(B d^4) time where the columns would cost O(m B d^3).
-Any other group forms W A_j W for a chunk of columns j at once, at most
-SCHUR_CHUNK complex entries, and pairs it with every A_i in one real matrix
-product; a d x d block costs O(m d^3) time per iteration, where a stored
-d^2 x d^2 operator would cost O(d^6).  The step lengths of X and Z come
-from one factorisation of the stacked [X; Z] per group.  The constraint
-count m is small, so all linear algebra is dense.
+Any other group forms W A_j W for every column j in one batched product,
+as many entries as its stored constraint operators, and pairs it with
+every A_i in one real matrix product; a d x d block costs O(m d^3) time
+per iteration, where a stored d^2 x d^2 operator would cost O(d^6).  The
+step lengths of X and Z come from one factorisation of the stacked [X; Z]
+per group.  The constraint count m is small, so all linear algebra is
+dense.
 
 The symmetric vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled
 real and imaginary off-diagonal parts) maps a Hermitian operator to a real
@@ -83,7 +84,6 @@ PRIMAL_FEAS_TOL = 1e-9
 DUAL_FEAS_TOL = 1e-8
 STEP_FRACTION = 0.98  # fraction-to-boundary rule
 MAX_ITERATIONS = 200
-SCHUR_CHUNK = 2 ** 20  # complex entries per batched W A_j W product
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +245,13 @@ class SdpProblem:
         for group, stack in zip(by_dim.values(), stacks):
             d, width = stack.shape[-1], stack.shape[1]
             ops = stack.reshape(-1, d, d)
-            step = max(1, 2 ** 14 // d ** 2)  # operators per check keeps temporaries small
-            for lo in range(0, len(ops), step):
-                chunk = ops[lo:lo + step]
-                asym = np.max(np.abs(chunk - dagger(chunk)), axis=(-2, -1))
-                scale = np.maximum(1.0, np.max(np.abs(chunk), axis=(-2, -1)))
-                bad = np.flatnonzero(asym > ATOL_ALGEBRA * scale)
-                if bad.size:
-                    where = (f"block {group[(lo + bad[0]) % width]!r}" if width == len(group)
-                             else f"the blocks of dimension {d}")
-                    raise ValueError(f"{role} operator for {where} is not Hermitian")
+            asym = np.max(np.abs(ops - dagger(ops)), axis=(-2, -1))
+            scale = np.maximum(1.0, np.max(np.abs(ops), axis=(-2, -1)))
+            bad = np.flatnonzero(asym > ATOL_ALGEBRA * scale)
+            if bad.size:
+                where = (f"block {group[bad[0] % width]!r}" if width == len(group)
+                         else f"the blocks of dimension {d}")
+                raise ValueError(f"{role} operator for {where} is not Hermitian")
         return stacks
 
     def _named(self, stacks: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
@@ -356,8 +353,8 @@ def _schur(groups: Sequence[_Group], w: Sequence[np.ndarray], m: int) -> np.ndar
     A shared group contributes Re(A K A^T) with A = ops as (m, d^2) rows and
     K[(k,l),(p,q)] = sum_b W_b[l,p] W_b[q,k], so (A K A^T)_ij is
     sum_b Tr(A_i W_b A_j W_b); K has d^4 entries, as many as M itself for the
-    d^2 completeness operators.  Any other group forms W A_j W for a chunk
-    of columns j and pairs it with every A_i as :func:`_apply` does.
+    d^2 completeness operators.  Any other group forms W A_j W for every
+    column j at once and pairs it with every A_i as :func:`_apply` does.
     """
     schur = np.zeros((m, m))
     for g, wg in zip(groups, w):
@@ -368,10 +365,8 @@ def _schur(groups: Sequence[_Group], w: Sequence[np.ndarray], m: int) -> np.ndar
             k = (wf.T @ wf).reshape((g.d,) * 4).transpose(3, 0, 1, 2).reshape(d2, d2)
             schur += (a @ k @ a.T).real
             continue
-        step = max(1, SCHUR_CHUNK // (g.ops.shape[1] * d2))
-        for lo in range(0, m, step):
-            t = wg @ g.ops[lo:lo + step] @ wg
-            schur[:, lo:lo + step] += g.rows @ t.reshape(len(t), -1).view(float).T
+        t = (wg @ g.ops @ wg).reshape(m, g.ops.shape[1] * d2)
+        schur += g.rows @ t.view(float).T
     return schur
 
 

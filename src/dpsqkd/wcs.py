@@ -25,14 +25,15 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .keyrate import ChannelModel, secure_key_rate, shrinking_factor
+from .keyrate import ChannelModel, _whole, secure_key_rate, shrinking_factor
 
 _QUAD_NODES = 160
 
 
 @dataclass(frozen=True)
 class WcsParams:
-    """Source intensity and phase-randomisation slicing."""
+    """Source intensity and phase-randomisation slicing; ``slices`` must be a
+    positive whole number."""
 
     mean_photon_number: float = 0.4
     slices: int = 16
@@ -40,6 +41,7 @@ class WcsParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.mean_photon_number < math.inf:
             raise ValueError("mean photon number must be positive and finite")
+        object.__setattr__(self, "slices", _whole(self.slices, "slice count"))
         if self.slices < 1:
             raise ValueError("slice count must be at least 1")
         if self.mean_photon_number > 1.0:

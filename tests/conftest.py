@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -43,6 +45,12 @@ def cloning_attack3(ens3):
 @pytest.fixture(scope="session")
 def clone_med3(cloning_attack3):
     return cloning_attack3.med_after
+
+
+@pytest.fixture(scope="session")
+def cloning_attack_at():
+    """optimal_cloning_attack(dps_ensemble(n)), built once per n for the session."""
+    return functools.lru_cache(maxsize=None)(lambda n: optimal_cloning_attack(dps_ensemble(n)))
 
 
 @pytest.fixture(scope="session")

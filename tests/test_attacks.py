@@ -20,7 +20,7 @@ from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
 from dpsqkd.cli import main
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
-from dpsqkd.linalg import outer, partial_trace, tensor
+from dpsqkd.linalg import outer, partial_trace
 
 
 def brute_force_collision(confusion, priors, bit_map):
@@ -416,12 +416,12 @@ def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_call
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_character_block_cloner_above_the_attack_cap(n):
+def test_character_block_cloner_above_the_attack_cap(n, cloning_attack_at):
     """Above the CLI's cap the reduced certificate passes, the clones are
     exactly depolarized, and two closed forms hold: the two-copy fidelity
     (3n-2)/n**2 and the post-cloning MED ((1-p)n + p)/2**(n-1)."""
     ens = dps_ensemble(n)
-    attack = optimal_cloning_attack(ens)
+    attack = cloning_attack_at(n)
     clone = attack.cloner
     assert clone.kkt.passed, clone.kkt.conditions
     assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, abs=1e-6)
@@ -480,7 +480,7 @@ def test_apply_choi_convention():
             ea[a] = eb[b] = 1.0
             # Phi(E_ab) = E_ab into the first output, fixed |0><0| on the second
             e0 = np.zeros(d); e0[0] = 1.0
-            pairs += tensor(np.outer(ea, eb), np.outer(ea, eb), outer(e0))
+            pairs += np.kron(np.kron(np.outer(ea, eb), np.outer(ea, eb)), outer(e0))
     rng = np.random.default_rng(5)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
@@ -566,11 +566,11 @@ def test_unitary_cloner_is_isometry():
         x = np.eye(d)
         v = np.zeros((d ** 3, d), dtype=complex)
         for i in range(d):
-            col = params.p * tensor(basis[i], basis[i], x[i])
+            col = params.p * np.kron(np.kron(basis[i], basis[i]), x[i])
             for j in range(d):
                 if j != i:
-                    col = col + params.q * (tensor(basis[i], basis[j], x[j])
-                                            + tensor(basis[j], basis[i], x[j]))
+                    col = col + params.q * (np.kron(np.kron(basis[i], basis[j]), x[j])
+                                            + np.kron(np.kron(basis[j], basis[i]), x[j]))
             v[:, i] = col
         assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
         clones = apply_unitary_cloner(params, ens.states)
@@ -729,7 +729,7 @@ CLOSED_FORM_TOL = 1e-6  # the perfbench gate's TOL; the solver stops at GAP_TOL 
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_closed_forms_at_every_pulse_count(n):
+def test_closed_forms_at_every_pulse_count(n, cloning_attack_at):
     """The certified optima of MED and of the optimal cloner, and the shrinking
     factors they imply, against closed forms; G = 2**(n-1).
 
@@ -780,14 +780,16 @@ def test_closed_forms_at_every_pulse_count(n):
     assert med.collision_probability == pytest.approx(0.5 + d_med ** 2 / 2,
                                                       abs=CLOSED_FORM_TOL)
 
-    attack = optimal_cloning_attack(ens)
+    attack = cloning_attack_at(n)
+    assert attack.cloner.kkt.passed, attack.cloner.kkt.conditions
     assert attack.fidelity == pytest.approx((3 * n - 2) / n ** 2, abs=CLOSED_FORM_TOL)
     p = 2 * (n - 2) / (3 * n - 2)
     clones = [*attack.cloner.bob_states, *attack.cloner.eve_states]
     fits = [depolarizing_fit(rho, c) for rho, c in zip([*ens.densities] * 2, clones)]
     assert_allclose([fit for fit, _ in fits], p, rtol=0, atol=CLOSED_FORM_TOL)
+    assert max(residual for _, residual in fits) <= 1e-12  # exactly depolarised
     after = attack.med_after
-    assert after.p_success == pytest.approx(((1 - p) * n + p) / count, abs=CLOSED_FORM_TOL)
+    assert after.p_success == pytest.approx(((1 - p) * n + p) / count, abs=1e-7)
     assert_allclose(after.confusion, (1 - p) * pgm_table + p / count,
                     rtol=0, atol=CLOSED_FORM_TOL)
     d_clone = (1 - p) * d_med

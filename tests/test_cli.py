@@ -264,6 +264,16 @@ def test_finite_size_command_bad_spec(capsys):
         assert message in err
 
 
+def test_finite_size_rejects_fractional_block_sizes(capsys):
+    for spec in ("n=1000.7,k=10,eps=1e-3", "n=1000,k=10.2,eps=1e-3"):
+        code, out, err = run_cli(capsys, "finite-size", "--params", spec)
+        assert code == 2 and out == ""
+        assert "whole number" in err, spec
+    code, out, _ = run_cli(capsys, "finite-size", "--params", "n=1e3,k=10,eps=1e-3")
+    assert code == 0
+    assert json.loads(out)["config"]["n"] == 1000
+
+
 def test_wcs_command(capsys):
     code, out, _ = run_cli(capsys, "wcs", "--mu", "0.4", "--slices", "16",
                            "--start-km", "0", "--stop-km", "20", "--step-km", "10")

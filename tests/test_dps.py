@@ -298,6 +298,21 @@ def test_ber_rejects_invalid_input(ens3):
         ber_of_state(2.0 * np.eye(3), 0, ens3)
 
 
+@pytest.mark.parametrize("check", [ber_of_state, spectral_error_terms])
+def test_received_state_checks(check, ens3):
+    """Both BER functions check the received state and the index alike."""
+    mixed, bad_index = np.eye(3) / 3, r"not an integer in \[0, 4\)"
+    for received, index, message in [
+        (np.eye(4) / 4, 0, "wrong dimension"),
+        (2 * mixed, 0, "not a valid density operator"),
+        (np.diag([1.5, -0.5, 0.0]), 0, "not a valid density operator"),
+        *((mixed, index, bad_index) for index in (4, 7, -1, 1.5)),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check(received, index, ens3)
+    assert check(CLONED_EXACT, np.int64(3), ens3) == check(CLONED_EXACT, 3, ens3)
+
+
 def test_ber_report_fields(ens3):
     # The values the removed BerReport carried, read from the functions that remain.
     assert ber_of_state(CLONED_EXACT, 0, ens3) == pytest.approx(2.0 / 21.0, abs=1e-12)

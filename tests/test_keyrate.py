@@ -197,6 +197,23 @@ def test_finite_size_monotonicities():
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
+def test_channel_rejects_fractional_pulse_count():
+    with pytest.raises(ValueError, match="pulse count must be a whole number"):
+        ChannelModel(n_pulses=3.5)
+    model = ChannelModel(n_pulses=4.0)
+    assert model.n_pulses == 4 and isinstance(model.n_pulses, int)
+    assert model.sifting == 0.75
+
+
+def test_finite_size_rejects_fractional_block_sizes():
+    for n_key, k_pe in ((1.5, 10), (10, 2.5), (math.inf, 10), (10, math.nan)):
+        with pytest.raises(ValueError, match="whole number"):
+            FiniteSizeParams(n_key, k_pe, 1e-9)
+    fs = FiniteSizeParams(1e6, 1e4, 1e-9)
+    assert (fs.n_key, fs.k_pe) == (10 ** 6, 10 ** 4)
+    assert isinstance(fs.n_key, int) and isinstance(fs.k_pe, int)
+
+
 def test_finite_size_domain():
     fs = FiniteSizeParams(n_key=10 ** 6, k_pe=10 ** 4, eps_prime=1e-9)
     with pytest.raises(ValueError):

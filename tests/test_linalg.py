@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dpsqkd.linalg import (eig_hermitian, fidelity_pure,
-                           outer, partial_trace, tensor)
+from dpsqkd.linalg import eig_hermitian, outer, partial_trace
 
 S3 = np.sqrt(3.0)
 PSI_PP = np.array([1.0, 1.0, 1.0]) / S3
@@ -19,34 +16,6 @@ def random_hermitian(rng, d):
 
 
 # ---------------------------------------------------------------------------
-# tensor
-# ---------------------------------------------------------------------------
-
-def test_tensor_identity():
-    assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_of_signal_state_is_flat():
-    t = tensor(PSI_PP, PSI_PP)
-    assert t.shape == (9,)
-    assert_allclose(t, np.full(9, 1.0 / 3.0), atol=1e-15)
-
-
-@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 1000))
-def test_tensor_norm_multiplicative(da, db, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=da) + 1j * rng.normal(size=da)
-    v = rng.normal(size=db) + 1j * rng.normal(size=db)
-    assert np.linalg.norm(tensor(u, v)) == pytest.approx(
-        np.linalg.norm(u) * np.linalg.norm(v), abs=1e-12)
-
-
-def test_tensor_associative(rng):
-    a, b, c = (random_hermitian(rng, d) for d in (2, 3, 2))
-    assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------
 
@@ -55,7 +24,7 @@ def test_partial_trace_product_state(rng):
     sigma = random_hermitian(rng, 3)
     sigma = sigma @ sigma.conj().T
     sigma /= np.trace(sigma).real
-    assert_allclose(partial_trace(tensor(rho, sigma), [3, 3], keep=[0]), rho, atol=1e-12)
+    assert_allclose(partial_trace(np.kron(rho, sigma), [3, 3], keep=[0]), rho, atol=1e-12)
 
 
 def test_partial_trace_identity():
@@ -112,7 +81,8 @@ def test_eig_invariants_random(rng, d):
     h = random_hermitian(rng, d)
     dec = eig_hermitian(h)
     assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-    assert_allclose(dec.reconstruct(), h, atol=1e-9)
+    v = dec.eigenvectors
+    assert_allclose((v * dec.eigenvalues) @ v.conj().T, h, atol=1e-9)
     assert_allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(d), atol=1e-10)
     for k in range(d):
         v = dec.eigenvectors[:, k]
@@ -124,25 +94,3 @@ def test_eig_invariants_random(rng, d):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# ---------------------------------------------------------------------------
-# fidelity
-# ---------------------------------------------------------------------------
-
-def test_fidelity_self():
-    assert fidelity_pure(PSI_PP, outer(PSI_PP)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fidelity_cloned_state():
-    assert fidelity_pure(PSI_PP, CLONED_PP) == pytest.approx(17.0 / 21.0, abs=1e-12)
-    assert fidelity_pure(PSI_PP, CLONED_PP) == pytest.approx(0.81, abs=5e-3)
-
-
-def test_fidelity_maximally_mixed():
-    assert fidelity_pure(PSI_PP, np.eye(3) / 3) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_fidelity_dimension_mismatch():
-    with pytest.raises(ValueError):
-        fidelity_pure(PSI_PP, np.eye(4) / 4)

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from dpsqkd import attacks, sdp
 from dpsqkd.dps import dps_ensemble
-from dpsqkd.linalg import hermitian_part, outer, tensor
+from dpsqkd.linalg import hermitian_part, outer
 from dpsqkd.sdp import (InfeasibleConstraintsError, MaxIterationsError,
                         SdpProblem, SdpSolution,
                         partial_trace_identity_constraints,
@@ -134,7 +134,7 @@ def test_partial_trace_constraint_builder():
         assert np.trace(coeffs["J"] @ j).real == pytest.approx(rhs, abs=1e-12)
     # the builder places the kept factor in the middle
     e01 = np.zeros((2, 2)); e01[0, 1] = e01[1, 0] = 1 / np.sqrt(2)
-    expected = tensor(np.eye(2), e01, np.eye(2))
+    expected = np.kron(np.kron(np.eye(2), e01), np.eye(2))
     found = any(np.allclose(c["J"], expected) for c, _ in cons)
     assert found
 
@@ -311,18 +311,16 @@ def random_scalings(groups, rng):
     return out
 
 
-@pytest.mark.parametrize("chunk", [sdp.SCHUR_CHUNK, 1, 2000])
+@pytest.mark.parametrize("seed", [2 ** 20, 1, 2000])
 @pytest.mark.parametrize("build", [lambda: interleaved_problem("B")[2], cloning3_problem,
                                    med4_problem, mixed_problem],
                          ids=["interleaved", "cloning-n3", "med-n4-shared", "mixed"])
-def test_schur_matches_per_column_oracle(build, chunk, rng, monkeypatch):
+def test_schur_matches_per_column_oracle(build, seed):
     """The loop-free Schur complement against its per-column form, column j =
-    A(W A_j W); small chunk constants split the batched products into
-    several chunks."""
-    monkeypatch.setattr(sdp, "SCHUR_CHUNK", chunk)
+    A(W A_j W), for three independent draws of the scalings W per build."""
     problem = build()
     groups, m = problem._groups, len(problem.constraints)
-    w = random_scalings(groups, rng)
+    w = random_scalings(groups, np.random.default_rng(seed))
     oracle = np.column_stack([sdp._apply(groups, [wg @ g.ops[j] @ wg
                                                   for g, wg in zip(groups, w)])
                               for j in range(m)])

@@ -97,6 +97,9 @@ def test_wcs_params_validation():
             WcsParams(mean_photon_number=mu)
     with pytest.raises(ValueError):
         WcsParams(slices=0)
+    with pytest.raises(ValueError, match="slice count must be a whole number"):
+        WcsParams(slices=2.5)
+    assert WcsParams(slices=16.0).slices == 16
     with pytest.warns(UserWarning, match="weak-coherent"):
         WcsParams(mean_photon_number=1.5)
 

@@ -1,0 +1,54 @@
+"""Write the stdout and exit code of a fixed set of CLI runs to a directory.
+
+Each argv runs in a fresh ``python -m dpsqkd.cli`` process with ``src`` on
+``PYTHONPATH`` and without ``DPSQKD_CONFIG``.  Run ``i`` writes its stdout
+to ``OUTDIR/NN.out``, and ``OUTDIR/runs.txt`` lists each run's number, exit
+code and argv.  Two passes, or one on each of two checkouts, are
+byte-identical exactly when ``diff -r`` of their directories is silent.
+Usage, from anywhere:
+
+    python tools/cli_outputs.py OUTDIR
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FINITE = "n=1e6,k=1e4,eps=1e-9"
+RUNS = [
+    *(["med", "--n", str(n)] for n in (3, 4, 5, 6)),
+    ["med", "--n", "4", "--format", "csv"],
+    *(["clone", "--mode", mode, "--format", fmt]
+      for mode in ("optimal", "unitary") for fmt in ("json", "csv")),
+    ["keyrate"],
+    *(["keyrate", "--n-pulses", str(n)] for n in (4, 5, 6)),
+    ["keyrate", "--format", "csv", "--step-km", "5", "--finite-size", FINITE],
+    *(["wcs", "--format", fmt] for fmt in ("json", "csv")),
+    ["finite-size", "--params", FINITE],
+]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    env = {k: v for k, v in os.environ.items() if k != "DPSQKD_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    lines = []
+    for i, run in enumerate(RUNS):
+        proc = subprocess.run([sys.executable, "-m", "dpsqkd.cli", *run], cwd=ROOT, env=env,
+                              stdout=subprocess.PIPE, check=False)
+        (out / f"{i:02d}.out").write_bytes(proc.stdout)
+        lines.append(f"{i:02d} exit={proc.returncode} {' '.join(run)}\n")
+    (out / "runs.txt").write_text("".join(lines), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
