@@ -17,10 +17,17 @@ Every SDP is assembled through the named constraint builders of
 ensemble that is covariant under the sign group of the DPS states (see
 :func:`_sign_covariant`) is solved on a symmetry-reduced problem: MED on one
 n x n seed block, the optimal cloner on the character blocks of its Choi
-operator.  MED lifts its optimum back and certifies it on the full problem;
-any other ensemble runs the general MED solve.  The cloner takes
-sign-covariant ensembles only, and certifies its blocks through a reduced
-certificate equivalent to the one on the full :func:`cloning_problem` (see
+operator.  The constraint operators of both reduced problems partition the
+identity, so the uniform multiplier y = lambda_max(C) is dual feasible, and
+a primal on the top eigenvectors of the objective that meets the equality
+rows closes the gap (see :func:`_top_eigenspace_solution`).  That exact pair
+is taken when it passes the KKT conditions, as it does for MED and the
+optimal cloner of the DPS states and for MED of the optimal clones;
+otherwise the reduced problem goes to the interior-point solver.  MED lifts
+its optimum back and certifies it on the full problem; any other ensemble
+runs the general MED solve.  The cloner takes sign-covariant ensembles
+only, and certifies its blocks through a reduced certificate equivalent to
+the one on the full :func:`cloning_problem` (see
 :func:`_reduced_cloner_kkt`), which it never builds.  Each cloning attack is
 one certified :class:`CloningAttack`, read by the ``clone`` report and by its
 key-rate profile.  :data:`ATTACK_PROFILES` builds the per-intercept errors
@@ -142,6 +149,50 @@ def _sign_covariant(ens: DpsEnsemble) -> bool:
     return bool(np.max(np.abs(stack - moved)) <= _COVARIANCE_TOL * np.max(np.abs(stack)))
 
 
+_TIE_TOL = 1e-9  # relative gap below which two top eigenvalues are one, up to rounding
+
+
+def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
+    """The exact optimum of a reduced SDP whose constraint operators sum to
+    the identity on every block, when it sits on the top eigenvectors of
+    the objective; ``None`` when it does not.
+
+    If sum_j A_{j,b} = I on every block b, the uniform multipliers
+    y = lambda * 1 give the dual slacks Z_b = lambda I - C_b, which are PSD
+    for lambda = max_b lambda_max(C_b): a dual point of value
+    lambda * sum_j r_j.  Put the primal on a unit top eigenvector u_b of
+    each block whose top eigenvalue is lambda, X_b = t_b u_b u_b^dagger,
+    and zero elsewhere.  Then <X_b, Z_b> = 0, and the primal value
+    sum_b t_b lambda = lambda sum_j sum_b t_b <A_{j,b}, u_b u_b^dagger>
+    equals the dual one wherever the weights solve the equality rows
+    sum_b t_b <A_{j,b}, u_b u_b^dagger> = r_j.  So a solution t >= 0 of
+    those rows closes the gap, and the pair is optimal.  The weights come
+    from least squares, and the pair is returned only if it passes
+    ``verify_kkt``.  It fails when the rows have no such solution: when a
+    top eigenvector has uneven weight on the rows, or when the top
+    eigenspace of a block is degenerate and the one eigenvector taken from
+    it misses them.  The pair records no iterations.
+    """
+    costs = {name: problem.objective.get(name, np.zeros((d, d))) for name, d in problem.blocks}
+    spectra = {name: np.linalg.eigh(c) for name, c in costs.items()}
+    lam = max(w[-1] for w, _ in spectra.values())
+    top = {name: (w[-1], v[:, -1]) for name, (w, v) in spectra.items()
+           if w[-1] >= lam - _TIE_TOL * abs(lam)}
+    rows = [[np.vdot(u, coeffs[name] @ u).real if name in coeffs else 0.0
+             for name, (_, u) in top.items()] for coeffs, _ in problem.constraints]
+    rhs = np.array([r for _, r in problem.constraints])
+    t = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
+    x = {name: np.zeros((d, d), dtype=complex) for name, d in problem.blocks}
+    x.update({name: tb * outer(u) for tb, (name, (_, u)) in zip(t, top.items())})
+    primal = float(sum(tb * wb for tb, (wb, _) in zip(t, top.values())))
+    dual = float(lam * rhs.sum())
+    solution = sdp.SdpSolution(
+        x=x, y=np.full(rhs.size, lam),
+        z={name: lam * np.eye(len(c)) - c for name, c in costs.items()},
+        primal_objective=primal, dual_objective=dual, gap=abs(primal - dual), iterations=0)
+    return solution if sdp.verify_kkt(problem, solution, tol=_KKT_TOL).passed else None
+
+
 def _covariant_med_solution(ens: DpsEnsemble) -> sdp.SdpSolution:
     """Solve the MED SDP of a sign-covariant ensemble on one seed block and
     lift the optimum onto the full problem of :func:`med_problem`.
@@ -151,12 +202,19 @@ def _covariant_med_solution(ens: DpsEnsemble) -> sdp.SdpSolution:
     Megretski & Verghese, IEEE Trans. Inf. Theory 49, 2003).  Since
     sum_g U_g P0 U_g^dagger = 2**(n-1) diag(P0), completeness reduces to
     diag(P0) = 1/2**(n-1), and the objective to <rho_bar, P0> with
-    rho_bar = sum_g p_g U_g^dagger rho_g U_g.  The seed dual y lifts to
-    Y = diag(y)/2**(n-1), so the full problem's multipliers, one per svec
-    entry of the completeness constraint, are svec(Y) and its slacks
-    Z_g = Y - p_g rho_g.  The lifted pair is returned uncertified; the
-    caller checks it on the full problem, which fails when the ensemble is
-    not covariant.
+    rho_bar = sum_g p_g U_g^dagger rho_g U_g.  The n constraint operators
+    |k><k| sum to the identity, so y = lambda_max(rho_bar) * 1 is dual
+    feasible, and P0 = t u u^dagger on a top eigenvector u of rho_bar closes
+    the gap when diag(P0) = 1/2**(n-1) has a solution t >= 0, that is, when
+    |u_k|**2 = 1/n for every k.  The DPS states have rho_bar = |+><+| with
+    |+> the uniform superposition, so the seed optimum is
+    P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1), and no solve runs
+    (see :func:`_top_eigenspace_solution`); another seed block is solved.
+    The seed dual y lifts to Y = diag(y)/2**(n-1), so the full problem's
+    multipliers, one per svec entry of the completeness constraint, are
+    svec(Y) and its slacks Z_g = Y - p_g rho_g.  The lifted pair is returned
+    uncertified; the caller checks it on the full problem, which fails when
+    the ensemble is not covariant.
     """
     count, n = len(ens.priors), ens.n
     signs = sign_patterns(n)
@@ -166,7 +224,7 @@ def _covariant_med_solution(ens: DpsEnsemble) -> sdp.SdpSolution:
     seed = sdp.SdpProblem(
         blocks=[("P0", n)], objective={"P0": rho_bar},
         constraints=[({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
-    sol = sdp.solve(seed)
+    sol = _top_eigenspace_solution(seed) or sdp.solve(seed)
     lifted = signs[:, :, None] * sol.x["P0"] * signs[:, None, :]
     dual = np.diag(sol.y / count)
     names = _block_names(count)
@@ -363,8 +421,15 @@ def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray,
     objective, V[:, b]^T diag(p) conj(V[:, b]).  Of the d**2
     trace-preservation constraints Tr_{out,out}(J) = I only the d diagonal
     ones touch the blocks: for each input index k, the diagonal of J summed
-    over the kets |i k l> is 1.  The pair is returned uncertified; see
-    :func:`_reduced_cloner_kkt`.
+    over the kets |i k l> is 1.  These d operators partition the identity
+    on every block, so y = lambda * 1, with lambda the largest top
+    eigenvalue of the blocks, is dual feasible, and rank-one blocks on their
+    top eigenvectors whose weights meet the d rows close the gap (see
+    :func:`_top_eigenspace_solution`).  For the DPS states n blocks share
+    lambda = (3n-2)/n**3, one per character t -> t_m, and unit weights on
+    them give the trace-preserving optimum of two-copy fidelity
+    (3n-2)/n**2, so no solve runs; other blocks are solved.  The pair is
+    returned uncertified; see :func:`_reduced_cloner_kkt`.
     """
     p = priors[:, None]
     blocks = _character_blocks(d)
@@ -375,7 +440,7 @@ def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray,
         objective={name: v[:, ix].T @ (p * v[:, ix].conj()) for name, ix in zip(names, blocks)},
         constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
                      for k in range(d)])
-    return problem, sdp.solve(problem)
+    return problem, _top_eigenspace_solution(problem) or sdp.solve(problem)
 
 
 def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,

@@ -263,9 +263,11 @@ class SdpProblem:
 class SdpSolution:
     """A primal/dual pair and how the solver reached it.
 
-    ``iterates`` holds one record per iteration, the converged one last, with
-    keys ``iteration``, ``mu``, ``gap``, ``primal_infeasibility`` and
-    ``dual_infeasibility``.  Every record but the last also holds the step
+    A pair found without a solve, such as the top-eigenspace optima of
+    :mod:`dpsqkd.attacks`, has ``iterations`` 0 and an empty ``iterates``.
+    Otherwise ``iterates`` holds one record per iteration, the converged one
+    last, with keys ``iteration``, ``mu``, ``gap``, ``primal_infeasibility``
+    and ``dual_infeasibility``.  Every record but the last also holds the step
     taken from it: ``alpha_p``, ``alpha_d``, ``sigma``, and the seconds spent
     on the NT scaling and centring term (``scaling_s``), on assembling and
     factorising the Schur complement and solving for the direction

@@ -18,7 +18,7 @@ from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             optimize_unitary_q, pgm_povm,
                             standard_attack_profiles, unitary_cloning_attack)
 from dpsqkd.cli import main
-from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble
+from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
 
@@ -159,6 +159,51 @@ def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
     result = med_attack(skewed)
     assert covariant_calls == []
     assert result.kkt.passed, result.kkt.conditions
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The problems that ``sdp.solve`` is called on while the test runs."""
+    problems, solve = [], sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda problem: problems.append(problem) or solve(problem))
+    return problems
+
+
+def sign_orbit(seed):
+    """The sign-covariant ensemble U_g seed U_g^dagger of a ket or density
+    operator, with the priors and key bits of ``dps_ensemble(len(seed))``."""
+    seed = np.asarray(seed, dtype=complex)
+    signs = sign_patterns(len(seed))
+    states = (signs * seed / np.linalg.norm(seed) if seed.ndim == 1
+              else signs[:, :, None] * seed * signs[:, None, :])
+    return dataclasses.replace(dps_ensemble(len(seed)), states=states)
+
+
+@pytest.mark.parametrize("seed,solves", [
+    ([1, 2, 1], 1),  # a top eigenvector of uneven weight meets no completeness row
+    ([1, 2, 2, 1], 1),
+    ([1, 1j, -1], 0),  # even weight: the top eigenvector is the optimum
+    (np.eye(3) / 3, 1),  # degenerate: one top eigenvector misses the rows
+])
+def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved):
+    """Sign-covariant ensembles other than DPS: MED and the optimal cloner take
+    the top-eigenspace optimum where it certifies, and otherwise solve their
+    reduced problem once; either way the optimum passes its certificate and
+    matches the general solve."""
+    ens = sign_orbit(seed)
+    assert attacks._sign_covariant(ens)
+    med = med_attack(ens)
+    assert len(solved) == solves and all(p.blocks == [("P0", ens.n)] for p in solved)
+    assert med.kkt.passed, med.kkt.conditions
+    assert med.p_success == pytest.approx(general_med(ens)[0], abs=1e-7)
+    if ens.states.ndim == 2:  # the cloners take kets only
+        del solved[:]
+        clone = optimal_cloner(ens)
+        assert solved == [clone.problem] * solves
+        assert clone.kkt.passed, clone.kkt.conditions
+        _, two_copy, _, bobs, _ = full_cloner(ens)
+        assert clone.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-7)
+        assert_allclose(clone.bob_states, bobs, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -725,7 +770,21 @@ def test_unitary_med_after(unitary_med3):
 # closed forms at every pulse count
 # ---------------------------------------------------------------------------
 
-CLOSED_FORM_TOL = 1e-6  # the perfbench gate's TOL; the solver stops at GAP_TOL = 1e-7
+# The optima below sit on top eigenvectors and need no interior-point solve,
+# so they meet their closed forms to rounding, not to the solver's GAP_TOL.
+CLOSED_FORM_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_dps_attacks_run_no_solve(n, solved):
+    """On a DPS ensemble, MED, the optimal cloner and MED of its clones each
+    take the top-eigenspace optimum of their reduced problem."""
+    ens = dps_ensemble(n)
+    med = med_attack(ens)
+    attack = optimal_cloning_attack(ens)
+    assert solved == []
+    for solution in (med.solution, attack.cloner.solution, attack.med_after.solution):
+        assert solution.iterations == 0 and solution.iterates == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -789,7 +848,7 @@ def test_closed_forms_at_every_pulse_count(n, cloning_attack_at):
     assert_allclose([fit for fit, _ in fits], p, rtol=0, atol=CLOSED_FORM_TOL)
     assert max(residual for _, residual in fits) <= 1e-12  # exactly depolarised
     after = attack.med_after
-    assert after.p_success == pytest.approx(((1 - p) * n + p) / count, abs=1e-7)
+    assert after.p_success == pytest.approx(((1 - p) * n + p) / count, abs=CLOSED_FORM_TOL)
     assert_allclose(after.confusion, (1 - p) * pgm_table + p / count,
                     rtol=0, atol=CLOSED_FORM_TOL)
     d_clone = (1 - p) * d_med
@@ -871,8 +930,17 @@ def test_standard_attack_profiles_n4(monkeypatch):
     assert set(got) == set(N4_PROFILES)
     for name, want in N4_PROFILES.items():
         assert got[name] == pytest.approx(want, abs=1e-6), name
-    assert len(reports) == 4  # MED, cloner, MED on each of the two clone ensembles
+    # MED, cloner and MED of the optimal clones each check their closed-form
+    # reduced pair and then certify their optimum; MED of the unitary clones
+    # only certifies
+    assert len(reports) == 7
     assert all(r.passed for r in reports)
+
+
+# The verify_kkt calls of standard_attack_profiles(3) that certify the four
+# attack optima.  Each sign-covariant attack (MED, optimal cloner, MED after
+# optimal cloning) checks its reduced pair in the call before its certificate.
+CERTIFICATE_CALLS = (1, 3, 5, 6)
 
 
 @pytest.mark.parametrize("failing,attack", [
@@ -883,7 +951,7 @@ def test_uncertified_optimum_never_reaches_a_profile(monkeypatch, failing, attac
 
     def verify_kkt_failing_once(*args, **kwargs):
         report = verify_kkt(*args, **kwargs)
-        if len(calls) == failing:
+        if len(calls) == CERTIFICATE_CALLS[failing]:
             report.conditions["dual_psd"] = False
         calls.append(report)
         return report
@@ -893,7 +961,7 @@ def test_uncertified_optimum_never_reaches_a_profile(monkeypatch, failing, attac
     with pytest.raises(attacks.UncertifiedOptimumError,
                        match=f"^{attack}: KKT certificate failed \\(dual_psd\\)$"):
         standard_attack_profiles(3)
-    assert len(calls) == failing + 1
+    assert len(calls) == CERTIFICATE_CALLS[failing] + 1
 
 
 @pytest.mark.parametrize("error", [sdp.MaxIterationsError, sdp.NumericalBreakdownError])

@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "cli_diff", Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py")
+cli_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_diff)
+
+
+def write_runs(root, outputs, codes):
+    """A directory laid out as tools/cli_outputs.py writes it."""
+    root.mkdir()
+    for i, data in enumerate(outputs):
+        (root / f"{i:02d}.out").write_bytes(data)
+    (root / "runs.txt").write_text(
+        "".join(f"{i:02d} exit={code} med --n 3\n" for i, code in enumerate(codes)))
+    return root
+
+
+@pytest.mark.parametrize("a,b,cells,same", [
+    (b'{"p": 0.75}', b'{"p": 0.75}', "yes | 0 | 0 | 0", True),
+    (b'{"p": 0.75, "P1": [1e-8]}', b'{"p": 0.7500002, "P1": [3e-8]}',
+     "no | 2 | 2.0e-07 | 6.7e-01", True),
+    (b"p=1.0", b"p=1.00", "no | 0 | 0.0e+00 | 0.0e+00", True),
+    (b'{"p": 0.75}', b'{"q": 0.75}', "no | text differs | - | -", False),
+    (b"0.5,0.5", b"0.5,0.5,0.5", "no | text differs | - | -", False),
+])
+def test_cli_diff_compares_numbers_apart_from_text(a, b, cells, same):
+    assert cli_diff.compare(a, b) == (cells, same)
+
+
+@pytest.mark.parametrize("right,codes,status", [
+    ([b'{"p": 0.75}'], [0], 0),
+    ([b'{"p": 0.7500001}'], [0], 0),
+    ([b'{"q": 0.75}'], [0], 1),
+    ([b'{"p": 0.75}'], [3], 1),
+    ([b'{"p": 0.75}', b""], [0, 0], 1),
+])
+def test_cli_diff_exit_status(tmp_path, capsys, right, codes, status):
+    left = write_runs(tmp_path / "a", [b'{"p": 0.75}'], [0])
+    assert cli_diff.main([str(left), str(write_runs(tmp_path / "b", right, codes))]) == status
+    assert capsys.readouterr().out.splitlines()[2].startswith("| 00 | `med --n 3` |")
