@@ -20,19 +20,21 @@ n x n seed block, the optimal cloner on the character blocks of its Choi
 operator.  The constraint operators of both reduced problems partition the
 identity, so the uniform multiplier y = lambda_max(C) is dual feasible, and
 a primal on the top eigenvectors of the objective that meets the equality
-rows closes the gap (see :func:`_top_eigenspace_solution`).  That exact pair
-is taken when it passes the KKT conditions, as it does for MED and the
-optimal cloner of the DPS states and for MED of the optimal clones;
-otherwise the reduced problem goes to the interior-point solver.  MED lifts
-its optimum back and certifies it on the full problem; any other ensemble
-runs the general MED solve.  The cloner takes sign-covariant ensembles
-only, and certifies its blocks through a reduced certificate equivalent to
-the one on the full :func:`cloning_problem` (see
-:func:`_reduced_cloner_kkt`), which it never builds.  Each cloning attack is
-one certified :class:`CloningAttack`, read by the ``clone`` report and by its
-key-rate profile.  :data:`ATTACK_PROFILES` builds the per-intercept errors
-and collision probabilities that feed the shrinking factors in
-:mod:`dpsqkd.keyrate`.
+rows closes the gap.  :func:`_top_eigenspace_solution` builds that exact
+pair from the reduced data, without building a problem, and returns it
+uncertified.  Each route certifies it once with its own certificate, and
+only a missing or failing candidate sends the reduced problem to the
+interior-point solver, whose pair is then certified (see
+:func:`_certify_once`).  The candidate passes for MED and the optimal
+cloner of the DPS states and for MED of the optimal clones.  MED lifts its
+seed pair and certifies it on the full problem; any other ensemble runs the
+general MED solve.  The cloner takes sign-covariant ensembles only, and
+certifies its blocks through a reduced certificate equivalent to the one on
+the full :func:`cloning_problem` (see :func:`_reduced_cloner_kkt`), which it
+never builds.  Each cloning attack is one certified :class:`CloningAttack`,
+read by the ``clone`` report and by its key-rate profile.
+:data:`ATTACK_PROFILES` builds the per-intercept errors and collision
+probabilities that feed the shrinking factors in :mod:`dpsqkd.keyrate`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -65,6 +67,8 @@ class Povm:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        if not self.elements:
+            raise ValueError("a POVM needs at least one element")
         d = self.elements[0].shape[0]
         if any(el.shape != (d, d) for el in self.elements):
             raise ValueError("POVM elements must share one dimension")
@@ -105,14 +109,17 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
     A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
     ensemble or the clones of the optimal cloner, is solved on one n x n seed
     block instead of 2**(n-1) blocks (see :func:`_covariant_med_solution`);
-    any other ensemble runs the general solve.  Either way the optimum is
-    certified on the full problem (:func:`med_problem`) through the KKT
-    conditions before the result is returned, so ``problem``, ``solution``
-    and ``kkt`` describe the full SDP.
+    any other ensemble runs the general solve.  Either way the returned
+    optimum is certified once on the full problem (:func:`med_problem`)
+    through the KKT conditions, so ``problem``, ``solution`` and ``kkt``
+    describe the full SDP.
     """
     problem = med_problem(ens)
-    solution = _covariant_med_solution(ens) if _sign_covariant(ens) else sdp.solve(problem)
-    kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
+    if _sign_covariant(ens):
+        solution, kkt = _covariant_med_solution(ens, problem)
+    else:
+        solution = sdp.solve(problem)
+        kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
     count = len(ens.priors)
     elements = _project_psd(np.array([solution.x[name] for name in _block_names(count)]))
     povm = Povm(elements=tuple(elements))
@@ -152,10 +159,12 @@ def _sign_covariant(ens: DpsEnsemble) -> bool:
 _TIE_TOL = 1e-9  # relative gap below which two top eigenvalues are one, up to rounding
 
 
-def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
-    """The exact optimum of a reduced SDP whose constraint operators sum to
-    the identity on every block, when it sits on the top eigenvectors of
-    the objective; ``None`` when it does not.
+def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
+                             objective: Mapping[str, np.ndarray],
+                             constraints: Sequence[sdp.Constraint]) -> sdp.SdpSolution | None:
+    """The top-eigenspace candidate for the optimum of a reduced SDP, given
+    as the data of an :class:`~dpsqkd.sdp.SdpProblem` whose constraint
+    operators sum to the identity on every block; ``None`` when it has none.
 
     If sum_j A_{j,b} = I on every block b, the uniform multipliers
     y = lambda * 1 give the dual slacks Z_b = lambda I - C_b, which are PSD
@@ -167,35 +176,53 @@ def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
     equals the dual one wherever the weights solve the equality rows
     sum_b t_b <A_{j,b}, u_b u_b^dagger> = r_j.  So a solution t >= 0 of
     those rows closes the gap, and the pair is optimal.  The weights come
-    from least squares, and the pair is returned only if it passes
-    ``verify_kkt``.  It fails when the rows have no such solution: when a
-    top eigenvector has uneven weight on the rows, or when the top
-    eigenspace of a block is degenerate and the one eigenvector taken from
-    it misses them.  The pair records no iterations.
+    from least squares; a negative one leaves no candidate.  No problem is
+    built and no KKT check runs: the pair, which records no iterations, is
+    returned uncertified, and the caller certifies it once and solves when
+    it fails (see :func:`_certify_once`).  It fails when the rows have no
+    exact solution: when a top eigenvector has uneven weight on the rows,
+    or when the top eigenspace of a block is degenerate and the one
+    eigenvector taken from it misses them.
     """
-    costs = {name: problem.objective.get(name, np.zeros((d, d))) for name, d in problem.blocks}
+    costs = {name: objective.get(name, np.zeros((d, d))) for name, d in blocks}
     spectra = {name: np.linalg.eigh(c) for name, c in costs.items()}
     lam = max(w[-1] for w, _ in spectra.values())
     top = {name: (w[-1], v[:, -1]) for name, (w, v) in spectra.items()
            if w[-1] >= lam - _TIE_TOL * abs(lam)}
     rows = [[np.vdot(u, coeffs[name] @ u).real if name in coeffs else 0.0
-             for name, (_, u) in top.items()] for coeffs, _ in problem.constraints]
-    rhs = np.array([r for _, r in problem.constraints])
+             for name, (_, u) in top.items()] for coeffs, _ in constraints]
+    rhs = np.array([r for _, r in constraints])
     t = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
-    x = {name: np.zeros((d, d), dtype=complex) for name, d in problem.blocks}
+    if np.any(t < 0.0):
+        return None
+    x = {name: np.zeros((d, d), dtype=complex) for name, d in blocks}
     x.update({name: tb * outer(u) for tb, (name, (_, u)) in zip(t, top.items())})
     primal = float(sum(tb * wb for tb, (wb, _) in zip(t, top.values())))
     dual = float(lam * rhs.sum())
-    solution = sdp.SdpSolution(
+    return sdp.SdpSolution(
         x=x, y=np.full(rhs.size, lam),
         z={name: lam * np.eye(len(c)) - c for name, c in costs.items()},
         primal_objective=primal, dual_objective=dual, gap=abs(primal - dual), iterations=0)
-    return solution if sdp.verify_kkt(problem, solution, tol=_KKT_TOL).passed else None
 
 
-def _covariant_med_solution(ens: DpsEnsemble) -> sdp.SdpSolution:
-    """Solve the MED SDP of a sign-covariant ensemble on one seed block and
-    lift the optimum onto the full problem of :func:`med_problem`.
+def _certify_once(candidate: sdp.SdpSolution | None,
+               certify: Callable[[sdp.SdpSolution], sdp.KktReport],
+               solve: Callable[[], sdp.SdpSolution]) -> tuple[sdp.SdpSolution, sdp.KktReport]:
+    """The candidate and its certificate if it passes; otherwise the pair from
+    ``solve()`` and its certificate.  A covariant route certifies its pair
+    once, and solves only when the candidate is missing or fails."""
+    if candidate is not None:
+        kkt = certify(candidate)
+        if kkt.passed:
+            return candidate, kkt
+    solution = solve()
+    return solution, certify(solution)
+
+
+def _covariant_med_solution(ens: DpsEnsemble, problem: sdp.SdpProblem
+                            ) -> tuple[sdp.SdpSolution, sdp.KktReport]:
+    """The MED optimum of a sign-covariant ensemble, found on one seed block,
+    lifted onto ``problem`` (its :func:`med_problem`) and certified there.
 
     With the sign matrices U_g = diag(s_g) of :func:`~dpsqkd.dps.sign_patterns`,
     an optimal POVM can be taken covariant, P_g = U_g P0 U_g^dagger (Eldar,
@@ -208,30 +235,37 @@ def _covariant_med_solution(ens: DpsEnsemble) -> sdp.SdpSolution:
     the gap when diag(P0) = 1/2**(n-1) has a solution t >= 0, that is, when
     |u_k|**2 = 1/n for every k.  The DPS states have rho_bar = |+><+| with
     |+> the uniform superposition, so the seed optimum is
-    P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1), and no solve runs
-    (see :func:`_top_eigenspace_solution`); another seed block is solved.
+    P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1).
     The seed dual y lifts to Y = diag(y)/2**(n-1), so the full problem's
     multipliers, one per svec entry of the completeness constraint, are
-    svec(Y) and its slacks Z_g = Y - p_g rho_g.  The lifted pair is returned
-    uncertified; the caller checks it on the full problem, which fails when
-    the ensemble is not covariant.
+    svec(Y) and its slacks Z_g = Y - p_g rho_g.  The lifted top-eigenspace
+    candidate (see :func:`_top_eigenspace_solution`) is certified once, by
+    ``verify_kkt`` on ``problem``; only when it is missing or fails is the
+    seed problem built and solved, and its lifted optimum certified.  The
+    certificate fails when the ensemble is not covariant.  Returns the pair
+    and its certificate.
     """
     count, n = len(ens.priors), ens.n
     signs = sign_patterns(n)
     weighted = ens.priors[:, None, None] * ens.densities
     rho_bar = np.einsum("gk,gkl,gl->kl", signs, weighted, signs)
     unit = np.eye(n)
-    seed = sdp.SdpProblem(
-        blocks=[("P0", n)], objective={"P0": rho_bar},
-        constraints=[({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
-    sol = _top_eigenspace_solution(seed) or sdp.solve(seed)
-    lifted = signs[:, :, None] * sol.x["P0"] * signs[:, None, :]
-    dual = np.diag(sol.y / count)
+    seed = ([("P0", n)], {"P0": rho_bar},
+            [({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
     names = _block_names(count)
-    return sdp.SdpSolution(
-        x=dict(zip(names, lifted)), y=sdp.svec(dual), z=dict(zip(names, dual - weighted)),
-        primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
-        gap=sol.gap, iterations=sol.iterations, iterates=sol.iterates)
+
+    def lift(sol: sdp.SdpSolution) -> sdp.SdpSolution:
+        lifted = signs[:, :, None] * sol.x["P0"] * signs[:, None, :]
+        dual = np.diag(sol.y / count)
+        return sdp.SdpSolution(
+            x=dict(zip(names, lifted)), y=sdp.svec(dual), z=dict(zip(names, dual - weighted)),
+            primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
+            gap=sol.gap, iterations=sol.iterations, iterates=sol.iterates)
+
+    candidate = _top_eigenspace_solution(*seed)
+    return _certify_once(None if candidate is None else lift(candidate),
+                      lambda sol: sdp.verify_kkt(problem, sol, tol=_KKT_TOL),
+                      lambda: lift(sdp.solve(sdp.SdpProblem(*seed))))
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
@@ -376,8 +410,7 @@ def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
     v = _choi_kets(ens)
     if not _sign_covariant(ens):
         raise ValueError("the optimal cloner needs a sign-covariant ensemble")
-    problem, solution = _covariant_cloner_solution(v, ens.priors, ens.n)
-    kkt = _reduced_cloner_kkt(problem, solution, _cloning_objective(v, ens.priors), ens.n)
+    problem, solution, kkt = _covariant_cloner_solution(v, ens.priors, ens.n)
     choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
     fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
@@ -410,10 +443,11 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray,
-                               d: int) -> tuple[sdp.SdpProblem, sdp.SdpSolution]:
+def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray, d: int
+                               ) -> tuple[sdp.SdpProblem, sdp.SdpSolution, sdp.KktReport]:
     """The cloning SDP of a sign-covariant ensemble on the character blocks of
-    its Choi operator, and its solution.  ``v`` is :func:`_choi_kets`.
+    its Choi operator, its certified solution and the certificate.  ``v`` is
+    :func:`_choi_kets`.
 
     The objective and the constraints are invariant under the sign group, so
     an optimal Choi operator can be taken invariant, hence block diagonal
@@ -428,19 +462,25 @@ def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray,
     :func:`_top_eigenspace_solution`).  For the DPS states n blocks share
     lambda = (3n-2)/n**3, one per character t -> t_m, and unit weights on
     them give the trace-preserving optimum of two-copy fidelity
-    (3n-2)/n**2, so no solve runs; other blocks are solved.  The pair is
-    returned uncertified; see :func:`_reduced_cloner_kkt`.
+    (3n-2)/n**2.  That candidate is certified once, by
+    :func:`_reduced_cloner_kkt`; only when it is missing or fails is the
+    block problem solved, and its optimum certified.
     """
     p = priors[:, None]
     blocks = _character_blocks(d)
     names = [f"J{b}" for b in range(len(blocks))]
     inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
-    problem = sdp.SdpProblem(
-        blocks=[(name, ix.size) for name, ix in zip(names, blocks)],
-        objective={name: v[:, ix].T @ (p * v[:, ix].conj()) for name, ix in zip(names, blocks)},
-        constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
-                     for k in range(d)])
-    return problem, _top_eigenspace_solution(problem) or sdp.solve(problem)
+    reduced = (
+        [(name, ix.size) for name, ix in zip(names, blocks)],
+        {name: v[:, ix].T @ (p * v[:, ix].conj()) for name, ix in zip(names, blocks)},
+        [({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
+         for k in range(d)])
+    problem = sdp.SdpProblem(*reduced)
+    q = _cloning_objective(v, priors)
+    solution, kkt = _certify_once(_top_eigenspace_solution(*reduced),
+                               lambda sol: _reduced_cloner_kkt(problem, sol, q, d),
+                               lambda: sdp.solve(problem))
+    return problem, solution, kkt
 
 
 def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
@@ -558,6 +598,8 @@ class UnitaryClonerParams:
         b = np.array(self.basis, dtype=complex)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("basis must be a (d, d) array of d kets")
+        if len(b) < 2:
+            raise ValueError("a cloning basis needs at least two kets")
         if float(np.max(np.abs(b @ dagger(b) - np.eye(len(b))))) > 1e-10:
             raise ValueError("basis is not orthonormal")
         b.flags.writeable = False

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,13 +94,22 @@ MAX_ITERATIONS = 200
 _SQRT2 = np.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a d x d
+    matrix, as ``np.triu_indices(d, 1)``; computed once per d, read-only."""
+    iu, ju = np.triu_indices(d, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def svec(h: np.ndarray) -> np.ndarray:
     """Real vector of length d**2 representing a Hermitian d x d operator.
 
     A stack of shape (..., d, d) maps to (..., d**2).
     """
     h = np.asarray(h, dtype=complex)
-    iu, ju = np.triu_indices(h.shape[-1], 1)
+    iu, ju = _upper(h.shape[-1])
     upper = h[..., iu, ju]
     return np.concatenate([
         np.real(np.diagonal(h, axis1=-2, axis2=-1)),
@@ -111,7 +121,7 @@ def svec(h: np.ndarray) -> np.ndarray:
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`svec`, also on stacks (..., d**2) -> (..., d, d)."""
     v = np.asarray(v, dtype=float)
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _upper(d)
     k = iu.size
     h = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
     diag = np.arange(d)
@@ -512,13 +522,22 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 # named constraint builders
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _svec_basis(d: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """(the svec unit vectors as a read-only (d**2, d, d) operator stack,
+    the svec entries of the identity); computed once per d."""
+    basis = smat(np.eye(d * d), d)
+    basis.flags.writeable = False
+    return basis, tuple(float(e) for e in svec(np.eye(d)))
+
+
 def povm_completeness_constraints(dim: int) -> list[Constraint]:
     """Constraints stating that the blocks of dimension ``dim`` sum to the
     identity on C^dim: one shared operator per svec entry, acting on every
-    block of that dimension."""
-    basis = smat(np.eye(dim * dim), dim)  # svec unit vectors as operators
-    eye = svec(np.eye(dim))
-    return [(basis[k], float(eye[k])) for k in range(dim * dim)]
+    block of that dimension.  The operators are read-only views of one
+    cached stack; the list is new on every call."""
+    basis, eye = _svec_basis(dim)
+    return list(zip(basis, eye))
 
 
 def partial_trace_identity_constraints(block: str, dims: Sequence[int],
@@ -532,12 +551,11 @@ def partial_trace_identity_constraints(block: str, dims: Sequence[int],
     if not 0 <= keep < len(dims):
         raise ValueError("keep index out of range")
     dk = dims[keep]
-    basis = smat(np.eye(dk * dk), dk)
-    eye = svec(np.eye(dk))
+    basis, eye = _svec_basis(dk)
     left = int(np.prod(dims[:keep])) if keep else 1
     right = int(np.prod(dims[keep + 1:])) if keep + 1 < len(dims) else 1
     out: list[Constraint] = []
     for k in range(dk * dk):
         op = np.kron(np.eye(left), np.kron(basis[k], np.eye(right)))
-        out.append(({block: op}, float(eye[k])))
+        out.append(({block: op}, eye[k]))
     return out

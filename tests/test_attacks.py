@@ -151,8 +151,9 @@ def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
     not optimal, and the full-problem certificate says so.  ``med_attack``
     therefore takes the general route for them, which passes."""
     skewed = dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2])
-    lifted = attacks._covariant_med_solution(skewed)
-    report = sdp.verify_kkt(med_problem(skewed), lifted, tol=1e-6)
+    problem = med_problem(skewed)
+    lifted, report = attacks._covariant_med_solution(skewed, problem)
+    assert sdp.verify_kkt(problem, lifted, tol=1e-6) == report
     assert not report.passed
     assert not report.conditions["dual_psd"]
     del covariant_calls[:]
@@ -185,21 +186,29 @@ def sign_orbit(seed):
     ([1, 1j, -1], 0),  # even weight: the top eigenvector is the optimum
     (np.eye(3) / 3, 1),  # degenerate: one top eigenvector misses the rows
 ])
-def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved):
+def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved, monkeypatch):
     """Sign-covariant ensembles other than DPS: MED and the optimal cloner take
     the top-eigenspace optimum where it certifies, and otherwise solve their
     reduced problem once; either way the optimum passes its certificate and
-    matches the general solve."""
+    matches the general solve.  Each certificate runs once per pair: on the
+    failed candidate, then on the solved pair, whose report the result
+    carries."""
+    reports, verify_kkt = [], sdp.verify_kkt
+    monkeypatch.setattr(sdp, "verify_kkt",
+                        lambda *args, **kwargs: reports.append(verify_kkt(*args, **kwargs))
+                        or reports[-1])
     ens = sign_orbit(seed)
     assert attacks._sign_covariant(ens)
     med = med_attack(ens)
     assert len(solved) == solves and all(p.blocks == [("P0", ens.n)] for p in solved)
-    assert med.kkt.passed, med.kkt.conditions
+    assert [r.passed for r in reports] == [False] * solves + [True]
+    assert med.kkt is reports[-1]
     assert med.p_success == pytest.approx(general_med(ens)[0], abs=1e-7)
     if ens.states.ndim == 2:  # the cloners take kets only
-        del solved[:]
+        del solved[:], reports[:]
         clone = optimal_cloner(ens)
         assert solved == [clone.problem] * solves
+        assert [r.passed for r in reports] == [False] * solves + [True]
         assert clone.kkt.passed, clone.kkt.conditions
         _, two_copy, _, bobs, _ = full_cloner(ens)
         assert clone.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-7)
@@ -259,6 +268,11 @@ def test_povm_rejects_incomplete_sets(eps, valid):
 def test_povm_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="share one dimension"):
         Povm(elements=(np.eye(2), np.zeros((3, 3))))
+
+
+def test_povm_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="at least one element"):
+        Povm(elements=())
 
 
 def test_holevo_certificate(ens3, med3):
@@ -411,7 +425,7 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     v = attacks._choi_kets(ens)
     q = attacks._cloning_objective(v, ens.priors)
     full = cloning_problem(ens)
-    problem, solution = attacks._covariant_cloner_solution(v, ens.priors, n)
+    problem, solution, _ = attacks._covariant_cloner_solution(v, ens.priors, n)
 
     def verdicts(problem, solution, q):
         reduced = attacks._reduced_cloner_kkt(problem, solution, q, n)
@@ -425,7 +439,7 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     assert verdicts(problem, zeroed, q) == (False, False)
     skewed = ens.priors * np.linspace(0.5, 1.5, len(ens.priors))
     skewed /= skewed.sum()
-    assert verdicts(*attacks._covariant_cloner_solution(v, skewed, n),
+    assert verdicts(*attacks._covariant_cloner_solution(v, skewed, n)[:2],
                     attacks._cloning_objective(v, skewed)) == (False, False)
     # one entry between the kets of largest weight in the first two blocks
     first, second = attacks._character_blocks(n)[:2]
@@ -598,6 +612,12 @@ def test_unitary_params_validation(ens3):
     params = UnitaryClonerParams(q=0.23, basis=basis)
     assert params.d == 3
     assert params.unitarity_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("basis", [np.eye(1), np.zeros((0, 0))])
+def test_unitary_params_need_two_kets(basis):
+    with pytest.raises(ValueError, match="at least two kets"):
+        UnitaryClonerParams(q=0.0, basis=basis)
 
 
 def test_unitary_cloner_is_isometry():
@@ -930,38 +950,40 @@ def test_standard_attack_profiles_n4(monkeypatch):
     assert set(got) == set(N4_PROFILES)
     for name, want in N4_PROFILES.items():
         assert got[name] == pytest.approx(want, abs=1e-6), name
-    # MED, cloner and MED of the optimal clones each check their closed-form
-    # reduced pair and then certify their optimum; MED of the unitary clones
-    # only certifies
-    assert len(reports) == 7
+    # one certificate per optimum: MED, cloner, MED of the optimal clones and
+    # MED of the unitary clones
+    assert len(reports) == 4
     assert all(r.passed for r in reports)
 
 
 # The verify_kkt calls of standard_attack_profiles(3) that certify the four
-# attack optima.  Each sign-covariant attack (MED, optimal cloner, MED after
-# optimal cloning) checks its reduced pair in the call before its certificate.
-CERTIFICATE_CALLS = (1, 3, 5, 6)
+# attack optima, one call per optimum.
+CERTIFICATE_CALLS = (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("failing,attack", [
     (0, "med"), (1, "optimal cloner"), (2, "MED after optimal cloning"),
     (3, "MED after unitary cloning")])
 def test_uncertified_optimum_never_reaches_a_profile(monkeypatch, failing, attack):
+    """From one attack's certificate on, every certificate fails.  A
+    sign-covariant attack then solves its reduced problem and certifies that
+    pair too (two checks); the general MED of the unitary clones has one."""
+    checks = 1 if attack == "MED after unitary cloning" else 2
     calls = []
 
-    def verify_kkt_failing_once(*args, **kwargs):
+    def verify_kkt_failing_from(*args, **kwargs):
         report = verify_kkt(*args, **kwargs)
-        if len(calls) == CERTIFICATE_CALLS[failing]:
+        if len(calls) >= CERTIFICATE_CALLS[failing]:
             report.conditions["dual_psd"] = False
         calls.append(report)
         return report
 
     verify_kkt = sdp.verify_kkt
-    monkeypatch.setattr(sdp, "verify_kkt", verify_kkt_failing_once)
+    monkeypatch.setattr(sdp, "verify_kkt", verify_kkt_failing_from)
     with pytest.raises(attacks.UncertifiedOptimumError,
                        match=f"^{attack}: KKT certificate failed \\(dual_psd\\)$"):
         standard_attack_profiles(3)
-    assert len(calls) == CERTIFICATE_CALLS[failing] + 1
+    assert len(calls) == CERTIFICATE_CALLS[failing] + checks
 
 
 @pytest.mark.parametrize("error", [sdp.MaxIterationsError, sdp.NumericalBreakdownError])

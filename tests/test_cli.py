@@ -52,7 +52,7 @@ def test_solver_failure_reports_last_iterate(monkeypatch, capsys):
     # a DPS attack reaches its optimum without a solve; this forces the
     # fallback solve, which two iterations cannot finish
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
-    monkeypatch.setattr(attacks, "_top_eigenspace_solution", lambda problem: None)
+    monkeypatch.setattr(attacks, "_top_eigenspace_solution", lambda *reduced: None)
     code, out, err = run_cli(capsys, "med", "--n", "3")
     assert code == 3 and out == ""
     assert err.startswith("solver failure: ")
@@ -67,7 +67,7 @@ def test_solver_failure_reports_last_iterate(monkeypatch, capsys):
 ])
 def test_solver_failure_names_the_attack(monkeypatch, capsys, argv, attack):
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
-    monkeypatch.setattr(attacks, "_top_eigenspace_solution", lambda problem: None)
+    monkeypatch.setattr(attacks, "_top_eigenspace_solution", lambda *reduced: None)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith(f"solver failure: {attack}: ")
@@ -302,7 +302,7 @@ def test_output_file(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert path.read_bytes() == before
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
-    monkeypatch.setattr(attacks, "_top_eigenspace_solution", lambda problem: None)
+    monkeypatch.setattr(attacks, "_top_eigenspace_solution", lambda *reduced: None)
     code, out, _ = run_cli(capsys, "med", "--n", "3", "--output", str(path))
     assert code == 3 and out == ""
     assert path.read_bytes() == before

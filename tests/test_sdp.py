@@ -43,6 +43,20 @@ def test_svec_roundtrip_and_inner_product(rng):
     assert_allclose(smat(svec(stack), 4), stack, atol=1e-12)
 
 
+def test_completeness_constraints_share_one_read_only_basis():
+    """Each call returns a new list over the same cached, read-only operators,
+    which are the svec unit vectors with the svec entries of I as rows."""
+    first, second = povm_completeness_constraints(3), povm_completeness_constraints(3)
+    assert first is not second
+    for (a, r), (b, s) in zip(first, second):
+        assert np.shares_memory(a, b) and not a.flags.writeable and r == s
+    ops = np.array([op for op, _ in first])
+    assert_allclose(svec(ops), np.eye(9), rtol=0, atol=1e-15)
+    assert_allclose([r for _, r in first], svec(np.eye(3)), rtol=0, atol=0)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0][0, 0] = 2.0
+
+
 def test_orthogonal_discrimination_is_perfect():
     sol = solve(two_state_problem())
     assert sol.primal_objective == pytest.approx(1.0, abs=1e-6)
