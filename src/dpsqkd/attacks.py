@@ -15,23 +15,23 @@ Four eavesdropping strategies are modelled:
 Every SDP is assembled through the named constraint builders of
 :mod:`dpsqkd.sdp`; no attack code touches raw svec index arithmetic.  An
 ensemble that is covariant under the sign group of the DPS states (see
-:func:`_sign_covariant`) is solved on a symmetry-reduced problem: MED on one
-n x n seed block, the optimal cloner on the character blocks of its Choi
-operator.  The constraint operators of both reduced problems partition the
-identity, so the uniform multiplier y = lambda_max(C) is dual feasible, and
-a primal on the top eigenvectors of the objective that meets the equality
-rows closes the gap.  :func:`_top_eigenspace_solution` builds that exact
-pair from the reduced data, without building a problem, and returns it
-uncertified.  Each route certifies it once with its own certificate, and
-only a missing or failing candidate sends the reduced problem to the
-interior-point solver, whose pair is then certified (see
-:func:`_certify_once`).  The candidate passes for MED and the optimal
+:func:`_sign_covariant`) has a symmetry-reduced problem: MED one n x n
+seed block, the optimal cloner the character blocks of its Choi operator.
+The constraint operators of both partition the identity, so the uniform
+multiplier y = lambda_max(C) is dual feasible, and a primal on the top
+eigenvectors of the objective that meets the equality rows closes the gap.
+:func:`_top_eigenspace_solution` builds that exact pair from the reduced
+data, without building a problem.  Each attack certifies its candidate
+once, and solves only when it is missing or fails (see
+:func:`_certify_once`); the candidate passes for MED and the optimal
 cloner of the DPS states and for MED of the optimal clones.  MED lifts its
-seed pair and certifies it on the full problem; any other ensemble runs the
-general MED solve.  The cloner takes sign-covariant ensembles only, and
-certifies its blocks through a reduced certificate equivalent to the one on
-the full :func:`cloning_problem` (see :func:`_reduced_cloner_kkt`), which it
-never builds.  Each cloning attack is one certified :class:`CloningAttack`,
+seed pair onto the full :func:`med_problem` and certifies it there; its
+one solve is the general solve of that problem, which every other
+ensemble runs.  The cloner takes sign-covariant ensembles only, solves its
+block problem when the candidate fails, and certifies its blocks through a
+reduced certificate equivalent to the one on the full
+:func:`cloning_problem` (see :func:`_reduced_cloner_kkt`), which it never
+builds.  Each cloning attack is one certified :class:`CloningAttack`,
 read by the ``clone`` report and by its key-rate profile.
 :data:`ATTACK_PROFILES` builds the per-intercept errors and collision
 probabilities that feed the shrinking factors in :mod:`dpsqkd.keyrate`.
@@ -107,19 +107,18 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
     """Optimal minimum-error discrimination of an ensemble.
 
     A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
-    ensemble or the clones of the optimal cloner, is solved on one n x n seed
-    block instead of 2**(n-1) blocks (see :func:`_covariant_med_solution`);
-    any other ensemble runs the general solve.  Either way the returned
-    optimum is certified once on the full problem (:func:`med_problem`)
-    through the KKT conditions, so ``problem``, ``solution`` and ``kkt``
+    ensemble or the clones of the optimal cloner, offers the lifted
+    optimum of its seed block as a candidate (see
+    :func:`_covariant_med_candidate`).  The candidate is certified once on
+    the full problem (:func:`med_problem`) through the KKT conditions; when
+    it is missing or fails, as for any other ensemble, the full problem is
+    solved and its pair certified.  So ``problem``, ``solution`` and ``kkt``
     describe the full SDP.
     """
     problem = med_problem(ens)
-    if _sign_covariant(ens):
-        solution, kkt = _covariant_med_solution(ens, problem)
-    else:
-        solution = sdp.solve(problem)
-        kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
+    solution, kkt = _certify_once(_covariant_med_candidate(ens) if _sign_covariant(ens) else None,
+                                  lambda sol: sdp.verify_kkt(problem, sol, tol=_KKT_TOL),
+                                  lambda: sdp.solve(problem))
     count = len(ens.priors)
     elements = _project_psd(np.array([solution.x[name] for name in _block_names(count)]))
     povm = Povm(elements=tuple(elements))
@@ -178,8 +177,8 @@ def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
     those rows closes the gap, and the pair is optimal.  The weights come
     from least squares; a negative one leaves no candidate.  No problem is
     built and no KKT check runs: the pair, which records no iterations, is
-    returned uncertified, and the caller certifies it once and solves when
-    it fails (see :func:`_certify_once`).  It fails when the rows have no
+    returned uncertified, and the caller certifies it (see
+    :func:`_certify_once`).  The certificate fails when the rows have no
     exact solution: when a top eigenvector has uneven weight on the rows,
     or when the top eigenspace of a block is degenerate and the one
     eigenvector taken from it misses them.
@@ -206,11 +205,11 @@ def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
 
 
 def _certify_once(candidate: sdp.SdpSolution | None,
-               certify: Callable[[sdp.SdpSolution], sdp.KktReport],
-               solve: Callable[[], sdp.SdpSolution]) -> tuple[sdp.SdpSolution, sdp.KktReport]:
+                  certify: Callable[[sdp.SdpSolution], sdp.KktReport],
+                  solve: Callable[[], sdp.SdpSolution]) -> tuple[sdp.SdpSolution, sdp.KktReport]:
     """The candidate and its certificate if it passes; otherwise the pair from
-    ``solve()`` and its certificate.  A covariant route certifies its pair
-    once, and solves only when the candidate is missing or fails."""
+    ``solve()`` and its certificate.  Each pair is certified once, and
+    ``solve`` runs only when the candidate is missing or fails."""
     if candidate is not None:
         kkt = certify(candidate)
         if kkt.passed:
@@ -219,10 +218,10 @@ def _certify_once(candidate: sdp.SdpSolution | None,
     return solution, certify(solution)
 
 
-def _covariant_med_solution(ens: DpsEnsemble, problem: sdp.SdpProblem
-                            ) -> tuple[sdp.SdpSolution, sdp.KktReport]:
-    """The MED optimum of a sign-covariant ensemble, found on one seed block,
-    lifted onto ``problem`` (its :func:`med_problem`) and certified there.
+def _covariant_med_candidate(ens: DpsEnsemble) -> sdp.SdpSolution | None:
+    """The top-eigenspace MED optimum of a sign-covariant ensemble, found on
+    one seed block and lifted onto its :func:`med_problem`, uncertified;
+    ``None`` when the seed has no candidate.
 
     With the sign matrices U_g = diag(s_g) of :func:`~dpsqkd.dps.sign_patterns`,
     an optimal POVM can be taken covariant, P_g = U_g P0 U_g^dagger (Eldar,
@@ -233,39 +232,28 @@ def _covariant_med_solution(ens: DpsEnsemble, problem: sdp.SdpProblem
     |k><k| sum to the identity, so y = lambda_max(rho_bar) * 1 is dual
     feasible, and P0 = t u u^dagger on a top eigenvector u of rho_bar closes
     the gap when diag(P0) = 1/2**(n-1) has a solution t >= 0, that is, when
-    |u_k|**2 = 1/n for every k.  The DPS states have rho_bar = |+><+| with
-    |+> the uniform superposition, so the seed optimum is
-    P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1).
+    |u_k|**2 = 1/n for every k (see :func:`_top_eigenspace_solution`).  The
+    DPS states have rho_bar = |+><+| with |+> the uniform superposition, so
+    the seed optimum is P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1).
     The seed dual y lifts to Y = diag(y)/2**(n-1), so the full problem's
     multipliers, one per svec entry of the completeness constraint, are
-    svec(Y) and its slacks Z_g = Y - p_g rho_g.  The lifted top-eigenspace
-    candidate (see :func:`_top_eigenspace_solution`) is certified once, by
-    ``verify_kkt`` on ``problem``; only when it is missing or fails is the
-    seed problem built and solved, and its lifted optimum certified.  The
-    certificate fails when the ensemble is not covariant.  Returns the pair
-    and its certificate.
+    svec(Y) and its slacks Z_g = Y - p_g rho_g.  Nothing here assumes the
+    ensemble is covariant: the certificate on the full problem fails when
+    it is not.
     """
     count, n = len(ens.priors), ens.n
     signs = sign_patterns(n)
     weighted = ens.priors[:, None, None] * ens.densities
     rho_bar = np.einsum("gk,gkl,gl->kl", signs, weighted, signs)
     unit = np.eye(n)
-    seed = ([("P0", n)], {"P0": rho_bar},
-            [({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
+    seed = _top_eigenspace_solution([("P0", n)], {"P0": rho_bar},
+                                    [({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
+    if seed is None:
+        return None
     names = _block_names(count)
-
-    def lift(sol: sdp.SdpSolution) -> sdp.SdpSolution:
-        lifted = signs[:, :, None] * sol.x["P0"] * signs[:, None, :]
-        dual = np.diag(sol.y / count)
-        return sdp.SdpSolution(
-            x=dict(zip(names, lifted)), y=sdp.svec(dual), z=dict(zip(names, dual - weighted)),
-            primal_objective=sol.primal_objective, dual_objective=sol.dual_objective,
-            gap=sol.gap, iterations=sol.iterations, iterates=sol.iterates)
-
-    candidate = _top_eigenspace_solution(*seed)
-    return _certify_once(None if candidate is None else lift(candidate),
-                      lambda sol: sdp.verify_kkt(problem, sol, tol=_KKT_TOL),
-                      lambda: lift(sdp.solve(sdp.SdpProblem(*seed))))
+    dual = np.diag(seed.y / count)
+    return replace(seed, x=dict(zip(names, signs[:, :, None] * seed.x["P0"] * signs[:, None, :])),
+                   y=sdp.svec(dual), z=dict(zip(names, dual - weighted)))
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
@@ -478,8 +466,8 @@ def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray, d: int
     problem = sdp.SdpProblem(*reduced)
     q = _cloning_objective(v, priors)
     solution, kkt = _certify_once(_top_eigenspace_solution(*reduced),
-                               lambda sol: _reduced_cloner_kkt(problem, sol, q, d),
-                               lambda: sdp.solve(problem))
+                                  lambda sol: _reduced_cloner_kkt(problem, sol, q, d),
+                                  lambda: sdp.solve(problem))
     return problem, solution, kkt
 
 

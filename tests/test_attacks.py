@@ -100,9 +100,9 @@ def assert_matches_general_med(result, ens):
 
 @pytest.fixture
 def covariant_calls(monkeypatch):
-    """Names of the symmetry-reduced solutions taken while the test runs."""
+    """Names of the symmetry-reduced routes taken while the test runs."""
     calls = []
-    for name in ("_covariant_med_solution", "_covariant_cloner_solution"):
+    for name in ("_covariant_med_candidate", "_covariant_cloner_solution"):
         def spy(*args, _name=name, _real=getattr(attacks, name), **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -112,8 +112,8 @@ def covariant_calls(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_covariant_med_matches_general_solve(n, request):
-    """The seed-block route of a DpsEnsemble and the general 2**(n-1)-block
-    solve of the same states reach the same optimum."""
+    """The lifted seed-block candidate of a DpsEnsemble and the general
+    2**(n-1)-block solve of the same states reach the same optimum."""
     ens = dps_ensemble(n)
     covariant = request.getfixturevalue(f"med{n}")
     assert_matches_general_med(covariant, ens)
@@ -149,11 +149,11 @@ def test_covariant_med_certified_above_the_attack_cap(n):
 def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
     """Skewed priors break the sign symmetry; the lifted seed pair is then
     not optimal, and the full-problem certificate says so.  ``med_attack``
-    therefore takes the general route for them, which passes."""
+    therefore offers no candidate for them and runs the general solve, which
+    passes."""
     skewed = dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2])
-    problem = med_problem(skewed)
-    lifted, report = attacks._covariant_med_solution(skewed, problem)
-    assert sdp.verify_kkt(problem, lifted, tol=1e-6) == report
+    lifted = attacks._covariant_med_candidate(skewed)
+    report = sdp.verify_kkt(med_problem(skewed), lifted, tol=1e-6)
     assert not report.passed
     assert not report.conditions["dual_psd"]
     del covariant_calls[:]
@@ -188,11 +188,11 @@ def sign_orbit(seed):
 ])
 def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved, monkeypatch):
     """Sign-covariant ensembles other than DPS: MED and the optimal cloner take
-    the top-eigenspace optimum where it certifies, and otherwise solve their
-    reduced problem once; either way the optimum passes its certificate and
-    matches the general solve.  Each certificate runs once per pair: on the
-    failed candidate, then on the solved pair, whose report the result
-    carries."""
+    the top-eigenspace optimum where it certifies, and otherwise solve once:
+    MED its full problem, the cloner its block problem.  Either way the
+    optimum passes its certificate and matches the general solve.  Each
+    certificate runs once per pair: on the failed candidate, then on the
+    solved pair, whose report the result carries."""
     reports, verify_kkt = [], sdp.verify_kkt
     monkeypatch.setattr(sdp, "verify_kkt",
                         lambda *args, **kwargs: reports.append(verify_kkt(*args, **kwargs))
@@ -200,7 +200,8 @@ def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved
     ens = sign_orbit(seed)
     assert attacks._sign_covariant(ens)
     med = med_attack(ens)
-    assert len(solved) == solves and all(p.blocks == [("P0", ens.n)] for p in solved)
+    assert solved == [med.problem] * solves
+    assert (med.solution.iterations > 0) == (solves == 1)
     assert [r.passed for r in reports] == [False] * solves + [True]
     assert med.kkt is reports[-1]
     assert med.p_success == pytest.approx(general_med(ens)[0], abs=1e-7)
@@ -217,13 +218,13 @@ def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_optimal_clone_med_matches_general_solve(n, covariant_calls):
-    """Eve's optimal-cloner clones are sign covariant, so their MED runs on
-    the seed block and reaches the general solve's optimum."""
+    """Eve's optimal-cloner clones are sign covariant, so their MED takes the
+    lifted seed-block candidate and reaches the general solve's optimum."""
     ens = dps_ensemble(n)
     clone = optimal_cloner(ens)
     del covariant_calls[:]
     result = med_on_cloned(ens, clone.eve_states)
-    assert covariant_calls == ["_covariant_med_solution"]
+    assert covariant_calls == ["_covariant_med_candidate"]
     assert result.kkt.passed, result.kkt.conditions
     assert_matches_general_med(result, dataclasses.replace(ens, states=clone.eve_states))
 
