@@ -99,8 +99,9 @@ def med_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     over POVMs {P_i}."""
     names = _block_names(len(ens.priors))
     objective = {name: p * rho for name, p, rho in zip(names, ens.priors, ens.densities)}
+    real = not np.any(ens.densities.imag)
     return sdp.SdpProblem(blocks=[(name, ens.n) for name in names], objective=objective,
-                          constraints=sdp.povm_completeness_constraints(ens.n))
+                          constraints=sdp.povm_completeness_constraints(ens.n, real=real))
 
 
 def med_attack(ens: DpsEnsemble) -> MedResult:
@@ -116,7 +117,8 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
     describe the full SDP.
     """
     problem = med_problem(ens)
-    solution, kkt = _certify_once(_covariant_med_candidate(ens) if _sign_covariant(ens) else None,
+    solution, kkt = _certify_once(_covariant_med_candidate(ens, problem)
+                                  if _sign_covariant(ens) else None,
                                   lambda sol: sdp.verify_kkt(problem, sol, tol=_KKT_TOL),
                                   lambda: sdp.solve(problem))
     count = len(ens.priors)
@@ -218,10 +220,11 @@ def _certify_once(candidate: sdp.SdpSolution | None,
     return solution, certify(solution)
 
 
-def _covariant_med_candidate(ens: DpsEnsemble) -> sdp.SdpSolution | None:
+def _covariant_med_candidate(ens: DpsEnsemble, problem: sdp.SdpProblem
+                             ) -> sdp.SdpSolution | None:
     """The top-eigenspace MED optimum of a sign-covariant ensemble, found on
-    one seed block and lifted onto its :func:`med_problem`, uncertified;
-    ``None`` when the seed has no candidate.
+    one seed block and lifted onto its :func:`med_problem` ``problem``,
+    uncertified; ``None`` when the seed has no candidate.
 
     With the sign matrices U_g = diag(s_g) of :func:`~dpsqkd.dps.sign_patterns`,
     an optimal POVM can be taken covariant, P_g = U_g P0 U_g^dagger (Eldar,
@@ -237,9 +240,9 @@ def _covariant_med_candidate(ens: DpsEnsemble) -> sdp.SdpSolution | None:
     the seed optimum is P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1).
     The seed dual y lifts to Y = diag(y)/2**(n-1), so the full problem's
     multipliers, one per svec entry of the completeness constraint, are
-    svec(Y) and its slacks Z_g = Y - p_g rho_g.  Nothing here assumes the
-    ensemble is covariant: the certificate on the full problem fails when
-    it is not.
+    svec(Y), or its real symmetric prefix on real data, and its slacks
+    Z_g = Y - p_g rho_g.  Nothing here assumes the ensemble is covariant:
+    the certificate on the full problem fails when it is not.
     """
     count, n = len(ens.priors), ens.n
     signs = sign_patterns(n)
@@ -253,7 +256,8 @@ def _covariant_med_candidate(ens: DpsEnsemble) -> sdp.SdpSolution | None:
     names = _block_names(count)
     dual = np.diag(seed.y / count)
     return replace(seed, x=dict(zip(names, signs[:, :, None] * seed.x["P0"] * signs[:, None, :])),
-                   y=sdp.svec(dual), z=dict(zip(names, dual - weighted)))
+                   y=sdp.svec(dual)[:len(problem.constraints)],
+                   z=dict(zip(names, dual - weighted)))
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:

@@ -25,10 +25,10 @@ of its dimension, as the POVM completeness constraints do.  A group touched
 only by shared operators stores them once, as an (m, 1, d, d) stack; any
 other group stores (m, B, d, d).  The constraint map
 A(X)_j = sum_b <A_{j,b}, X_b> and its adjoint A*(y)_b = sum_j y_j A_{j,b}
-are real matrix-vector products on the real view of the complex stacks,
-since Re Tr(A H) of Hermitian A and H is the real dot product of their
-entries; on a shared stack A(X) pairs A_j with sum_b X_b and A*(y) is one
-(d, d) operator broadcast over the blocks.
+are real matrix-vector products on the real view of the stacks, since
+Re Tr(A H) of Hermitian A and H is the real dot product of their entries;
+on a shared stack A(X) pairs A_j with sum_b X_b and A*(y) is one (d, d)
+operator broadcast over the blocks.
 The NT operator X -> W X W is applied, never stored.  The Schur complement
 M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> (Todd, Toh & Tutuncu, SIAM J.
 Optim. 8, 1998) is assembled without a loop over constraints.  On a shared
@@ -38,10 +38,29 @@ K = sum_b W_b^T (x) W_b, its indices permuted to match A: one (d^2, B) x
 Any other group forms W A_j W for every column j in one batched product,
 as many entries as its stored constraint operators, and pairs it with
 every A_i in one real matrix product; a d x d block costs O(m d^3) time
-per iteration, where a stored d^2 x d^2 operator would cost O(d^6).  The
-step lengths of X and Z come from one factorisation of the stacked [X; Z]
-per group.  The constraint count m is small, so all linear algebra is
-dense.
+per iteration, where a stored d^2 x d^2 operator would cost O(d^6).  Per
+group and iteration the only LAPACK calls on the block stacks are two
+``eigh``, of Z and of the scaled X, and two ``eigvalsh``: the two
+eigendecompositions give W, the centring term's Z^-1 and inverse factors
+of X and Z, from which each step length is one ``eigvalsh`` (see
+:func:`_nt_scaling`).  They are also the iteration's only cone checks.
+The constraint count m is small, so all linear algebra is dense.
+
+Real data are solved in real arithmetic.  When every objective and
+constraint operator of a problem is real, decided once per stacked array,
+the problem stores float64 stacks, and the iterates, the constraint map
+and :func:`verify_kkt` stay real; otherwise every stack is complex128.
+This is sound.  Take real C_b and A_{j,b}, and the complex problem that
+adds purely imaginary constraint operators i S (S real antisymmetric) of
+right-hand side zero, as the full svec basis does.  For real symmetric A
+and Hermitian X, Tr(A X) = Tr(A Re X), since Im X is antisymmetric, and
+Re X = (X + conj X)/2 is PSD when X is; so Re X of a complex optimum is
+feasible for the real problem with the same objective.  A real X meets
+every row Tr(i S X) = 0, so the two optima are equal.  A real dual (y, Z)
+is a complex dual with zero multipliers on the imaginary rows, the same Z
+and the same value, so a real certificate certifies the complex problem
+too.  :func:`povm_completeness_constraints` accordingly states, for real
+data, only the real symmetric rows, the prefix of the svec basis.
 
 The symmetric vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled
 real and imaginary off-diagonal parts) maps a Hermitian operator to a real
@@ -148,7 +167,8 @@ class _Group:
     ``ops[j, k]`` is the operator of constraint j on block ``names[k]`` (zero
     where the constraint does not touch the block), ``cost[k]`` its
     objective operator.  A group that only shared constraint operators touch
-    stores ``ops`` as (m, 1, d, d): ``ops[j, 0]`` acts on every block.
+    stores ``ops`` as (m, 1, d, d): ``ops[j, 0]`` acts on every block.  Both
+    stacks are float64 when the problem's data are real, else complex128.
     """
 
     d: int
@@ -162,9 +182,15 @@ class _Group:
         return self.ops.shape[1] < len(self.names)
 
     @property
+    def real(self) -> bool:
+        """Whether the data are real, stored as float64 stacks."""
+        return self.cost.dtype == float
+
+    @property
     def rows(self) -> np.ndarray:
-        """``ops`` as m real rows, a view: row j holds the real and imaginary
-        parts of the entries of constraint j's operators on the group."""
+        """``ops`` as m real rows, a view: row j holds the entries of
+        constraint j's operators on the group, as real and imaginary parts
+        when they are complex."""
         return self.ops.reshape(len(self.ops), self.ops.shape[1] * self.d ** 2).view(float)
 
 
@@ -186,8 +212,10 @@ class SdpProblem:
     That stack is (m, 1, d, d) when only shared operators touch the group,
     so a shared operator is stored, checked and rank-tested once, not once
     per block; otherwise it is (m, B, d, d), with shared operators copied
-    into every block.  The solver and :func:`verify_kkt` read only these
-    stacks; the svec constraint matrix exists only while the rank is checked.
+    into every block.  The stacks are float64 when every operator is real,
+    tested once per stack, and complex128 otherwise.  The solver and
+    :func:`verify_kkt` read only these stacks; the svec constraint matrix
+    exists only while the rank is checked.
     """
 
     blocks: Sequence[tuple[str, int]]
@@ -206,6 +234,8 @@ class SdpProblem:
         self._where = {n: where[n] for n in names}  # block order
         cost = self._stack([self.objective], by_dim, "objective")
         ops = self._stack([co for co, _ in self.constraints], by_dim, "constraint")
+        if not any(np.any(stack.imag) for stack in cost + ops):
+            cost, ops = ([stack.real.copy() for stack in stacks] for stacks in (cost, ops))
         self._groups = [_Group(d, tuple(group), o, c[0])
                         for (d, group), o, c in zip(by_dim.items(), ops, cost)]
         m = len(self.constraints)
@@ -279,9 +309,11 @@ class SdpSolution:
     last, with keys ``iteration``, ``mu``, ``gap``, ``primal_infeasibility``
     and ``dual_infeasibility``.  Every record but the last also holds the step
     taken from it: ``alpha_p``, ``alpha_d``, ``sigma``, and the seconds spent
-    on the NT scaling and centring term (``scaling_s``), on assembling and
-    factorising the Schur complement and solving for the direction
-    (``schur_s``), and on the step lengths and the update (``step_s``).
+    on the NT scaling, its factors and the centring term (``scaling_s``), on
+    assembling and factorising the Schur complement and solving for the
+    direction (``schur_s``), and on the step lengths, one ``eigvalsh`` each
+    for X and Z, and the update (``step_s``).  The solve returns ``x`` and
+    ``z`` in the problem's dtype: float64 on real data.
     """
 
     x: dict[str, np.ndarray]
@@ -315,15 +347,9 @@ class KktReport:
 # solver
 # ---------------------------------------------------------------------------
 
-def _chol(mat: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdownError(f"{what} lost positive definiteness") from exc
-
-
 def _apply(groups: Sequence[_Group], x: Sequence[np.ndarray]) -> np.ndarray:
-    """A(X)_j = sum_b Re<A_{j,b}, X_b> for one (B, d, d) stack per group.
+    """A(X)_j = sum_b Re<A_{j,b}, X_b> for one (B, d, d) stack per group, in
+    the problem's dtype.
 
     Re Tr(A X) = Re sum_kl A_kl conj(X_kl) for Hermitian A, a real dot
     product of the real views: one matrix-vector product per group.  A
@@ -336,7 +362,7 @@ def _apply(groups: Sequence[_Group], x: Sequence[np.ndarray]) -> np.ndarray:
 def _adjoint(groups: Sequence[_Group], y: np.ndarray) -> list[np.ndarray]:
     """A*(y)_b = sum_j y_j A_{j,b} as one (B, d, d) stack per group; for a
     shared group one (1, d, d) operator, which broadcasts over the blocks."""
-    return [(y @ g.rows).view(complex).reshape(g.ops.shape[1:]) for g in groups]
+    return [(y @ g.rows).view(g.ops.dtype).reshape(g.ops.shape[1:]) for g in groups]
 
 
 def _norm(stacks: Sequence[np.ndarray]) -> float:
@@ -344,19 +370,32 @@ def _norm(stacks: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(sum(np.vdot(s, s).real for s in stacks)))
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The NT points W > 0 with W Z W = X, for exactly Hermitian stacks (B, d, d)."""
+def _nt_scaling(x: np.ndarray, z: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(W, Z^-1, L_x^-1, L_z^-1) of Hermitian (B, d, d) stacks X and Z, from
+    one eigendecomposition of Z and one of R X R^H.
+
+    With Z = V diag(s)^2 V^H, let R = diag(s) V^H, so that Z = R^H R, and
+    let M = R X R^H = U diag(m) U^H; X > 0 iff m > 0.  With G = R^-1 U, the
+    NT point is W = R^-1 M^(1/2) R^-H = G diag(m)^(1/2) G^H, since then
+    W Z W = R^-1 M R^-H = X.  The same factors give the centring term's
+    Z^-1 = V diag(s)^-2 V^H and the step lengths' inverse factors
+    L_x^-1 = diag(m)^(-1/2) U^H R of X = L_x L_x^H and L_z^-1 = R^-H of
+    Z = L_z L_z^H.  These two eigendecompositions are the iteration's
+    only cone checks.
+    """
     wz, vz = np.linalg.eigh(z)
-    if np.min(wz[:, 0]) <= 0:
+    if wz[:, 0].min() <= 0:
         raise NumericalBreakdownError("dual iterate left the cone")
-    vzh = dagger(vz)
-    zh = (vz * np.sqrt(wz)[:, None, :]) @ vzh
-    zih = (vz * (1.0 / np.sqrt(wz))[:, None, :]) @ vzh
-    wm, vm = np.linalg.eigh(hermitian_part(zh @ x @ zh))
-    if np.min(wm[:, 0]) <= 0:
+    s, vzh = np.sqrt(wz)[:, :, None], dagger(vz)
+    r, lz = s * vzh, vzh / s
+    wm, vm = np.linalg.eigh(r @ x @ dagger(r))
+    if wm[:, 0].min() <= 0:
         raise NumericalBreakdownError("primal iterate left the cone")
-    mh = (vm * np.sqrt(wm)[:, None, :]) @ dagger(vm)
-    return zih @ mh @ zih
+    g = dagger(lz) @ vm
+    sm = np.sqrt(wm)
+    return ((g * sm[:, None, :]) @ dagger(g), dagger(lz) @ lz,
+            (dagger(vm) @ r) / sm[:, :, None], lz)
 
 
 def _schur(groups: Sequence[_Group], w: Sequence[np.ndarray], m: int) -> np.ndarray:
@@ -382,11 +421,11 @@ def _schur(groups: Sequence[_Group], w: Sequence[np.ndarray], m: int) -> np.ndar
     return schur
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """sup {a : x_b + a*dx_b >= 0} for each exactly Hermitian PSD x_b of (B, d, d)."""
-    linv = np.linalg.inv(_chol(x, "step-length factorisation"))
-    lam = np.linalg.eigvalsh(hermitian_part(linv @ dx @ dagger(linv)))[:, 0]
-    return np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
+def _max_step(linv: np.ndarray, d: np.ndarray) -> float:
+    """sup {a : L_b L_b^H + a d_b >= 0 for every b}, given the inverse
+    factors L_b^-1 of a (B, d, d) stack of Hermitian PD operators."""
+    lam = float(np.linalg.eigvalsh(linv @ d @ dagger(linv))[:, 0].min())
+    return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -401,10 +440,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
     groups, b = problem._groups, problem._b
     m = b.size
     r_inf = float(np.max(np.abs(b), initial=0.0))
-    x = [np.tile(np.eye(g.d, dtype=complex) * (1.0 + r_inf), (len(g.names), 1, 1))
+    x = [np.tile(np.eye(g.d, dtype=g.cost.dtype) * (1.0 + r_inf), (len(g.names), 1, 1))
          for g in groups]
-    z = [np.tile(np.eye(g.d, dtype=complex), (len(g.names), 1, 1)) for g in groups]
+    z = [np.tile(np.eye(g.d, dtype=g.cost.dtype), (len(g.names), 1, 1)) for g in groups]
     y = np.zeros(m)
+    reg = 1e-14 * np.eye(m)
 
     total_dim = sum(g.d * len(g.names) for g in groups)
     b_scale = 1.0 + float(np.linalg.norm(b))
@@ -418,7 +458,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dobj = float(b @ y)
         rp = b - _apply(groups, x)
         rd = [g.cost - a + zg for g, a, zg in zip(groups, _adjoint(groups, y), z)]
-        mu = sum(float(np.einsum("bij,bji->", xg, zg).real) for xg, zg in zip(x, z)) / total_dim
+        mu = sum(float(np.vdot(zg, xg).real) for xg, zg in zip(x, z)) / total_dim
         gap = abs(pobj - dobj)
         pinf = float(np.linalg.norm(rp)) / b_scale
         dinf = _norm(rd) / c_scale
@@ -429,31 +469,29 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         t0 = time.perf_counter()
-        w = [_nt_scaling(xg, zg) for xg, zg in zip(x, z)]
+        w, zinv, lx, lz = zip(*(_nt_scaling(xg, zg) for xg, zg in zip(x, z)))
         sigma = float(np.clip((1.0 - alpha_prev) ** 2, 0.05, 0.8))
-        rc = [sigma * mu * np.linalg.inv(zg) - xg for xg, zg in zip(x, z)]
+        rc = [sigma * mu * zi - xg for xg, zi in zip(x, zinv)]
         t1 = time.perf_counter()
         schur = _schur(groups, w, m)
-        schur = (schur + schur.T) / 2
-        ls = _chol(schur + 1e-14 * np.eye(m), "Schur complement")
+        try:
+            ls = np.linalg.cholesky((schur + schur.T) / 2 + reg)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdownError("Schur complement lost positive definiteness") from exc
         rhs = _apply(groups, [r + wg @ d @ wg for r, wg, d in zip(rc, w, rd)]) - rp
         dy = np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
         dz = [a - d for a, d in zip(_adjoint(groups, dy), rd)]
         dx = [r - wg @ d @ wg for r, wg, d in zip(rc, w, dz)]
         t2 = time.perf_counter()
 
-        # X and Z of a group share one factorisation of their stack
-        steps = [_max_step(np.concatenate([xg, zg]), np.concatenate([dxg, dzg]))
-                 for xg, zg, dxg, dzg in zip(x, z, dx, dz)]
-        cut = [len(xg) for xg in x]
-        alpha_p = min([1.0] + [STEP_FRACTION * float(np.min(s[:k])) for s, k in zip(steps, cut)])
-        alpha_d = min([1.0] + [STEP_FRACTION * float(np.min(s[k:])) for s, k in zip(steps, cut)])
+        alpha_p = min([1.0] + [STEP_FRACTION * _max_step(f, d) for f, d in zip(lx, dx)])
+        alpha_d = min([1.0] + [STEP_FRACTION * _max_step(f, d) for f, d in zip(lz, dz)])
         if max(alpha_p, alpha_d) < 1e-10:
             raise NumericalBreakdownError("step lengths collapsed")
         alpha_prev = min(alpha_p, alpha_d)
 
-        x = [hermitian_part(xg + alpha_p * d) for xg, d in zip(x, dx)]
-        z = [hermitian_part(zg + alpha_d * d) for zg, d in zip(z, dz)]
+        x = [xg + alpha_p * d for xg, d in zip(x, dx)]
+        z = [zg + alpha_d * d for zg, d in zip(z, dz)]
         y = y + alpha_d * dy
         iterates[-1].update(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma,
                             scaling_s=t1 - t0, schur_s=t2 - t1,
@@ -469,7 +507,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         raise status
 
     return SdpSolution(
-        x=problem._named(x), y=y.copy(), z=problem._named(z),
+        x=problem._named([hermitian_part(xg) for xg in x]), y=y.copy(),
+        z=problem._named([hermitian_part(zg) for zg in z]),
         primal_objective=pobj, dual_objective=dobj, gap=gap,
         iterations=len(iterates), iterates=iterates,
     )
@@ -481,7 +520,12 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     The dual slack is recomputed from the multipliers as
     ``Z_b = sum_j y_j A_{j,b} - C_b`` so the report is independent of the
     slack matrices stored in the solution.  Complementary slackness is the
-    largest |<X_b, Z_b>| across blocks.
+    largest |<X_b, Z_b>| across blocks.  On real data the check runs in real
+    arithmetic on Re X_b, which alone enters the equalities, the objective
+    and <X_b, Z_b>; a complex X_b = Re X_b + i Im X_b, with i Im X_b
+    Hermitian, has eig_min(X_b) >= eig_min(Re X_b) - ||Im X_b||_F by Weyl's
+    inequality, and ``primal_min_eigenvalue`` is this lower bound, exact for
+    a real X_b.
     """
     names = [n for n, _ in problem.blocks]
     if set(solution.x) != set(names) or len(solution.y) != len(problem.constraints):
@@ -493,11 +537,15 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     groups = problem._groups
     y = np.asarray(solution.y, dtype=float)
     x = [np.array([solution.x[n] for n in g.names], dtype=complex) for g in groups]
+    # on real data Im X enters only as a Weyl bound on the primal eigenvalues
+    spread = [np.linalg.norm(xg.imag, axis=(-2, -1)) if g.real else 0.0
+              for g, xg in zip(groups, x)]
+    x = [xg.real if g.real else xg for g, xg in zip(groups, x)]
     z = [a - g.cost for g, a in zip(groups, _adjoint(groups, y))]
     pmin = dmin = np.inf
     slack = pobj = 0.0
-    for g, xg, zg in zip(groups, x, z):
-        pmin = min(pmin, float(np.min(np.linalg.eigvalsh(hermitian_part(xg))[:, 0])))
+    for g, xg, zg, sg in zip(groups, x, z, spread):
+        pmin = min(pmin, float(np.min(np.linalg.eigvalsh(hermitian_part(xg))[:, 0] - sg)))
         dmin = min(dmin, float(np.min(np.linalg.eigvalsh(hermitian_part(zg))[:, 0])))
         slack = max(slack, float(np.max(np.abs(np.einsum("bkl,blk->b", xg, zg).real))))
         pobj += float(np.einsum("bkl,blk->", g.cost, xg).real)
@@ -531,13 +579,16 @@ def _svec_basis(d: int) -> tuple[np.ndarray, tuple[float, ...]]:
     return basis, tuple(float(e) for e in svec(np.eye(d)))
 
 
-def povm_completeness_constraints(dim: int) -> list[Constraint]:
+def povm_completeness_constraints(dim: int, real: bool = False) -> list[Constraint]:
     """Constraints stating that the blocks of dimension ``dim`` sum to the
     identity on C^dim: one shared operator per svec entry, acting on every
-    block of that dimension.  The operators are read-only views of one
-    cached stack; the list is new on every call."""
+    block of that dimension.  With ``real``, for real data, only the
+    dim(dim+1)/2 real symmetric ones, the prefix of the svec basis: the
+    purely imaginary rest is vacuous on a real X.  The operators are
+    read-only views of one cached stack; the list is new on every call."""
     basis, eye = _svec_basis(dim)
-    return list(zip(basis, eye))
+    count = dim * (dim + 1) // 2 if real else dim * dim
+    return list(zip(basis[:count], eye[:count]))
 
 
 def partial_trace_identity_constraints(block: str, dims: Sequence[int],

@@ -59,6 +59,12 @@ def unitary_attack3(ens3):
 
 
 @pytest.fixture(scope="session")
+def unitary_attack_at():
+    """unitary_cloning_attack(dps_ensemble(n)), built once per n for the session."""
+    return functools.lru_cache(maxsize=None)(lambda n: unitary_cloning_attack(dps_ensemble(n)))
+
+
+@pytest.fixture(scope="session")
 def unitary3(unitary_attack3):
     """(basis, q_opt, avg_fidelity, params, bob_states) of the unitary cloner."""
     params = unitary_attack3.cloner

@@ -127,7 +127,8 @@ def test_covariant_med_certified_on_full_problem(n, request):
     result = request.getfixturevalue(f"med{n}") if n < 6 else med_attack(dps_ensemble(n))
     count = 2 ** (n - 1)
     assert len(result.problem.blocks) == count and len(result.solution.x) == count
-    assert len(result.solution.y) == n * n  # one multiplier per completeness entry
+    # one multiplier per real symmetric completeness entry: the data are real
+    assert len(result.solution.y) == len(result.problem.constraints) == n * (n + 1) // 2
     assert result.kkt.passed, result.kkt.conditions
     assert result.p_success == pytest.approx(n / count, abs=1e-7)
 
@@ -152,8 +153,9 @@ def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
     therefore offers no candidate for them and runs the general solve, which
     passes."""
     skewed = dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2])
-    lifted = attacks._covariant_med_candidate(skewed)
-    report = sdp.verify_kkt(med_problem(skewed), lifted, tol=1e-6)
+    problem = med_problem(skewed)
+    lifted = attacks._covariant_med_candidate(skewed, problem)
+    report = sdp.verify_kkt(problem, lifted, tol=1e-6)
     assert not report.passed
     assert not report.conditions["dual_psd"]
     del covariant_calls[:]
@@ -754,17 +756,39 @@ def test_closed_form_q_at_eight_pulses():
 
 def test_unitary_cloning_attack_at_eight_pulses(monkeypatch):
     """Above the attack cap the post-cloning MED of the unitary clones runs the
-    general solve over 2**7 blocks of 8 x 8 with 64 shared completeness
-    operators, and its optimum passes the KKT conditions on the full problem.
-    A channel cannot raise the MED success probability n / 2**(n-1)."""
+    general solve over 2**7 blocks of 8 x 8 with 36 shared completeness
+    operators, the real symmetric ones, since the clones are real, and its
+    optimum passes the KKT conditions on the full problem.  A channel cannot
+    raise the MED success probability n / 2**(n-1)."""
     solve, solved = sdp.solve, []
     monkeypatch.setattr(sdp, "solve", lambda problem: solved.append(problem) or solve(problem))
     med = unitary_cloning_attack(dps_ensemble(8)).med_after
     assert len(solved) == 1 and solved[0] is med.problem
-    assert len(med.problem.blocks) == 2 ** 7 and len(med.problem.constraints) == 64
+    assert len(med.problem.blocks) == 2 ** 7 and len(med.problem.constraints) == 36
     report = sdp.verify_kkt(med.problem, med.solution)
     assert report.passed, report.conditions
     assert 1.0 / 2 ** 7 < med.p_success < 8.0 / 2 ** 7
+
+
+@pytest.mark.parametrize("n,iterations", [(3, 9), (4, 14), (5, 10), (6, 20), (7, 14), (8, 19)])
+def test_unitary_post_cloning_med_iterations(n, iterations, unitary_attack_at):
+    """The one general solve left at runtime takes no more iterations in real
+    arithmetic, with the step lengths read off the NT eigendecompositions,
+    than the complex solver with its own step-length factorisation did."""
+    med = unitary_attack_at(n).med_after
+    assert 0 < med.solution.iterations <= iterations
+    assert med.kkt.passed, med.kkt.conditions
+
+
+def test_rendered_arrays_stay_complex(med3, cloning_attack3, unitary_attack3):
+    """Real SDP data run in float64, but the POVM elements and clone stacks
+    that reports render as [re, im] pairs stay complex128."""
+    med = unitary_attack3.med_after
+    assert med.solution.x["P1"].dtype == np.float64  # the general solve's optimum
+    for povm in (med3.povm, cloning_attack3.med_after.povm, med.povm):
+        assert {el.dtype for el in povm.elements} == {np.dtype(np.complex128)}
+    for attack in (cloning_attack3, unitary_attack3):
+        assert attack.bob_states.dtype == np.complex128
 
 
 def test_optimize_unitary_q_keeps_input_checks(ens3):

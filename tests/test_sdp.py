@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,7 @@ from dpsqkd import attacks, sdp
 from dpsqkd.dps import dps_ensemble
 from dpsqkd.linalg import hermitian_part, outer
 from dpsqkd.sdp import (InfeasibleConstraintsError, MaxIterationsError,
-                        SdpProblem, SdpSolution,
+                        NumericalBreakdownError, SdpProblem, SdpSolution,
                         partial_trace_identity_constraints,
                         povm_completeness_constraints, smat, solve, svec,
                         verify_kkt)
@@ -302,8 +304,10 @@ def test_constraint_map_matches_svec_reference(build, rng):
     problem = build()
     groups, m = problem._groups, len(problem.constraints)
     amat = svec_reference(problem)
+    # real data take real symmetric iterates, as the solver holds them
     x = [hermitian_part(rng.normal(size=(len(g.names), g.d, g.d))
-                        + 1j * rng.normal(size=(len(g.names), g.d, g.d))) for g in groups]
+                        + (0 if g.real else 1j) * rng.normal(size=(len(g.names), g.d, g.d)))
+         for g in groups]
     y = rng.normal(size=m)
     ax = sdp._apply(groups, x)
     adj = [np.broadcast_to(a, xg.shape) for a, xg in zip(sdp._adjoint(groups, y), x)]
@@ -316,11 +320,12 @@ def test_constraint_map_matches_svec_reference(build, rng):
 
 
 def random_scalings(groups, rng):
-    """One random positive definite (B, d, d) stack per group."""
+    """One random positive definite (B, d, d) stack per group, real symmetric
+    on a group of real data."""
     out = []
     for g in groups:
         a = (rng.normal(size=(len(g.names), g.d, g.d))
-             + 1j * rng.normal(size=(len(g.names), g.d, g.d)))
+             + (0 if g.real else 1j) * rng.normal(size=(len(g.names), g.d, g.d)))
         out.append(a @ a.conj().transpose(0, 2, 1) / g.d + np.eye(g.d))
     return out
 
@@ -342,12 +347,12 @@ def test_schur_matches_per_column_oracle(build, seed):
 
 
 def test_shared_operators_stored_once():
-    """The 16 completeness operators of the 8-block n=4 MED are stored as
-    m * d**2 entries, not m * B * d**2; next to a per-block row a shared
-    operator is copied into every block."""
+    """The 10 real symmetric completeness operators of the 8-block n=4 MED
+    are stored as m * d**2 entries, not m * B * d**2; next to a per-block row
+    a shared operator is copied into every block."""
     (group,) = med4_problem()._groups
     assert len(group.names) == 8
-    assert group.ops.size == 16 * 4 * 4
+    assert group.ops.size == 10 * 4 * 4
     pair, single = mixed_problem()._groups
     assert pair.names == ("A", "C") and pair.ops.shape == (2, 2, 2, 2)
     assert_allclose(pair.ops[0, 1], pair.ops[0, 0], rtol=0, atol=0)
@@ -362,3 +367,82 @@ def test_solve_without_constraints():
     assert sol.primal_objective == pytest.approx(0.0, abs=1e-7)
     assert_allclose(sol.x["X"], np.zeros((2, 2)), atol=1e-7)
     assert verify_kkt(problem, sol).passed
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("source", ["dps", "unitary-clones"])
+def test_real_optimum_certifies_complex_embedding(n, source, unitary_attack_at):
+    """Real MED data solved in real arithmetic, on the n(n+1)/2 real symmetric
+    completeness rows, against the complex embedding with all n**2 svec rows.
+    The optima agree, the real pair with zero imaginary multipliers passes
+    the complex certificate, and Re X of the complex optimum with its real
+    multipliers passes the real one."""
+    real = (unitary_attack_at(n).med_after.problem if source == "unitary-clones"
+            else attacks.med_problem(dps_ensemble(n)))
+    embedded = SdpProblem(blocks=real.blocks, objective=real.objective,
+                          constraints=povm_completeness_constraints(n))
+    assert [g.real for g in real._groups] == [True]
+    assert [g.real for g in embedded._groups] == [False]
+    m = n * (n + 1) // 2
+    assert len(real.constraints) == m and len(embedded.constraints) == n * n
+    ours, theirs = solve(real), solve(embedded)
+    assert ours.primal_objective == pytest.approx(theirs.primal_objective, abs=1e-9)
+    assert ours.dual_objective == pytest.approx(theirs.dual_objective, abs=1e-9)
+    padded = dataclasses.replace(ours, y=np.concatenate([ours.y, np.zeros(n * n - m)]))
+    report = verify_kkt(embedded, padded)
+    assert report.passed, report.conditions
+    report = verify_kkt(real, dataclasses.replace(theirs, y=theirs.y[:m]))
+    assert report.passed, report.conditions
+
+
+def test_verify_kkt_bounds_the_imaginary_part_on_real_data():
+    """On real data Im X enters the primal eigenvalue as a Weyl bound: an
+    imaginary part that makes X indefinite fails the certificate, although
+    Re X alone would pass."""
+    problem = SdpProblem(blocks=[("P1", 2), ("P2", 2)],
+                         objective={"P1": np.diag([0.5, 0.0]), "P2": np.diag([0.0, 0.5])},
+                         constraints=povm_completeness_constraints(2, real=True))
+    sol = solve(problem)
+    assert verify_kkt(problem, sol).passed
+    assert verify_kkt(problem, sol).primal_min_eigenvalue == pytest.approx(0.0, abs=1e-7)
+    twisted = {n: x + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]]) for n, x in sol.x.items()}
+    report = verify_kkt(problem, dataclasses.replace(sol, x=twisted))
+    assert not report.conditions["primal_psd"]
+    assert report.primal_min_eigenvalue <= -0.5 * np.sqrt(2) + 1e-6
+    assert report.conditions["primal_equalities"] and report.conditions["duality_gap"]
+
+
+def random_pd(rng, shape, dtype):
+    a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+    return a @ a.conj().transpose(0, 2, 1) / shape[-1] + 0.1 * np.eye(shape[-1])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_nt_scaling_factors(dtype, rng):
+    """W Z W = X, Z^-1 Z = I, and L^-1 X L^-H = I, L^-1 Z L^-H = I for the
+    step lengths' inverse factors, from the two eigendecompositions, in
+    the iterates' dtype."""
+    x, z = random_pd(rng, (5, 4, 4), dtype), random_pd(rng, (5, 4, 4), dtype)
+    w, zinv, lx, lz = sdp._nt_scaling(x, z)
+    assert {a.dtype for a in (w, zinv, lx, lz)} == {np.dtype(dtype)}
+    eye = np.broadcast_to(np.eye(4), x.shape)
+    assert_allclose(w @ z @ w, x, rtol=0, atol=1e-12)
+    assert_allclose(w, w.conj().transpose(0, 2, 1), rtol=0, atol=1e-12)
+    assert_allclose(zinv @ z, eye, rtol=0, atol=1e-12)
+    for linv, a in ((lx, x), (lz, z)):
+        assert_allclose(linv @ a @ linv.conj().transpose(0, 2, 1), eye, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues -1, 3
+                                 np.diag([1.0, 0.0])], ids=["indefinite", "singular"])
+def test_nt_scaling_rejects_iterates_outside_the_cone(dtype, bad):
+    """The NT scaling's two eigendecompositions are the solver's only cone
+    checks: a block of Z or X that is not positive definite raises."""
+    eye = np.tile(np.eye(2, dtype=dtype), (3, 1, 1))
+    off = eye.copy()
+    off[1] = bad * (np.array([[1, 1j], [-1j, 1]]) if dtype is complex else 1)
+    with pytest.raises(NumericalBreakdownError, match="dual iterate left the cone"):
+        sdp._nt_scaling(eye, off)
+    with pytest.raises(NumericalBreakdownError, match="primal iterate left the cone"):
+        sdp._nt_scaling(off, eye)
