@@ -99,7 +99,7 @@ def med_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     over POVMs {P_i}."""
     names = _block_names(len(ens.priors))
     objective = {name: p * rho for name, p, rho in zip(names, ens.priors, ens.densities)}
-    real = not np.any(ens.densities.imag)
+    real = not ens.densities.imag.any()
     return sdp.SdpProblem(blocks=[(name, ens.n) for name in names], objective=objective,
                           constraints=sdp.povm_completeness_constraints(ens.n, real=real))
 

@@ -30,7 +30,7 @@ ATOL_PSD = 1e-9
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator, or of each operator in a stack;
     for real input a transposed view, not a copy."""
-    return np.swapaxes(a, -1, -2).conj()
+    return np.asarray(a).swapaxes(-1, -2).conj()
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

@@ -214,8 +214,8 @@ class SdpProblem:
     per block; otherwise it is (m, B, d, d), with shared operators copied
     into every block.  The stacks are float64 when every operator is real,
     tested once per stack, and complex128 otherwise.  The solver and
-    :func:`verify_kkt` read only these stacks; the svec constraint matrix
-    exists only while the rank is checked.
+    :func:`verify_kkt` read only these stacks, and the rank is tested on
+    their real rows.
     """
 
     blocks: Sequence[tuple[str, int]]
@@ -234,16 +234,17 @@ class SdpProblem:
         self._where = {n: where[n] for n in names}  # block order
         cost = self._stack([self.objective], by_dim, "objective")
         ops = self._stack([co for co, _ in self.constraints], by_dim, "constraint")
-        if not any(np.any(stack.imag) for stack in cost + ops):
+        if not any(stack.imag.any() for stack in cost + ops):
             cost, ops = ([stack.real.copy() for stack in stacks] for stacks in (cost, ops))
         self._groups = [_Group(d, tuple(group), o, c[0])
                         for (d, group), o, c in zip(by_dim.items(), ops, cost)]
         m = len(self.constraints)
         self._b = np.array([float(r) for _, r in self.constraints])
         if m:
-            a = np.concatenate([svec(g.ops).reshape(m, -1) for g in self._groups], axis=1)
-            # the tall transpose has the same singular values; LAPACK finds
-            # them two to three times faster for these wide rows
+            # the real rows have the Gram matrix Tr(A_i A_j) of the svec rows,
+            # hence their singular values; LAPACK finds them two to three
+            # times faster on the tall transpose
+            a = np.concatenate([g.rows for g in self._groups], axis=1)
             rank = np.linalg.matrix_rank(a.T, tol=1e-9 * max(1.0, float(np.max(np.abs(a)))))
             if rank < m:
                 raise InfeasibleConstraintsError(
@@ -523,9 +524,9 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     largest |<X_b, Z_b>| across blocks.  On real data the check runs in real
     arithmetic on Re X_b, which alone enters the equalities, the objective
     and <X_b, Z_b>; a complex X_b = Re X_b + i Im X_b, with i Im X_b
-    Hermitian, has eig_min(X_b) >= eig_min(Re X_b) - ||Im X_b||_F by Weyl's
-    inequality, and ``primal_min_eigenvalue`` is this lower bound, exact for
-    a real X_b.
+    Hermitian, has eig_min(X_b) >= eig_min(Re X_b) - ||Im X||_F by Weyl's
+    inequality, with the norm over the blocks of X_b's dimension, and
+    ``primal_min_eigenvalue`` is this lower bound, exact for a real X.
     """
     names = [n for n, _ in problem.blocks]
     if set(solution.x) != set(names) or len(solution.y) != len(problem.constraints):
@@ -538,9 +539,8 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     y = np.asarray(solution.y, dtype=float)
     x = [np.array([solution.x[n] for n in g.names], dtype=complex) for g in groups]
     # on real data Im X enters only as a Weyl bound on the primal eigenvalues
-    spread = [np.linalg.norm(xg.imag, axis=(-2, -1)) if g.real else 0.0
-              for g, xg in zip(groups, x)]
-    x = [xg.real if g.real else xg for g, xg in zip(groups, x)]
+    spread = [_norm([xg.imag]) if g.real else 0.0 for g, xg in zip(groups, x)]
+    x = [xg.real.copy() if g.real else xg for g, xg in zip(groups, x)]
     z = [a - g.cost for g, a in zip(groups, _adjoint(groups, y))]
     pmin = dmin = np.inf
     slack = pobj = 0.0

@@ -403,8 +403,8 @@ def test_verify_kkt_bounds_the_imaginary_part_on_real_data():
                          objective={"P1": np.diag([0.5, 0.0]), "P2": np.diag([0.0, 0.5])},
                          constraints=povm_completeness_constraints(2, real=True))
     sol = solve(problem)
-    assert verify_kkt(problem, sol).passed
-    assert verify_kkt(problem, sol).primal_min_eigenvalue == pytest.approx(0.0, abs=1e-7)
+    report = verify_kkt(problem, sol)
+    assert report.passed and report.primal_min_eigenvalue == pytest.approx(0.0, abs=1e-7)
     twisted = {n: x + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]]) for n, x in sol.x.items()}
     report = verify_kkt(problem, dataclasses.replace(sol, x=twisted))
     assert not report.conditions["primal_psd"]
@@ -413,6 +413,7 @@ def test_verify_kkt_bounds_the_imaginary_part_on_real_data():
 
 
 def random_pd(rng, shape, dtype):
+    """A random positive definite stack of the given shape and dtype."""
     a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
     return a @ a.conj().transpose(0, 2, 1) / shape[-1] + 0.1 * np.eye(shape[-1])
 
