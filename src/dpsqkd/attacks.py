@@ -31,8 +31,10 @@ ensemble runs.  The cloner takes sign-covariant ensembles only, solves its
 block problem when the candidate fails, and certifies its blocks through a
 reduced certificate equivalent to the one on the full
 :func:`cloning_problem` (see :func:`_reduced_cloner_kkt`), which it never
-builds.  Each cloning attack is one certified :class:`CloningAttack`,
-read by the ``clone`` report and by its key-rate profile.
+builds: the objective's weight between blocks comes from the Gram matrix
+of the kets, not from the dense n**3 x n**3 objective.  Each cloning
+attack is one certified :class:`CloningAttack`, read by the ``clone``
+report and by its key-rate profile.
 :data:`ATTACK_PROFILES` builds the per-intercept errors and collision
 probabilities that feed the shrinking factors in :mod:`dpsqkd.keyrate`.
 """
@@ -355,16 +357,10 @@ def _kets(ens: DpsEnsemble) -> np.ndarray:
     return ens.states
 
 
-def _choi_kets(ens: DpsEnsemble) -> np.ndarray:
-    """(G, d**3) matrix V whose row g is psi_g x conj(psi_g) x psi_g, so that
-    the cloning objective is Q = V^T diag(p) conj(V)."""
-    s = _kets(ens)
-    return np.einsum("gi,gj,gk->gijk", s, s.conj(), s).reshape(len(s), -1)
-
-
-def _cloning_objective(v: np.ndarray, priors: np.ndarray) -> np.ndarray:
-    """Q = V^T diag(p) conj(V) = sum_g p_g |v_g><v_g|, one matrix product."""
-    return v.T @ (priors[:, None] * v.conj())
+def _choi_kets(kets: np.ndarray) -> np.ndarray:
+    """(G, d**3) matrix V whose row g is psi_g x conj(psi_g) x psi_g for the
+    (G, d) ``kets``, so that the cloning objective is Q = V^T diag(p) conj(V)."""
+    return np.einsum("gi,gj,gk->gijk", kets, kets.conj(), kets).reshape(len(kets), -1)
 
 
 def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
@@ -375,9 +371,10 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     on the input factor.
     """
     d = ens.n
-    q = _cloning_objective(_choi_kets(ens), ens.priors)
+    v = _choi_kets(_kets(ens))
     constraints = sdp.partial_trace_identity_constraints(CHOI_BLOCK, [d, d, d], keep=1)
-    return sdp.SdpProblem(blocks=[(CHOI_BLOCK, d ** 3)], objective={CHOI_BLOCK: q},
+    return sdp.SdpProblem(blocks=[(CHOI_BLOCK, d ** 3)],
+                          objective={CHOI_BLOCK: v.T @ (ens.priors[:, None] * v.conj())},
                           constraints=constraints)
 
 
@@ -399,10 +396,10 @@ def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
     the clones are read off the blocks (see :func:`_block_clones`); no
     d**3 x d**3 problem is built.
     """
-    v = _choi_kets(ens)
+    kets = _kets(ens)
     if not _sign_covariant(ens):
         raise ValueError("the optimal cloner needs a sign-covariant ensemble")
-    problem, solution, kkt = _covariant_cloner_solution(v, ens.priors, ens.n)
+    problem, solution, kkt = _covariant_cloner_solution(kets, ens.priors)
     choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
     fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
@@ -435,16 +432,18 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray, d: int
+def _covariant_cloner_solution(kets: np.ndarray, priors: np.ndarray
                                ) -> tuple[sdp.SdpProblem, sdp.SdpSolution, sdp.KktReport]:
-    """The cloning SDP of a sign-covariant ensemble on the character blocks of
-    its Choi operator, its certified solution and the certificate.  ``v`` is
-    :func:`_choi_kets`.
+    """The cloning SDP of a sign-covariant ensemble, given as its (G, d) ket
+    stack and its priors, on the character blocks of its Choi operator, its
+    certified solution and the certificate.
 
     The objective and the constraints are invariant under the sign group, so
     an optimal Choi operator can be taken invariant, hence block diagonal
     over :func:`_character_blocks`.  Block b keeps its part of the
-    objective, V[:, b]^T diag(p) conj(V[:, b]).  Of the d**2
+    objective, V[:, b]^T diag(p) conj(V[:, b]) with V = :func:`_choi_kets`,
+    built from all G states: the certificate needs the diagonal blocks of
+    the full objective (see :func:`_off_block_norm`).  Of the d**2
     trace-preservation constraints Tr_{out,out}(J) = I only the d diagonal
     ones touch the blocks: for each input index k, the diagonal of J summed
     over the kets |i k l> is 1.  These d operators partition the identity
@@ -458,7 +457,8 @@ def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray, d: int
     :func:`_reduced_cloner_kkt`; only when it is missing or fails is the
     block problem solved, and its optimum certified.
     """
-    p = priors[:, None]
+    d = kets.shape[1]
+    v, p = _choi_kets(kets), priors[:, None]
     blocks = _character_blocks(d)
     names = [f"J{b}" for b in range(len(blocks))]
     inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
@@ -468,17 +468,18 @@ def _covariant_cloner_solution(v: np.ndarray, priors: np.ndarray, d: int
         [({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
          for k in range(d)])
     problem = sdp.SdpProblem(*reduced)
-    q = _cloning_objective(v, priors)
     solution, kkt = _certify_once(_top_eigenspace_solution(*reduced),
-                                  lambda sol: _reduced_cloner_kkt(problem, sol, q, d),
+                                  lambda sol: _reduced_cloner_kkt(problem, sol, kets, priors),
                                   lambda: sdp.solve(problem))
     return problem, solution, kkt
 
 
 def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
-                        q: np.ndarray, d: int) -> sdp.KktReport:
+                        kets: np.ndarray, priors: np.ndarray) -> sdp.KktReport:
     """KKT certificate of a character-block cloner pair, equivalent to the
-    one on the full :func:`cloning_problem` with objective ``q``.
+    one on the full :func:`cloning_problem` of ``kets`` and ``priors``, whose
+    objective Q has the block objectives of ``problem`` as its diagonal
+    blocks.
 
     Scatter the blocks into J and Z, and lift the d multipliers y to
     Y = diag(y), whose svec gives the full problem's d**2 multipliers.  Then
@@ -498,19 +499,35 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
         -Q_off, and by Weyl's inequality the smallest eigenvalue of the full
         Z lies within ||Q_off||_2 <= ||Q_off||_F of that of its blocks.
         This is the condition ``objective_block_diagonal``, on the Frobenius
-        norm of Q_off.
+        norm of Q_off, which :func:`_off_block_norm` reads from the Gram
+        matrix of the kets without forming Q.
     (c) The multipliers of the j != k constraints are zero, which holds by
         construction of Y.
 
-    A skewed prior breaks (b), so a non-covariant ensemble cannot pass.
+    A skewed prior or a bent ket breaks (b), so a non-covariant ensemble
+    cannot pass.
     """
     report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-    label = np.empty(len(q), dtype=int)
-    for b, ix in enumerate(_character_blocks(d)):
-        label[ix] = b
-    off = float(np.linalg.norm(q[label[:, None] != label[None, :]]))
+    off = _off_block_norm(problem.objective, kets, priors)
     return replace(report, conditions={**report.conditions,
                                        "objective_block_diagonal": off <= _KKT_TOL})
+
+
+def _off_block_norm(blocks: Mapping[str, np.ndarray], kets: np.ndarray,
+                    priors: np.ndarray) -> float:
+    """||Q_off||_F of the cloning objective Q = sum_g p_g |v_g><v_g| of the
+    (G, d) ``kets`` and ``priors``, given its diagonal ``blocks`` by name.
+
+    Since <v_g|v_h> = |<psi_g|psi_h>|**2 <psi_g|psi_h>, one G x G Gram matrix
+    gives ||Q||_F**2 = sum_{g,h} p_g p_h |<psi_g|psi_h>|**6, and
+    ||Q_off||_F**2 = ||Q||_F**2 - sum_b ||Q_b||_F**2.  So ``blocks`` must be
+    built from all G kets: from state 0 alone they would assume the
+    covariance that the certificate checks.  The subtraction loses about
+    sqrt(eps) ||Q||_F ~ 1e-8, two orders below ``_KKT_TOL``.
+    """
+    total = float(priors @ np.abs(kets.conj() @ kets.T) ** 6 @ priors)
+    diag = sum(float(np.vdot(c, c).real) for c in blocks.values())
+    return math.sqrt(max(total - diag, 0.0))
 
 
 def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
@@ -535,15 +552,6 @@ def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.nd
     bob, eve = (signs[:, :, None] * partial_trace(joint, [d, d], keep=[k]) * signs[:, None, :]
                 for k in (0, 1))
     return choi, bob, eve, float(np.real(pair.conj() @ joint @ pair))
-
-
-def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
-    """(negativity, trace-preservation residual) of a Choi operator on
-    (out) x (in) x (out)."""
-    neg = max(0.0, -float(np.min(np.linalg.eigvalsh(hermitian_part(choi)))))
-    marginal = partial_trace(choi, [d, d, d], keep=[1])
-    tp = float(np.max(np.abs(marginal - np.eye(d))))
-    return neg, tp
 
 
 def depolarizing_fit(original: np.ndarray, cloned: np.ndarray) -> tuple[float, float]:
@@ -707,29 +715,6 @@ def ir_attack_profile() -> AttackProfile:
     """
     return AttackProfile(name="ir", per_intercept_error=IR_ERROR,
                          per_attacked_bit_collision=IR_COLLISION)
-
-
-def ir_monte_carlo_collision(samples: int, seed: int = 7, n: int = 3,
-                             mode: str = "definite") -> float:
-    """Monte-Carlo estimate of the per-attacked-bit collision probability.
-
-    ``definite`` assumes Eve always learns one uniformly chosen phase
-    position per intercepted frame (the model behind
-    :func:`ir_attack_profile`).  ``mzi`` gives her the physical
-    interferometer instead, whose boundary slots teach her nothing with
-    probability 1/n, lowering the average collision probability.
-    """
-    rng = np.random.default_rng(seed)
-    positions = n - 1
-    eve_pos = rng.integers(0, positions, size=samples)
-    bob_pos = rng.integers(0, positions, size=samples)
-    collision = np.where(eve_pos == bob_pos, 1.0, 0.5)
-    if mode == "mzi":
-        learned = rng.random(samples) < (positions / n)
-        collision = np.where(learned, collision, 0.5)
-    elif mode != "definite":
-        raise ValueError(f"unknown mode {mode!r}")
-    return float(np.mean(collision))
 
 
 class UncertifiedOptimumError(sdp.SdpError):

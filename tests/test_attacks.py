@@ -9,10 +9,8 @@ from dpsqkd import attacks, sdp
 from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             apply_choi, apply_unitary_cloner,
                             cloning_problem, collision_probability,
-                            cptp_residuals,
                             depolarizing_fit, holevo_certificate,
-                            ir_attack_profile,
-                            ir_monte_carlo_collision, med_attack,
+                            ir_attack_profile, med_attack,
                             med_on_cloned, med_problem,
                             optimal_cloner, optimal_cloning_attack,
                             optimize_unitary_q, pgm_povm,
@@ -21,6 +19,7 @@ from dpsqkd.cli import main
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
+from oracles import cptp_residuals, ir_monte_carlo_collision
 
 
 def brute_force_collision(confusion, priors, bit_map):
@@ -425,32 +424,55 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     """The reduced certificate and the full problem's KKT check give the same
     verdict on the block optimum and on three mutations of it."""
     ens = dps_ensemble(n)
-    v = attacks._choi_kets(ens)
-    q = attacks._cloning_objective(v, ens.priors)
-    full = cloning_problem(ens)
-    problem, solution, _ = attacks._covariant_cloner_solution(v, ens.priors, n)
+    problem, solution, _ = attacks._covariant_cloner_solution(ens.states, ens.priors)
 
-    def verdicts(problem, solution, q):
-        reduced = attacks._reduced_cloner_kkt(problem, solution, q, n)
-        objective = sdp.SdpProblem(blocks=full.blocks, objective={"J": q},
-                                   constraints=full.constraints)
+    def verdicts(problem, solution, kets, priors):
+        reduced = attacks._reduced_cloner_kkt(problem, solution, kets, priors)
+        full = cloning_problem(dataclasses.replace(ens, states=kets, priors=priors))
         return (reduced.passed,
-                sdp.verify_kkt(objective, scattered(problem, solution, n), tol=1e-6).passed)
+                sdp.verify_kkt(full, scattered(problem, solution, n), tol=1e-6).passed)
 
-    assert verdicts(problem, solution, q) == (True, True)
+    assert verdicts(problem, solution, ens.states, ens.priors) == (True, True)
     zeroed = dataclasses.replace(solution, y=np.zeros_like(solution.y))
-    assert verdicts(problem, zeroed, q) == (False, False)
+    assert verdicts(problem, zeroed, ens.states, ens.priors) == (False, False)
     skewed = ens.priors * np.linspace(0.5, 1.5, len(ens.priors))
     skewed /= skewed.sum()
-    assert verdicts(*attacks._covariant_cloner_solution(v, skewed, n)[:2],
-                    attacks._cloning_objective(v, skewed)) == (False, False)
-    # one entry between the kets of largest weight in the first two blocks
-    first, second = attacks._character_blocks(n)[:2]
-    diag = np.diag(scattered(problem, solution, n).x["J"]).real
-    a, b = first[np.argmax(diag[first])], second[np.argmax(diag[second])]
-    bumped = q.copy()
-    bumped[a, b] = bumped[b, a] = 1e-3
-    assert verdicts(problem, solution, bumped) == (False, False)
+    assert verdicts(*attacks._covariant_cloner_solution(ens.states, skewed)[:2],
+                    ens.states, skewed) == (False, False)
+    # ket 1 bent towards e_0: its block objectives are rebuilt, and Q gains
+    # weight between blocks
+    for eps in (1e-1, 1e-2, 1e-3):
+        bent = ens.states.copy()
+        bent[1, 0] += eps
+        bent[1] /= np.linalg.norm(bent[1])
+        assert verdicts(*attacks._covariant_cloner_solution(bent, ens.priors)[:2],
+                        bent, ens.priors) == (False, False)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("skew", [False, True])
+def test_off_block_norm_matches_dense_objective(n, skew):
+    """The Gram-matrix identity for ||Q_off||_F against the off-block entries
+    of the dense objective Q = V^T diag(p) conj(V) of cloning_problem, read
+    through the character blocks.  Q is formed here directly: building the
+    whole problem at n = 8 takes seconds, for its 64 dense constraints."""
+    ens = dps_ensemble(n)
+    priors = ens.priors * np.linspace(0.5, 1.5, len(ens.priors)) if skew else ens.priors
+    priors = priors / priors.sum()
+    v = attacks._choi_kets(ens.states)
+    q = v.T @ (priors[:, None] * v.conj())
+    if n == 3:
+        assert_allclose(q, cloning_problem(dataclasses.replace(ens, priors=priors)
+                                           ).objective["J"], rtol=0, atol=0)
+    blocks = attacks._character_blocks(n)
+    label = np.zeros(n ** 3, dtype=int)
+    for b, ix in enumerate(blocks):
+        label[ix] = b
+    dense = np.linalg.norm(q[label[:, None] != label[None, :]])
+    gram = attacks._off_block_norm({b: q[np.ix_(ix, ix)] for b, ix in enumerate(blocks)},
+                                   ens.states, priors)
+    assert gram == pytest.approx(dense, rel=0, abs=1e-7)
+    assert (dense > 1e-2) == skew
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -492,6 +514,17 @@ def test_character_block_cloner_above_the_attack_cap(n, cloning_attack_at):
     assert max(r for _, r in fits) <= 1e-12
     p = fits[0][0]
     assert attack.med_after.p_success == pytest.approx(((1 - p) * n + p) / 2 ** (n - 1), abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_optimal_cloner_certified_at_twelve_pulses(n):
+    """Up to dps.MAX_PULSES the reduced certificate, its Gram-matrix check of
+    the off-block weight included, passes, and the two-copy fidelity meets
+    its closed form (3n-2)/n**2."""
+    clone = optimal_cloner(dps_ensemble(n))
+    assert clone.kkt.passed, clone.kkt.conditions
+    assert "objective_block_diagonal" in clone.kkt.conditions
+    assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, rel=0, abs=1e-12)
 
 
 def test_optimal_cloner_rejects_non_covariant_ensembles(ens3, covariant_calls):

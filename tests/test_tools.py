@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,37 @@ def test_trace_compare_needs_a_traced_run(tmp_path):
     untraced.write_text(json.dumps({"metrics": {}}) + "\n")
     with pytest.raises(ValueError, match="--trace 1"):
         trace_compare.figures(untraced.read_text())
+
+
+_TIER1_SPEC = importlib.util.spec_from_file_location(
+    "tier1", Path(__file__).resolve().parent.parent / "tools" / "tier1.py")
+tier1 = importlib.util.module_from_spec(_TIER1_SPEC)
+_TIER1_SPEC.loader.exec_module(tier1)
+
+_IMPORT_ERROR = ("ImportError: cannot import name 'cptp_residuals' from 'dpsqkd.attacks'")
+
+
+@pytest.mark.parametrize("message,status", [
+    (None, 0),
+    (_IMPORT_ERROR, 1),
+    ("AssertionError: two-copy fidelity 0.700000 = 0.78 within 5e-3 (exact 7/9)", 1),
+])
+def test_tier1_pins_each_expected_failure_to_its_reason(tmp_path, capsys, message, status):
+    """A by-design failure counts only with its stored reason as the first
+    line of its JUnit message: an import error in test 05 is not ok."""
+    suite = ET.Element("testsuite")
+    ET.SubElement(suite, "testcase", classname="tests.test_tools", name="test_passes")
+    for name, reason in tier1.EXPECTED_FAILURES.items():
+        module, test = name.split("::")
+        if message is not None and test == "test_criterion_05_optimal_cloning":
+            reason = message
+        case = ET.SubElement(suite, "testcase", classname=module, name=test)
+        ET.SubElement(case, "failure", message=reason + "\nassert False")
+    report = tmp_path / "tier1.xml"
+    ET.ElementTree(suite).write(report)
+    assert tier1.check(report) == status
+    out, err = capsys.readouterr()
+    assert out == f"tier1: 1 passed, 3 failed, 0 errors: {'NOT ok' if status else 'ok'}\n"
+    if status:
+        assert err == ("tier1: expected failure with another reason: "
+                       f"tests.test_acceptance::test_criterion_05_optimal_cloning: {message}\n")
