@@ -281,12 +281,12 @@ def collision_probability(confusion: np.ndarray, priors: Sequence[float],
     joint = np.asarray(priors, dtype=float)[:, None] * np.asarray(confusion, dtype=float)
     p_z = joint.sum(axis=0)
     seen = p_z > 0.0
-    joint, p_z = joint[:, seen], p_z[seen]
+    p_z = p_z[seen]
     bits = np.asarray(bit_map)
     total = 0.0
     for x in (0, 1):
-        # (position, outcome) table of P(x, z) / P(z)
-        posterior = ((bits == x).T @ joint) / p_z
+        # (position, outcome) table of P(x, z) / P(z) over the outcomes that occur
+        posterior = ((bits == x).T @ joint)[:, seen] / p_z
         total += float(np.sum(posterior ** 2 * p_z))
     return total / bits.shape[1]
 
@@ -417,14 +417,15 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     multiplies the basis ket |i j k> by s_g(i) s_g(j) s_g(k).  Kets with the
     same sign function g -> s_g(i) s_g(j) s_g(k) span one block of an
     invariant Choi operator (Gatermann & Parrilo, J. Pure Appl. Algebra 192,
-    2004).  Blocks are listed in order of their first ket.  Shared and
-    read-only, like :func:`~dpsqkd.dps.sign_patterns`.
+    2004).  The sign patterns multiply as their indices XOR,
+    s_{g^h} = s_g * s_h, so that sign function is a character of the group
+    and is fixed by its values on the d-1 generators g = 1 << m; each ket is
+    labelled by those.  Blocks are listed in order of their first ket.
+    Shared and read-only, like :func:`~dpsqkd.dps.sign_patterns`.
     """
-    signs = sign_patterns(d)
+    signs = sign_patterns(d)[1 << np.arange(d - 1)]
     labels = np.einsum("gi,gj,gk->ijkg", signs, signs, signs).reshape(d ** 3, -1)
-    # one bit per pattern: sorting 2**(d-1)/8 bytes per ket, not 2**(d-1) floats
-    packed = np.packbits(labels > 0, axis=1)
-    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
     inverse = inverse.ravel()
     blocks = tuple(np.flatnonzero(inverse == b) for b in np.argsort(first))
     for ix in blocks:

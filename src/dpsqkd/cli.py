@@ -166,6 +166,9 @@ def _distances(args: argparse.Namespace) -> list[float]:
     out, d = [], args.start_km
     while d <= args.stop_km + 1e-9:
         out.append(round(d, 9))
+        if d + args.step_km == d:
+            raise ConfigError(f"distance step {args.step_km:g} km is below the float "
+                              f"resolution at {d:g} km")
         d += args.step_km
     return out
 

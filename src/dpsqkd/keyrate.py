@@ -26,11 +26,10 @@ _SQRT5 = math.sqrt(5.0)
 
 # Largest pulse count whose attacks are built and certified.  MED and the
 # optimal cloner take the top-eigenspace optimum of a small symmetry-reduced
-# problem and run no solve; at n = 12 they are certified in 0.4-0.5 s and
-# 1.1-1.3 s.  The unitary attack's post-cloning
-# MED is a general solve over 2**(n-1) blocks with n(n+1)/2 constraints, in
-# real arithmetic; the attack takes 0.16 s at n = 8 and 0.7-0.8 s at n = 10.
-# (One fresh process per run on a 2-vCPU host with numpy 2.4.)  So the CLI
+# problem and run no solve.  The unitary attack's post-cloning MED is a
+# general solve over 2**(n-1) blocks with n(n+1)/2 constraints, and the MED
+# report prints a 2**(n-1) x 2**(n-1) confusion table, so both grow
+# exponentially in n (README and ROADMAP give the timings).  So the CLI
 # stops at 6.
 MAX_ATTACK_PULSES = 6
 

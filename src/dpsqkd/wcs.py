@@ -138,6 +138,8 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
         raise ValueError(f"unknown WCS attack modes: {sorted(unknown)}")
     mu = params.mean_photon_number
     e_slice = slice_averaged_qber(params) if "phase-randomized" in attacks else 0.0
+    # bits Eve learns are known perfectly (collision probability 1), at any distance
+    tau_ir = shrinking_factor(min(1.0, wcs_ir_fraction(mu)), 1.0)
     rows: list[dict[str, float]] = []
     for dist in distances:
         m = model.at_distance(float(dist))
@@ -146,8 +148,6 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
         e_b = m.e_b
         row: dict[str, float] = {"distance_km": float(dist), "e_b": e_b, "p_click": m.p_click}
         if "ir" in attacks:
-            # bits Eve learns are known perfectly (collision probability 1)
-            tau_ir = shrinking_factor(min(1.0, wcs_ir_fraction(mu)), 1.0)
             row["tau_ir"] = tau_ir
             row["r_ir"] = secure_key_rate(m, tau_ir, e_b)
         if "usd" in attacks:
@@ -156,9 +156,8 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
             row["r_usd"] = secure_key_rate(m, tau_usd, e_b)
         if "phase-randomized" in attacks:
             e_pr = min(0.5, e_b + e_slice)
-            tau_pr = shrinking_factor(min(1.0, wcs_ir_fraction(mu)), 1.0)
-            row["tau_phase_randomized"] = tau_pr
+            row["tau_phase_randomized"] = tau_ir
             row["r_phase_randomized"] = (
-                secure_key_rate(m, tau_pr, e_pr) / params.slices)
+                secure_key_rate(m, tau_ir, e_pr) / params.slices)
         rows.append(row)
     return rows

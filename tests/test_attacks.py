@@ -291,6 +291,11 @@ def test_collision_probability_table(med3, ens3):
 
 def test_collision_probability_perfect_discrimination(ens3):
     assert collision_probability(np.eye(4), ens3.priors, ens3.bit_map) == pytest.approx(1.0)
+    # the last outcome never occurs, so it drops out of the average
+    confusion = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.7, 0.3, 0.0],
+                          [0.0, 0.2, 0.8, 0.0], [0.5, 0.25, 0.25, 0.0]])
+    args = (confusion, ens3.priors, ens3.bit_map)
+    assert collision_probability(*args) == pytest.approx(brute_force_collision(*args), abs=1e-15)
 
 
 def _report(capsys, *argv):
@@ -383,6 +388,12 @@ def test_character_blocks(n, count, largest):
     assert len(blocks) == count
     assert max(ix.size for ix in blocks) == largest
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n ** 3))
+    # each block is one sign function over all 2**(n-1) patterns, not only
+    # over the generators that label it, and no two blocks share one
+    signs = sign_patterns(n)
+    characters = np.einsum("gi,gj,gk->ijkg", signs, signs, signs).reshape(n ** 3, -1)
+    assert all(np.all(characters[ix] == characters[ix[0]]) for ix in blocks)
+    assert len(np.unique(characters[[ix[0] for ix in blocks]], axis=0)) == len(blocks)
     # the cloning objective of the DPS ensemble has no weight between blocks
     ens = dps_ensemble(n)
     q = cloning_problem(ens).objective["J"]

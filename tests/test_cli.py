@@ -197,6 +197,12 @@ def test_keyrate_bad_grid(capsys):
          "click probability 2 exceeds 1"),
         (("--dark-count-prob", "0.5", "--detector-efficiency", "1"),
          "click probability 1.5 exceeds 1"),
+        # a step below the float spacing of the distances (16 km at 1e17)
+        (("--attacks", "ir", "--start-km", "1e17", "--stop-km", "1.0000000000000003e17",
+          "--step-km", "1"), "step"),
+        # the spacing doubles at 2^53, where d + 1 ties and rounds back to d
+        (("--attacks", "ir", "--start-km", "9007199254740988",
+          "--stop-km", "9007199254740996", "--step-km", "1"), "step"),
     ]:
         code, _, err = run_cli(capsys, "keyrate", *argv)
         assert code == 2, argv
@@ -395,6 +401,8 @@ def test_wcs_bad_source_and_channel(capsys):
          "click probability 1.1 exceeds 1"),
         (("--n-pulses", "6"), "three-pulse only (n_pulses = 6)"),
         (("--n-pulses", "4", "--stop-km", "0"), "three-pulse only (n_pulses = 4)"),
+        (("--start-km", "1e17", "--stop-km", "1.0000000000000003e17", "--step-km", "1"),
+         "step"),
     ]:
         code, _, err = run_cli(capsys, "wcs", *argv)
         assert code == 2, argv

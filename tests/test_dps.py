@@ -159,6 +159,15 @@ def test_sign_patterns(n):
     assert np.array_equal(np.sign(states.real), signs) and not np.any(states.imag)
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_sign_patterns_multiply_as_their_indices_xor(n):
+    """s_{g^h} = s_g * s_h: the patterns form a group, so a product of them
+    is a character, fixed by its values on the generators 1 << m."""
+    signs = sign_patterns(n)
+    g = np.arange(len(signs))
+    assert np.array_equal(signs[g[:, None] ^ g], signs[:, None, :] * signs)
+
+
 def test_sign_patterns_range():
     for n in (2, MAX_PULSES + 1):
         with pytest.raises(ValueError, match="pulse count"):

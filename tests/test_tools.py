@@ -1,5 +1,4 @@
 import importlib.util
-import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -44,42 +43,6 @@ def test_cli_diff_exit_status(tmp_path, capsys, right, codes, status):
     left = write_runs(tmp_path / "a", [b'{"p": 0.75}'], [0])
     assert cli_diff.main([str(left), str(write_runs(tmp_path / "b", right, codes))]) == status
     assert capsys.readouterr().out.splitlines()[2].startswith("| 00 | `med --n 3` |")
-
-
-_TRACE_SPEC = importlib.util.spec_from_file_location(
-    "trace_compare", Path(__file__).resolve().parent.parent / "tools" / "trace_compare.py")
-trace_compare = importlib.util.module_from_spec(_TRACE_SPEC)
-_TRACE_SPEC.loader.exec_module(trace_compare)
-
-
-def traced_run(path, iterations, per_iteration, wall):
-    """The tail of a ``perfbench/run.py --trace 1`` stdout, as the comparison reads it."""
-    metrics = {"sdp.solve.iterations": {"value": iterations, "unit": "count"},
-               "sdp.solve.s_per_iteration": {"value": per_iteration, "unit": "s"}}
-    path.write_text(
-        f"  tracing overhead: wall_s traced {wall + 1e-3:.6g} s - untraced {wall:.6g} s "
-        f"= 0.001 s (3 traced, 3 untraced rounds)\n"
-        + json.dumps({"correct": True, "attempted": 6, "failed": 0, "metrics": metrics}) + "\n")
-    return str(path)
-
-
-@pytest.mark.parametrize("head_iterations,status", [(14, 0), (13, 0), (15, 1)])
-def test_trace_compare_flags_only_more_iterations(tmp_path, capsys, head_iterations, status):
-    base = traced_run(tmp_path / "base.txt", 14, 9e-4, 0.027)
-    head = traced_run(tmp_path / "head.txt", head_iterations, 5e-4, 0.018)
-    assert trace_compare.main([base, head]) == status
-    rows = capsys.readouterr().out.splitlines()
-    ratio = head_iterations / 14
-    assert rows[2] == f"| sdp.solve.iterations | 14 | {head_iterations} | {ratio:.3f} |"
-    assert rows[3] == "| sdp.solve.s_per_iteration | 0.0009 | 0.0005 | 0.556 |"
-    assert rows[4] == "| wall_s | 0.027 | 0.018 | 0.667 |"
-
-
-def test_trace_compare_needs_a_traced_run(tmp_path):
-    untraced = tmp_path / "untraced.txt"
-    untraced.write_text(json.dumps({"metrics": {}}) + "\n")
-    with pytest.raises(ValueError, match="--trace 1"):
-        trace_compare.figures(untraced.read_text())
 
 
 _TIER1_SPEC = importlib.util.spec_from_file_location(
