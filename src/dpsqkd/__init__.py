@@ -21,7 +21,7 @@ from .dps import (ClickDistribution, DpsEnsemble,
 from .keyrate import (ChannelModel, FiniteSizeParams, binary_entropy,
                       finite_size_deviation, keyrate_sweep, secure_key_rate,
                       shrinking_factor, tau_lower_bound, unconditional_rate)
-from .linalg import SpectralDecomposition, eig_hermitian, partial_trace
+from .linalg import partial_trace
 from .sdp import KktReport, SdpProblem, SdpSolution, solve, verify_kkt
 from .wcs import (WcsParams, phase_mismatch_qber, slice_averaged_qber,
                   usd_block_identification, usd_success, wcs_ir_fraction,

@@ -49,7 +49,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from . import sdp
-from .dps import MAX_PULSES, DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
+from .dps import MAX_PULSES, DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
 from .keyrate import AttackProfile
 from .linalg import dagger, hermitian_part, outer, partial_trace
 
@@ -758,9 +758,9 @@ class CloningAttack:
     med_after: MedResult
 
     def ber(self, conditional: bool = False) -> list[float]:
-        """Bit-error rate of each of Bob's clones (see :func:`ber_of_state`)."""
-        return [ber_of_state(bob, i, self.ensemble, conditional=conditional)
-                for i, bob in enumerate(self.bob_states)]
+        """Bit-error rate of each of Bob's clones against its state's key bits
+        (see :func:`ber_of_state`), read off the whole certified stack."""
+        return _key_slot_ber(self.bob_states, self.ensemble.bit_map, conditional).tolist()
 
     @property
     def profile(self) -> AttackProfile:

@@ -180,11 +180,15 @@ def _finite_size(spec: str | None) -> FiniteSizeParams | None:
     for part in spec.split(","):
         if "=" not in part:
             raise ConfigError(f"finite-size spec needs n=..,k=..,eps=.. (got {part!r})")
-        key, _, value = part.partition("=")
+        key, _, value = (t.strip() for t in part.partition("="))
+        if key not in ("n", "k", "eps"):
+            raise ConfigError(f"unknown finite-size key {key!r} (expected n, k, eps)")
+        if key in fields:
+            raise ConfigError(f"finite-size key {key!r} is given twice")
         try:
-            fields[key.strip()] = float(value)
+            fields[key] = float(value)
         except ValueError as exc:
-            raise ConfigError(f"finite-size value for {key.strip()!r} is not a number") from exc
+            raise ConfigError(f"finite-size value for {key!r} is not a number") from exc
     missing = {"n", "k", "eps"} - set(fields)
     if missing:
         raise ConfigError(f"finite-size spec is missing {sorted(missing)}")

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import ATOL_PSD, eig_hermitian, is_density
+from .linalg import ATOL_PSD, is_density
 
 MAX_PULSES = 12
 
@@ -136,21 +136,24 @@ class ClickDistribution:
     """Per-slot click probabilities behind the interferometer.
 
     Slot t (1-based, t = 1..n+1) interferes pulse t with pulse t-1; the
-    boundary slots 1 and n+1 have no interference partner.  For a normalised
-    single-photon input the probabilities over all slots and both ports sum
-    to one.
+    boundary slots 1 and n+1 have no interference partner.  For a stack of
+    operators each port array is (..., n+1), one row per operator.  For a
+    normalised single-photon input the probabilities over all slots and both
+    ports sum to one.
     """
 
     constructive: np.ndarray
     destructive: np.ndarray
 
     @property
-    def total(self) -> float:
-        return float(np.sum(self.constructive) + np.sum(self.destructive))
+    def total(self) -> float | np.ndarray:
+        """Click probability over all slots and both ports, per operator."""
+        return np.sum(self.constructive, axis=-1) + np.sum(self.destructive, axis=-1)
 
 
 def mzi_click_distribution(state: np.ndarray) -> ClickDistribution:
-    """Click distribution of a ket or density operator after the MZI.
+    """Click distribution of a ket, a density operator or a (..., n, n) stack
+    of operators after the MZI; a ket is read as its projector.
 
     Mixed states are handled exactly: the quadratic form through the
     amplitude transfer equals the eigenvalue-weighted average of the
@@ -158,22 +161,25 @@ def mzi_click_distribution(state: np.ndarray) -> ClickDistribution:
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        tu, tv = mzi_transfer(state.size)
-        return ClickDistribution(np.abs(tu @ state) ** 2, np.abs(tv @ state) ** 2)
-    if state.ndim == 2 and state.shape[0] == state.shape[1]:
-        tu, tv = mzi_transfer(state.shape[0])
-        pu = np.real(np.einsum("ti,ij,tj->t", tu, state, tu.conj()))
-        pv = np.real(np.einsum("ti,ij,tj->t", tv, state, tv.conj()))
-        return ClickDistribution(pu, pv)
-    raise ValueError("state must be a ket or a square density operator")
+        state = np.outer(state, state.conj())
+    if state.ndim < 2 or state.shape[-1] != state.shape[-2]:
+        raise ValueError("state must be a ket, a square operator or a stack of them")
+    tu, tv = mzi_transfer(state.shape[-1])
+    pu = np.real(np.einsum("ti,...ij,tj->...t", tu, state, tu.conj()))
+    pv = np.real(np.einsum("ti,...ij,tj->...t", tv, state, tv.conj()))
+    return ClickDistribution(pu, pv)
 
 
-def _wrong_port_probs(received: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(wrong, total) per key slot for a density operator and a bit pattern."""
-    dist = mzi_click_distribution(received)
+def _key_slot_ber(states: np.ndarray, bits: np.ndarray, conditional: bool = False) -> np.ndarray:
+    """Key-slot BER of each operator of a (..., n, n) stack against the
+    matching (..., n-1) key bits: the wrong-port click probability summed
+    over the key slots, divided by the key-slot click probability when
+    ``conditional``.  The states are not checked."""
+    dist = mzi_click_distribution(states)
     # key slots 2..n in 1-based counting, indices 1..n-1 of the port arrays
-    u, v = dist.constructive[1:-1], dist.destructive[1:-1]
-    return np.where(bits == 0, v, u), u + v
+    u, v = dist.constructive[..., 1:-1], dist.destructive[..., 1:-1]
+    wrong = np.sum(np.where(bits == 0, v, u), axis=-1)
+    return wrong / np.sum(u + v, axis=-1) if conditional else wrong
 
 
 def _received_state(received: np.ndarray, index: int,
@@ -202,10 +208,7 @@ def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
     divided by the total key-slot click probability, giving the error rate
     per detected key bit.
     """
-    wrong, tot = _wrong_port_probs(*_received_state(received, index, ensemble))
-    if conditional:
-        return float(np.sum(wrong) / np.sum(tot))
-    return float(np.sum(wrong))
+    return float(_key_slot_ber(*_received_state(received, index, ensemble), conditional))
 
 
 def spectral_error_terms(received: np.ndarray, index: int,
@@ -222,12 +225,12 @@ def spectral_error_terms(received: np.ndarray, index: int,
     are checked as in ``ber_of_state``.
     """
     received, bits = _received_state(received, index, ensemble)
-    dec = eig_hermitian(received)
-    wrong = [float(np.sum(_wrong_port_probs(np.outer(vec, vec.conj()), bits)[0]))
-             for vec in dec.eigenvectors.T]
-    cuts = [0, *(np.flatnonzero(-np.diff(dec.eigenvalues) > ATOL_PSD) + 1).tolist(), len(wrong)]
+    eigs, vecs = np.linalg.eigh(received)
+    eigs, vecs = eigs[::-1], vecs[:, ::-1]
+    wrong = _key_slot_ber(np.einsum("ik,jk->kij", vecs, vecs.conj()), bits)
+    cuts = [0, *(np.flatnonzero(-np.diff(eigs) > ATOL_PSD) + 1).tolist(), len(eigs)]
     out = []
     for lo, hi in zip(cuts, cuts[1:]):
-        share = sum(wrong[lo:hi]) / (hi - lo)
-        out.extend((float(lam), share) for lam in dec.eigenvalues[lo:hi])
+        share = float(np.mean(wrong[lo:hi]))
+        out.extend((float(lam), share) for lam in eigs[lo:hi])
     return out

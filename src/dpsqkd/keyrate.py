@@ -269,12 +269,15 @@ def keyrate_sweep(model: ChannelModel,
     """One row per distance with e_b, p_click and per-attack tau and R.
 
     Each name in ``bounds`` adds its columns after the attacks', in this
-    order: tau and R of :data:`LOWER_BOUND`, R of :data:`UNCONDITIONAL`.
-    In finite-size mode the observed e_b is inflated by the parameter
+    order: tau and R of :data:`LOWER_BOUND`, R of :data:`UNCONDITIONAL`;
+    any other name raises ``ValueError``.  In finite-size mode the observed e_b is inflated by the parameter
     estimation deviation before entering the shrinking factors and the
     entropy terms; detection probabilities are unchanged.  Rows are emitted
     in the given distance order and are fully deterministic.
     """
+    unknown = set(bounds) - {LOWER_BOUND, UNCONDITIONAL}
+    if unknown:
+        raise ValueError(f"unknown key-rate bounds: {sorted(unknown)}")
     rows: list[dict[str, float]] = []
     for dist in distances:
         m = model.at_distance(float(dist))

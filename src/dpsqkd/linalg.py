@@ -10,7 +10,6 @@ The tolerances in use:
   Hermiticity of the SDP data,
 * ``ATOL_PSD`` (1e-9): sorted eigenvalues closer than this form one
   eigenspace in :func:`dpsqkd.dps.spectral_error_terms`,
-* 1e-9: the Hermiticity of an input to :func:`eig_hermitian`,
 * :func:`is_density` (1e-9 / 1e-8 / 1e-7): the Hermiticity, unit trace and
   smallest eigenvalue of a state handed to the analyses, loose enough for
   clones read off a solver optimum.
@@ -18,7 +17,6 @@ The tolerances in use:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,33 +82,3 @@ def partial_trace(x: np.ndarray, dims: Sequence[int],
     out_sub = [i for i in keep] + [k + 1 + i for i in keep]
     kept_d = int(np.prod([dims[i] for i in keep])) if keep else 1
     return np.einsum(t, row_sub + col_sub, out_sub).reshape(kept_d, kept_d)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigen-data of a Hermitian operator.
-
-    ``eigenvalues`` are real and sorted descending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.  For degenerate eigenvalues
-    the returned vectors are one valid orthonormal basis of the eigenspace;
-    callers must not rely on a particular choice.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
-    """Diagonalise a Hermitian operator with LAPACK (``numpy.linalg.eigh``).
-
-    Eigenvalues come back in descending order with orthonormal eigenvector
-    columns.  Raises ``ValueError`` when the input is not square or not
-    Hermitian within 1e-9.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("eig_hermitian expects a square operator")
-    if not np.all(np.abs(h - dagger(h)) <= 1e-9):
-        raise ValueError("input is not Hermitian within tolerance")
-    eigs, v = np.linalg.eigh(hermitian_part(h))
-    return SpectralDecomposition(eigs[::-1], v[:, ::-1])

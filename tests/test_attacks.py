@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dpsqkd import attacks, sdp
+from dpsqkd import attacks, dps, sdp
 from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             apply_choi, apply_unitary_cloner,
                             cloning_problem, collision_probability,
@@ -848,6 +848,32 @@ def test_unitary_ber_values(ens3, unitary3):
     cond = [ber_of_state(bobs[i], i, ens3, conditional=True) for i in range(4)]
     assert np.mean(plain) == pytest.approx(0.1023080, abs=1e-5)
     assert np.mean(cond) == pytest.approx(0.1527084, abs=1e-5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("attack_at", ["cloning_attack_at", "unitary_attack_at"])
+def test_clone_ber_equals_per_clone_ber(n, attack_at, request):
+    """One read of the clone stack gives each clone's ``ber_of_state``."""
+    attack = request.getfixturevalue(attack_at)(n)
+    for conditional in (False, True):
+        per_clone = [ber_of_state(bob, i, attack.ensemble, conditional=conditional)
+                     for i, bob in enumerate(attack.bob_states)]
+        assert_allclose(attack.ber(conditional), per_clone, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_profiles_check_only_whole_clone_stacks(n, monkeypatch):
+    """Each certified clone stack is checked once, as a whole, when Eve's MED
+    takes it as an ensemble; the BER reads the clones without re-checking them."""
+    shapes = []
+
+    def spy(rho, _real=dps.is_density):
+        shapes.append(np.shape(rho))
+        return _real(rho)
+
+    monkeypatch.setattr(dps, "is_density", spy)
+    standard_attack_profiles(n)
+    assert shapes == [(2 ** (n - 1), n, n)] * 2
 
 
 def test_unitary_med_after(unitary_med3):

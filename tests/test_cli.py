@@ -264,13 +264,17 @@ def test_finite_size_command(capsys):
 
 
 def test_finite_size_command_bad_spec(capsys):
+    """A bad finite-size spec exits 2, also an unknown or a repeated key."""
     for argv, message in [
-        (("--params", "n=1e6"), "missing"),
-        (("--params", "n=abc,k=1e4,eps=1e-9"), "not a number"),
-        (("--params", "n=1e6,k=1e4,eps=0.999", "--e-obs", "0.4"), "log argument"),
+        (("finite-size", "--params", "n=1e6"), "missing"),
+        (("finite-size", "--params", "n=abc,k=1e4,eps=1e-9"), "not a number"),
+        (("finite-size", "--params", "n=1e6,k=1e4,eps=0.999", "--e-obs", "0.4"), "log argument"),
+        (("finite-size", "--params", "n=1e6,k=1e4,eps=1e-9,typo=3"), "unknown finite-size key"),
+        (("keyrate", "--finite-size", "n=1e6,k=1e4,eps=1e-9,n=5"), "'n' is given twice"),
+        (("keyrate", "--finite-size", "n=1e6,k=1e4,epsilon=1e-9"), "unknown finite-size key"),
     ]:
-        code, _, err = run_cli(capsys, "finite-size", *argv)
-        assert code == 2, argv
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
         assert message in err
 
 

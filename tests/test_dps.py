@@ -226,6 +226,25 @@ def test_mixed_state_distribution_equals_eigenvalue_average(rng):
     assert_allclose(dist.destructive, cv, atol=1e-12)
 
 
+def test_stack_distribution_equals_per_operator_distributions(ens3, rng):
+    """A (..., n, n) stack reads as its operators one by one, ``total`` sums
+    each operator on its own, and a ket reads as its projector."""
+    stack = np.array([(g + 1) * random_density(rng, 3) for g in range(4)])
+    dist = mzi_click_distribution(stack.reshape(2, 2, 3, 3))
+    assert dist.constructive.shape == dist.destructive.shape == (2, 2, 4)
+    assert_allclose(dist.total.ravel(), [1.0, 2.0, 3.0, 4.0], rtol=0, atol=1e-12)
+    for rho, cu, cv in zip(stack, dist.constructive.reshape(4, 4), dist.destructive.reshape(4, 4)):
+        one = mzi_click_distribution(rho)
+        assert_allclose(cu, one.constructive, rtol=0, atol=1e-15)
+        assert_allclose(cv, one.destructive, rtol=0, atol=1e-15)
+    for ket in ens3.states:
+        from_ket, from_projector = mzi_click_distribution(ket), mzi_click_distribution(outer(ket))
+        assert_allclose(from_ket.constructive, from_projector.constructive, rtol=0, atol=0)
+        assert_allclose(from_ket.destructive, from_projector.destructive, rtol=0, atol=0)
+    with pytest.raises(ValueError, match="square operator"):
+        mzi_click_distribution(np.zeros((3, 2)))
+
+
 def test_cloned_state_key_slot_distribution():
     # exact clone: wrong-port probability (2/3 - 2*5/21)/4 per key slot
     dist = mzi_click_distribution(CLONED_EXACT)
@@ -279,6 +298,13 @@ def test_spectral_terms_sum_matches_direct(ens3):
     assert_allclose(weights, [0.0, 1.0 / 2.0, 1.0 / 2.0], atol=1e-9)
 
 
+def test_cloned_state_spectrum(ens3):
+    """The clone's spectrum, in descending order, exactly and as printed to two decimals."""
+    eigenvalues = [lam for lam, _ in spectral_error_terms(CLONED_EXACT, 0, ens3)]
+    assert_allclose(eigenvalues, [17.0 / 21.0, 2.0 / 21.0, 2.0 / 21.0], rtol=0, atol=1e-12)
+    assert_allclose(eigenvalues, [0.81, 0.095, 0.095], rtol=0, atol=5e-3)
+
+
 def test_ber_invariant_under_degenerate_basis_rotation(ens3, rng):
     """Re-orthonormalising the degenerate eigenspace must not move the BER."""
     base_terms = spectral_error_terms(CLONED_EXACT, 0, ens3)
@@ -315,6 +341,7 @@ def test_received_state_checks(check, ens3):
         (np.eye(4) / 4, 0, "wrong dimension"),
         (2 * mixed, 0, "not a valid density operator"),
         (np.diag([1.5, -0.5, 0.0]), 0, "not a valid density operator"),
+        (mixed + 1e-6 * np.triu(np.ones((3, 3)), 1), 0, "not a valid density operator"),
         *((mixed, index, bad_index) for index in (4, 7, -1, 1.5)),
     ]:
         with pytest.raises(ValueError, match=message):

@@ -256,6 +256,12 @@ def test_sweep_selects_each_bound_by_name(bounds, columns):
         assert all(row[c] == full[c] for c in row)
 
 
+def test_sweep_rejects_an_unknown_bound_name():
+    """A misspelt bound fails before any row, instead of dropping its columns."""
+    with pytest.raises(ValueError, match="unknown key-rate bounds: \\['lower_bound'\\]"):
+        keyrate_sweep(ChannelModel(), PROFILE_LIST, [0.0], bounds=("lower_bound",))
+
+
 def test_sweep_empty():
     assert keyrate_sweep(ChannelModel(), PROFILE_LIST, []) == []
 
