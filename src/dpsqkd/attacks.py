@@ -12,11 +12,12 @@ Four eavesdropping strategies are modelled:
   clones have a closed form;
 * the intercept-resend baseline with a receiver-identical measurement.
 
-Every SDP is assembled through the named constraint builders of
-:mod:`dpsqkd.sdp`; no attack code touches raw svec index arithmetic.  An
-ensemble that is covariant under the sign group of the DPS states (see
-:func:`_sign_covariant`) has a symmetry-reduced problem: MED one n x n
-seed block, the optimal cloner the character blocks of its Choi operator.
+Each attack has one problem builder: :func:`med_problem` for MED and
+:func:`cloning_problem` for the cloner; no attack code touches raw svec
+index arithmetic.  An ensemble that is covariant under the sign group of
+the DPS states (see :func:`_sign_covariant`) has a symmetry-reduced
+problem: MED one n x n seed block, the optimal cloner the character blocks
+of its Choi operator.
 The constraint operators of both partition the identity, so the uniform
 multiplier y = lambda_max(C) is dual feasible, and a primal on the top
 eigenvectors of the objective that meets the equality rows closes the gap.
@@ -28,11 +29,11 @@ cloner of the DPS states and for MED of the optimal clones.  MED lifts its
 seed pair onto the full :func:`med_problem` and certifies it there; its
 one solve is the general solve of that problem, which every other
 ensemble runs.  The cloner takes sign-covariant ensembles only, solves its
-block problem when the candidate fails, and certifies its blocks through a
-reduced certificate equivalent to the one on the full
-:func:`cloning_problem` (see :func:`_reduced_cloner_kkt`), which it never
-builds: the objective's weight between blocks comes from the Gram matrix
-of the kets, not from the dense n**3 x n**3 objective.  Each cloning
+character-block :func:`cloning_problem` when the candidate fails, and
+certifies its blocks through a reduced certificate equivalent to the one
+on the full n**3 x n**3 SDP (see :func:`_reduced_cloner_kkt`), which is
+never built: the objective's weight between blocks comes from the Gram
+matrix of the kets, not from the dense objective.  Each cloning
 attack is one certified :class:`CloningAttack`, read by the ``clone``
 report and by its key-rate profile.
 :data:`ATTACK_PROFILES` builds the per-intercept errors and collision
@@ -187,8 +188,8 @@ def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
     or when the top eigenspace of a block is degenerate and the one
     eigenvector taken from it misses them.
     """
-    costs = {name: objective.get(name, np.zeros((d, d))) for name, d in blocks}
-    spectra = {name: np.linalg.eigh(c) for name, c in costs.items()}
+    spectra = {name: np.linalg.eigh(objective.get(name, np.zeros((d, d))))
+               for name, d in blocks}
     lam = max(w[-1] for w, _ in spectra.values())
     top = {name: (w[-1], v[:, -1]) for name, (w, v) in spectra.items()
            if w[-1] >= lam - _TIE_TOL * abs(lam)}
@@ -202,10 +203,8 @@ def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
     x.update({name: tb * outer(u) for tb, (name, (_, u)) in zip(t, top.items())})
     primal = float(sum(tb * wb for tb, (wb, _) in zip(t, top.values())))
     dual = float(lam * rhs.sum())
-    return sdp.SdpSolution(
-        x=x, y=np.full(rhs.size, lam),
-        z={name: lam * np.eye(len(c)) - c for name, c in costs.items()},
-        primal_objective=primal, dual_objective=dual, gap=abs(primal - dual), iterations=0)
+    return sdp.SdpSolution(x=x, y=np.full(rhs.size, lam), primal_objective=primal,
+                           dual_objective=dual, gap=abs(primal - dual), iterations=0)
 
 
 def _certify_once(candidate: sdp.SdpSolution | None,
@@ -242,24 +241,22 @@ def _covariant_med_candidate(ens: DpsEnsemble, problem: sdp.SdpProblem
     the seed optimum is P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1).
     The seed dual y lifts to Y = diag(y)/2**(n-1), so the full problem's
     multipliers, one per svec entry of the completeness constraint, are
-    svec(Y), or its real symmetric prefix on real data, and its slacks
-    Z_g = Y - p_g rho_g.  Nothing here assumes the ensemble is covariant:
-    the certificate on the full problem fails when it is not.
+    svec(Y), or its real symmetric prefix on real data; the certificate
+    reads its slacks Z_g = Y - p_g rho_g off them.  Nothing here assumes the
+    ensemble is covariant: the certificate on the full problem fails when
+    it is not.
     """
     count, n = len(ens.priors), ens.n
     signs = sign_patterns(n)
-    weighted = ens.priors[:, None, None] * ens.densities
-    rho_bar = np.einsum("gk,gkl,gl->kl", signs, weighted, signs)
+    rho_bar = np.einsum("gk,gkl,gl->kl", signs, ens.priors[:, None, None] * ens.densities, signs)
     unit = np.eye(n)
     seed = _top_eigenspace_solution([("P0", n)], {"P0": rho_bar},
                                     [({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
     if seed is None:
         return None
-    names = _block_names(count)
-    dual = np.diag(seed.y / count)
-    return replace(seed, x=dict(zip(names, signs[:, :, None] * seed.x["P0"] * signs[:, None, :])),
-                   y=sdp.svec(dual)[:len(problem.constraints)],
-                   z=dict(zip(names, dual - weighted)))
+    lifted = signs[:, :, None] * seed.x["P0"] * signs[:, None, :]
+    return replace(seed, x=dict(zip(_block_names(count), lifted)),
+                   y=sdp.svec(np.diag(seed.y / count))[:len(problem.constraints)])
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
@@ -324,9 +321,6 @@ def holevo_certificate(ens: DpsEnsemble, povm: Povm) -> bool:
 # optimal map-based cloning
 # ---------------------------------------------------------------------------
 
-CHOI_BLOCK = "J"
-
-
 @dataclass
 class CloningResult:
     """Choi operator of the optimal symmetric cloner and derived quantities.
@@ -334,7 +328,8 @@ class CloningResult:
     The Choi operator lives on (bob-out) x (input) x (eve-out) with the input
     factor in the middle; trace preservation reads Tr_{out,out}(J) = I_in.
     ``choi`` is the scatter of the character blocks.  ``problem``,
-    ``solution`` and ``kkt`` describe the character-block problem, and
+    ``solution`` and ``kkt`` describe the character-block
+    :func:`cloning_problem`, and
     ``kkt`` carries the extra condition ``objective_block_diagonal`` of the
     reduced certificate (see :func:`_reduced_cloner_kkt`).  The clones are
     (G, n, n) stacks in the order of the ensemble's states.
@@ -364,18 +359,32 @@ def _choi_kets(kets: np.ndarray) -> np.ndarray:
 
 
 def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
-    """SDP for the optimal symmetric cloner in the Choi representation.
+    """SDP for the optimal symmetric cloner of a pure-state ensemble, on the
+    character blocks (:func:`_character_blocks`) of its Choi operator J.
 
-    Maximises the prior-averaged two-copy fidelity <psi psi| Phi(psi)|psi psi>
-    over completely positive trace-preserving maps Phi; the conjugate ket sits
-    on the input factor.
+    The full SDP maximises the two-copy fidelity <Q, J>, Q = V^T diag(p)
+    conj(V) with V = :func:`_choi_kets`, over J >= 0 on (out) x (in) x (out)
+    with Tr_{out,out}(J) = I.  Block b keeps V[:, b]^T diag(p) conj(V[:, b]),
+    built from all G states (see :func:`_off_block_norm`).  Of the d**2
+    trace-preservation rows only the d diagonal ones touch the blocks: for
+    each input index k, the diagonal of J over the kets |i k l> sums to 1.
+
+    Any pure-state ensemble builds it, so the certificate can be tested on
+    skewed priors and bent kets.  It equals the full SDP when Q has no weight
+    between the blocks, as for a sign-covariant ensemble (see
+    :func:`_sign_covariant`), whose optimal J can be taken block diagonal;
+    :func:`_reduced_cloner_kkt` checks that condition.
     """
     d = ens.n
-    v = _choi_kets(_kets(ens))
-    constraints = sdp.partial_trace_identity_constraints(CHOI_BLOCK, [d, d, d], keep=1)
-    return sdp.SdpProblem(blocks=[(CHOI_BLOCK, d ** 3)],
-                          objective={CHOI_BLOCK: v.T @ (ens.priors[:, None] * v.conj())},
-                          constraints=constraints)
+    v, p = _choi_kets(_kets(ens)), ens.priors[:, None]
+    blocks = _character_blocks(d)
+    names = [f"J{b}" for b in range(len(blocks))]
+    inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
+    return sdp.SdpProblem(
+        blocks=[(name, ix.size) for name, ix in zip(names, blocks)],
+        objective={name: v[:, ix].T @ (p * v[:, ix].conj()) for name, ix in zip(names, blocks)},
+        constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
+                     for k in range(d)])
 
 
 def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -390,16 +399,17 @@ def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
     pure-state ensemble, such as a DPS ensemble.
 
     An ensemble of density operators, or one that is not sign-covariant (see
-    :func:`_sign_covariant`), raises ``ValueError``.  The problem is solved
-    and certified on the character blocks of the Choi operator (see
-    :func:`_covariant_cloner_solution` and :func:`_reduced_cloner_kkt`), and
-    the clones are read off the blocks (see :func:`_block_clones`); no
-    d**3 x d**3 problem is built.
+    :func:`_sign_covariant`), raises ``ValueError``.  Its one problem is the
+    character-block :func:`cloning_problem`, certified through
+    :func:`_reduced_cloner_kkt` and solved only when the top-eigenspace
+    candidate fails (see :func:`_covariant_cloner_solution`), and the clones
+    are read off the blocks (see :func:`_block_clones`); no d**3 x d**3
+    problem is built.
     """
-    kets = _kets(ens)
+    _kets(ens)  # density operators raise before the covariance check
     if not _sign_covariant(ens):
         raise ValueError("the optimal cloner needs a sign-covariant ensemble")
-    problem, solution, kkt = _covariant_cloner_solution(kets, ens.priors)
+    problem, solution, kkt = _covariant_cloner_solution(ens)
     choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
     fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
@@ -433,21 +443,12 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _covariant_cloner_solution(kets: np.ndarray, priors: np.ndarray
+def _covariant_cloner_solution(ens: DpsEnsemble
                                ) -> tuple[sdp.SdpProblem, sdp.SdpSolution, sdp.KktReport]:
-    """The cloning SDP of a sign-covariant ensemble, given as its (G, d) ket
-    stack and its priors, on the character blocks of its Choi operator, its
+    """The :func:`cloning_problem` of a sign-covariant ensemble, its
     certified solution and the certificate.
 
-    The objective and the constraints are invariant under the sign group, so
-    an optimal Choi operator can be taken invariant, hence block diagonal
-    over :func:`_character_blocks`.  Block b keeps its part of the
-    objective, V[:, b]^T diag(p) conj(V[:, b]) with V = :func:`_choi_kets`,
-    built from all G states: the certificate needs the diagonal blocks of
-    the full objective (see :func:`_off_block_norm`).  Of the d**2
-    trace-preservation constraints Tr_{out,out}(J) = I only the d diagonal
-    ones touch the blocks: for each input index k, the diagonal of J summed
-    over the kets |i k l> is 1.  These d operators partition the identity
+    The d constraint operators of the block problem partition the identity
     on every block, so y = lambda * 1, with lambda the largest top
     eigenvalue of the blocks, is dual feasible, and rank-one blocks on their
     top eigenvectors whose weights meet the d rows close the gap (see
@@ -458,29 +459,20 @@ def _covariant_cloner_solution(kets: np.ndarray, priors: np.ndarray
     :func:`_reduced_cloner_kkt`; only when it is missing or fails is the
     block problem solved, and its optimum certified.
     """
-    d = kets.shape[1]
-    v, p = _choi_kets(kets), priors[:, None]
-    blocks = _character_blocks(d)
-    names = [f"J{b}" for b in range(len(blocks))]
-    inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
-    reduced = (
-        [(name, ix.size) for name, ix in zip(names, blocks)],
-        {name: v[:, ix].T @ (p * v[:, ix].conj()) for name, ix in zip(names, blocks)},
-        [({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
-         for k in range(d)])
-    problem = sdp.SdpProblem(*reduced)
-    solution, kkt = _certify_once(_top_eigenspace_solution(*reduced),
-                                  lambda sol: _reduced_cloner_kkt(problem, sol, kets, priors),
-                                  lambda: sdp.solve(problem))
+    problem = cloning_problem(ens)
+    solution, kkt = _certify_once(
+        _top_eigenspace_solution(problem.blocks, problem.objective, problem.constraints),
+        lambda sol: _reduced_cloner_kkt(problem, sol, ens.states, ens.priors),
+        lambda: sdp.solve(problem))
     return problem, solution, kkt
 
 
 def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
                         kets: np.ndarray, priors: np.ndarray) -> sdp.KktReport:
-    """KKT certificate of a character-block cloner pair, equivalent to the
-    one on the full :func:`cloning_problem` of ``kets`` and ``priors``, whose
-    objective Q has the block objectives of ``problem`` as its diagonal
-    blocks.
+    """KKT certificate of a pair of the character-block
+    :func:`cloning_problem` of ``kets`` and ``priors``, equivalent to the
+    one on their full d**3 x d**3 cloning SDP, whose objective Q has the
+    block objectives of ``problem`` as its diagonal blocks.
 
     Scatter the blocks into J and Z, and lift the d multipliers y to
     Y = diag(y), whose svec gives the full problem's d**2 multipliers.  Then
@@ -505,8 +497,8 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
     (c) The multipliers of the j != k constraints are zero, which holds by
         construction of Y.
 
-    A skewed prior or a bent ket breaks (b), so a non-covariant ensemble
-    cannot pass.
+    Condition (b) makes the block problem equal to the full SDP.  A skewed
+    prior or a bent ket breaks it, so a non-covariant ensemble cannot pass.
     """
     report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
     off = _off_block_norm(problem.objective, kets, priors)

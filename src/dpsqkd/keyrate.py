@@ -168,10 +168,13 @@ def secure_key_rate(model: ChannelModel, tau: float, e_b: float) -> float:
 
 def unconditional_rate(e_b: float, r_sifted: float) -> float:
     """Coherent-attack lower bound R >= R_sifted*(1 - h(e_b) - h((3+sqrt5) e_b)),
-    floored at zero."""
+    floored at zero, and zero once the phase error (3+sqrt5) e_b reaches 1/2,
+    past which h would shrink again and revive the rate."""
     arg = (3.0 + _SQRT5) * e_b
     if arg > 1.0:
         raise ValueError("phase error argument exceeds 1")
+    if arg >= 0.5:
+        return 0.0
     return max(0.0, r_sifted * (1.0 - binary_entropy(e_b) - binary_entropy(arg)))
 
 
@@ -246,6 +249,9 @@ def finite_size_deviation(fs: FiniteSizeParams, e_obs: float) -> float:
     c = math.exp(1.0 / (8.0 * (n + k)) + 1.0 / (12.0 * k)
                  - 1.0 / (12.0 * k * e + 1.0) - 1.0 / (12.0 * k * (1.0 - e) + 1.0))
     log_arg = math.sqrt(n + k) * c / (math.sqrt(2.0 * math.pi * n * k * e * (1.0 - e)) * eps)
+    if not math.isfinite(log_arg):
+        raise ValueError(f"finite-size deviation is undefined: eps={eps!r} is too small "
+                         f"(the log argument overflows for n={fs.n_key}, k={fs.k_pe})")
     if log_arg <= 1.0:
         raise ValueError(f"finite-size deviation is undefined: log argument {log_arg:.6g} <= 1 "
                          f"(eps={eps:g} is too loose for n={fs.n_key}, k={fs.k_pe}, e_obs={e:g})")
@@ -270,10 +276,11 @@ def keyrate_sweep(model: ChannelModel,
 
     Each name in ``bounds`` adds its columns after the attacks', in this
     order: tau and R of :data:`LOWER_BOUND`, R of :data:`UNCONDITIONAL`;
-    any other name raises ``ValueError``.  In finite-size mode the observed e_b is inflated by the parameter
-    estimation deviation before entering the shrinking factors and the
-    entropy terms; detection probabilities are unchanged.  Rows are emitted
-    in the given distance order and are fully deterministic.
+    any other name raises ``ValueError``.  In finite-size mode the observed
+    e_b is inflated by the parameter estimation deviation, capped at 1/2,
+    before entering the shrinking factors and the entropy terms; detection
+    probabilities are unchanged.  Rows are emitted in the given distance
+    order and are fully deterministic.
     """
     unknown = set(bounds) - {LOWER_BOUND, UNCONDITIONAL}
     if unknown:
@@ -283,7 +290,7 @@ def keyrate_sweep(model: ChannelModel,
         m = model.at_distance(float(dist))
         e_b = e_eff = m.e_b
         if finite_size is not None:
-            e_eff = e_b + finite_size_deviation(finite_size, e_b)
+            e_eff = min(0.5, e_b + finite_size_deviation(finite_size, e_b))
         row: dict[str, float] = {"distance_km": float(dist), "e_b": e_b, "p_click": m.p_click}
         if finite_size is not None:
             row["e_b_finite"] = e_eff

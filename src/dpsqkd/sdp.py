@@ -64,10 +64,10 @@ data, only the real symmetric rows, the prefix of the svec basis.
 
 The symmetric vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled
 real and imaginary off-diagonal parts) maps a Hermitian operator to a real
-vector and preserves inner products.  It is the basis in which the
-constraint builders below state their rows and in which the symmetry lifts
-of :mod:`dpsqkd.attacks` express their multipliers; the iteration itself
-never vectorises.
+vector and preserves inner products.  It is the basis in which
+:func:`povm_completeness_constraints` states its rows and in which the
+symmetry lifts of :mod:`dpsqkd.attacks` express their multipliers; the
+iteration itself never vectorises.
 """
 
 from __future__ import annotations
@@ -313,13 +313,14 @@ class SdpSolution:
     on the NT scaling, its factors and the centring term (``scaling_s``), on
     assembling and factorising the Schur complement and solving for the
     direction (``schur_s``), and on the step lengths, one ``eigvalsh`` each
-    for X and Z, and the update (``step_s``).  The solve returns ``x`` and
-    ``z`` in the problem's dtype: float64 on real data.
+    for X and Z, and the update (``step_s``).  The solve returns ``x`` in the
+    problem's dtype: float64 on real data.  The dual slack is not stored:
+    Z_b = sum_j y_j A_{j,b} - C_b follows from ``y``, and :func:`verify_kkt`
+    recomputes it.
     """
 
     x: dict[str, np.ndarray]
     y: np.ndarray
-    z: dict[str, np.ndarray]
     primal_objective: float
     dual_objective: float
     gap: float
@@ -509,7 +510,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     return SdpSolution(
         x=problem._named([hermitian_part(xg) for xg in x]), y=y.copy(),
-        z=problem._named([hermitian_part(zg) for zg in z]),
         primal_objective=pobj, dual_objective=dobj, gap=gap,
         iterations=len(iterates), iterates=iterates,
     )
@@ -518,9 +518,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
 def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> KktReport:
     """Check a primal/dual pair against the optimality conditions.
 
-    The dual slack is recomputed from the multipliers as
-    ``Z_b = sum_j y_j A_{j,b} - C_b`` so the report is independent of the
-    slack matrices stored in the solution.  Complementary slackness is the
+    The dual slack is computed from the multipliers as
+    ``Z_b = sum_j y_j A_{j,b} - C_b``, so the pair is checked on ``x`` and
+    ``y`` alone.  Complementary slackness is the
     largest |<X_b, Z_b>| across blocks.  On real data the check runs in real
     arithmetic on Re X_b, which alone enters the equalities, the objective
     and <X_b, Z_b>; a complex X_b = Re X_b + i Im X_b, with i Im X_b
@@ -567,7 +567,7 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 
 
 # ---------------------------------------------------------------------------
-# named constraint builders
+# completeness constraints
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -590,23 +590,3 @@ def povm_completeness_constraints(dim: int, real: bool = False) -> list[Constrai
     count = dim * (dim + 1) // 2 if real else dim * dim
     return list(zip(basis[:count], eye[:count]))
 
-
-def partial_trace_identity_constraints(block: str, dims: Sequence[int],
-                                       keep: int) -> list[Constraint]:
-    """Constraints stating Tr_{others}(X_block) = identity on subsystem ``keep``.
-
-    ``dims`` are the tensor-factor dimensions of the block; all factors other
-    than ``keep`` are traced out.
-    """
-    dims = list(dims)
-    if not 0 <= keep < len(dims):
-        raise ValueError("keep index out of range")
-    dk = dims[keep]
-    basis, eye = _svec_basis(dk)
-    left = int(np.prod(dims[:keep])) if keep else 1
-    right = int(np.prod(dims[keep + 1:])) if keep + 1 < len(dims) else 1
-    out: list[Constraint] = []
-    for k in range(dk * dk):
-        op = np.kron(np.eye(left), np.kron(basis[k], np.eye(right)))
-        out.append(({block: op}, eye[k]))
-    return out

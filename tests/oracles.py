@@ -1,10 +1,24 @@
-"""Independent checks that only the tests read: a Choi operator's CPTP
-residuals and a Monte-Carlo model of the intercept-resend collision
-probability."""
+"""Independent checks that only the tests read: the dense cloning SDP, a
+Choi operator's CPTP residuals and a Monte-Carlo model of the
+intercept-resend collision probability."""
 
 import numpy as np
 
+from dpsqkd import attacks, sdp
 from dpsqkd.linalg import hermitian_part, partial_trace
+
+
+def full_cloning_problem(ens) -> sdp.SdpProblem:
+    """The cloning SDP on one dense d**3 x d**3 Choi block J on
+    (out) x (in) x (out): maximise <Q, J>, Q = V^T diag(p) conj(V), subject to
+    Tr_{out,out}(J) = I, stated as the d**2 rows <I x B x I, J> = Tr(B) over
+    the svec basis B of :func:`dpsqkd.sdp.povm_completeness_constraints`."""
+    d, eye = ens.n, np.eye(ens.n)
+    v = attacks._choi_kets(attacks._kets(ens))
+    return sdp.SdpProblem(blocks=[("J", d ** 3)],
+                          objective={"J": v.T @ (ens.priors[:, None] * v.conj())},
+                          constraints=[({"J": np.kron(eye, np.kron(op, eye))}, rhs)
+                                       for op, rhs in sdp.povm_completeness_constraints(d)])
 
 
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:

@@ -48,7 +48,7 @@ def test_criterion_01_med_optimum(med3):
 
 def test_criterion_02_handbuilt_povm_optimal(ens3, med3):
     hand = {f"P{i + 1}": 0.75 * ens3.densities[i] for i in range(4)}
-    candidate = SdpSolution(x=hand, y=med3.solution.y, z=med3.solution.z,
+    candidate = SdpSolution(x=hand, y=med3.solution.y,
                             primal_objective=0.75,
                             dual_objective=med3.solution.dual_objective,
                             gap=abs(0.75 - med3.solution.dual_objective),

@@ -19,7 +19,7 @@ from dpsqkd.cli import main
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
-from oracles import cptp_residuals, ir_monte_carlo_collision
+from oracles import cptp_residuals, full_cloning_problem, ir_monte_carlo_collision
 
 
 def brute_force_collision(confusion, priors, bit_map):
@@ -277,9 +277,28 @@ def test_povm_rejects_an_empty_set():
         Povm(elements=())
 
 
+def orthogonal_pair():
+    """Two orthogonal kets on C^3; the first has no weight on e_0."""
+    return DpsEnsemble(states=[[0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], [1.0, 0.0, 0.0]],
+                       priors=[0.5, 0.5], bit_map=[[0, 0], [1, 1]])
+
+
 def test_holevo_certificate(ens3, med3):
     assert holevo_certificate(ens3, med3.povm)
     assert holevo_certificate(ens3, pgm_povm(ens3))
+    # the PGM elements shifted by one state: Y = sum_i p_i rho_i P_(i+1) is
+    # not Hermitian, which fails the witness before its PSD test
+    shifted = Povm(elements=pgm_povm(ens3).elements[1:] + pgm_povm(ens3).elements[:1])
+    y = sum(p * rho @ el for p, rho, el in zip(ens3.priors, ens3.densities, shifted.elements))
+    assert np.max(np.abs(y - y.conj().T)) > 1e-3
+    assert not holevo_certificate(ens3, shifted)
+    # two orthogonal kets leave a kernel of the average state, which the PGM
+    # spreads evenly over its elements; it stays optimal
+    pair = orthogonal_pair()
+    povm = pgm_povm(pair)
+    kernel = outer(np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0))
+    assert_allclose(povm.elements, pair.densities + kernel / 2, rtol=0, atol=1e-12)
+    assert holevo_certificate(pair, povm)
 
 
 def test_collision_probability_table(med3, ens3):
@@ -357,7 +376,7 @@ def full_cloner(ens):
     out through apply_choi.  Returns (choi, two-copy fidelity, per-state
     fidelities, Bob's states, Eve's states)."""
     d = ens.n
-    choi = sdp.solve(cloning_problem(ens)).x["J"]
+    choi = sdp.solve(full_cloning_problem(ens)).x["J"]
     two_copy, fids, bobs, eves = 0.0, [], [], []
     for p, s in zip(ens.priors, ens.states):
         joint = apply_choi(choi, outer(s))
@@ -396,7 +415,7 @@ def test_character_blocks(n, count, largest):
     assert len(np.unique(characters[[ix[0] for ix in blocks]], axis=0)) == len(blocks)
     # the cloning objective of the DPS ensemble has no weight between blocks
     ens = dps_ensemble(n)
-    q = cloning_problem(ens).objective["J"]
+    q = full_cloning_problem(ens).objective["J"]
     label = np.zeros(n ** 3, dtype=int)
     for b, ix in enumerate(blocks):
         label[ix] = b
@@ -405,14 +424,11 @@ def test_character_blocks(n, count, largest):
 
 def scattered(problem, solution, d):
     """A character-block cloner pair placed on the full cloning problem: the
-    primal and slack blocks at their kets, the multipliers as Y = diag(y)."""
+    primal blocks at their kets, the multipliers as Y = diag(y)."""
     x = np.zeros((d ** 3, d ** 3), dtype=complex)
-    z = np.zeros_like(x)
     for (name, _), ix in zip(problem.blocks, attacks._character_blocks(d)):
         x[np.ix_(ix, ix)] = solution.x[name]
-        z[np.ix_(ix, ix)] = solution.z[name]
-    return dataclasses.replace(solution, x={"J": x}, y=sdp.svec(np.diag(solution.y)),
-                               z={"J": z})
+    return dataclasses.replace(solution, x={"J": x}, y=sdp.svec(np.diag(solution.y)))
 
 
 @pytest.mark.parametrize("n,two_copy", [(3, 7 / 9), (4, 0.625), (5, 0.52), (6, 0.444444)])
@@ -424,7 +440,7 @@ def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant
     assert len(result.solution.y) == n  # one multiplier per diagonal trace-preservation entry
     assert result.kkt.passed, result.kkt.conditions
     full = scattered(result.problem, result.solution, n)
-    report = sdp.verify_kkt(cloning_problem(ens), full, tol=1e-6)
+    report = sdp.verify_kkt(full_cloning_problem(ens), full, tol=1e-6)
     assert report.passed, report.conditions
     assert_allclose(result.choi, full.x["J"], rtol=0, atol=1e-9)
     assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-6)
@@ -435,11 +451,11 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     """The reduced certificate and the full problem's KKT check give the same
     verdict on the block optimum and on three mutations of it."""
     ens = dps_ensemble(n)
-    problem, solution, _ = attacks._covariant_cloner_solution(ens.states, ens.priors)
+    problem, solution, _ = attacks._covariant_cloner_solution(ens)
 
     def verdicts(problem, solution, kets, priors):
         reduced = attacks._reduced_cloner_kkt(problem, solution, kets, priors)
-        full = cloning_problem(dataclasses.replace(ens, states=kets, priors=priors))
+        full = full_cloning_problem(dataclasses.replace(ens, states=kets, priors=priors))
         return (reduced.passed,
                 sdp.verify_kkt(full, scattered(problem, solution, n), tol=1e-6).passed)
 
@@ -448,7 +464,8 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     assert verdicts(problem, zeroed, ens.states, ens.priors) == (False, False)
     skewed = ens.priors * np.linspace(0.5, 1.5, len(ens.priors))
     skewed /= skewed.sum()
-    assert verdicts(*attacks._covariant_cloner_solution(ens.states, skewed)[:2],
+    skewed_ens = dataclasses.replace(ens, priors=skewed)
+    assert verdicts(*attacks._covariant_cloner_solution(skewed_ens)[:2],
                     ens.states, skewed) == (False, False)
     # ket 1 bent towards e_0: its block objectives are rebuilt, and Q gains
     # weight between blocks
@@ -456,7 +473,8 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
         bent = ens.states.copy()
         bent[1, 0] += eps
         bent[1] /= np.linalg.norm(bent[1])
-        assert verdicts(*attacks._covariant_cloner_solution(bent, ens.priors)[:2],
+        bent_ens = dataclasses.replace(ens, states=bent)
+        assert verdicts(*attacks._covariant_cloner_solution(bent_ens)[:2],
                         bent, ens.priors) == (False, False)
 
 
@@ -464,7 +482,7 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
 @pytest.mark.parametrize("skew", [False, True])
 def test_off_block_norm_matches_dense_objective(n, skew):
     """The Gram-matrix identity for ||Q_off||_F against the off-block entries
-    of the dense objective Q = V^T diag(p) conj(V) of cloning_problem, read
+    of the dense objective Q = V^T diag(p) conj(V) of full_cloning_problem, read
     through the character blocks.  Q is formed here directly: building the
     whole problem at n = 8 takes seconds, for its 64 dense constraints."""
     ens = dps_ensemble(n)
@@ -473,8 +491,8 @@ def test_off_block_norm_matches_dense_objective(n, skew):
     v = attacks._choi_kets(ens.states)
     q = v.T @ (priors[:, None] * v.conj())
     if n == 3:
-        assert_allclose(q, cloning_problem(dataclasses.replace(ens, priors=priors)
-                                           ).objective["J"], rtol=0, atol=0)
+        assert_allclose(q, full_cloning_problem(dataclasses.replace(ens, priors=priors)
+                                                ).objective["J"], rtol=0, atol=0)
     blocks = attacks._character_blocks(n)
     label = np.zeros(n ** 3, dtype=int)
     for b, ix in enumerate(blocks):
@@ -488,9 +506,9 @@ def test_off_block_norm_matches_dense_objective(n, skew):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_calls):
-    """The sign-covariant route builds no dense problem and diagonalises
-    nothing of size n**3; it reads its one joint output through apply_choi."""
-    dense, sizes = [], []
+    """The sign-covariant route diagonalises nothing of size n**3; it reads
+    its one joint output through apply_choi."""
+    sizes = []
 
     def spy(module, name, record):
         real = getattr(module, name)
@@ -500,14 +518,39 @@ def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_call
             return real(a, *args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(attacks, "cloning_problem", lambda a: dense.append("cloning_problem"))
     for name in ("eigh", "eigvalsh"):
         spy(np.linalg, name, lambda a: sizes.append(np.shape(a)[-1]))
     result = optimal_cloner(dps_ensemble(n))
     assert covariant_calls == ["_covariant_cloner_solution"]
-    assert dense == []
     assert max(sizes) < n ** 3
     assert result.kkt.passed, result.kkt.conditions
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cloning_problem_is_the_cloners_one_problem(n, monkeypatch):
+    """cloning_problem builds the character-block SDP, one block per
+    character and one row per input index, and it is the only SdpProblem
+    that optimal_cloner builds."""
+    ens = dps_ensemble(n)
+    problem = cloning_problem(ens)
+    assert len(problem.blocks) == len(attacks._character_blocks(n))
+    assert len(problem.constraints) == n
+    events = []
+
+    def record(name, real):
+        def wrapper(*args, **kwargs):
+            events.append(f"{name}(")
+            out = real(*args, **kwargs)
+            events.append(f"){name}")
+            return out
+        return wrapper
+
+    monkeypatch.setattr(sdp, "SdpProblem", record("SdpProblem", sdp.SdpProblem))
+    monkeypatch.setattr(attacks, "cloning_problem",
+                        record("cloning_problem", attacks.cloning_problem))
+    result = optimal_cloner(ens)
+    assert events == ["cloning_problem(", "SdpProblem(", ")SdpProblem", ")cloning_problem"]
+    assert result.problem.blocks == problem.blocks
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -646,6 +689,11 @@ def test_aligned_basis(ens3):
     assert_allclose(basis[0].real * np.sqrt(3), [1, 1, 1], atol=1e-12)
     assert_allclose(basis[1].real * np.sqrt(6), [1, 1, -2], atol=1e-12)
     assert_allclose(basis[2].real * np.sqrt(2), [1, -1, 0], atol=1e-12)
+    # a state 0 with no weight on e_0 makes the candidate e_1 dependent: it is
+    # skipped, and e_0 completes the basis
+    expected = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, -1.0], [np.sqrt(2.0), 0.0, 0.0]])
+    assert_allclose(aligned_cloning_basis(orthogonal_pair()), expected / np.sqrt(2.0),
+                    rtol=0, atol=1e-12)
 
 
 def test_unitary_params_validation(ens3):

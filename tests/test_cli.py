@@ -187,6 +187,8 @@ def test_keyrate_bad_grid(capsys):
         (("--n-pulses", "13"), "pulse count"),
         (("--stop-km", "inf"), "finite"),
         (("--step-km", "1e-9"), "points"),
+        (("--step-km", "0"), "distance step must be positive"),
+        (("--step-km", "-5"), "distance step must be positive"),
         (("--dark-count-prob", "0", "--loss-db-per-km", "100", "--start-km", "40",
           "--stop-km", "40"), "click probability is zero"),
         (("--f-ec", "nan"), "error correction"),
@@ -211,7 +213,8 @@ def test_keyrate_bad_grid(capsys):
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[channel]\ndetector_efficiency = 0.2\nbaseline_error = 0.02\n")
+    cfg.write_text("# a comment line\n[channel]\ndetector_efficiency = 0.2\n"
+                   "baseline_error = 0.02\n")
     code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg),
                            "--start-km", "0", "--stop-km", "0", "--step-km", "1")
     assert code == 0
@@ -272,6 +275,10 @@ def test_finite_size_command_bad_spec(capsys):
         (("finite-size", "--params", "n=1e6,k=1e4,eps=1e-9,typo=3"), "unknown finite-size key"),
         (("keyrate", "--finite-size", "n=1e6,k=1e4,eps=1e-9,n=5"), "'n' is given twice"),
         (("keyrate", "--finite-size", "n=1e6,k=1e4,epsilon=1e-9"), "unknown finite-size key"),
+        # a subnormal eps overflows the log argument
+        (("finite-size", "--params", "n=1e6,k=1e4,eps=5e-324"), "eps=5e-324 is too small"),
+        (("keyrate", "--stop-km", "0", "--finite-size", "n=1e6,k=1e4,eps=5e-324"),
+         "eps=5e-324 is too small"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -383,6 +390,7 @@ def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("line,message", [
+    ("n_pulses", "{cfg}:2: expected key=value, got 'n_pulses'"),
     ("n_pulses = abc", "channel key 'n_pulses' needs int, got 'abc'"),
     ("n_pulses = 4.0", "channel key 'n_pulses' needs int, got '4.0'"),
     ("f_ec = high", "channel key 'f_ec' needs float, got 'high'"),
@@ -392,7 +400,7 @@ def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys, line, messag
     cfg.write_text(f"[channel]\n{line}\n")
     code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err == f"configuration error: {message}\n"
+    assert err == f"configuration error: {message.format(cfg=cfg)}\n"
 
 
 def test_wcs_bad_source_and_channel(capsys):

@@ -161,7 +161,9 @@ def test_unconditional_rate():
     assert unconditional_rate(0.0, 0.5) == pytest.approx(0.5)
     e_star = 0.5 / (3.0 + math.sqrt(5.0))
     assert unconditional_rate(e_star, 0.5) == 0.0
-    grid = np.linspace(0.0, 0.09, 40)
+    # up to a phase error of 1: past 1/2, h((3+sqrt5) e) shrinks, and the
+    # rate must not revive
+    grid = np.linspace(0.0, 1.0 / (3.0 + math.sqrt(5.0)), 200)
     vals = [unconditional_rate(e, 1.0) for e in grid]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
@@ -225,6 +227,10 @@ def test_finite_size_domain():
     loose = FiniteSizeParams(n_key=10 ** 6, k_pe=10 ** 4, eps_prime=0.999)
     with pytest.raises(ValueError, match="log argument"):
         finite_size_deviation(loose, 0.4)
+    # a subnormal eps overflows the log argument: an error, not an infinite deviation
+    tight = FiniteSizeParams(n_key=10 ** 6, k_pe=10 ** 4, eps_prime=5e-324)
+    with pytest.raises(ValueError, match="eps=5e-324 is too small"):
+        finite_size_deviation(tight, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +287,14 @@ def test_finite_size_sweep_reduces_rates():
         assert rf["e_b_finite"] > rf["e_b"]
         for name in DEFAULT_PROFILES:
             assert rf[f"r_{name}"] <= ra[f"r_{name}"] + 1e-15
+
+
+def test_finite_size_rates_stay_zero_above_half_qber():
+    """With a small sample the inflated QBER passes 1/2 beyond 230 km; it is
+    capped there, so no rate revives on the way out to 300 km."""
+    fs = FiniteSizeParams(1000, 50, 1e-9)
+    rows = keyrate_sweep(ChannelModel(), PROFILE_LIST, np.arange(200.0, 301.0, 10.0),
+                         finite_size=fs)
+    assert max(row["e_b_finite"] for row in rows) == 0.5
+    for row in rows:
+        assert all(row[key] == 0.0 for key in row if key.startswith("r_")), row

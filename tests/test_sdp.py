@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 from dpsqkd import attacks, sdp
 from dpsqkd.dps import dps_ensemble
-from dpsqkd.linalg import hermitian_part, outer
+from dpsqkd.linalg import hermitian_part, outer, partial_trace
 from dpsqkd.sdp import (InfeasibleConstraintsError, MaxIterationsError,
                         NumericalBreakdownError, SdpProblem, SdpSolution,
-                        partial_trace_identity_constraints,
                         povm_completeness_constraints, smat, solve, svec,
                         verify_kkt)
+from oracles import full_cloning_problem
 
 
 def two_state_problem():
@@ -89,7 +89,7 @@ def test_verify_kkt_flags_perturbed_primal():
     sol = solve(problem)
     bad = {n: x.copy() for n, x in sol.x.items()}
     bad["P1"][0, 0] += 0.1
-    perturbed = SdpSolution(x=bad, y=sol.y, z=sol.z,
+    perturbed = SdpSolution(x=bad, y=sol.y,
                             primal_objective=sol.primal_objective,
                             dual_objective=sol.dual_objective,
                             gap=sol.gap, iterations=sol.iterations)
@@ -104,7 +104,7 @@ def test_hand_built_optimal_povm_certified_by_solver_dual():
     ens, problem = med3_problem()
     sol = solve(problem)
     hand = {f"P{i + 1}": 0.75 * ens.densities[i] for i in range(4)}
-    candidate = SdpSolution(x=hand, y=sol.y, z=sol.z,
+    candidate = SdpSolution(x=hand, y=sol.y,
                             primal_objective=0.75, dual_objective=sol.dual_objective,
                             gap=abs(0.75 - sol.dual_objective), iterations=0)
     report = verify_kkt(problem, candidate, tol=1e-6)
@@ -142,17 +142,22 @@ def test_unitary_conjugation_invariance():
 
 
 def test_partial_trace_constraint_builder():
-    cons = partial_trace_identity_constraints("J", [2, 2, 2], keep=1)
-    assert len(cons) == 4
-    # a maximally mixed Choi (identity/4) satisfies Tr_{out,out}(J) = I exactly
-    j = np.eye(8) / 4.0
+    """The dense cloning oracle's d**2 rows at d = 3 read svec(Tr_{out,out} J)
+    and ask for svec(I), with the input factor in the middle."""
+    cons = full_cloning_problem(dps_ensemble(3)).constraints
+    assert len(cons) == 9
+    # a maximally mixed Choi (identity/9) satisfies Tr_{out,out}(J) = I exactly
+    j = np.eye(27) / 9.0
     for coeffs, rhs in cons:
         assert np.trace(coeffs["J"] @ j).real == pytest.approx(rhs, abs=1e-12)
-    # the builder places the kept factor in the middle
-    e01 = np.zeros((2, 2)); e01[0, 1] = e01[1, 0] = 1 / np.sqrt(2)
-    expected = np.kron(np.kron(np.eye(2), e01), np.eye(2))
-    found = any(np.allclose(c["J"], expected) for c, _ in cons)
-    assert found
+    assert_allclose([rhs for _, rhs in cons], svec(np.eye(3)), rtol=0, atol=0)
+    rng = np.random.default_rng(3)
+    h = hermitian_part(rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27)))
+    assert_allclose([np.trace(c["J"] @ h).real for c, _ in cons],
+                    svec(partial_trace(h, [3, 3, 3], keep=[1])), rtol=0, atol=1e-12)
+    e01 = np.zeros((3, 3)); e01[0, 1] = e01[1, 0] = 1 / np.sqrt(2)
+    expected = np.kron(np.kron(np.eye(3), e01), np.eye(3))
+    assert any(np.allclose(c["J"], expected) for c, _ in cons)
 
 
 def interleaved_problem(best):
@@ -197,6 +202,24 @@ def test_coefficient_errors_name_the_block():
         SdpProblem(blocks=blocks, objective={"B": np.eye(2)}, constraints=[])
     with pytest.raises(ValueError, match="unknown block 'D'"):
         SdpProblem(blocks=blocks, objective={"D": np.eye(2)}, constraints=[])
+    with pytest.raises(ValueError, match="duplicate block names"):
+        SdpProblem(blocks=blocks + [("A", 2)], objective={}, constraints=[])
+    with pytest.raises(ValueError, match=r"shared constraint operator of shape \(4, 4\) "
+                                         "matches no block dimension"):
+        SdpProblem(blocks=blocks, objective={}, constraints=[(np.eye(4), 1.0)])
+
+
+def test_verify_kkt_rejects_mismatched_shapes():
+    """A pair whose block names, multiplier count or block shapes differ from
+    the problem's is an error, not a failed certificate."""
+    _, problem = med3_problem()
+    sol = solve(problem)
+    for bad in (dataclasses.replace(sol, x={n: x for n, x in sol.x.items() if n != "P4"}),
+                dataclasses.replace(sol, y=sol.y[:-1])):
+        with pytest.raises(ValueError, match="solution shapes do not match the problem"):
+            verify_kkt(problem, bad)
+    with pytest.raises(ValueError, match="primal block 'P2' has wrong shape"):
+        verify_kkt(problem, dataclasses.replace(sol, x={**sol.x, "P2": np.eye(2)}))
 
 
 def test_rank_deficient_constraints_rejected():
@@ -260,8 +283,7 @@ def test_iterate_trace_dump():
 
 
 def cloning3_problem():
-    ens = dps_ensemble(3)
-    return attacks.cloning_problem(ens)
+    return full_cloning_problem(dps_ensemble(3))
 
 
 def svec_reference(problem):

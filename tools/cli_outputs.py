@@ -29,6 +29,10 @@ RUNS = [
     ["keyrate", "--format", "csv", "--step-km", "5", "--finite-size", FINITE],
     *(["wcs", "--format", fmt] for fmt in ("json", "csv")),
     ["finite-size", "--params", FINITE],
+    # QBERs near 1/2, where a rate must stay 0
+    ["keyrate", "--attacks", "unconditional,lower-bound", "--start-km", "230", "--stop-km", "245",
+     "--step-km", "1"],
+    ["keyrate", "--finite-size", "n=1e3,k=50,eps=1e-9", "--start-km", "200", "--stop-km", "300"],
 ]
 
 
