@@ -307,16 +307,6 @@ def pgm_povm(ens: DpsEnsemble) -> Povm:
     return Povm(elements=tuple(elements))
 
 
-def holevo_certificate(ens: DpsEnsemble, povm: Povm) -> bool:
-    """Helstrom optimality witness, to ``_KKT_TOL``: Y = sum_i p_i rho_i P_i
-    is Hermitian and Y - p_j rho_j is PSD for every j."""
-    weighted = ens.priors[:, None, None] * ens.densities
-    y = np.sum(weighted @ np.array(povm.elements), axis=0)
-    if float(np.max(np.abs(y - dagger(y)))) > _KKT_TOL:
-        return False
-    return float(np.min(np.linalg.eigvalsh(hermitian_part(y) - weighted))) >= -_KKT_TOL
-
-
 # ---------------------------------------------------------------------------
 # optimal map-based cloning
 # ---------------------------------------------------------------------------
@@ -790,7 +780,8 @@ def _med_profile(ens: DpsEnsemble) -> AttackProfile:
                          per_attacked_bit_collision=med.collision_probability)
 
 
-# Each explicit attack by name, as a builder ensemble -> key-rate profile.
+# Each explicit attack by name, as a builder ensemble -> key-rate profile, in
+# the order of :data:`dpsqkd.keyrate.EXPLICIT_ATTACKS`.
 ATTACK_PROFILES: dict[str, Callable[[DpsEnsemble], AttackProfile]] = {
     "ir": lambda ens: ir_attack_profile(),
     "med": _med_profile,

@@ -5,7 +5,9 @@ Subcommands mirror the analyses: ``med``, ``clone``, ``keyrate``,
 configuration, floats are rendered with 12 significant digits, and identical
 configurations produce byte-identical output.  Each subcommand returns its
 report as data; :func:`main` alone renders it as JSON or CSV and writes it,
-to ``--output`` only once the run has succeeded.
+to ``--output`` only once the run has succeeded.  At start-up the module
+loads only :mod:`dpsqkd.keyrate`; each handler imports the layers it runs,
+so ``finite-size`` runs without numpy and ``wcs`` without the SDP solver.
 
 Configuration may come from a flat key=value file whose one section is
 ``[channel]``, selected with ``--config`` or the ``DPSQKD_CONFIG``
@@ -24,13 +26,8 @@ import os
 import sys
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from . import attacks, wcs
-from .dps import dps_ensemble, spectral_error_terms
-from .keyrate import (LOWER_BOUND, MAX_ATTACK_PULSES, UNCONDITIONAL, ChannelModel,
-                      FiniteSizeParams, finite_size_deviation, keyrate_sweep)
-from .sdp import SdpError
+from .keyrate import (EXPLICIT_ATTACKS, LOWER_BOUND, MAX_ATTACK_PULSES, UNCONDITIONAL,
+                      ChannelModel, FiniteSizeParams, finite_size_deviation, keyrate_sweep)
 
 CONFIG_ENV = "DPSQKD_CONFIG"
 EXIT_CONFIG = 2
@@ -57,15 +54,15 @@ class ConfigError(Exception):
 
 def _fmt(value: Any) -> Any:
     """12-significant-digit float rendering for deterministic output; a
-    negative zero renders as 0.0, an array as nested lists, and a complex
-    number as its [real, imag] pair."""
+    negative zero renders as 0.0, an array or a numpy scalar as the plain
+    values of its ``tolist``, and a complex number as its [real, imag] pair."""
     if isinstance(value, float):
         return float(format(value, ".12g")) + 0.0
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):
         return _fmt(value.tolist())
     if isinstance(value, complex):
         return [_fmt(value.real), _fmt(value.imag)]
@@ -203,6 +200,8 @@ def _finite_size(spec: str | None) -> FiniteSizeParams | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_med(args: argparse.Namespace) -> Report:
+    from . import attacks
+    from .dps import dps_ensemble
     if not 3 <= args.n <= MAX_ATTACK_PULSES:
         raise ConfigError(f"pulse count for med must lie in [3, {MAX_ATTACK_PULSES}]")
     result = attacks.certified("med", attacks.med_attack, dps_ensemble(args.n))
@@ -218,6 +217,8 @@ def _cmd_med(args: argparse.Namespace) -> Report:
 
 
 def _cmd_clone(args: argparse.Namespace) -> Report:
+    from . import attacks
+    from .dps import dps_ensemble, spectral_error_terms
     ens = dps_ensemble(3)
     doc: dict[str, Any] = {"config": {"command": "clone", "mode": args.mode}}
     if args.mode == "optimal":
@@ -246,7 +247,7 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
         "med_after": {
             "p_success": attack.med_after.p_success,
             "collision_probability": attack.med_after.collision_probability,
-            "confusion_diagonal": np.diag(attack.med_after.confusion),
+            "confusion_diagonal": attack.med_after.confusion.diagonal(),
         },
     })
     # one CSV row: the float fields, and each list of floats as key_0, key_1, ...
@@ -261,9 +262,11 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
 
 
 def _cmd_keyrate(args: argparse.Namespace) -> Report:
+    from . import attacks
+    from .dps import dps_ensemble
     model, resolved = _channel_from_config(args)
     wanted = [a.strip() for a in args.attacks.split(",") if a.strip()]
-    unknown = set(wanted) - set(attacks.ATTACK_PROFILES) - {LOWER_BOUND, UNCONDITIONAL}
+    unknown = set(wanted) - {*EXPLICIT_ATTACKS, LOWER_BOUND, UNCONDITIONAL}
     if unknown:
         raise ConfigError(f"unknown attacks: {sorted(unknown)}")
     fs, distances = _finite_size(args.finite_size), _distances(args)
@@ -296,6 +299,7 @@ def _cmd_finite_size(args: argparse.Namespace) -> Report:
 
 
 def _cmd_wcs(args: argparse.Namespace) -> Report:
+    from . import wcs
     try:
         params = wcs.WcsParams(mean_photon_number=args.mu, slices=args.slices)
     except ValueError as exc:
@@ -332,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_clone, _cmd_clone)
 
     p_key = sub.add_parser("keyrate", help="secure key rate and shrinking factors vs distance")
-    p_key.add_argument("--attacks", default=",".join([*attacks.ATTACK_PROFILES,
-                                                       LOWER_BOUND, UNCONDITIONAL]))
+    p_key.add_argument("--attacks",
+                       default=",".join([*EXPLICIT_ATTACKS, LOWER_BOUND, UNCONDITIONAL]))
     p_key.add_argument("--start-km", dest="start_km", type=float, default=0.0)
     p_key.add_argument("--stop-km", dest="stop_km", type=float, default=150.0)
     p_key.add_argument("--step-km", dest="step_km", type=float, default=10.0)
@@ -360,6 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solver_error() -> type[Exception] | tuple[()]:
+    """``SdpError`` once the solver is loaded, else no class at all: no solver
+    failure can be raised before :mod:`dpsqkd.sdp` is imported."""
+    sdp = sys.modules.get("dpsqkd.sdp")
+    return sdp.SdpError if sdp is not None else ()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -375,7 +386,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SdpError as exc:
+    except _solver_error() as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     return 0

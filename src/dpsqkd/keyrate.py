@@ -262,6 +262,9 @@ def finite_size_deviation(fs: FiniteSizeParams, e_obs: float) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
+# The explicit attacks by name, in the order ``attacks.ATTACK_PROFILES`` builds
+# them; the two bounds below need no attack.
+EXPLICIT_ATTACKS = ("ir", "med", "cloning", "unitary")
 LOWER_BOUND = "lower-bound"
 UNCONDITIONAL = "unconditional"
 

@@ -1,11 +1,11 @@
 """Independent checks that only the tests read: the dense cloning SDP, a
-Choi operator's CPTP residuals and a Monte-Carlo model of the
-intercept-resend collision probability."""
+Choi operator's CPTP residuals, the Helstrom witness of a POVM and a
+Monte-Carlo model of the intercept-resend collision probability."""
 
 import numpy as np
 
 from dpsqkd import attacks, sdp
-from dpsqkd.linalg import hermitian_part, partial_trace
+from dpsqkd.linalg import dagger, hermitian_part, partial_trace
 
 
 def full_cloning_problem(ens) -> sdp.SdpProblem:
@@ -28,6 +28,17 @@ def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
     marginal = partial_trace(choi, [d, d, d], keep=[1])
     tp = float(np.max(np.abs(marginal - np.eye(d))))
     return neg, tp
+
+
+def holevo_certificate(ens, povm) -> bool:
+    """Helstrom optimality witness, to the attacks' KKT tolerance:
+    Y = sum_i p_i rho_i P_i is Hermitian and Y - p_j rho_j is PSD for every j."""
+    tol = attacks._KKT_TOL
+    weighted = ens.priors[:, None, None] * ens.densities
+    y = np.sum(weighted @ np.array(povm.elements), axis=0)
+    if float(np.max(np.abs(y - dagger(y)))) > tol:
+        return False
+    return float(np.min(np.linalg.eigvalsh(hermitian_part(y) - weighted))) >= -tol
 
 
 def ir_monte_carlo_collision(samples: int, seed: int = 7, n: int = 3,

@@ -9,7 +9,7 @@ from dpsqkd import attacks, dps, sdp
 from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             apply_choi, apply_unitary_cloner,
                             cloning_problem, collision_probability,
-                            depolarizing_fit, holevo_certificate,
+                            depolarizing_fit,
                             ir_attack_profile, med_attack,
                             med_on_cloned, med_problem,
                             optimal_cloner, optimal_cloning_attack,
@@ -19,7 +19,8 @@ from dpsqkd.cli import main
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
-from oracles import cptp_residuals, full_cloning_problem, ir_monte_carlo_collision
+from oracles import (cptp_residuals, full_cloning_problem, holevo_certificate,
+                     ir_monte_carlo_collision)
 
 
 def brute_force_collision(confusion, priors, bit_map):

@@ -1,4 +1,5 @@
 import errno
+import inspect
 import io
 import json
 import os
@@ -6,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpsqkd
 from dpsqkd import attacks, sdp
-from dpsqkd.cli import main
+from dpsqkd.cli import _fmt, main
+from dpsqkd.keyrate import EXPLICIT_ATTACKS
 from dpsqkd.sdp import KktReport, SdpError
 
 
@@ -18,6 +21,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_python(args, **kwargs):
+    """Run ``python *args`` in a fresh interpreter on this suite's ``dpsqkd``."""
+    src = str(Path(dpsqkd.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 def test_med_json(capsys):
@@ -370,10 +381,8 @@ def test_unwritable_stdout_exits_2(monkeypatch, capsys, failing):
 ])
 def test_full_stdout_exits_2_in_a_fresh_process(argv):
     """Nothing is left to fail at interpreter exit, which would exit 120."""
-    env = dict(os.environ, PYTHONPATH=str(Path(dpsqkd.__file__).parents[1]))
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "dpsqkd.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        proc = fresh_python(["-m", "dpsqkd.cli", *argv], stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 2
     assert proc.stderr == f"configuration error: {FULL}\n"
 
@@ -445,3 +454,96 @@ def test_uncertified_optimum_exits_3(monkeypatch, capsys, argv, attack):
     assert code == 3
     assert out == ""
     assert f"solver failure: {attack}: KKT certificate failed (dual_psd)" in err
+
+
+def test_fmt_renders_numpy_values_as_plain_json():
+    doc = _fmt({"array": np.array([[0.5, -0.0]]), "float": np.float64(0.1),
+                "complex": np.complex128(1 - 2j), "int": np.int64(3), "bool": np.bool_(True)})
+    assert doc == {"array": [[0.5, 0.0]], "float": 0.1, "complex": [1.0, -2.0],
+                   "int": 3, "bool": True}
+    assert [type(doc[k]) for k in ("float", "int", "bool")] == [float, int, bool]
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_explicit_attack_names_have_one_owner(capsys):
+    assert tuple(attacks.ATTACK_PROFILES) == EXPLICIT_ATTACKS
+    code, out, _ = run_cli(capsys, "keyrate", "--stop-km", "0")
+    assert code == 0
+    assert json.loads(out)["config"]["attacks"] == \
+        "ir,med,cloning,unitary,lower-bound,unconditional"
+
+
+# Run a snippet, then print the numpy and dpsqkd modules it loaded as the last line.
+LOADED = """{code}
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "dpsqkd"))))
+"""
+NO_NUMPY = {"numpy", "dpsqkd.attacks", "dpsqkd.dps", "dpsqkd.linalg", "dpsqkd.sdp", "dpsqkd.wcs"}
+
+
+@pytest.mark.parametrize("code,present,absent", [
+    ("import dpsqkd", {"dpsqkd"}, NO_NUMPY),
+    ("import dpsqkd.cli", {"dpsqkd.cli", "dpsqkd.keyrate"}, NO_NUMPY),
+    ("from dpsqkd.cli import main; "
+     "assert main(['finite-size', '--params', 'n=1e6,k=1e4,eps=1e-9']) == 0",
+     {"dpsqkd.cli"}, NO_NUMPY),
+    ("from dpsqkd.cli import main; assert main(['wcs']) == 0", {"dpsqkd.wcs", "numpy"},
+     {"dpsqkd.attacks", "dpsqkd.sdp"}),
+    ("from dpsqkd.cli import main; assert main(['med', '--n', '3']) == 0",
+     {"dpsqkd.attacks", "dpsqkd.sdp"}, {"dpsqkd.wcs"}),
+], ids=["import-package", "import-cli", "finite-size", "wcs", "med"])
+def test_each_command_loads_only_the_layers_it_runs(code, present, absent):
+    proc = fresh_python(["-c", LOADED.format(code=code)], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert present <= loaded and not loaded & absent, sorted(loaded)
+
+
+def test_importtime_reports_each_layer_loaded_on_first_use():
+    proc = fresh_python(["-X", "importtime", "-c", "import dpsqkd; dpsqkd.med_attack"],
+                        capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {"dpsqkd.attacks", "dpsqkd.sdp", "dpsqkd.dps", "numpy"} <= timed
+
+
+NAMESPACE = [
+    "AttackProfile", "ChannelModel", "ClickDistribution", "CloningResult", "DpsEnsemble",
+    "FiniteSizeParams", "KktReport", "MedResult", "Povm", "SdpProblem", "SdpSolution",
+    "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis", "apply_choi",
+    "apply_unitary_cloner", "attacks", "ber_of_state", "binary_entropy",
+    "collision_probability", "depolarizing_fit", "dps", "dps_ensemble",
+    "finite_size_deviation", "ir_attack_profile", "keyrate", "keyrate_sweep", "linalg",
+    "med_attack", "med_on_cloned", "mzi_click_distribution", "mzi_transfer",
+    "optimal_cloner", "optimize_unitary_q", "partial_trace", "pgm_povm",
+    "phase_mismatch_qber", "sdp", "secure_key_rate", "shrinking_factor",
+    "slice_averaged_qber", "solve", "spectral_error_terms", "standard_attack_profiles",
+    "tau_lower_bound", "unconditional_rate", "usd_block_identification", "usd_success",
+    "verify_kkt", "wcs", "wcs_ir_fraction", "wcs_key_rates",
+]
+
+
+def test_package_namespace_lists_and_binds_every_name():
+    assert sorted(dpsqkd.__all__) == NAMESPACE
+    # before any name is resolved, in a fresh interpreter
+    proc = fresh_python(["-c", "import dpsqkd, json; listed = dir(dpsqkd); star = {}; "
+                               "exec('from dpsqkd import *', star); "
+                               "print(json.dumps([listed, sorted(set(star) - {'__builtins__'})]))"],
+                        capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    listed, star = json.loads(proc.stdout)
+    assert set(NAMESPACE) <= set(listed)
+    assert star == NAMESPACE
+
+
+def test_package_names_are_their_layers_objects():
+    assert dpsqkd.med_attack is dpsqkd.attacks.med_attack
+    for name in NAMESPACE:
+        value = getattr(dpsqkd, name)
+        if inspect.ismodule(value):
+            assert value is sys.modules[f"dpsqkd.{name}"], name
+        else:
+            assert value is getattr(sys.modules[value.__module__], name), name
+        assert value is vars(dpsqkd)[name], name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dpsqkd.no_such_name
