@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackProfile", "ChannelModel", "ClickDistribution", "CloningResult", "DpsEnsemble",
     "FiniteSizeParams", "KktReport", "MedResult", "Povm", "SdpProblem", "SdpSolution",
-    "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis", "apply_choi",
+    "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis",
     "apply_unitary_cloner", "attacks", "ber_of_state", "binary_entropy",
     "collision_probability", "depolarizing_fit", "dps", "dps_ensemble",
     "finite_size_deviation", "ir_attack_profile", "keyrate", "keyrate_sweep", "linalg",
@@ -33,7 +33,7 @@ __all__ = [
 # Each exported name -> the layer that defines it; a layer's own name maps to itself.
 _LAYER_OF = {
     **dict.fromkeys(("attacks", "CloningResult", "MedResult", "Povm", "UnitaryClonerParams",
-                     "aligned_cloning_basis", "apply_choi", "apply_unitary_cloner",
+                     "aligned_cloning_basis", "apply_unitary_cloner",
                      "collision_probability", "depolarizing_fit", "ir_attack_profile",
                      "med_attack", "med_on_cloned", "optimal_cloner", "optimize_unitary_q",
                      "pgm_povm", "standard_attack_profiles"), "attacks"),

@@ -28,12 +28,13 @@ once, and solves only when it is missing or fails (see
 cloner of the DPS states and for MED of the optimal clones.  MED lifts its
 seed pair onto the full :func:`med_problem` and certifies it there; its
 one solve is the general solve of that problem, which every other
-ensemble runs.  The cloner takes sign-covariant ensembles only, solves its
-character-block :func:`cloning_problem` when the candidate fails, and
-certifies its blocks through a reduced certificate equivalent to the one
-on the full n**3 x n**3 SDP (see :func:`_reduced_cloner_kkt`), which is
-never built: the objective's weight between blocks comes from the Gram
-matrix of the kets, not from the dense objective.  Each cloning
+ensemble runs.  The cloner takes sign-covariant ensembles only, builds its
+character-block :func:`cloning_problem` from state 0 alone, solves it when
+the candidate fails, and certifies its blocks through a reduced
+certificate that implies the one on the full n**3 x n**3 SDP (see
+:func:`_reduced_cloner_kkt`), which is never built: an O(G n) residual of
+the kets against the sign orbit of state 0 bounds the objective's distance
+from the block one.  Each cloning
 attack is one certified :class:`CloningAttack`, read by the ``clone``
 report and by its key-rate profile.
 :data:`ATTACK_PROFILES` builds the per-intercept errors and collision
@@ -313,19 +314,19 @@ def pgm_povm(ens: DpsEnsemble) -> Povm:
 
 @dataclass
 class CloningResult:
-    """Choi operator of the optimal symmetric cloner and derived quantities.
+    """The optimal symmetric cloner and derived quantities.
 
-    The Choi operator lives on (bob-out) x (input) x (eve-out) with the input
-    factor in the middle; trace preservation reads Tr_{out,out}(J) = I_in.
-    ``choi`` is the scatter of the character blocks.  ``problem``,
-    ``solution`` and ``kkt`` describe the character-block
-    :func:`cloning_problem`, and
-    ``kkt`` carries the extra condition ``objective_block_diagonal`` of the
-    reduced certificate (see :func:`_reduced_cloner_kkt`).  The clones are
-    (G, n, n) stacks in the order of the ensemble's states.
+    The Choi operator J lives on (bob-out) x (input) x (eve-out) with the
+    input factor in the middle; trace preservation reads
+    Tr_{out,out}(J) = I_in.  J is block diagonal, with the blocks of
+    ``solution.x``, clipped to PSD, at the kets of :func:`_character_blocks`,
+    and is never formed.  ``problem``, ``solution`` and ``kkt`` describe the
+    character-block :func:`cloning_problem`, and ``kkt`` carries the extra
+    condition ``objective_block_diagonal`` of the reduced certificate (see
+    :func:`_reduced_cloner_kkt`).  The clones are (G, n, n) stacks in the
+    order of the ensemble's states.
     """
 
-    choi: np.ndarray
     avg_two_copy_fidelity: float
     per_state_clone_fidelity: list[float]
     bob_states: np.ndarray
@@ -342,46 +343,37 @@ def _kets(ens: DpsEnsemble) -> np.ndarray:
     return ens.states
 
 
-def _choi_kets(kets: np.ndarray) -> np.ndarray:
-    """(G, d**3) matrix V whose row g is psi_g x conj(psi_g) x psi_g for the
-    (G, d) ``kets``, so that the cloning objective is Q = V^T diag(p) conj(V)."""
-    return np.einsum("gi,gj,gk->gijk", kets, kets.conj(), kets).reshape(len(kets), -1)
-
-
 def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
-    """SDP for the optimal symmetric cloner of a pure-state ensemble, on the
-    character blocks (:func:`_character_blocks`) of its Choi operator J.
+    """SDP for the optimal symmetric cloner of the sign orbit of state 0 of a
+    pure-state ensemble, on the character blocks (:func:`_character_blocks`)
+    of its Choi operator J.
 
-    The full SDP maximises the two-copy fidelity <Q, J>, Q = V^T diag(p)
-    conj(V) with V = :func:`_choi_kets`, over J >= 0 on (out) x (in) x (out)
-    with Tr_{out,out}(J) = I.  Block b keeps V[:, b]^T diag(p) conj(V[:, b]),
-    built from all G states (see :func:`_off_block_norm`).  Of the d**2
+    The full SDP maximises the two-copy fidelity <Q, J>,
+    Q = sum_g p_g |v_g><v_g| with v_g = psi_g x conj(psi_g) x psi_g, over
+    J >= 0 on (out) x (in) x (out) with Tr_{out,out}(J) = I.  On the orbit
+    psi_g = U_g psi_0 with uniform priors, v_g = W_g v_0, where
+    W_g = U_g x U_g x U_g is diagonal and equals the character chi_b(g) on
+    block b.  So Q_cov = (1/G) sum_g W_g |v_0><v_0| W_g has the blocks
+    (1/G) sum_g chi_b(g) chi_c(g) v_0[b] v_0[c]^dagger: zero for b != c by
+    the orthogonality of characters, and on block b the rank-one
+    v_0[b] v_0[b]^dagger, its objective here.  Of the d**2
     trace-preservation rows only the d diagonal ones touch the blocks: for
     each input index k, the diagonal of J over the kets |i k l> sums to 1.
 
-    Any pure-state ensemble builds it, so the certificate can be tested on
-    skewed priors and bent kets.  It equals the full SDP when Q has no weight
-    between the blocks, as for a sign-covariant ensemble (see
-    :func:`_sign_covariant`), whose optimal J can be taken block diagonal;
-    :func:`_reduced_cloner_kkt` checks that condition.
+    Only state 0 enters, and :func:`_reduced_cloner_kkt` bounds how far the
+    ensemble's own Q is from Q_cov.  So any pure-state ensemble builds it,
+    and the certificate can be tested on skewed priors and bent kets.
     """
-    d = ens.n
-    v, p = _choi_kets(_kets(ens)), ens.priors[:, None]
+    d, psi = ens.n, _kets(ens)[0]
+    v0 = np.einsum("i,j,k->ijk", psi, psi.conj(), psi).ravel()
     blocks = _character_blocks(d)
     names = [f"J{b}" for b in range(len(blocks))]
     inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
     return sdp.SdpProblem(
         blocks=[(name, ix.size) for name, ix in zip(names, blocks)],
-        objective={name: v[:, ix].T @ (p * v[:, ix].conj()) for name, ix in zip(names, blocks)},
+        objective={name: outer(v0[ix]) for name, ix in zip(names, blocks)},
         constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
                      for k in range(d)])
-
-
-def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Joint (bob, eve) output state of the cloning channel on input ``rho``:
-    out[(i k), (a b)] = sum_{j l} J[(i j k), (a l b)] rho[j, l]."""
-    d = rho.shape[0]
-    return np.einsum("ijkalb,jl->ikab", choi.reshape((d,) * 6), rho).reshape(d * d, d * d)
 
 
 def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
@@ -394,16 +386,16 @@ def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
     :func:`_reduced_cloner_kkt` and solved only when the top-eigenspace
     candidate fails (see :func:`_covariant_cloner_solution`), and the clones
     are read off the blocks (see :func:`_block_clones`); no d**3 x d**3
-    problem is built.
+    problem or operator is built.
     """
     _kets(ens)  # density operators raise before the covariance check
     if not _sign_covariant(ens):
         raise ValueError("the optimal cloner needs a sign-covariant ensemble")
     problem, solution, kkt = _covariant_cloner_solution(ens)
-    choi, bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
+    bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
     fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
-        choi=choi, avg_two_copy_fidelity=two_copy,
+        avg_two_copy_fidelity=two_copy,
         per_state_clone_fidelity=fids, bob_states=bob_states,
         eve_states=eve_states, problem=problem, solution=solution, kkt=kkt,
     )
@@ -460,81 +452,87 @@ def _covariant_cloner_solution(ens: DpsEnsemble
 def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
                         kets: np.ndarray, priors: np.ndarray) -> sdp.KktReport:
     """KKT certificate of a pair of the character-block
-    :func:`cloning_problem` of ``kets`` and ``priors``, equivalent to the
-    one on their full d**3 x d**3 cloning SDP, whose objective Q has the
-    block objectives of ``problem`` as its diagonal blocks.
+    :func:`cloning_problem` on the full d**3 x d**3 cloning SDP of ``kets``
+    and ``priors``, whose objective is Q = sum_g p_g |v_g><v_g|.
 
-    Scatter the blocks into J and Z, and lift the d multipliers y to
-    Y = diag(y), whose svec gives the full problem's d**2 multipliers.  Then
-    the full conditions reduce to three checks:
+    The blocks of ``problem`` are those of Q_cov, the objective of the sign
+    orbit of state 0.  Scatter the blocks into J and Z, and lift the d
+    multipliers y to Y = diag(y), whose svec gives the full problem's d**2
+    multipliers.  ``verify_kkt`` on the blocks and one more condition imply
+    the full conditions:
 
-    (a) ``verify_kkt`` on the block problem.  J is PSD iff its blocks are,
-        and <Q, J> is the sum of the block objectives, since J has no
-        off-block entries.  A trace-preservation constraint with j != k
-        pairs kets |i j l>, |i k l> whose sign labels differ (some pattern
-        has s_g(j) != s_g(k)), so it reads off-block entries of J only: zero,
+    (a) With objective Q_cov, the block report is the full one.  J is PSD
+        iff its blocks are, and <Q_cov, J> is the sum of the block
+        objectives, since neither has off-block entries.  A
+        trace-preservation constraint with j != k pairs kets |i j l>,
+        |i k l> whose sign labels differ (some pattern has
+        s_g(j) != s_g(k)), so it reads off-block entries of J only: zero,
         its right-hand side.  The diagonal constraints are the block ones.
-        A*(svec Y) is the diagonal operator y_j on |i j l>, so the full
-        slack Z = A*(svec Y) - Q has the block slacks on its blocks, and the
+        A*(svec Y) is the diagonal operator y_j on |i j l>, so the slack
+        Z = A*(svec Y) - Q_cov has the block slacks on its blocks, and the
         dual objective is sum_k y_k.  <J, Z> is the sum of the block terms,
-        which the block gap and equalities bound.
-    (b) Q has no off-block entries, to ``_KKT_TOL``: the off-block part of Z is
-        -Q_off, and by Weyl's inequality the smallest eigenvalue of the full
-        Z lies within ||Q_off||_2 <= ||Q_off||_F of that of its blocks.
-        This is the condition ``objective_block_diagonal``, on the Frobenius
-        norm of Q_off, which :func:`_off_block_norm` reads from the Gram
-        matrix of the kets without forming Q.
-    (c) The multipliers of the j != k constraints are zero, which holds by
-        construction of Y.
+        which the block gap and equalities bound.  The multipliers of the
+        j != k constraints are zero by construction of Y.
+    (b) ``objective_block_diagonal``: d delta <= ``_KKT_TOL``, where delta of
+        :func:`_covariance_residual` bounds ||E||_F, E = Q - Q_cov:
+        E = sum_g (p_g - 1/G) |v_g><v_g| + (1/G) sum_g (|v_g><v_g| - |w_g><w_g|)
+        with w_g = W_g v_0 (see :func:`cloning_problem`), each |v_g><v_g|
+        has unit norm, and a phase on psi_g leaves it alone.  With psi_g
+        aligned to U_g psi_0, three telescoped factors give
+        ||v_g - w_g|| <= 3 eps_g, and ||x x^+ - y y^+||_F <= 2 ||x - y||
+        for unit x, y.  Going from Q_cov to Q leaves the primal conditions
+        and the dual objective alone.  The slack becomes Z - E, whose
+        smallest eigenvalue drops by at most ||E||_2 <= delta (Weyl's
+        inequality).  The primal objective and <J, Z> move by <E, J>, and
+        |<E, J>| <= ||E||_2 Tr J = d delta for J >= 0, as the
+        trace-preservation rows give Tr J = Tr I = d.
 
-    Condition (b) makes the block problem equal to the full SDP.  A skewed
-    prior or a bent ket breaks it, so a non-covariant ensemble cannot pass.
+    So a passing report gives the full conditions at 2 ``_KKT_TOL``: dual
+    PSD to -(_KKT_TOL + delta), the gap and slackness to their block bounds
+    plus d delta.  Skewed priors or a bent ket make delta large and fail.
     """
     report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-    off = _off_block_norm(problem.objective, kets, priors)
-    return replace(report, conditions={**report.conditions,
-                                       "objective_block_diagonal": off <= _KKT_TOL})
+    within = kets.shape[1] * _covariance_residual(kets, priors) <= _KKT_TOL
+    return replace(report, conditions={**report.conditions, "objective_block_diagonal": within})
 
 
-def _off_block_norm(blocks: Mapping[str, np.ndarray], kets: np.ndarray,
-                    priors: np.ndarray) -> float:
-    """||Q_off||_F of the cloning objective Q = sum_g p_g |v_g><v_g| of the
-    (G, d) ``kets`` and ``priors``, given its diagonal ``blocks`` by name.
-
-    Since <v_g|v_h> = |<psi_g|psi_h>|**2 <psi_g|psi_h>, one G x G Gram matrix
-    gives ||Q||_F**2 = sum_{g,h} p_g p_h |<psi_g|psi_h>|**6, and
-    ||Q_off||_F**2 = ||Q||_F**2 - sum_b ||Q_b||_F**2.  So ``blocks`` must be
-    built from all G kets: from state 0 alone they would assume the
-    covariance that the certificate checks.  The subtraction loses about
-    sqrt(eps) ||Q||_F ~ 1e-8, two orders below ``_KKT_TOL``.
-    """
-    total = float(priors @ np.abs(kets.conj() @ kets.T) ** 6 @ priors)
-    diag = sum(float(np.vdot(c, c).real) for c in blocks.values())
-    return math.sqrt(max(total - diag, 0.0))
+def _covariance_residual(kets: np.ndarray, priors: np.ndarray) -> float:
+    """delta = sum_g |p_g - 1/G| + (6/G) sum_g eps_g, with
+    eps_g = min_theta ||psi_g - e^{i theta} U_g psi_0||, of G unit ``kets``
+    and their ``priors``, in O(G d).  eps_g is the norm of the aligned
+    difference itself: sqrt(2 - 2|<U_g psi_0|psi_g>|) cancels to 1e-8."""
+    orbit = sign_patterns(kets.shape[1]) * kets[0]
+    overlap = np.einsum("gk,gk->g", orbit.conj(), kets)
+    eps = np.linalg.norm(kets - np.exp(1j * np.angle(overlap))[:, None] * orbit, axis=1)
+    return float(np.abs(priors - 1.0 / len(priors)).sum() + 6.0 * eps.mean())
 
 
 def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(Choi operator, Bob's clones, Eve's clones, two-copy fidelity) of a
-    character-block cloner optimum; ``psi`` is state 0 of the ensemble.
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(Bob's clones, Eve's clones, two-copy fidelity) of a character-block
+    cloner optimum; ``psi`` is state 0 of the ensemble.
 
-    Negative eigenvalues are clipped one block at a time, and the clipped
-    blocks scatter into the Choi operator.  The joint output of ``psi``
-    comes from :func:`apply_choi`, and its partial traces are Bob's and
-    Eve's clones of ``psi``.  A block-diagonal Choi operator is invariant
-    under the sign group, so Bob_g = U_g Bob_0 U_g^dagger, likewise Eve_g,
-    and every state has the two-copy fidelity <psi psi|joint|psi psi>.
+    Negative eigenvalues are clipped one block at a time.  The joint output
+    of rho = |psi><psi|, out[(i k), (a c)] = sum_{j l} J[(i j k), (a l c)]
+    rho[j, l], is read off the clipped blocks X_b, without forming J: given
+    i and k, the input index j fixes the sign label of |i j k>, so the kets
+    of one block have distinct output pairs (i k), and X_b adds its
+    entrywise product with rho[j, l] at its own pairs.  The partial traces
+    of the joint output are Bob's and Eve's clones of ``psi``.  A
+    block-diagonal Choi operator is invariant under the sign group, so
+    Bob_g = U_g Bob_0 U_g^dagger, likewise Eve_g, and every state has the
+    two-copy fidelity <psi psi|joint|psi psi>.
     """
-    d = psi.size
-    choi = np.zeros((d ** 3, d ** 3), dtype=complex)
+    d, rho = psi.size, outer(psi)
+    joint = np.zeros((d * d, d * d), dtype=complex)
     for ix, (name, _) in zip(_character_blocks(d), problem.blocks):
-        choi[np.ix_(ix, ix)] = _project_psd(solution.x[name])
-    joint = apply_choi(choi, outer(psi))
+        pairs, j = ix // (d * d) * d + ix % d, ix // d % d  # (i k) and j of each ket |i j k>
+        joint[pairs[:, None], pairs] += _project_psd(solution.x[name]) * rho[j[:, None], j]
     pair = np.kron(psi, psi)
     signs = sign_patterns(d)
     bob, eve = (signs[:, :, None] * partial_trace(joint, [d, d], keep=[k]) * signs[:, None, :]
                 for k in (0, 1))
-    return choi, bob, eve, float(np.real(pair.conj() @ joint @ pair))
+    return bob, eve, float(np.real(pair.conj() @ joint @ pair))
 
 
 def depolarizing_fit(original: np.ndarray, cloned: np.ndarray) -> tuple[float, float]:

@@ -262,17 +262,18 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
 
 
 def _cmd_keyrate(args: argparse.Namespace) -> Report:
-    from . import attacks
-    from .dps import dps_ensemble
     model, resolved = _channel_from_config(args)
     wanted = [a.strip() for a in args.attacks.split(",") if a.strip()]
     unknown = set(wanted) - {*EXPLICIT_ATTACKS, LOWER_BOUND, UNCONDITIONAL}
     if unknown:
         raise ConfigError(f"unknown attacks: {sorted(unknown)}")
     fs, distances = _finite_size(args.finite_size), _distances(args)
-    ens = dps_ensemble(model.n_pulses)
-    profiles = {name: attacks.ATTACK_PROFILES[name](ens)
-                for name in dict.fromkeys(wanted) if name in attacks.ATTACK_PROFILES}
+    explicit = [name for name in dict.fromkeys(wanted) if name in EXPLICIT_ATTACKS]
+    profiles = {}
+    if explicit:  # the bounds alone need neither the attack layers nor numpy
+        from . import attacks, dps
+        ens = dps.dps_ensemble(model.n_pulses)
+        profiles = {name: attacks.ATTACK_PROFILES[name](ens) for name in explicit}
     selected = [profiles[name] for name in wanted if name in profiles]
     try:
         rows = keyrate_sweep(model, selected, distances, finite_size=fs,

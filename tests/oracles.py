@@ -1,11 +1,22 @@
-"""Independent checks that only the tests read: the dense cloning SDP, a
-Choi operator's CPTP residuals, the Helstrom witness of a POVM and a
-Monte-Carlo model of the intercept-resend collision probability."""
+"""Independent checks that only the tests read: the dense cloning SDP, its
+objective's norms from Gram matrices, the dense Choi operator of a cloner
+and its action, a Choi operator's CPTP residuals, the Helstrom witness of a
+POVM and a Monte-Carlo model of the intercept-resend collision
+probability."""
+
+import math
 
 import numpy as np
 
 from dpsqkd import attacks, sdp
+from dpsqkd.dps import sign_patterns
 from dpsqkd.linalg import dagger, hermitian_part, partial_trace
+
+
+def choi_kets(kets: np.ndarray) -> np.ndarray:
+    """(G, d**3) matrix V whose row g is psi_g x conj(psi_g) x psi_g for the
+    (G, d) ``kets``, so that the cloning objective is Q = V^T diag(p) conj(V)."""
+    return np.einsum("gi,gj,gk->gijk", kets, kets.conj(), kets).reshape(len(kets), -1)
 
 
 def full_cloning_problem(ens) -> sdp.SdpProblem:
@@ -14,11 +25,60 @@ def full_cloning_problem(ens) -> sdp.SdpProblem:
     Tr_{out,out}(J) = I, stated as the d**2 rows <I x B x I, J> = Tr(B) over
     the svec basis B of :func:`dpsqkd.sdp.povm_completeness_constraints`."""
     d, eye = ens.n, np.eye(ens.n)
-    v = attacks._choi_kets(attacks._kets(ens))
+    v = choi_kets(attacks._kets(ens))
     return sdp.SdpProblem(blocks=[("J", d ** 3)],
                           objective={"J": v.T @ (ens.priors[:, None] * v.conj())},
                           constraints=[({"J": np.kron(eye, np.kron(op, eye))}, rhs)
                                        for op, rhs in sdp.povm_completeness_constraints(d)])
+
+
+def objective_inner(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray) -> float:
+    """<Q_a, Q_b>_F of the cloning objectives Q_a = sum_g p_g |v_g><v_g| of
+    the kets ``a`` and priors ``p``, and Q_b of ``b`` and ``q``, without
+    forming either: since <v_g|w_h> = |<a_g|b_h>|**2 <a_g|b_h>, it is
+    sum_{g,h} p_g q_h |<a_g|b_h>|**6, one Gram matrix."""
+    return float(p @ np.abs(a.conj() @ b.T) ** 6 @ q)
+
+
+def off_block_norm(blocks, kets: np.ndarray, priors: np.ndarray) -> float:
+    """||Q_off||_F of the cloning objective Q of the (G, d) ``kets`` and
+    ``priors``, given its diagonal ``blocks`` (a mapping from any key to each
+    block): ||Q_off||_F**2 = ||Q||_F**2 - sum_b ||Q_b||_F**2, with ||Q||_F**2
+    from :func:`objective_inner`.  The subtraction loses about
+    sqrt(eps) ||Q||_F ~ 1e-8."""
+    diag = sum(float(np.vdot(c, c).real) for c in blocks.values())
+    return math.sqrt(max(objective_inner(kets, priors, kets, priors) - diag, 0.0))
+
+
+def covariance_residual_norm(kets: np.ndarray, priors: np.ndarray) -> float:
+    """||Q - Q_cov||_F, with Q the cloning objective of ``kets`` and ``priors``
+    and Q_cov that of the sign orbit U_g psi_0 of state 0 with uniform
+    priors, from the three :func:`objective_inner` terms of
+    ||Q||**2 + ||Q_cov||**2 - 2 <Q, Q_cov>; the subtraction loses about 1e-8."""
+    orbit = sign_patterns(kets.shape[1]) * kets[0]
+    uniform = np.full(len(kets), 1.0 / len(kets))
+    square = (objective_inner(kets, priors, kets, priors)
+              + objective_inner(orbit, uniform, orbit, uniform)
+              - 2.0 * objective_inner(kets, priors, orbit, uniform))
+    return math.sqrt(max(square, 0.0))
+
+
+def block_choi(result) -> np.ndarray:
+    """The dense d**3 x d**3 Choi operator of a :class:`~dpsqkd.attacks.CloningResult`:
+    its blocks, clipped to PSD as the cloner reads them, scattered at the kets
+    of their characters."""
+    d = result.bob_states.shape[-1]
+    choi = np.zeros((d ** 3, d ** 3), dtype=complex)
+    for ix, (name, _) in zip(attacks._character_blocks(d), result.problem.blocks):
+        choi[np.ix_(ix, ix)] = attacks._project_psd(result.solution.x[name])
+    return choi
+
+
+def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Joint (bob, eve) output state of the cloning channel on input ``rho``:
+    out[(i k), (a b)] = sum_{j l} J[(i j k), (a l b)] rho[j, l]."""
+    d = rho.shape[0]
+    return np.einsum("ijkalb,jl->ikab", choi.reshape((d,) * 6), rho).reshape(d * d, d * d)
 
 
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:

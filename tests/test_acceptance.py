@@ -98,8 +98,8 @@ def test_criterion_04_medn(med4, med5):
 
 
 def test_criterion_05_optimal_cloning(clone3):
-    from oracles import cptp_residuals
-    neg, tp = cptp_residuals(clone3.choi, 3)
+    from oracles import block_choi, cptp_residuals
+    neg, tp = cptp_residuals(block_choi(clone3), 3)
     off = float(np.abs(clone3.bob_states[0][0, 1]))
     clauses = [
         (abs(clone3.avg_two_copy_fidelity - 0.78) <= 5e-3,
@@ -278,12 +278,12 @@ def test_criterion_12_wcs():
 
 
 def test_criterion_13_property_suites(ens3, med3, clone3, clone_med3, unitary_med3):
-    from oracles import cptp_residuals
+    from oracles import block_choi, cptp_residuals
     povm_sum = sum(med3.povm.elements)
     povm_ok = (float(np.max(np.abs(povm_sum - np.eye(3)))) <= 1e-8 and
                all(float(np.min(np.linalg.eigvalsh(el))) >= -1e-9
                    for el in med3.povm.elements))
-    neg, tp = cptp_residuals(clone3.choi, 3)
+    neg, tp = cptp_residuals(block_choi(clone3), 3)
     mzi_ok = True
     for n in range(3, 9):
         tu, tv = mzi_transfer(n)

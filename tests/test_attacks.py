@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 
 from dpsqkd import attacks, dps, sdp
 from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
-                            apply_choi, apply_unitary_cloner,
-                            cloning_problem, collision_probability,
+                            apply_unitary_cloner, cloning_problem, collision_probability,
                             depolarizing_fit,
                             ir_attack_profile, med_attack,
                             med_on_cloned, med_problem,
@@ -19,8 +18,9 @@ from dpsqkd.cli import main
 from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
-from oracles import (cptp_residuals, full_cloning_problem, holevo_certificate,
-                     ir_monte_carlo_collision)
+from oracles import (apply_choi, block_choi, choi_kets, covariance_residual_norm,
+                     cptp_residuals, full_cloning_problem, holevo_certificate,
+                     ir_monte_carlo_collision, off_block_norm)
 
 
 def brute_force_collision(confusion, priors, bit_map):
@@ -367,7 +367,7 @@ def test_cloning_reduced_states(clone3, ens3):
 
 
 def test_cloning_is_cptp(clone3):
-    neg, tp = cptp_residuals(clone3.choi, 3)
+    neg, tp = cptp_residuals(block_choi(clone3), 3)
     assert neg <= 1e-7
     assert tp <= 1e-7
 
@@ -395,7 +395,7 @@ def test_character_block_cloner_matches_full_solve(n, covariant_calls):
     result = optimal_cloner(ens)
     assert covariant_calls == ["_covariant_cloner_solution"]
     choi, two_copy, fids, bobs, eves = full_cloner(ens)
-    assert_allclose(result.choi, choi, rtol=0, atol=1e-7)
+    assert_allclose(block_choi(result), choi, rtol=0, atol=1e-7)
     assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-7)
     assert_allclose(result.per_state_clone_fidelity, fids, rtol=0, atol=1e-7)
     assert_allclose(result.bob_states, bobs, rtol=0, atol=1e-7)
@@ -443,14 +443,31 @@ def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant
     full = scattered(result.problem, result.solution, n)
     report = sdp.verify_kkt(full_cloning_problem(ens), full, tol=1e-6)
     assert report.passed, report.conditions
-    assert_allclose(result.choi, full.x["J"], rtol=0, atol=1e-9)
+    assert_allclose(block_choi(result), full.x["J"], rtol=0, atol=1e-9)
     assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-6)
+
+
+def mutated_ensembles(ens):
+    """(name, kets, priors) of the ensemble and of mutations of it: a global
+    phase per ket, skewed priors, ket 1 bent towards e_0 by 1e-1, 1e-2 and
+    1e-3, and all three at once."""
+    phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, len(ens.priors)))[:, None]
+    skewed = ens.priors * np.linspace(0.5, 1.5, len(ens.priors))
+    cases = [("covariant", ens.states, ens.priors), ("phases", phases * ens.states, ens.priors),
+             ("skewed", ens.states, skewed / skewed.sum())]
+    for eps in (1e-1, 1e-2, 1e-3):
+        bent = ens.states.copy()
+        bent[1, 0] += eps
+        bent[1] /= np.linalg.norm(bent[1])
+        cases.append((f"bent {eps:g}", bent, ens.priors))
+    return cases + [("all", phases * bent, skewed / skewed.sum())]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_reduced_cloner_certificate_agrees_with_full(n):
     """The reduced certificate and the full problem's KKT check give the same
-    verdict on the block optimum and on three mutations of it."""
+    verdict on the block optimum with zeroed multipliers, and on the pair of
+    the ensemble and of each of its mutations (see mutated_ensembles)."""
     ens = dps_ensemble(n)
     problem, solution, _ = attacks._covariant_cloner_solution(ens)
 
@@ -460,23 +477,15 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
         return (reduced.passed,
                 sdp.verify_kkt(full, scattered(problem, solution, n), tol=1e-6).passed)
 
-    assert verdicts(problem, solution, ens.states, ens.priors) == (True, True)
     zeroed = dataclasses.replace(solution, y=np.zeros_like(solution.y))
     assert verdicts(problem, zeroed, ens.states, ens.priors) == (False, False)
-    skewed = ens.priors * np.linspace(0.5, 1.5, len(ens.priors))
-    skewed /= skewed.sum()
-    skewed_ens = dataclasses.replace(ens, priors=skewed)
-    assert verdicts(*attacks._covariant_cloner_solution(skewed_ens)[:2],
-                    ens.states, skewed) == (False, False)
-    # ket 1 bent towards e_0: its block objectives are rebuilt, and Q gains
-    # weight between blocks
-    for eps in (1e-1, 1e-2, 1e-3):
-        bent = ens.states.copy()
-        bent[1, 0] += eps
-        bent[1] /= np.linalg.norm(bent[1])
-        bent_ens = dataclasses.replace(ens, states=bent)
-        assert verdicts(*attacks._covariant_cloner_solution(bent_ens)[:2],
-                        bent, ens.priors) == (False, False)
+    # a phase per ket leaves the objective alone; the other mutations move Q
+    # away from the blocks, which cloning_problem builds from ket 0 alone
+    for name, kets, priors in mutated_ensembles(ens):
+        mutated = dataclasses.replace(ens, states=kets, priors=priors)
+        expected = (True, True) if name in ("covariant", "phases") else (False, False)
+        pair = attacks._covariant_cloner_solution(mutated)[:2]
+        assert verdicts(*pair, kets, priors) == expected, name
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -489,7 +498,7 @@ def test_off_block_norm_matches_dense_objective(n, skew):
     ens = dps_ensemble(n)
     priors = ens.priors * np.linspace(0.5, 1.5, len(ens.priors)) if skew else ens.priors
     priors = priors / priors.sum()
-    v = attacks._choi_kets(ens.states)
+    v = choi_kets(ens.states)
     q = v.T @ (priors[:, None] * v.conj())
     if n == 3:
         assert_allclose(q, full_cloning_problem(dataclasses.replace(ens, priors=priors)
@@ -499,16 +508,46 @@ def test_off_block_norm_matches_dense_objective(n, skew):
     for b, ix in enumerate(blocks):
         label[ix] = b
     dense = np.linalg.norm(q[label[:, None] != label[None, :]])
-    gram = attacks._off_block_norm({b: q[np.ix_(ix, ix)] for b, ix in enumerate(blocks)},
-                                   ens.states, priors)
+    gram = off_block_norm({b: q[np.ix_(ix, ix)] for b, ix in enumerate(blocks)},
+                          ens.states, priors)
     assert gram == pytest.approx(dense, rel=0, abs=1e-7)
     assert (dense > 1e-2) == skew
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_covariance_residual_bounds_the_objective_distance(n):
+    """delta of _covariance_residual is at least ||Q - Q_cov||_F, the distance
+    of the cloning objective from that of the sign orbit of ket 0, whose
+    blocks cloning_problem builds.  The distance is exact from the dense
+    objectives up to n = 5 and from the Gram oracle up to n = 8; each
+    comparison allows its own rounding, 1e-13 dense and 1e-7 Gram (see
+    oracles.off_block_norm).  A phase per ket moves neither, and every other
+    mutation fails the certificate's condition n delta <= _KKT_TOL."""
+    ens = dps_ensemble(n)
+    orbit = choi_kets(sign_patterns(n) * ens.states[0])
+    q_cov = orbit.T @ orbit.conj() / len(orbit)
+    problem = cloning_problem(ens)
+    for block, (name, _) in zip(attacks._character_blocks(n), problem.blocks):
+        assert_allclose(q_cov[np.ix_(block, block)], problem.objective[name], rtol=0, atol=1e-15)
+    for name, kets, priors in mutated_ensembles(ens):
+        delta = attacks._covariance_residual(kets, priors)
+        gram = covariance_residual_norm(kets, priors)
+        assert delta >= gram - 1e-7, name
+        if n <= 5:
+            v = choi_kets(kets)
+            exact = np.linalg.norm(v.T @ (priors[:, None] * v.conj()) - q_cov)
+            assert gram == pytest.approx(exact, rel=0, abs=1e-7), name
+            assert delta >= exact - 1e-13, name
+        if name in ("covariant", "phases"):  # exact, or off by the rounding of the phases
+            assert n * delta <= (1e-15 if name == "covariant" else 1e-13), name
+        else:
+            assert gram > 1e-6 and n * delta > attacks._KKT_TOL, name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_calls):
     """The sign-covariant route diagonalises nothing of size n**3; it reads
-    its one joint output through apply_choi."""
+    its one joint output off the blocks."""
     sizes = []
 
     def spy(module, name, record):
@@ -554,32 +593,21 @@ def test_cloning_problem_is_the_cloners_one_problem(n, monkeypatch):
     assert result.problem.blocks == problem.blocks
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_character_block_cloner_above_the_attack_cap(n, cloning_attack_at):
-    """Above the CLI's cap the reduced certificate passes, the clones are
-    exactly depolarized, and two closed forms hold: the two-copy fidelity
-    (3n-2)/n**2 and the post-cloning MED ((1-p)n + p)/2**(n-1)."""
+@pytest.mark.parametrize("n", range(3, 13))
+def test_optimal_cloner_at_every_pulse_count(n):
+    """Up to dps.MAX_PULSES the reduced certificate passes, with the DPS kets
+    exactly on the sign orbit of ket 0 (n delta <= 1e-15), the two-copy
+    fidelity meets its closed form (3n-2)/n**2, and both clones of every
+    state are exactly depolarised."""
     ens = dps_ensemble(n)
-    attack = cloning_attack_at(n)
-    clone = attack.cloner
-    assert clone.kkt.passed, clone.kkt.conditions
-    assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, abs=1e-6)
-    fits = [depolarizing_fit(ens.densities[i], c)
-            for i in range(len(ens.states)) for c in (clone.bob_states[i], clone.eve_states[i])]
-    assert max(r for _, r in fits) <= 1e-12
-    p = fits[0][0]
-    assert attack.med_after.p_success == pytest.approx(((1 - p) * n + p) / 2 ** (n - 1), abs=1e-7)
-
-
-@pytest.mark.parametrize("n", [10, 12])
-def test_optimal_cloner_certified_at_twelve_pulses(n):
-    """Up to dps.MAX_PULSES the reduced certificate, its Gram-matrix check of
-    the off-block weight included, passes, and the two-copy fidelity meets
-    its closed form (3n-2)/n**2."""
-    clone = optimal_cloner(dps_ensemble(n))
+    clone = optimal_cloner(ens)
     assert clone.kkt.passed, clone.kkt.conditions
     assert "objective_block_diagonal" in clone.kkt.conditions
+    assert n * attacks._covariance_residual(ens.states, ens.priors) <= 1e-15
     assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, rel=0, abs=1e-12)
+    fits = [depolarizing_fit(rho, c) for rho, c in
+            zip([*ens.densities] * 2, [*clone.bob_states, *clone.eve_states])]
+    assert max(residual for _, residual in fits) <= 1e-12
 
 
 def test_optimal_cloner_rejects_non_covariant_ensembles(ens3, covariant_calls):

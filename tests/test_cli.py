@@ -491,7 +491,9 @@ NO_NUMPY = {"numpy", "dpsqkd.attacks", "dpsqkd.dps", "dpsqkd.linalg", "dpsqkd.sd
      {"dpsqkd.attacks", "dpsqkd.sdp"}),
     ("from dpsqkd.cli import main; assert main(['med', '--n', '3']) == 0",
      {"dpsqkd.attacks", "dpsqkd.sdp"}, {"dpsqkd.wcs"}),
-], ids=["import-package", "import-cli", "finite-size", "wcs", "med"])
+    ("from dpsqkd.cli import main; assert main(['keyrate', '--attacks', "
+     "'lower-bound,unconditional', '--stop-km', '0']) == 0", {"dpsqkd.cli"}, NO_NUMPY),
+], ids=["import-package", "import-cli", "finite-size", "wcs", "med", "keyrate-bounds"])
 def test_each_command_loads_only_the_layers_it_runs(code, present, absent):
     proc = fresh_python(["-c", LOADED.format(code=code)], capture_output=True)
     assert proc.returncode == 0, proc.stderr
@@ -510,7 +512,7 @@ def test_importtime_reports_each_layer_loaded_on_first_use():
 NAMESPACE = [
     "AttackProfile", "ChannelModel", "ClickDistribution", "CloningResult", "DpsEnsemble",
     "FiniteSizeParams", "KktReport", "MedResult", "Povm", "SdpProblem", "SdpSolution",
-    "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis", "apply_choi",
+    "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis",
     "apply_unitary_cloner", "attacks", "ber_of_state", "binary_entropy",
     "collision_probability", "depolarizing_fit", "dps", "dps_ensemble",
     "finite_size_deviation", "ir_attack_profile", "keyrate", "keyrate_sweep", "linalg",

@@ -1,9 +1,10 @@
 """Tier-1 gate: the full test suite must fail exactly on the by-design clauses.
 
 Runs ``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
-``PYTHONPATH`` and a JUnit XML report, deselecting nothing.  Three acceptance
-clauses pin two-decimal reference figures that the exact optima provably
-miss, so they fail by design (see README.md).  Exits 0 when the failures are
+``PYTHONPATH`` and a JUnit XML report, deselecting nothing, and lists the
+five slowest tests (``--durations=5``) against the suite's 30 s budget.
+Three acceptance clauses pin two-decimal reference figures that the exact
+optima provably miss, so they fail by design (see README.md).  Exits 0 when the failures are
 exactly those three, each with its stored reason as the first line of its
 failure message, and nothing errors; otherwise prints what differs and
 exits 1.  The exact reason also pins that only the by-design clause failed:
@@ -78,7 +79,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "tier1.xml"
         subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                        f"--junitxml={report}"], cwd=ROOT, env=env, check=False)
+                        "--durations=5", f"--junitxml={report}"], cwd=ROOT, env=env, check=False)
         if not report.is_file():
             print("tier1: pytest wrote no report", file=sys.stderr)
             return 1
