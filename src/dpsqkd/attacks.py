@@ -13,9 +13,9 @@ Four eavesdropping strategies are modelled:
 * the intercept-resend baseline with a receiver-identical measurement.
 
 Each attack has one problem builder: :func:`med_problem` for MED and
-:func:`cloning_problem` for the cloner; no attack code touches raw svec
-index arithmetic.  An ensemble that is covariant under the sign group of
-the DPS states (see :func:`_sign_covariant`) has a symmetry-reduced
+:func:`cloning_problem` for the cloner; no attack code depends on the order
+of their constraint rows.  An ensemble that is covariant under the sign
+group of the DPS states (see :func:`_sign_covariant`) has a symmetry-reduced
 problem: MED one n x n seed block, the optimal cloner the character blocks
 of its Choi operator.
 The constraint operators of both partition the identity, so the uniform
@@ -240,12 +240,12 @@ def _covariant_med_candidate(ens: DpsEnsemble, problem: sdp.SdpProblem
     |u_k|**2 = 1/n for every k (see :func:`_top_eigenspace_solution`).  The
     DPS states have rho_bar = |+><+| with |+> the uniform superposition, so
     the seed optimum is P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1).
-    The seed dual y lifts to Y = diag(y)/2**(n-1), so the full problem's
-    multipliers, one per svec entry of the completeness constraint, are
-    svec(Y), or its real symmetric prefix on real data; the certificate
-    reads its slacks Z_g = Y - p_g rho_g off them.  Nothing here assumes the
-    ensemble is covariant: the certificate on the full problem fails when
-    it is not.
+    The seed dual y lifts to Y = diag(y)/2**(n-1).  The completeness
+    operators A_j of ``problem`` are orthonormal, so the full problem's
+    multipliers y_j = Re Tr(A_j Y) give sum_j y_j A_j = Y, and the
+    certificate reads its slacks Z_g = Y - p_g rho_g off them.  Nothing here
+    assumes the ensemble is covariant: the certificate on the full problem
+    fails when it is not.
     """
     count, n = len(ens.priors), ens.n
     signs = sign_patterns(n)
@@ -256,8 +256,9 @@ def _covariant_med_candidate(ens: DpsEnsemble, problem: sdp.SdpProblem
     if seed is None:
         return None
     lifted = signs[:, :, None] * seed.x["P0"] * signs[:, None, :]
+    ops = np.array([op for op, _ in problem.constraints])
     return replace(seed, x=dict(zip(_block_names(count), lifted)),
-                   y=sdp.svec(np.diag(seed.y / count))[:len(problem.constraints)])
+                   y=np.einsum("jkl,lk->j", ops, np.diag(seed.y / count)).real)
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
@@ -457,9 +458,10 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
 
     The blocks of ``problem`` are those of Q_cov, the objective of the sign
     orbit of state 0.  Scatter the blocks into J and Z, and lift the d
-    multipliers y to Y = diag(y), whose svec gives the full problem's d**2
-    multipliers.  ``verify_kkt`` on the blocks and one more condition imply
-    the full conditions:
+    multipliers y to Y = diag(y), whose traces Re Tr(B_j Y) against the
+    orthonormal basis B_j of the trace-preservation rows give the full
+    problem's d**2 multipliers.  ``verify_kkt`` on the blocks and one more
+    condition imply the full conditions:
 
     (a) With objective Q_cov, the block report is the full one.  J is PSD
         iff its blocks are, and <Q_cov, J> is the sum of the block
@@ -468,11 +470,12 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
         |i k l> whose sign labels differ (some pattern has
         s_g(j) != s_g(k)), so it reads off-block entries of J only: zero,
         its right-hand side.  The diagonal constraints are the block ones.
-        A*(svec Y) is the diagonal operator y_j on |i j l>, so the slack
-        Z = A*(svec Y) - Q_cov has the block slacks on its blocks, and the
-        dual objective is sum_k y_k.  <J, Z> is the sum of the block terms,
-        which the block gap and equalities bound.  The multipliers of the
-        j != k constraints are zero by construction of Y.
+        A* of these multipliers is I x Y x I, the diagonal operator y_j on
+        |i j l>, so the slack Z = I x Y x I - Q_cov has the block slacks on
+        its blocks, and the dual objective is sum_k y_k.  <J, Z> is the sum
+        of the block terms, which the block gap and equalities bound.  The
+        multipliers of the j != k constraints are zero, since Y is
+        diagonal.
     (b) ``objective_block_diagonal``: d delta <= ``_KKT_TOL``, where delta of
         :func:`_covariance_residual` bounds ||E||_F, E = Q - Q_cov:
         E = sum_g (p_g - 1/G) |v_g><v_g| + (1/G) sum_g (|v_g><v_g| - |w_g><w_g|)

@@ -138,27 +138,21 @@ def shrinking_factor(attacked_fraction: float, p_co: float) -> float:
     return -g * math.log2(p_co) + (1.0 - g)
 
 
-def _collision_bound(e_b: float) -> float:
-    """Right-hand side of the collision bound behind :func:`tau_lower_bound`."""
-    return 1.0 - e_b ** 2 - (1.0 - 6.0 * e_b) ** 2 / 2.0
-
-
 def tau_lower_bound(e_b: float) -> float:
     """Shrinking factor implied by the general-individual-attack collision bound
-    p_co <= 1 - e_b**2 - (1 - 6 e_b)**2 / 2."""
-    p_co = _collision_bound(e_b)
-    if p_co <= 0.0:
-        raise ValueError(f"collision bound is non-positive at e_b={e_b}")
-    return -math.log2(min(p_co, 1.0))
+    p_co <= 1 - e**2 - (1 - 6 e)**2 / 2 (Waks, Takesue & Yamamoto, Phys. Rev.
+    A 73, 012344, 2006), taken at e = min(e_b, 3/19).
 
-
-def _tau_lower_clamped(e_b: float) -> float:
-    """Lower-bound shrinking factor with the half-bit collision floor applied.
-
-    The raw bound dips below the physical floor p_co >= 1/2 for large error
-    rates; sweeps clamp it so tau stays in [0, 1] at every distance.
+    The bound rises from 1/2 at e = 0 to its peak 37/38 at e = 3/19 and falls
+    after it.  Eve can always add noise, so a collision probability she
+    reaches at some error rate she also reaches at every larger one; the
+    bound is held at its peak past 3/19, which keeps tau non-increasing.
+    Raises ``ValueError`` for e_b outside [0, 1/2].
     """
-    return -math.log2(min(max(_collision_bound(e_b), 0.5), 1.0))
+    if not 0.0 <= e_b <= 0.5:
+        raise ValueError("error rate must lie in [0, 1/2]")
+    e = min(e_b, 3.0 / 19.0)
+    return -math.log2(1.0 - e ** 2 - (1.0 - 6.0 * e) ** 2 / 2.0)
 
 
 def secure_key_rate(model: ChannelModel, tau: float, e_b: float) -> float:
@@ -169,10 +163,11 @@ def secure_key_rate(model: ChannelModel, tau: float, e_b: float) -> float:
 def unconditional_rate(e_b: float, r_sifted: float) -> float:
     """Coherent-attack lower bound R >= R_sifted*(1 - h(e_b) - h((3+sqrt5) e_b)),
     floored at zero, and zero once the phase error (3+sqrt5) e_b reaches 1/2,
-    past which h would shrink again and revive the rate."""
+    past which h would shrink again and revive the rate.  Raises
+    ``ValueError`` for e_b outside [0, 1/2]."""
+    if not 0.0 <= e_b <= 0.5:
+        raise ValueError("error rate must lie in [0, 1/2]")
     arg = (3.0 + _SQRT5) * e_b
-    if arg > 1.0:
-        raise ValueError("phase error argument exceeds 1")
     if arg >= 0.5:
         return 0.0
     return max(0.0, r_sifted * (1.0 - binary_entropy(e_b) - binary_entropy(arg)))
@@ -302,13 +297,10 @@ def keyrate_sweep(model: ChannelModel,
             row[f"tau_{prof.name}"] = tau
             row[f"r_{prof.name}"] = secure_key_rate(m, tau, e_eff)
         if LOWER_BOUND in bounds:
-            tau_low = _tau_lower_clamped(e_eff)
+            tau_low = tau_lower_bound(e_eff)
             row[f"tau_{LOWER_BOUND}"] = tau_low
             row[f"r_{LOWER_BOUND}"] = secure_key_rate(m, tau_low, e_eff)
         if UNCONDITIONAL in bounds:
-            row[f"r_{UNCONDITIONAL}"] = (
-                unconditional_rate(e_eff, m.sifting * m.p_click)
-                if (3.0 + _SQRT5) * e_eff <= 1.0 else 0.0
-            )
+            row[f"r_{UNCONDITIONAL}"] = unconditional_rate(e_eff, m.sifting * m.p_click)
         rows.append(row)
     return rows

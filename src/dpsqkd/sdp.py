@@ -52,22 +52,15 @@ the problem stores float64 stacks, and the iterates, the constraint map
 and :func:`verify_kkt` stay real; otherwise every stack is complex128.
 This is sound.  Take real C_b and A_{j,b}, and the complex problem that
 adds purely imaginary constraint operators i S (S real antisymmetric) of
-right-hand side zero, as the full svec basis does.  For real symmetric A
-and Hermitian X, Tr(A X) = Tr(A Re X), since Im X is antisymmetric, and
+right-hand side zero, as the full completeness basis does.  For real
+symmetric A and Hermitian X, Tr(A X) = Tr(A Re X), since Im X is antisymmetric, and
 Re X = (X + conj X)/2 is PSD when X is; so Re X of a complex optimum is
 feasible for the real problem with the same objective.  A real X meets
 every row Tr(i S X) = 0, so the two optima are equal.  A real dual (y, Z)
 is a complex dual with zero multipliers on the imaginary rows, the same Z
 and the same value, so a real certificate certifies the complex problem
 too.  :func:`povm_completeness_constraints` accordingly states, for real
-data, only the real symmetric rows, the prefix of the svec basis.
-
-The symmetric vectorisation ``svec`` (diagonal entries, then sqrt(2)-scaled
-real and imaginary off-diagonal parts) maps a Hermitian operator to a real
-vector and preserves inner products.  It is the basis in which
-:func:`povm_completeness_constraints` states its rows and in which the
-symmetry lifts of :mod:`dpsqkd.attacks` express their multipliers; the
-iteration itself never vectorises.
+data, only the real symmetric rows, the prefix of its basis.
 """
 
 from __future__ import annotations
@@ -104,51 +97,6 @@ PRIMAL_FEAS_TOL = 1e-9
 DUAL_FEAS_TOL = 1e-8
 STEP_FRACTION = 0.98  # fraction-to-boundary rule
 MAX_ITERATIONS = 200
-
-
-# ---------------------------------------------------------------------------
-# symmetric vectorisation
-# ---------------------------------------------------------------------------
-
-_SQRT2 = np.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of a d x d
-    matrix, as ``np.triu_indices(d, 1)``; computed once per d, read-only."""
-    iu, ju = np.triu_indices(d, 1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
-
-
-def svec(h: np.ndarray) -> np.ndarray:
-    """Real vector of length d**2 representing a Hermitian d x d operator.
-
-    A stack of shape (..., d, d) maps to (..., d**2).
-    """
-    h = np.asarray(h, dtype=complex)
-    iu, ju = _upper(h.shape[-1])
-    upper = h[..., iu, ju]
-    return np.concatenate([
-        np.real(np.diagonal(h, axis1=-2, axis2=-1)),
-        _SQRT2 * np.real(upper),
-        _SQRT2 * np.imag(upper),
-    ], axis=-1)
-
-
-def smat(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`svec`, also on stacks (..., d**2) -> (..., d, d)."""
-    v = np.asarray(v, dtype=float)
-    iu, ju = _upper(d)
-    k = iu.size
-    h = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    h[..., diag, diag] = v[..., :d]
-    upper = (v[..., d:d + k] + 1j * v[..., d + k:d + 2 * k]) / _SQRT2
-    h[..., iu, ju] = upper
-    h[..., ju, iu] = upper.conj()
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +151,7 @@ class SdpProblem:
     constraint is a (coefficients, rhs) pair whose coefficients are either a
     map from block names to Hermitian operators or one Hermitian (d, d)
     operator shared by every block of dimension d.  Constraint rows must be
-    linearly independent after symmetric vectorisation; this is checked at
+    linearly independent as Hermitian operators; this is checked at
     construction.
 
     Construction also stacks the data once for the solver: blocks of equal
@@ -241,9 +189,9 @@ class SdpProblem:
         m = len(self.constraints)
         self._b = np.array([float(r) for _, r in self.constraints])
         if m:
-            # the real rows have the Gram matrix Tr(A_i A_j) of the svec rows,
-            # hence their singular values; LAPACK finds them two to three
-            # times faster on the tall transpose
+            # the real rows have the Gram matrix Re Tr(A_i A_j) of the
+            # operators, hence their singular values; LAPACK finds them two
+            # to three times faster on the tall transpose
             a = np.concatenate([g.rows for g in self._groups], axis=1)
             rank = np.linalg.matrix_rank(a.T, tol=1e-9 * max(1.0, float(np.max(np.abs(a)))))
             if rank < m:
@@ -571,22 +519,35 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _svec_basis(d: int) -> tuple[np.ndarray, tuple[float, ...]]:
-    """(the svec unit vectors as a read-only (d**2, d, d) operator stack,
-    the svec entries of the identity); computed once per d."""
-    basis = smat(np.eye(d * d), d)
+def _completeness_basis(d: int) -> np.ndarray:
+    """The operators of :func:`povm_completeness_constraints` as a read-only
+    (d**2, d, d) stack; computed once per d."""
+    iu, ju = np.triu_indices(d, 1)
+    diag, sym = np.arange(d), d + np.arange(iu.size)
+    anti = sym + iu.size
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[diag, diag, diag] = 1.0
+    basis[sym, iu, ju] = basis[sym, ju, iu] = 1.0 / np.sqrt(2.0)
+    basis[anti, iu, ju] = 1j / np.sqrt(2.0)
+    basis[anti, ju, iu] = -1j / np.sqrt(2.0)
     basis.flags.writeable = False
-    return basis, tuple(float(e) for e in svec(np.eye(d)))
+    return basis
 
 
 def povm_completeness_constraints(dim: int, real: bool = False) -> list[Constraint]:
     """Constraints stating that the blocks of dimension ``dim`` sum to the
-    identity on C^dim: one shared operator per svec entry, acting on every
-    block of that dimension.  With ``real``, for real data, only the
-    dim(dim+1)/2 real symmetric ones, the prefix of the svec basis: the
-    purely imaginary rest is vacuous on a real X.  The operators are
-    read-only views of one cached stack; the list is new on every call."""
-    basis, eye = _svec_basis(dim)
+    identity on C^dim, one shared operator per element of an orthonormal
+    Hermitian basis B_j, acting on every block of that dimension, with
+    right-hand side Tr(B_j) = <B_j, I>: first the units |k><k| (right-hand
+    side 1), then (|k><l| + |l><k|)/sqrt(2) and i(|k><l| - |l><k|)/sqrt(2),
+    each over k < l in ``np.triu_indices`` order (right-hand side 0).
+    Since Tr(B_i B_j) = delta_ij, a dual operator Y in the span of the rows
+    has the multipliers y_j = Re Tr(B_j Y), with sum_j y_j B_j = Y.  With
+    ``real``, for real data, only the dim(dim+1)/2 real symmetric rows, the
+    prefix, which span the real symmetric Y: the purely imaginary rest is
+    vacuous on a real X.  The operators
+    are read-only views of one cached stack; the list is new on every
+    call."""
     count = dim * (dim + 1) // 2 if real else dim * dim
-    return list(zip(basis[:count], eye[:count]))
-
+    return [(op, 1.0 if j < dim else 0.0)
+            for j, op in enumerate(_completeness_basis(dim)[:count])]

@@ -23,7 +23,8 @@ def full_cloning_problem(ens) -> sdp.SdpProblem:
     """The cloning SDP on one dense d**3 x d**3 Choi block J on
     (out) x (in) x (out): maximise <Q, J>, Q = V^T diag(p) conj(V), subject to
     Tr_{out,out}(J) = I, stated as the d**2 rows <I x B x I, J> = Tr(B) over
-    the svec basis B of :func:`dpsqkd.sdp.povm_completeness_constraints`."""
+    the orthonormal Hermitian basis B of
+    :func:`dpsqkd.sdp.povm_completeness_constraints`."""
     d, eye = ens.n, np.eye(ens.n)
     v = choi_kets(attacks._kets(ens))
     return sdp.SdpProblem(blocks=[("J", d ** 3)],

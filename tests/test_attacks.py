@@ -425,11 +425,14 @@ def test_character_blocks(n, count, largest):
 
 def scattered(problem, solution, d):
     """A character-block cloner pair placed on the full cloning problem: the
-    primal blocks at their kets, the multipliers as Y = diag(y)."""
+    primal blocks at their kets, the multipliers as Y = diag(y), read as
+    Re Tr(B_j Y) against the completeness basis B_j of its rows."""
     x = np.zeros((d ** 3, d ** 3), dtype=complex)
     for (name, _), ix in zip(problem.blocks, attacks._character_blocks(d)):
         x[np.ix_(ix, ix)] = solution.x[name]
-    return dataclasses.replace(solution, x={"J": x}, y=sdp.svec(np.diag(solution.y)))
+    y = [np.trace(op @ np.diag(solution.y)).real
+         for op, _ in sdp.povm_completeness_constraints(d)]
+    return dataclasses.replace(solution, x={"J": x}, y=np.array(y))
 
 
 @pytest.mark.parametrize("n,two_copy", [(3, 7 / 9), (4, 0.625), (5, 0.52), (6, 0.444444)])

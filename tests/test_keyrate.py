@@ -122,20 +122,42 @@ def test_shrinking_factor_examples():
 
 def test_tau_lower_bound_values():
     assert tau_lower_bound(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert tau_lower_bound(1.0 / 6.0) == pytest.approx(-math.log2(35.0 / 36.0), abs=1e-12)
-    assert tau_lower_bound(1.0 / 6.0) == pytest.approx(0.0406, abs=1e-3)
-    with pytest.raises(ValueError):
-        tau_lower_bound(0.45)
+    # past e = 3/19 the bound is held at its peak p_co = 37/38
+    peak = tau_lower_bound(3.0 / 19.0)
+    assert peak == pytest.approx(-math.log2(37.0 / 38.0), abs=1e-12)
+    assert peak == pytest.approx(0.0385, abs=1e-4)
+    assert tau_lower_bound(1.0 / 6.0) == tau_lower_bound(0.45) == tau_lower_bound(0.5) == peak
+    for e_b in (-1e-9, 0.5 + 1e-9, math.nan):
+        with pytest.raises(ValueError):
+            tau_lower_bound(e_b)
 
 
 def test_tau_lower_bound_decreasing_then_flat():
-    # strictly decreasing up to the stationary point at e = 3/19
+    """Strictly decreasing up to the stationary point e = 3/19 of the collision
+    bound, flat after it, so it never rises again, and within [0, 1] on every
+    physical error rate."""
     grid = np.linspace(0.0, 3.0 / 19.0, 60)
     vals = [tau_lower_bound(e) for e in grid]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    # mild uptick beyond the stationary point, still far below 1
-    assert tau_lower_bound(1.0 / 6.0) > tau_lower_bound(3.0 / 19.0)
-    assert tau_lower_bound(1.0 / 6.0) < 0.05
+    past = [tau_lower_bound(e) for e in np.linspace(3.0 / 19.0, 0.5, 60)]
+    assert past == [vals[-1]] * 60
+    assert all(0.0 < t <= 1.0 for t in vals + past)
+
+
+def test_lower_bound_column_is_tau_lower_bound_and_never_revives():
+    """The sweep's lower-bound column is tau_lower_bound of the error rate it
+    uses, also in finite-size mode, and with f_ec = 1 its rate stays 0 from
+    the first distance where it is 0: past e = 3/19 tau is held while
+    h(e_b) keeps rising."""
+    distances = np.arange(200.0, 331.0, 10.0)
+    for finite_size in (None, FiniteSizeParams(1000, 50, 1e-9)):
+        rows = keyrate_sweep(ChannelModel(f_ec=1.0), [], distances,
+                             finite_size=finite_size, bounds=(LOWER_BOUND,))
+        errors = [row.get("e_b_finite", row["e_b"]) for row in rows]
+        assert max(errors) > 3.0 / 19.0
+        assert [row["tau_lower-bound"] for row in rows] == [tau_lower_bound(e) for e in errors]
+        rates = [row["r_lower-bound"] for row in rows]
+        assert 0.0 in rates and not any(rates[rates.index(0.0):])
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +183,16 @@ def test_unconditional_rate():
     assert unconditional_rate(0.0, 0.5) == pytest.approx(0.5)
     e_star = 0.5 / (3.0 + math.sqrt(5.0))
     assert unconditional_rate(e_star, 0.5) == 0.0
-    # up to a phase error of 1: past 1/2, h((3+sqrt5) e) shrinks, and the
-    # rate must not revive
-    grid = np.linspace(0.0, 1.0 / (3.0 + math.sqrt(5.0)), 200)
+    # every physical error rate: past a phase error of 1/2, h((3+sqrt5) e)
+    # shrinks, and the rate must not revive
+    grid = np.linspace(0.0, 0.5, 200)
     vals = [unconditional_rate(e, 1.0) for e in grid]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        unconditional_rate(0.3, 0.5)
+    assert unconditional_rate(0.3, 0.5) == 0.0
+    assert unconditional_rate(0.5, 0.5) == 0.0
+    for e_b in (-1e-9, 0.5 + 1e-9, math.nan):
+        with pytest.raises(ValueError):
+            unconditional_rate(e_b, 0.5)
 
 
 def test_med_beats_lower_bound_at_50km():

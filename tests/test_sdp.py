@@ -9,8 +9,7 @@ from dpsqkd.dps import dps_ensemble
 from dpsqkd.linalg import hermitian_part, outer, partial_trace
 from dpsqkd.sdp import (InfeasibleConstraintsError, MaxIterationsError,
                         NumericalBreakdownError, SdpProblem, SdpSolution,
-                        povm_completeness_constraints, smat, solve, svec,
-                        verify_kkt)
+                        povm_completeness_constraints, solve, verify_kkt)
 from oracles import full_cloning_problem
 
 
@@ -32,31 +31,28 @@ def med3_problem():
                            constraints=povm_completeness_constraints(3))
 
 
-def test_svec_roundtrip_and_inner_product(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    a = (a + a.conj().T) / 2
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = (b + b.conj().T) / 2
-    assert_allclose(smat(svec(a), 4), a, atol=1e-12)
-    assert svec(a) @ svec(b) == pytest.approx(np.trace(a @ b).real, abs=1e-10)
-    # stacks map matrix by matrix
-    stack = np.stack([a, b])
-    assert_allclose(svec(stack), [svec(a), svec(b)], atol=0)
-    assert_allclose(smat(svec(stack), 4), stack, atol=1e-12)
-
-
 def test_completeness_constraints_share_one_read_only_basis():
-    """Each call returns a new list over the same cached, read-only operators,
-    which are the svec unit vectors with the svec entries of I as rows."""
+    """Each call returns a new list over the same cached, read-only operators
+    B_j, an orthonormal Hermitian basis, Tr(B_i B_j) = delta_ij, whose
+    right-hand sides r_j give sum_j r_j B_j = I; the real rows are the real
+    symmetric prefix, which spans the identity too."""
     first, second = povm_completeness_constraints(3), povm_completeness_constraints(3)
     assert first is not second
     for (a, r), (b, s) in zip(first, second):
         assert np.shares_memory(a, b) and not a.flags.writeable and r == s
-    ops = np.array([op for op, _ in first])
-    assert_allclose(svec(ops), np.eye(9), rtol=0, atol=1e-15)
-    assert_allclose([r for _, r in first], svec(np.eye(3)), rtol=0, atol=0)
     with pytest.raises(ValueError, match="read-only"):
         first[0][0][0, 0] = 2.0
+    for d in range(1, 6):
+        for real in (False, True):
+            cons = povm_completeness_constraints(d, real=real)
+            ops = np.array([op for op, _ in cons])
+            rhs = np.array([r for _, r in cons])
+            assert len(cons) == (d * (d + 1) // 2 if real else d * d)
+            assert_allclose(np.einsum("ikl,jlk->ij", ops, ops), np.eye(len(cons)),
+                            rtol=0, atol=1e-15)
+            assert_allclose(ops, ops.conj().transpose(0, 2, 1), rtol=0, atol=0)
+            assert_allclose(np.einsum("j,jkl->kl", rhs, ops), np.eye(d), rtol=0, atol=0)
+            assert np.any(ops.imag) == (not real and d > 1)
 
 
 def test_orthogonal_discrimination_is_perfect():
@@ -142,19 +138,22 @@ def test_unitary_conjugation_invariance():
 
 
 def test_partial_trace_constraint_builder():
-    """The dense cloning oracle's d**2 rows at d = 3 read svec(Tr_{out,out} J)
-    and ask for svec(I), with the input factor in the middle."""
+    """The dense cloning oracle's d**2 rows at d = 3 read the traces
+    Tr(B_j Tr_{out,out} J) against the completeness basis B_j and ask for
+    Tr(B_j), with the input factor in the middle."""
     cons = full_cloning_problem(dps_ensemble(3)).constraints
     assert len(cons) == 9
     # a maximally mixed Choi (identity/9) satisfies Tr_{out,out}(J) = I exactly
     j = np.eye(27) / 9.0
     for coeffs, rhs in cons:
         assert np.trace(coeffs["J"] @ j).real == pytest.approx(rhs, abs=1e-12)
-    assert_allclose([rhs for _, rhs in cons], svec(np.eye(3)), rtol=0, atol=0)
+    basis = [op for op, _ in povm_completeness_constraints(3)]
+    assert_allclose([rhs for _, rhs in cons], [np.trace(b).real for b in basis], rtol=0, atol=0)
     rng = np.random.default_rng(3)
     h = hermitian_part(rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27)))
+    reduced = partial_trace(h, [3, 3, 3], keep=[1])
     assert_allclose([np.trace(c["J"] @ h).real for c, _ in cons],
-                    svec(partial_trace(h, [3, 3, 3], keep=[1])), rtol=0, atol=1e-12)
+                    [np.trace(b @ reduced).real for b in basis], rtol=0, atol=1e-12)
     e01 = np.zeros((3, 3)); e01[0, 1] = e01[1, 0] = 1 / np.sqrt(2)
     expected = np.kron(np.kron(np.eye(3), e01), np.eye(3))
     assert any(np.allclose(c["J"], expected) for c, _ in cons)
@@ -286,22 +285,22 @@ def cloning3_problem():
     return full_cloning_problem(dps_ensemble(3))
 
 
-def svec_reference(problem):
-    """The svec constraint matrix expanded block by block from
-    ``problem.constraints``: a shared operator is repeated on every block of
-    its dimension, and blocks are grouped by dimension in order of first
-    appearance."""
-    first: dict[int, int] = {}
-    for _, d in problem.blocks:
-        first.setdefault(d, len(first))
-    order = sorted(problem.blocks, key=lambda block: first[block[1]])
-    rows = []
-    for coeffs, _ in problem.constraints:
-        ops = [coeffs.get(n, np.zeros((d, d))) if isinstance(coeffs, dict)
-               else coeffs if np.shape(coeffs) == (d, d) else np.zeros((d, d))
-               for n, d in order]
-        rows.append(np.concatenate([svec(op) for op in ops]))
-    return np.array(rows)
+def trace_reference(problem, x, y):
+    """(A(X), A*(y)) by definition from ``problem.constraints``, for X and the
+    adjoint given as {block name: operator}: A(X)_j = sum_b Re Tr(A_{j,b} X_b)
+    and A*(y)_b = sum_j y_j A_{j,b}, with a shared operator acting on every
+    block of its dimension."""
+    def operator(coeffs, name, d):
+        if isinstance(coeffs, dict):
+            return np.asarray(coeffs.get(name, np.zeros((d, d))))
+        return coeffs if np.shape(coeffs) == (d, d) else np.zeros((d, d))
+
+    ax = [sum(np.trace(operator(coeffs, name, d) @ x[name]).real for name, d in problem.blocks)
+          for coeffs, _ in problem.constraints]
+    adj = {name: sum((yj * operator(coeffs, name, d)
+                      for yj, (coeffs, _) in zip(y, problem.constraints)), np.zeros((d, d)))
+           for name, d in problem.blocks}
+    return np.array(ax), adj
 
 
 def med4_problem():
@@ -321,11 +320,10 @@ def mixed_problem():
                                    med4_problem, mixed_problem],
                          ids=["interleaved", "cloning-n3", "med-n4-shared", "mixed"])
 def test_constraint_map_matches_svec_reference(build, rng):
-    """A(X) and A*(y) against the svec constraint matrix: the representation
-    the solver iterated on before, kept here as the oracle."""
+    """A(X) and A*(y) on the real view of the stacks against their definitions
+    by explicit traces and sums over ``problem.constraints``."""
     problem = build()
     groups, m = problem._groups, len(problem.constraints)
-    amat = svec_reference(problem)
     # real data take real symmetric iterates, as the solver holds them
     x = [hermitian_part(rng.normal(size=(len(g.names), g.d, g.d))
                         + (0 if g.real else 1j) * rng.normal(size=(len(g.names), g.d, g.d)))
@@ -333,9 +331,10 @@ def test_constraint_map_matches_svec_reference(build, rng):
     y = rng.normal(size=m)
     ax = sdp._apply(groups, x)
     adj = [np.broadcast_to(a, xg.shape) for a, xg in zip(sdp._adjoint(groups, y), x)]
-    assert_allclose(ax, amat @ np.concatenate([svec(xg).ravel() for xg in x]), rtol=0, atol=1e-12)
-    assert_allclose(np.concatenate([svec(a).ravel() for a in adj]), amat.T @ y,
-                    rtol=0, atol=1e-12)
+    ax_ref, adj_ref = trace_reference(problem, problem._named(x), y)
+    assert_allclose(ax, ax_ref, rtol=0, atol=1e-12)
+    for name, a in problem._named(adj).items():
+        assert_allclose(a, adj_ref[name], rtol=0, atol=1e-12)
     # <A(X), y> = sum_b <X_b, A*(y)_b>
     pairing = sum(np.einsum("bkl,blk->", xg, a).real for xg, a in zip(x, adj))
     assert ax @ y == pytest.approx(pairing, abs=1e-12)
@@ -395,7 +394,7 @@ def test_solve_without_constraints():
 @pytest.mark.parametrize("source", ["dps", "unitary-clones"])
 def test_real_optimum_certifies_complex_embedding(n, source, unitary_attack_at):
     """Real MED data solved in real arithmetic, on the n(n+1)/2 real symmetric
-    completeness rows, against the complex embedding with all n**2 svec rows.
+    completeness rows, against the complex embedding with all n**2 completeness rows.
     The optima agree, the real pair with zero imaginary multipliers passes
     the complex certificate, and Re X of the complex optimum with its real
     multipliers passes the real one."""

@@ -33,6 +33,9 @@ RUNS = [
     ["keyrate", "--attacks", "unconditional,lower-bound", "--start-km", "230", "--stop-km", "245",
      "--step-km", "1"],
     ["keyrate", "--finite-size", "n=1e3,k=50,eps=1e-9", "--start-km", "200", "--stop-km", "300"],
+    # past e_b = 3/19, where the lower-bound rate must not revive
+    ["keyrate", "--attacks", "lower-bound", "--f-ec", "1", "--start-km", "200",
+     "--stop-km", "330"],
 ]
 
 
