@@ -15,21 +15,6 @@ needs only :mod:`dpsqkd.keyrate` never loads numpy or the SDP solver.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackProfile", "ChannelModel", "ClickDistribution", "CloningResult", "DpsEnsemble",
-    "FiniteSizeParams", "KktReport", "MedResult", "Povm", "SdpProblem", "SdpSolution",
-    "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis",
-    "apply_unitary_cloner", "attacks", "ber_of_state", "binary_entropy",
-    "collision_probability", "depolarizing_fit", "dps", "dps_ensemble",
-    "finite_size_deviation", "ir_attack_profile", "keyrate", "keyrate_sweep", "linalg",
-    "med_attack", "med_on_cloned", "mzi_click_distribution", "mzi_transfer",
-    "optimal_cloner", "optimize_unitary_q", "partial_trace", "pgm_povm",
-    "phase_mismatch_qber", "sdp", "secure_key_rate", "shrinking_factor",
-    "slice_averaged_qber", "solve", "spectral_error_terms", "standard_attack_profiles",
-    "tau_lower_bound", "unconditional_rate", "usd_block_identification", "usd_success",
-    "verify_kkt", "wcs", "wcs_ir_fraction", "wcs_key_rates",
-]
-
 # Each exported name -> the layer that defines it; a layer's own name maps to itself.
 _LAYER_OF = {
     **dict.fromkeys(("attacks", "CloningResult", "MedResult", "Povm", "UnitaryClonerParams",
@@ -51,6 +36,7 @@ _LAYER_OF = {
                      "usd_block_identification", "usd_success", "wcs_ir_fraction",
                      "wcs_key_rates"), "wcs"),
 }
+__all__ = sorted(_LAYER_OF)
 
 
 def __getattr__(name):

@@ -9,12 +9,14 @@ to ``--output`` only once the run has succeeded.  At start-up the module
 loads only :mod:`dpsqkd.keyrate`; each handler imports the layers it runs,
 so ``finite-size`` runs without numpy and ``wcs`` without the SDP solver.
 
-Configuration may come from a flat key=value file whose one section is
-``[channel]``, selected with ``--config`` or the ``DPSQKD_CONFIG``
-environment variable; command-line flags override file values.  Exit codes:
-0 success, 2 configuration error (including an unreadable configuration file
-and an ``--output`` or stdout that cannot take the report), 3 solver failure
-or an uncertified optimum.
+The channel sweeps ``keyrate`` and ``wcs`` may read their channel from a
+key=value file whose one section is ``[channel]``, selected with ``--config``
+or, when no ``--config`` is given, a non-empty ``DPSQKD_CONFIG``;
+command-line flags override file values.  The other subcommands read no
+channel and reject ``--config``.  Exit codes: 0 success, 2 configuration
+error (including an unreadable configuration file and an ``--output`` or
+stdout that cannot take the report), 3 solver failure or an uncertified
+optimum.
 """
 
 from __future__ import annotations
@@ -86,68 +88,69 @@ def _render(report: Report, fmt: str) -> Iterator[str]:
         yield ",".join(format(float(row[c]), ".12g") for c in columns) + "\n"
 
 
-def _parse_config_file(path: str) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
-    current = "channel"
+def _configured(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, with a library ``ValueError`` (an input
+    outside its physical domain) reported as a configuration error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        sections.setdefault(current, {})[key.strip()] = value.strip()
-    return sections
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _channel_from_config(args: argparse.Namespace,
                          signal_scale: float = 1.0) -> tuple[ChannelModel, dict[str, Any]]:
+    """The channel of a sweep: the ``[channel]`` keys of ``--config`` (or of
+    ``DPSQKD_CONFIG`` when no ``--config`` is given), overridden by flags."""
+    path = args.config if args.config is not None else os.environ.get(CONFIG_ENV) or None
+    raw: dict[str, str] = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        for lineno, text in enumerate(lines, 1):
+            line = text.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                if line[1:-1].strip() != "channel":
+                    raise ConfigError(f"unknown config sections: {[line[1:-1].strip()]}")
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            raw[key.strip()] = value.strip()
     values: dict[str, Any] = {}
-    path = args.config or os.environ.get(CONFIG_ENV)
-    if path:
-        sections = _parse_config_file(path)
-        unknown_sections = set(sections) - {"channel"}
-        if unknown_sections:
-            raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
-        for key, raw in sections.get("channel", {}).items():
-            kind = _CHANNEL_KEYS.get(key)
-            if kind is None:
-                raise ConfigError(f"unknown channel key {key!r}")
-            try:
-                values[key] = kind(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"channel key {key!r} needs {kind.__name__}, got {raw!r}") from exc
+    for key, text in raw.items():
+        kind = _CHANNEL_KEYS.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown channel key {key!r}")
+        try:
+            values[key] = kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"channel key {key!r} needs {kind.__name__}, got {text!r}") from exc
     for key in _CHANNEL_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    try:
-        model = ChannelModel(**values, signal_scale=signal_scale)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {k: getattr(model, k) for k in _CHANNEL_KEYS}
-    return model, resolved
-
-
-def _add_channel_flags(p: argparse.ArgumentParser) -> None:
-    for key, kind in _CHANNEL_KEYS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=kind)
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    model = _configured(ChannelModel, **values, signal_scale=signal_scale)
+    return model, {k: getattr(model, k) for k in _CHANNEL_KEYS}
 
 
 def _add_common(p: argparse.ArgumentParser, handler: Callable[..., Report]) -> None:
     p.set_defaults(handler=handler)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="output path (default stdout)")
+
+
+def _add_sweep(p: argparse.ArgumentParser, stop_km: float) -> None:
+    """The distance grid and the channel of ``keyrate`` and ``wcs``, the two
+    subcommands that read a channel and so the only ones with ``--config``."""
+    p.add_argument("--start-km", type=float, default=0.0)
+    p.add_argument("--stop-km", type=float, default=stop_km)
+    p.add_argument("--step-km", type=float, default=10.0)
+    for key, kind in _CHANNEL_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--config", default=None, help="key=value configuration file")
 
 
@@ -189,10 +192,8 @@ def _finite_size(spec: str | None) -> FiniteSizeParams | None:
     missing = {"n", "k", "eps"} - set(fields)
     if missing:
         raise ConfigError(f"finite-size spec is missing {sorted(missing)}")
-    try:
-        return FiniteSizeParams(n_key=fields["n"], k_pe=fields["k"], eps_prime=fields["eps"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _configured(FiniteSizeParams, n_key=fields["n"], k_pe=fields["k"],
+                       eps_prime=fields["eps"])
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +275,8 @@ def _cmd_keyrate(args: argparse.Namespace) -> Report:
         from . import attacks, dps
         ens = dps.dps_ensemble(model.n_pulses)
         profiles = {name: attacks.ATTACK_PROFILES[name](ens) for name in explicit}
-    selected = [profiles[name] for name in wanted if name in profiles]
-    try:
-        rows = keyrate_sweep(model, selected, distances, finite_size=fs,
-                             bounds=set(wanted) - set(profiles))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = _configured(keyrate_sweep, model, list(profiles.values()), distances,
+                       finite_size=fs, bounds=set(wanted) - set(profiles))
     config = {"command": "keyrate", **resolved,
               "attacks": ",".join(wanted),
               "start_km": args.start_km, "stop_km": args.stop_km,
@@ -289,10 +286,7 @@ def _cmd_keyrate(args: argparse.Namespace) -> Report:
 
 def _cmd_finite_size(args: argparse.Namespace) -> Report:
     fs = _finite_size(args.params)
-    try:
-        t = finite_size_deviation(fs, args.e_obs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    t = _configured(finite_size_deviation, fs, args.e_obs)
     config = {"command": "finite-size", "n": fs.n_key, "k": fs.k_pe,
               "eps": fs.eps_prime, "e_obs": args.e_obs}
     figures = {"deviation": t, "e_key_bound": args.e_obs + t}
@@ -301,17 +295,11 @@ def _cmd_finite_size(args: argparse.Namespace) -> Report:
 
 def _cmd_wcs(args: argparse.Namespace) -> Report:
     from . import wcs
-    try:
-        params = wcs.WcsParams(mean_photon_number=args.mu, slices=args.slices)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _configured(wcs.WcsParams, mean_photon_number=args.mu, slices=args.slices)
     # the channel checks its click probability at the source intensity
     model, resolved = _channel_from_config(args, params.mean_photon_number)
     wanted = tuple(a.strip() for a in args.attack.split(",") if a.strip())
-    try:
-        rows = wcs.wcs_key_rates(params, model, _distances(args), attacks=wanted)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = _configured(wcs.wcs_key_rates, params, model, _distances(args), attacks=wanted)
     config = {"command": "wcs", **resolved, "mu": args.mu, "slices": args.slices,
               "attack": ",".join(wanted), "start_km": args.start_km,
               "stop_km": args.stop_km, "step_km": args.step_km}
@@ -339,12 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_key = sub.add_parser("keyrate", help="secure key rate and shrinking factors vs distance")
     p_key.add_argument("--attacks",
                        default=",".join([*EXPLICIT_ATTACKS, LOWER_BOUND, UNCONDITIONAL]))
-    p_key.add_argument("--start-km", dest="start_km", type=float, default=0.0)
-    p_key.add_argument("--stop-km", dest="stop_km", type=float, default=150.0)
-    p_key.add_argument("--step-km", dest="step_km", type=float, default=10.0)
     p_key.add_argument("--finite-size", dest="finite_size", default=None,
                        help="n=..,k=..,eps=..")
-    _add_channel_flags(p_key)
+    _add_sweep(p_key, stop_km=150.0)
     _add_common(p_key, _cmd_keyrate)
 
     p_fs = sub.add_parser("finite-size", help="parameter-estimation deviation")
@@ -356,10 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wcs.add_argument("--mu", type=float, default=0.4)
     p_wcs.add_argument("--slices", type=int, default=16)
     p_wcs.add_argument("--attack", default="ir,usd,phase-randomized")
-    p_wcs.add_argument("--start-km", dest="start_km", type=float, default=0.0)
-    p_wcs.add_argument("--stop-km", dest="stop_km", type=float, default=100.0)
-    p_wcs.add_argument("--step-km", dest="step_km", type=float, default=10.0)
-    _add_channel_flags(p_wcs)
+    _add_sweep(p_wcs, stop_km=100.0)
     _add_common(p_wcs, _cmd_wcs)
 
     return parser

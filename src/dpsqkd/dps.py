@@ -119,13 +119,13 @@ def dps_ensemble(n: int) -> DpsEnsemble:
 def mzi_transfer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(T_u, T_v): read-only (n+1) x n amplitude transfer matrices from the
     n input pulses to the constructive and destructive ports."""
-    tu = np.zeros((n + 1, n), dtype=complex)
-    tv = np.zeros((n + 1, n), dtype=complex)
-    for k in range(n):
-        tu[k, k] += 0.5
-        tv[k, k] += 0.5j
-        tu[k + 1, k] += 0.5
-        tv[k + 1, k] += -0.5j
+    # pulse k leaves through slots k and k + 1: T_u = (I + S)/2, T_v = i(I - S)/2
+    # with S the (n+1) x n shift; the imaginary part is assigned, so every
+    # real part of T_v is +0.0
+    same, next_slot = np.eye(n + 1, n), np.eye(n + 1, n, -1)
+    tu = (0.5 * (same + next_slot)).astype(complex)
+    tv = np.zeros_like(tu)
+    tv.imag = 0.5 * (same - next_slot)
     tu.setflags(write=False)
     tv.setflags(write=False)
     return tu, tv

@@ -268,6 +268,51 @@ def test_config_rejects_unknown_section(tmp_path, capsys, text):
     assert err.startswith("configuration error: unknown config sections")
 
 
+def test_config_keys_before_a_header_and_a_repeated_header_are_one_section(tmp_path, capsys):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("f_ec = 1.3\n[channel]\nbaseline_error = 0.02\n[ channel ]\n"
+                   "f_ec = 1.25\n")
+    code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg),
+                           "--stop-km", "0")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["f_ec"], config["baseline_error"]) == (1.25, 0.02)
+
+
+def test_config_names_the_first_unknown_section(tmp_path, capsys):
+    """The first header other than ``[channel]`` is reported, before any
+    line after it is read."""
+    cfg = tmp_path / "sections.cfg"
+    cfg.write_text("[channel]\nf_ec = 1.2\n[run]\nnot a pair\n[output]\n")
+    code, out, err = run_cli(capsys, "wcs", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "configuration error: unknown config sections: ['run']\n"
+
+
+@pytest.mark.parametrize("argv", [["med", "--n", "3"], ["clone"],
+                                  ["finite-size", "--params", "n=1e6,k=1e4,eps=1e-9"]],
+                         ids=["med", "clone", "finite-size"])
+def test_commands_without_a_channel_reject_config(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--config", "x"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+    proc = fresh_python(["-m", "dpsqkd.cli", *argv, "--config", "x"], capture_output=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+
+
+def test_config_env_var_is_read_only_by_the_sweeps(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DPSQKD_CONFIG", str(tmp_path / "absent.cfg"))
+    code, out, _ = run_cli(capsys, "med", "--n", "3")
+    assert code == 0 and json.loads(out)["config"] == {"command": "med", "n": 3}
+
+
+def test_empty_config_env_var_is_unset(capsys, monkeypatch):
+    monkeypatch.setenv("DPSQKD_CONFIG", "")
+    code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir", "--stop-km", "0")
+    assert code == 0 and json.loads(out)["config"]["f_ec"] == 1.16
+
+
 def test_finite_size_command(capsys):
     code, out, _ = run_cli(capsys, "finite-size", "--params", "n=1e6,k=1e4,eps=1e-9",
                            "--e-obs", "0.02")
@@ -388,7 +433,9 @@ def test_full_stdout_exits_2_in_a_fresh_process(argv):
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
-    for path in (tmp_path / "absent.cfg", tmp_path):
+    # an explicit empty path names no file, even with DPSQKD_CONFIG set
+    monkeypatch.setenv("DPSQKD_CONFIG", str(tmp_path / "unused.cfg"))
+    for path in (tmp_path / "absent.cfg", tmp_path, ""):
         code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"configuration error: cannot read config file {str(path)!r}")

@@ -201,6 +201,26 @@ def test_single_pulse_has_no_interference():
     assert dist.constructive[2:].sum() + dist.destructive[2:].sum() == pytest.approx(0.0, abs=1e-12)
 
 
+def test_transfer_equals_the_per_pulse_construction():
+    """Pulse k reaches slot k with amplitude 1/2 (constructive) and i/2
+    (destructive), and slot k + 1 with 1/2 and -i/2; zeros are all +0.0."""
+    for n in range(3, 13):
+        tu_ref = np.zeros((n + 1, n), dtype=complex)
+        tv_ref = np.zeros((n + 1, n), dtype=complex)
+        for k in range(n):
+            tu_ref[k, k] += 0.5
+            tv_ref[k, k] += 0.5j
+            tu_ref[k + 1, k] += 0.5
+            tv_ref[k + 1, k] += -0.5j
+        for got, ref in zip(mzi_transfer(n), (tu_ref, tv_ref)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), n
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(ref, part))), (n, part)
+            assert not got.flags.writeable
+        assert mzi_transfer(n) is mzi_transfer(n)
+
+
 def test_transfer_is_unitary():
     for n in (3, 4, 7):
         tu, tv = mzi_transfer(n)

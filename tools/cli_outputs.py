@@ -1,7 +1,8 @@
 """Write the stdout and exit code of a fixed set of CLI runs to a directory.
 
-Each argv runs in a fresh ``python -m dpsqkd.cli`` process with ``src`` on
-``PYTHONPATH`` and without ``DPSQKD_CONFIG``.  Run ``i`` writes its stdout
+Each argv runs in a fresh ``python -m dpsqkd.cli`` process in the repository
+root, with ``src`` on ``PYTHONPATH`` and without ``DPSQKD_CONFIG``, so a
+path in an argv is relative to the root.  Run ``i`` writes its stdout
 to ``OUTDIR/NN.out``, and ``OUTDIR/runs.txt`` lists each run's number, exit
 code and argv.  Two passes, or one on each of two checkouts, are
 byte-identical exactly when ``diff -r`` of their directories is silent.
@@ -36,6 +37,9 @@ RUNS = [
     # past e_b = 3/19, where the lower-bound rate must not revive
     ["keyrate", "--attacks", "lower-bound", "--f-ec", "1", "--start-km", "200",
      "--stop-km", "330"],
+    # a channel file, one of whose keys a flag overrides
+    ["keyrate", "--attacks", "ir,lower-bound", "--config", "tools/channel.ini",
+     "--detector-efficiency", "0.15"],
 ]
 
 
