@@ -21,10 +21,9 @@ _LAYER_OF = {
                      "aligned_cloning_basis", "apply_unitary_cloner",
                      "collision_probability", "depolarizing_fit", "ir_attack_profile",
                      "med_attack", "med_on_cloned", "optimal_cloner", "optimize_unitary_q",
-                     "pgm_povm", "standard_attack_profiles"), "attacks"),
-    **dict.fromkeys(("dps", "ClickDistribution", "DpsEnsemble", "ber_of_state",
-                     "dps_ensemble", "mzi_click_distribution", "mzi_transfer",
-                     "spectral_error_terms"), "dps"),
+                     "standard_attack_profiles"), "attacks"),
+    **dict.fromkeys(("dps", "ClickDistribution", "DpsEnsemble", "dps_ensemble",
+                     "mzi_click_distribution", "mzi_transfer", "spectral_error_terms"), "dps"),
     **dict.fromkeys(("keyrate", "AttackProfile", "ChannelModel", "FiniteSizeParams",
                      "binary_entropy", "finite_size_deviation", "keyrate_sweep",
                      "secure_key_rate", "shrinking_factor", "tau_lower_bound",

@@ -14,10 +14,13 @@ Four eavesdropping strategies are modelled:
 
 Each attack has one problem builder: :func:`med_problem` for MED and
 :func:`cloning_problem` for the cloner; no attack code depends on the order
-of their constraint rows.  An ensemble that is covariant under the sign
-group of the DPS states (see :func:`_sign_covariant`) has a symmetry-reduced
-problem: MED one n x n seed block, the optimal cloner the character blocks
-of its Choi operator.
+of their constraint rows.  An ensemble on the sign orbit of its state 0,
+as the DPS states are, has a symmetry-reduced problem: MED one n x n seed
+block, the optimal cloner the character blocks of its Choi operator.  One
+covariance residual delta decides it (see :func:`_covariance_residual`):
+each attack evaluates it once, and n delta <= ``_KKT_TOL`` routes MED to
+its lifted candidate, admits an ensemble to the optimal cloner and is a
+condition of the cloner's certificate.
 The constraint operators of both partition the identity, so the uniform
 multiplier y = lambda_max(C) is dual feasible, and a primal on the top
 eigenvectors of the objective that meets the equality rows closes the gap.
@@ -28,13 +31,12 @@ once, and solves only when it is missing or fails (see
 cloner of the DPS states and for MED of the optimal clones.  MED lifts its
 seed pair onto the full :func:`med_problem` and certifies it there; its
 one solve is the general solve of that problem, which every other
-ensemble runs.  The cloner takes sign-covariant ensembles only, builds its
-character-block :func:`cloning_problem` from state 0 alone, solves it when
-the candidate fails, and certifies its blocks through a reduced
-certificate that implies the one on the full n**3 x n**3 SDP (see
-:func:`_reduced_cloner_kkt`), which is never built: an O(G n) residual of
-the kets against the sign orbit of state 0 bounds the objective's distance
-from the block one.  Each cloning
+ensemble runs.  The cloner builds its character-block
+:func:`cloning_problem` from state 0 alone, solves it when the candidate
+fails, and certifies its blocks through a reduced certificate that
+implies the one on the full n**3 x n**3 SDP (see
+:func:`_reduced_cloner_kkt`), which is never built: delta bounds the
+objective's distance from the block one.  Each cloning
 attack is one certified :class:`CloningAttack`, read by the ``clone``
 report and by its key-rate profile.
 :data:`ATTACK_PROFILES` builds the per-intercept errors and collision
@@ -85,8 +87,16 @@ class Povm:
 
 @dataclass
 class MedResult:
+    """An optimal minimum-error measurement and its figures of merit.
+
+    ``confusion[i, j]`` is the probability P(outcome j | state i) of the
+    POVM ``povm``, whose element j guesses state j.  ``problem``,
+    ``solution`` and ``kkt`` describe the full :func:`med_problem`, one
+    block per state, whichever route reached the optimum.
+    """
+
     povm: Povm
-    confusion: np.ndarray  # confusion[i, j] = P(outcome j | state i)
+    confusion: np.ndarray
     p_success: float
     collision_probability: float
     problem: sdp.SdpProblem
@@ -111,18 +121,17 @@ def med_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
 def med_attack(ens: DpsEnsemble) -> MedResult:
     """Optimal minimum-error discrimination of an ensemble.
 
-    A sign-covariant ensemble (see :func:`_sign_covariant`), such as a DPS
-    ensemble or the clones of the optimal cloner, offers the lifted
-    optimum of its seed block as a candidate (see
-    :func:`_covariant_med_candidate`).  The candidate is certified once on
-    the full problem (:func:`med_problem`) through the KKT conditions; when
-    it is missing or fails, as for any other ensemble, the full problem is
-    solved and its pair certified.  So ``problem``, ``solution`` and ``kkt``
-    describe the full SDP.
+    An ensemble within n delta <= ``_KKT_TOL`` of the sign orbit of its
+    state 0 (see :func:`_covariance_residual`), such as a DPS ensemble or
+    the clones of the optimal cloner, offers the lifted optimum of its seed
+    block as a candidate (see :func:`_covariant_med_candidate`).  The
+    candidate is certified once on the full problem (:func:`med_problem`)
+    through the KKT conditions; when it is missing or fails, as for any
+    other ensemble, the full problem is solved and its pair certified.
     """
     problem = med_problem(ens)
-    solution, kkt = _certify_once(_covariant_med_candidate(ens, problem)
-                                  if _sign_covariant(ens) else None,
+    covariant = ens.n * _covariance_residual(ens) <= _KKT_TOL
+    solution, kkt = _certify_once(_covariant_med_candidate(ens, problem) if covariant else None,
                                   lambda sol: sdp.verify_kkt(problem, sol, tol=_KKT_TOL),
                                   lambda: sdp.solve(problem))
     count = len(ens.priors)
@@ -138,27 +147,26 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
                      problem=problem, solution=solution, kkt=kkt)
 
 
-_COVARIANCE_TOL = 1e-12
+def _covariance_residual(ens: DpsEnsemble) -> float:
+    """delta = sum_g |p_g - 1/G| + (3/G) sum_g ||rho_g - U_g rho_0 U_g^dagger||_F,
+    the distance of an ensemble from the sign orbit of its state 0 with
+    uniform priors, in the order of ``dps_ensemble(n)``, in O(G n**2); it is
+    infinite unless G = 2**(n-1) and 3 <= n <= ``MAX_PULSES``.
 
-
-def _sign_covariant(ens: DpsEnsemble) -> bool:
-    """Whether an ensemble is covariant under the sign group of ``dps_ensemble(n)``.
-
-    True for 2**(n-1) states on C^n with uniform priors and
-    rho_g = U_g rho_0 U_g^dagger to _COVARIANCE_TOL of the largest entry,
-    in the order of ``dps_ensemble(n)``.  The DPS states and the clones of
-    the optimal cloner qualify; the clones of the unitary cloner, whose
-    basis is aligned with state 0, and skewed priors do not.
+    The one rule n delta <= ``_KKT_TOL`` routes MED to its lifted candidate,
+    admits an ensemble to :func:`optimal_cloner` and is condition (b) of
+    :func:`_reduced_cloner_kkt`, where delta bounds the distance of the
+    cloning objective from its block form.  The DPS states and the clones
+    of the optimal cloner have delta = 0; the clones of the unitary cloner,
+    whose basis is aligned with state 0, and skewed priors do not.
     """
     count, n = len(ens.priors), ens.n
     if not 3 <= n <= MAX_PULSES or count != 2 ** (n - 1):
-        return False
-    if np.max(np.abs(ens.priors - 1.0 / count)) > _COVARIANCE_TOL:
-        return False
-    stack = ens.densities
+        return math.inf
     signs = sign_patterns(n)
-    moved = signs[:, :, None] * stack[0] * signs[:, None, :]
-    return bool(np.max(np.abs(stack - moved)) <= _COVARIANCE_TOL * np.max(np.abs(stack)))
+    moved = signs[:, :, None] * ens.densities[0] * signs[:, None, :]
+    return float(np.abs(ens.priors - 1.0 / count).sum()
+                 + 3.0 / count * np.linalg.norm(ens.densities - moved, axis=(1, 2)).sum())
 
 
 _TIE_TOL = 1e-9  # relative gap below which two top eigenvalues are one, up to rounding
@@ -290,25 +298,6 @@ def collision_probability(confusion: np.ndarray, priors: Sequence[float],
     return total / bits.shape[1]
 
 
-def pgm_povm(ens: DpsEnsemble) -> Povm:
-    """Square-root ("pretty good") measurement of an ensemble.
-
-    P_i = S^{-1/2} p_i rho_i S^{-1/2} with S the average state; for the
-    symmetric DPS ensembles this measurement attains the minimum-error
-    optimum, which makes it an independent check on the SDP route.
-    """
-    weighted = ens.priors[:, None, None] * ens.densities
-    lam, vecs = np.linalg.eigh(weighted.sum(axis=0))
-    keep = lam > 1e-12
-    inv_sqrt = (vecs[:, keep] / np.sqrt(lam[keep])) @ dagger(vecs[:, keep])
-    elements = inv_sqrt @ weighted @ inv_sqrt
-    # on a rank-deficient average state, spread the kernel evenly to complete the POVM
-    kernel = np.eye(ens.n) - elements.sum(axis=0)
-    if float(np.max(np.abs(kernel))) > _POVM_SUM_ATOL:
-        elements = elements + kernel / len(elements)
-    return Povm(elements=tuple(elements))
-
-
 # ---------------------------------------------------------------------------
 # optimal map-based cloning
 # ---------------------------------------------------------------------------
@@ -378,21 +367,22 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
 
 
 def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
-    """Solve for the optimal symmetric cloning channel of a sign-covariant
-    pure-state ensemble, such as a DPS ensemble.
+    """Solve for the optimal symmetric cloning channel of a pure-state
+    ensemble on the sign orbit of its state 0, such as a DPS ensemble.
 
-    An ensemble of density operators, or one that is not sign-covariant (see
-    :func:`_sign_covariant`), raises ``ValueError``.  Its one problem is the
-    character-block :func:`cloning_problem`, certified through
-    :func:`_reduced_cloner_kkt` and solved only when the top-eigenspace
-    candidate fails (see :func:`_covariant_cloner_solution`), and the clones
-    are read off the blocks (see :func:`_block_clones`); no d**3 x d**3
-    problem or operator is built.
+    An ensemble of density operators, or one outside n delta <= ``_KKT_TOL``
+    (see :func:`_covariance_residual`), raises ``ValueError``.  Its one
+    problem is the character-block :func:`cloning_problem`, certified
+    through :func:`_reduced_cloner_kkt` and solved only when the
+    top-eigenspace candidate fails (see :func:`_covariant_cloner_solution`),
+    and the clones are read off the blocks (see :func:`_block_clones`); no
+    d**3 x d**3 problem or operator is built.
     """
     _kets(ens)  # density operators raise before the covariance check
-    if not _sign_covariant(ens):
+    delta = _covariance_residual(ens)
+    if not ens.n * delta <= _KKT_TOL:
         raise ValueError("the optimal cloner needs a sign-covariant ensemble")
-    problem, solution, kkt = _covariant_cloner_solution(ens)
+    problem, solution, kkt = _covariant_cloner_solution(ens, delta)
     bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
     fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
@@ -426,10 +416,10 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _covariant_cloner_solution(ens: DpsEnsemble
+def _covariant_cloner_solution(ens: DpsEnsemble, delta: float
                                ) -> tuple[sdp.SdpProblem, sdp.SdpSolution, sdp.KktReport]:
-    """The :func:`cloning_problem` of a sign-covariant ensemble, its
-    certified solution and the certificate.
+    """The :func:`cloning_problem` of an ensemble with covariance residual
+    ``delta``, its certified solution and the certificate.
 
     The d constraint operators of the block problem partition the identity
     on every block, so y = lambda * 1, with lambda the largest top
@@ -445,16 +435,18 @@ def _covariant_cloner_solution(ens: DpsEnsemble
     problem = cloning_problem(ens)
     solution, kkt = _certify_once(
         _top_eigenspace_solution(problem.blocks, problem.objective, problem.constraints),
-        lambda sol: _reduced_cloner_kkt(problem, sol, ens.states, ens.priors),
+        lambda sol: _reduced_cloner_kkt(problem, sol, delta),
         lambda: sdp.solve(problem))
     return problem, solution, kkt
 
 
 def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
-                        kets: np.ndarray, priors: np.ndarray) -> sdp.KktReport:
+                        delta: float) -> sdp.KktReport:
     """KKT certificate of a pair of the character-block
-    :func:`cloning_problem` on the full d**3 x d**3 cloning SDP of ``kets``
-    and ``priors``, whose objective is Q = sum_g p_g |v_g><v_g|.
+    :func:`cloning_problem` on the full d**3 x d**3 cloning SDP of an
+    ensemble with covariance residual ``delta`` (see
+    :func:`_covariance_residual`), whose objective is
+    Q = sum_g p_g |v_g><v_g|.
 
     The blocks of ``problem`` are those of Q_cov, the objective of the sign
     orbit of state 0.  Scatter the blocks into J and Z, and lift the d
@@ -476,17 +468,19 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
         of the block terms, which the block gap and equalities bound.  The
         multipliers of the j != k constraints are zero, since Y is
         diagonal.
-    (b) ``objective_block_diagonal``: d delta <= ``_KKT_TOL``, where delta of
-        :func:`_covariance_residual` bounds ||E||_F, E = Q - Q_cov:
+    (b) ``objective_block_diagonal``: d delta <= ``_KKT_TOL``, where delta
+        bounds ||E||_F, E = Q - Q_cov:
         E = sum_g (p_g - 1/G) |v_g><v_g| + (1/G) sum_g (|v_g><v_g| - |w_g><w_g|)
-        with w_g = W_g v_0 (see :func:`cloning_problem`), each |v_g><v_g|
-        has unit norm, and a phase on psi_g leaves it alone.  With psi_g
-        aligned to U_g psi_0, three telescoped factors give
-        ||v_g - w_g|| <= 3 eps_g, and ||x x^+ - y y^+||_F <= 2 ||x - y||
-        for unit x, y.  Going from Q_cov to Q leaves the primal conditions
-        and the dual objective alone.  The slack becomes Z - E, whose
-        smallest eigenvalue drops by at most ||E||_2 <= delta (Weyl's
-        inequality).  The primal objective and <J, Z> move by <E, J>, and
+        with w_g = W_g v_0 (see :func:`cloning_problem`).  The projector
+        |v_g><v_g| = rho_g x conj(rho_g) x rho_g has factors of unit norm,
+        and |w_g><w_g| is the same product of sigma_g = U_g rho_0 U_g^dagger,
+        so three telescoped factors give
+        || |v_g><v_g| - |w_g><w_g| ||_F <= 3 ||rho_g - sigma_g||_F, and
+        ||E||_F <= delta.  The states carry no phase, so none is aligned.
+        Going from Q_cov to Q leaves the primal conditions and the dual
+        objective alone.  The slack becomes Z - E, whose smallest
+        eigenvalue drops by at most ||E||_2 <= delta (Weyl's inequality).
+        The primal objective and <J, Z> move by <E, J>, and
         |<E, J>| <= ||E||_2 Tr J = d delta for J >= 0, as the
         trace-preservation rows give Tr J = Tr I = d.
 
@@ -495,19 +489,8 @@ def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
     plus d delta.  Skewed priors or a bent ket make delta large and fail.
     """
     report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-    within = kets.shape[1] * _covariance_residual(kets, priors) <= _KKT_TOL
+    within = len(problem.constraints) * delta <= _KKT_TOL  # one row per input index
     return replace(report, conditions={**report.conditions, "objective_block_diagonal": within})
-
-
-def _covariance_residual(kets: np.ndarray, priors: np.ndarray) -> float:
-    """delta = sum_g |p_g - 1/G| + (6/G) sum_g eps_g, with
-    eps_g = min_theta ||psi_g - e^{i theta} U_g psi_0||, of G unit ``kets``
-    and their ``priors``, in O(G d).  eps_g is the norm of the aligned
-    difference itself: sqrt(2 - 2|<U_g psi_0|psi_g>|) cancels to 1e-8."""
-    orbit = sign_patterns(kets.shape[1]) * kets[0]
-    overlap = np.einsum("gk,gk->g", orbit.conj(), kets)
-    eps = np.linalg.norm(kets - np.exp(1j * np.angle(overlap))[:, None] * orbit, axis=1)
-    return float(np.abs(priors - 1.0 / len(priors)).sum() + 6.0 * eps.mean())
 
 
 def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
@@ -741,8 +724,10 @@ class CloningAttack:
     med_after: MedResult
 
     def ber(self, conditional: bool = False) -> list[float]:
-        """Bit-error rate of each of Bob's clones against its state's key bits
-        (see :func:`ber_of_state`), read off the whole certified stack."""
+        """Bit-error rate of each of Bob's clones against its state's key bits:
+        the wrong-port click probability over the key slots, divided by the
+        key-slot click probability when ``conditional``, read off the whole
+        certified stack in one call of :func:`dpsqkd.dps._key_slot_ber`."""
         return _key_slot_ber(self.bob_states, self.ensemble.bit_map, conditional).tolist()
 
     @property

@@ -10,9 +10,10 @@ loads only :mod:`dpsqkd.keyrate`; each handler imports the layers it runs,
 so ``finite-size`` runs without numpy and ``wcs`` without the SDP solver.
 
 The channel sweeps ``keyrate`` and ``wcs`` may read their channel from a
-key=value file whose one section is ``[channel]``, selected with ``--config``
-or, when no ``--config`` is given, a non-empty ``DPSQKD_CONFIG``;
-command-line flags override file values.  The other subcommands read no
+key=value file whose one section is ``[channel]``, each key given at most
+once, selected with ``--config`` or, when no ``--config`` is given, a
+non-empty ``DPSQKD_CONFIG``; command-line flags override file values.
+The other subcommands read no
 channel and reject ``--config``.  Exit codes: 0 success, 2 configuration
 error (including an unreadable configuration file and an ``--output`` or
 stdout that cannot take the report), 3 solver failure or an uncertified
@@ -119,8 +120,10 @@ def _channel_from_config(args: argparse.Namespace,
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            key, _, value = (t.strip() for t in line.partition("="))
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: channel key {key!r} is given twice")
+            raw[key] = value
     values: dict[str, Any] = {}
     for key, text in raw.items():
         kind = _CHANNEL_KEYS.get(key)

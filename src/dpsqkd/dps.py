@@ -182,11 +182,22 @@ def _key_slot_ber(states: np.ndarray, bits: np.ndarray, conditional: bool = Fals
     return wrong / np.sum(u + v, axis=-1) if conditional else wrong
 
 
-def _received_state(received: np.ndarray, index: int,
-                    ensemble: DpsEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """``received`` as a complex array and the key bits of state ``index``,
-    after checking that ``received`` is an (n, n) density operator (see
-    :func:`is_density`) and ``index`` an integer with 0 <= index < G."""
+def spectral_error_terms(received: np.ndarray, index: int,
+                         ensemble: DpsEnsemble) -> list[tuple[float, float]]:
+    """Per-eigenvector (eigenvalue, wrong-port key-slot probability) terms of
+    ``received`` sent as ensemble state ``index``, eigenvalues in descending
+    order.
+
+    ``received`` must be an (n, n) density operator (see :func:`is_density`)
+    and ``index`` an integer with 0 <= index < G; otherwise ``ValueError``.
+    Sorted eigenvalues within ATOL_PSD of their neighbour form one eigenspace
+    Pi, and each of its eigenvectors carries Tr(Pi W) / dim Pi, where W is the
+    wrong-port operator: the terms do not depend on the basis LAPACK picks
+    inside a degenerate eigenspace.  The eigenvalue-weighted sum of the
+    second entries equals the wrong-port click probability of ``received``
+    over the key slots (see :func:`_key_slot_ber`), up to the spread of the
+    eigenvalues merged into one eigenspace.
+    """
     received = np.asarray(received, dtype=complex)
     if received.shape != (ensemble.n, ensemble.n):
         raise ValueError("received state has the wrong dimension for the ensemble")
@@ -195,39 +206,9 @@ def _received_state(received: np.ndarray, index: int,
     count = len(ensemble.states)
     if not (isinstance(index, numbers.Integral) and 0 <= index < count):
         raise ValueError(f"state index {index!r} is not an integer in [0, {count})")
-    return received, ensemble.bit_map[int(index)]
-
-
-def ber_of_state(received: np.ndarray, index: int, ensemble: DpsEnsemble,
-                 conditional: bool = False) -> float:
-    """Bit-error rate that ``received`` induces when sent as ensemble state ``index``.
-
-    The default accounting sums the wrong-port click probabilities over the
-    key slots without renormalising by the key-slot click probability; it is
-    linear in the density operator.  With ``conditional=True`` the sum is
-    divided by the total key-slot click probability, giving the error rate
-    per detected key bit.
-    """
-    return float(_key_slot_ber(*_received_state(received, index, ensemble), conditional))
-
-
-def spectral_error_terms(received: np.ndarray, index: int,
-                         ensemble: DpsEnsemble) -> list[tuple[float, float]]:
-    """Per-eigenvector (eigenvalue, wrong-port key-slot probability) terms,
-    eigenvalues in descending order.
-
-    Sorted eigenvalues within ATOL_PSD of their neighbour form one eigenspace
-    Pi, and each of its eigenvectors carries Tr(Pi W) / dim Pi, where W is the
-    wrong-port operator: the terms do not depend on the basis LAPACK picks
-    inside a degenerate eigenspace.  The eigenvalue-weighted sum of the
-    second entries equals the default ``ber_of_state``, up to the spread of
-    the eigenvalues merged into one eigenspace.  ``received`` and ``index``
-    are checked as in ``ber_of_state``.
-    """
-    received, bits = _received_state(received, index, ensemble)
     eigs, vecs = np.linalg.eigh(received)
     eigs, vecs = eigs[::-1], vecs[:, ::-1]
-    wrong = _key_slot_ber(np.einsum("ik,jk->kij", vecs, vecs.conj()), bits)
+    wrong = _key_slot_ber(np.einsum("ik,jk->kij", vecs, vecs.conj()), ensemble.bit_map[int(index)])
     cuts = [0, *(np.flatnonzero(-np.diff(eigs) > ATOL_PSD) + 1).tolist(), len(eigs)]
     out = []
     for lo, hi in zip(cuts, cuts[1:]):

@@ -1,8 +1,8 @@
 """Independent checks that only the tests read: the dense cloning SDP, its
 objective's norms from Gram matrices, the dense Choi operator of a cloner
-and its action, a Choi operator's CPTP residuals, the Helstrom witness of a
-POVM and a Monte-Carlo model of the intercept-resend collision
-probability."""
+and its action, a Choi operator's CPTP residuals, the square-root
+measurement and the Helstrom witness of a POVM, and a Monte-Carlo model of
+the intercept-resend collision probability."""
 
 import math
 
@@ -89,6 +89,25 @@ def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
     marginal = partial_trace(choi, [d, d, d], keep=[1])
     tp = float(np.max(np.abs(marginal - np.eye(d))))
     return neg, tp
+
+
+def pgm_povm(ens) -> attacks.Povm:
+    """Square-root ("pretty good") measurement of an ensemble.
+
+    P_i = S^{-1/2} p_i rho_i S^{-1/2} with S the average state; for the
+    symmetric DPS ensembles this measurement attains the minimum-error
+    optimum, which makes it an independent check on the SDP route.
+    """
+    weighted = ens.priors[:, None, None] * ens.densities
+    lam, vecs = np.linalg.eigh(weighted.sum(axis=0))
+    keep = lam > 1e-12
+    inv_sqrt = (vecs[:, keep] / np.sqrt(lam[keep])) @ dagger(vecs[:, keep])
+    elements = inv_sqrt @ weighted @ inv_sqrt
+    # on a rank-deficient average state, spread the kernel evenly to complete the POVM
+    kernel = np.eye(ens.n) - elements.sum(axis=0)
+    if float(np.max(np.abs(kernel))) > attacks._POVM_SUM_ATOL:
+        elements = elements + kernel / len(elements)
+    return attacks.Povm(elements=tuple(elements))
 
 
 def holevo_certificate(ens, povm) -> bool:

@@ -12,15 +12,15 @@ from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             ir_attack_profile, med_attack,
                             med_on_cloned, med_problem,
                             optimal_cloner, optimal_cloning_attack,
-                            optimize_unitary_q, pgm_povm,
+                            optimize_unitary_q,
                             standard_attack_profiles, unitary_cloning_attack)
 from dpsqkd.cli import main
-from dpsqkd.dps import DpsEnsemble, ber_of_state, dps_ensemble, sign_patterns
+from dpsqkd.dps import DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
 from oracles import (apply_choi, block_choi, choi_kets, covariance_residual_norm,
                      cptp_residuals, full_cloning_problem, holevo_certificate,
-                     ir_monte_carlo_collision, off_block_norm)
+                     ir_monte_carlo_collision, off_block_norm, pgm_povm)
 
 
 def brute_force_collision(confusion, priors, bit_map):
@@ -200,7 +200,7 @@ def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved
                         lambda *args, **kwargs: reports.append(verify_kkt(*args, **kwargs))
                         or reports[-1])
     ens = sign_orbit(seed)
-    assert attacks._sign_covariant(ens)
+    assert attacks._covariance_residual(ens) == 0.0
     med = med_attack(ens)
     assert solved == [med.problem] * solves
     assert (med.solution.iterations > 0) == (solves == 1)
@@ -220,20 +220,31 @@ def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_optimal_clone_med_matches_general_solve(n, covariant_calls):
-    """Eve's optimal-cloner clones are sign covariant, so their MED takes the
-    lifted seed-block candidate and reaches the general solve's optimum."""
+    """Eve's optimal-cloner clones lie exactly on the sign orbit of clone 0
+    (delta = 0), so their MED takes the lifted seed-block candidate and
+    reaches the general solve's optimum."""
     ens = dps_ensemble(n)
     clone = optimal_cloner(ens)
+    clones = dataclasses.replace(ens, states=clone.eve_states)
+    assert attacks._covariance_residual(clones) == 0.0
     del covariant_calls[:]
     result = med_on_cloned(ens, clone.eve_states)
     assert covariant_calls == ["_covariant_med_candidate"]
     assert result.kkt.passed, result.kkt.conditions
-    assert_matches_general_med(result, dataclasses.replace(ens, states=clone.eve_states))
+    assert_matches_general_med(result, clones)
 
 
-def test_unitary_clones_keep_the_general_route(ens3, unitary3, covariant_calls):
+def test_unitary_clones_keep_the_general_route(ens3, unitary3, unitary_attack_at,
+                                               covariant_calls):
+    """The unitary clones, whose basis is aligned with state 0, are far from
+    the sign orbit of clone 0, so their MED takes the general route."""
+    for n, delta in zip(range(3, 7), (0.5151, 0.2299, 0.1011, 0.04635)):
+        attack = unitary_attack_at(n)
+        residual = attacks._covariance_residual(
+            dataclasses.replace(attack.ensemble, states=attack.bob_states))
+        assert residual == pytest.approx(delta, rel=1e-3), n
+        assert n * residual > attacks._KKT_TOL
     _, _, _, _, bobs = unitary3
-    assert not attacks._sign_covariant(dataclasses.replace(ens3, states=bobs))
     result = med_on_cloned(ens3, bobs)
     assert covariant_calls == []
     assert result.kkt.passed
@@ -451,7 +462,7 @@ def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant
 
 
 def mutated_ensembles(ens):
-    """(name, kets, priors) of the ensemble and of mutations of it: a global
+    """(name, ensemble) of the ensemble and of mutations of it: a global
     phase per ket, skewed priors, ket 1 bent towards e_0 by 1e-1, 1e-2 and
     1e-3, and all three at once."""
     phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, len(ens.priors)))[:, None]
@@ -463,7 +474,9 @@ def mutated_ensembles(ens):
         bent[1, 0] += eps
         bent[1] /= np.linalg.norm(bent[1])
         cases.append((f"bent {eps:g}", bent, ens.priors))
-    return cases + [("all", phases * bent, skewed / skewed.sum())]
+    cases.append(("all", phases * bent, skewed / skewed.sum()))
+    return [(name, dataclasses.replace(ens, states=kets, priors=priors))
+            for name, kets, priors in cases]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -472,23 +485,54 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     verdict on the block optimum with zeroed multipliers, and on the pair of
     the ensemble and of each of its mutations (see mutated_ensembles)."""
     ens = dps_ensemble(n)
-    problem, solution, _ = attacks._covariant_cloner_solution(ens)
+    problem, solution, _ = attacks._covariant_cloner_solution(ens, 0.0)
 
-    def verdicts(problem, solution, kets, priors):
-        reduced = attacks._reduced_cloner_kkt(problem, solution, kets, priors)
-        full = full_cloning_problem(dataclasses.replace(ens, states=kets, priors=priors))
-        return (reduced.passed,
-                sdp.verify_kkt(full, scattered(problem, solution, n), tol=1e-6).passed)
+    def verdicts(problem, solution, mutated):
+        delta = attacks._covariance_residual(mutated)
+        reduced = attacks._reduced_cloner_kkt(problem, solution, delta)
+        return (reduced.passed, sdp.verify_kkt(full_cloning_problem(mutated),
+                                               scattered(problem, solution, n), tol=1e-6).passed)
 
     zeroed = dataclasses.replace(solution, y=np.zeros_like(solution.y))
-    assert verdicts(problem, zeroed, ens.states, ens.priors) == (False, False)
+    assert verdicts(problem, zeroed, ens) == (False, False)
     # a phase per ket leaves the objective alone; the other mutations move Q
     # away from the blocks, which cloning_problem builds from ket 0 alone
-    for name, kets, priors in mutated_ensembles(ens):
-        mutated = dataclasses.replace(ens, states=kets, priors=priors)
+    for name, mutated in mutated_ensembles(ens):
         expected = (True, True) if name in ("covariant", "phases") else (False, False)
-        pair = attacks._covariant_cloner_solution(mutated)[:2]
-        assert verdicts(*pair, kets, priors) == expected, name
+        delta = attacks._covariance_residual(mutated)
+        pair = attacks._covariant_cloner_solution(mutated, delta)[:2]
+        assert verdicts(*pair, mutated) == expected, name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("eps", [1e-9, 1e-8])
+def test_slightly_bent_kets_take_the_symmetry_reduced_routes(n, eps, covariant_calls,
+                                                             monkeypatch):
+    """Ket 1 bent towards e_0 by 1e-9 or 1e-8 is within n delta <= _KKT_TOL of
+    the sign orbit: the optimal cloner takes it and certifies its candidate,
+    whose scattered pair passes the full cloning problem's KKT check, and
+    MED certifies its lifted candidate without a solve.  Each attack
+    evaluates delta once."""
+    ens = dps_ensemble(n)
+    bent = ens.states.copy()
+    bent[1, 0] += eps
+    bent[1] /= np.linalg.norm(bent[1])
+    mutated = dataclasses.replace(ens, states=bent)
+    assert 0.0 < n * attacks._covariance_residual(mutated) <= attacks._KKT_TOL
+    residuals = []
+    monkeypatch.setattr(attacks, "_covariance_residual",
+                        lambda e, _real=attacks._covariance_residual:
+                        residuals.append(_real(e)) or residuals[-1])
+    clone = optimal_cloner(mutated)
+    assert len(residuals) == 1
+    assert clone.kkt.passed and clone.solution.iterations == 0, clone.kkt.conditions
+    full = sdp.verify_kkt(full_cloning_problem(mutated),
+                          scattered(clone.problem, clone.solution, n), tol=attacks._KKT_TOL)
+    assert full.passed, full.conditions
+    med = med_attack(mutated)
+    assert len(residuals) == 2
+    assert med.solution.iterations == 0 and med.kkt.passed, med.kkt.conditions
+    assert covariant_calls == ["_covariant_cloner_solution", "_covariant_med_candidate"]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -519,21 +563,23 @@ def test_off_block_norm_matches_dense_objective(n, skew):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_covariance_residual_bounds_the_objective_distance(n):
-    """delta of _covariance_residual is at least ||Q - Q_cov||_F, the distance
-    of the cloning objective from that of the sign orbit of ket 0, whose
-    blocks cloning_problem builds.  The distance is exact from the dense
-    objectives up to n = 5 and from the Gram oracle up to n = 8; each
-    comparison allows its own rounding, 1e-13 dense and 1e-7 Gram (see
-    oracles.off_block_norm).  A phase per ket moves neither, and every other
-    mutation fails the certificate's condition n delta <= _KKT_TOL."""
+    """delta of _covariance_residual, read off the density operators, is at
+    least ||Q - Q_cov||_F, the distance of the cloning objective from that of
+    the sign orbit of ket 0, whose blocks cloning_problem builds.  The
+    distance is exact from the dense objectives up to n = 5 and from the
+    Gram oracle up to n = 8; each comparison allows its own rounding, 1e-13
+    dense and 1e-7 Gram (see oracles.off_block_norm).  A phase per ket moves
+    neither, and every other mutation fails the certificate's condition
+    n delta <= _KKT_TOL."""
     ens = dps_ensemble(n)
     orbit = choi_kets(sign_patterns(n) * ens.states[0])
     q_cov = orbit.T @ orbit.conj() / len(orbit)
     problem = cloning_problem(ens)
     for block, (name, _) in zip(attacks._character_blocks(n), problem.blocks):
         assert_allclose(q_cov[np.ix_(block, block)], problem.objective[name], rtol=0, atol=1e-15)
-    for name, kets, priors in mutated_ensembles(ens):
-        delta = attacks._covariance_residual(kets, priors)
+    for name, mutated in mutated_ensembles(ens):
+        kets, priors = mutated.states, mutated.priors
+        delta = attacks._covariance_residual(mutated)
         gram = covariance_residual_norm(kets, priors)
         assert delta >= gram - 1e-7, name
         if n <= 5:
@@ -599,14 +645,14 @@ def test_cloning_problem_is_the_cloners_one_problem(n, monkeypatch):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_optimal_cloner_at_every_pulse_count(n):
     """Up to dps.MAX_PULSES the reduced certificate passes, with the DPS kets
-    exactly on the sign orbit of ket 0 (n delta <= 1e-15), the two-copy
+    exactly on the sign orbit of ket 0 (delta = 0), the two-copy
     fidelity meets its closed form (3n-2)/n**2, and both clones of every
     state are exactly depolarised."""
     ens = dps_ensemble(n)
     clone = optimal_cloner(ens)
     assert clone.kkt.passed, clone.kkt.conditions
     assert "objective_block_diagonal" in clone.kkt.conditions
-    assert n * attacks._covariance_residual(ens.states, ens.priors) <= 1e-15
+    assert attacks._covariance_residual(ens) == 0.0
     assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, rel=0, abs=1e-12)
     fits = [depolarizing_fit(rho, c) for rho, c in
             zip([*ens.densities] * 2, [*clone.bob_states, *clone.eve_states])]
@@ -924,8 +970,8 @@ def test_optimize_unitary_q_keeps_input_checks(ens3):
 
 def test_unitary_ber_values(ens3, unitary3):
     _, _, _, _, bobs = unitary3
-    plain = [ber_of_state(bobs[i], i, ens3) for i in range(4)]
-    cond = [ber_of_state(bobs[i], i, ens3, conditional=True) for i in range(4)]
+    plain = _key_slot_ber(bobs, ens3.bit_map)
+    cond = _key_slot_ber(bobs, ens3.bit_map, conditional=True)
     assert np.mean(plain) == pytest.approx(0.1023080, abs=1e-5)
     assert np.mean(cond) == pytest.approx(0.1527084, abs=1e-5)
 
@@ -933,11 +979,11 @@ def test_unitary_ber_values(ens3, unitary3):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("attack_at", ["cloning_attack_at", "unitary_attack_at"])
 def test_clone_ber_equals_per_clone_ber(n, attack_at, request):
-    """One read of the clone stack gives each clone's ``ber_of_state``."""
+    """One read of the clone stack gives the BER of each clone read alone."""
     attack = request.getfixturevalue(attack_at)(n)
     for conditional in (False, True):
-        per_clone = [ber_of_state(bob, i, attack.ensemble, conditional=conditional)
-                     for i, bob in enumerate(attack.bob_states)]
+        per_clone = [_key_slot_ber(bob, bits, conditional)
+                     for bob, bits in zip(attack.bob_states, attack.ensemble.bit_map)]
         assert_allclose(attack.ber(conditional), per_clone, rtol=0, atol=1e-15)
 
 

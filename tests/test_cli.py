@@ -270,13 +270,30 @@ def test_config_rejects_unknown_section(tmp_path, capsys, text):
 
 def test_config_keys_before_a_header_and_a_repeated_header_are_one_section(tmp_path, capsys):
     cfg = tmp_path / "flat.cfg"
-    cfg.write_text("f_ec = 1.3\n[channel]\nbaseline_error = 0.02\n[ channel ]\n"
-                   "f_ec = 1.25\n")
+    cfg.write_text("f_ec = 1.25\n[channel]\nbaseline_error = 0.02\n[ channel ]\n"
+                   "detector_efficiency = 0.3\n")
     code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg),
                            "--stop-km", "0")
     assert code == 0
     config = json.loads(out)["config"]
-    assert (config["f_ec"], config["baseline_error"]) == (1.25, 0.02)
+    assert (config["f_ec"], config["baseline_error"], config["detector_efficiency"]) == (
+        1.25, 0.02, 0.3)
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("[channel]\nf_ec = 1.5\nf_ec = 1.2\n", 3),
+    ("f_ec = 1.3\n[channel]\nf_ec=1.3\n", 3),  # one section, so the same key
+    ("[channel]\nf_ec = 1.5\n[channel]\n f_ec = 1.5\n", 4),
+], ids=["one-section", "before-the-header", "repeated-header"])
+def test_config_rejects_a_key_given_twice(tmp_path, capsys, text, lineno):
+    """A repeated channel key is an error, as in ``--finite-size``, not a
+    silent override; the flag still overrides the file's one value."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    for command in ("keyrate", "wcs"):
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--f-ec", "1.1")
+        assert code == 2 and out == ""
+        assert err == f"configuration error: {cfg}:{lineno}: channel key 'f_ec' is given twice\n"
 
 
 def test_config_names_the_first_unknown_section(tmp_path, capsys):
@@ -560,11 +577,11 @@ NAMESPACE = [
     "AttackProfile", "ChannelModel", "ClickDistribution", "CloningResult", "DpsEnsemble",
     "FiniteSizeParams", "KktReport", "MedResult", "Povm", "SdpProblem", "SdpSolution",
     "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis",
-    "apply_unitary_cloner", "attacks", "ber_of_state", "binary_entropy",
+    "apply_unitary_cloner", "attacks", "binary_entropy",
     "collision_probability", "depolarizing_fit", "dps", "dps_ensemble",
     "finite_size_deviation", "ir_attack_profile", "keyrate", "keyrate_sweep", "linalg",
     "med_attack", "med_on_cloned", "mzi_click_distribution", "mzi_transfer",
-    "optimal_cloner", "optimize_unitary_q", "partial_trace", "pgm_povm",
+    "optimal_cloner", "optimize_unitary_q", "partial_trace",
     "phase_mismatch_qber", "sdp", "secure_key_rate", "shrinking_factor",
     "slice_averaged_qber", "solve", "spectral_error_terms", "standard_attack_profiles",
     "tau_lower_bound", "unconditional_rate", "usd_block_identification", "usd_success",

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dpsqkd.dps import (MAX_PULSES, DpsEnsemble, ber_of_state, dps_ensemble,
+from dpsqkd.dps import (MAX_PULSES, DpsEnsemble, _key_slot_ber, dps_ensemble,
                         mzi_click_distribution, mzi_transfer, sign_patterns,
                         spectral_error_terms)
 from dpsqkd.keyrate import MAX_ATTACK_PULSES, ChannelModel
@@ -283,13 +283,12 @@ def test_cloned_state_key_slot_distribution():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_pure_states_have_zero_ber(n):
     ens = dps_ensemble(n)
-    for i in range(len(ens.states)):
-        assert ber_of_state(outer(ens.states[i]), i, ens) <= 1e-12
+    assert np.all(_key_slot_ber(ens.densities, ens.bit_map) <= 1e-12)
 
 
 def test_cloned_state_ber(ens3):
-    assert ber_of_state(CLONED_EXACT, 0, ens3) == pytest.approx(2.0 / 21.0, abs=1e-12)
-    assert ber_of_state(CLONED_EXACT, 0, ens3, conditional=True) == pytest.approx(
+    assert _key_slot_ber(CLONED_EXACT, ens3.bit_map[0]) == pytest.approx(2.0 / 21.0, abs=1e-12)
+    assert _key_slot_ber(CLONED_EXACT, ens3.bit_map[0], conditional=True) == pytest.approx(
         1.0 / 7.0, abs=1e-12)
 
 
@@ -298,21 +297,22 @@ def test_ber_symmetric_across_states(ens3):
     p = 2.0 / 7.0
     for i in range(4):
         rho = (1 - p) * ens3.densities[i] + p / 3.0 * np.eye(3)
-        assert ber_of_state(rho, i, ens3) == pytest.approx(2.0 / 21.0, abs=1e-12)
+        assert _key_slot_ber(rho, ens3.bit_map[i]) == pytest.approx(2.0 / 21.0, abs=1e-12)
 
 
 def test_ber_linearity(ens3, rng):
     r1, r2 = random_density(rng, 3), random_density(rng, 3)
+    bits = ens3.bit_map[0]
     for lam in (0.0, 0.3, 0.7, 1.0):
         mix = lam * r1 + (1 - lam) * r2
-        expect = lam * ber_of_state(r1, 0, ens3) + (1 - lam) * ber_of_state(r2, 0, ens3)
-        assert ber_of_state(mix, 0, ens3) == pytest.approx(expect, abs=1e-10)
+        expect = lam * _key_slot_ber(r1, bits) + (1 - lam) * _key_slot_ber(r2, bits)
+        assert _key_slot_ber(mix, bits) == pytest.approx(expect, abs=1e-10)
 
 
 def test_spectral_terms_sum_matches_direct(ens3):
     terms = spectral_error_terms(CLONED_EXACT, 0, ens3)
     total = sum(lam * w for lam, w in terms)
-    assert total == pytest.approx(ber_of_state(CLONED_EXACT, 0, ens3), abs=1e-12)
+    assert total == pytest.approx(_key_slot_ber(CLONED_EXACT, ens3.bit_map[0]), abs=1e-12)
     # the degenerate 2/21 eigenspace shares its wrong-port weight 1 evenly
     weights = sorted(w for _, w in terms)
     assert_allclose(weights, [0.0, 1.0 / 2.0, 1.0 / 2.0], atol=1e-9)
@@ -348,14 +348,14 @@ def test_ber_invariant_under_degenerate_basis_rotation(ens3, rng):
 
 def test_ber_rejects_invalid_input(ens3):
     with pytest.raises(ValueError):
-        ber_of_state(np.eye(4) / 4, 0, ens3)
+        spectral_error_terms(np.eye(4) / 4, 0, ens3)
     with pytest.raises(ValueError):
-        ber_of_state(2.0 * np.eye(3), 0, ens3)
+        spectral_error_terms(2.0 * np.eye(3), 0, ens3)
 
 
-@pytest.mark.parametrize("check", [ber_of_state, spectral_error_terms])
+@pytest.mark.parametrize("check", [spectral_error_terms])
 def test_received_state_checks(check, ens3):
-    """Both BER functions check the received state and the index alike."""
+    """The BER spectral terms check the received state and the index."""
     mixed, bad_index = np.eye(3) / 3, r"not an integer in \[0, 4\)"
     for received, index, message in [
         (np.eye(4) / 4, 0, "wrong dimension"),
@@ -371,7 +371,7 @@ def test_received_state_checks(check, ens3):
 
 def test_ber_report_fields(ens3):
     # The values the removed BerReport carried, read from the functions that remain.
-    assert ber_of_state(CLONED_EXACT, 0, ens3) == pytest.approx(2.0 / 21.0, abs=1e-12)
-    assert ber_of_state(CLONED_EXACT, 0, ens3, conditional=True) == pytest.approx(
+    assert _key_slot_ber(CLONED_EXACT, ens3.bit_map[0]) == pytest.approx(2.0 / 21.0, abs=1e-12)
+    assert _key_slot_ber(CLONED_EXACT, ens3.bit_map[0], conditional=True) == pytest.approx(
         1.0 / 7.0, abs=1e-12)
     assert mzi_click_distribution(CLONED_EXACT).total == pytest.approx(1.0, abs=1e-10)

@@ -3,11 +3,12 @@
 Runs ``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
 ``PYTHONPATH`` and a JUnit XML report, deselecting nothing, and lists the
 five slowest tests (``--durations=5``) against the suite's 30 s budget.
-Three acceptance clauses pin two-decimal reference figures that the exact
-optima provably miss, so they fail by design (see README.md).  Exits 0 when the failures are
-exactly those three, each with its stored reason as the first line of its
-failure message, and nothing errors; otherwise prints what differs and
-exits 1.  The exact reason also pins that only the by-design clause failed:
+Three acceptance clauses fail by design (see README.md): clauses 05 and 07
+pin two-decimal reference figures that the exact optima provably miss, and
+clause 12 pins a QBER threshold at M = 16 slices that the slice-averaged
+QBER meets only for M >= 26.  Exits 0 when the failures are exactly those
+three, each with its stored reason as the first line of its failure
+message, and nothing errors; otherwise prints what differs and exits 1.  The exact reason also pins that only the by-design clause failed:
 an import error or another clause in one of those tests is not ok.  Usage,
 from anywhere:
 
