@@ -11,13 +11,11 @@ so ``finite-size`` runs without numpy and ``wcs`` without the SDP solver.
 
 The channel sweeps ``keyrate`` and ``wcs`` may read their channel from a
 key=value file whose one section is ``[channel]``, each key given at most
-once, selected with ``--config`` or, when no ``--config`` is given, a
-non-empty ``DPSQKD_CONFIG``; command-line flags override file values.
-The other subcommands read no
-channel and reject ``--config``.  Exit codes: 0 success, 2 configuration
-error (including an unreadable configuration file and an ``--output`` or
-stdout that cannot take the report), 3 solver failure or an uncertified
-optimum.
+once, named only by ``--config``; command-line flags override file values.
+The other subcommands read no channel and reject ``--config``.  Exit codes:
+0 success, 2 configuration error (including an unreadable configuration
+file and an ``--output`` or stdout that cannot take the report), 3 solver
+failure or an uncertified optimum.
 """
 
 from __future__ import annotations
@@ -25,14 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .keyrate import (EXPLICIT_ATTACKS, LOWER_BOUND, MAX_ATTACK_PULSES, UNCONDITIONAL,
                       ChannelModel, FiniteSizeParams, finite_size_deviation, keyrate_sweep)
 
-CONFIG_ENV = "DPSQKD_CONFIG"
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 MAX_GRID_POINTS = 100_000
@@ -100,9 +96,9 @@ def _configured(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
 def _channel_from_config(args: argparse.Namespace,
                          signal_scale: float = 1.0) -> tuple[ChannelModel, dict[str, Any]]:
-    """The channel of a sweep: the ``[channel]`` keys of ``--config`` (or of
-    ``DPSQKD_CONFIG`` when no ``--config`` is given), overridden by flags."""
-    path = args.config if args.config is not None else os.environ.get(CONFIG_ENV) or None
+    """The channel of a sweep: the ``[channel]`` keys of ``--config``,
+    overridden by flags."""
+    path = args.config
     raw: dict[str, str] = {}
     if path is not None:
         try:
@@ -158,21 +154,23 @@ def _add_sweep(p: argparse.ArgumentParser, stop_km: float) -> None:
 
 
 def _distances(args: argparse.Namespace) -> list[float]:
-    if not all(math.isfinite(v) for v in (args.start_km, args.stop_km, args.step_km)):
+    """start + i step, rounded to 1e-9 km, up to stop + 1e-9 km: counted
+    before any point is made, and rejected if a rounded point repeats."""
+    start, stop, step = args.start_km, args.stop_km, args.step_km
+    if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ConfigError("distance grid bounds and step must be finite")
-    if args.stop_km < args.start_km:
+    if stop < start:
         raise ConfigError("distance grid is empty (stop < start)")
-    if args.step_km <= 0:
+    if step <= 0:
         raise ConfigError("distance step must be positive")
-    if (args.stop_km - args.start_km) / args.step_km >= MAX_GRID_POINTS:
+    span = (stop - start + 1e-9) / step
+    if span >= MAX_GRID_POINTS:
         raise ConfigError(f"distance grid has more than {MAX_GRID_POINTS} points")
-    out, d = [], args.start_km
-    while d <= args.stop_km + 1e-9:
-        out.append(round(d, 9))
-        if d + args.step_km == d:
-            raise ConfigError(f"distance step {args.step_km:g} km is below the float "
+    out = [round(start + i * step, 9) for i in range(int(span) + 1)]
+    for d, following in zip(out, out[1:]):
+        if following == d:
+            raise ConfigError(f"distance step {step:g} km is below the float "
                               f"resolution at {d:g} km")
-        d += args.step_km
     return out
 
 

@@ -1,8 +1,8 @@
 """Independent checks that only the tests read: the dense cloning SDP, its
 objective's norms from Gram matrices, the dense Choi operator of a cloner
 and its action, a Choi operator's CPTP residuals, the square-root
-measurement and the Helstrom witness of a POVM, and a Monte-Carlo model of
-the intercept-resend collision probability."""
+measurement, the Helstrom witness and the weak-duality bracket of a POVM,
+and a Monte-Carlo model of the intercept-resend collision probability."""
 
 import math
 
@@ -119,6 +119,21 @@ def holevo_certificate(ens, povm) -> bool:
     if float(np.max(np.abs(y - dagger(y)))) > tol:
         return False
     return float(np.min(np.linalg.eigvalsh(hermitian_part(y) - weighted))) >= -tol
+
+
+def duality_bracket(ens, povm) -> tuple[float, float]:
+    """(lower, upper) bounds on the MED optimum of ``ens`` from ``povm`` alone,
+    with no solver multipliers.  lower = sum_g p_g Tr(rho_g P_g) is the POVM's
+    own success probability.  With Y = herm(sum_g p_g rho_g P_g) and
+    delta = max(0, -min_g lambda_min(Y - p_g rho_g)), Y + delta I >= p_g rho_g
+    for every g, so Y + delta I is dual feasible, and by weak duality no POVM
+    succeeds with probability above upper = Tr Y + n delta."""
+    weighted = ens.priors[:, None, None] * ens.densities
+    products = weighted @ np.array(povm.elements)
+    lower = float(np.trace(products, axis1=1, axis2=2).real.sum())
+    y = hermitian_part(products.sum(axis=0))
+    delta = max(0.0, -float(np.min(np.linalg.eigvalsh(y - weighted))))
+    return lower, float(np.trace(y).real) + ens.n * delta
 
 
 def ir_monte_carlo_collision(samples: int, seed: int = 7, n: int = 3,

@@ -19,7 +19,7 @@ from dpsqkd.dps import DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
 from oracles import (apply_choi, block_choi, choi_kets, covariance_residual_norm,
-                     cptp_residuals, full_cloning_problem, holevo_certificate,
+                     cptp_residuals, duality_bracket, full_cloning_problem, holevo_certificate,
                      ir_monte_carlo_collision, off_block_norm, pgm_povm)
 
 
@@ -1100,6 +1100,24 @@ def test_closed_forms_at_every_pulse_count(n, cloning_attack_at):
         for result, d in ((med, d_med), (after, d_clone)):
             assert shrinking_factor(g, result.collision_probability) == pytest.approx(
                 1 - g * np.log2(1 + d ** 2), abs=CLOSED_FORM_TOL)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_every_med_optimum_sits_in_its_duality_bracket(n, cloning_attack_at, unitary_attack_at):
+    """The weak-duality bracket of each returned POVM, which reads no solver
+    multiplier, holds its p_success: to rounding for the DPS states and the
+    optimal clones, whose optima are closed-form, and within 5e-5 for the
+    unitary clones, the one general solve (widths 1.4e-7 to 1.8e-5)."""
+    ens = dps_ensemble(n)
+    optimal, unitary = cloning_attack_at(n), unitary_attack_at(n)
+    for states, med, width in [
+        (ens.states, med_attack(ens), CLOSED_FORM_TOL),
+        (optimal.cloner.eve_states, optimal.med_after, CLOSED_FORM_TOL),
+        (unitary.bob_states, unitary.med_after, 5e-5),
+    ]:
+        lower, upper = duality_bracket(dataclasses.replace(ens, states=states), med.povm)
+        assert lower == pytest.approx(med.p_success, abs=CLOSED_FORM_TOL)
+        assert -CLOSED_FORM_TOL <= upper - med.p_success <= width
 
 
 # ---------------------------------------------------------------------------

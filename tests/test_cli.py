@@ -198,6 +198,8 @@ def test_keyrate_bad_grid(capsys):
         (("--n-pulses", "13"), "pulse count"),
         (("--stop-km", "inf"), "finite"),
         (("--step-km", "1e-9"), "points"),
+        # the 1e-9 km end slack counts: 1e-9 / 1e-14 = 1e5 points
+        (("--start-km", "5", "--stop-km", "5", "--step-km", "1e-14"), "points"),
         (("--step-km", "0"), "distance step must be positive"),
         (("--step-km", "-5"), "distance step must be positive"),
         (("--dark-count-prob", "0", "--loss-db-per-km", "100", "--start-km", "40",
@@ -222,6 +224,24 @@ def test_keyrate_bad_grid(capsys):
         assert "configuration error" in err and message in err
 
 
+@pytest.mark.parametrize("command", [["keyrate", "--attacks", "lower-bound"], ["wcs"]],
+                         ids=["keyrate", "wcs"])
+def test_grid_is_counted_before_it_is_built(command):
+    """A step far below the float spacing at stop is rejected by its point
+    count before any point exists.  The process runs under a 2 GiB address
+    space, so a grid built first fails the test instead of exhausting memory."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = fresh_python(["-m", "dpsqkd.cli", *command, "--stop-km", "0", "--step-km", "1e-300"],
+                        capture_output=True, preexec_fn=cap_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "configuration error: distance grid has more than 100000 points\n"
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment line\n[channel]\ndetector_efficiency = 0.2\n"
@@ -241,13 +261,15 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):
+    """A channel file is named only by ``--config``: ``DPSQKD_CONFIG``, naming
+    a file or an absent path, leaves the default channel."""
     cfg = tmp_path / "env.cfg"
     cfg.write_text("[channel]\ndark_count_prob = 2e-6\n")
-    monkeypatch.setenv("DPSQKD_CONFIG", str(cfg))
-    code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir",
-                           "--start-km", "0", "--stop-km", "0", "--step-km", "1")
-    assert code == 0
-    assert json.loads(out)["config"]["dark_count_prob"] == 2e-6
+    for path in (cfg, tmp_path / "absent.cfg"):
+        monkeypatch.setenv("DPSQKD_CONFIG", str(path))
+        code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir", "--stop-km", "0")
+        assert code == 0, path
+        assert json.loads(out)["config"]["dark_count_prob"] == 1e-6
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
@@ -316,18 +338,6 @@ def test_commands_without_a_channel_reject_config(capsys, argv):
     assert "unrecognized arguments: --config x" in capsys.readouterr().err
     proc = fresh_python(["-m", "dpsqkd.cli", *argv, "--config", "x"], capture_output=True)
     assert proc.returncode == 2 and proc.stdout == ""
-
-
-def test_config_env_var_is_read_only_by_the_sweeps(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DPSQKD_CONFIG", str(tmp_path / "absent.cfg"))
-    code, out, _ = run_cli(capsys, "med", "--n", "3")
-    assert code == 0 and json.loads(out)["config"] == {"command": "med", "n": 3}
-
-
-def test_empty_config_env_var_is_unset(capsys, monkeypatch):
-    monkeypatch.setenv("DPSQKD_CONFIG", "")
-    code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir", "--stop-km", "0")
-    assert code == 0 and json.loads(out)["config"]["f_ec"] == 1.16
 
 
 def test_finite_size_command(capsys):
@@ -449,15 +459,13 @@ def test_full_stdout_exits_2_in_a_fresh_process(argv):
     assert proc.stderr == f"configuration error: {FULL}\n"
 
 
-def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
-    # an explicit empty path names no file, even with DPSQKD_CONFIG set
-    monkeypatch.setenv("DPSQKD_CONFIG", str(tmp_path / "unused.cfg"))
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # an explicit empty path names no file
     for path in (tmp_path / "absent.cfg", tmp_path, ""):
         code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"configuration error: cannot read config file {str(path)!r}")
-    monkeypatch.setenv("DPSQKD_CONFIG", str(tmp_path / "absent.cfg"))
-    code, out, err = run_cli(capsys, "wcs")
+    code, out, err = run_cli(capsys, "wcs", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2 and out == ""
     assert err.startswith("configuration error: cannot read config file")
 
@@ -488,6 +496,7 @@ def test_wcs_bad_source_and_channel(capsys):
         (("--n-pulses", "4", "--stop-km", "0"), "three-pulse only (n_pulses = 4)"),
         (("--start-km", "1e17", "--stop-km", "1.0000000000000003e17", "--step-km", "1"),
          "step"),
+        (("--start-km", "5", "--stop-km", "5", "--step-km", "1e-14"), "points"),
     ]:
         code, _, err = run_cli(capsys, "wcs", *argv)
         assert code == 2, argv

@@ -1,11 +1,11 @@
 """Write the stdout and exit code of a fixed set of CLI runs to a directory.
 
 Each argv runs in a fresh ``python -m dpsqkd.cli`` process in the repository
-root, with ``src`` on ``PYTHONPATH`` and without ``DPSQKD_CONFIG``, so a
-path in an argv is relative to the root.  Run ``i`` writes its stdout
-to ``OUTDIR/NN.out``, and ``OUTDIR/runs.txt`` lists each run's number, exit
-code and argv.  Two passes, or one on each of two checkouts, are
-byte-identical exactly when ``diff -r`` of their directories is silent.
+root, with ``src`` on ``PYTHONPATH``, so a path in an argv is relative to
+the root.  Run ``i`` writes its stdout to ``OUTDIR/NN.out``, and
+``OUTDIR/runs.txt`` lists each run's number, exit code and argv.  Two
+passes, or one on each of two checkouts, are byte-identical exactly when
+``diff -r`` of their directories is silent.
 Usage, from anywhere:
 
     python tools/cli_outputs.py OUTDIR
@@ -40,6 +40,8 @@ RUNS = [
     # a channel file, one of whose keys a flag overrides
     ["keyrate", "--attacks", "ir,lower-bound", "--config", "tools/channel.ini",
      "--detector-efficiency", "0.15"],
+    # a decimal step, whose grid points are start + i * step rounded to 1e-9 km
+    ["keyrate", "--attacks", "ir,lower-bound", "--stop-km", "1", "--step-km", "0.1"],
 ]
 
 
@@ -49,8 +51,8 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
-    env = {k: v for k, v in os.environ.items() if k != "DPSQKD_CONFIG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     lines = []
     for i, run in enumerate(RUNS):
         proc = subprocess.run([sys.executable, "-m", "dpsqkd.cli", *run], cwd=ROOT, env=env,
