@@ -272,6 +272,20 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
         assert json.loads(out)["config"]["dark_count_prob"] == 1e-6
 
 
+def test_config_env_var_is_read_only_by_the_sweeps(tmp_path, capsys, monkeypatch):
+    """No subcommand reads ``DPSQKD_CONFIG``: ``med``, which takes no channel,
+    reports only its argv."""
+    monkeypatch.setenv("DPSQKD_CONFIG", str(tmp_path / "absent.cfg"))
+    code, out, _ = run_cli(capsys, "med", "--n", "3")
+    assert code == 0 and json.loads(out)["config"] == {"command": "med", "n": 3}
+
+
+def test_empty_config_env_var_is_unset(capsys, monkeypatch):
+    monkeypatch.setenv("DPSQKD_CONFIG", "")
+    code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir", "--stop-km", "0")
+    assert code == 0 and json.loads(out)["config"]["f_ec"] == 1.16
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[channel]\nfibre_colour = blue\n")
