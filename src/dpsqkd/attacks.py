@@ -19,24 +19,20 @@ as the DPS states are, has a symmetry-reduced problem: MED one n x n seed
 block, the optimal cloner the character blocks of its Choi operator.  One
 covariance residual delta decides it (see :func:`_covariance_residual`):
 each attack evaluates it once, and n delta <= ``_KKT_TOL`` routes MED to
-its lifted candidate, admits an ensemble to the optimal cloner and is a
-condition of the cloner's certificate.
-The constraint operators of both partition the identity, so the uniform
-multiplier y = lambda_max(C) is dual feasible, and a primal on the top
-eigenvectors of the objective that meets the equality rows closes the gap.
-:func:`_top_eigenspace_solution` builds that exact pair from the reduced
-data, without building a problem.  Each attack certifies its candidate
-once, and solves only when it is missing or fails (see
-:func:`_certify_once`); the candidate passes for MED and the optimal
-cloner of the DPS states and for MED of the optimal clones.  MED lifts its
-seed pair onto the full :func:`med_problem` and certifies it there; its
-one solve is the general solve of that problem, which every other
-ensemble runs.  The cloner builds its character-block
-:func:`cloning_problem` from state 0 alone, solves it when the candidate
-fails, and certifies its blocks through a reduced certificate that
-implies the one on the full n**3 x n**3 SDP (see
-:func:`_reduced_cloner_kkt`), which is never built: delta bounds the
-objective's distance from the block one.  Each cloning
+its seed block, admits an ensemble to the optimal cloner and is the one
+extra condition of the reduced certificate of both (see
+:func:`_reduced_kkt`), which implies the KKT conditions of the full
+problem.  Both reduced problems take one route (see
+:func:`_reduced_optimum`).  Their constraint operators partition the
+identity, so the uniform multiplier y = lambda_max(C) is dual feasible, and
+a primal on the top eigenvectors of the objective that meets the equality
+rows closes the gap (see :func:`_top_eigenspace_solution`).  That candidate
+is certified once, and the reduced problem is solved only when the
+candidate is missing or fails; it passes for MED and the optimal cloner of
+the DPS states and for MED of the optimal clones.  Neither full problem is
+built on this route: the 2**(n-1)-block :func:`med_problem` is built, and
+solved, only for an ensemble off the sign orbit, and the n**3 x n**3
+cloning SDP never.  Each cloning
 attack is one certified :class:`CloningAttack`, read by the ``clone``
 report and by its key-rate profile.
 :data:`ATTACK_PROFILES` builds the per-intercept errors and collision
@@ -48,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,8 +87,10 @@ class MedResult:
 
     ``confusion[i, j]`` is the probability P(outcome j | state i) of the
     POVM ``povm``, whose element j guesses state j.  ``problem``,
-    ``solution`` and ``kkt`` describe the full :func:`med_problem`, one
-    block per state, whichever route reached the optimum.
+    ``solution`` and ``kkt`` describe the problem the optimum was reached
+    on: for a sign-covariant ensemble the n x n seed block, whose ``kkt`` is
+    the reduced certificate (see :func:`_reduced_kkt`), and for any other
+    ensemble the full :func:`med_problem`, one block per state.
     """
 
     povm: Povm
@@ -123,19 +121,39 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
 
     An ensemble within n delta <= ``_KKT_TOL`` of the sign orbit of its
     state 0 (see :func:`_covariance_residual`), such as a DPS ensemble or
-    the clones of the optimal cloner, offers the lifted optimum of its seed
-    block as a candidate (see :func:`_covariant_med_candidate`).  The
-    candidate is certified once on the full problem (:func:`med_problem`)
-    through the KKT conditions; when it is missing or fails, as for any
-    other ensemble, the full problem is solved and its pair certified.
+    the clones of the optimal cloner, is solved on one n x n seed block Q.
+    With the sign matrices U_g = diag(s_g) of
+    :func:`~dpsqkd.dps.sign_patterns`, an optimal POVM can be taken
+    covariant, P_g = U_g Q U_g^dagger / G with G = 2**(n-1) (Eldar,
+    Megretski & Verghese, IEEE Trans. Inf. Theory 49, 2003).  Half the sign
+    patterns flip each off-diagonal entry, so sum_g P_g = diag(Q):
+    completeness reads diag(Q)_k = 1, one row per k, and the objective is
+    <rho_bar/G, Q> with rho_bar = sum_g p_g U_g^dagger rho_g U_g.  Rows of
+    right-hand side 1, not diag(P_0) = 1/G, keep the seed's equality
+    residual the full one, and G is a power of two, so the lift is exact in
+    floating point.  The DPS states have rho_bar = |+><+|, with |+> the
+    uniform superposition, so the top-eigenspace candidate Q = n |+><+|
+    gives p_success = n/G.  The seed is certified through
+    :func:`_reduced_kkt` and solved only when its candidate fails (see
+    :func:`_reduced_optimum`).  Any other ensemble builds its full
+    :func:`med_problem`, solves it and certifies the pair.
     """
-    problem = med_problem(ens)
-    covariant = ens.n * _covariance_residual(ens) <= _KKT_TOL
-    solution, kkt = _certify_once(_covariant_med_candidate(ens, problem) if covariant else None,
-                                  lambda sol: sdp.verify_kkt(problem, sol, tol=_KKT_TOL),
-                                  lambda: sdp.solve(problem))
-    count = len(ens.priors)
-    elements = _project_psd(np.array([solution.x[name] for name in _block_names(count)]))
+    count, n = len(ens.priors), ens.n
+    delta = _covariance_residual(ens)
+    if n * delta <= _KKT_TOL:
+        signs = sign_patterns(n)
+        rho_bar = np.einsum("gk,gkl,gl->kl", signs, ens.priors[:, None, None] * ens.densities,
+                            signs)
+        problem = sdp.SdpProblem(blocks=[("P0", n)], objective={"P0": rho_bar / count},
+                                 constraints=[({"P0": np.diag(row)}, 1.0) for row in np.eye(n)])
+        solution, kkt = _reduced_optimum(problem, delta)
+        x = signs[:, :, None] * (solution.x["P0"] / count) * signs[:, None, :]
+    else:
+        problem = med_problem(ens)
+        solution = sdp.solve(problem)
+        kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
+        x = np.array([solution.x[name] for name in _block_names(count)])
+    elements = _project_psd(x)
     povm = Povm(elements=tuple(elements))
     # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j^T[k, l]: one matrix product
     confusion = (ens.densities.reshape(count, -1)
@@ -153,12 +171,13 @@ def _covariance_residual(ens: DpsEnsemble) -> float:
     uniform priors, in the order of ``dps_ensemble(n)``, in O(G n**2); it is
     infinite unless G = 2**(n-1) and 3 <= n <= ``MAX_PULSES``.
 
-    The one rule n delta <= ``_KKT_TOL`` routes MED to its lifted candidate,
-    admits an ensemble to :func:`optimal_cloner` and is condition (b) of
-    :func:`_reduced_cloner_kkt`, where delta bounds the distance of the
-    cloning objective from its block form.  The DPS states and the clones
-    of the optimal cloner have delta = 0; the clones of the unitary cloner,
-    whose basis is aligned with state 0, and skewed priors do not.
+    The one rule n delta <= ``_KKT_TOL`` routes MED to its seed block,
+    admits an ensemble to :func:`optimal_cloner` and is the condition
+    ``objective_covariant`` of :func:`_reduced_kkt`, where delta bounds the
+    distance of either attack's full objective from its covariant form.
+    The DPS states and the clones of the optimal cloner have delta = 0; the
+    clones of the unitary cloner, whose basis is aligned with state 0, and
+    skewed priors do not.
     """
     count, n = len(ens.priors), ens.n
     if not 3 <= n <= MAX_PULSES or count != 2 ** (n - 1):
@@ -172,12 +191,10 @@ def _covariance_residual(ens: DpsEnsemble) -> float:
 _TIE_TOL = 1e-9  # relative gap below which two top eigenvalues are one, up to rounding
 
 
-def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
-                             objective: Mapping[str, np.ndarray],
-                             constraints: Sequence[sdp.Constraint]) -> sdp.SdpSolution | None:
-    """The top-eigenspace candidate for the optimum of a reduced SDP, given
-    as the data of an :class:`~dpsqkd.sdp.SdpProblem` whose constraint
-    operators sum to the identity on every block; ``None`` when it has none.
+def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
+    """The top-eigenspace candidate for the optimum of a reduced
+    ``problem`` whose constraint operators sum to the identity on every
+    block; ``None`` when it has none.
 
     If sum_j A_{j,b} = I on every block b, the uniform multipliers
     y = lambda * 1 give the dual slacks Z_b = lambda I - C_b, which are PSD
@@ -189,15 +206,16 @@ def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
     equals the dual one wherever the weights solve the equality rows
     sum_b t_b <A_{j,b}, u_b u_b^dagger> = r_j.  So a solution t >= 0 of
     those rows closes the gap, and the pair is optimal.  The weights come
-    from least squares; a negative one leaves no candidate.  No problem is
-    built and no KKT check runs: the pair, which records no iterations, is
-    returned uncertified, and the caller certifies it (see
-    :func:`_certify_once`).  The certificate fails when the rows have no
-    exact solution: when a top eigenvector has uneven weight on the rows,
-    or when the top eigenspace of a block is degenerate and the one
-    eigenvector taken from it misses them.
+    from least squares; a negative one leaves no candidate.  No KKT check
+    runs: the pair, which records no iterations, is returned uncertified,
+    and the caller certifies it (see :func:`_reduced_optimum`).  The
+    certificate fails when the rows have no exact solution: when a top
+    eigenvector has uneven weight on the rows, or when the top eigenspace
+    of a block is degenerate and the one eigenvector taken from it misses
+    them.
     """
-    spectra = {name: np.linalg.eigh(objective.get(name, np.zeros((d, d))))
+    blocks, constraints = problem.blocks, problem.constraints
+    spectra = {name: np.linalg.eigh(problem.objective.get(name, np.zeros((d, d))))
                for name, d in blocks}
     lam = max(w[-1] for w, _ in spectra.values())
     top = {name: (w[-1], v[:, -1]) for name, (w, v) in spectra.items()
@@ -216,57 +234,100 @@ def _top_eigenspace_solution(blocks: Sequence[tuple[str, int]],
                            dual_objective=dual, gap=abs(primal - dual), iterations=0)
 
 
-def _certify_once(candidate: sdp.SdpSolution | None,
-                  certify: Callable[[sdp.SdpSolution], sdp.KktReport],
-                  solve: Callable[[], sdp.SdpSolution]) -> tuple[sdp.SdpSolution, sdp.KktReport]:
-    """The candidate and its certificate if it passes; otherwise the pair from
-    ``solve()`` and its certificate.  Each pair is certified once, and
-    ``solve`` runs only when the candidate is missing or fails."""
+def _reduced_optimum(problem: sdp.SdpProblem, delta: float
+                     ) -> tuple[sdp.SdpSolution, sdp.KktReport]:
+    """The optimum of a symmetry-reduced ``problem`` of an ensemble with
+    covariance residual ``delta``, the MED seed block of :func:`med_attack`
+    or the character-block :func:`cloning_problem`, and its certificate
+    (:func:`_reduced_kkt`).  The top-eigenspace candidate
+    (:func:`_top_eigenspace_solution`) is certified once; only when it is
+    missing or fails is ``problem`` solved, and that pair certified."""
+    candidate = _top_eigenspace_solution(problem)
     if candidate is not None:
-        kkt = certify(candidate)
+        kkt = _reduced_kkt(problem, candidate, delta)
         if kkt.passed:
             return candidate, kkt
-    solution = solve()
-    return solution, certify(solution)
+    solution = sdp.solve(problem)
+    return solution, _reduced_kkt(problem, solution, delta)
 
 
-def _covariant_med_candidate(ens: DpsEnsemble, problem: sdp.SdpProblem
-                             ) -> sdp.SdpSolution | None:
-    """The top-eigenspace MED optimum of a sign-covariant ensemble, found on
-    one seed block and lifted onto its :func:`med_problem` ``problem``,
-    uncertified; ``None`` when the seed has no candidate.
+def _reduced_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
+                 delta: float) -> sdp.KktReport:
+    """KKT certificate of a pair of a symmetry-reduced ``problem`` on the
+    full problem, which is not built, of an ensemble with covariance
+    residual ``delta`` (see :func:`_covariance_residual`): the MED seed
+    block of :func:`med_attack` on :func:`med_problem`, or the
+    character-block :func:`cloning_problem` on the d**3 x d**3 cloning SDP
+    with objective Q = sum_g p_g |v_g><v_g|.
 
-    With the sign matrices U_g = diag(s_g) of :func:`~dpsqkd.dps.sign_patterns`,
-    an optimal POVM can be taken covariant, P_g = U_g P0 U_g^dagger (Eldar,
-    Megretski & Verghese, IEEE Trans. Inf. Theory 49, 2003).  Since
-    sum_g U_g P0 U_g^dagger = 2**(n-1) diag(P0), completeness reduces to
-    diag(P0) = 1/2**(n-1), and the objective to <rho_bar, P0> with
-    rho_bar = sum_g p_g U_g^dagger rho_g U_g.  The n constraint operators
-    |k><k| sum to the identity, so y = lambda_max(rho_bar) * 1 is dual
-    feasible, and P0 = t u u^dagger on a top eigenvector u of rho_bar closes
-    the gap when diag(P0) = 1/2**(n-1) has a solution t >= 0, that is, when
-    |u_k|**2 = 1/n for every k (see :func:`_top_eigenspace_solution`).  The
-    DPS states have rho_bar = |+><+| with |+> the uniform superposition, so
-    the seed optimum is P0 = (n/2**(n-1)) |+><+| with p_success = n/2**(n-1).
-    The seed dual y lifts to Y = diag(y)/2**(n-1).  The completeness
-    operators A_j of ``problem`` are orthonormal, so the full problem's
-    multipliers y_j = Re Tr(A_j Y) give sum_j y_j A_j = Y, and the
-    certificate reads its slacks Z_g = Y - p_g rho_g off them.  Nothing here
-    assumes the ensemble is covariant: the certificate on the full problem
-    fails when it is not.
+    Each reduced problem is built from the sign orbit of state 0 with
+    uniform priors.  ``verify_kkt`` on the reduced pair gives the full
+    conditions for that orbit (a), and one more condition,
+    ``objective_covariant``: d delta <= ``_KKT_TOL``, with one constraint
+    row per index k of C^d, bounds how far the ensemble's own objective
+    moves them (b).
+
+    MED, with G = 2**(n-1) and d = n.
+    (a) The seed pair (Q, y) lifts to P_g = U_g Q U_g^dagger / G and
+        Y = diag(y), whose multipliers on the orthonormal completeness
+        basis B_j of :func:`med_problem` are Re Tr(B_j Y).  Since
+        sum_g P_g = diag(Q), the full equality residual is the seed's.
+        P_g >= 0 iff Q >= 0, and both dual objectives are sum_k y_k.  U_g
+        is diagonal, so the slack is Z_g = Y - p_g rho_g
+        = U_g Z_Q U_g^dagger - E_g, E_g = p_g rho_g - U_g (rho_bar/G) U_g^dagger,
+        the primal objective is the seed's plus sum_g <E_g, P_g>, and
+        <P_g, Z_g> = <Q, Z_Q>/G - <E_g, P_g>.
+    (b) Write p_g = 1/G + a_g and rho_g = U_g rho_0 U_g^dagger + D_g.
+        Then rho_bar - rho_0 = sum_h p_h U_h^dagger D_h U_h, so
+        E_g = a_g rho_g + D_g/G - U_g (rho_bar - rho_0) U_g^dagger / G, and
+        with ||rho_g||_F <= 1 and ||D_h||_F <= 2,
+        sum_g ||E_g||_F <= 3 sum_g |a_g| + (2/G) sum_g ||D_g||_F <= 3 delta.
+        The smallest eigenvalue of Z_g drops by at most 3 delta (Weyl's
+        inequality), and |<E_g, P_g>| <= ||E_g||_2 Tr P_g, with
+        Tr P_g = n/G from the equality rows, so the gap and slackness move
+        by at most 3 n delta / G.
+
+    Cloner.
+    (a) The blocks of ``problem`` are those of Q_cov, the objective of the
+        sign orbit of state 0.  Scatter the blocks into J and Z, and lift
+        the d multipliers y to Y = diag(y), whose traces Re Tr(B_j Y)
+        against the orthonormal basis B_j of the trace-preservation rows
+        give the full problem's d**2 multipliers.  With objective Q_cov,
+        the block report is the full one.  J is PSD iff its blocks are,
+        and <Q_cov, J> is the sum of the block objectives, since neither
+        has off-block entries.  A trace-preservation constraint with
+        j != k pairs kets |i j l>, |i k l> whose sign labels differ (some
+        pattern has s_g(j) != s_g(k)), so it reads off-block entries of J
+        only: zero, its right-hand side.  The diagonal constraints are the
+        block ones.  A* of these multipliers is I x Y x I, the diagonal
+        operator y_j on |i j l>, so the slack Z = I x Y x I - Q_cov has the
+        block slacks on its blocks, and the dual objective is sum_k y_k.
+        <J, Z> is the sum of the block terms, which the block gap and
+        equalities bound.  The multipliers of the j != k constraints are
+        zero, since Y is diagonal.
+    (b) delta bounds ||E||_F, E = Q - Q_cov:
+        E = sum_g (p_g - 1/G) |v_g><v_g| + (1/G) sum_g (|v_g><v_g| - |w_g><w_g|)
+        with w_g = W_g v_0 (see :func:`cloning_problem`).  The projector
+        |v_g><v_g| = rho_g x conj(rho_g) x rho_g has factors of unit norm,
+        and |w_g><w_g| is the same product of sigma_g = U_g rho_0 U_g^dagger,
+        so three telescoped factors give
+        || |v_g><v_g| - |w_g><w_g| ||_F <= 3 ||rho_g - sigma_g||_F, and
+        ||E||_F <= delta.  The states carry no phase, so none is aligned.
+        Going from Q_cov to Q leaves the primal conditions and the dual
+        objective alone.  The slack becomes Z - E, whose smallest
+        eigenvalue drops by at most ||E||_2 <= delta (Weyl's inequality).
+        The primal objective and <J, Z> move by <E, J>, and
+        |<E, J>| <= ||E||_2 Tr J = d delta for J >= 0, as the
+        trace-preservation rows give Tr J = Tr I = d.
+
+    So a passing report gives the full conditions at 2 ``_KKT_TOL``: dual
+    PSD to -(_KKT_TOL + 3 delta), the gap and slackness to their reduced
+    bounds plus d delta, as d >= 3.  Skewed priors or a bent ket make
+    delta large and fail.
     """
-    count, n = len(ens.priors), ens.n
-    signs = sign_patterns(n)
-    rho_bar = np.einsum("gk,gkl,gl->kl", signs, ens.priors[:, None, None] * ens.densities, signs)
-    unit = np.eye(n)
-    seed = _top_eigenspace_solution([("P0", n)], {"P0": rho_bar},
-                                    [({"P0": np.diag(unit[k])}, 1.0 / count) for k in range(n)])
-    if seed is None:
-        return None
-    lifted = signs[:, :, None] * seed.x["P0"] * signs[:, None, :]
-    ops = np.array([op for op, _ in problem.constraints])
-    return replace(seed, x=dict(zip(_block_names(count), lifted)),
-                   y=np.einsum("jkl,lk->j", ops, np.diag(seed.y / count)).real)
+    report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
+    within = len(problem.constraints) * delta <= _KKT_TOL  # one row per index of C^d
+    return replace(report, conditions={**report.conditions, "objective_covariant": within})
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
@@ -312,8 +373,8 @@ class CloningResult:
     ``solution.x``, clipped to PSD, at the kets of :func:`_character_blocks`,
     and is never formed.  ``problem``, ``solution`` and ``kkt`` describe the
     character-block :func:`cloning_problem`, and ``kkt`` carries the extra
-    condition ``objective_block_diagonal`` of the reduced certificate (see
-    :func:`_reduced_cloner_kkt`).  The clones are (G, n, n) stacks in the
+    condition ``objective_covariant`` of the reduced certificate (see
+    :func:`_reduced_kkt`).  The clones are (G, n, n) stacks in the
     order of the ensemble's states.
     """
 
@@ -350,7 +411,7 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     trace-preservation rows only the d diagonal ones touch the blocks: for
     each input index k, the diagonal of J over the kets |i k l> sums to 1.
 
-    Only state 0 enters, and :func:`_reduced_cloner_kkt` bounds how far the
+    Only state 0 enters, and :func:`_reduced_kkt` bounds how far the
     ensemble's own Q is from Q_cov.  So any pure-state ensemble builds it,
     and the certificate can be tested on skewed priors and bent kets.
     """
@@ -373,16 +434,20 @@ def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
     An ensemble of density operators, or one outside n delta <= ``_KKT_TOL``
     (see :func:`_covariance_residual`), raises ``ValueError``.  Its one
     problem is the character-block :func:`cloning_problem`, certified
-    through :func:`_reduced_cloner_kkt` and solved only when the
-    top-eigenspace candidate fails (see :func:`_covariant_cloner_solution`),
-    and the clones are read off the blocks (see :func:`_block_clones`); no
-    d**3 x d**3 problem or operator is built.
+    through :func:`_reduced_kkt` and solved only when the top-eigenspace
+    candidate fails (see :func:`_reduced_optimum`), and the clones are read
+    off the blocks (see :func:`_block_clones`); no d**3 x d**3 problem or
+    operator is built.  For the DPS states n blocks share the top
+    eigenvalue (3n-2)/n**3, one per character t -> t_m, and unit weights on
+    them give the trace-preserving optimum of two-copy fidelity
+    (3n-2)/n**2.
     """
     _kets(ens)  # density operators raise before the covariance check
     delta = _covariance_residual(ens)
     if not ens.n * delta <= _KKT_TOL:
         raise ValueError("the optimal cloner needs a sign-covariant ensemble")
-    problem, solution, kkt = _covariant_cloner_solution(ens, delta)
+    problem = cloning_problem(ens)
+    solution, kkt = _reduced_optimum(problem, delta)
     bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
     fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
@@ -414,83 +479,6 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     for ix in blocks:
         ix.flags.writeable = False
     return blocks
-
-
-def _covariant_cloner_solution(ens: DpsEnsemble, delta: float
-                               ) -> tuple[sdp.SdpProblem, sdp.SdpSolution, sdp.KktReport]:
-    """The :func:`cloning_problem` of an ensemble with covariance residual
-    ``delta``, its certified solution and the certificate.
-
-    The d constraint operators of the block problem partition the identity
-    on every block, so y = lambda * 1, with lambda the largest top
-    eigenvalue of the blocks, is dual feasible, and rank-one blocks on their
-    top eigenvectors whose weights meet the d rows close the gap (see
-    :func:`_top_eigenspace_solution`).  For the DPS states n blocks share
-    lambda = (3n-2)/n**3, one per character t -> t_m, and unit weights on
-    them give the trace-preserving optimum of two-copy fidelity
-    (3n-2)/n**2.  That candidate is certified once, by
-    :func:`_reduced_cloner_kkt`; only when it is missing or fails is the
-    block problem solved, and its optimum certified.
-    """
-    problem = cloning_problem(ens)
-    solution, kkt = _certify_once(
-        _top_eigenspace_solution(problem.blocks, problem.objective, problem.constraints),
-        lambda sol: _reduced_cloner_kkt(problem, sol, delta),
-        lambda: sdp.solve(problem))
-    return problem, solution, kkt
-
-
-def _reduced_cloner_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
-                        delta: float) -> sdp.KktReport:
-    """KKT certificate of a pair of the character-block
-    :func:`cloning_problem` on the full d**3 x d**3 cloning SDP of an
-    ensemble with covariance residual ``delta`` (see
-    :func:`_covariance_residual`), whose objective is
-    Q = sum_g p_g |v_g><v_g|.
-
-    The blocks of ``problem`` are those of Q_cov, the objective of the sign
-    orbit of state 0.  Scatter the blocks into J and Z, and lift the d
-    multipliers y to Y = diag(y), whose traces Re Tr(B_j Y) against the
-    orthonormal basis B_j of the trace-preservation rows give the full
-    problem's d**2 multipliers.  ``verify_kkt`` on the blocks and one more
-    condition imply the full conditions:
-
-    (a) With objective Q_cov, the block report is the full one.  J is PSD
-        iff its blocks are, and <Q_cov, J> is the sum of the block
-        objectives, since neither has off-block entries.  A
-        trace-preservation constraint with j != k pairs kets |i j l>,
-        |i k l> whose sign labels differ (some pattern has
-        s_g(j) != s_g(k)), so it reads off-block entries of J only: zero,
-        its right-hand side.  The diagonal constraints are the block ones.
-        A* of these multipliers is I x Y x I, the diagonal operator y_j on
-        |i j l>, so the slack Z = I x Y x I - Q_cov has the block slacks on
-        its blocks, and the dual objective is sum_k y_k.  <J, Z> is the sum
-        of the block terms, which the block gap and equalities bound.  The
-        multipliers of the j != k constraints are zero, since Y is
-        diagonal.
-    (b) ``objective_block_diagonal``: d delta <= ``_KKT_TOL``, where delta
-        bounds ||E||_F, E = Q - Q_cov:
-        E = sum_g (p_g - 1/G) |v_g><v_g| + (1/G) sum_g (|v_g><v_g| - |w_g><w_g|)
-        with w_g = W_g v_0 (see :func:`cloning_problem`).  The projector
-        |v_g><v_g| = rho_g x conj(rho_g) x rho_g has factors of unit norm,
-        and |w_g><w_g| is the same product of sigma_g = U_g rho_0 U_g^dagger,
-        so three telescoped factors give
-        || |v_g><v_g| - |w_g><w_g| ||_F <= 3 ||rho_g - sigma_g||_F, and
-        ||E||_F <= delta.  The states carry no phase, so none is aligned.
-        Going from Q_cov to Q leaves the primal conditions and the dual
-        objective alone.  The slack becomes Z - E, whose smallest
-        eigenvalue drops by at most ||E||_2 <= delta (Weyl's inequality).
-        The primal objective and <J, Z> move by <E, J>, and
-        |<E, J>| <= ||E||_2 Tr J = d delta for J >= 0, as the
-        trace-preservation rows give Tr J = Tr I = d.
-
-    So a passing report gives the full conditions at 2 ``_KKT_TOL``: dual
-    PSD to -(_KKT_TOL + delta), the gap and slackness to their block bounds
-    plus d delta.  Skewed priors or a bent ket make delta large and fail.
-    """
-    report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-    within = len(problem.constraints) * delta <= _KKT_TOL  # one row per input index
-    return replace(report, conditions={**report.conditions, "objective_block_diagonal": within})
 
 
 def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
@@ -685,7 +673,8 @@ def ir_attack_profile() -> AttackProfile:
 
 
 class UncertifiedOptimumError(sdp.SdpError):
-    """An attack optimum failed its KKT certificate on the full problem."""
+    """An attack optimum failed its KKT certificate: on its full problem, or
+    through the reduced certificate that implies it."""
 
 
 _Result = TypeVar("_Result", MedResult, CloningResult)

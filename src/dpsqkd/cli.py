@@ -155,7 +155,9 @@ def _add_sweep(p: argparse.ArgumentParser, stop_km: float) -> None:
 
 def _distances(args: argparse.Namespace) -> list[float]:
     """start + i step, rounded to 1e-9 km, up to stop + 1e-9 km: counted
-    before any point is made, and rejected if a rounded point repeats."""
+    before any point is made, and rejected if a rounded point repeats, with
+    the message naming the rounding when the unrounded points differ and
+    the float resolution when they do not."""
     start, stop, step = args.start_km, args.stop_km, args.step_km
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ConfigError("distance grid bounds and step must be finite")
@@ -166,11 +168,13 @@ def _distances(args: argparse.Namespace) -> list[float]:
     span = (stop - start + 1e-9) / step
     if span >= MAX_GRID_POINTS:
         raise ConfigError(f"distance grid has more than {MAX_GRID_POINTS} points")
-    out = [round(start + i * step, 9) for i in range(int(span) + 1)]
-    for d, following in zip(out, out[1:]):
+    raw = [start + i * step for i in range(int(span) + 1)]
+    out = [round(d, 9) for d in raw]
+    for i, (d, following) in enumerate(zip(out, out[1:])):
         if following == d:
-            raise ConfigError(f"distance step {step:g} km is below the float "
-                              f"resolution at {d:g} km")
+            limit = ("the 1e-9 km rounding of the distances" if raw[i + 1] != raw[i]
+                     else "the float resolution")
+            raise ConfigError(f"distance step {step:g} km is below {limit} at {d:g} km")
     return out
 
 

@@ -1,9 +1,11 @@
 """Independent checks that only the tests read: the dense cloning SDP, its
 objective's norms from Gram matrices, the dense Choi operator of a cloner
-and its action, a Choi operator's CPTP residuals, the square-root
-measurement, the Helstrom witness and the weak-duality bracket of a POVM,
-and a Monte-Carlo model of the intercept-resend collision probability."""
+and its action, a Choi operator's CPTP residuals, the lift of a MED seed
+pair onto the full MED problem, the square-root measurement, the Helstrom
+witness and the weak-duality bracket of a POVM, and a Monte-Carlo model of
+the intercept-resend collision probability."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -89,6 +91,20 @@ def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
     marginal = partial_trace(choi, [d, d, d], keep=[1])
     tp = float(np.max(np.abs(marginal - np.eye(d))))
     return neg, tp
+
+
+def lifted_med_pair(ens, result) -> sdp.SdpSolution:
+    """The seed pair (Q, y) of a sign-covariant :class:`~dpsqkd.attacks.MedResult`
+    scattered onto the full problem ``attacks.med_problem(ens)``: the blocks
+    P_g = U_g Q U_g^dagger / G, G = 2**(n-1), and the multipliers
+    y_j = Re Tr(B_j diag(y)) against the completeness operators B_j of its
+    rows."""
+    signs = sign_patterns(ens.n)
+    lifted = signs[:, :, None] * result.solution.x["P0"] * signs[:, None, :] / len(signs)
+    y = [np.trace(op @ np.diag(result.solution.y)).real
+         for op, _ in attacks.med_problem(ens).constraints]
+    return dataclasses.replace(result.solution, x={f"P{g + 1}": x for g, x in enumerate(lifted)},
+                               y=np.array(y))
 
 
 def pgm_povm(ens) -> attacks.Povm:

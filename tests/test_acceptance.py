@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsqkd.attacks import standard_attack_profiles
+from dpsqkd.attacks import med_problem, standard_attack_profiles
 from dpsqkd.dps import _key_slot_ber, mzi_transfer, spectral_error_terms
 from dpsqkd.keyrate import (ChannelModel, FiniteSizeParams,
                             finite_size_deviation, keyrate_sweep,
@@ -47,14 +47,15 @@ def test_criterion_01_med_optimum(med3):
     check(1, "three-pulse MED optimum and confusion table", clauses)
 
 
-def test_criterion_02_handbuilt_povm_optimal(ens3, med3):
+def test_criterion_02_handbuilt_povm_optimal(ens3):
+    # the closed-form dual Y = I/4, of value Tr Y = 3/4, has the multipliers
+    # y_j = Tr(B_j)/4 on the orthonormal completeness operators B_j
+    problem = med_problem(ens3)
     hand = {f"P{i + 1}": 0.75 * ens3.densities[i] for i in range(4)}
-    candidate = SdpSolution(x=hand, y=med3.solution.y,
-                            primal_objective=0.75,
-                            dual_objective=med3.solution.dual_objective,
-                            gap=abs(0.75 - med3.solution.dual_objective),
-                            iterations=0)
-    report = verify_kkt(med3.problem, candidate, tol=1e-6)
+    y = np.array([np.trace(op).real / 4 for op, _ in problem.constraints])
+    candidate = SdpSolution(x=hand, y=y, primal_objective=0.75, dual_objective=0.75,
+                            gap=0.0, iterations=0)
+    report = verify_kkt(problem, candidate, tol=1e-6)
     clauses = [
         (report.passed, f"rank-one +-0.25 POVM certified: {report.conditions}"),
         (report.complementary_slackness <= 1e-6,

@@ -20,7 +20,7 @@ from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
 from oracles import (apply_choi, block_choi, choi_kets, covariance_residual_norm,
                      cptp_residuals, duality_bracket, full_cloning_problem, holevo_certificate,
-                     ir_monte_carlo_collision, off_block_norm, pgm_povm)
+                     ir_monte_carlo_collision, lifted_med_pair, off_block_norm, pgm_povm)
 
 
 def brute_force_collision(confusion, priors, bit_map):
@@ -100,14 +100,30 @@ def assert_matches_general_med(result, ens):
 
 @pytest.fixture
 def covariant_calls(monkeypatch):
-    """Names of the symmetry-reduced routes taken while the test runs."""
-    calls = []
-    for name in ("_covariant_med_candidate", "_covariant_cloner_solution"):
-        def spy(*args, _name=name, _real=getattr(attacks, name), **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(attacks, name, spy)
+    """The attack of each symmetry-reduced problem that ``_reduced_optimum``
+    takes while the test runs: "med" for a seed block, "cloner" for
+    character blocks."""
+    calls, real = [], attacks._reduced_optimum
+
+    def spy(problem, delta):
+        calls.append("med" if problem.blocks[0][0] == "P0" else "cloner")
+        return real(problem, delta)
+    monkeypatch.setattr(attacks, "_reduced_optimum", spy)
     return calls
+
+
+def assert_seed_certified_on_full_problem(result, ens):
+    """The MED optimum of a sign-covariant ``ens`` sits on one n x n seed
+    block with n multipliers, passes its reduced certificate, and its lift
+    (oracles.lifted_med_pair) passes the KKT check of the full problem, with
+    one multiplier per real symmetric completeness entry: the data are real."""
+    n = ens.n
+    assert result.problem.blocks == [("P0", n)] and len(result.solution.y) == n
+    assert result.kkt.passed, result.kkt.conditions
+    lifted = lifted_med_pair(ens, result)
+    assert len(lifted.x) == 2 ** (n - 1) and len(lifted.y) == n * (n + 1) // 2
+    report = sdp.verify_kkt(med_problem(ens), lifted, tol=attacks._KKT_TOL)
+    assert report.passed, report.conditions
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -125,43 +141,42 @@ def test_covariant_med_matches_general_solve(n, request):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_covariant_med_certified_on_full_problem(n, request):
     result = request.getfixturevalue(f"med{n}") if n < 6 else med_attack(dps_ensemble(n))
-    count = 2 ** (n - 1)
-    assert len(result.problem.blocks) == count and len(result.solution.x) == count
-    # one multiplier per real symmetric completeness entry: the data are real
-    assert len(result.solution.y) == len(result.problem.constraints) == n * (n + 1) // 2
-    assert result.kkt.passed, result.kkt.conditions
-    assert result.p_success == pytest.approx(n / count, abs=1e-7)
+    assert_seed_certified_on_full_problem(result, dps_ensemble(n))
+    assert result.p_success == pytest.approx(n / 2 ** (n - 1), abs=1e-7)
 
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_covariant_med_certified_above_the_attack_cap(n):
-    """The full-problem certificate stays cheap beyond the CLI's n = 6 cap:
-    the completeness operators are stored once, not once per block."""
+    """Beyond the CLI's n = 6 cap the route stays on the seed block, and its
+    lift still passes the full problem, built here as an oracle."""
     ens = dps_ensemble(n)
     result = med_attack(ens)
-    count = 2 ** (n - 1)
-    assert len(result.problem.blocks) == count and len(result.solution.x) == count
-    assert result.kkt.passed, result.kkt.conditions
-    assert result.p_success == pytest.approx(n / count, abs=1e-7)
+    assert_seed_certified_on_full_problem(result, ens)
+    assert result.p_success == pytest.approx(n / 2 ** (n - 1), abs=1e-7)
     pgm = pgm_povm(ens)
     assert_allclose(result.povm.elements, pgm.elements, rtol=0, atol=1e-7)
 
 
-def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls):
-    """Skewed priors break the sign symmetry; the lifted seed pair is then
-    not optimal, and the full-problem certificate says so.  ``med_attack``
-    therefore offers no candidate for them and runs the general solve, which
-    passes."""
+def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls, monkeypatch):
+    """Skewed priors break the sign symmetry, so ``med_attack`` takes the
+    general route for them, whose solve passes.  Forced onto the seed route
+    by a zero covariance residual, their seed pair passes the seed's own
+    check, but its lift is not optimal: the full problem's certificate fails
+    it, and so does the reduced certificate given the true residual."""
     skewed = dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2])
-    problem = med_problem(skewed)
-    lifted = attacks._covariant_med_candidate(skewed, problem)
-    report = sdp.verify_kkt(problem, lifted, tol=1e-6)
-    assert not report.passed
-    assert not report.conditions["dual_psd"]
-    del covariant_calls[:]
     result = med_attack(skewed)
     assert covariant_calls == []
+    assert len(result.problem.blocks) == 4
     assert result.kkt.passed, result.kkt.conditions
+    delta = attacks._covariance_residual(skewed)
+    monkeypatch.setattr(attacks, "_covariance_residual", lambda ens: 0.0)
+    seed = med_attack(skewed)
+    assert covariant_calls == ["med"] and seed.kkt.passed, seed.kkt.conditions
+    report = sdp.verify_kkt(med_problem(skewed), lifted_med_pair(skewed, seed), tol=1e-6)
+    assert not report.passed
+    assert not report.conditions["dual_psd"]
+    reduced = attacks._reduced_kkt(seed.problem, seed.solution, delta)
+    assert [name for name, ok in reduced.conditions.items() if not ok] == ["objective_covariant"]
 
 
 @pytest.fixture
@@ -191,10 +206,11 @@ def sign_orbit(seed):
 def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved, monkeypatch):
     """Sign-covariant ensembles other than DPS: MED and the optimal cloner take
     the top-eigenspace optimum where it certifies, and otherwise solve once:
-    MED its full problem, the cloner its block problem.  Either way the
-    optimum passes its certificate and matches the general solve.  Each
-    certificate runs once per pair: on the failed candidate, then on the
-    solved pair, whose report the result carries."""
+    MED its seed block, the cloner its character blocks.  Either way the
+    optimum passes its certificate, its MED lift passes the full problem,
+    and it matches the general solve.  Each certificate runs once per pair:
+    on the failed candidate, then on the solved pair, whose report the
+    reduced certificate wraps."""
     reports, verify_kkt = [], sdp.verify_kkt
     monkeypatch.setattr(sdp, "verify_kkt",
                         lambda *args, **kwargs: reports.append(verify_kkt(*args, **kwargs))
@@ -205,7 +221,9 @@ def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved
     assert solved == [med.problem] * solves
     assert (med.solution.iterations > 0) == (solves == 1)
     assert [r.passed for r in reports] == [False] * solves + [True]
-    assert med.kkt is reports[-1]
+    assert med.kkt.conditions == {**reports[-1].conditions, "objective_covariant": True}
+    full = verify_kkt(med_problem(ens), lifted_med_pair(ens, med), tol=attacks._KKT_TOL)
+    assert full.passed, full.conditions
     assert med.p_success == pytest.approx(general_med(ens)[0], abs=1e-7)
     if ens.states.ndim == 2:  # the cloners take kets only
         del solved[:], reports[:]
@@ -221,16 +239,16 @@ def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_optimal_clone_med_matches_general_solve(n, covariant_calls):
     """Eve's optimal-cloner clones lie exactly on the sign orbit of clone 0
-    (delta = 0), so their MED takes the lifted seed-block candidate and
-    reaches the general solve's optimum."""
+    (delta = 0), so their MED takes the seed-block candidate, whose lift
+    passes the full problem and reaches the general solve's optimum."""
     ens = dps_ensemble(n)
     clone = optimal_cloner(ens)
     clones = dataclasses.replace(ens, states=clone.eve_states)
     assert attacks._covariance_residual(clones) == 0.0
     del covariant_calls[:]
     result = med_on_cloned(ens, clone.eve_states)
-    assert covariant_calls == ["_covariant_med_candidate"]
-    assert result.kkt.passed, result.kkt.conditions
+    assert covariant_calls == ["med"]
+    assert_seed_certified_on_full_problem(result, clones)
     assert_matches_general_med(result, clones)
 
 
@@ -404,7 +422,7 @@ def full_cloner(ens):
 def test_character_block_cloner_matches_full_solve(n, covariant_calls):
     ens = dps_ensemble(n)
     result = optimal_cloner(ens)
-    assert covariant_calls == ["_covariant_cloner_solution"]
+    assert covariant_calls == ["cloner"]
     choi, two_copy, fids, bobs, eves = full_cloner(ens)
     assert_allclose(block_choi(result), choi, rtol=0, atol=1e-7)
     assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-7)
@@ -450,7 +468,7 @@ def scattered(problem, solution, d):
 def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant_calls):
     ens = dps_ensemble(n)
     result = optimal_cloner(ens)
-    assert covariant_calls == ["_covariant_cloner_solution"]
+    assert covariant_calls == ["cloner"]
     assert len(result.problem.blocks) == len(attacks._character_blocks(n))
     assert len(result.solution.y) == n  # one multiplier per diagonal trace-preservation entry
     assert result.kkt.passed, result.kkt.conditions
@@ -485,11 +503,12 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     verdict on the block optimum with zeroed multipliers, and on the pair of
     the ensemble and of each of its mutations (see mutated_ensembles)."""
     ens = dps_ensemble(n)
-    problem, solution, _ = attacks._covariant_cloner_solution(ens, 0.0)
+    problem = cloning_problem(ens)
+    solution, _ = attacks._reduced_optimum(problem, 0.0)
 
     def verdicts(problem, solution, mutated):
         delta = attacks._covariance_residual(mutated)
-        reduced = attacks._reduced_cloner_kkt(problem, solution, delta)
+        reduced = attacks._reduced_kkt(problem, solution, delta)
         return (reduced.passed, sdp.verify_kkt(full_cloning_problem(mutated),
                                                scattered(problem, solution, n), tol=1e-6).passed)
 
@@ -499,9 +518,58 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
     # away from the blocks, which cloning_problem builds from ket 0 alone
     for name, mutated in mutated_ensembles(ens):
         expected = (True, True) if name in ("covariant", "phases") else (False, False)
-        delta = attacks._covariance_residual(mutated)
-        pair = attacks._covariant_cloner_solution(mutated, delta)[:2]
-        assert verdicts(*pair, mutated) == expected, name
+        problem = cloning_problem(mutated)
+        solution, _ = attacks._reduced_optimum(problem, attacks._covariance_residual(mutated))
+        assert verdicts(problem, solution, mutated) == expected, name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reduced_med_certificate_agrees_with_full(n, monkeypatch):
+    """The MED twin of the test above.  Forced onto the seed route by a zero
+    covariance residual, the seed pair of the ensemble and of each of its
+    mutations is checked by the reduced certificate, given the true
+    residual, and its lift by the full problem's KKT check.  Both pass the
+    ensemble and its phases, and both fail zeroed multipliers, skewed
+    priors and a ket bent by 1e-1.  The reduced certificate is sufficient,
+    not necessary: the seed optimum adapts to a slightly bent ket, so its
+    lift misses the full conditions only to second order in the bend,
+    while delta grows to first order, and at 1e-3 the full check passes
+    what the reduced one refuses."""
+    ens = dps_ensemble(n)
+    residual = attacks._covariance_residual
+    monkeypatch.setattr(attacks, "_covariance_residual", lambda ens: 0.0)
+
+    def verdicts(seed, mutated):
+        reduced = attacks._reduced_kkt(seed.problem, seed.solution, residual(mutated))
+        return (reduced.passed, sdp.verify_kkt(med_problem(mutated), lifted_med_pair(mutated, seed),
+                                               tol=attacks._KKT_TOL).passed)
+
+    seed = med_attack(ens)
+    zeroed = dataclasses.replace(seed, solution=dataclasses.replace(
+        seed.solution, y=np.zeros_like(seed.solution.y)))
+    assert verdicts(zeroed, ens) == (False, False)
+    # a phase per ket leaves the densities alone; the other mutations move them
+    for name, mutated in mutated_ensembles(ens):
+        reduced, full = verdicts(med_attack(mutated), mutated)
+        assert reduced == (name in ("covariant", "phases")), name
+        assert full >= reduced, name
+        if name in ("skewed", "bent 0.1", "all"):
+            assert not full, name
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_covariance_residual_bounds_the_med_objective_distance(n):
+    """sum_g ||E_g||_F <= 3 delta for the distance
+    E_g = p_g rho_g - U_g (rho_bar/G) U_g^dagger of each block's MED
+    objective from the lifted seed objective, rho_bar = sum_g p_g U_g rho_g U_g
+    (see attacks._reduced_kkt), over the mutations of mutated_ensembles."""
+    signs = sign_patterns(n)
+    for name, mutated in mutated_ensembles(dps_ensemble(n)):
+        weighted = mutated.priors[:, None, None] * mutated.densities
+        rho_bar = sum(np.outer(s, s) * w for s, w in zip(signs, weighted))
+        moved = np.array([np.outer(s, s) * rho_bar for s in signs]) / len(signs)
+        distance = np.linalg.norm(weighted - moved, axis=(1, 2)).sum()
+        assert distance <= 3.0 * attacks._covariance_residual(mutated) + 1e-15, name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -511,8 +579,8 @@ def test_slightly_bent_kets_take_the_symmetry_reduced_routes(n, eps, covariant_c
     """Ket 1 bent towards e_0 by 1e-9 or 1e-8 is within n delta <= _KKT_TOL of
     the sign orbit: the optimal cloner takes it and certifies its candidate,
     whose scattered pair passes the full cloning problem's KKT check, and
-    MED certifies its lifted candidate without a solve.  Each attack
-    evaluates delta once."""
+    MED certifies its seed candidate without a solve, whose lift passes the
+    full MED problem.  Each attack evaluates delta once."""
     ens = dps_ensemble(n)
     bent = ens.states.copy()
     bent[1, 0] += eps
@@ -532,7 +600,10 @@ def test_slightly_bent_kets_take_the_symmetry_reduced_routes(n, eps, covariant_c
     med = med_attack(mutated)
     assert len(residuals) == 2
     assert med.solution.iterations == 0 and med.kkt.passed, med.kkt.conditions
-    assert covariant_calls == ["_covariant_cloner_solution", "_covariant_med_candidate"]
+    full = sdp.verify_kkt(med_problem(mutated), lifted_med_pair(mutated, med),
+                          tol=attacks._KKT_TOL)
+    assert full.passed, full.conditions
+    assert covariant_calls == ["cloner", "med"]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -610,7 +681,7 @@ def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_call
     for name in ("eigh", "eigvalsh"):
         spy(np.linalg, name, lambda a: sizes.append(np.shape(a)[-1]))
     result = optimal_cloner(dps_ensemble(n))
-    assert covariant_calls == ["_covariant_cloner_solution"]
+    assert covariant_calls == ["cloner"]
     assert max(sizes) < n ** 3
     assert result.kkt.passed, result.kkt.conditions
 
@@ -651,7 +722,7 @@ def test_optimal_cloner_at_every_pulse_count(n):
     ens = dps_ensemble(n)
     clone = optimal_cloner(ens)
     assert clone.kkt.passed, clone.kkt.conditions
-    assert "objective_block_diagonal" in clone.kkt.conditions
+    assert "objective_covariant" in clone.kkt.conditions
     assert attacks._covariance_residual(ens) == 0.0
     assert clone.avg_two_copy_fidelity == pytest.approx((3 * n - 2) / n ** 2, rel=0, abs=1e-12)
     fits = [depolarizing_fit(rho, c) for rho, c in
@@ -1026,6 +1097,25 @@ def test_dps_attacks_run_no_solve(n, solved):
     assert solved == []
     for solution in (med.solution, attack.cloner.solution, attack.med_after.solution):
         assert solution.iterations == 0 and solution.iterates == []
+
+
+def test_sign_covariant_med_builds_no_full_problem(monkeypatch, solved):
+    """MED of the DPS states at n = 3..10 and of the optimal clones at
+    n = 3..5 stays on its seed block: no med_problem is built and no solve
+    runs.  standard_attack_profiles(4) builds med_problem once, for the
+    unitary clones, and solves it."""
+    built, real = [], attacks.med_problem
+    monkeypatch.setattr(attacks, "med_problem", lambda ens: built.append(ens) or real(ens))
+    for n in range(3, 11):
+        assert med_attack(dps_ensemble(n)).problem.blocks == [("P0", n)]
+    for n in range(3, 6):
+        ens = dps_ensemble(n)
+        med_on_cloned(ens, optimal_cloner(ens).eve_states)
+    assert built == [] and solved == []
+    standard_attack_profiles(4)
+    assert len(built) == 1 and len(solved) == 1 and len(solved[0].blocks) == 8
+    assert_allclose(built[0].states, unitary_cloning_attack(dps_ensemble(4)).bob_states,
+                    rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])

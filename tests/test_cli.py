@@ -214,10 +214,15 @@ def test_keyrate_bad_grid(capsys):
          "click probability 1.5 exceeds 1"),
         # a step below the float spacing of the distances (16 km at 1e17)
         (("--attacks", "ir", "--start-km", "1e17", "--stop-km", "1.0000000000000003e17",
-          "--step-km", "1"), "step"),
+          "--step-km", "1"), "distance step 1 km is below the float resolution at 1e+17 km"),
         # the spacing doubles at 2^53, where d + 1 ties and rounds back to d
         (("--attacks", "ir", "--start-km", "9007199254740988",
-          "--stop-km", "9007199254740996", "--step-km", "1"), "step"),
+          "--stop-km", "9007199254740996", "--step-km", "1"), "below the float resolution"),
+        # distinct points that repeat only once rounded to the reported 1e-9 km
+        (("--attacks", "ir", "--stop-km", "1e-8", "--step-km", "1e-10"),
+         "distance step 1e-10 km is below the 1e-9 km rounding of the distances at 0 km"),
+        (("--attacks", "ir", "--start-km", "5", "--stop-km", "5.000000001", "--step-km", "4e-10"),
+         "distance step 4e-10 km is below the 1e-9 km rounding of the distances at 5 km"),
     ]:
         code, _, err = run_cli(capsys, "keyrate", *argv)
         assert code == 2, argv
