@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -75,9 +76,10 @@ class Povm:
         if any(el.shape != (d, d) for el in self.elements):
             raise ValueError("POVM elements must share one dimension")
         stack = np.array(self.elements, dtype=complex)
-        if float(np.min(np.linalg.eigvalsh(hermitian_part(stack)))) < -_POVM_PSD_ATOL:
+        # written as not (err <= tol), so that NaN fails
+        if not float(np.min(np.linalg.eigvalsh(hermitian_part(stack)))) >= -_POVM_PSD_ATOL:
             raise ValueError("POVM element is not positive semidefinite")
-        if float(np.max(np.abs(stack.sum(axis=0) - np.eye(d)))) > _POVM_SUM_ATOL:
+        if not float(np.max(np.abs(stack.sum(axis=0) - np.eye(d)))) <= _POVM_SUM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
 
 
@@ -102,18 +104,12 @@ class MedResult:
     kkt: sdp.KktReport
 
 
-def _block_names(count: int) -> list[str]:
-    return [f"P{i + 1}" for i in range(count)]
-
-
 def med_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     """SDP for minimum-error discrimination: maximise sum_i p(i) <rho_i, P_i>
-    over POVMs {P_i}."""
-    names = _block_names(len(ens.priors))
-    objective = {name: p * rho for name, p, rho in zip(names, ens.priors, ens.densities)}
-    real = not ens.densities.imag.any()
-    return sdp.SdpProblem(blocks=[(name, ens.n) for name in names], objective=objective,
-                          constraints=sdp.povm_completeness_constraints(ens.n, real=real))
+    over POVMs {P_i}, one group of G blocks under the shared completeness
+    rows."""
+    ops, rhs = sdp.povm_completeness_constraints(ens.n, real=not ens.densities.imag.any())
+    return sdp.SdpProblem([ens.priors[:, None, None] * ens.densities], [ops], rhs)
 
 
 def med_attack(ens: DpsEnsemble) -> MedResult:
@@ -144,15 +140,16 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
         signs = sign_patterns(n)
         rho_bar = np.einsum("gk,gkl,gl->kl", signs, ens.priors[:, None, None] * ens.densities,
                             signs)
-        problem = sdp.SdpProblem(blocks=[("P0", n)], objective={"P0": rho_bar / count},
-                                 constraints=[({"P0": np.diag(row)}, 1.0) for row in np.eye(n)])
+        # one block; row k is the unit |k><k|
+        problem = sdp.SdpProblem([rho_bar[None] / count],
+                                 [np.eye(n)[:, None, :, None] * np.eye(n)], np.ones(n))
         solution, kkt = _reduced_optimum(problem, delta)
-        x = signs[:, :, None] * (solution.x["P0"] / count) * signs[:, None, :]
+        x = signs[:, :, None] * (solution.x[0][0] / count) * signs[:, None, :]
     else:
         problem = med_problem(ens)
         solution = sdp.solve(problem)
         kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-        x = np.array([solution.x[name] for name in _block_names(count)])
+        (x,) = solution.x
     elements = _project_psd(x)
     povm = Povm(elements=tuple(elements))
     # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j^T[k, l]: one matrix product
@@ -212,23 +209,28 @@ def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
     certificate fails when the rows have no exact solution: when a top
     eigenvector has uneven weight on the rows, or when the top eigenspace
     of a block is degenerate and the one eigenvector taken from it misses
-    them.
+    them.  The spectra are those of the builder's objective stacks, not of
+    the solver's float64 copies, and each row is read off the builder's
+    constraint operators, one block at a time.
     """
-    blocks, constraints = problem.blocks, problem.constraints
-    spectra = {name: np.linalg.eigh(problem.objective.get(name, np.zeros((d, d))))
-               for name, d in blocks}
-    lam = max(w[-1] for w, _ in spectra.values())
-    top = {name: (w[-1], v[:, -1]) for name, (w, v) in spectra.items()
-           if w[-1] >= lam - _TIE_TOL * abs(lam)}
-    rows = [[np.vdot(u, coeffs[name] @ u).real if name in coeffs else 0.0
-             for name, (_, u) in top.items()] for coeffs, _ in constraints]
-    rhs = np.array([r for _, r in constraints])
+    rhs = np.asarray(problem.rhs, dtype=float)
+    blocks = []  # (top eigenvalue, top eigenvector, group, index) of every block
+    for g, cost in enumerate(problem.cost):
+        w, v = np.linalg.eigh(cost)
+        blocks += [(w[k, -1], v[k, :, -1], g, k) for k in range(len(w))]
+    lam = max(block[0] for block in blocks)
+    top = [block for block in blocks if block[0] >= lam - _TIE_TOL * abs(lam)]
+    ops = [np.asarray(a) for a in problem.ops]
+    # k % width: an (m, 1, d, d) stack acts on every block of its group
+    rows = [[np.vdot(u, ops[g][j, k % ops[g].shape[1]] @ u).real for _, u, g, k in top]
+            for j in range(rhs.size)]
     t = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
     if np.any(t < 0.0):
         return None
-    x = {name: np.zeros((d, d), dtype=complex) for name, d in blocks}
-    x.update({name: tb * outer(u) for tb, (name, (_, u)) in zip(t, top.items())})
-    primal = float(sum(tb * wb for tb, (wb, _) in zip(t, top.values())))
+    x = [np.zeros(np.shape(cost), dtype=complex) for cost in problem.cost]
+    for tb, (_, u, g, k) in zip(t, top):
+        x[g][k] = tb * outer(u)
+    primal = float(sum(tb * wb for tb, (wb, *_) in zip(t, top)))
     dual = float(lam * rhs.sum())
     return sdp.SdpSolution(x=x, y=np.full(rhs.size, lam), primal_objective=primal,
                            dual_objective=dual, gap=abs(primal - dual), iterations=0)
@@ -326,7 +328,7 @@ def _reduced_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
     delta large and fail.
     """
     report = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-    within = len(problem.constraints) * delta <= _KKT_TOL  # one row per index of C^d
+    within = len(problem.rhs) * delta <= _KKT_TOL  # one row per index of C^d
     return replace(report, conditions={**report.conditions, "objective_covariant": within})
 
 
@@ -369,13 +371,14 @@ class CloningResult:
 
     The Choi operator J lives on (bob-out) x (input) x (eve-out) with the
     input factor in the middle; trace preservation reads
-    Tr_{out,out}(J) = I_in.  J is block diagonal, with the blocks of
-    ``solution.x``, clipped to PSD, at the kets of :func:`_character_blocks`,
-    and is never formed.  ``problem``, ``solution`` and ``kkt`` describe the
-    character-block :func:`cloning_problem`, and ``kkt`` carries the extra
-    condition ``objective_covariant`` of the reduced certificate (see
-    :func:`_reduced_kkt`).  The clones are (G, n, n) stacks in the
-    order of the ensemble's states.
+    Tr_{out,out}(J) = I_in.  J is block diagonal, with the blocks of the
+    stacks of ``solution.x``, in order and clipped to PSD, at the kets of
+    :func:`_character_blocks`, and is never formed.  ``problem``,
+    ``solution`` and ``kkt`` describe the character-block
+    :func:`cloning_problem`, and ``kkt`` carries the extra condition
+    ``objective_covariant`` of the reduced certificate (see
+    :func:`_reduced_kkt`).  The clones are (G, n, n) stacks in the order of
+    the ensemble's states.
     """
 
     avg_two_copy_fidelity: float
@@ -410,6 +413,8 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     v_0[b] v_0[b]^dagger, its objective here.  Of the d**2
     trace-preservation rows only the d diagonal ones touch the blocks: for
     each input index k, the diagonal of J over the kets |i k l> sums to 1.
+    Each run of blocks of one size is one group, with one broadcast for
+    its d rows: the d blocks of size 3d-2, then the C(d, 3) of size 6.
 
     Only state 0 enters, and :func:`_reduced_kkt` bounds how far the
     ensemble's own Q is from Q_cov.  So any pure-state ensemble builds it,
@@ -417,14 +422,14 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     """
     d, psi = ens.n, _kets(ens)[0]
     v0 = np.einsum("i,j,k->ijk", psi, psi.conj(), psi).ravel()
-    blocks = _character_blocks(d)
-    names = [f"J{b}" for b in range(len(blocks))]
-    inputs = [ix // d % d for ix in blocks]  # input index j of each ket |i j k>
-    return sdp.SdpProblem(
-        blocks=[(name, ix.size) for name, ix in zip(names, blocks)],
-        objective={name: outer(v0[ix]) for name, ix in zip(names, blocks)},
-        constraints=[({name: np.diag(j == k).astype(float) for name, j in zip(names, inputs)}, 1.0)
-                     for k in range(d)])
+    cost, ops = [], []
+    for _, run in groupby(_character_blocks(d), key=len):  # one group per run of equal sizes
+        ix = np.array(list(run))
+        v = v0[ix]
+        cost.append(v[:, :, None] * v[:, None, :].conj())
+        # row k is diag(j == k) on every block, with j the input index of each ket |i j l>
+        ops.append((ix // d % d == np.arange(d)[:, None, None])[..., None] * np.eye(ix.shape[1]))
+    return sdp.SdpProblem(cost, ops, np.ones(d))
 
 
 def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
@@ -448,7 +453,7 @@ def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
         raise ValueError("the optimal cloner needs a sign-covariant ensemble")
     problem = cloning_problem(ens)
     solution, kkt = _reduced_optimum(problem, delta)
-    bob_states, eve_states, two_copy = _block_clones(problem, solution, ens.states[0])
+    bob_states, eve_states, two_copy = _block_clones(solution, ens.states[0])
     fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
     return CloningResult(
         avg_two_copy_fidelity=two_copy,
@@ -481,14 +486,16 @@ def _character_blocks(d: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.ndarray
+def _block_clones(solution: sdp.SdpSolution, psi: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, float]:
     """(Bob's clones, Eve's clones, two-copy fidelity) of a character-block
     cloner optimum; ``psi`` is state 0 of the ensemble.
 
-    Negative eigenvalues are clipped one block at a time.  The joint output
-    of rho = |psi><psi|, out[(i k), (a c)] = sum_{j l} J[(i j k), (a l c)]
-    rho[j, l], is read off the clipped blocks X_b, without forming J: given
+    The blocks of the stacks of ``solution.x``, in order, are those of
+    :func:`_character_blocks`.  Negative eigenvalues are clipped one stack
+    at a time.  The joint output of rho = |psi><psi|,
+    out[(i k), (a c)] = sum_{j l} J[(i j k), (a l c)] rho[j, l], is read
+    off the clipped blocks X_b, without forming J: given
     i and k, the input index j fixes the sign label of |i j k>, so the kets
     of one block have distinct output pairs (i k), and X_b adds its
     entrywise product with rho[j, l] at its own pairs.  The partial traces
@@ -499,9 +506,10 @@ def _block_clones(problem: sdp.SdpProblem, solution: sdp.SdpSolution, psi: np.nd
     """
     d, rho = psi.size, outer(psi)
     joint = np.zeros((d * d, d * d), dtype=complex)
-    for ix, (name, _) in zip(_character_blocks(d), problem.blocks):
+    clipped = (xb for xg in solution.x for xb in _project_psd(xg))
+    for ix, xb in zip(_character_blocks(d), clipped):
         pairs, j = ix // (d * d) * d + ix % d, ix // d % d  # (i k) and j of each ket |i j k>
-        joint[pairs[:, None], pairs] += _project_psd(solution.x[name]) * rho[j[:, None], j]
+        joint[pairs[:, None], pairs] += xb * rho[j[:, None], j]
     pair = np.kron(psi, psi)
     signs = sign_patterns(d)
     bob, eve = (signs[:, :, None] * partial_trace(joint, [d, d], keep=[k]) * signs[:, None, :]
@@ -555,7 +563,7 @@ class UnitaryClonerParams:
             raise ValueError("basis must be a (d, d) array of d kets")
         if len(b) < 2:
             raise ValueError("a cloning basis needs at least two kets")
-        if float(np.max(np.abs(b @ dagger(b) - np.eye(len(b))))) > 1e-10:
+        if not float(np.max(np.abs(b @ dagger(b) - np.eye(len(b))))) <= 1e-10:  # NaN fails
             raise ValueError("basis is not orthonormal")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
@@ -617,7 +625,7 @@ def apply_unitary_cloner(params: UnitaryClonerParams, kets: np.ndarray) -> np.nd
     of trace 2(d-1) q^2 + p^2 = 1.
     """
     kets = np.asarray(kets, dtype=complex)
-    if np.any(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) > 1e-9):
+    if not np.all(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("input kets must be normalised")
     e, d, q = params.basis, params.d, params.q
     r = params.p - 2.0 * q

@@ -1,6 +1,6 @@
 """Primal-dual interior-point solver for small dense semidefinite programs.
 
-Problems are stated in primal standard form over named Hermitian blocks:
+Problems are stated in primal standard form over Hermitian blocks:
 
     maximize    sum_b <C_b, X_b>
     subject to  sum_b <A_{j,b}, X_b> = r_j      (j = 1..m)
@@ -16,14 +16,14 @@ The solver follows the central path with Nesterov-Todd scaling: one Newton
 step per iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
 fraction-to-boundary rule.  Runs are reproducible bit for bit.
 
-Blocks of equal dimension d are grouped, in order of first appearance, and
-every operator the iteration touches (iterates, residuals, search
-directions, constraint and cost data) is held as one (B, d, d) stack per
-group: scaling, step lengths and inverses run once per group, not once per
-block.  A constraint may carry one shared operator that acts on every block
-of its dimension, as the POVM completeness constraints do.  A group touched
-only by shared operators stores them once, as an (m, 1, d, d) stack; any
-other group stores (m, B, d, d).  The constraint map
+A problem comes in the form the solver runs on: its blocks in groups, each
+group of B blocks of one dimension d given as one (B, d, d) stack of cost
+operators and one (m, B, d, d) stack of constraint operators.  Every
+operator the iteration touches (iterates, residuals, search directions) is
+held as one (B, d, d) stack per group: scaling, step lengths and inverses
+run once per group, not once per block.  A constraint stack of shape
+(m, 1, d, d) holds one operator per constraint that acts on every block of
+its group, as the POVM completeness constraints do.  The constraint map
 A(X)_j = sum_b <A_{j,b}, X_b> and its adjoint A*(y)_b = sum_j y_j A_{j,b}
 are real matrix-vector products on the real view of the stacks, since
 Re Tr(A H) of Hermitian A and H is the real dot product of their entries;
@@ -47,8 +47,8 @@ of X and Z, from which each step length is one ``eigvalsh`` (see
 The constraint count m is small, so all linear algebra is dense.
 
 Real data are solved in real arithmetic.  When every objective and
-constraint operator of a problem is real, decided once per stacked array,
-the problem stores float64 stacks, and the iterates, the constraint map
+constraint operator of a problem is real, decided once over all its
+stacks, the problem stores float64 stacks, and the iterates, the constraint map
 and :func:`verify_kkt` stay real; otherwise every stack is complex128.
 This is sound.  Take real C_b and A_{j,b}, and the complex problem that
 adds purely imaginary constraint operators i S (S real antisymmetric) of
@@ -68,7 +68,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,31 +103,27 @@ MAX_ITERATIONS = 200
 # problem and solution containers
 # ---------------------------------------------------------------------------
 
-# (coefficients, rhs): a block name -> operator map, or one (d, d) array
-# shared by every block of dimension d
-Constraint = tuple[Mapping[str, np.ndarray] | np.ndarray, float]
-
-
 @dataclass(frozen=True)
 class _Group:
-    """The blocks of one dimension d, stacked in order of first appearance.
+    """One group of B blocks of dimension d, as the solver holds it.
 
-    ``ops[j, k]`` is the operator of constraint j on block ``names[k]`` (zero
-    where the constraint does not touch the block), ``cost[k]`` its
-    objective operator.  A group that only shared constraint operators touch
-    stores ``ops`` as (m, 1, d, d): ``ops[j, 0]`` acts on every block.  Both
-    stacks are float64 when the problem's data are real, else complex128.
+    ``ops[j, k]`` is the operator of constraint j on block k, ``cost[k]``
+    its objective operator.  A group whose ``ops`` is (m, 1, d, d) with
+    B > 1 is shared: ``ops[j, 0]`` acts on every block.  Both stacks are
+    float64 when the problem's data are real, else complex128.
     """
 
-    d: int
-    names: tuple[str, ...]
     ops: np.ndarray
     cost: np.ndarray
 
     @property
+    def d(self) -> int:
+        return self.cost.shape[-1]
+
+    @property
     def shared(self) -> bool:
         """Whether ``ops[:, 0]`` acts on every one of several blocks."""
-        return self.ops.shape[1] < len(self.names)
+        return self.ops.shape[1] < len(self.cost)
 
     @property
     def real(self) -> bool:
@@ -144,50 +140,55 @@ class _Group:
 
 @dataclass
 class SdpProblem:
-    """Standard-form SDP over named Hermitian PSD blocks.
+    """Standard-form SDP over groups of Hermitian PSD blocks.
 
-    ``blocks`` lists (name, dimension) pairs.  ``objective`` maps block names
-    to Hermitian cost operators (missing blocks contribute zero).  Each
-    constraint is a (coefficients, rhs) pair whose coefficients are either a
-    map from block names to Hermitian operators or one Hermitian (d, d)
-    operator shared by every block of dimension d.  Constraint rows must be
-    linearly independent as Hermitian operators; this is checked at
-    construction.
+    ``cost[g]`` is the (B, d, d) stack of the objective operators of group
+    g's B blocks of dimension d, and ``ops[g]`` the (m, B, d, d) stack of
+    their constraint operators: ``ops[g][j, k]`` is A_{j,b} of constraint j
+    on block k of the group, zero where the constraint does not touch it.
+    An (m, 1, d, d) stack holds one operator per constraint acting on every
+    block of the group, stored, checked and rank-tested once.  ``rhs``
+    holds the m right-hand sides.  The blocks are ordered by group, then
+    within each stack; groups may share a dimension.  The fields keep the
+    stacks as given.
 
-    Construction also stacks the data once for the solver: blocks of equal
-    dimension form one group, in order of first appearance, holding one
-    (B, d, d) stack of cost operators and one stack of constraint operators.
-    That stack is (m, 1, d, d) when only shared operators touch the group,
-    so a shared operator is stored, checked and rank-tested once, not once
-    per block; otherwise it is (m, B, d, d), with shared operators copied
-    into every block.  The stacks are float64 when every operator is real,
-    tested once per stack, and complex128 otherwise.  The solver and
-    :func:`verify_kkt` read only these stacks, and the rank is tested on
-    their real rows.
+    Construction checks the shapes, that every operator is Hermitian to
+    ATOL_ALGEBRA relative to its largest entry, and that the constraint rows
+    are linearly independent as Hermitian operators, tested on their real
+    rows.  It also copies the stacks once for the solver: float64 when every
+    operator of every stack is real, complex128 otherwise.  The solver and
+    :func:`verify_kkt` read only these copies.
     """
 
-    blocks: Sequence[tuple[str, int]]
-    objective: Mapping[str, np.ndarray]
-    constraints: Sequence[Constraint]
+    cost: Sequence[np.ndarray]
+    ops: Sequence[np.ndarray]
+    rhs: Sequence[float]
 
     def __post_init__(self) -> None:
-        names = [n for n, _ in self.blocks]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate block names")
-        by_dim: dict[int, list[str]] = {}
-        for name, d in self.blocks:
-            by_dim.setdefault(d, []).append(name)
-        where = {n: (g, k) for g, group in enumerate(by_dim.values())
-                 for k, n in enumerate(group)}
-        self._where = {n: where[n] for n in names}  # block order
-        cost = self._stack([self.objective], by_dim, "objective")
-        ops = self._stack([co for co, _ in self.constraints], by_dim, "constraint")
-        if not any(stack.imag.any() for stack in cost + ops):
-            cost, ops = ([stack.real.copy() for stack in stacks] for stacks in (cost, ops))
-        self._groups = [_Group(d, tuple(group), o, c[0])
-                        for (d, group), o, c in zip(by_dim.items(), ops, cost)]
-        m = len(self.constraints)
-        self._b = np.array([float(r) for _, r in self.constraints])
+        self._b = np.array(self.rhs, dtype=float)
+        if self._b.ndim != 1 or len(self.cost) != len(self.ops):
+            raise ValueError("a problem takes one cost and one constraint stack per group "
+                             "and a vector of right-hand sides")
+        m = self._b.size
+        cost, ops = [np.asarray(c) for c in self.cost], [np.asarray(a) for a in self.ops]
+        for g, (c, a) in enumerate(zip(cost, ops)):
+            if c.ndim != 3 or c.shape[1] != c.shape[2] or 0 in c.shape:
+                raise ValueError(f"cost stack {g} has shape {c.shape}, expected (B, d, d)")
+            if a.shape not in ((m, *c.shape), (m, 1, *c.shape[1:])):
+                raise ValueError(f"constraint stack {g} has shape {a.shape}, expected "
+                                 f"({m}, {len(c)} or 1, {c.shape[1]}, {c.shape[2]})")
+        real = not any(np.iscomplexobj(s) and s.imag.any() for s in cost + ops)
+        cost, ops = ([np.array(np.real(s) if real else s, dtype=float if real else complex)
+                      for s in stacks] for stacks in (cost, ops))
+        for role, stacks in (("cost", cost), ("constraint", ops)):
+            for g, stack in enumerate(stacks):
+                asym = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
+                scale = np.maximum(1.0, np.max(np.abs(stack), axis=(-2, -1)))
+                ok = asym <= ATOL_ALGEBRA * scale  # NaN fails too
+                if not ok.all():
+                    raise ValueError(f"{role} stack {g} is not Hermitian at index "
+                                     f"{', '.join(map(str, np.argwhere(~ok)[0]))}")
+        self._groups = [_Group(a, c) for c, a in zip(cost, ops)]
         if m:
             # the real rows have the Gram matrix Re Tr(A_i A_j) of the
             # operators, hence their singular values; LAPACK finds them two
@@ -198,54 +199,6 @@ class SdpProblem:
                 raise InfeasibleConstraintsError(
                     f"constraint rows are rank deficient ({rank} < {m})"
                 )
-
-    def _stack(self, maps: Sequence[Mapping[str, np.ndarray] | np.ndarray],
-               by_dim: Mapping[int, Sequence[str]], role: str) -> list[np.ndarray]:
-        """Coefficient operators as one (len(maps), B, d, d) stack per group,
-        or (len(maps), 1, d, d) for a group that only shared operators touch.
-
-        Every operator must be Hermitian to ATOL_ALGEBRA relative to its
-        largest entry.
-        """
-        dims = list(by_dim)
-        shared = {co.shape for co in maps if isinstance(co, np.ndarray)}
-        named = {self._where[n][0] for co in maps if not isinstance(co, np.ndarray)
-                 for n in co if n in self._where}
-        stacks = [np.zeros((len(maps), 1 if (d, d) in shared and g not in named
-                            else len(group), d, d), dtype=complex)
-                  for g, (d, group) in enumerate(by_dim.items())]
-        for j, coeffs in enumerate(maps):
-            if isinstance(coeffs, np.ndarray):
-                if (coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]
-                        or coeffs.shape[0] not in by_dim):
-                    raise ValueError(f"shared {role} operator of shape {coeffs.shape} "
-                                     "matches no block dimension")
-                stacks[dims.index(len(coeffs))][j] = coeffs  # broadcasts over the blocks
-                continue
-            for name, op in coeffs.items():
-                if name not in self._where:
-                    raise ValueError(f"{role} references unknown block {name!r}")
-                g, k = self._where[name]
-                op, d = np.asarray(op), dims[g]
-                if op.shape != (d, d):
-                    raise ValueError(f"{role} operator for block {name!r} has shape "
-                                     f"{op.shape}, expected {(d, d)}")
-                stacks[g][j, k] = op
-        for group, stack in zip(by_dim.values(), stacks):
-            d, width = stack.shape[-1], stack.shape[1]
-            ops = stack.reshape(-1, d, d)
-            asym = np.max(np.abs(ops - dagger(ops)), axis=(-2, -1))
-            scale = np.maximum(1.0, np.max(np.abs(ops), axis=(-2, -1)))
-            bad = np.flatnonzero(asym > ATOL_ALGEBRA * scale)
-            if bad.size:
-                where = (f"block {group[bad[0] % width]!r}" if width == len(group)
-                         else f"the blocks of dimension {d}")
-                raise ValueError(f"{role} operator for {where} is not Hermitian")
-        return stacks
-
-    def _named(self, stacks: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-        """Name -> matrix views into one stack per group, in block order."""
-        return {n: stacks[g][k] for n, (g, k) in self._where.items()}
 
 
 @dataclass
@@ -261,13 +214,14 @@ class SdpSolution:
     on the NT scaling, its factors and the centring term (``scaling_s``), on
     assembling and factorising the Schur complement and solving for the
     direction (``schur_s``), and on the step lengths, one ``eigvalsh`` each
-    for X and Z, and the update (``step_s``).  The solve returns ``x`` in the
-    problem's dtype: float64 on real data.  The dual slack is not stored:
+    for X and Z, and the update (``step_s``).  ``x`` holds one (B, d, d)
+    stack per group of the problem, in its order; the solve returns it in
+    the problem's dtype: float64 on real data.  The dual slack is not stored:
     Z_b = sum_j y_j A_{j,b} - C_b follows from ``y``, and :func:`verify_kkt`
     recomputes it.
     """
 
-    x: dict[str, np.ndarray]
+    x: list[np.ndarray]
     y: np.ndarray
     primal_objective: float
     dual_objective: float
@@ -390,13 +344,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
     groups, b = problem._groups, problem._b
     m = b.size
     r_inf = float(np.max(np.abs(b), initial=0.0))
-    x = [np.tile(np.eye(g.d, dtype=g.cost.dtype) * (1.0 + r_inf), (len(g.names), 1, 1))
+    x = [np.tile(np.eye(g.d, dtype=g.cost.dtype) * (1.0 + r_inf), (len(g.cost), 1, 1))
          for g in groups]
-    z = [np.tile(np.eye(g.d, dtype=g.cost.dtype), (len(g.names), 1, 1)) for g in groups]
+    z = [np.tile(np.eye(g.d, dtype=g.cost.dtype), (len(g.cost), 1, 1)) for g in groups]
     y = np.zeros(m)
     reg = 1e-14 * np.eye(m)
 
-    total_dim = sum(g.d * len(g.names) for g in groups)
+    total_dim = sum(g.d * len(g.cost) for g in groups)
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + _norm([g.cost for g in groups])
     iterates: list[dict[str, float]] = []
@@ -457,7 +411,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         raise status
 
     return SdpSolution(
-        x=problem._named([hermitian_part(xg) for xg in x]), y=y.copy(),
+        x=[hermitian_part(xg) for xg in x], y=y.copy(),
         primal_objective=pobj, dual_objective=dobj, gap=gap,
         iterations=len(iterates), iterates=iterates,
     )
@@ -476,16 +430,16 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     inequality, with the norm over the blocks of X_b's dimension, and
     ``primal_min_eigenvalue`` is this lower bound, exact for a real X.
     """
-    names = [n for n, _ in problem.blocks]
-    if set(solution.x) != set(names) or len(solution.y) != len(problem.constraints):
-        raise ValueError("solution shapes do not match the problem")
-    wrong = [n for n, d in problem.blocks if np.shape(solution.x[n]) != (d, d)]
-    if wrong:
-        raise ValueError(f"primal block {wrong[0]!r} has wrong shape")
-
     groups = problem._groups
+    if len(solution.x) != len(groups) or len(solution.y) != problem._b.size:
+        raise ValueError("solution shapes do not match the problem")
+    wrong = [g for g, (xg, group) in enumerate(zip(solution.x, groups))
+             if np.shape(xg) != group.cost.shape]
+    if wrong:
+        raise ValueError(f"primal stack {wrong[0]} has wrong shape")
+
     y = np.asarray(solution.y, dtype=float)
-    x = [np.array([solution.x[n] for n in g.names], dtype=complex) for g in groups]
+    x = [np.array(xg, dtype=complex) for xg in solution.x]
     # on real data Im X enters only as a Weyl bound on the primal eigenvalues
     spread = [_norm([xg.imag]) if g.real else 0.0 for g, xg in zip(groups, x)]
     x = [xg.real.copy() if g.real else xg for g, xg in zip(groups, x)]
@@ -521,33 +475,33 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 @lru_cache(maxsize=None)
 def _completeness_basis(d: int) -> np.ndarray:
     """The operators of :func:`povm_completeness_constraints` as a read-only
-    (d**2, d, d) stack; computed once per d."""
+    (d**2, 1, d, d) stack; computed once per d."""
     iu, ju = np.triu_indices(d, 1)
     diag, sym = np.arange(d), d + np.arange(iu.size)
     anti = sym + iu.size
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[diag, diag, diag] = 1.0
-    basis[sym, iu, ju] = basis[sym, ju, iu] = 1.0 / np.sqrt(2.0)
-    basis[anti, iu, ju] = 1j / np.sqrt(2.0)
-    basis[anti, ju, iu] = -1j / np.sqrt(2.0)
+    basis = np.zeros((d * d, 1, d, d), dtype=complex)
+    basis[diag, 0, diag, diag] = 1.0
+    basis[sym, 0, iu, ju] = basis[sym, 0, ju, iu] = 1.0 / np.sqrt(2.0)
+    basis[anti, 0, iu, ju] = 1j / np.sqrt(2.0)
+    basis[anti, 0, ju, iu] = -1j / np.sqrt(2.0)
     basis.flags.writeable = False
     return basis
 
 
-def povm_completeness_constraints(dim: int, real: bool = False) -> list[Constraint]:
-    """Constraints stating that the blocks of dimension ``dim`` sum to the
-    identity on C^dim, one shared operator per element of an orthonormal
-    Hermitian basis B_j, acting on every block of that dimension, with
-    right-hand side Tr(B_j) = <B_j, I>: first the units |k><k| (right-hand
-    side 1), then (|k><l| + |l><k|)/sqrt(2) and i(|k><l| - |l><k|)/sqrt(2),
-    each over k < l in ``np.triu_indices`` order (right-hand side 0).
-    Since Tr(B_i B_j) = delta_ij, a dual operator Y in the span of the rows
-    has the multipliers y_j = Re Tr(B_j Y), with sum_j y_j B_j = Y.  With
-    ``real``, for real data, only the dim(dim+1)/2 real symmetric rows, the
-    prefix, which span the real symmetric Y: the purely imaginary rest is
-    vacuous on a real X.  The operators
-    are read-only views of one cached stack; the list is new on every
-    call."""
+def povm_completeness_constraints(dim: int, real: bool = False
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(ops, rhs) of the constraints stating that the blocks of a group of
+    dimension ``dim`` sum to the identity on C^dim: ``ops`` is the
+    (m, 1, dim, dim) constraint stack of one shared operator per element of
+    an orthonormal Hermitian basis B_j, acting on every block of the group,
+    and ``rhs`` holds Tr(B_j) = <B_j, I>.  First come the units |k><k|
+    (right-hand side 1), then (|k><l| + |l><k|)/sqrt(2) and
+    i(|k><l| - |l><k|)/sqrt(2), each over k < l in ``np.triu_indices`` order
+    (right-hand side 0).  Since Tr(B_i B_j) = delta_ij, a dual operator Y in
+    the span of the rows has the multipliers y_j = Re Tr(B_j Y), with
+    sum_j y_j B_j = Y.  With ``real``, for real data, only the
+    dim(dim+1)/2 real symmetric rows, the prefix, which span the real
+    symmetric Y: the purely imaginary rest is vacuous on a real X.  ``ops``
+    is a read-only view of one cached stack; ``rhs`` is new on every call."""
     count = dim * (dim + 1) // 2 if real else dim * dim
-    return [(op, 1.0 if j < dim else 0.0)
-            for j, op in enumerate(_completeness_basis(dim)[:count])]
+    return _completeness_basis(dim)[:count], (np.arange(count) < dim).astype(float)

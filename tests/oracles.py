@@ -27,12 +27,11 @@ def full_cloning_problem(ens) -> sdp.SdpProblem:
     Tr_{out,out}(J) = I, stated as the d**2 rows <I x B x I, J> = Tr(B) over
     the orthonormal Hermitian basis B of
     :func:`dpsqkd.sdp.povm_completeness_constraints`."""
-    d, eye = ens.n, np.eye(ens.n)
+    eye = np.eye(ens.n)
     v = choi_kets(attacks._kets(ens))
-    return sdp.SdpProblem(blocks=[("J", d ** 3)],
-                          objective={"J": v.T @ (ens.priors[:, None] * v.conj())},
-                          constraints=[({"J": np.kron(eye, np.kron(op, eye))}, rhs)
-                                       for op, rhs in sdp.povm_completeness_constraints(d)])
+    basis, rhs = sdp.povm_completeness_constraints(ens.n)
+    ops = np.array([np.kron(eye, np.kron(b, eye)) for b in basis[:, 0]])
+    return sdp.SdpProblem([(v.T @ (ens.priors[:, None] * v.conj()))[None]], [ops[:, None]], rhs)
 
 
 def objective_inner(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray) -> float:
@@ -72,8 +71,9 @@ def block_choi(result) -> np.ndarray:
     of their characters."""
     d = result.bob_states.shape[-1]
     choi = np.zeros((d ** 3, d ** 3), dtype=complex)
-    for ix, (name, _) in zip(attacks._character_blocks(d), result.problem.blocks):
-        choi[np.ix_(ix, ix)] = attacks._project_psd(result.solution.x[name])
+    blocks = (xb for xg in result.solution.x for xb in xg)
+    for ix, xb in zip(attacks._character_blocks(d), blocks):
+        choi[np.ix_(ix, ix)] = attacks._project_psd(xb)
     return choi
 
 
@@ -100,11 +100,10 @@ def lifted_med_pair(ens, result) -> sdp.SdpSolution:
     y_j = Re Tr(B_j diag(y)) against the completeness operators B_j of its
     rows."""
     signs = sign_patterns(ens.n)
-    lifted = signs[:, :, None] * result.solution.x["P0"] * signs[:, None, :] / len(signs)
+    lifted = signs[:, :, None] * result.solution.x[0][0] * signs[:, None, :] / len(signs)
     y = [np.trace(op @ np.diag(result.solution.y)).real
-         for op, _ in attacks.med_problem(ens).constraints]
-    return dataclasses.replace(result.solution, x={f"P{g + 1}": x for g, x in enumerate(lifted)},
-                               y=np.array(y))
+         for op in attacks.med_problem(ens).ops[0][:, 0]]
+    return dataclasses.replace(result.solution, x=[lifted], y=np.array(y))
 
 
 def pgm_povm(ens) -> attacks.Povm:

@@ -51,8 +51,8 @@ def test_criterion_02_handbuilt_povm_optimal(ens3):
     # the closed-form dual Y = I/4, of value Tr Y = 3/4, has the multipliers
     # y_j = Tr(B_j)/4 on the orthonormal completeness operators B_j
     problem = med_problem(ens3)
-    hand = {f"P{i + 1}": 0.75 * ens3.densities[i] for i in range(4)}
-    y = np.array([np.trace(op).real / 4 for op, _ in problem.constraints])
+    hand = [0.75 * ens3.densities]
+    y = np.array([np.trace(op).real / 4 for op in problem.ops[0][:, 0]])
     candidate = SdpSolution(x=hand, y=y, primal_objective=0.75, dual_objective=0.75,
                             gap=0.0, iterations=0)
     report = verify_kkt(problem, candidate, tol=1e-6)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def general_med(ens):
     without the covariant lift or the PSD clipping of ``med_attack``.
     Returns (p_success, collision, confusion, povm elements)."""
     sol = sdp.solve(med_problem(ens))
-    elements = np.array([sol.x[f"P{i + 1}"] for i in range(len(ens.priors))])
+    (elements,) = sol.x
     confusion = np.array([[np.trace(rho @ el).real for el in elements] for rho in ens.densities])
     p_success = float(ens.priors @ np.diag(confusion))
     return p_success, collision_probability(confusion, ens.priors, ens.bit_map), confusion, elements
@@ -101,12 +102,12 @@ def assert_matches_general_med(result, ens):
 @pytest.fixture
 def covariant_calls(monkeypatch):
     """The attack of each symmetry-reduced problem that ``_reduced_optimum``
-    takes while the test runs: "med" for a seed block, "cloner" for
-    character blocks."""
+    takes while the test runs: "med" for a seed block, one group, and
+    "cloner" for character blocks, two groups."""
     calls, real = [], attacks._reduced_optimum
 
     def spy(problem, delta):
-        calls.append("med" if problem.blocks[0][0] == "P0" else "cloner")
+        calls.append("med" if len(problem.cost) == 1 else "cloner")
         return real(problem, delta)
     monkeypatch.setattr(attacks, "_reduced_optimum", spy)
     return calls
@@ -118,10 +119,10 @@ def assert_seed_certified_on_full_problem(result, ens):
     (oracles.lifted_med_pair) passes the KKT check of the full problem, with
     one multiplier per real symmetric completeness entry: the data are real."""
     n = ens.n
-    assert result.problem.blocks == [("P0", n)] and len(result.solution.y) == n
+    assert [c.shape for c in result.problem.cost] == [(1, n, n)] and len(result.solution.y) == n
     assert result.kkt.passed, result.kkt.conditions
     lifted = lifted_med_pair(ens, result)
-    assert len(lifted.x) == 2 ** (n - 1) and len(lifted.y) == n * (n + 1) // 2
+    assert lifted.x[0].shape == (2 ** (n - 1), n, n) and len(lifted.y) == n * (n + 1) // 2
     report = sdp.verify_kkt(med_problem(ens), lifted, tol=attacks._KKT_TOL)
     assert report.passed, report.conditions
 
@@ -166,7 +167,7 @@ def test_covariant_lift_is_checked_not_assumed(ens3, covariant_calls, monkeypatc
     skewed = dataclasses.replace(ens3, priors=[0.4, 0.2, 0.2, 0.2])
     result = med_attack(skewed)
     assert covariant_calls == []
-    assert len(result.problem.blocks) == 4
+    assert [c.shape for c in result.problem.cost] == [(4, 3, 3)]
     assert result.kkt.passed, result.kkt.conditions
     delta = attacks._covariance_residual(skewed)
     monkeypatch.setattr(attacks, "_covariance_residual", lambda ens: 0.0)
@@ -285,6 +286,9 @@ def test_povm_rejects_negative_elements(eps, valid):
     else:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             Povm(elements=elements)
+    # NaN has no eigenvalue to compare, and fails rather than passes
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        Povm(elements=(np.full((2, 2), np.nan),))
 
 
 @pytest.mark.parametrize("eps,valid", [(5e-9, True), (2e-8, False)])
@@ -406,7 +410,7 @@ def full_cloner(ens):
     out through apply_choi.  Returns (choi, two-copy fidelity, per-state
     fidelities, Bob's states, Eve's states)."""
     d = ens.n
-    choi = sdp.solve(full_cloning_problem(ens)).x["J"]
+    choi = sdp.solve(full_cloning_problem(ens)).x[0][0]
     two_copy, fids, bobs, eves = 0.0, [], [], []
     for p, s in zip(ens.priors, ens.states):
         joint = apply_choi(choi, outer(s))
@@ -445,23 +449,33 @@ def test_character_blocks(n, count, largest):
     assert len(np.unique(characters[[ix[0] for ix in blocks]], axis=0)) == len(blocks)
     # the cloning objective of the DPS ensemble has no weight between blocks
     ens = dps_ensemble(n)
-    q = full_cloning_problem(ens).objective["J"]
+    q = full_cloning_problem(ens).cost[0][0]
     label = np.zeros(n ** 3, dtype=int)
     for b, ix in enumerate(blocks):
         label[ix] = b
     assert np.max(np.abs(q[label[:, None] != label[None, :]])) <= 1e-15
 
 
-def scattered(problem, solution, d):
+@pytest.mark.parametrize("d", range(3, 13))
+def test_character_blocks_are_contiguous_by_size(d):
+    """The d blocks of size 3d-2 come first, then the C(d, 3) of size 6: so
+    cloning_problem's groups, one per run of equal sizes, are one per size,
+    and its solver, the top-eigenspace candidate and the clone scatter see
+    the blocks in the order of _character_blocks."""
+    assert ([b.size for b in attacks._character_blocks(d)]
+            == [3 * d - 2] * d + [6] * math.comb(d, 3))
+
+
+def scattered(solution, d):
     """A character-block cloner pair placed on the full cloning problem: the
     primal blocks at their kets, the multipliers as Y = diag(y), read as
     Re Tr(B_j Y) against the completeness basis B_j of its rows."""
     x = np.zeros((d ** 3, d ** 3), dtype=complex)
-    for (name, _), ix in zip(problem.blocks, attacks._character_blocks(d)):
-        x[np.ix_(ix, ix)] = solution.x[name]
+    for ix, xb in zip(attacks._character_blocks(d), (xb for xg in solution.x for xb in xg)):
+        x[np.ix_(ix, ix)] = xb
     y = [np.trace(op @ np.diag(solution.y)).real
-         for op, _ in sdp.povm_completeness_constraints(d)]
-    return dataclasses.replace(solution, x={"J": x}, y=np.array(y))
+         for op in sdp.povm_completeness_constraints(d)[0][:, 0]]
+    return dataclasses.replace(solution, x=[x[None]], y=np.array(y))
 
 
 @pytest.mark.parametrize("n,two_copy", [(3, 7 / 9), (4, 0.625), (5, 0.52), (6, 0.444444)])
@@ -469,13 +483,13 @@ def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant
     ens = dps_ensemble(n)
     result = optimal_cloner(ens)
     assert covariant_calls == ["cloner"]
-    assert len(result.problem.blocks) == len(attacks._character_blocks(n))
+    assert sum(map(len, result.problem.cost)) == len(attacks._character_blocks(n))
     assert len(result.solution.y) == n  # one multiplier per diagonal trace-preservation entry
     assert result.kkt.passed, result.kkt.conditions
-    full = scattered(result.problem, result.solution, n)
+    full = scattered(result.solution, n)
     report = sdp.verify_kkt(full_cloning_problem(ens), full, tol=1e-6)
     assert report.passed, report.conditions
-    assert_allclose(block_choi(result), full.x["J"], rtol=0, atol=1e-9)
+    assert_allclose(block_choi(result), full.x[0][0], rtol=0, atol=1e-9)
     assert result.avg_two_copy_fidelity == pytest.approx(two_copy, abs=1e-6)
 
 
@@ -510,7 +524,7 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
         delta = attacks._covariance_residual(mutated)
         reduced = attacks._reduced_kkt(problem, solution, delta)
         return (reduced.passed, sdp.verify_kkt(full_cloning_problem(mutated),
-                                               scattered(problem, solution, n), tol=1e-6).passed)
+                                               scattered(solution, n), tol=1e-6).passed)
 
     zeroed = dataclasses.replace(solution, y=np.zeros_like(solution.y))
     assert verdicts(problem, zeroed, ens) == (False, False)
@@ -595,7 +609,7 @@ def test_slightly_bent_kets_take_the_symmetry_reduced_routes(n, eps, covariant_c
     assert len(residuals) == 1
     assert clone.kkt.passed and clone.solution.iterations == 0, clone.kkt.conditions
     full = sdp.verify_kkt(full_cloning_problem(mutated),
-                          scattered(clone.problem, clone.solution, n), tol=attacks._KKT_TOL)
+                          scattered(clone.solution, n), tol=attacks._KKT_TOL)
     assert full.passed, full.conditions
     med = med_attack(mutated)
     assert len(residuals) == 2
@@ -620,7 +634,7 @@ def test_off_block_norm_matches_dense_objective(n, skew):
     q = v.T @ (priors[:, None] * v.conj())
     if n == 3:
         assert_allclose(q, full_cloning_problem(dataclasses.replace(ens, priors=priors)
-                                                ).objective["J"], rtol=0, atol=0)
+                                                ).cost[0][0], rtol=0, atol=0)
     blocks = attacks._character_blocks(n)
     label = np.zeros(n ** 3, dtype=int)
     for b, ix in enumerate(blocks):
@@ -646,8 +660,9 @@ def test_covariance_residual_bounds_the_objective_distance(n):
     orbit = choi_kets(sign_patterns(n) * ens.states[0])
     q_cov = orbit.T @ orbit.conj() / len(orbit)
     problem = cloning_problem(ens)
-    for block, (name, _) in zip(attacks._character_blocks(n), problem.blocks):
-        assert_allclose(q_cov[np.ix_(block, block)], problem.objective[name], rtol=0, atol=1e-15)
+    costs = (cb for cost in problem.cost for cb in cost)
+    for block, cb in zip(attacks._character_blocks(n), costs, strict=True):
+        assert_allclose(q_cov[np.ix_(block, block)], cb, rtol=0, atol=1e-15)
     for name, mutated in mutated_ensembles(ens):
         kets, priors = mutated.states, mutated.priors
         delta = attacks._covariance_residual(mutated)
@@ -689,12 +704,20 @@ def test_covariant_cloner_builds_no_full_operator(n, monkeypatch, covariant_call
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_cloning_problem_is_the_cloners_one_problem(n, monkeypatch):
     """cloning_problem builds the character-block SDP, one block per
-    character and one row per input index, and it is the only SdpProblem
-    that optimal_cloner builds."""
+    character in two groups, the n blocks of size 3n-2 and the C(n, 3) of
+    size 6, and one row per input index, whose operators are exact 0/1
+    diagonals that sum to the identity on every block; it is the only
+    SdpProblem that optimal_cloner builds."""
     ens = dps_ensemble(n)
     problem = cloning_problem(ens)
-    assert len(problem.blocks) == len(attacks._character_blocks(n))
-    assert len(problem.constraints) == n
+    shapes = [(n, 3 * n - 2, 3 * n - 2), (math.comb(n, 3), 6, 6)]
+    assert [c.shape for c in problem.cost] == shapes
+    assert [a.shape for a in problem.ops] == [(n, *shape) for shape in shapes]
+    assert len(problem.rhs) == n
+    for a in problem.ops:
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        assert_allclose(a.sum(axis=0), np.broadcast_to(np.eye(a.shape[-1]), a.shape[1:]),
+                        rtol=0, atol=0)
     events = []
 
     def record(name, real):
@@ -710,7 +733,7 @@ def test_cloning_problem_is_the_cloners_one_problem(n, monkeypatch):
                         record("cloning_problem", attacks.cloning_problem))
     result = optimal_cloner(ens)
     assert events == ["cloning_problem(", "SdpProblem(", ")SdpProblem", ")cloning_problem"]
-    assert result.problem.blocks == problem.blocks
+    assert [c.shape for c in result.problem.cost] == shapes
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -851,6 +874,8 @@ def test_unitary_params_validation(ens3):
         UnitaryClonerParams(q=0.6, basis=basis)
     with pytest.raises(ValueError, match="orthonormal"):
         UnitaryClonerParams(q=0.2, basis=(basis[0], basis[0], basis[2]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        UnitaryClonerParams(q=0.2, basis=np.where(np.eye(3, dtype=bool), np.nan, basis))
     with pytest.raises(ValueError, match=r"\(d, d\) array"):
         UnitaryClonerParams(q=0.2, basis=basis[:2])
     params = UnitaryClonerParams(q=0.23, basis=basis)
@@ -910,6 +935,8 @@ def test_unitary_cloner_rejects_unnormalised(ens3):
     params = UnitaryClonerParams(q=0.23, basis=basis)
     with pytest.raises(ValueError, match="normalised"):
         apply_unitary_cloner(params, np.array([ens3.states[0], 2.0 * ens3.states[1]]))
+    with pytest.raises(ValueError, match="normalised"):
+        apply_unitary_cloner(params, np.array([ens3.states[0], np.full(3, np.nan)]))
 
 
 def test_transformed_matrices_at_printed_q(ens3):
@@ -1005,7 +1032,8 @@ def test_unitary_cloning_attack_at_eight_pulses(monkeypatch):
     monkeypatch.setattr(sdp, "solve", lambda problem: solved.append(problem) or solve(problem))
     med = unitary_cloning_attack(dps_ensemble(8)).med_after
     assert len(solved) == 1 and solved[0] is med.problem
-    assert len(med.problem.blocks) == 2 ** 7 and len(med.problem.constraints) == 36
+    assert [c.shape for c in med.problem.cost] == [(2 ** 7, 8, 8)]
+    assert [a.shape for a in med.problem.ops] == [(36, 1, 8, 8)]
     report = sdp.verify_kkt(med.problem, med.solution)
     assert report.passed, report.conditions
     assert 1.0 / 2 ** 7 < med.p_success < 8.0 / 2 ** 7
@@ -1025,7 +1053,7 @@ def test_rendered_arrays_stay_complex(med3, cloning_attack3, unitary_attack3):
     """Real SDP data run in float64, but the POVM elements and clone stacks
     that reports render as [re, im] pairs stay complex128."""
     med = unitary_attack3.med_after
-    assert med.solution.x["P1"].dtype == np.float64  # the general solve's optimum
+    assert med.solution.x[0].dtype == np.float64  # the general solve's optimum
     for povm in (med3.povm, cloning_attack3.med_after.povm, med.povm):
         assert {el.dtype for el in povm.elements} == {np.dtype(np.complex128)}
     for attack in (cloning_attack3, unitary_attack3):
@@ -1107,13 +1135,14 @@ def test_sign_covariant_med_builds_no_full_problem(monkeypatch, solved):
     built, real = [], attacks.med_problem
     monkeypatch.setattr(attacks, "med_problem", lambda ens: built.append(ens) or real(ens))
     for n in range(3, 11):
-        assert med_attack(dps_ensemble(n)).problem.blocks == [("P0", n)]
+        assert [c.shape for c in med_attack(dps_ensemble(n)).problem.cost] == [(1, n, n)]
     for n in range(3, 6):
         ens = dps_ensemble(n)
         med_on_cloned(ens, optimal_cloner(ens).eve_states)
     assert built == [] and solved == []
     standard_attack_profiles(4)
-    assert len(built) == 1 and len(solved) == 1 and len(solved[0].blocks) == 8
+    assert len(built) == 1 and len(solved) == 1
+    assert [c.shape for c in solved[0].cost] == [(8, 4, 4)]
     assert_allclose(built[0].states, unitary_cloning_attack(dps_ensemble(4)).bob_states,
                     rtol=0, atol=0)
 

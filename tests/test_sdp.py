@@ -13,43 +13,40 @@ from dpsqkd.sdp import (InfeasibleConstraintsError, MaxIterationsError,
 from oracles import full_cloning_problem
 
 
+def med_form(cost, real=False):
+    """An MED-shaped problem: the (B, d, d) ``cost`` stack as one group under
+    the shared completeness rows."""
+    ops, rhs = povm_completeness_constraints(cost.shape[-1], real=real)
+    return SdpProblem([cost], [ops], rhs)
+
+
 def two_state_problem():
-    e0, e1 = np.eye(2)[0], np.eye(2)[1]
-    names = ["P1", "P2"]
-    return SdpProblem(
-        blocks=[(n, 2) for n in names],
-        objective={"P1": 0.5 * outer(e0), "P2": 0.5 * outer(e1)},
-        constraints=povm_completeness_constraints(2),
-    )
+    return med_form(0.5 * np.array([outer(e) for e in np.eye(2)]))
 
 
 def med3_problem():
     ens = dps_ensemble(3)
-    names = [f"P{i + 1}" for i in range(4)]
-    objective = {names[i]: 0.25 * ens.densities[i] for i in range(4)}
-    return ens, SdpProblem(blocks=[(n, 3) for n in names], objective=objective,
-                           constraints=povm_completeness_constraints(3))
+    return ens, med_form(0.25 * ens.densities)
 
 
 def test_completeness_constraints_share_one_read_only_basis():
-    """Each call returns a new list over the same cached, read-only operators
-    B_j, an orthonormal Hermitian basis, Tr(B_i B_j) = delta_ij, whose
-    right-hand sides r_j give sum_j r_j B_j = I; the real rows are the real
-    symmetric prefix, which spans the identity too."""
-    first, second = povm_completeness_constraints(3), povm_completeness_constraints(3)
-    assert first is not second
-    for (a, r), (b, s) in zip(first, second):
-        assert np.shares_memory(a, b) and not a.flags.writeable and r == s
+    """Each call returns a view of the same cached, read-only (m, 1, d, d)
+    stack of operators B_j, an orthonormal Hermitian basis,
+    Tr(B_i B_j) = delta_ij, and new right-hand sides r_j, which give
+    sum_j r_j B_j = I; the real rows are the real symmetric prefix, which
+    spans the identity too."""
+    (first, r), (second, s) = povm_completeness_constraints(3), povm_completeness_constraints(3)
+    assert np.shares_memory(first, second) and not first.flags.writeable
+    assert r is not s and np.array_equal(r, s)
     with pytest.raises(ValueError, match="read-only"):
-        first[0][0][0, 0] = 2.0
+        first[0, 0, 0, 0] = 2.0
     for d in range(1, 6):
         for real in (False, True):
-            cons = povm_completeness_constraints(d, real=real)
-            ops = np.array([op for op, _ in cons])
-            rhs = np.array([r for _, r in cons])
-            assert len(cons) == (d * (d + 1) // 2 if real else d * d)
-            assert_allclose(np.einsum("ikl,jlk->ij", ops, ops), np.eye(len(cons)),
-                            rtol=0, atol=1e-15)
+            stack, rhs = povm_completeness_constraints(d, real=real)
+            m = d * (d + 1) // 2 if real else d * d
+            assert stack.shape == (m, 1, d, d) and rhs.shape == (m,)
+            ops = stack[:, 0]
+            assert_allclose(np.einsum("ikl,jlk->ij", ops, ops), np.eye(m), rtol=0, atol=1e-15)
             assert_allclose(ops, ops.conj().transpose(0, 2, 1), rtol=0, atol=0)
             assert_allclose(np.einsum("j,jkl->kl", rhs, ops), np.eye(d), rtol=0, atol=0)
             assert np.any(ops.imag) == (not real and d > 1)
@@ -58,8 +55,7 @@ def test_completeness_constraints_share_one_read_only_basis():
 def test_orthogonal_discrimination_is_perfect():
     sol = solve(two_state_problem())
     assert sol.primal_objective == pytest.approx(1.0, abs=1e-6)
-    assert_allclose(sol.x["P1"], np.diag([1.0, 0.0]), atol=1e-5)
-    assert_allclose(sol.x["P2"], np.diag([0.0, 1.0]), atol=1e-5)
+    assert_allclose(sol.x[0], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], atol=1e-5)
 
 
 def test_med3_value_and_duality():
@@ -83,8 +79,8 @@ def test_solution_feasibility_tolerances():
 def test_verify_kkt_flags_perturbed_primal():
     _, problem = med3_problem()
     sol = solve(problem)
-    bad = {n: x.copy() for n, x in sol.x.items()}
-    bad["P1"][0, 0] += 0.1
+    bad = [x.copy() for x in sol.x]
+    bad[0][0, 0, 0] += 0.1
     perturbed = SdpSolution(x=bad, y=sol.y,
                             primal_objective=sol.primal_objective,
                             dual_objective=sol.dual_objective,
@@ -99,7 +95,7 @@ def test_hand_built_optimal_povm_certified_by_solver_dual():
     they must satisfy complementary slackness against the solver's dual."""
     ens, problem = med3_problem()
     sol = solve(problem)
-    hand = {f"P{i + 1}": 0.75 * ens.densities[i] for i in range(4)}
+    hand = [0.75 * ens.densities]
     candidate = SdpSolution(x=hand, y=sol.y,
                             primal_objective=0.75, dual_objective=sol.dual_objective,
                             gap=abs(0.75 - sol.dual_objective), iterations=0)
@@ -129,10 +125,7 @@ def test_unitary_conjugation_invariance():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u, _ = np.linalg.qr(a)
-    names = [f"P{i + 1}" for i in range(4)]
-    objective = {names[i]: 0.25 * (u @ ens.densities[i] @ u.conj().T) for i in range(4)}
-    rotated = SdpProblem(blocks=[(n, 3) for n in names], objective=objective,
-                         constraints=povm_completeness_constraints(3))
+    rotated = med_form(0.25 * (u @ ens.densities @ u.conj().T))
     base = solve(problem).primal_objective
     assert solve(rotated).primal_objective == pytest.approx(base, abs=1e-8)
 
@@ -141,26 +134,30 @@ def test_partial_trace_constraint_builder():
     """The dense cloning oracle's d**2 rows at d = 3 read the traces
     Tr(B_j Tr_{out,out} J) against the completeness basis B_j and ask for
     Tr(B_j), with the input factor in the middle."""
-    cons = full_cloning_problem(dps_ensemble(3)).constraints
-    assert len(cons) == 9
+    problem = full_cloning_problem(dps_ensemble(3))
+    (ops,) = problem.ops
+    assert ops.shape == (9, 1, 27, 27)
+    ops = ops[:, 0]
     # a maximally mixed Choi (identity/9) satisfies Tr_{out,out}(J) = I exactly
     j = np.eye(27) / 9.0
-    for coeffs, rhs in cons:
-        assert np.trace(coeffs["J"] @ j).real == pytest.approx(rhs, abs=1e-12)
-    basis = [op for op, _ in povm_completeness_constraints(3)]
-    assert_allclose([rhs for _, rhs in cons], [np.trace(b).real for b in basis], rtol=0, atol=0)
+    for op, rhs in zip(ops, problem.rhs):
+        assert np.trace(op @ j).real == pytest.approx(rhs, abs=1e-12)
+    basis = povm_completeness_constraints(3)[0][:, 0]
+    assert_allclose(problem.rhs, [np.trace(b).real for b in basis], rtol=0, atol=0)
     rng = np.random.default_rng(3)
     h = hermitian_part(rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27)))
     reduced = partial_trace(h, [3, 3, 3], keep=[1])
-    assert_allclose([np.trace(c["J"] @ h).real for c, _ in cons],
+    assert_allclose([np.trace(op @ h).real for op in ops],
                     [np.trace(b @ reduced).real for b in basis], rtol=0, atol=1e-12)
     e01 = np.zeros((3, 3)); e01[0, 1] = e01[1, 0] = 1 / np.sqrt(2)
     expected = np.kron(np.kron(np.eye(3), e01), np.eye(3))
-    assert any(np.allclose(c["J"], expected) for c, _ in cons)
+    assert any(np.allclose(op, expected) for op in ops)
 
 
 def interleaved_problem(best):
-    """Blocks [A: 2, B: 3, C: 2] under Tr X_A + Tr X_B + Tr X_C = 1.
+    """Blocks [A: 2, B: 3, C: 2], each its own group, under
+    Tr X_A + Tr X_B + Tr X_C = 1: two groups of one dimension with a group
+    of another between them.
 
     The optimum is the largest eigenvalue over all cost blocks, attained by
     the projector onto its eigenvector; ``best`` gets the largest one.
@@ -172,9 +169,8 @@ def interleaved_problem(best):
         "C": np.array([[-1.0, 0.5], [0.5, 0.2]]),
     }
     cost[best] = cost[best] + 3.0 * np.eye(dims[best])
-    constraints = [({n: np.eye(d) for n, d in dims.items()}, 1.0)]
-    return dims, cost, SdpProblem(blocks=list(dims.items()), objective=cost,
-                                  constraints=constraints)
+    return dims, cost, SdpProblem([c[None] for c in cost.values()],
+                                  [np.eye(d)[None, None] for d in dims.values()], [1.0])
 
 
 @pytest.mark.parametrize("best", ["A", "B", "C"])
@@ -184,62 +180,72 @@ def test_interleaved_block_dimensions(best):
     w, v = np.linalg.eigh(cost[best])
     assert sol.primal_objective == pytest.approx(w[-1], abs=1e-6)
     assert sol.y[0] == pytest.approx(w[-1], abs=1e-6)
-    assert list(sol.x) == list(dims)
-    for n, d in dims.items():
+    assert [xg.shape for xg in sol.x] == [(1, d, d) for d in dims.values()]
+    for (n, d), xg in zip(dims.items(), sol.x):
         expected = np.outer(v[:, -1], v[:, -1].conj()) if n == best else np.zeros((d, d))
-        assert_allclose(sol.x[n], expected, atol=1e-5)
+        assert_allclose(xg[0], expected, atol=1e-5)
     assert verify_kkt(problem, sol).passed
 
 
 def test_coefficient_errors_name_the_block():
-    _, cost, _ = interleaved_problem("A")
-    blocks = [("A", 2), ("B", 3), ("C", 2)]
-    skew = {"A": np.eye(2), "B": np.eye(3), "C": np.array([[0.0, 1.0], [0.0, 0.0]])}
-    with pytest.raises(ValueError, match="constraint operator for block 'C' is not Hermitian"):
-        SdpProblem(blocks=blocks, objective=cost, constraints=[(skew, 1.0)])
-    with pytest.raises(ValueError, match="objective operator for block 'B' has shape"):
-        SdpProblem(blocks=blocks, objective={"B": np.eye(2)}, constraints=[])
-    with pytest.raises(ValueError, match="unknown block 'D'"):
-        SdpProblem(blocks=blocks, objective={"D": np.eye(2)}, constraints=[])
-    with pytest.raises(ValueError, match="duplicate block names"):
-        SdpProblem(blocks=blocks + [("A", 2)], objective={}, constraints=[])
-    with pytest.raises(ValueError, match=r"shared constraint operator of shape \(4, 4\) "
-                                         "matches no block dimension"):
-        SdpProblem(blocks=blocks, objective={}, constraints=[(np.eye(4), 1.0)])
+    """A malformed problem names the stack at fault, and a non-Hermitian
+    operator its index in the stack: (block) of a cost stack, (row, block)
+    of a constraint stack."""
+    _, _, problem = interleaved_problem("A")
+    cost, ops = list(problem.cost), list(problem.ops)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="constraint stack 2 is not Hermitian at index 0, 0"):
+        SdpProblem(cost, ops[:2] + [skew[None, None]], [1.0])
+    with pytest.raises(ValueError, match="cost stack 1 is not Hermitian at index 0"):
+        SdpProblem([cost[0], np.pad(skew, (0, 1))[None], cost[2]], ops, [1.0])
+    with pytest.raises(ValueError, match=r"cost stack 0 has shape \(2, 2\), expected \(B, d, d\)"):
+        SdpProblem([np.eye(2)] + cost[1:], ops, [1.0])
+    with pytest.raises(ValueError, match=r"constraint stack 1 has shape \(1, 1, 2, 2\), "
+                                         r"expected \(1, 1 or 1, 3, 3\)"):
+        SdpProblem(cost, [ops[0], ops[0], ops[2]], [1.0])
+    with pytest.raises(ValueError, match=r"constraint stack 0 has shape \(1, 1, 2, 2\), "
+                                         r"expected \(2, 1 or 1, 2, 2\)"):
+        SdpProblem(cost, ops, [1.0, 0.0])
+    with pytest.raises(ValueError, match="one cost and one constraint stack per group"):
+        SdpProblem(cost, ops[:2], [1.0])
 
 
 def test_verify_kkt_rejects_mismatched_shapes():
-    """A pair whose block names, multiplier count or block shapes differ from
-    the problem's is an error, not a failed certificate."""
+    """A pair whose stack count, multiplier count or stack shapes differ
+    from the problem's is an error, not a failed certificate."""
     _, problem = med3_problem()
     sol = solve(problem)
-    for bad in (dataclasses.replace(sol, x={n: x for n, x in sol.x.items() if n != "P4"}),
+    for bad in (dataclasses.replace(sol, x=sol.x + sol.x),
                 dataclasses.replace(sol, y=sol.y[:-1])):
         with pytest.raises(ValueError, match="solution shapes do not match the problem"):
             verify_kkt(problem, bad)
-    with pytest.raises(ValueError, match="primal block 'P2' has wrong shape"):
-        verify_kkt(problem, dataclasses.replace(sol, x={**sol.x, "P2": np.eye(2)}))
+    with pytest.raises(ValueError, match="primal stack 0 has wrong shape"):
+        verify_kkt(problem, dataclasses.replace(sol, x=[sol.x[0][:3]]))
 
 
 def test_rank_deficient_constraints_rejected():
-    cons = [({"P1": np.eye(2)}, 1.0), ({"P1": 2.0 * np.eye(2)}, 3.0)]
     with pytest.raises(InfeasibleConstraintsError):
-        SdpProblem(blocks=[("P1", 2)], objective={"P1": np.eye(2)}, constraints=cons)
+        SdpProblem([np.eye(2)[None]], [np.array([np.eye(2), 2.0 * np.eye(2)])[:, None]],
+                   [1.0, 3.0])
     # a repeated shared operator
-    shared = povm_completeness_constraints(2)
+    shared, rhs = povm_completeness_constraints(2)
     with pytest.raises(InfeasibleConstraintsError, match=r"rank deficient \(4 < 5\)"):
-        SdpProblem(blocks=[("P1", 2), ("P2", 2)], objective={},
-                   constraints=shared + [shared[1]])
+        SdpProblem([np.zeros((2, 2, 2))], [np.concatenate([shared, shared[1:2]])],
+                   [*rhs, rhs[1]])
 
 
 def test_non_hermitian_data_rejected():
+    """A non-Hermitian operator is rejected wherever it sits, and so is a NaN
+    entry, which fails the Hermiticity test rather than passing it."""
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="not Hermitian"):
-        SdpProblem(blocks=[("P1", 2)], objective={"P1": bad},
-                   constraints=povm_completeness_constraints(2))
-    with pytest.raises(ValueError, match="constraint operator for the blocks of dimension 2 "
-                                         "is not Hermitian"):
-        SdpProblem(blocks=[("P1", 2), ("P2", 2)], objective={}, constraints=[(bad, 1.0)])
+    with pytest.raises(ValueError, match="cost stack 0 is not Hermitian at index 0"):
+        med_form(bad[None])
+    with pytest.raises(ValueError, match="constraint stack 0 is not Hermitian at index 0, 0"):
+        SdpProblem([np.zeros((2, 2, 2))], [bad[None, None]], [1.0])
+    with pytest.raises(ValueError, match="cost stack 0 is not Hermitian at index 1"):
+        med_form(np.array([np.eye(2), np.full((2, 2), np.nan)]))
+    with pytest.raises(ValueError, match="constraint stack 0 is not Hermitian at index 0, 0"):
+        SdpProblem([np.zeros((2, 2, 2))], [np.diag([1.0, np.nan])[None, None]], [1.0])
 
 
 def test_max_iterations_error(monkeypatch):
@@ -257,8 +263,8 @@ def test_deterministic_resolves():
     b = solve(problem)
     assert a.primal_objective == b.primal_objective
     assert a.iterations == b.iterations
-    for n in a.x:
-        assert np.array_equal(a.x[n], b.x[n])
+    for xa, xb in zip(a.x, b.x, strict=True):
+        assert np.array_equal(xa, xb)
 
 
 def test_iterate_trace_dump():
@@ -286,21 +292,18 @@ def cloning3_problem():
 
 
 def trace_reference(problem, x, y):
-    """(A(X), A*(y)) by definition from ``problem.constraints``, for X and the
-    adjoint given as {block name: operator}: A(X)_j = sum_b Re Tr(A_{j,b} X_b)
-    and A*(y)_b = sum_j y_j A_{j,b}, with a shared operator acting on every
-    block of its dimension."""
-    def operator(coeffs, name, d):
-        if isinstance(coeffs, dict):
-            return np.asarray(coeffs.get(name, np.zeros((d, d))))
-        return coeffs if np.shape(coeffs) == (d, d) else np.zeros((d, d))
-
-    ax = [sum(np.trace(operator(coeffs, name, d) @ x[name]).real for name, d in problem.blocks)
-          for coeffs, _ in problem.constraints]
-    adj = {name: sum((yj * operator(coeffs, name, d)
-                      for yj, (coeffs, _) in zip(y, problem.constraints)), np.zeros((d, d)))
-           for name, d in problem.blocks}
-    return np.array(ax), adj
+    """(A(X), A*(y)) by definition, block by block, from the stacks
+    ``problem.ops``, for X and the adjoint as one (B, d, d) stack per group:
+    A(X)_j = sum_b Re Tr(A_{j,b} X_b) and A*(y)_b = sum_j y_j A_{j,b}, with an
+    (m, 1, d, d) stack acting on every block of its group."""
+    ax, adj = np.zeros(len(y)), []
+    for ops, xg in zip(problem.ops, x):
+        ops = np.broadcast_to(ops, (len(y), *xg.shape))
+        for j in range(len(y)):
+            ax[j] += sum(np.trace(op @ xb).real for op, xb in zip(ops[j], xg))
+        adj.append(np.array([sum(yj * op for yj, op in zip(y, ops[:, b]))
+                             for b in range(len(xg))]))
+    return ax, adj
 
 
 def med4_problem():
@@ -309,11 +312,14 @@ def med4_problem():
 
 
 def mixed_problem():
-    """Blocks [A: 2, B: 3, C: 2]: a shared operator on A and C next to a
-    per-block row, so the shared one is copied into both blocks."""
-    return SdpProblem(blocks=[("A", 2), ("B", 3), ("C", 2)], objective={},
-                      constraints=[(np.array([[1.0, 0.5j], [-0.5j, 2.0]]), 1.0),
-                                   ({"A": np.eye(2), "B": np.eye(3)}, 1.0)])
+    """Groups [A, C] of dimension 2 and [B] of dimension 3 under two rows:
+    one operator on both A and C, and identities on A and B.  The pair's
+    stack holds both rows per block, the first one copied into both blocks;
+    B's first row is zero."""
+    shared = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    pair = np.array([[shared, shared], [np.eye(2), np.zeros((2, 2))]])
+    single = np.array([np.zeros((3, 3)), np.eye(3)])[:, None]
+    return SdpProblem([np.zeros((2, 2, 2)), np.zeros((1, 3, 3))], [pair, single], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("build", [lambda: interleaved_problem("B")[2], cloning3_problem,
@@ -323,18 +329,18 @@ def test_constraint_map_matches_svec_reference(build, rng):
     """A(X) and A*(y) on the real view of the stacks against their definitions
     by explicit traces and sums over ``problem.constraints``."""
     problem = build()
-    groups, m = problem._groups, len(problem.constraints)
+    groups, m = problem._groups, len(problem.rhs)
     # real data take real symmetric iterates, as the solver holds them
-    x = [hermitian_part(rng.normal(size=(len(g.names), g.d, g.d))
-                        + (0 if g.real else 1j) * rng.normal(size=(len(g.names), g.d, g.d)))
+    x = [hermitian_part(rng.normal(size=g.cost.shape)
+                        + (0 if g.real else 1j) * rng.normal(size=g.cost.shape))
          for g in groups]
     y = rng.normal(size=m)
     ax = sdp._apply(groups, x)
     adj = [np.broadcast_to(a, xg.shape) for a, xg in zip(sdp._adjoint(groups, y), x)]
-    ax_ref, adj_ref = trace_reference(problem, problem._named(x), y)
+    ax_ref, adj_ref = trace_reference(problem, x, y)
     assert_allclose(ax, ax_ref, rtol=0, atol=1e-12)
-    for name, a in problem._named(adj).items():
-        assert_allclose(a, adj_ref[name], rtol=0, atol=1e-12)
+    for a, ref in zip(adj, adj_ref, strict=True):
+        assert_allclose(a, ref, rtol=0, atol=1e-12)
     # <A(X), y> = sum_b <X_b, A*(y)_b>
     pairing = sum(np.einsum("bkl,blk->", xg, a).real for xg, a in zip(x, adj))
     assert ax @ y == pytest.approx(pairing, abs=1e-12)
@@ -345,8 +351,7 @@ def random_scalings(groups, rng):
     on a group of real data."""
     out = []
     for g in groups:
-        a = (rng.normal(size=(len(g.names), g.d, g.d))
-             + (0 if g.real else 1j) * rng.normal(size=(len(g.names), g.d, g.d)))
+        a = rng.normal(size=g.cost.shape) + (0 if g.real else 1j) * rng.normal(size=g.cost.shape)
         out.append(a @ a.conj().transpose(0, 2, 1) / g.d + np.eye(g.d))
     return out
 
@@ -359,7 +364,7 @@ def test_schur_matches_per_column_oracle(build, seed):
     """The loop-free Schur complement against its per-column form, column j =
     A(W A_j W), for three independent draws of the scalings W per build."""
     problem = build()
-    groups, m = problem._groups, len(problem.constraints)
+    groups, m = problem._groups, len(problem.rhs)
     w = random_scalings(groups, np.random.default_rng(seed))
     oracle = np.column_stack([sdp._apply(groups, [wg @ g.ops[j] @ wg
                                                   for g, wg in zip(groups, w)])
@@ -369,24 +374,42 @@ def test_schur_matches_per_column_oracle(build, seed):
 
 def test_shared_operators_stored_once():
     """The 10 real symmetric completeness operators of the 8-block n=4 MED
-    are stored as m * d**2 entries, not m * B * d**2; next to a per-block row
-    a shared operator is copied into every block."""
+    are stored as m * d**2 entries, not m * B * d**2, and the solver reads
+    them as shared; a stack of one block per row is not shared."""
     (group,) = med4_problem()._groups
-    assert len(group.names) == 8
+    assert len(group.cost) == 8 and group.shared
     assert group.ops.size == 10 * 4 * 4
     pair, single = mixed_problem()._groups
-    assert pair.names == ("A", "C") and pair.ops.shape == (2, 2, 2, 2)
-    assert_allclose(pair.ops[0, 1], pair.ops[0, 0], rtol=0, atol=0)
-    assert single.ops.shape == (2, 1, 3, 3)
+    assert pair.ops.shape == (2, 2, 2, 2) and not pair.shared
+    assert single.ops.shape == (2, 1, 3, 3) and not single.shared
+
+
+def test_problem_keeps_the_given_stacks():
+    """The fields keep the builder's stacks; the solver reads its own copies,
+    float64 when every entry of every stack is real, so a later change to
+    the builder's arrays does not reach the solver."""
+    ens = dps_ensemble(3)
+    cost = 0.25 * ens.densities
+    problem = med_form(cost, real=True)
+    assert problem.cost[0] is cost and cost.dtype == np.complex128
+    (group,) = problem._groups
+    assert group.cost.dtype == np.float64 and group.ops.dtype == np.float64
+    assert np.array_equal(group.cost, cost.real)
+    cost[0] = 0.0
+    assert not np.array_equal(group.cost, cost.real)
+    tilted = cost.copy()
+    tilted[1, 0, 1] += 1e-3j
+    tilted[1, 1, 0] -= 1e-3j
+    assert [g.cost.dtype for g in med_form(tilted, real=True)._groups] == [np.complex128]
 
 
 def test_solve_without_constraints():
     """maximize <-I, X> over X >= 0 alone: the optimum is X = 0, value 0."""
-    problem = SdpProblem(blocks=[("X", 2)], objective={"X": -np.eye(2)}, constraints=[])
+    problem = SdpProblem([-np.eye(2)[None]], [np.zeros((0, 1, 2, 2))], [])
     sol = solve(problem)
     assert sol.y.shape == (0,)
     assert sol.primal_objective == pytest.approx(0.0, abs=1e-7)
-    assert_allclose(sol.x["X"], np.zeros((2, 2)), atol=1e-7)
+    assert_allclose(sol.x[0], np.zeros((1, 2, 2)), atol=1e-7)
     assert verify_kkt(problem, sol).passed
 
 
@@ -400,12 +423,12 @@ def test_real_optimum_certifies_complex_embedding(n, source, unitary_attack_at):
     multipliers passes the real one."""
     real = (unitary_attack_at(n).med_after.problem if source == "unitary-clones"
             else attacks.med_problem(dps_ensemble(n)))
-    embedded = SdpProblem(blocks=real.blocks, objective=real.objective,
-                          constraints=povm_completeness_constraints(n))
+    ops, rhs = povm_completeness_constraints(n)
+    embedded = SdpProblem(real.cost, [ops], rhs)
     assert [g.real for g in real._groups] == [True]
     assert [g.real for g in embedded._groups] == [False]
     m = n * (n + 1) // 2
-    assert len(real.constraints) == m and len(embedded.constraints) == n * n
+    assert len(real.rhs) == m and len(embedded.rhs) == n * n
     ours, theirs = solve(real), solve(embedded)
     assert ours.primal_objective == pytest.approx(theirs.primal_objective, abs=1e-9)
     assert ours.dual_objective == pytest.approx(theirs.dual_objective, abs=1e-9)
@@ -420,13 +443,11 @@ def test_verify_kkt_bounds_the_imaginary_part_on_real_data():
     """On real data Im X enters the primal eigenvalue as a Weyl bound: an
     imaginary part that makes X indefinite fails the certificate, although
     Re X alone would pass."""
-    problem = SdpProblem(blocks=[("P1", 2), ("P2", 2)],
-                         objective={"P1": np.diag([0.5, 0.0]), "P2": np.diag([0.0, 0.5])},
-                         constraints=povm_completeness_constraints(2, real=True))
+    problem = med_form(np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]), real=True)
     sol = solve(problem)
     report = verify_kkt(problem, sol)
     assert report.passed and report.primal_min_eigenvalue == pytest.approx(0.0, abs=1e-7)
-    twisted = {n: x + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]]) for n, x in sol.x.items()}
+    twisted = [x + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]]) for x in sol.x]
     report = verify_kkt(problem, dataclasses.replace(sol, x=twisted))
     assert not report.conditions["primal_psd"]
     assert report.primal_min_eigenvalue <= -0.5 * np.sqrt(2) + 1e-6
