@@ -7,7 +7,7 @@ configurations produce byte-identical output.  Each subcommand returns its
 report as data; :func:`main` alone renders it as JSON or CSV and writes it,
 to ``--output`` only once the run has succeeded.  At start-up the module
 loads only :mod:`dpsqkd.keyrate`; each handler imports the layers it runs,
-so ``finite-size`` runs without numpy and ``wcs`` without the SDP solver.
+so ``finite-size`` and ``wcs`` run without numpy or the SDP solver.
 
 The channel sweeps ``keyrate`` and ``wcs`` may read their channel from a
 key=value file whose one section is ``[channel]``, each key given at most

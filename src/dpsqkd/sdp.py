@@ -65,6 +65,7 @@ data, only the real symmetric rows, the prefix of its basis.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -152,12 +153,13 @@ class SdpProblem:
     within each stack; groups may share a dimension.  The fields keep the
     stacks as given.
 
-    Construction checks the shapes, that every operator is Hermitian to
-    ATOL_ALGEBRA relative to its largest entry, and that the constraint rows
-    are linearly independent as Hermitian operators, tested on their real
-    rows.  It also copies the stacks once for the solver: float64 when every
-    operator of every stack is real, complex128 otherwise.  The solver and
-    :func:`verify_kkt` read only these copies.
+    Construction checks the shapes, that every right-hand side is finite,
+    that every operator is Hermitian to ATOL_ALGEBRA relative to its
+    largest entry, and that the constraint rows are linearly independent as
+    Hermitian operators, tested on their real rows.  It also copies the
+    stacks once for the solver: float64 when every operator of every stack
+    is real, complex128 otherwise.  The solver and :func:`verify_kkt` read
+    only these copies.
     """
 
     cost: Sequence[np.ndarray]
@@ -169,6 +171,8 @@ class SdpProblem:
         if self._b.ndim != 1 or len(self.cost) != len(self.ops):
             raise ValueError("a problem takes one cost and one constraint stack per group "
                              "and a vector of right-hand sides")
+        if not all(map(math.isfinite, self._b.tolist())):
+            raise ValueError("right-hand sides must be finite")
         m = self._b.size
         cost, ops = [np.asarray(c) for c in self.cost], [np.asarray(a) for a in self.ops]
         for g, (c, a) in enumerate(zip(cost, ops)):
@@ -332,6 +336,11 @@ def _max_step(linv: np.ndarray, d: np.ndarray) -> float:
     return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
+def _last(gap: float, pinf: float, dinf: float) -> str:
+    return (f"last iterate: gap {gap:.3e}, primal infeasibility {pinf:.3e}, "
+            f"dual infeasibility {dinf:.3e}")
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the block SDP; deterministic for identical inputs.
 
@@ -339,7 +348,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     objective| and the primal and dual residuals, relative to 1 + |r| and
     1 + |C|, are within PRIMAL_FEAS_TOL and DUAL_FEAS_TOL.  Raises
     :class:`MaxIterationsError` after MAX_ITERATIONS iterations,
-    :class:`NumericalBreakdownError` or :class:`InfeasibleConstraintsError`.
+    :class:`NumericalBreakdownError`, also for any LAPACK failure, or
+    :class:`InfeasibleConstraintsError`.
     """
     groups, b = problem._groups, problem._b
     m = b.size
@@ -373,23 +383,26 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         t0 = time.perf_counter()
-        w, zinv, lx, lz = zip(*(_nt_scaling(xg, zg) for xg, zg in zip(x, z)))
-        sigma = float(np.clip((1.0 - alpha_prev) ** 2, 0.05, 0.8))
-        rc = [sigma * mu * zi - xg for xg, zi in zip(x, zinv)]
-        t1 = time.perf_counter()
-        schur = _schur(groups, w, m)
+        # a LAPACK failure, such as a Schur complement that lost positive
+        # definiteness, is a breakdown, so that callers catching SdpError see it
         try:
+            w, zinv, lx, lz = zip(*(_nt_scaling(xg, zg) for xg, zg in zip(x, z)))
+            sigma = float(np.clip((1.0 - alpha_prev) ** 2, 0.05, 0.8))
+            rc = [sigma * mu * zi - xg for xg, zi in zip(x, zinv)]
+            t1 = time.perf_counter()
+            schur = _schur(groups, w, m)
             ls = np.linalg.cholesky((schur + schur.T) / 2 + reg)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError("Schur complement lost positive definiteness") from exc
-        rhs = _apply(groups, [r + wg @ d @ wg for r, wg, d in zip(rc, w, rd)]) - rp
-        dy = np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
-        dz = [a - d for a, d in zip(_adjoint(groups, dy), rd)]
-        dx = [r - wg @ d @ wg for r, wg, d in zip(rc, w, dz)]
-        t2 = time.perf_counter()
+            rhs = _apply(groups, [r + wg @ d @ wg for r, wg, d in zip(rc, w, rd)]) - rp
+            dy = np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
+            dz = [a - d for a, d in zip(_adjoint(groups, dy), rd)]
+            dx = [r - wg @ d @ wg for r, wg, d in zip(rc, w, dz)]
+            t2 = time.perf_counter()
 
-        alpha_p = min([1.0] + [STEP_FRACTION * _max_step(f, d) for f, d in zip(lx, dx)])
-        alpha_d = min([1.0] + [STEP_FRACTION * _max_step(f, d) for f, d in zip(lz, dz)])
+            alpha_p = min([1.0] + [STEP_FRACTION * _max_step(f, d) for f, d in zip(lx, dx)])
+            alpha_d = min([1.0] + [STEP_FRACTION * _max_step(f, d) for f, d in zip(lz, dz)])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdownError(
+                f"LAPACK failed in iteration {it} ({exc}); {_last(gap, pinf, dinf)}") from exc
         if max(alpha_p, alpha_d) < 1e-10:
             raise NumericalBreakdownError("step lengths collapsed")
         alpha_prev = min(alpha_p, alpha_d)
@@ -401,8 +414,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                             scaling_s=t1 - t0, schur_s=t2 - t1,
                             step_s=time.perf_counter() - t2)
     else:
-        last = (f"last iterate: gap {gap:.3e}, primal infeasibility {pinf:.3e}, "
-                f"dual infeasibility {dinf:.3e}")
+        last = _last(gap, pinf, dinf)
         status = MaxIterationsError(
             f"no convergence within {MAX_ITERATIONS} iterations; {last}")
         if float(np.linalg.norm(b - _apply(groups, x))) / b_scale > 1e-5:

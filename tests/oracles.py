@@ -2,13 +2,15 @@
 objective's norms from Gram matrices, the dense Choi operator of a cloner
 and its action, a Choi operator's CPTP residuals, the lift of a MED seed
 pair onto the full MED problem, the square-root measurement, the Helstrom
-witness and the weak-duality bracket of a POVM, and a Monte-Carlo model of
-the intercept-resend collision probability."""
+witness and the weak-duality bracket of a POVM, a Monte-Carlo model of
+the intercept-resend collision probability, and numpy's 160-point
+Gauss-Legendre expectation of the slice-averaged phase-mismatch QBER."""
 
 import dataclasses
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from dpsqkd import attacks, sdp
 from dpsqkd.dps import sign_patterns
@@ -172,3 +174,16 @@ def ir_monte_carlo_collision(samples: int, seed: int = 7, n: int = 3,
     elif mode != "definite":
         raise ValueError(f"unknown mode {mode!r}")
     return float(np.mean(collision))
+
+
+def leggauss_slice_qber(mu: float, slices: int) -> float:
+    """Slice-averaged phase-mismatch QBER from numpy's 160-point
+    Gauss-Legendre rule: the expectation of 1 - exp(-mu sin^2(delta/2))
+    over the triangular law on [-w, w], w = 2pi/slices, folded onto [0, w]
+    with density 2 (w - delta) / w^2."""
+    w = 2.0 * math.pi / slices
+    x, wt = leggauss(160)
+    delta = 0.5 * w * (x + 1.0)
+    density = 2.0 * (w - delta) / w ** 2
+    vals = -np.expm1(-mu * np.sin(delta / 2.0) ** 2)
+    return float(np.sum(wt * 0.5 * w * density * vals))

@@ -489,3 +489,37 @@ def test_nt_scaling_rejects_iterates_outside_the_cone(dtype, bad):
         sdp._nt_scaling(eye, off)
     with pytest.raises(NumericalBreakdownError, match="primal iterate left the cone"):
         sdp._nt_scaling(off, eye)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_right_hand_side_rejected(value):
+    """A right-hand side that is NaN or infinite is rejected where the
+    problem is built, not left for the solver to stumble on."""
+    problem = attacks.med_problem(dps_ensemble(3))
+    rhs = np.array(problem.rhs)
+    rhs[0] = value
+    with pytest.raises(ValueError, match="right-hand sides must be finite"):
+        dataclasses.replace(problem, rhs=rhs)
+
+
+@pytest.mark.parametrize("routine", ["eigh", "eigvalsh"])
+def test_lapack_failure_is_a_named_solver_error(monkeypatch, routine):
+    """A LAPACK failure in the NT scaling (``eigh``) or a step length
+    (``eigvalsh``) is a NumericalBreakdownError, so a certified attack
+    raises an SdpError that names the attack and the last residuals."""
+    ens = dps_ensemble(3)
+    bent = ens.states.copy()
+    bent[1, 0] += 0.3  # far off the sign orbit: MED solves the full problem
+    bent[1] /= np.linalg.norm(bent[1])
+    bent_ens = dataclasses.replace(ens, states=bent)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    with pytest.raises(sdp.SdpError, match=r"^med: LAPACK failed in iteration 0 \(Eigenvalues "
+                                           r"did not converge\); last iterate: gap \S+, "
+                                           r"primal infeasibility \S+, dual infeasibility \S+$"
+                       ) as info:
+        attacks.certified("med", attacks.med_attack, bent_ens)
+    assert isinstance(info.value, NumericalBreakdownError)

@@ -7,6 +7,7 @@ from dpsqkd.keyrate import ChannelModel
 from dpsqkd.wcs import (WcsParams, phase_mismatch_qber, slice_averaged_qber,
                         usd_block_identification, usd_known_fraction,
                         usd_success, wcs_ir_fraction, wcs_key_rates)
+from oracles import leggauss_slice_qber
 
 
 def triangular_expectation(f, width, tol=1e-11):
@@ -77,6 +78,14 @@ def test_slice_averaged_qber_matches_independent_quadrature():
         oracle = triangular_expectation(
             lambda d: -math.expm1(-0.4 * math.sin(d / 2.0) ** 2), width)
         assert slice_averaged_qber(params) == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:mean photon number above 1:UserWarning")
+@pytest.mark.parametrize("mu", [1e-3, 0.1, 0.4, 1.0, 3.0, 10.0, 30.0, 100.0])
+def test_slice_averaged_qber_matches_the_160_point_rule(mu):
+    for slices in (1, 2, 3, 4, 8, 16, 64, 1000):
+        params = WcsParams(mean_photon_number=mu, slices=slices)
+        assert abs(slice_averaged_qber(params) - leggauss_slice_qber(mu, slices)) <= 1e-14
 
 
 def test_slice_averaged_qber_non_increasing_in_m():

@@ -42,6 +42,8 @@ RUNS = [
      "--detector-efficiency", "0.15"],
     # a decimal step, whose grid points are start + i * step rounded to 1e-9 km
     ["keyrate", "--attacks", "ir,lower-bound", "--stop-km", "1", "--step-km", "0.1"],
+    # the slice quadrature away from the default mean photon number and slice count
+    ["wcs", "--mu", "0.9", "--slices", "4", "--step-km", "25", "--format", "csv"],
 ]
 
 
