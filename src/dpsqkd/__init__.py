@@ -22,8 +22,8 @@ _LAYER_OF = {
                      "collision_probability", "depolarizing_fit", "ir_attack_profile",
                      "med_attack", "med_on_cloned", "optimal_cloner", "optimize_unitary_q",
                      "standard_attack_profiles"), "attacks"),
-    **dict.fromkeys(("dps", "ClickDistribution", "DpsEnsemble", "dps_ensemble",
-                     "mzi_click_distribution", "mzi_transfer", "spectral_error_terms"), "dps"),
+    **dict.fromkeys(("dps", "DpsEnsemble", "dps_ensemble", "mzi_click_distribution",
+                     "mzi_transfer", "spectral_error_terms"), "dps"),
     **dict.fromkeys(("keyrate", "AttackProfile", "ChannelModel", "FiniteSizeParams",
                      "binary_entropy", "finite_size_deviation", "keyrate_sweep",
                      "secure_key_rate", "shrinking_factor", "tau_lower_bound",

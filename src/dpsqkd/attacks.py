@@ -3,7 +3,7 @@
 Four eavesdropping strategies are modelled:
 
 * minimum-error discrimination (MED) of the signal ensemble, solved as a
-  semidefinite program over POVM elements;
+  semidefinite program over POVM elements, read out as one :class:`Povm` stack;
 * the optimal two-clone map of a sign-covariant ensemble, solved as a
   semidefinite program over the character blocks of the Choi operator of
   the cloning channel;
@@ -52,7 +52,7 @@ import numpy as np
 from . import sdp
 from .dps import MAX_PULSES, DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
 from .keyrate import AttackProfile
-from .linalg import dagger, hermitian_part, outer, partial_trace
+from .linalg import dagger, hermitian_part, is_psd, outer, partial_trace
 
 _POVM_SUM_ATOL = 1e-8
 _POVM_PSD_ATOL = 1e-9
@@ -63,24 +63,28 @@ _KKT_TOL = 1e-6  # of every attack optimum's KKT certificate
 # minimum error discrimination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """A positive operator-valued measure: PSD elements that sum to identity."""
+    """A POVM, held as a read-only complex (K, d, d) copy of its elements:
+    each PSD by :func:`~dpsqkd.linalg.is_psd`, and summing to the identity."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.elements:
+        try:
+            stack = np.array(self.elements, dtype=complex)
+        except ValueError as exc:  # a ragged sequence
+            raise ValueError("POVM elements must share one dimension") from exc
+        if not len(stack):
             raise ValueError("a POVM needs at least one element")
-        d = self.elements[0].shape[0]
-        if any(el.shape != (d, d) for el in self.elements):
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("POVM elements must share one dimension")
-        stack = np.array(self.elements, dtype=complex)
-        # written as not (err <= tol), so that NaN fails
-        if not float(np.min(np.linalg.eigvalsh(hermitian_part(stack)))) >= -_POVM_PSD_ATOL:
+        if not is_psd(stack, _POVM_PSD_ATOL):
             raise ValueError("POVM element is not positive semidefinite")
-        if not float(np.max(np.abs(stack.sum(axis=0) - np.eye(d)))) <= _POVM_SUM_ATOL:
+        if not float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])))) <= _POVM_SUM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
+        stack.flags.writeable = False
+        object.__setattr__(self, "elements", stack)
 
 
 @dataclass
@@ -150,11 +154,10 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
         solution = sdp.solve(problem)
         kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
         (x,) = solution.x
-    elements = _project_psd(x)
-    povm = Povm(elements=tuple(elements))
+    povm = Povm(elements=_project_psd(x))
     # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j^T[k, l]: one matrix product
     confusion = (ens.densities.reshape(count, -1)
-                 @ elements.transpose(0, 2, 1).reshape(count, -1).T).real
+                 @ povm.elements.transpose(0, 2, 1).reshape(count, -1).T).real
     return MedResult(povm=povm, confusion=confusion,
                      p_success=float(ens.priors @ np.diag(confusion)),
                      collision_probability=collision_probability(confusion, ens.priors,
@@ -346,9 +349,12 @@ def collision_probability(confusion: np.ndarray, priors: Sequence[float],
     ``z`` runs over measurement outcomes and ``x`` over the logical bit at a
     phase position; positions are averaged uniformly.  Posteriors follow from
     the confusion table and the priors by Bayes' rule; outcomes with zero
-    probability are skipped.
+    probability are skipped.  Non-finite entries raise ``ValueError``.
     """
-    joint = np.asarray(priors, dtype=float)[:, None] * np.asarray(confusion, dtype=float)
+    priors, confusion = np.asarray(priors, dtype=float), np.asarray(confusion, dtype=float)
+    if not (np.all(np.isfinite(priors)) and np.all(np.isfinite(confusion))):
+        raise ValueError("priors and confusion entries must be finite")
+    joint = priors[:, None] * confusion
     p_z = joint.sum(axis=0)
     seen = p_z > 0.0
     p_z = p_z[seen]
@@ -425,8 +431,7 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     cost, ops = [], []
     for _, run in groupby(_character_blocks(d), key=len):  # one group per run of equal sizes
         ix = np.array(list(run))
-        v = v0[ix]
-        cost.append(v[:, :, None] * v[:, None, :].conj())
+        cost.append(outer(v0[ix]))
         # row k is diag(j == k) on every block, with j the input index of each ket |i j l>
         ops.append((ix // d % d == np.arange(d)[:, None, None])[..., None] * np.eye(ix.shape[1]))
     return sdp.SdpProblem(cost, ops, np.ones(d))
@@ -630,7 +635,7 @@ def apply_unitary_cloner(params: UnitaryClonerParams, kets: np.ndarray) -> np.nd
     e, d, q = params.basis, params.d, params.q
     r = params.p - 2.0 * q
     w = np.abs(kets @ e.conj().T) ** 2
-    return (((d + 2) * q * q + 2.0 * q * r) * (kets[:, :, None] * kets[:, None, :].conj())
+    return (((d + 2) * q * q + 2.0 * q * r) * outer(kets)
             + q * q * np.eye(d) + (2.0 * q * r + r * r) * ((e.T * w[:, None, :]) @ e.conj()))
 
 

@@ -15,7 +15,7 @@ k+1, where u is the constructive and v the destructive output port.  An
 ideally prepared state never clicks in the destructive port at the interior
 slots 2..n (the key slots); slots 1 and n+1 carry no phase information and
 are discarded during sifting.  Port convention: constructive click = bit 0,
-destructive click = bit 1.
+destructive click = bit 1, the order of the port pairs returned below.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import ATOL_PSD, is_density
+from .linalg import ATOL_PSD, is_density, outer
 
 MAX_PULSES = 12
 
@@ -82,7 +82,7 @@ class DpsEnsemble:
         """(G, n, n) read-only stack of the density operators of the states."""
         if self.states.ndim == 3:
             return self.states
-        rhos = self.states[:, :, None] * self.states[:, None, :].conj()
+        rhos = outer(self.states)
         rhos.flags.writeable = False
         return rhos
 
@@ -131,43 +131,26 @@ def mzi_transfer(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tu, tv
 
 
-@dataclass(frozen=True)
-class ClickDistribution:
-    """Per-slot click probabilities behind the interferometer.
+def mzi_click_distribution(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(constructive, destructive): the per-slot click probabilities of a
+    ket, a density operator or a (..., n, n) stack of operators after the
+    MZI, as arrays (..., n+1), one row per operator; a ket is read as its
+    projector.
 
     Slot t (1-based, t = 1..n+1) interferes pulse t with pulse t-1; the
-    boundary slots 1 and n+1 have no interference partner.  For a stack of
-    operators each port array is (..., n+1), one row per operator.  For a
+    boundary slots 1 and n+1 have no interference partner.  For a
     normalised single-photon input the probabilities over all slots and both
-    ports sum to one.
-    """
-
-    constructive: np.ndarray
-    destructive: np.ndarray
-
-    @property
-    def total(self) -> float | np.ndarray:
-        """Click probability over all slots and both ports, per operator."""
-        return np.sum(self.constructive, axis=-1) + np.sum(self.destructive, axis=-1)
-
-
-def mzi_click_distribution(state: np.ndarray) -> ClickDistribution:
-    """Click distribution of a ket, a density operator or a (..., n, n) stack
-    of operators after the MZI; a ket is read as its projector.
-
-    Mixed states are handled exactly: the quadratic form through the
-    amplitude transfer equals the eigenvalue-weighted average of the
-    eigenvector distributions.
+    ports sum to one.  Mixed states are handled exactly: the quadratic form
+    through the amplitude transfer equals the eigenvalue-weighted average of
+    the eigenvector distributions.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        state = np.outer(state, state.conj())
+        state = outer(state)
     if state.ndim < 2 or state.shape[-1] != state.shape[-2]:
         raise ValueError("state must be a ket, a square operator or a stack of them")
-    tu, tv = mzi_transfer(state.shape[-1])
-    pu = np.real(np.einsum("ti,...ij,tj->...t", tu, state, tu.conj()))
-    pv = np.real(np.einsum("ti,...ij,tj->...t", tv, state, tv.conj()))
-    return ClickDistribution(pu, pv)
+    return tuple(np.real(np.einsum("ti,...ij,tj->...t", t, state, t.conj()))
+                 for t in mzi_transfer(state.shape[-1]))
 
 
 def _key_slot_ber(states: np.ndarray, bits: np.ndarray, conditional: bool = False) -> np.ndarray:
@@ -175,9 +158,8 @@ def _key_slot_ber(states: np.ndarray, bits: np.ndarray, conditional: bool = Fals
     matching (..., n-1) key bits: the wrong-port click probability summed
     over the key slots, divided by the key-slot click probability when
     ``conditional``.  The states are not checked."""
-    dist = mzi_click_distribution(states)
     # key slots 2..n in 1-based counting, indices 1..n-1 of the port arrays
-    u, v = dist.constructive[..., 1:-1], dist.destructive[..., 1:-1]
+    u, v = (p[..., 1:-1] for p in mzi_click_distribution(states))
     wrong = np.sum(np.where(bits == 0, v, u), axis=-1)
     return wrong / np.sum(u + v, axis=-1) if conditional else wrong
 
@@ -208,7 +190,7 @@ def spectral_error_terms(received: np.ndarray, index: int,
         raise ValueError(f"state index {index!r} is not an integer in [0, {count})")
     eigs, vecs = np.linalg.eigh(received)
     eigs, vecs = eigs[::-1], vecs[:, ::-1]
-    wrong = _key_slot_ber(np.einsum("ik,jk->kij", vecs, vecs.conj()), ensemble.bit_map[int(index)])
+    wrong = _key_slot_ber(outer(vecs.T), ensemble.bit_map[int(index)])
     cuts = [0, *(np.flatnonzero(-np.diff(eigs) > ATOL_PSD) + 1).tolist(), len(eigs)]
     out = []
     for lo, hi in zip(cuts, cuts[1:]):

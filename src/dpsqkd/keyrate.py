@@ -199,7 +199,7 @@ class AttackProfile:
             raise ValueError("per-attacked-bit collision must lie in [1/2, 1]")
 
     def intercepted_fraction(self, e_b: float) -> float:
-        if e_b < 0.0:
+        if not e_b >= 0.0:  # NaN fails
             raise ValueError("error rate must be non-negative")
         return min(e_b / self.per_intercept_error, 1.0)
 

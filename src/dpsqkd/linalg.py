@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small quantum systems.
 
 Kets are one-dimensional complex numpy arrays, operators are square
-two-dimensional arrays.  Composite spaces use row-major subsystem ordering,
-i.e. the first tensor factor varies slowest, matching ``numpy.kron``.
+two-dimensional arrays, and a family of either is one stack along leading
+axes.  Composite spaces use row-major subsystem ordering, i.e. the first
+tensor factor varies slowest, matching ``numpy.kron``.
 
 The tolerances in use:
 
@@ -10,9 +11,9 @@ The tolerances in use:
   Hermiticity of the SDP data,
 * ``ATOL_PSD`` (1e-9): sorted eigenvalues closer than this form one
   eigenspace in :func:`dpsqkd.dps.spectral_error_terms`,
-* :func:`is_density` (1e-9 / 1e-8 / 1e-7): the Hermiticity, unit trace and
-  smallest eigenvalue of a state handed to the analyses, loose enough for
-  clones read off a solver optimum.
+* :func:`is_psd` (1e-9 and a caller's ``atol``): the Hermiticity and the
+  smallest eigenvalue of an operator stack, which :func:`is_density` takes
+  at 1e-7, with unit trace within 1e-8, loose enough for solver clones.
 """
 
 from __future__ import annotations
@@ -37,23 +38,28 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def outer(psi: np.ndarray) -> np.ndarray:
-    """Density operator |psi><psi| of a ket."""
+    """|psi><psi| of a ket, or the (..., d, d) stack of those of a (..., d)
+    stack of kets."""
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
+
+
+def is_psd(a: np.ndarray, atol: float) -> bool:
+    """True if ``a``, or every operator of a stack (..., d, d), is finite,
+    Hermitian within 1e-9 and has no eigenvalue below -``atol``."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not np.all(np.isfinite(a)):
+        return False
+    return bool(np.all(np.abs(a - dagger(a)) <= 1e-9)
+                and np.min(np.linalg.eigvalsh(hermitian_part(a))) >= -atol)
 
 
 def is_density(rho: np.ndarray) -> bool:
     """True if ``rho``, or every operator of a stack (..., d, d), is a
-    density operator: Hermitian within 1e-9, of unit trace within 1e-8 and
-    with no eigenvalue below -1e-7."""
+    density operator: PSD by :func:`is_psd` at 1e-7, of unit trace within 1e-8."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        return False
-    if not np.all(np.abs(rho - dagger(rho)) <= 1e-9):
-        return False
-    if not np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= 1e-8):
-        return False
-    return bool(np.min(np.linalg.eigvalsh(hermitian_part(rho))) >= -1e-7)
+    return is_psd(rho, 1e-7) and bool(
+        np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= 1e-8))
 
 
 def partial_trace(x: np.ndarray, dims: Sequence[int],

@@ -293,12 +293,12 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray
     only cone checks.
     """
     wz, vz = np.linalg.eigh(z)
-    if wz[:, 0].min() <= 0:
+    if not wz[:, 0].min() > 0:  # NaN fails
         raise NumericalBreakdownError("dual iterate left the cone")
     s, vzh = np.sqrt(wz)[:, :, None], dagger(vz)
     r, lz = s * vzh, vzh / s
     wm, vm = np.linalg.eigh(r @ x @ dagger(r))
-    if wm[:, 0].min() <= 0:
+    if not wm[:, 0].min() > 0:  # NaN fails
         raise NumericalBreakdownError("primal iterate left the cone")
     g = dagger(lz) @ vm
     sm = np.sqrt(wm)
@@ -366,6 +366,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     iterates: list[dict[str, float]] = []
     alpha_prev = 1.0
     gap = pinf = dinf = np.nan  # reported if no iteration runs
+    last_finite = gap, pinf, dinf
 
     for it in range(MAX_ITERATIONS):
         pobj = sum(float(np.vdot(g.cost, xg).real) for g, xg in zip(groups, x))
@@ -376,6 +377,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
         gap = abs(pobj - dobj)
         pinf = float(np.linalg.norm(rp)) / b_scale
         dinf = _norm(rd) / c_scale
+        if not all(map(math.isfinite, (gap, pinf, dinf))):
+            raise NumericalBreakdownError(
+                f"non-finite iterate in iteration {it}; {_last(*last_finite)}")
+        last_finite = gap, pinf, dinf
         iterates.append({"iteration": it, "mu": mu, "gap": gap,
                          "primal_infeasibility": pinf, "dual_infeasibility": dinf})
         if (gap <= GAP_TOL * (1.0 + abs(pobj))

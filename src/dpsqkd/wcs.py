@@ -50,7 +50,7 @@ class WcsParams:
 
 def usd_success(mu: float) -> float:
     """Per-pulse unambiguous discrimination probability 1 - exp(-2 mu)."""
-    if mu < 0.0:
+    if not mu >= 0.0:  # NaN fails
         raise ValueError("mean photon number must be non-negative")
     return -math.expm1(-2.0 * mu)
 
@@ -64,7 +64,7 @@ def usd_block_identification(mu: float) -> float:
 def wcs_ir_fraction(mu: float) -> float:
     """Fraction of sifted bits an intercept-resend eavesdropper learns from a
     weak-coherent frame: (2/9) mu exp(-mu)."""
-    if mu < 0.0:
+    if not mu >= 0.0:  # NaN fails
         raise ValueError("mean photon number must be non-negative")
     return (2.0 / 9.0) * mu * math.exp(-mu)
 
@@ -76,7 +76,7 @@ def phase_mismatch_qber(mu: float, delta: float) -> float:
     photon number mu sin^2(delta/2), so the click probability is
     1 - exp(-mu sin^2(delta/2)).
     """
-    if mu < 0.0:
+    if not mu >= 0.0:  # NaN fails
         raise ValueError("mean photon number must be non-negative")
     return -math.expm1(-mu * math.sin(delta / 2.0) ** 2)
 

@@ -124,7 +124,7 @@ def pgm_povm(ens) -> attacks.Povm:
     kernel = np.eye(ens.n) - elements.sum(axis=0)
     if float(np.max(np.abs(kernel))) > attacks._POVM_SUM_ATOL:
         elements = elements + kernel / len(elements)
-    return attacks.Povm(elements=tuple(elements))
+    return attacks.Povm(elements=elements)
 
 
 def holevo_certificate(ens, povm) -> bool:
@@ -132,7 +132,7 @@ def holevo_certificate(ens, povm) -> bool:
     Y = sum_i p_i rho_i P_i is Hermitian and Y - p_j rho_j is PSD for every j."""
     tol = attacks._KKT_TOL
     weighted = ens.priors[:, None, None] * ens.densities
-    y = np.sum(weighted @ np.array(povm.elements), axis=0)
+    y = np.sum(weighted @ povm.elements, axis=0)
     if float(np.max(np.abs(y - dagger(y)))) > tol:
         return False
     return float(np.min(np.linalg.eigvalsh(hermitian_part(y) - weighted))) >= -tol
@@ -146,7 +146,7 @@ def duality_bracket(ens, povm) -> tuple[float, float]:
     for every g, so Y + delta I is dual feasible, and by weak duality no POVM
     succeeds with probability above upper = Tr Y + n delta."""
     weighted = ens.priors[:, None, None] * ens.densities
-    products = weighted @ np.array(povm.elements)
+    products = weighted @ povm.elements
     lower = float(np.trace(products, axis1=1, axis2=2).real.sum())
     y = hermitian_part(products.sum(axis=0))
     delta = max(0.0, -float(np.min(np.linalg.eigvalsh(y - weighted))))

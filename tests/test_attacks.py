@@ -311,6 +311,27 @@ def test_povm_rejects_an_empty_set():
         Povm(elements=())
 
 
+def test_povm_rejects_non_hermitian_elements():
+    """Each element has the eigenvalues 0.5 +- 0.1i and the pair sums to the
+    identity, but neither element is Hermitian, so neither is PSD."""
+    pair = (np.array([[0.5, 0.1], [-0.1, 0.5]]), np.array([[0.5, -0.1], [0.1, 0.5]]))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        Povm(elements=pair)
+
+
+def test_povm_elements_are_one_read_only_stack(med3):
+    """Sequence input is copied once into a read-only (K, d, d) complex128
+    stack; the caller's array stays writable and unshared."""
+    given = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    povm = Povm(elements=given)
+    for stack, shape in ((povm.elements, (2, 2, 2)), (med3.povm.elements, (4, 3, 3))):
+        assert isinstance(stack, np.ndarray) and stack.shape == shape
+        assert stack.dtype == np.complex128 and not stack.flags.writeable
+    assert given.flags.writeable and not np.shares_memory(given, povm.elements)
+    with pytest.raises(ValueError, match="read-only"):
+        povm.elements[0, 0, 0] = 0.0
+
+
 def orthogonal_pair():
     """Two orthogonal kets on C^3; the first has no weight on e_0."""
     return DpsEnsemble(states=[[0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], [1.0, 0.0, 0.0]],
@@ -322,7 +343,7 @@ def test_holevo_certificate(ens3, med3):
     assert holevo_certificate(ens3, pgm_povm(ens3))
     # the PGM elements shifted by one state: Y = sum_i p_i rho_i P_(i+1) is
     # not Hermitian, which fails the witness before its PSD test
-    shifted = Povm(elements=pgm_povm(ens3).elements[1:] + pgm_povm(ens3).elements[:1])
+    shifted = Povm(elements=np.roll(pgm_povm(ens3).elements, -1, axis=0))
     y = sum(p * rho @ el for p, rho, el in zip(ens3.priors, ens3.densities, shifted.elements))
     assert np.max(np.abs(y - y.conj().T)) > 1e-3
     assert not holevo_certificate(ens3, shifted)
@@ -349,6 +370,17 @@ def test_collision_probability_perfect_discrimination(ens3):
                           [0.0, 0.2, 0.8, 0.0], [0.5, 0.25, 0.25, 0.0]])
     args = (confusion, ens3.priors, ens3.bit_map)
     assert collision_probability(*args) == pytest.approx(brute_force_collision(*args), abs=1e-15)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_collision_probability_rejects_non_finite_entries(ens3, value):
+    """A NaN table once gave 0.0, outside [1/2, 1], as every outcome was skipped."""
+    with pytest.raises(ValueError, match="must be finite"):
+        collision_probability(np.full((2, 2), value), [0.5, 0.5], [[0], [1]])
+    priors = np.array(ens3.priors)
+    priors[0] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        collision_probability(np.eye(4), priors, ens3.bit_map)
 
 
 def _report(capsys, *argv):

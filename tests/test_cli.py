@@ -602,7 +602,7 @@ def test_importtime_reports_each_layer_loaded_on_first_use():
 
 
 NAMESPACE = [
-    "AttackProfile", "ChannelModel", "ClickDistribution", "CloningResult", "DpsEnsemble",
+    "AttackProfile", "ChannelModel", "CloningResult", "DpsEnsemble",
     "FiniteSizeParams", "KktReport", "MedResult", "Povm", "SdpProblem", "SdpSolution",
     "UnitaryClonerParams", "WcsParams", "aligned_cloning_basis",
     "apply_unitary_cloner", "attacks", "binary_entropy",

@@ -189,16 +189,16 @@ def test_sifted_rate():
 # ---------------------------------------------------------------------------
 
 def test_ideal_state_click_pattern(ens3):
-    dist = mzi_click_distribution(ens3.states[0])
-    assert_allclose(dist.constructive, [1 / 12, 1 / 3, 1 / 3, 1 / 12], atol=1e-12)
-    assert_allclose(dist.destructive, [1 / 12, 0.0, 0.0, 1 / 12], atol=1e-12)
+    pu, pv = mzi_click_distribution(ens3.states[0])
+    assert_allclose(pu, [1 / 12, 1 / 3, 1 / 3, 1 / 12], atol=1e-12)
+    assert_allclose(pv, [1 / 12, 0.0, 0.0, 1 / 12], atol=1e-12)
 
 
 def test_single_pulse_has_no_interference():
-    dist = mzi_click_distribution(np.array([1.0, 0.0, 0.0], dtype=complex))
-    assert_allclose(dist.constructive[:2], [0.25, 0.25], atol=1e-12)
-    assert_allclose(dist.destructive[:2], [0.25, 0.25], atol=1e-12)
-    assert dist.constructive[2:].sum() + dist.destructive[2:].sum() == pytest.approx(0.0, abs=1e-12)
+    pu, pv = mzi_click_distribution(np.array([1.0, 0.0, 0.0], dtype=complex))
+    assert_allclose(pu[:2], [0.25, 0.25], atol=1e-12)
+    assert_allclose(pv[:2], [0.25, 0.25], atol=1e-12)
+    assert pu[2:].sum() + pv[2:].sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transfer_equals_the_per_pulse_construction():
@@ -232,48 +232,50 @@ def test_probability_conservation(n, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi /= np.linalg.norm(psi)
-    dist = mzi_click_distribution(psi)
-    assert dist.total == pytest.approx(1.0, abs=1e-10)
+    pu, pv = mzi_click_distribution(psi)
+    assert pu.sum() + pv.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mixed_state_distribution_equals_eigenvalue_average(rng):
     rho = random_density(rng, 4)
-    dist = mzi_click_distribution(rho)
+    pu, pv = mzi_click_distribution(rho)
     w, v = np.linalg.eigh(rho)
-    cu = sum(w[k] * mzi_click_distribution(v[:, k]).constructive for k in range(4))
-    cv = sum(w[k] * mzi_click_distribution(v[:, k]).destructive for k in range(4))
-    assert_allclose(dist.constructive, cu, atol=1e-12)
-    assert_allclose(dist.destructive, cv, atol=1e-12)
+    cu = sum(w[k] * mzi_click_distribution(v[:, k])[0] for k in range(4))
+    cv = sum(w[k] * mzi_click_distribution(v[:, k])[1] for k in range(4))
+    assert_allclose(pu, cu, atol=1e-12)
+    assert_allclose(pv, cv, atol=1e-12)
 
 
 def test_stack_distribution_equals_per_operator_distributions(ens3, rng):
-    """A (..., n, n) stack reads as its operators one by one, ``total`` sums
-    each operator on its own, and a ket reads as its projector."""
+    """A (..., n, n) stack reads as its operators one by one, the slot sums
+    of both ports give each operator's trace, and a ket reads as its
+    projector."""
     stack = np.array([(g + 1) * random_density(rng, 3) for g in range(4)])
-    dist = mzi_click_distribution(stack.reshape(2, 2, 3, 3))
-    assert dist.constructive.shape == dist.destructive.shape == (2, 2, 4)
-    assert_allclose(dist.total.ravel(), [1.0, 2.0, 3.0, 4.0], rtol=0, atol=1e-12)
-    for rho, cu, cv in zip(stack, dist.constructive.reshape(4, 4), dist.destructive.reshape(4, 4)):
-        one = mzi_click_distribution(rho)
-        assert_allclose(cu, one.constructive, rtol=0, atol=1e-15)
-        assert_allclose(cv, one.destructive, rtol=0, atol=1e-15)
+    pu, pv = mzi_click_distribution(stack.reshape(2, 2, 3, 3))
+    assert pu.shape == pv.shape == (2, 2, 4)
+    assert_allclose((pu.sum(axis=-1) + pv.sum(axis=-1)).ravel(), [1.0, 2.0, 3.0, 4.0],
+                    rtol=0, atol=1e-12)
+    for rho, cu, cv in zip(stack, pu.reshape(4, 4), pv.reshape(4, 4)):
+        one_u, one_v = mzi_click_distribution(rho)
+        assert_allclose(cu, one_u, rtol=0, atol=1e-15)
+        assert_allclose(cv, one_v, rtol=0, atol=1e-15)
     for ket in ens3.states:
-        from_ket, from_projector = mzi_click_distribution(ket), mzi_click_distribution(outer(ket))
-        assert_allclose(from_ket.constructive, from_projector.constructive, rtol=0, atol=0)
-        assert_allclose(from_ket.destructive, from_projector.destructive, rtol=0, atol=0)
+        for from_ket, from_projector in zip(mzi_click_distribution(ket),
+                                            mzi_click_distribution(outer(ket))):
+            assert_allclose(from_ket, from_projector, rtol=0, atol=0)
     with pytest.raises(ValueError, match="square operator"):
         mzi_click_distribution(np.zeros((3, 2)))
 
 
 def test_cloned_state_key_slot_distribution():
     # exact clone: wrong-port probability (2/3 - 2*5/21)/4 per key slot
-    dist = mzi_click_distribution(CLONED_EXACT)
+    _, pv = mzi_click_distribution(CLONED_EXACT)
     per_slot = (2.0 / 3.0 - 10.0 / 21.0) / 4.0
-    assert_allclose(dist.destructive[1:3], [per_slot, per_slot], atol=1e-12)
-    assert dist.destructive[1:3].sum() == pytest.approx(2.0 / 21.0, abs=1e-12)
+    assert_allclose(pv[1:3], [per_slot, per_slot], atol=1e-12)
+    assert pv[1:3].sum() == pytest.approx(2.0 / 21.0, abs=1e-12)
     # two-decimal matrix: (2/3 - 0.46)/4 per slot
-    dist2 = mzi_click_distribution(CLONED_PRINTED)
-    assert dist2.destructive[1:3].sum() == pytest.approx((2 / 3 - 0.46) / 2, abs=1e-12)
+    _, pv2 = mzi_click_distribution(CLONED_PRINTED)
+    assert pv2[1:3].sum() == pytest.approx((2 / 3 - 0.46) / 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -374,4 +376,5 @@ def test_ber_report_fields(ens3):
     assert _key_slot_ber(CLONED_EXACT, ens3.bit_map[0]) == pytest.approx(2.0 / 21.0, abs=1e-12)
     assert _key_slot_ber(CLONED_EXACT, ens3.bit_map[0], conditional=True) == pytest.approx(
         1.0 / 7.0, abs=1e-12)
-    assert mzi_click_distribution(CLONED_EXACT).total == pytest.approx(1.0, abs=1e-10)
+    pu, pv = mzi_click_distribution(CLONED_EXACT)
+    assert pu.sum() + pv.sum() == pytest.approx(1.0, abs=1e-10)

@@ -195,6 +195,16 @@ def test_unconditional_rate():
             unconditional_rate(e_b, 0.5)
 
 
+def test_attack_profile_rejects_a_nan_error_rate():
+    """NaN once passed ``e_b < 0``: intercepted_fraction returned NaN, and
+    tau then blamed the attacked fraction."""
+    profile = DEFAULT_PROFILES["med"]
+    for call in (lambda: profile.intercepted_fraction(math.nan),
+                 lambda: profile.tau(math.nan, 0.5)):
+        with pytest.raises(ValueError, match="error rate must be non-negative"):
+            call()
+
+
 def test_med_beats_lower_bound_at_50km():
     m = ChannelModel(distance_km=50.0)
     e = m.e_b

@@ -523,3 +523,48 @@ def test_lapack_failure_is_a_named_solver_error(monkeypatch, routine):
                        ) as info:
         attacks.certified("med", attacks.med_attack, bent_ens)
     assert isinstance(info.value, NumericalBreakdownError)
+
+
+def test_non_finite_iterate_stops_the_solve(monkeypatch):
+    """``eigh`` need not raise on NaN input.  With every call after the
+    first returning NaN, the NT scaling's primal cone check fails in
+    iteration 0, and a certified attack raises an SdpError naming it, not a
+    MaxIterationsError after 200 NaN iterations."""
+    ens = dps_ensemble(3)
+    bent = ens.states.copy()
+    bent[1, 0] += 0.3  # far off the sign orbit: MED solves the full problem
+    bent[1] /= np.linalg.norm(bent[1])
+    bent_ens = dataclasses.replace(ens, states=bent)
+    eigh, calls = np.linalg.eigh, []
+
+    def nan_after_first(a, *args, **kwargs):
+        calls.append(1)
+        w, v = eigh(a, *args, **kwargs)
+        return (w, v) if len(calls) == 1 else (np.full_like(w, np.nan), np.full_like(v, np.nan))
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_after_first)
+    with pytest.raises(sdp.SdpError, match="^med: primal iterate left the cone$") as info:
+        attacks.certified("med", attacks.med_attack, bent_ens)
+    assert isinstance(info.value, NumericalBreakdownError)
+    assert len(calls) == 2  # both eigendecompositions of iteration 0, no more
+
+
+def test_non_finite_residual_names_the_iteration(monkeypatch):
+    """A NaN search direction, taken in full by a step rule blind to it,
+    stops the solve at the top of the next iteration, which names that
+    iteration and the last finite residuals."""
+    _, problem = med3_problem()
+    solve_linear, max_step, calls = np.linalg.solve, sdp._max_step, []
+
+    def nan_in_iteration_1(a, b):
+        calls.append(1)  # two triangular solves per iteration
+        x = solve_linear(a, b)
+        return np.full_like(x, np.nan) if len(calls) == 3 else x
+
+    monkeypatch.setattr(np.linalg, "solve", nan_in_iteration_1)
+    monkeypatch.setattr(sdp, "_max_step", lambda linv, d: max_step(linv, d)
+                        if np.all(np.isfinite(d)) else np.inf)
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"^non-finite iterate in iteration 2; last iterate: gap \d\S+, "
+                             r"primal infeasibility \d\S+, dual infeasibility \d\S+$"):
+        solve(problem)

@@ -119,6 +119,16 @@ def test_strong_source_warning_names_the_caller():
     assert record[0].filename == __file__
 
 
+def test_photon_number_checks_reject_nan():
+    """NaN once passed ``mu < 0``: the first three returned NaN and
+    usd_known_fraction returned 1.0, as min(1.0, nan) is 1.0."""
+    for call in (lambda: usd_success(math.nan), lambda: wcs_ir_fraction(math.nan),
+                 lambda: phase_mismatch_qber(math.nan, 0.1),
+                 lambda: usd_known_fraction(math.nan, 0.5)):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            call()
+
+
 def test_usd_known_fraction_limits():
     assert usd_known_fraction(0.4, 1.0) == 0.0
     assert usd_known_fraction(0.4, 0.0) == pytest.approx(usd_block_identification(0.4))

@@ -8,8 +8,9 @@ pin two-decimal reference figures that the exact optima provably miss, and
 clause 12 pins a QBER threshold at M = 16 slices that the slice-averaged
 QBER meets only for M >= 26.  Exits 0 when the failures are exactly those
 three, each with its stored reason as the first line of its failure
-message, and nothing errors; otherwise prints what differs and exits 1.  The exact reason also pins that only the by-design clause failed:
-an import error or another clause in one of those tests is not ok.  Usage,
+message, and nothing errors; otherwise prints what differs and exits 1.
+The exact reason also pins that only the by-design clause failed: an
+import error or another clause in one of those tests is not ok.  Usage,
 from anywhere:
 
     python tools/tier1.py
