@@ -12,29 +12,27 @@ Four eavesdropping strategies are modelled:
   clones have a closed form;
 * the intercept-resend baseline with a receiver-identical measurement.
 
-Each attack has one problem builder: :func:`med_problem` for MED and
-:func:`cloning_problem` for the cloner; no attack code depends on the order
-of their constraint rows.  An ensemble on the sign orbit of its state 0,
-as the DPS states are, has a symmetry-reduced problem: MED one n x n seed
-block, the optimal cloner the character blocks of its Choi operator.  One
-covariance residual delta decides it (see :func:`_covariance_residual`):
-each attack evaluates it once, and n delta <= ``_KKT_TOL`` routes MED to
-its seed block, admits an ensemble to the optimal cloner and is the one
-extra condition of the reduced certificate of both (see
-:func:`_reduced_kkt`), which implies the KKT conditions of the full
-problem.  Both reduced problems take one route (see
+An ensemble on the sign orbit of its state 0, as the DPS states are, has
+a symmetry-reduced problem: :func:`med_attack` builds the n x n MED seed
+block itself, and :func:`cloning_problem` states the optimal cloner on the
+character blocks of its Choi operator (the n**3 x n**3 cloning SDP is never
+built).  :func:`med_problem`, the full 2**(n-1)-block MED problem, is built
+only off the sign orbit.  No attack code depends on the order of their
+constraint rows.  One covariance residual delta decides the route (see
+:func:`_covariance_residual`): each attack evaluates it once, and
+n delta <= ``_KKT_TOL`` routes MED to its seed block, admits an ensemble to
+the optimal cloner and is the one extra condition of the reduced
+certificate of both (see :func:`_reduced_kkt`), which implies the KKT
+conditions of the full problem.  Both reduced problems take one route (see
 :func:`_reduced_optimum`).  Their constraint operators partition the
 identity, so the uniform multiplier y = lambda_max(C) is dual feasible, and
 a primal on the top eigenvectors of the objective that meets the equality
 rows closes the gap (see :func:`_top_eigenspace_solution`).  That candidate
-is certified once, and the reduced problem is solved only when the
-candidate is missing or fails; it passes for MED and the optimal cloner of
-the DPS states and for MED of the optimal clones.  Neither full problem is
-built on this route: the 2**(n-1)-block :func:`med_problem` is built, and
-solved, only for an ensemble off the sign orbit, and the n**3 x n**3
-cloning SDP never.  Each cloning
-attack is one certified :class:`CloningAttack`, read by the ``clone``
-report and by its key-rate profile.
+is certified once, and the reduced problem is solved only when it is
+missing or fails; it passes for MED and the optimal cloner of the DPS
+states and for MED of the optimal clones.  Each cloning attack is one
+certified :class:`CloningAttack`, read by the ``clone`` report and by its
+key-rate profile.
 :data:`ATTACK_PROFILES` builds the per-intercept errors and collision
 probabilities that feed the shrinking factors in :mod:`dpsqkd.keyrate`.
 """
@@ -224,8 +222,7 @@ def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
     lam = max(block[0] for block in blocks)
     top = [block for block in blocks if block[0] >= lam - _TIE_TOL * abs(lam)]
     ops = [np.asarray(a) for a in problem.ops]
-    # k % width: an (m, 1, d, d) stack acts on every block of its group
-    rows = [[np.vdot(u, ops[g][j, k % ops[g].shape[1]] @ u).real for _, u, g, k in top]
+    rows = [[np.vdot(u, ops[g][j, k] @ u).real for _, u, g, k in top]
             for j in range(rhs.size)]
     t = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
     if np.any(t < 0.0):

@@ -9,13 +9,16 @@ to ``--output`` only once the run has succeeded.  At start-up the module
 loads only :mod:`dpsqkd.keyrate`; each handler imports the layers it runs,
 so ``finite-size`` and ``wcs`` run without numpy or the SDP solver.
 
-The channel sweeps ``keyrate`` and ``wcs`` may read their channel from a
-key=value file whose one section is ``[channel]``, each key given at most
-once, named only by ``--config``; command-line flags override file values.
-The other subcommands read no channel and reject ``--config``.  Exit codes:
-0 success, 2 configuration error (including an unreadable configuration
-file and an ``--output`` or stdout that cannot take the report), 3 solver
-failure or an uncertified optimum.
+One grammar reads both ``key=value`` inputs, the lines of a ``--config``
+file and the comma-separated items of a finite-size spec: spaces around a
+key or value are dropped, and the first item without ``=``, with a key
+given twice or unknown, or with a value of the wrong kind is an error.  A
+config file also allows blank lines, full-line ``#`` comments and
+``[channel]`` headers; any other header is an error.  Only ``keyrate`` and
+``wcs`` read a channel, whose file values flags override; the others reject
+``--config``.  Exit codes: 0 success, 2 configuration error (including an
+unreadable configuration file and an ``--output`` or stdout that cannot
+take the report), 3 solver failure or an uncertified optimum.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .keyrate import (EXPLICIT_ATTACKS, LOWER_BOUND, MAX_ATTACK_PULSES, UNCONDITIONAL,
                       ChannelModel, FiniteSizeParams, finite_size_deviation, keyrate_sweep)
@@ -41,6 +44,7 @@ _CHANNEL_KEYS = {
     "f_ec": float,
     "n_pulses": int,
 }
+_FINITE_SIZE_KEYS = {"n": float, "k": float, "eps": float}
 
 
 # A subcommand's report: the JSON document, the CSV rows and the CSV header.
@@ -94,46 +98,58 @@ def _configured(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         raise ConfigError(str(exc)) from exc
 
 
-def _channel_from_config(args: argparse.Namespace,
-                         signal_scale: float = 1.0) -> tuple[ChannelModel, dict[str, Any]]:
-    """The channel of a sweep: the ``[channel]`` keys of ``--config``,
-    overridden by flags."""
-    path = args.config
-    raw: dict[str, str] = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-        for lineno, text in enumerate(lines, 1):
-            line = text.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                if line[1:-1].strip() != "channel":
-                    raise ConfigError(f"unknown config sections: {[line[1:-1].strip()]}")
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = (t.strip() for t in line.partition("="))
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: channel key {key!r} is given twice")
-            raw[key] = value
+def _key_values(items: Iterable[tuple[str, str]], kinds: Mapping[str, type],
+                what: str) -> dict[str, Any]:
+    """``{key: kinds[key](value)}`` of ``(position, "key=value")`` items, read
+    in order: the first item without ``=``, with a key given before, with a
+    key outside ``kinds`` or with a value its kind rejects is an error."""
     values: dict[str, Any] = {}
-    for key, text in raw.items():
-        kind = _CHANNEL_KEYS.get(key)
+    for where, item in items:
+        key, eq, text = (t.strip() for t in item.partition("="))
+        if not eq:
+            raise ConfigError(f"{where}expected key=value, got {item!r}")
+        if key in values:
+            raise ConfigError(f"{where}{what} key {key!r} is given twice")
+        kind = kinds.get(key)
         if kind is None:
-            raise ConfigError(f"unknown channel key {key!r}")
+            raise ConfigError(f"unknown {what} key {key!r}")
         try:
             values[key] = kind(text)
         except ValueError as exc:
-            raise ConfigError(f"channel key {key!r} needs {kind.__name__}, got {text!r}") from exc
-    for key in _CHANNEL_KEYS:
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
+            raise ConfigError(f"{what} key {key!r} needs {kind.__name__}, got {text!r}") from exc
+    return values
+
+
+def _config_lines(path: str) -> Iterator[tuple[str, str]]:
+    """The key=value lines of a config file, each after its ``path:lineno: ``
+    position; blank lines, ``#`` comments and ``[channel]`` headers are
+    skipped, and any other header is an error where it stands."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    for lineno, text in enumerate(lines, 1):
+        line = text.strip()
+        if line.startswith("[") and line.endswith("]"):
+            if line[1:-1].strip() != "channel":
+                raise ConfigError(f"unknown config sections: {[line[1:-1].strip()]}")
+        elif line and not line.startswith("#"):
+            yield f"{path}:{lineno}: ", line
+
+
+def _sweep(args: argparse.Namespace, command: str,
+           signal_scale: float = 1.0) -> tuple[ChannelModel, list[float], dict[str, Any]]:
+    """The front end of the channel sweeps ``keyrate`` and ``wcs``: the channel
+    (the ``[channel]`` keys of ``--config``, overridden by flags), the
+    distance grid, and the configuration their reports embed."""
+    items = _config_lines(args.config) if args.config is not None else ()
+    values = _key_values(items, _CHANNEL_KEYS, "channel")
+    values.update({k: getattr(args, k) for k in _CHANNEL_KEYS if getattr(args, k) is not None})
     model = _configured(ChannelModel, **values, signal_scale=signal_scale)
-    return model, {k: getattr(model, k) for k in _CHANNEL_KEYS}
+    config = {"command": command, **{k: getattr(model, k) for k in _CHANNEL_KEYS},
+              "start_km": args.start_km, "stop_km": args.stop_km, "step_km": args.step_km}
+    return model, _distances(args), config
 
 
 def _add_common(p: argparse.ArgumentParser, handler: Callable[..., Report]) -> None:
@@ -178,23 +194,9 @@ def _distances(args: argparse.Namespace) -> list[float]:
     return out
 
 
-def _finite_size(spec: str | None) -> FiniteSizeParams | None:
-    if spec is None:
-        return None
-    fields: dict[str, float] = {}
-    for part in spec.split(","):
-        if "=" not in part:
-            raise ConfigError(f"finite-size spec needs n=..,k=..,eps=.. (got {part!r})")
-        key, _, value = (t.strip() for t in part.partition("="))
-        if key not in ("n", "k", "eps"):
-            raise ConfigError(f"unknown finite-size key {key!r} (expected n, k, eps)")
-        if key in fields:
-            raise ConfigError(f"finite-size key {key!r} is given twice")
-        try:
-            fields[key] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"finite-size value for {key!r} is not a number") from exc
-    missing = {"n", "k", "eps"} - set(fields)
+def _finite_size(spec: str) -> FiniteSizeParams:
+    fields = _key_values([("", part) for part in spec.split(",")], _FINITE_SIZE_KEYS, "finite-size")
+    missing = _FINITE_SIZE_KEYS.keys() - fields.keys()
     if missing:
         raise ConfigError(f"finite-size spec is missing {sorted(missing)}")
     return _configured(FiniteSizeParams, n_key=fields["n"], k_pe=fields["k"],
@@ -268,12 +270,12 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
 
 
 def _cmd_keyrate(args: argparse.Namespace) -> Report:
-    model, resolved = _channel_from_config(args)
+    model, distances, config = _sweep(args, "keyrate")
     wanted = [a.strip() for a in args.attacks.split(",") if a.strip()]
     unknown = set(wanted) - {*EXPLICIT_ATTACKS, LOWER_BOUND, UNCONDITIONAL}
     if unknown:
         raise ConfigError(f"unknown attacks: {sorted(unknown)}")
-    fs, distances = _finite_size(args.finite_size), _distances(args)
+    fs = _finite_size(args.finite_size) if args.finite_size is not None else None
     explicit = [name for name in dict.fromkeys(wanted) if name in EXPLICIT_ATTACKS]
     profiles = {}
     if explicit:  # the bounds alone need neither the attack layers nor numpy
@@ -282,10 +284,7 @@ def _cmd_keyrate(args: argparse.Namespace) -> Report:
         profiles = {name: attacks.ATTACK_PROFILES[name](ens) for name in explicit}
     rows = _configured(keyrate_sweep, model, list(profiles.values()), distances,
                        finite_size=fs, bounds=set(wanted) - set(profiles))
-    config = {"command": "keyrate", **resolved,
-              "attacks": ",".join(wanted),
-              "start_km": args.start_km, "stop_km": args.stop_km,
-              "step_km": args.step_km, "finite_size": args.finite_size or ""}
+    config.update(attacks=",".join(wanted), finite_size=args.finite_size or "")
     return {"config": config, "rows": rows}, rows, config
 
 
@@ -302,12 +301,10 @@ def _cmd_wcs(args: argparse.Namespace) -> Report:
     from . import wcs
     params = _configured(wcs.WcsParams, mean_photon_number=args.mu, slices=args.slices)
     # the channel checks its click probability at the source intensity
-    model, resolved = _channel_from_config(args, params.mean_photon_number)
+    model, distances, config = _sweep(args, "wcs", params.mean_photon_number)
     wanted = tuple(a.strip() for a in args.attack.split(",") if a.strip())
-    rows = _configured(wcs.wcs_key_rates, params, model, _distances(args), attacks=wanted)
-    config = {"command": "wcs", **resolved, "mu": args.mu, "slices": args.slices,
-              "attack": ",".join(wanted), "start_km": args.start_km,
-              "stop_km": args.stop_km, "step_km": args.step_km}
+    rows = _configured(wcs.wcs_key_rates, params, model, distances, attacks=wanted)
+    config.update(mu=args.mu, slices=args.slices, attack=",".join(wanted))
     return ({"config": config, "rows": rows,
              "slice_averaged_qber": wcs.slice_averaged_qber(params),
              "usd_success": wcs.usd_success(args.mu)}, rows, config)

@@ -333,6 +333,8 @@ def _max_step(linv: np.ndarray, d: np.ndarray) -> float:
     """sup {a : L_b L_b^H + a d_b >= 0 for every b}, given the inverse
     factors L_b^-1 of a (B, d, d) stack of Hermitian PD operators."""
     lam = float(np.linalg.eigvalsh(linv @ d @ dagger(linv))[:, 0].min())
+    if math.isnan(lam):  # else a full step: min([1.0, nan]) is 1.0
+        raise FloatingPointError("NaN step length")
     return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
@@ -408,6 +410,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError(
                 f"LAPACK failed in iteration {it} ({exc}); {_last(gap, pinf, dinf)}") from exc
+        except FloatingPointError as exc:
+            raise NumericalBreakdownError(
+                f"{exc} in iteration {it}; {_last(gap, pinf, dinf)}") from exc
         if max(alpha_p, alpha_d) < 1e-10:
             raise NumericalBreakdownError("step lengths collapsed")
         alpha_prev = min(alpha_p, alpha_d)

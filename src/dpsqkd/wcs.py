@@ -138,7 +138,7 @@ def usd_known_fraction(mu: float, transmittance: float) -> float:
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
-    return min(1.0, usd_block_identification(mu * (1.0 - transmittance)))
+    return usd_block_identification(mu * (1.0 - transmittance))
 
 
 def wcs_key_rates(params: WcsParams, model: ChannelModel,
@@ -164,7 +164,7 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
     mu = params.mean_photon_number
     e_slice = slice_averaged_qber(params) if "phase-randomized" in attacks else 0.0
     # bits Eve learns are known perfectly (collision probability 1), at any distance
-    tau_ir = shrinking_factor(min(1.0, wcs_ir_fraction(mu)), 1.0)
+    tau_ir = shrinking_factor(wcs_ir_fraction(mu), 1.0)
     rows: list[dict[str, float]] = []
     for dist in distances:
         m = model.at_distance(float(dist))

@@ -372,7 +372,8 @@ def test_finite_size_command_bad_spec(capsys):
     """A bad finite-size spec exits 2, also an unknown or a repeated key."""
     for argv, message in [
         (("finite-size", "--params", "n=1e6"), "missing"),
-        (("finite-size", "--params", "n=abc,k=1e4,eps=1e-9"), "not a number"),
+        (("finite-size", "--params", "n=abc,k=1e4,eps=1e-9"),
+         "finite-size key 'n' needs float, got 'abc'"),
         (("finite-size", "--params", "n=1e6,k=1e4,eps=0.999", "--e-obs", "0.4"), "log argument"),
         (("finite-size", "--params", "n=1e6,k=1e4,eps=1e-9,typo=3"), "unknown finite-size key"),
         (("keyrate", "--finite-size", "n=1e6,k=1e4,eps=1e-9,n=5"), "'n' is given twice"),
@@ -501,6 +502,43 @@ def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys, line, messag
     code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == f"configuration error: {message.format(cfg=cfg)}\n"
+
+
+@pytest.mark.parametrize("items,message", [
+    (["{key}"], lambda what, key, at: f"{at(2)}expected key=value, got {key!r}"),
+    (["typo = 3"], lambda what, key, at: f"unknown {what} key 'typo'"),
+    (["{key} = {value}", " {key}={value} "],
+     lambda what, key, at: f"{at(3)}{what} key {key!r} is given twice"),
+    (["{key} = high"], lambda what, key, at: f"{what} key {key!r} needs float, got 'high'"),
+    # the first faulty item is reported, not the first kind of fault
+    (["typo = 3", "{key}", "{key} = high"], lambda what, key, at: f"unknown {what} key 'typo'"),
+    # a trailing comma leaves an empty spec item, which has no "="; a file
+    # skips its blank lines (None: the run succeeds)
+    (["{key} = {value}", ""],
+     lambda what, key, at: None if what == "channel" else "expected key=value, got ''"),
+], ids=["missing-equals", "unknown-key", "repeated-key", "bad-value", "first-fault",
+        "empty-item"])
+def test_config_and_finite_size_share_one_grammar(tmp_path, capsys, items, message):
+    """The same items, as the lines of a ``--config`` file and as the
+    comma-separated items of a finite-size spec, exit 2 with one message
+    shape; only a file line names its position."""
+    cfg = tmp_path / "items.cfg"
+    cfg.write_text("[channel]\n" + "\n".join(i.format(key="f_ec", value="1.2") for i in items))
+    spec = ",".join(i.format(key="n", value="1e6") for i in items)
+    for argv, what, key, at in [
+        (("keyrate", "--attacks", "ir", "--stop-km", "0", "--config", str(cfg)), "channel",
+         "f_ec", lambda lineno: f"{cfg}:{lineno}: "),
+        (("finite-size", "--params", spec), "finite-size", "n", lambda lineno: ""),
+        (("keyrate", "--attacks", "ir", "--finite-size", spec), "finite-size", "n",
+         lambda lineno: ""),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        expected = message(what, key, at)
+        if expected is None:
+            assert code == 0 and json.loads(out)["config"][key] == 1.2
+            continue
+        assert code == 2 and out == "", argv
+        assert err == f"configuration error: {expected}\n"
 
 
 def test_wcs_bad_source_and_channel(capsys):

@@ -568,3 +568,20 @@ def test_non_finite_residual_names_the_iteration(monkeypatch):
                        match=r"^non-finite iterate in iteration 2; last iterate: gap \d\S+, "
                              r"primal infeasibility \d\S+, dual infeasibility \d\S+$"):
         solve(problem)
+
+
+def test_nan_step_length_stops_the_solve(monkeypatch):
+    """A NaN eigenvalue in the step rule stops the solve where it appears:
+    ``min([1.0, nan])`` would otherwise take a full step.  The error names
+    the step, iteration 0 and the residuals of that iteration."""
+    ens = dps_ensemble(3)
+    bent = ens.states.copy()
+    bent[1, 0] += 0.3  # far off the sign orbit: MED solves the full problem
+    bent[1] /= np.linalg.norm(bent[1])
+    bent_ens = dataclasses.replace(ens, states=bent)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    with pytest.raises(sdp.SdpError, match=r"^med: NaN step length in iteration 0; last "
+                                           r"iterate: gap \d\S+, primal infeasibility \d\S+, "
+                                           r"dual infeasibility \d\S+$") as info:
+        attacks.certified("med", attacks.med_attack, bent_ens)
+    assert isinstance(info.value, NumericalBreakdownError)

@@ -44,6 +44,11 @@ RUNS = [
     ["keyrate", "--attacks", "ir,lower-bound", "--stop-km", "1", "--step-km", "0.1"],
     # the slice quadrature away from the default mean photon number and slice count
     ["wcs", "--mu", "0.9", "--slices", "4", "--step-km", "25", "--format", "csv"],
+    # the channel file read by the weak-coherent-state sweep
+    ["wcs", "--attack", "ir,usd", "--config", "tools/channel.ini", "--mu", "0.5",
+     "--step-km", "50", "--format", "csv"],
+    # a finite-size spec with spaces around its keys and values
+    ["finite-size", "--params", " n = 1e5 , k = 1e3 , eps = 1e-6 ", "--e-obs", "0.03"],
 ]
 
 
