@@ -133,8 +133,11 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
     uniform superposition, so the top-eigenspace candidate Q = n |+><+|
     gives p_success = n/G.  The seed is certified through
     :func:`_reduced_kkt` and solved only when its candidate fails (see
-    :func:`_reduced_optimum`).  Any other ensemble builds its full
-    :func:`med_problem`, solves it and certifies the pair.
+    :func:`_reduced_optimum`).  Q/G is clipped to PSD before the lift: the
+    lift multiplies entries by +-1, which commutes with the clip, so one
+    n x n eigendecomposition clips all G elements.  Any other ensemble
+    builds its full :func:`med_problem`, solves it, certifies the pair and
+    clips each of its G blocks.
     """
     count, n = len(ens.priors), ens.n
     delta = _covariance_residual(ens)
@@ -146,13 +149,14 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
         problem = sdp.SdpProblem([rho_bar[None] / count],
                                  [np.eye(n)[:, None, :, None] * np.eye(n)], np.ones(n))
         solution, kkt = _reduced_optimum(problem, delta)
-        x = signs[:, :, None] * (solution.x[0][0] / count) * signs[:, None, :]
+        seed = _project_psd(solution.x[0][0] / count)
+        x = signs[:, :, None] * seed * signs[:, None, :]
     else:
         problem = med_problem(ens)
         solution = sdp.solve(problem)
         kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
-        (x,) = solution.x
-    povm = Povm(elements=_project_psd(x))
+        x = _project_psd(solution.x[0])
+    povm = Povm(elements=x)
     # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j^T[k, l]: one matrix product
     confusion = (ens.densities.reshape(count, -1)
                  @ povm.elements.transpose(0, 2, 1).reshape(count, -1).T).real
@@ -243,11 +247,16 @@ def _reduced_optimum(problem: sdp.SdpProblem, delta: float
     or the character-block :func:`cloning_problem`, and its certificate
     (:func:`_reduced_kkt`).  The top-eigenspace candidate
     (:func:`_top_eigenspace_solution`) is certified once; only when it is
-    missing or fails is ``problem`` solved, and that pair certified."""
+    missing or fails, or meets its equality rows only to within more than
+    ``_POVM_SUM_ATOL``, is ``problem`` solved, and that pair certified.  The
+    last case is a MED seed bent off the sign orbit by less than n delta <=
+    ``_KKT_TOL``: its least-squares weights miss the rows by about the bend,
+    which the certificate admits but the completeness check of
+    :class:`Povm` does not."""
     candidate = _top_eigenspace_solution(problem)
     if candidate is not None:
         kkt = _reduced_kkt(problem, candidate, delta)
-        if kkt.passed:
+        if kkt.passed and kkt.equality_residual <= _POVM_SUM_ATOL:
             return candidate, kkt
     solution = sdp.solve(problem)
     return solution, _reduced_kkt(problem, solution, delta)

@@ -12,7 +12,8 @@ so ``finite-size`` and ``wcs`` run without numpy or the SDP solver.
 One grammar reads both ``key=value`` inputs, the lines of a ``--config``
 file and the comma-separated items of a finite-size spec: spaces around a
 key or value are dropped, and the first item without ``=``, with a key
-given twice or unknown, or with a value of the wrong kind is an error.  A
+given twice or unknown, or with a value of the wrong kind is an error,
+and in a config file the message begins with its ``path:lineno:``.  A
 config file also allows blank lines, full-line ``#`` comments and
 ``[channel]`` headers; any other header is an error.  Only ``keyrate`` and
 ``wcs`` read a channel, whose file values flags override; the others reject
@@ -112,11 +113,12 @@ def _key_values(items: Iterable[tuple[str, str]], kinds: Mapping[str, type],
             raise ConfigError(f"{where}{what} key {key!r} is given twice")
         kind = kinds.get(key)
         if kind is None:
-            raise ConfigError(f"unknown {what} key {key!r}")
+            raise ConfigError(f"{where}unknown {what} key {key!r}")
         try:
             values[key] = kind(text)
         except ValueError as exc:
-            raise ConfigError(f"{what} key {key!r} needs {kind.__name__}, got {text!r}") from exc
+            raise ConfigError(
+                f"{where}{what} key {key!r} needs {kind.__name__}, got {text!r}") from exc
     return values
 
 

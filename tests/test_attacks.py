@@ -198,6 +198,45 @@ def sign_orbit(seed):
     return dataclasses.replace(dps_ensemble(len(seed)), states=states)
 
 
+def eigh_inputs(monkeypatch):
+    """The input shapes of the ``np.linalg.eigh`` calls from here on."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kwargs: shapes.append(np.shape(a))
+                        or eigh(a, *args, **kwargs))
+    return shapes
+
+
+@pytest.mark.parametrize("seed", [*range(3, 9), [1, 2, 1], [1, 2, 2, 1]],
+                         ids=[*map(str, range(3, 9)), "solved-3", "solved-4"])
+def test_covariant_med_clips_its_seed_once(seed, monkeypatch):
+    """A sign-covariant MED eigendecomposes no stack of more than one
+    operator, also where its seed block is solved: its G elements are the
+    one clipped seed, lifted by the sign products, bit for bit."""
+    ens = dps_ensemble(seed) if isinstance(seed, int) else sign_orbit(seed)
+    shapes = eigh_inputs(monkeypatch)
+    result = med_attack(ens)
+    assert shapes and all(math.prod(shape[:-2]) == 1 for shape in shapes), shapes
+    assert (result.solution.iterations > 0) == isinstance(seed, list)
+    signs = sign_patterns(ens.n)
+    clipped = attacks._project_psd(result.solution.x[0][0] / len(signs))
+    assert np.array_equal(result.povm.elements, signs[:, :, None] * clipped * signs[:, None, :])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_general_med_clips_every_solver_block(n, monkeypatch):
+    """Off the sign orbit each of the G solver blocks is clipped, in one
+    batched eigendecomposition."""
+    ens = dps_ensemble(n)
+    bent = ens.states.copy()
+    bent[1, 0] += 0.3
+    bent[1] /= np.linalg.norm(bent[1])
+    shapes = eigh_inputs(monkeypatch)
+    result = med_attack(dataclasses.replace(ens, states=bent))
+    assert shapes[-1] == (2 ** (n - 1), n, n)
+    assert np.array_equal(result.povm.elements, attacks._project_psd(result.solution.x[0]))
+
+
 @pytest.mark.parametrize("seed,solves", [
     ([1, 2, 1], 1),  # a top eigenvector of uneven weight meets no completeness row
     ([1, 2, 2, 1], 1),
@@ -650,6 +689,27 @@ def test_slightly_bent_kets_take_the_symmetry_reduced_routes(n, eps, covariant_c
                           tol=attacks._KKT_TOL)
     assert full.passed, full.conditions
     assert covariant_calls == ["cloner", "med"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("eps", [1e-7, 3e-7])
+def test_bent_seed_candidate_off_the_povm_rows_is_solved(n, eps, solved, covariant_calls):
+    """Ket 1 bent by 1e-7 or 3e-7 keeps MED on its seed block, but the
+    candidate's least-squares weights miss the completeness rows by more
+    than a POVM admits, though within the certificate's tolerance.  So the
+    seed is solved once, and its POVM sums to the identity."""
+    ens = dps_ensemble(n)
+    kets = ens.states.copy()
+    kets[1, 0] += eps
+    kets[1] /= np.linalg.norm(kets[1])
+    mutated = dataclasses.replace(ens, states=kets)
+    assert n * attacks._covariance_residual(mutated) <= attacks._KKT_TOL
+    med = med_attack(mutated)
+    assert covariant_calls == ["med"] and solved == [med.problem]
+    candidate = attacks._top_eigenspace_solution(med.problem)
+    assert np.max(np.abs(np.diag(candidate.x[0][0]).real - 1.0)) > attacks._POVM_SUM_ATOL
+    assert med.kkt.passed, med.kkt.conditions
+    assert np.max(np.abs(med.povm.elements.sum(axis=0) - np.eye(n))) <= attacks._POVM_SUM_ATOL
 
 
 @pytest.mark.parametrize("n", range(3, 9))

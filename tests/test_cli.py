@@ -491,27 +491,30 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("n_pulses", "{cfg}:2: expected key=value, got 'n_pulses'"),
+    ("n_pulses", "expected key=value, got 'n_pulses'"),
     ("n_pulses = abc", "channel key 'n_pulses' needs int, got 'abc'"),
     ("n_pulses = 4.0", "channel key 'n_pulses' needs int, got '4.0'"),
     ("f_ec = high", "channel key 'f_ec' needs float, got 'high'"),
 ])
 def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys, line, message):
+    """Every fault of a config line is named after its path:lineno."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[channel]\n{line}\n")
     code, out, err = run_cli(capsys, "keyrate", "--attacks", "ir", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err == f"configuration error: {message.format(cfg=cfg)}\n"
+    assert err == f"configuration error: {cfg}:2: {message}\n"
 
 
 @pytest.mark.parametrize("items,message", [
     (["{key}"], lambda what, key, at: f"{at(2)}expected key=value, got {key!r}"),
-    (["typo = 3"], lambda what, key, at: f"unknown {what} key 'typo'"),
+    (["typo = 3"], lambda what, key, at: f"{at(2)}unknown {what} key 'typo'"),
     (["{key} = {value}", " {key}={value} "],
      lambda what, key, at: f"{at(3)}{what} key {key!r} is given twice"),
-    (["{key} = high"], lambda what, key, at: f"{what} key {key!r} needs float, got 'high'"),
+    (["{key} = high"],
+     lambda what, key, at: f"{at(2)}{what} key {key!r} needs float, got 'high'"),
     # the first faulty item is reported, not the first kind of fault
-    (["typo = 3", "{key}", "{key} = high"], lambda what, key, at: f"unknown {what} key 'typo'"),
+    (["typo = 3", "{key}", "{key} = high"],
+     lambda what, key, at: f"{at(2)}unknown {what} key 'typo'"),
     # a trailing comma leaves an empty spec item, which has no "="; a file
     # skips its blank lines (None: the run succeeds)
     (["{key} = {value}", ""],
@@ -521,7 +524,7 @@ def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys, line, messag
 def test_config_and_finite_size_share_one_grammar(tmp_path, capsys, items, message):
     """The same items, as the lines of a ``--config`` file and as the
     comma-separated items of a finite-size spec, exit 2 with one message
-    shape; only a file line names its position."""
+    shape; only a file line names its position, and it does for every fault."""
     cfg = tmp_path / "items.cfg"
     cfg.write_text("[channel]\n" + "\n".join(i.format(key="f_ec", value="1.2") for i in items))
     spec = ",".join(i.format(key="n", value="1e6") for i in items)

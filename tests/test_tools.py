@@ -77,3 +77,22 @@ def test_tier1_pins_each_expected_failure_to_its_reason(tmp_path, capsys, messag
     if status:
         assert err == ("tier1: expected failure with another reason: "
                        f"tests.test_acceptance::test_criterion_05_optimal_cloning: {message}\n")
+
+
+@pytest.mark.parametrize("seconds,status", [(None, 0), ("29.9", 0), ("30.5", 1)])
+def test_tier1_holds_the_suite_to_its_time_budget(tmp_path, capsys, seconds, status):
+    """The by-design failures alone are not ok when the suite's JUnit time,
+    as pytest nests it under ``testsuites``, is over the 30 s budget."""
+    root = ET.Element("testsuites")
+    suite = ET.SubElement(root, "testsuite", {} if seconds is None else {"time": seconds})
+    ET.SubElement(suite, "testcase", classname="tests.test_tools", name="test_passes")
+    for name, reason in tier1.EXPECTED_FAILURES.items():
+        module, test = name.split("::")
+        case = ET.SubElement(suite, "testcase", classname=module, name=test)
+        ET.SubElement(case, "failure", message=reason)
+    report = tmp_path / "tier1.xml"
+    ET.ElementTree(root).write(report)
+    assert tier1.check(report) == status
+    out, err = capsys.readouterr()
+    assert out == f"tier1: 1 passed, 3 failed, 0 errors: {'NOT ok' if status else 'ok'}\n"
+    assert err == ("tier1: the suite took 30.5 s, over its 30 s budget\n" if status else "")

@@ -8,7 +8,8 @@ pin two-decimal reference figures that the exact optima provably miss, and
 clause 12 pins a QBER threshold at M = 16 slices that the slice-averaged
 QBER meets only for M >= 26.  Exits 0 when the failures are exactly those
 three, each with its stored reason as the first line of its failure
-message, and nothing errors; otherwise prints what differs and exits 1.
+message, nothing errors and the JUnit ``testsuite`` time is within the
+budget; otherwise prints what differs and exits 1.
 The exact reason also pins that only the by-design clause failed: an
 import error or another clause in one of those tests is not ok.  Usage,
 from anywhere:
@@ -26,6 +27,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BUDGET_S = 30.0  # of the whole suite, by its JUnit testsuite time
 # test id -> the first line of its JUnit failure message
 EXPECTED_FAILURES = {
     "tests.test_acceptance::test_criterion_05_optimal_cloning":
@@ -47,9 +49,11 @@ EXPECTED_FAILURES = {
 
 def check(report: Path) -> int:
     """Print what a JUnit report differs in from the expected failures and the
-    tally line; 0 when it is ok, 1 otherwise."""
+    time budget, and the tally line; 0 when it is ok, 1 otherwise."""
     failed, errored, passed = {}, set(), 0
-    for case in ET.parse(report).getroot().iter("testcase"):
+    root = ET.parse(report).getroot()
+    seconds = sum(float(suite.get("time", 0.0)) for suite in root.iter("testsuite"))
+    for case in root.iter("testcase"):
         # a collection error has no class name, only the module
         name = "::".join(filter(None, (case.get("classname"), case.get("name"))))
         failure = case.find("failure")
@@ -69,7 +73,11 @@ def check(report: Path) -> int:
         for name in sorted(names):
             reason = f": {failed[name]}" if name in failed else ""
             print(f"tier1: {label}: {name}{reason}", file=sys.stderr)
-    ok = not (unexpected or missing or errored or wrong)
+    over = seconds > BUDGET_S
+    if over:
+        print(f"tier1: the suite took {seconds:.1f} s, over its {BUDGET_S:g} s budget",
+              file=sys.stderr)
+    ok = not (unexpected or missing or errored or wrong or over)
     print(f"tier1: {passed} passed, {len(failed)} failed, {len(errored)} errors: "
           f"{'ok' if ok else 'NOT ok'}")
     return 0 if ok else 1
