@@ -109,8 +109,16 @@ class MedResult:
 def med_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     """SDP for minimum-error discrimination: maximise sum_i p(i) <rho_i, P_i>
     over POVMs {P_i}, one group of G blocks under the shared completeness
-    rows."""
-    ops, rhs = sdp.povm_completeness_constraints(ens.n, real=not ens.densities.imag.any())
+    rows.
+
+    The states are real (see :class:`~dpsqkd.dps.DpsEnsemble`), so the
+    problem is stated over real symmetric P_i, and nothing is lost against
+    complex POVMs: for a Hermitian optimum P_i, Re P_i = (P_i + conj P_i)/2
+    is PSD, sums to the identity and has the same value, since
+    Tr(rho Im P) = 0 for real symmetric rho; and a real dual point is a
+    Hermitian one of the same value, so the real certificate certifies the
+    optimum over all POVMs."""
+    ops, rhs = sdp.povm_completeness_constraints(ens.n)
     return sdp.SdpProblem([ens.priors[:, None, None] * ens.densities], [ops], rhs)
 
 
@@ -216,7 +224,8 @@ def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
     of a block is degenerate and the one eigenvector taken from it misses
     them.  The spectra are those of the builder's objective stacks, not of
     the solver's float64 copies, and each row is read off the builder's
-    constraint operators, one block at a time.
+    constraint operators, one block at a time.  The objective is real, so
+    the real part of each projector is the projector, held as float64.
     """
     rhs = np.asarray(problem.rhs, dtype=float)
     blocks = []  # (top eigenvalue, top eigenvector, group, index) of every block
@@ -231,9 +240,9 @@ def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
     t = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
     if np.any(t < 0.0):
         return None
-    x = [np.zeros(np.shape(cost), dtype=complex) for cost in problem.cost]
+    x = [np.zeros(np.shape(cost)) for cost in problem.cost]
     for tb, (_, u, g, k) in zip(t, top):
-        x[g][k] = tb * outer(u)
+        x[g][k] = tb * outer(u).real
     primal = float(sum(tb * wb for tb, (wb, *_) in zip(t, top)))
     dual = float(lam * rhs.sum())
     return sdp.SdpSolution(x=x, y=np.full(rhs.size, lam), primal_objective=primal,
@@ -431,6 +440,11 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     Only state 0 enters, and :func:`_reduced_kkt` bounds how far the
     ensemble's own Q is from Q_cov.  So any pure-state ensemble builds it,
     and the certificate can be tested on skewed priors and bent kets.
+
+    State 0 is real (see :class:`~dpsqkd.dps.DpsEnsemble`), so the blocks
+    are real, and the real optimum is the optimum over all Choi operators:
+    Re J of a Hermitian optimum J is PSD, trace preserving and of the same
+    value, and a real dual point is a Hermitian one of the same value.
     """
     d, psi = ens.n, _kets(ens)[0]
     v0 = np.einsum("i,j,k->ijk", psi, psi.conj(), psi).ravel()

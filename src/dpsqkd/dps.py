@@ -33,16 +33,19 @@ MAX_PULSES = 12
 
 @dataclass(frozen=True, eq=False)
 class DpsEnsemble:
-    """A signal ensemble: G states on C^n with their priors and key bits.
+    """A signal ensemble: G real states on R^n with their priors and key bits.
 
     ``states`` is a (G, n) stack of kets or a (G, n, n) stack of density
     operators, such as Eve's clones of the signal states; ``priors`` has
     shape (G,), and row g of the (G, n-1) ``bit_map`` holds the key bits of
     state g.  Every attack takes its ensemble in this one form.  The fields
-    are stored as read-only copies, checked here against their physical
-    domains: the priors are finite, non-negative and sum to 1 within 1e-9;
-    kets have unit norm within 1e-9; density operators are Hermitian, with
-    unit trace within 1e-8 and no eigenvalue below -1e-7; bits are 0 or 1.
+    are stored as read-only copies, the states as complex128, checked here
+    against their physical domains: the states are real, since DPS encodes
+    each bit in a relative phase of 0 or pi, so any nonzero imaginary part
+    is rejected; the priors are finite, non-negative and sum to 1 within
+    1e-9; kets have unit norm within 1e-9; density operators are symmetric,
+    with unit trace within 1e-8 and no eigenvalue below -1e-7; bits are 0
+    or 1.
     """
 
     states: np.ndarray
@@ -56,6 +59,8 @@ class DpsEnsemble:
             raise ValueError("ensemble states must share one dimension") from exc
         if not (states.ndim == 2 or states.ndim == 3 and states.shape[1] == states.shape[2]):
             raise ValueError("ensemble states must be a (G, n) ket or (G, n, n) density stack")
+        if states.imag.any():
+            raise ValueError("ensemble states must be real: DPS phases are 0 or pi")
         count, n = states.shape[:2]
         priors = np.array(self.priors, dtype=float)
         if priors.shape != (count,) or not np.all(np.isfinite(priors) & (priors >= 0.0)):

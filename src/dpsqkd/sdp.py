@@ -1,16 +1,22 @@
 """Primal-dual interior-point solver for small dense semidefinite programs.
 
-Problems are stated in primal standard form over Hermitian blocks:
+Problems are stated in primal standard form over real symmetric blocks:
 
     maximize    sum_b <C_b, X_b>
     subject to  sum_b <A_{j,b}, X_b> = r_j      (j = 1..m)
                 X_b >= 0,
 
-with <A, B> = Tr(A B) the Hilbert-Schmidt inner product of Hermitian
-operators.  The dual reads
+with <A, B> = Tr(A B) the trace inner product.  The dual reads
 
     minimize    sum_j r_j y_j
     subject to  Z_b := sum_j y_j A_{j,b} - C_b >= 0.
+
+The data are real: every DPS signal state, clone and POVM has a phase of 0
+or pi, so the problems of :mod:`dpsqkd.attacks` are real, and the solver
+runs in float64 only.  A problem with an operator of nonzero imaginary
+part is rejected where it is built; :func:`~dpsqkd.attacks.med_problem`
+and :func:`~dpsqkd.attacks.cloning_problem` state why a real optimum is
+also the optimum over complex POVMs and Choi operators.
 
 The solver follows the central path with Nesterov-Todd scaling: one Newton
 step per iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
@@ -25,19 +31,19 @@ run once per group, not once per block.  A constraint stack of shape
 (m, 1, d, d) holds one operator per constraint that acts on every block of
 its group, as the POVM completeness constraints do.  The constraint map
 A(X)_j = sum_b <A_{j,b}, X_b> and its adjoint A*(y)_b = sum_j y_j A_{j,b}
-are real matrix-vector products on the real view of the stacks, since
-Re Tr(A H) of Hermitian A and H is the real dot product of their entries;
+are matrix-vector products on the flattened stacks, since Tr(A H) of
+symmetric A and H is the dot product of their entries;
 on a shared stack A(X) pairs A_j with sum_b X_b and A*(y) is one (d, d)
 operator broadcast over the blocks.
 The NT operator X -> W X W is applied, never stored.  The Schur complement
 M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> (Todd, Toh & Tutuncu, SIAM J.
 Optim. 8, 1998) is assembled without a loop over constraints.  On a shared
-group it is Re(A K A^T), with A the (m, d^2) operator matrix and
+group it is A K A^T, with A the (m, d^2) operator matrix and
 K = sum_b W_b^T (x) W_b, its indices permuted to match A: one (d^2, B) x
 (B, d^2) product, O(B d^4) time where the columns would cost O(m B d^3).
 Any other group forms W A_j W for every column j in one batched product,
 as many entries as its stored constraint operators, and pairs it with
-every A_i in one real matrix product; a d x d block costs O(m d^3) time
+every A_i in one matrix product; a d x d block costs O(m d^3) time
 per iteration, where a stored d^2 x d^2 operator would cost O(d^6).  Per
 group and iteration the only LAPACK calls on the block stacks are two
 ``eigh``, of Z and of the scaled X, and two ``eigvalsh``: the two
@@ -45,22 +51,6 @@ eigendecompositions give W, the centring term's Z^-1 and inverse factors
 of X and Z, from which each step length is one ``eigvalsh`` (see
 :func:`_nt_scaling`).  They are also the iteration's only cone checks.
 The constraint count m is small, so all linear algebra is dense.
-
-Real data are solved in real arithmetic.  When every objective and
-constraint operator of a problem is real, decided once over all its
-stacks, the problem stores float64 stacks, and the iterates, the constraint map
-and :func:`verify_kkt` stay real; otherwise every stack is complex128.
-This is sound.  Take real C_b and A_{j,b}, and the complex problem that
-adds purely imaginary constraint operators i S (S real antisymmetric) of
-right-hand side zero, as the full completeness basis does.  For real
-symmetric A and Hermitian X, Tr(A X) = Tr(A Re X), since Im X is antisymmetric, and
-Re X = (X + conj X)/2 is PSD when X is; so Re X of a complex optimum is
-feasible for the real problem with the same objective.  A real X meets
-every row Tr(i S X) = 0, so the two optima are equal.  A real dual (y, Z)
-is a complex dual with zero multipliers on the imaginary rows, the same Z
-and the same value, so a real certificate certifies the complex problem
-too.  :func:`povm_completeness_constraints` accordingly states, for real
-data, only the real symmetric rows, the prefix of its basis.
 """
 
 from __future__ import annotations
@@ -111,7 +101,7 @@ class _Group:
     ``ops[j, k]`` is the operator of constraint j on block k, ``cost[k]``
     its objective operator.  A group whose ``ops`` is (m, 1, d, d) with
     B > 1 is shared: ``ops[j, 0]`` acts on every block.  Both stacks are
-    float64 when the problem's data are real, else complex128.
+    float64.
     """
 
     ops: np.ndarray
@@ -127,21 +117,15 @@ class _Group:
         return self.ops.shape[1] < len(self.cost)
 
     @property
-    def real(self) -> bool:
-        """Whether the data are real, stored as float64 stacks."""
-        return self.cost.dtype == float
-
-    @property
     def rows(self) -> np.ndarray:
-        """``ops`` as m real rows, a view: row j holds the entries of
-        constraint j's operators on the group, as real and imaginary parts
-        when they are complex."""
-        return self.ops.reshape(len(self.ops), self.ops.shape[1] * self.d ** 2).view(float)
+        """``ops`` as m rows, a view: row j holds the entries of constraint
+        j's operators on the group (its width is explicit, as m may be 0)."""
+        return self.ops.reshape(len(self.ops), self.ops.shape[1] * self.d ** 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdpProblem:
-    """Standard-form SDP over groups of Hermitian PSD blocks.
+    """Standard-form SDP over groups of real symmetric PSD blocks.
 
     ``cost[g]`` is the (B, d, d) stack of the objective operators of group
     g's B blocks of dimension d, and ``ops[g]`` the (m, B, d, d) stack of
@@ -151,15 +135,16 @@ class SdpProblem:
     block of the group, stored, checked and rank-tested once.  ``rhs``
     holds the m right-hand sides.  The blocks are ordered by group, then
     within each stack; groups may share a dimension.  The fields keep the
-    stacks as given.
+    stacks as given, and the problem is frozen.
 
     Construction checks the shapes, that every right-hand side is finite,
-    that every operator is Hermitian to ATOL_ALGEBRA relative to its
-    largest entry, and that the constraint rows are linearly independent as
-    Hermitian operators, tested on their real rows.  It also copies the
-    stacks once for the solver: float64 when every operator of every stack
-    is real, complex128 otherwise.  The solver and :func:`verify_kkt` read
-    only these copies.
+    that no operator has a nonzero imaginary part (a complex dtype is
+    accepted when its imaginary parts are all zero), that every operator
+    is symmetric to ATOL_ALGEBRA relative to its largest entry, and that
+    the constraint rows are linearly independent.  Each failure is a
+    ``ValueError``, or :class:`InfeasibleConstraintsError` for dependent
+    rows.  It also copies the stacks once for the solver, as float64; the
+    solver and :func:`verify_kkt` read only these copies.
     """
 
     cost: Sequence[np.ndarray]
@@ -167,13 +152,13 @@ class SdpProblem:
     rhs: Sequence[float]
 
     def __post_init__(self) -> None:
-        self._b = np.array(self.rhs, dtype=float)
-        if self._b.ndim != 1 or len(self.cost) != len(self.ops):
+        b = np.array(self.rhs, dtype=float)
+        if b.ndim != 1 or len(self.cost) != len(self.ops):
             raise ValueError("a problem takes one cost and one constraint stack per group "
                              "and a vector of right-hand sides")
-        if not all(map(math.isfinite, self._b.tolist())):
+        if not all(map(math.isfinite, b.tolist())):
             raise ValueError("right-hand sides must be finite")
-        m = self._b.size
+        m = b.size
         cost, ops = [np.asarray(c) for c in self.cost], [np.asarray(a) for a in self.ops]
         for g, (c, a) in enumerate(zip(cost, ops)):
             if c.ndim != 3 or c.shape[1] != c.shape[2] or 0 in c.shape:
@@ -181,23 +166,25 @@ class SdpProblem:
             if a.shape not in ((m, *c.shape), (m, 1, *c.shape[1:])):
                 raise ValueError(f"constraint stack {g} has shape {a.shape}, expected "
                                  f"({m}, {len(c)} or 1, {c.shape[1]}, {c.shape[2]})")
-        real = not any(np.iscomplexobj(s) and s.imag.any() for s in cost + ops)
-        cost, ops = ([np.array(np.real(s) if real else s, dtype=float if real else complex)
-                      for s in stacks] for stacks in (cost, ops))
         for role, stacks in (("cost", cost), ("constraint", ops)):
             for g, stack in enumerate(stacks):
+                if np.iscomplexobj(stack) and stack.imag.any():
+                    raise ValueError(f"{role} stack {g} is complex; the solver takes real data")
+                stacks[g] = stack = np.array(np.real(stack), dtype=float)
                 asym = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
                 scale = np.maximum(1.0, np.max(np.abs(stack), axis=(-2, -1)))
                 ok = asym <= ATOL_ALGEBRA * scale  # NaN fails too
                 if not ok.all():
                     raise ValueError(f"{role} stack {g} is not Hermitian at index "
                                      f"{', '.join(map(str, np.argwhere(~ok)[0]))}")
-        self._groups = [_Group(a, c) for c, a in zip(cost, ops)]
+        groups = [_Group(a, c) for c, a in zip(cost, ops)]
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_groups", groups)
         if m:
-            # the real rows have the Gram matrix Re Tr(A_i A_j) of the
-            # operators, hence their singular values; LAPACK finds them two
-            # to three times faster on the tall transpose
-            a = np.concatenate([g.rows for g in self._groups], axis=1)
+            # the rows have the Gram matrix Tr(A_i A_j) of the operators,
+            # hence their singular values; LAPACK finds them two to three
+            # times faster on the tall transpose
+            a = np.concatenate([g.rows for g in groups], axis=1)
             rank = np.linalg.matrix_rank(a.T, tol=1e-9 * max(1.0, float(np.max(np.abs(a)))))
             if rank < m:
                 raise InfeasibleConstraintsError(
@@ -219,10 +206,9 @@ class SdpSolution:
     assembling and factorising the Schur complement and solving for the
     direction (``schur_s``), and on the step lengths, one ``eigvalsh`` each
     for X and Z, and the update (``step_s``).  ``x`` holds one (B, d, d)
-    stack per group of the problem, in its order; the solve returns it in
-    the problem's dtype: float64 on real data.  The dual slack is not stored:
-    Z_b = sum_j y_j A_{j,b} - C_b follows from ``y``, and :func:`verify_kkt`
-    recomputes it.
+    stack per group of the problem, in its order, as float64.  The dual
+    slack is not stored: Z_b = sum_j y_j A_{j,b} - C_b follows from ``y``,
+    and :func:`verify_kkt` recomputes it.
     """
 
     x: list[np.ndarray]
@@ -256,31 +242,30 @@ class KktReport:
 # ---------------------------------------------------------------------------
 
 def _apply(groups: Sequence[_Group], x: Sequence[np.ndarray]) -> np.ndarray:
-    """A(X)_j = sum_b Re<A_{j,b}, X_b> for one (B, d, d) stack per group, in
-    the problem's dtype.
+    """A(X)_j = sum_b <A_{j,b}, X_b> for one real (B, d, d) stack per group.
 
-    Re Tr(A X) = Re sum_kl A_kl conj(X_kl) for Hermitian A, a real dot
-    product of the real views: one matrix-vector product per group.  A
-    shared group pairs A_j with sum_b X_b.
+    Tr(A X) = sum_kl A_kl X_kl for symmetric A, a dot product of the
+    flattened stacks: one matrix-vector product per group.  A shared group
+    pairs A_j with sum_b X_b.
     """
-    return sum(g.rows @ (np.add.reduce(xg) if g.shared else xg).reshape(-1).view(float)
+    return sum(g.rows @ (np.add.reduce(xg) if g.shared else xg).reshape(-1)
                for g, xg in zip(groups, x))
 
 
 def _adjoint(groups: Sequence[_Group], y: np.ndarray) -> list[np.ndarray]:
     """A*(y)_b = sum_j y_j A_{j,b} as one (B, d, d) stack per group; for a
     shared group one (1, d, d) operator, which broadcasts over the blocks."""
-    return [(y @ g.rows).view(g.ops.dtype).reshape(g.ops.shape[1:]) for g in groups]
+    return [(y @ g.rows).reshape(g.ops.shape[1:]) for g in groups]
 
 
 def _norm(stacks: Sequence[np.ndarray]) -> float:
     """Frobenius norm over all blocks of all stacks."""
-    return float(np.sqrt(sum(np.vdot(s, s).real for s in stacks)))
+    return float(np.sqrt(sum(np.vdot(s, s) for s in stacks)))
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(W, Z^-1, L_x^-1, L_z^-1) of Hermitian (B, d, d) stacks X and Z, from
+    """(W, Z^-1, L_x^-1, L_z^-1) of symmetric (B, d, d) stacks X and Z, from
     one eigendecomposition of Z and one of R X R^H.
 
     With Z = V diag(s)^2 V^H, let R = diag(s) V^H, so that Z = R^H R, and
@@ -307,9 +292,9 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray
 
 
 def _schur(groups: Sequence[_Group], w: Sequence[np.ndarray], m: int) -> np.ndarray:
-    """M_ij = sum_b Re<A_{i,b}, W_b A_{j,b} W_b> over all groups, unsymmetrised.
+    """M_ij = sum_b <A_{i,b}, W_b A_{j,b} W_b> over all groups, unsymmetrised.
 
-    A shared group contributes Re(A K A^T) with A = ops as (m, d^2) rows and
+    A shared group contributes A K A^T with A = ops as (m, d^2) rows and
     K[(k,l),(p,q)] = sum_b W_b[l,p] W_b[q,k], so (A K A^T)_ij is
     sum_b Tr(A_i W_b A_j W_b); K has d^4 entries, as many as M itself for the
     d^2 completeness operators.  Any other group forms W A_j W for every
@@ -322,16 +307,16 @@ def _schur(groups: Sequence[_Group], w: Sequence[np.ndarray], m: int) -> np.ndar
             a = g.ops.reshape(m, d2)
             wf = wg.reshape(len(wg), d2)
             k = (wf.T @ wf).reshape((g.d,) * 4).transpose(3, 0, 1, 2).reshape(d2, d2)
-            schur += (a @ k @ a.T).real
+            schur += a @ k @ a.T
             continue
         t = (wg @ g.ops @ wg).reshape(m, g.ops.shape[1] * d2)
-        schur += g.rows @ t.view(float).T
+        schur += g.rows @ t.T
     return schur
 
 
 def _max_step(linv: np.ndarray, d: np.ndarray) -> float:
     """sup {a : L_b L_b^H + a d_b >= 0 for every b}, given the inverse
-    factors L_b^-1 of a (B, d, d) stack of Hermitian PD operators."""
+    factors L_b^-1 of a (B, d, d) stack of symmetric PD operators."""
     lam = float(np.linalg.eigvalsh(linv @ d @ dagger(linv))[:, 0].min())
     if math.isnan(lam):  # else a full step: min([1.0, nan]) is 1.0
         raise FloatingPointError("NaN step length")
@@ -356,9 +341,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     groups, b = problem._groups, problem._b
     m = b.size
     r_inf = float(np.max(np.abs(b), initial=0.0))
-    x = [np.tile(np.eye(g.d, dtype=g.cost.dtype) * (1.0 + r_inf), (len(g.cost), 1, 1))
-         for g in groups]
-    z = [np.tile(np.eye(g.d, dtype=g.cost.dtype), (len(g.cost), 1, 1)) for g in groups]
+    x = [np.tile(np.eye(g.d) * (1.0 + r_inf), (len(g.cost), 1, 1)) for g in groups]
+    z = [np.tile(np.eye(g.d), (len(g.cost), 1, 1)) for g in groups]
     y = np.zeros(m)
     reg = 1e-14 * np.eye(m)
 
@@ -371,11 +355,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
     last_finite = gap, pinf, dinf
 
     for it in range(MAX_ITERATIONS):
-        pobj = sum(float(np.vdot(g.cost, xg).real) for g, xg in zip(groups, x))
+        pobj = sum(float(np.vdot(g.cost, xg)) for g, xg in zip(groups, x))
         dobj = float(b @ y)
         rp = b - _apply(groups, x)
         rd = [g.cost - a + zg for g, a, zg in zip(groups, _adjoint(groups, y), z)]
-        mu = sum(float(np.vdot(zg, xg).real) for xg, zg in zip(x, z)) / total_dim
+        mu = sum(float(np.vdot(zg, xg)) for xg, zg in zip(x, z)) / total_dim
         gap = abs(pobj - dobj)
         pinf = float(np.linalg.norm(rp)) / b_scale
         dinf = _norm(rd) / c_scale
@@ -414,7 +398,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
             raise NumericalBreakdownError(
                 f"{exc} in iteration {it}; {_last(gap, pinf, dinf)}") from exc
         if max(alpha_p, alpha_d) < 1e-10:
-            raise NumericalBreakdownError("step lengths collapsed")
+            raise NumericalBreakdownError(
+                f"step lengths collapsed in iteration {it}; {_last(gap, pinf, dinf)}")
         alpha_prev = min(alpha_p, alpha_d)
 
         x = [xg + alpha_p * d for xg, d in zip(x, dx)]
@@ -444,13 +429,10 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 
     The dual slack is computed from the multipliers as
     ``Z_b = sum_j y_j A_{j,b} - C_b``, so the pair is checked on ``x`` and
-    ``y`` alone.  Complementary slackness is the
-    largest |<X_b, Z_b>| across blocks.  On real data the check runs in real
-    arithmetic on Re X_b, which alone enters the equalities, the objective
-    and <X_b, Z_b>; a complex X_b = Re X_b + i Im X_b, with i Im X_b
-    Hermitian, has eig_min(X_b) >= eig_min(Re X_b) - ||Im X||_F by Weyl's
-    inequality, with the norm over the blocks of X_b's dimension, and
-    ``primal_min_eigenvalue`` is this lower bound, exact for a real X.
+    ``y`` alone.  Complementary slackness is the largest |<X_b, Z_b>|
+    across blocks.  The check runs in float64: a primal stack with a
+    nonzero imaginary part raises ``ValueError``, as do stacks or
+    multipliers whose shapes do not match the problem.
     """
     groups = problem._groups
     if len(solution.x) != len(groups) or len(solution.y) != problem._b.size:
@@ -460,19 +442,18 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     if wrong:
         raise ValueError(f"primal stack {wrong[0]} has wrong shape")
 
+    if any(np.iscomplexobj(xg) and np.imag(xg).any() for xg in solution.x):
+        raise ValueError("primal stacks must be real")
     y = np.asarray(solution.y, dtype=float)
-    x = [np.array(xg, dtype=complex) for xg in solution.x]
-    # on real data Im X enters only as a Weyl bound on the primal eigenvalues
-    spread = [_norm([xg.imag]) if g.real else 0.0 for g, xg in zip(groups, x)]
-    x = [xg.real.copy() if g.real else xg for g, xg in zip(groups, x)]
+    x = [np.array(np.real(xg), dtype=float) for xg in solution.x]
     z = [a - g.cost for g, a in zip(groups, _adjoint(groups, y))]
     pmin = dmin = np.inf
     slack = pobj = 0.0
-    for g, xg, zg, sg in zip(groups, x, z, spread):
-        pmin = min(pmin, float(np.min(np.linalg.eigvalsh(hermitian_part(xg))[:, 0] - sg)))
+    for g, xg, zg in zip(groups, x, z):
+        pmin = min(pmin, float(np.min(np.linalg.eigvalsh(hermitian_part(xg))[:, 0])))
         dmin = min(dmin, float(np.min(np.linalg.eigvalsh(hermitian_part(zg))[:, 0])))
-        slack = max(slack, float(np.max(np.abs(np.einsum("bkl,blk->b", xg, zg).real))))
-        pobj += float(np.einsum("bkl,blk->", g.cost, xg).real)
+        slack = max(slack, float(np.max(np.abs(np.einsum("bkl,blk->b", xg, zg)))))
+        pobj += float(np.einsum("bkl,blk->", g.cost, xg))
     eq_res = float(np.max(np.abs(_apply(groups, x) - problem._b), initial=0.0))
     dobj = float(problem._b @ y)
 
@@ -497,33 +478,27 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 @lru_cache(maxsize=None)
 def _completeness_basis(d: int) -> np.ndarray:
     """The operators of :func:`povm_completeness_constraints` as a read-only
-    (d**2, 1, d, d) stack; computed once per d."""
+    (d(d+1)/2, 1, d, d) stack; computed once per d."""
     iu, ju = np.triu_indices(d, 1)
     diag, sym = np.arange(d), d + np.arange(iu.size)
-    anti = sym + iu.size
-    basis = np.zeros((d * d, 1, d, d), dtype=complex)
+    basis = np.zeros((d + iu.size, 1, d, d))
     basis[diag, 0, diag, diag] = 1.0
     basis[sym, 0, iu, ju] = basis[sym, 0, ju, iu] = 1.0 / np.sqrt(2.0)
-    basis[anti, 0, iu, ju] = 1j / np.sqrt(2.0)
-    basis[anti, 0, ju, iu] = -1j / np.sqrt(2.0)
     basis.flags.writeable = False
     return basis
 
 
-def povm_completeness_constraints(dim: int, real: bool = False
-                                  ) -> tuple[np.ndarray, np.ndarray]:
+def povm_completeness_constraints(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(ops, rhs) of the constraints stating that the blocks of a group of
-    dimension ``dim`` sum to the identity on C^dim: ``ops`` is the
+    dimension ``dim`` sum to the identity on R^dim: ``ops`` is the
     (m, 1, dim, dim) constraint stack of one shared operator per element of
-    an orthonormal Hermitian basis B_j, acting on every block of the group,
-    and ``rhs`` holds Tr(B_j) = <B_j, I>.  First come the units |k><k|
-    (right-hand side 1), then (|k><l| + |l><k|)/sqrt(2) and
-    i(|k><l| - |l><k|)/sqrt(2), each over k < l in ``np.triu_indices`` order
-    (right-hand side 0).  Since Tr(B_i B_j) = delta_ij, a dual operator Y in
-    the span of the rows has the multipliers y_j = Re Tr(B_j Y), with
-    sum_j y_j B_j = Y.  With ``real``, for real data, only the
-    dim(dim+1)/2 real symmetric rows, the prefix, which span the real
-    symmetric Y: the purely imaginary rest is vacuous on a real X.  ``ops``
-    is a read-only view of one cached stack; ``rhs`` is new on every call."""
-    count = dim * (dim + 1) // 2 if real else dim * dim
-    return _completeness_basis(dim)[:count], (np.arange(count) < dim).astype(float)
+    the orthonormal basis B_j of the real symmetric operators, acting on
+    every block of the group, and ``rhs`` holds Tr(B_j) = <B_j, I>.  First
+    come the dim units |k><k| (right-hand side 1), then the
+    (|k><l| + |l><k|)/sqrt(2) over k < l in ``np.triu_indices`` order
+    (right-hand side 0): m = dim(dim+1)/2 rows.  Since Tr(B_i B_j) =
+    delta_ij, a symmetric dual operator Y has the multipliers
+    y_j = Tr(B_j Y), with sum_j y_j B_j = Y.  ``ops`` is one cached
+    read-only stack; ``rhs`` is new on every call."""
+    ops = _completeness_basis(dim)
+    return ops, (np.arange(len(ops)) < dim).astype(float)

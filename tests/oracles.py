@@ -1,10 +1,11 @@
-"""Independent checks that only the tests read: the dense cloning SDP, its
-objective's norms from Gram matrices, the dense Choi operator of a cloner
-and its action, a Choi operator's CPTP residuals, the lift of a MED seed
-pair onto the full MED problem, the square-root measurement, the Helstrom
-witness and the weak-duality bracket of a POVM, a Monte-Carlo model of
-the intercept-resend collision probability, and numpy's 160-point
-Gauss-Legendre expectation of the slice-averaged phase-mismatch QBER."""
+"""Independent checks that only the tests read: the dense cloning SDP and
+its solved cloner, its objective's norms from Gram matrices, the dense Choi
+operator of a cloner and its action, a Choi operator's CPTP residuals, the
+lift of a MED seed pair onto the full MED problem, the square-root
+measurement, the Helstrom witness and the weak-duality bracket of a POVM, a
+Monte-Carlo model of the intercept-resend collision probability, and
+numpy's 160-point Gauss-Legendre expectation of the slice-averaged
+phase-mismatch QBER."""
 
 import dataclasses
 import math
@@ -26,8 +27,8 @@ def choi_kets(kets: np.ndarray) -> np.ndarray:
 def full_cloning_problem(ens) -> sdp.SdpProblem:
     """The cloning SDP on one dense d**3 x d**3 Choi block J on
     (out) x (in) x (out): maximise <Q, J>, Q = V^T diag(p) conj(V), subject to
-    Tr_{out,out}(J) = I, stated as the d**2 rows <I x B x I, J> = Tr(B) over
-    the orthonormal Hermitian basis B of
+    Tr_{out,out}(J) = I, stated as the d(d+1)/2 rows <I x B x I, J> = Tr(B)
+    over the orthonormal basis B of the real symmetric operators of
     :func:`dpsqkd.sdp.povm_completeness_constraints`."""
     eye = np.eye(ens.n)
     v = choi_kets(attacks._kets(ens))
@@ -84,6 +85,23 @@ def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     out[(i k), (a b)] = sum_{j l} J[(i j k), (a l b)] rho[j, l]."""
     d = rho.shape[0]
     return np.einsum("ijkalb,jl->ikab", choi.reshape((d,) * 6), rho).reshape(d * d, d * d)
+
+
+def full_cloner(ens):
+    """Independent route: the general solve of the one d**3 Choi block, read
+    out through apply_choi.  Returns (choi, two-copy fidelity, per-state
+    fidelities, Bob's states, Eve's states)."""
+    d = ens.n
+    choi = sdp.solve(full_cloning_problem(ens)).x[0][0]
+    two_copy, fids, bobs, eves = 0.0, [], [], []
+    for p, s in zip(ens.priors, ens.states):
+        joint = apply_choi(choi, np.outer(s, s.conj()))
+        bobs.append(partial_trace(joint, [d, d], keep=[0]))
+        eves.append(partial_trace(joint, [d, d], keep=[1]))
+        fids.append(np.vdot(s, bobs[-1] @ s).real)
+        pair = np.kron(s, s)
+        two_copy += p * np.vdot(pair, joint @ pair).real
+    return choi, two_copy, fids, bobs, eves
 
 
 def cptp_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:

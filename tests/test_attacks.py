@@ -20,8 +20,9 @@ from dpsqkd.dps import DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
 from oracles import (apply_choi, block_choi, choi_kets, covariance_residual_norm,
-                     cptp_residuals, duality_bracket, full_cloning_problem, holevo_certificate,
-                     ir_monte_carlo_collision, lifted_med_pair, off_block_norm, pgm_povm)
+                     cptp_residuals, duality_bracket, full_cloner, full_cloning_problem,
+                     holevo_certificate, ir_monte_carlo_collision, lifted_med_pair,
+                     off_block_norm, pgm_povm)
 
 
 def brute_force_collision(confusion, priors, bit_map):
@@ -240,7 +241,6 @@ def test_general_med_clips_every_solver_block(n, monkeypatch):
 @pytest.mark.parametrize("seed,solves", [
     ([1, 2, 1], 1),  # a top eigenvector of uneven weight meets no completeness row
     ([1, 2, 2, 1], 1),
-    ([1, 1j, -1], 0),  # even weight: the top eigenvector is the optimum
     (np.eye(3) / 3, 1),  # degenerate: one top eigenvector misses the rows
 ])
 def test_reduced_problems_solve_only_off_the_top_eigenspace(seed, solves, solved, monkeypatch):
@@ -343,6 +343,9 @@ def test_povm_rejects_incomplete_sets(eps, valid):
 def test_povm_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="share one dimension"):
         Povm(elements=(np.eye(2), np.zeros((3, 3))))
+    for stack in (np.eye(2), np.zeros((2, 2, 3))):  # not (K, d, d)
+        with pytest.raises(ValueError, match="share one dimension"):
+            Povm(elements=stack)
 
 
 def test_povm_rejects_an_empty_set():
@@ -476,23 +479,6 @@ def test_cloning_is_cptp(clone3):
     assert tp <= 1e-7
 
 
-def full_cloner(ens):
-    """Independent route: the general solve of the one d**3 Choi block, read
-    out through apply_choi.  Returns (choi, two-copy fidelity, per-state
-    fidelities, Bob's states, Eve's states)."""
-    d = ens.n
-    choi = sdp.solve(full_cloning_problem(ens)).x[0][0]
-    two_copy, fids, bobs, eves = 0.0, [], [], []
-    for p, s in zip(ens.priors, ens.states):
-        joint = apply_choi(choi, outer(s))
-        bobs.append(partial_trace(joint, [d, d], keep=[0]))
-        eves.append(partial_trace(joint, [d, d], keep=[1]))
-        fids.append(np.vdot(s, bobs[-1] @ s).real)
-        pair = np.kron(s, s)
-        two_copy += p * np.vdot(pair, joint @ pair).real
-    return choi, two_copy, fids, bobs, eves
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_character_block_cloner_matches_full_solve(n, covariant_calls):
     ens = dps_ensemble(n)
@@ -566,18 +552,18 @@ def test_character_block_cloner_certified_on_full_problem(n, two_copy, covariant
 
 def mutated_ensembles(ens):
     """(name, ensemble) of the ensemble and of mutations of it: a global
-    phase per ket, skewed priors, ket 1 bent towards e_0 by 1e-1, 1e-2 and
-    1e-3, and all three at once."""
-    phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, len(ens.priors)))[:, None]
+    sign per ket (ket 0 among those flipped), skewed priors, ket 1 bent
+    towards e_0 by 1e-1, 1e-2 and 1e-3, and all three at once."""
+    signs = np.where(np.arange(len(ens.priors)) % 3 == 0, -1.0, 1.0)[:, None]
     skewed = ens.priors * np.linspace(0.5, 1.5, len(ens.priors))
-    cases = [("covariant", ens.states, ens.priors), ("phases", phases * ens.states, ens.priors),
+    cases = [("covariant", ens.states, ens.priors), ("signs", signs * ens.states, ens.priors),
              ("skewed", ens.states, skewed / skewed.sum())]
     for eps in (1e-1, 1e-2, 1e-3):
         bent = ens.states.copy()
         bent[1, 0] += eps
         bent[1] /= np.linalg.norm(bent[1])
         cases.append((f"bent {eps:g}", bent, ens.priors))
-    cases.append(("all", phases * bent, skewed / skewed.sum()))
+    cases.append(("all", signs * bent, skewed / skewed.sum()))
     return [(name, dataclasses.replace(ens, states=kets, priors=priors))
             for name, kets, priors in cases]
 
@@ -599,10 +585,10 @@ def test_reduced_cloner_certificate_agrees_with_full(n):
 
     zeroed = dataclasses.replace(solution, y=np.zeros_like(solution.y))
     assert verdicts(problem, zeroed, ens) == (False, False)
-    # a phase per ket leaves the objective alone; the other mutations move Q
+    # a sign per ket leaves the objective alone; the other mutations move Q
     # away from the blocks, which cloning_problem builds from ket 0 alone
     for name, mutated in mutated_ensembles(ens):
-        expected = (True, True) if name in ("covariant", "phases") else (False, False)
+        expected = (True, True) if name in ("covariant", "signs") else (False, False)
         problem = cloning_problem(mutated)
         solution, _ = attacks._reduced_optimum(problem, attacks._covariance_residual(mutated))
         assert verdicts(problem, solution, mutated) == expected, name
@@ -614,7 +600,7 @@ def test_reduced_med_certificate_agrees_with_full(n, monkeypatch):
     covariance residual, the seed pair of the ensemble and of each of its
     mutations is checked by the reduced certificate, given the true
     residual, and its lift by the full problem's KKT check.  Both pass the
-    ensemble and its phases, and both fail zeroed multipliers, skewed
+    ensemble and its signs, and both fail zeroed multipliers, skewed
     priors and a ket bent by 1e-1.  The reduced certificate is sufficient,
     not necessary: the seed optimum adapts to a slightly bent ket, so its
     lift misses the full conditions only to second order in the bend,
@@ -633,10 +619,10 @@ def test_reduced_med_certificate_agrees_with_full(n, monkeypatch):
     zeroed = dataclasses.replace(seed, solution=dataclasses.replace(
         seed.solution, y=np.zeros_like(seed.solution.y)))
     assert verdicts(zeroed, ens) == (False, False)
-    # a phase per ket leaves the densities alone; the other mutations move them
+    # a sign per ket leaves the densities alone; the other mutations move them
     for name, mutated in mutated_ensembles(ens):
         reduced, full = verdicts(med_attack(mutated), mutated)
-        assert reduced == (name in ("covariant", "phases")), name
+        assert reduced == (name in ("covariant", "signs")), name
         assert full >= reduced, name
         if name in ("skewed", "bent 0.1", "all"):
             assert not full, name
@@ -745,7 +731,7 @@ def test_covariance_residual_bounds_the_objective_distance(n):
     the sign orbit of ket 0, whose blocks cloning_problem builds.  The
     distance is exact from the dense objectives up to n = 5 and from the
     Gram oracle up to n = 8; each comparison allows its own rounding, 1e-13
-    dense and 1e-7 Gram (see oracles.off_block_norm).  A phase per ket moves
+    dense and 1e-7 Gram (see oracles.off_block_norm).  A sign per ket moves
     neither, and every other mutation fails the certificate's condition
     n delta <= _KKT_TOL."""
     ens = dps_ensemble(n)
@@ -765,8 +751,8 @@ def test_covariance_residual_bounds_the_objective_distance(n):
             exact = np.linalg.norm(v.T @ (priors[:, None] * v.conj()) - q_cov)
             assert gram == pytest.approx(exact, rel=0, abs=1e-7), name
             assert delta >= exact - 1e-13, name
-        if name in ("covariant", "phases"):  # exact, or off by the rounding of the phases
-            assert n * delta <= (1e-15 if name == "covariant" else 1e-13), name
+        if name in ("covariant", "signs"):  # a sign flip is exact
+            assert delta == 0.0, name
         else:
             assert gram > 1e-6 and n * delta > attacks._KKT_TOL, name
 
@@ -915,6 +901,11 @@ def test_depolarizing_fit_trivials(ens3):
     assert p == pytest.approx(0.0, abs=1e-12) and resid <= 1e-12
     p, resid = depolarizing_fit(rho, np.eye(3) / 3)
     assert p == pytest.approx(1.0, abs=1e-12) and resid <= 1e-12
+    # a maximally mixed original fits any p: p = 0, residual the distance
+    p, resid = depolarizing_fit(np.eye(3) / 3, rho)
+    assert p == 0.0 and resid == pytest.approx(np.linalg.norm(rho - np.eye(3) / 3), abs=1e-15)
+    with pytest.raises(ValueError, match="operators must share a dimension"):
+        depolarizing_fit(rho, np.eye(2) / 2)
 
 
 def test_depolarizing_fit_two_decimal_matrix(ens3):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -97,6 +99,18 @@ def test_ensemble_rejects_priors_that_do_not_sum_to_one(ens3):
     ensemble_of(ens3, priors=ens3.priors + 2e-10)
     with pytest.raises(ValueError, match="sum to 1"):
         ensemble_of(ens3, priors=ens3.priors + 1e-9)
+
+
+def test_ensemble_rejects_complex_states(ens3):
+    """DPS phases are 0 or pi: a ket or density operator with a nonzero
+    imaginary part is rejected, a complex dtype with a zero one is not."""
+    assert DpsEnsemble(ens3.states.astype(complex), ens3.priors, ens3.bit_map).states.dtype \
+        == np.complex128
+    phased = ens3.states.copy()
+    phased[1] *= 1j  # a unit-norm ket, and the same density operator
+    for states in (phased, ens3.densities + 1e-3j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])):
+        with pytest.raises(ValueError, match="^ensemble states must be real"):
+            dataclasses.replace(ens3, states=states)
 
 
 def test_ensemble_rejects_an_unnormalised_ket(ens3):

@@ -205,6 +205,12 @@ def test_attack_profile_rejects_a_nan_error_rate():
             call()
 
 
+@pytest.mark.parametrize("collision", [0.49, 1.01, math.nan])
+def test_attack_profile_rejects_a_collision_outside_its_range(collision):
+    with pytest.raises(ValueError, match=r"collision must lie in \[1/2, 1\]"):
+        AttackProfile("med", 0.25, collision)
+
+
 def test_med_beats_lower_bound_at_50km():
     m = ChannelModel(distance_km=50.0)
     e = m.e_b

@@ -78,4 +78,7 @@ def test_partial_trace_complementary_sets_trace_compatible(rng):
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         partial_trace(np.eye(5), [2, 3], keep=[0])
+    for keep in ([2], [-1]):
+        with pytest.raises(ValueError, match="out of range for 2 subsystems"):
+            partial_trace(np.eye(6), [2, 3], keep=keep)
 

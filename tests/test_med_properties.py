@@ -35,19 +35,20 @@ def bent(n: int, eps: float):
 
 @st.composite
 def ensembles(draw):
-    """An n = 3..4 ensemble of G = 2**(n-1) random kets, random densities or
-    bent DPS kets (bends from 1e-9 to 1e-1), with uniform or skewed priors."""
+    """An n = 3..4 ensemble of G = 2**(n-1) random real kets, random real
+    densities or bent DPS kets (bends from 1e-9 to 1e-1), with uniform or
+    skewed priors."""
     n = draw(st.sampled_from([3, 4]))
     kind = draw(st.sampled_from(["kets", "densities", "bent"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     ens = dps_ensemble(n)
     count = len(ens.priors)
     if kind == "kets":
-        kets = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+        kets = rng.normal(size=(count, n))
         ens = dataclasses.replace(ens, states=kets / np.linalg.norm(kets, axis=1)[:, None])
     elif kind == "densities":
-        a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-        rho = a @ a.conj().transpose(0, 2, 1)
+        a = rng.normal(size=(count, n, n))
+        rho = a @ a.transpose(0, 2, 1)
         ens = dataclasses.replace(ens, states=rho / np.trace(rho, axis1=1, axis2=2)[:, None, None])
     else:
         ens = bent(n, 10.0 ** draw(st.floats(-9.0, -1.0)))

@@ -129,6 +129,12 @@ def test_photon_number_checks_reject_nan():
             call()
 
 
+@pytest.mark.parametrize("transmittance", [-0.1, 1.1, math.nan])
+def test_usd_known_fraction_rejects_a_transmittance_outside_0_1(transmittance):
+    with pytest.raises(ValueError, match=r"transmittance must lie in \[0, 1\]"):
+        usd_known_fraction(0.4, transmittance)
+
+
 def test_usd_known_fraction_limits():
     assert usd_known_fraction(0.4, 1.0) == 0.0
     assert usd_known_fraction(0.4, 0.0) == pytest.approx(usd_block_identification(0.4))
