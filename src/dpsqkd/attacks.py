@@ -50,7 +50,7 @@ import numpy as np
 from . import sdp
 from .dps import MAX_PULSES, DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
 from .keyrate import AttackProfile
-from .linalg import dagger, hermitian_part, is_psd, outer, partial_trace
+from .linalg import hermitian_part, is_psd, outer, partial_trace, real_array
 
 _POVM_SUM_ATOL = 1e-8
 _POVM_PSD_ATOL = 1e-9
@@ -63,16 +63,13 @@ _KKT_TOL = 1e-6  # of every attack optimum's KKT certificate
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A POVM, held as a read-only complex (K, d, d) copy of its elements:
+    """A POVM, held as a read-only float64 (K, d, d) copy of its elements:
     each PSD by :func:`~dpsqkd.linalg.is_psd`, and summing to the identity."""
 
     elements: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            stack = np.array(self.elements, dtype=complex)
-        except ValueError as exc:  # a ragged sequence
-            raise ValueError("POVM elements must share one dimension") from exc
+        stack = real_array(self.elements, "POVM elements")
         if not len(stack):
             raise ValueError("a POVM needs at least one element")
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -113,7 +110,7 @@ def med_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
 
     The states are real (see :class:`~dpsqkd.dps.DpsEnsemble`), so the
     problem is stated over real symmetric P_i, and nothing is lost against
-    complex POVMs: for a Hermitian optimum P_i, Re P_i = (P_i + conj P_i)/2
+    Hermitian POVMs: for a Hermitian optimum P_i, Re P_i = (P_i + conj P_i)/2
     is PSD, sums to the identity and has the same value, since
     Tr(rho Im P) = 0 for real symmetric rho; and a real dual point is a
     Hermitian one of the same value, so the real certificate certifies the
@@ -165,9 +162,8 @@ def med_attack(ens: DpsEnsemble) -> MedResult:
         kkt = sdp.verify_kkt(problem, solution, tol=_KKT_TOL)
         x = _project_psd(solution.x[0])
     povm = Povm(elements=x)
-    # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j^T[k, l]: one matrix product
-    confusion = (ens.densities.reshape(count, -1)
-                 @ povm.elements.transpose(0, 2, 1).reshape(count, -1).T).real
+    # confusion[i, j] = Tr(rho_i E_j) = sum_kl rho_i[k, l] E_j[k, l], E_j symmetric
+    confusion = ens.densities.reshape(count, -1) @ povm.elements.reshape(count, -1).T
     return MedResult(povm=povm, confusion=confusion,
                      p_success=float(ens.priors @ np.diag(confusion)),
                      collision_probability=collision_probability(confusion, ens.priors,
@@ -222,27 +218,23 @@ def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
     certificate fails when the rows have no exact solution: when a top
     eigenvector has uneven weight on the rows, or when the top eigenspace
     of a block is degenerate and the one eigenvector taken from it misses
-    them.  The spectra are those of the builder's objective stacks, not of
-    the solver's float64 copies, and each row is read off the builder's
-    constraint operators, one block at a time.  The objective is real, so
-    the real part of each projector is the projector, held as float64.
+    them.  The spectra and rows are read off the problem's float64 copies,
+    one block at a time.
     """
-    rhs = np.asarray(problem.rhs, dtype=float)
+    rhs, groups = problem._b, problem._groups
     blocks = []  # (top eigenvalue, top eigenvector, group, index) of every block
-    for g, cost in enumerate(problem.cost):
-        w, v = np.linalg.eigh(cost)
+    for g, group in enumerate(groups):
+        w, v = np.linalg.eigh(group.cost)
         blocks += [(w[k, -1], v[k, :, -1], g, k) for k in range(len(w))]
     lam = max(block[0] for block in blocks)
     top = [block for block in blocks if block[0] >= lam - _TIE_TOL * abs(lam)]
-    ops = [np.asarray(a) for a in problem.ops]
-    rows = [[np.vdot(u, ops[g][j, k] @ u).real for _, u, g, k in top]
-            for j in range(rhs.size)]
+    rows = [[u @ groups[g].ops[j, k] @ u for _, u, g, k in top] for j in range(rhs.size)]
     t = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
     if np.any(t < 0.0):
         return None
-    x = [np.zeros(np.shape(cost)) for cost in problem.cost]
+    x = [np.zeros_like(group.cost) for group in groups]
     for tb, (_, u, g, k) in zip(t, top):
-        x[g][k] = tb * outer(u).real
+        x[g][k] = tb * outer(u)
     primal = float(sum(tb * wb for tb, (wb, *_) in zip(t, top)))
     dual = float(lam * rhs.sum())
     return sdp.SdpSolution(x=x, y=np.full(rhs.size, lam), primal_objective=primal,
@@ -353,8 +345,8 @@ def _reduced_kkt(problem: sdp.SdpProblem, solution: sdp.SdpSolution,
 def _project_psd(h: np.ndarray) -> np.ndarray:
     """Clip the tiny negative interior-point slack off an almost-PSD operator,
     or off each operator of a stack (..., d, d)."""
-    lam, vecs = np.linalg.eigh(hermitian_part(np.asarray(h, dtype=complex)))
-    return (vecs * np.clip(lam, 0.0, None)[..., None, :]) @ dagger(vecs)
+    lam, vecs = np.linalg.eigh(hermitian_part(h))
+    return (vecs * np.clip(lam, 0.0, None)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def collision_probability(confusion: np.ndarray, priors: Sequence[float],
@@ -447,7 +439,7 @@ def cloning_problem(ens: DpsEnsemble) -> sdp.SdpProblem:
     value, and a real dual point is a Hermitian one of the same value.
     """
     d, psi = ens.n, _kets(ens)[0]
-    v0 = np.einsum("i,j,k->ijk", psi, psi.conj(), psi).ravel()
+    v0 = np.einsum("i,j,k->ijk", psi, psi, psi).ravel()
     cost, ops = [], []
     for _, run in groupby(_character_blocks(d), key=len):  # one group per run of equal sizes
         ix = np.array(list(run))
@@ -479,7 +471,7 @@ def optimal_cloner(ens: DpsEnsemble) -> CloningResult:
     problem = cloning_problem(ens)
     solution, kkt = _reduced_optimum(problem, delta)
     bob_states, eve_states, two_copy = _block_clones(solution, ens.states[0])
-    fids = np.einsum("gi,gij,gj->g", ens.states.conj(), bob_states, ens.states).real.tolist()
+    fids = np.einsum("gi,gij,gj->g", ens.states, bob_states, ens.states).tolist()
     return CloningResult(
         avg_two_copy_fidelity=two_copy,
         per_state_clone_fidelity=fids, bob_states=bob_states,
@@ -530,7 +522,7 @@ def _block_clones(solution: sdp.SdpSolution, psi: np.ndarray
     two-copy fidelity <psi psi|joint|psi psi>.
     """
     d, rho = psi.size, outer(psi)
-    joint = np.zeros((d * d, d * d), dtype=complex)
+    joint = np.zeros((d * d, d * d))
     clipped = (xb for xg in solution.x for xb in _project_psd(xg))
     for ix, xb in zip(_character_blocks(d), clipped):
         pairs, j = ix // (d * d) * d + ix % d, ix // d % d  # (i k) and j of each ket |i j k>
@@ -539,26 +531,25 @@ def _block_clones(solution: sdp.SdpSolution, psi: np.ndarray
     signs = sign_patterns(d)
     bob, eve = (signs[:, :, None] * partial_trace(joint, [d, d], keep=[k]) * signs[:, None, :]
                 for k in (0, 1))
-    return bob, eve, float(np.real(pair.conj() @ joint @ pair))
+    return bob, eve, float(pair @ joint @ pair)
 
 
 def depolarizing_fit(original: np.ndarray, cloned: np.ndarray) -> tuple[float, float]:
     """Least-squares fit of cloned ~ (1-p) original + (p/d) I.
 
-    Returns the fitted p and the Frobenius residual of the fit.
+    Both are (d, d) operators of one shape, else ``ValueError``.  Returns
+    the fitted p and the Frobenius residual of the fit.
     """
-    original = np.asarray(original, dtype=complex)
-    cloned = np.asarray(cloned, dtype=complex)
-    if original.shape != cloned.shape:
-        raise ValueError("operators must share a dimension")
-    d = original.shape[0]
-    a = original - np.eye(d) / d
-    b = cloned - np.eye(d) / d
-    denom = float(np.real(np.trace(dagger(a) @ a)))
+    original, cloned = real_array(original, "original"), real_array(cloned, "clone")
+    if original.ndim != 2 or original.shape != cloned.shape or len(set(original.shape)) != 1:
+        raise ValueError("operators must share a dimension: two (d, d) arrays")
+    d = len(original)
+    a, b = original - np.eye(d) / d, cloned - np.eye(d) / d
+    denom = float(np.vdot(a, a))
     if denom <= 1e-15:
         # original already maximally mixed: any p fits, residual is direct
         return 0.0, float(np.linalg.norm(cloned - original))
-    p = 1.0 - float(np.real(np.trace(dagger(a) @ b))) / denom
+    p = 1.0 - float(np.vdot(a, b)) / denom
     resid = float(np.linalg.norm(cloned - ((1.0 - p) * original + p / d * np.eye(d))))
     return p, resid
 
@@ -570,7 +561,7 @@ def depolarizing_fit(original: np.ndarray, cloned: np.ndarray) -> tuple[float, f
 @dataclass(frozen=True, eq=False)
 class UnitaryClonerParams:
     """Symmetric cloning isometry on the orthonormal basis kets {e_i}, the
-    rows of the (d, d) array ``basis`` (stored as a read-only copy):
+    rows of the (d, d) array ``basis`` (stored as a read-only float64 copy):
 
         |e_i>|0>|X>  ->  p |e_i>|e_i>|X_i>
                          + q sum_{j != i} (|e_i>|e_j> + |e_j>|e_i>) |X_j>,
@@ -583,12 +574,12 @@ class UnitaryClonerParams:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.array(self.basis, dtype=complex)
+        b = real_array(self.basis, "basis kets")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("basis must be a (d, d) array of d kets")
         if len(b) < 2:
             raise ValueError("a cloning basis needs at least two kets")
-        if not float(np.max(np.abs(b @ dagger(b) - np.eye(len(b))))) <= 1e-10:  # NaN fails
+        if not float(np.max(np.abs(b @ b.T - np.eye(len(b))))) <= 1e-10:  # NaN fails
             raise ValueError("basis is not orthonormal")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
@@ -621,16 +612,15 @@ def aligned_cloning_basis(ensemble: DpsEnsemble) -> np.ndarray:
     for cand_idx in range(n - 1, -1, -1):
         if len(vecs) == n:
             break
-        cand = np.zeros(n, dtype=complex)
+        cand = np.zeros(n)
         cand[cand_idx] = 1.0
         for v in vecs:
-            cand = cand - np.vdot(v, cand) * v
+            cand = cand - (v @ cand) * v
         nrm = np.linalg.norm(cand)
         if nrm < 1e-9:
             continue
         cand = cand / nrm
-        first = cand[np.argmax(np.abs(cand) > 1e-12)]
-        if abs(first) > 1e-12 and first.real < 0:
+        if cand[np.argmax(np.abs(cand) > 1e-12)] < -1e-12:  # the first nonzero entry
             cand = -cand
         vecs.append(cand)
     return np.array(vecs)
@@ -649,14 +639,14 @@ def apply_unitary_cloner(params: UnitaryClonerParams, kets: np.ndarray) -> np.nd
 
     of trace 2(d-1) q^2 + p^2 = 1.
     """
-    kets = np.asarray(kets, dtype=complex)
+    kets = real_array(kets, "input kets")
     if not np.all(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("input kets must be normalised")
     e, d, q = params.basis, params.d, params.q
     r = params.p - 2.0 * q
-    w = np.abs(kets @ e.conj().T) ** 2
+    w = (kets @ e.T) ** 2
     return (((d + 2) * q * q + 2.0 * q * r) * outer(kets)
-            + q * q * np.eye(d) + (2.0 * q * r + r * r) * ((e.T * w[:, None, :]) @ e.conj()))
+            + q * q * np.eye(d) + (2.0 * q * r + r * r) * ((e.T * w[:, None, :]) @ e))
 
 
 def optimize_unitary_q(ens: DpsEnsemble) -> tuple[float, float]:
@@ -671,7 +661,7 @@ def optimize_unitary_q(ens: DpsEnsemble) -> tuple[float, float]:
     Perron-Frobenius it can be taken non-negative, so it lies on the feasible
     quarter-ellipse.  Returns (q_opt, avg_fidelity).
     """
-    w = np.abs(_kets(ens) @ aligned_cloning_basis(ens).conj().T) ** 2
+    w = (_kets(ens) @ aligned_cloning_basis(ens).T) ** 2
     terms = np.stack([w * w, w * (1.0 - w), 1.0 - w]).sum(axis=2)
     a, b, c = terms @ ens.priors
     r = 1.0 / math.sqrt(2.0 * (ens.n - 1))

@@ -8,6 +8,9 @@ report as data; :func:`main` alone renders it as JSON or CSV and writes it,
 to ``--output`` only once the run has succeeded.  At start-up the module
 loads only :mod:`dpsqkd.keyrate`; each handler imports the layers it runs,
 so ``finite-size`` and ``wcs`` run without numpy or the SDP solver.
+The library's arrays are float64; the report boundary alone makes complex
+ones, the POVM of ``med`` and Bob's states of ``clone``, so each of their
+entries renders as a [real, imag] pair, the report format.
 
 One grammar reads both ``key=value`` inputs, the lines of a ``--config``
 file and the comma-separated items of a finite-size spec: spaces around a
@@ -217,7 +220,7 @@ def _cmd_med(args: argparse.Namespace) -> Report:
     result = attacks.certified("med", attacks.med_attack, dps_ensemble(args.n))
     doc = {"config": {"command": "med", "n": args.n}, "p_success": result.p_success,
            "collision_probability": result.collision_probability,
-           "confusion": result.confusion, "povm": result.povm.elements,
+           "confusion": result.confusion, "povm": result.povm.elements.astype(complex),
            "kkt_passed": result.kkt.passed}
     rows = [{"state": float(i), **{f"p_outcome_{j + 1}": p for j, p in enumerate(row)}}
             for i, row in enumerate(result.confusion)]
@@ -251,7 +254,7 @@ def _cmd_clone(args: argparse.Namespace) -> Report:
             "avg_clone_fidelity": attack.fidelity,
         })
     doc.update({
-        "bob_states": attack.bob_states,
+        "bob_states": attack.bob_states.astype(complex),
         "ber": attack.ber(),
         "ber_conditional": attack.ber(conditional=True),
         "med_after": {

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import ATOL_PSD, is_density, outer
+from .linalg import ATOL_PSD, is_density, outer, real_array
 
 MAX_PULSES = 12
 
@@ -39,13 +39,12 @@ class DpsEnsemble:
     operators, such as Eve's clones of the signal states; ``priors`` has
     shape (G,), and row g of the (G, n-1) ``bit_map`` holds the key bits of
     state g.  Every attack takes its ensemble in this one form.  The fields
-    are stored as read-only copies, the states as complex128, checked here
-    against their physical domains: the states are real, since DPS encodes
-    each bit in a relative phase of 0 or pi, so any nonzero imaginary part
-    is rejected; the priors are finite, non-negative and sum to 1 within
-    1e-9; kets have unit norm within 1e-9; density operators are symmetric,
-    with unit trace within 1e-8 and no eigenvalue below -1e-7; bits are 0
-    or 1.
+    are stored as read-only copies, the states and their ``densities`` as
+    float64 (see :func:`~dpsqkd.linalg.real_array`, which rejects a nonzero
+    imaginary part), checked here against their physical domains: the
+    priors are finite, non-negative and sum to 1 within 1e-9; kets have
+    unit norm within 1e-9; density operators are symmetric, with unit trace
+    within 1e-8 and no eigenvalue below -1e-7; bits are 0 or 1.
     """
 
     states: np.ndarray
@@ -53,14 +52,9 @@ class DpsEnsemble:
     bit_map: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            states = np.array(self.states, dtype=complex)
-        except ValueError as exc:  # a ragged sequence
-            raise ValueError("ensemble states must share one dimension") from exc
+        states = real_array(self.states, "ensemble states")
         if not (states.ndim == 2 or states.ndim == 3 and states.shape[1] == states.shape[2]):
             raise ValueError("ensemble states must be a (G, n) ket or (G, n, n) density stack")
-        if states.imag.any():
-            raise ValueError("ensemble states must be real: DPS phases are 0 or pi")
         count, n = states.shape[:2]
         priors = np.array(self.priors, dtype=float)
         if priors.shape != (count,) or not np.all(np.isfinite(priors) & (priors >= 0.0)):
@@ -115,22 +109,22 @@ def dps_ensemble(n: int) -> DpsEnsemble:
     phase position 1), so the all-zero index is the all-plus state.
     """
     signs = sign_patterns(n)
-    return DpsEnsemble(states=signs.astype(complex) / np.sqrt(n),
+    return DpsEnsemble(states=signs / np.sqrt(n),
                        priors=np.full(len(signs), 1.0 / len(signs)),
                        bit_map=signs[:, :-1] != signs[:, 1:])
 
 
 @lru_cache(maxsize=None)
 def mzi_transfer(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T_u, T_v): read-only (n+1) x n amplitude transfer matrices from the
-    n input pulses to the constructive and destructive ports."""
-    # pulse k leaves through slots k and k + 1: T_u = (I + S)/2, T_v = i(I - S)/2
-    # with S the (n+1) x n shift; the imaginary part is assigned, so every
-    # real part of T_v is +0.0
+    """(T_u, T_v): read-only float64 (n+1) x n amplitude transfer matrices
+    from the n input pulses to the constructive and destructive ports.
+
+    Pulse k leaves through slots k and k + 1: T_u = (I + S)/2 and
+    T_v = (I - S)/2, with S the (n+1) x n shift.  The destructive port of the
+    interferometer carries a further factor i, which no click probability
+    |T psi|**2 sees, so it is left out."""
     same, next_slot = np.eye(n + 1, n), np.eye(n + 1, n, -1)
-    tu = (0.5 * (same + next_slot)).astype(complex)
-    tv = np.zeros_like(tu)
-    tv.imag = 0.5 * (same - next_slot)
+    tu, tv = 0.5 * (same + next_slot), 0.5 * (same - next_slot)
     tu.setflags(write=False)
     tv.setflags(write=False)
     return tu, tv
@@ -149,12 +143,12 @@ def mzi_click_distribution(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     through the amplitude transfer equals the eigenvalue-weighted average of
     the eigenvector distributions.
     """
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
     if state.ndim == 1:
         state = outer(state)
     if state.ndim < 2 or state.shape[-1] != state.shape[-2]:
         raise ValueError("state must be a ket, a square operator or a stack of them")
-    return tuple(np.real(np.einsum("ti,...ij,tj->...t", t, state, t.conj()))
+    return tuple(np.real(np.einsum("ti,...ij,tj->...t", t, state, t))
                  for t in mzi_transfer(state.shape[-1]))
 
 
@@ -185,8 +179,7 @@ def spectral_error_terms(received: np.ndarray, index: int,
     over the key slots (see :func:`_key_slot_ber`), up to the spread of the
     eigenvalues merged into one eigenspace.
     """
-    received = np.asarray(received, dtype=complex)
-    if received.shape != (ensemble.n, ensemble.n):
+    if np.shape(received) != (ensemble.n, ensemble.n):
         raise ValueError("received state has the wrong dimension for the ensemble")
     if not is_density(received):
         raise ValueError("received state is not a valid density operator")

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra for small quantum systems.
+"""Dense linear algebra for small quantum systems.
 
-Kets are one-dimensional complex numpy arrays, operators are square
-two-dimensional arrays, and a family of either is one stack along leading
-axes.  Composite spaces use row-major subsystem ordering, i.e. the first
-tensor factor varies slowest, matching ``numpy.kron``.
+Kets are one-dimensional numpy arrays, operators are square two-dimensional
+arrays, and a family of either is one stack along leading axes.  Composite
+spaces use row-major subsystem ordering, i.e. the first tensor factor
+varies slowest, matching ``numpy.kron``.  The helpers keep their input's
+dtype; the package's own data are float64, read by :func:`real_array`.
 
 The tolerances in use:
 
@@ -26,6 +27,19 @@ ATOL_ALGEBRA = 1e-12
 ATOL_PSD = 1e-9
 
 
+def real_array(a, what: str) -> np.ndarray:
+    """A new float64 copy of ``a``: DPS phases are 0 or pi, so every state,
+    POVM, clone and SDP operator is real.  A nonzero imaginary part, or a
+    ragged ``a``, raises ``ValueError`` naming ``what``."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # a ragged sequence
+        raise ValueError(f"{what} must share one dimension") from exc
+    if np.iscomplexobj(a) and a.imag.any():  # NaN counts as nonzero
+        raise ValueError(f"{what} must be real: DPS phases are 0 or pi")
+    return np.array(np.real(a), dtype=float)
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator, or of each operator in a stack;
     for real input a transposed view, not a copy."""
@@ -40,14 +54,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def outer(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| of a ket, or the (..., d, d) stack of those of a (..., d)
     stack of kets."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.asarray(psi)
     return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def is_psd(a: np.ndarray, atol: float) -> bool:
     """True if ``a``, or every operator of a stack (..., d, d), is finite,
     Hermitian within 1e-9 and has no eigenvalue below -``atol``."""
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not np.all(np.isfinite(a)):
         return False
     return bool(np.all(np.abs(a - dagger(a)) <= 1e-9)
@@ -57,7 +71,6 @@ def is_psd(a: np.ndarray, atol: float) -> bool:
 def is_density(rho: np.ndarray) -> bool:
     """True if ``rho``, or every operator of a stack (..., d, d), is a
     density operator: PSD by :func:`is_psd` at 1e-7, of unit trace within 1e-8."""
-    rho = np.asarray(rho, dtype=complex)
     return is_psd(rho, 1e-7) and bool(
         np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= 1e-8))
 
@@ -70,7 +83,7 @@ def partial_trace(x: np.ndarray, dims: Sequence[int],
     must equal the operator dimension.  The retained subsystems keep their
     relative order.  The total trace is preserved exactly up to rounding.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     dims = list(dims)
     k = len(dims)
     d = int(np.prod(dims))

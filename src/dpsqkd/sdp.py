@@ -13,10 +13,11 @@ with <A, B> = Tr(A B) the trace inner product.  The dual reads
 
 The data are real: every DPS signal state, clone and POVM has a phase of 0
 or pi, so the problems of :mod:`dpsqkd.attacks` are real, and the solver
-runs in float64 only.  A problem with an operator of nonzero imaginary
-part is rejected where it is built; :func:`~dpsqkd.attacks.med_problem`
-and :func:`~dpsqkd.attacks.cloning_problem` state why a real optimum is
-also the optimum over complex POVMs and Choi operators.
+runs in float64 only: :func:`~dpsqkd.linalg.real_array` rejects an
+operator of nonzero imaginary part where a problem is built.
+:func:`~dpsqkd.attacks.med_problem` and :func:`~dpsqkd.attacks.cloning_problem`
+state why a real optimum is also the optimum over Hermitian POVMs and Choi
+operators.
 
 The solver follows the central path with Nesterov-Todd scaling: one Newton
 step per iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
@@ -63,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL_ALGEBRA, dagger, hermitian_part
+from .linalg import ATOL_ALGEBRA, dagger, hermitian_part, real_array
 
 
 class SdpError(RuntimeError):
@@ -138,13 +139,12 @@ class SdpProblem:
     stacks as given, and the problem is frozen.
 
     Construction checks the shapes, that every right-hand side is finite,
-    that no operator has a nonzero imaginary part (a complex dtype is
-    accepted when its imaginary parts are all zero), that every operator
-    is symmetric to ATOL_ALGEBRA relative to its largest entry, and that
-    the constraint rows are linearly independent.  Each failure is a
-    ``ValueError``, or :class:`InfeasibleConstraintsError` for dependent
-    rows.  It also copies the stacks once for the solver, as float64; the
-    solver and :func:`verify_kkt` read only these copies.
+    that every operator is real, copied once for the solver as float64 by
+    :func:`~dpsqkd.linalg.real_array`, that it is symmetric to ATOL_ALGEBRA
+    relative to its largest entry, and that the constraint rows are linearly
+    independent.  Each failure is a ``ValueError``, or
+    :class:`InfeasibleConstraintsError` for dependent rows.  The solver and
+    :func:`verify_kkt` read only these copies.
     """
 
     cost: Sequence[np.ndarray]
@@ -168,9 +168,7 @@ class SdpProblem:
                                  f"({m}, {len(c)} or 1, {c.shape[1]}, {c.shape[2]})")
         for role, stacks in (("cost", cost), ("constraint", ops)):
             for g, stack in enumerate(stacks):
-                if np.iscomplexobj(stack) and stack.imag.any():
-                    raise ValueError(f"{role} stack {g} is complex; the solver takes real data")
-                stacks[g] = stack = np.array(np.real(stack), dtype=float)
+                stacks[g] = stack = real_array(stack, f"{role} stack {g}")
                 asym = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
                 scale = np.maximum(1.0, np.max(np.abs(stack), axis=(-2, -1)))
                 ok = asym <= ATOL_ALGEBRA * scale  # NaN fails too
@@ -430,9 +428,9 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     The dual slack is computed from the multipliers as
     ``Z_b = sum_j y_j A_{j,b} - C_b``, so the pair is checked on ``x`` and
     ``y`` alone.  Complementary slackness is the largest |<X_b, Z_b>|
-    across blocks.  The check runs in float64: a primal stack with a
-    nonzero imaginary part raises ``ValueError``, as do stacks or
-    multipliers whose shapes do not match the problem.
+    across blocks, on float64 copies by :func:`~dpsqkd.linalg.real_array`,
+    so a primal stack with a nonzero imaginary part raises ``ValueError``,
+    as do stacks or multipliers whose shapes do not match the problem.
     """
     groups = problem._groups
     if len(solution.x) != len(groups) or len(solution.y) != problem._b.size:
@@ -442,10 +440,8 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     if wrong:
         raise ValueError(f"primal stack {wrong[0]} has wrong shape")
 
-    if any(np.iscomplexobj(xg) and np.imag(xg).any() for xg in solution.x):
-        raise ValueError("primal stacks must be real")
     y = np.asarray(solution.y, dtype=float)
-    x = [np.array(np.real(xg), dtype=float) for xg in solution.x]
+    x = [real_array(xg, f"primal stack {g}") for g, xg in enumerate(solution.x)]
     z = [a - g.cost for g, a in zip(groups, _adjoint(groups, y))]
     pmin = dmin = np.inf
     slack = pobj = 0.0

@@ -362,13 +362,13 @@ def test_povm_rejects_non_hermitian_elements():
 
 
 def test_povm_elements_are_one_read_only_stack(med3):
-    """Sequence input is copied once into a read-only (K, d, d) complex128
+    """Sequence input is copied once into a read-only (K, d, d) float64
     stack; the caller's array stays writable and unshared."""
     given = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     povm = Povm(elements=given)
     for stack, shape in ((povm.elements, (2, 2, 2)), (med3.povm.elements, (4, 3, 3))):
         assert isinstance(stack, np.ndarray) and stack.shape == shape
-        assert stack.dtype == np.complex128 and not stack.flags.writeable
+        assert stack.dtype == np.float64 and not stack.flags.writeable
     assert given.flags.writeable and not np.shares_memory(given, povm.elements)
     with pytest.raises(ValueError, match="read-only"):
         povm.elements[0, 0, 0] = 0.0
@@ -908,6 +908,19 @@ def test_depolarizing_fit_trivials(ens3):
         depolarizing_fit(rho, np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("original,cloned", [
+    (np.ones(3) / np.sqrt(3.0), np.ones(3) / np.sqrt(3.0)),  # kets once broadcast into (3, 3)
+    (np.eye(3) / 3, np.ones(3) / np.sqrt(3.0)),
+    (np.ones((2, 3)) / 6, np.ones((2, 3)) / 6),
+    (np.full((2, 3, 3), 1 / 3), np.full((2, 3, 3), 1 / 3)),
+])
+def test_depolarizing_fit_takes_two_square_operators(original, cloned):
+    """A ket pair once fitted (0.0, 0.0): np.eye(d) broadcast each ket into a
+    (d, d) operator.  Only two (d, d) operators of one shape are fitted."""
+    with pytest.raises(ValueError, match="two \\(d, d\\) arrays"):
+        depolarizing_fit(original, cloned)
+
+
 def test_depolarizing_fit_two_decimal_matrix(ens3):
     """Fitting the two-decimal rendering of the clone (off-diagonal 0.23)
     gives p = 0.31 exactly: 1 - 3*0.23."""
@@ -1132,15 +1145,21 @@ def test_unitary_post_cloning_med_iterations(n, iterations, unitary_attack_at):
     assert med.kkt.passed, med.kkt.conditions
 
 
-def test_rendered_arrays_stay_complex(med3, cloning_attack3, unitary_attack3):
-    """Real SDP data run in float64, but the POVM elements and clone stacks
-    that reports render as [re, im] pairs stay complex128."""
-    med = unitary_attack3.med_after
-    assert med.solution.x[0].dtype == np.float64  # the general solve's optimum
-    for povm in (med3.povm, cloning_attack3.med_after.povm, med.povm):
-        assert {el.dtype for el in povm.elements} == {np.dtype(np.complex128)}
+def test_attack_arrays_are_float64(ens3, med3, cloning_attack3, unitary_attack3):
+    """DPS data are real, so every array an attack hands out is float64:
+    the ensemble, the POVM stacks, confusion tables and optima of each MED,
+    both cloners' clones and the unitary cloner's basis.  The reports turn
+    the POVM and Bob's states into [re, im] pairs only as they render them
+    (see test_med_result_serialises)."""
+    clone, params = cloning_attack3.cloner, unitary_attack3.cloner
+    arrays = [ens3.states, ens3.densities, params.basis, aligned_cloning_basis(ens3),
+              apply_unitary_cloner(params, ens3.states), clone.bob_states, clone.eve_states,
+              *clone.solution.x]
+    for med in (med3, cloning_attack3.med_after, unitary_attack3.med_after):
+        arrays += [med.povm.elements, med.confusion, *med.solution.x]
     for attack in (cloning_attack3, unitary_attack3):
-        assert attack.bob_states.dtype == np.complex128
+        arrays.append(attack.bob_states)
+    assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
 
 
 def test_optimize_unitary_q_keeps_input_checks(ens3):

@@ -103,13 +103,16 @@ def test_ensemble_rejects_priors_that_do_not_sum_to_one(ens3):
 
 def test_ensemble_rejects_complex_states(ens3):
     """DPS phases are 0 or pi: a ket or density operator with a nonzero
-    imaginary part is rejected, a complex dtype with a zero one is not."""
-    assert DpsEnsemble(ens3.states.astype(complex), ens3.priors, ens3.bit_map).states.dtype \
-        == np.complex128
-    phased = ens3.states.copy()
+    imaginary part is rejected, a complex dtype with a zero one is stored as
+    float64, as are the real states and their densities."""
+    for states in (ens3.states.astype(complex), ens3.densities.astype(complex)):
+        ens = DpsEnsemble(states, ens3.priors, ens3.bit_map)
+        assert ens.states.dtype == ens.densities.dtype == np.float64
+    assert ens3.states.dtype == ens3.densities.dtype == np.float64
+    phased = ens3.states.astype(complex)
     phased[1] *= 1j  # a unit-norm ket, and the same density operator
     for states in (phased, ens3.densities + 1e-3j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])):
-        with pytest.raises(ValueError, match="^ensemble states must be real"):
+        with pytest.raises(ValueError, match="^ensemble states must be real: DPS phases are 0 or pi$"):
             dataclasses.replace(ens3, states=states)
 
 
@@ -215,24 +218,46 @@ def test_single_pulse_has_no_interference():
     assert pu[2:].sum() + pv[2:].sum() == pytest.approx(0.0, abs=1e-12)
 
 
+def old_complex_transfer(n):
+    """The per-pulse transfer with the destructive port's factor i: pulse k
+    reaches slot k with amplitude 1/2 (constructive) and i/2 (destructive),
+    and slot k + 1 with 1/2 and -i/2."""
+    tu, tv = np.zeros((n + 1, n), dtype=complex), np.zeros((n + 1, n), dtype=complex)
+    for k in range(n):
+        tu[k, k] += 0.5
+        tv[k, k] += 0.5j
+        tu[k + 1, k] += 0.5
+        tv[k + 1, k] += -0.5j
+    return tu, tv
+
+
 def test_transfer_equals_the_per_pulse_construction():
-    """Pulse k reaches slot k with amplitude 1/2 (constructive) and i/2
-    (destructive), and slot k + 1 with 1/2 and -i/2; zeros are all +0.0."""
+    """The transfer is real: T_u = (I + S)/2 and T_v = (I - S)/2 with S the
+    (n+1) x n shift, the per-pulse construction without the factor i of the
+    destructive port; float64, its zeros all +0.0."""
     for n in range(3, 13):
-        tu_ref = np.zeros((n + 1, n), dtype=complex)
-        tv_ref = np.zeros((n + 1, n), dtype=complex)
-        for k in range(n):
-            tu_ref[k, k] += 0.5
-            tv_ref[k, k] += 0.5j
-            tu_ref[k + 1, k] += 0.5
-            tv_ref[k + 1, k] += -0.5j
-        for got, ref in zip(mzi_transfer(n), (tu_ref, tv_ref)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref), n
-            for part in ("real", "imag"):
-                assert np.array_equal(np.signbit(getattr(got, part)),
-                                      np.signbit(getattr(ref, part))), (n, part)
+        tu_ref, tv_ref = old_complex_transfer(n)
+        for got, ref in zip(mzi_transfer(n), (tu_ref, tv_ref / 1j)):
+            assert got.dtype == np.float64 and np.array_equal(got, ref), n
+            assert np.array_equal(np.signbit(got), got < 0), n  # every zero is +0.0
             assert not got.flags.writeable
         assert mzi_transfer(n) is mzi_transfer(n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_the_factor_i_drops_out_of_the_click_distribution(rng, n):
+    """|T psi|**2 does not see a phase on T: on random complex kets, density
+    operators and stacks of them, the real transfer gives the click
+    distributions of the complex per-pulse transfer i(I - S)/2 within 1e-15."""
+    kets = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    rhos = np.array([random_density(rng, n) for _ in range(4)])
+    for state in (*kets, *rhos, rhos):
+        rho = outer(state) if state.ndim == 1 else state
+        expected = [np.real(np.einsum("ti,...ij,tj->...t", t, rho, t.conj()))
+                    for t in old_complex_transfer(n)]
+        for got, ref in zip(mzi_click_distribution(state), expected):
+            assert_allclose(got, ref, rtol=0, atol=1e-15)
 
 
 def test_transfer_is_unitary():

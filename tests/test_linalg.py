@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dpsqkd.linalg import is_density, is_psd, outer, partial_trace
+from dpsqkd.attacks import Povm, UnitaryClonerParams
+from dpsqkd.dps import DpsEnsemble, dps_ensemble
+from dpsqkd.linalg import is_density, is_psd, outer, partial_trace, real_array
+from dpsqkd.sdp import SdpProblem, povm_completeness_constraints
 
 S3 = np.sqrt(3.0)
 PSI_PP = np.array([1.0, 1.0, 1.0]) / S3
@@ -11,6 +14,46 @@ PSI_PP = np.array([1.0, 1.0, 1.0]) / S3
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2
+
+
+# ---------------------------------------------------------------------------
+# real data
+# ---------------------------------------------------------------------------
+
+def test_real_array_returns_a_new_float64_copy():
+    given = np.array([[1, 0], [0, 1]])
+    for a in (given, given.astype(complex), given.tolist()):
+        out = real_array(a, "x")
+        assert out.dtype == np.float64 and np.array_equal(out, given)
+        assert not np.shares_memory(out, a)
+    with pytest.raises(ValueError, match="^x must be real: DPS phases are 0 or pi$"):
+        real_array([1.0, complex(0.0, np.nan)], "x")  # NaN is not zero
+    with pytest.raises(ValueError, match="^x must share one dimension$"):
+        real_array([[1.0, 0.0], [1.0]], "x")
+
+
+_ENS3 = dps_ensemble(3)
+_OPS2, _RHS2 = povm_completeness_constraints(2)
+
+
+@pytest.mark.parametrize("what,real,build,stored", [
+    ("ensemble states", _ENS3.states,
+     lambda a: DpsEnsemble(a, _ENS3.priors, _ENS3.bit_map), lambda ens: ens.states),
+    ("POVM elements", np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+     lambda a: Povm(elements=a), lambda povm: povm.elements),
+    ("basis kets", np.eye(3),
+     lambda a: UnitaryClonerParams(q=0.2, basis=a), lambda params: params.basis),
+    ("cost stack 0", 0.5 * np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+     lambda a: SdpProblem([a], [_OPS2], _RHS2), lambda problem: problem._groups[0].cost),
+], ids=["DpsEnsemble", "Povm", "UnitaryClonerParams", "SdpProblem"])
+def test_one_rule_for_complex_input(what, real, build, stored):
+    """Every constructor of DPS data reads it through real_array: a complex
+    dtype with zero imaginary parts is stored as float64, and a nonzero
+    imaginary part is rejected with the one message naming the field."""
+    kept = stored(build(real.astype(complex)))
+    assert kept.dtype == np.float64 and np.array_equal(kept, real)
+    with pytest.raises(ValueError, match=f"^{what} must be real: DPS phases are 0 or pi$"):
+        build(real + 1e-3j)
 
 
 # ---------------------------------------------------------------------------

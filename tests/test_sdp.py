@@ -403,26 +403,27 @@ def test_shared_operators_stored_once():
 
 
 def test_problem_keeps_the_given_stacks():
-    """The fields keep the builder's stacks, complex128 with a zero imaginary
-    part here; the solver reads its own float64 copies, so a later change to
-    the builder's arrays does not reach the solver.  Complex data, with any
-    nonzero imaginary part, are rejected."""
+    """The fields keep the builder's stacks, float64 like every DPS array;
+    the solver reads its own float64 copies, so a later change to the
+    builder's arrays does not reach the solver.  Data with a nonzero
+    imaginary part are rejected, a Hermitian cost and a skew constraint
+    alike."""
     ens = dps_ensemble(3)
     cost = 0.25 * ens.densities
     problem = med_form(cost)
-    assert problem.cost[0] is cost and cost.dtype == np.complex128
+    assert problem.cost[0] is cost and cost.dtype == np.float64
     (group,) = problem._groups
     assert group.cost.dtype == np.float64 and group.ops.dtype == np.float64
-    assert np.array_equal(group.cost, cost.real)
+    assert np.array_equal(group.cost, cost) and not np.shares_memory(group.cost, cost)
     cost[0] = 0.0
-    assert not np.array_equal(group.cost, cost.real)
-    tilted = cost.copy()
+    assert not np.array_equal(group.cost, cost)
+    tilted = cost.astype(complex)
     tilted[1, 0, 1] += 1e-3j
     tilted[1, 1, 0] -= 1e-3j
-    with pytest.raises(ValueError, match="^cost stack 0 is complex; the solver takes real data$"):
+    with pytest.raises(ValueError, match="^cost stack 0 must be real: DPS phases are 0 or pi$"):
         med_form(tilted)
     ops, rhs = povm_completeness_constraints(2)
-    with pytest.raises(ValueError, match="^constraint stack 0 is complex"):
+    with pytest.raises(ValueError, match="^constraint stack 0 must be real"):
         SdpProblem([np.zeros((1, 2, 2))], [ops + 1e-3j * ops[::-1]], rhs)
 
 
@@ -446,13 +447,14 @@ def test_solve_without_constraints():
 
 
 def test_verify_kkt_rejects_a_complex_primal():
-    """The certificate runs in float64: a primal stack with a nonzero
-    imaginary part is an error, a complex128 stack with a zero one is not."""
+    """The certificate runs on float64 copies: a primal stack with a nonzero
+    imaginary part is an error, named by its index, a complex128 stack with
+    a zero one is not."""
     problem = med_form(np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]))
     sol = solve(problem)
     assert verify_kkt(problem, dataclasses.replace(sol, x=[sol.x[0].astype(complex)])).passed
     twisted = [x + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]]) for x in sol.x]
-    with pytest.raises(ValueError, match="^primal stacks must be real$"):
+    with pytest.raises(ValueError, match="^primal stack 0 must be real: DPS phases are 0 or pi$"):
         verify_kkt(problem, dataclasses.replace(sol, x=twisted))
 
 

@@ -21,12 +21,18 @@ def write_runs(root, outputs, codes):
 
 
 @pytest.mark.parametrize("a,b,cells,same", [
-    (b'{"p": 0.75}', b'{"p": 0.75}', "yes | 0 | 0 | 0", True),
+    (b'{"p": 0.75}', b'{"p": 0.75}', "yes | 0 | 0 | 0 | 0", True),
     (b'{"p": 0.75, "P1": [1e-8]}', b'{"p": 0.7500002, "P1": [3e-8]}',
-     "no | 2 | 2.0e-07 | 6.7e-01", True),
-    (b"p=1.0", b"p=1.00", "no | 0 | 0.0e+00 | 0.0e+00", True),
-    (b'{"p": 0.75}', b'{"q": 0.75}', "no | text differs | - | -", False),
-    (b"0.5,0.5", b"0.5,0.5,0.5", "no | text differs | - | -", False),
+     "no | 2 | 2 | 2.0e-07 | 6.7e-01", True),
+    (b"p=1.0", b"p=1.00", "no | 0 | 0 | 0.0e+00 | 0.0e+00", True),
+    # rounding noise of an exact zero, and a last-digit move: within 1e-12 + 1e-9 max
+    (b"z=6.3e-16,p=0.423149574098", b"z=-5.7e-16,p=0.423149574099",
+     "no | 2 | 0 | 1.0e-12 | 1.9e+00", True),
+    # just past the tolerance, absolute at zero and relative at one
+    (b"z=0.0,p=1.0", b"z=2e-12,p=1.000000002", "no | 2 | 2 | 2.0e-09 | 1.0e+00", True),
+    (b"z=0.0,p=1.0", b"z=1e-12,p=1.000000001", "no | 2 | 0 | 1.0e-09 | 1.0e+00", True),
+    (b'{"p": 0.75}', b'{"q": 0.75}', "no | text differs | - | - | -", False),
+    (b"0.5,0.5", b"0.5,0.5,0.5", "no | text differs | - | - | -", False),
 ])
 def test_cli_diff_compares_numbers_apart_from_text(a, b, cells, same):
     assert cli_diff.compare(a, b) == (cells, same)
