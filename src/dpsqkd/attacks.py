@@ -70,7 +70,7 @@ class Povm:
 
     def __post_init__(self) -> None:
         stack = real_array(self.elements, "POVM elements")
-        if not len(stack):
+        if stack.ndim and not len(stack):
             raise ValueError("a POVM needs at least one element")
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("POVM elements must share one dimension")

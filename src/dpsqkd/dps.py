@@ -26,9 +26,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .keyrate import MAX_PULSES
 from .linalg import ATOL_PSD, is_density, outer, real_array
-
-MAX_PULSES = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +94,7 @@ def sign_patterns(n: int) -> np.ndarray:
     shifts read a zero bit for j = 0.  Shared and read-only.
     """
     if not 3 <= n <= MAX_PULSES:
-        raise ValueError(f"pulse count must be in [3, {MAX_PULSES}], got {n}")
+        raise ValueError(f"pulse count must lie in [3, {MAX_PULSES}], got {n}")
     bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = np.cumprod(1.0 - 2.0 * bits, axis=1)
     signs.flags.writeable = False

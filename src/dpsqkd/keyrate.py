@@ -4,11 +4,12 @@ The asymptotic secure key rate against an individual attack is
 
     R = R_sifted * [tau - f_ec * h(e_b)],        R_sifted = s * p_click,
 
-with s = (n-1)/n the sifting parameter, h the binary entropy, f_ec the error
-correction inefficiency and tau the privacy-amplification shrinking factor.
-For an attack that touches a fraction g of the sifted key and leaves Eve
-with per-bit collision probability p_co on touched bits (1/2 on untouched
-ones), tau = -g*log2(p_co) + (1 - g).
+with s = (n-1)/n the sifting parameter of n = 3..``MAX_PULSES`` pulses, h the
+binary entropy, f_ec the error correction inefficiency and tau the
+privacy-amplification shrinking factor.  For an attack that touches a
+fraction g of the sifted key and leaves Eve with per-bit collision
+probability p_co on touched bits (1/2 on untouched ones),
+tau = -g*log2(p_co) + (1 - g).
 
 The detection model is a single photon (or weak pulse) per frame:
 p_signal = eta * 10**(-alpha*L/10), optionally scaled by a source intensity,
@@ -24,14 +25,9 @@ from typing import Collection, Sequence
 
 _SQRT5 = math.sqrt(5.0)
 
-# Largest pulse count whose attacks are built and certified.  MED and the
-# optimal cloner take the top-eigenspace optimum of a small symmetry-reduced
-# problem and run no solve.  The unitary attack's post-cloning MED is a
-# general solve over 2**(n-1) blocks with n(n+1)/2 constraints, and the MED
-# report prints a 2**(n-1) x 2**(n-1) confusion table, so both grow
-# exponentially in n (README and ROADMAP give the timings).  So the CLI
-# stops at 6.
-MAX_ATTACK_PULSES = 6
+# The package's one pulse range, 3..MAX_PULSES, of every channel, ensemble
+# and attack; kept in this numpy-free layer for ChannelModel.
+MAX_PULSES = 12
 
 
 def _whole(value: float, what: str) -> int:
@@ -47,7 +43,8 @@ class ChannelModel:
     """Fibre loss, detector and error-correction parameters.
 
     Construction checks every field against its physical domain (all finite,
-    the pulse count whole) and the click probability p_signal + p_dark at
+    the pulse count whole and in [3, ``MAX_PULSES``], the range every
+    attack takes) and the click probability p_signal + p_dark at
     ``distance_km`` against 1.
     """
 
@@ -70,8 +67,8 @@ class ChannelModel:
             raise ValueError("baseline error must be in [0, 0.5]")
         if not 1.0 <= self.f_ec < math.inf:
             raise ValueError("error correction inefficiency must be finite and >= 1")
-        if not 3 <= self.n_pulses <= MAX_ATTACK_PULSES:
-            raise ValueError(f"pulse count must lie in [3, {MAX_ATTACK_PULSES}]")
+        if not 3 <= self.n_pulses <= MAX_PULSES:
+            raise ValueError(f"pulse count must lie in [3, {MAX_PULSES}], got {self.n_pulses}")
         if not 0.0 <= self.loss_db_per_km < math.inf:
             raise ValueError("fibre loss must be finite and non-negative")
         if not 0.0 <= self.distance_km < math.inf:

@@ -167,9 +167,7 @@ def wcs_key_rates(params: WcsParams, model: ChannelModel,
     tau_ir = shrinking_factor(wcs_ir_fraction(mu), 1.0)
     rows: list[dict[str, float]] = []
     for dist in distances:
-        m = model.at_distance(float(dist))
-        if m.signal_scale != mu:
-            m = replace(m, signal_scale=mu)
+        m = replace(model, distance_km=float(dist), signal_scale=mu)
         e_b = m.e_b
         row: dict[str, float] = {"distance_km": float(dist), "e_b": e_b, "p_click": m.p_click}
         if "ir" in attacks:

@@ -16,7 +16,7 @@ from dpsqkd.attacks import (Povm, UnitaryClonerParams, aligned_cloning_basis,
                             optimize_unitary_q,
                             standard_attack_profiles, unitary_cloning_attack)
 from dpsqkd.cli import main
-from dpsqkd.dps import DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
+from dpsqkd.dps import MAX_PULSES, DpsEnsemble, _key_slot_ber, dps_ensemble, sign_patterns
 from dpsqkd.keyrate import AttackProfile, shrinking_factor
 from dpsqkd.linalg import outer, partial_trace
 from oracles import (apply_choi, block_choi, choi_kets, covariance_residual_norm,
@@ -343,7 +343,7 @@ def test_povm_rejects_incomplete_sets(eps, valid):
 def test_povm_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="share one dimension"):
         Povm(elements=(np.eye(2), np.zeros((3, 3))))
-    for stack in (np.eye(2), np.zeros((2, 2, 3))):  # not (K, d, d)
+    for stack in (np.eye(2), np.zeros((2, 2, 3)), 1.0):  # not (K, d, d)
         with pytest.raises(ValueError, match="share one dimension"):
             Povm(elements=stack)
 
@@ -814,7 +814,7 @@ def test_cloning_problem_is_the_cloners_one_problem(n, monkeypatch):
     assert [c.shape for c in result.problem.cost] == shapes
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", range(3, MAX_PULSES + 1))
 def test_optimal_cloner_at_every_pulse_count(n):
     """Up to dps.MAX_PULSES the reduced certificate passes, with the DPS kets
     exactly on the sign orbit of ket 0 (delta = 0), the two-copy
@@ -1249,7 +1249,7 @@ def test_sign_covariant_med_builds_no_full_problem(monkeypatch, solved):
                     rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(3, MAX_PULSES + 1))
 def test_closed_forms_at_every_pulse_count(n, cloning_attack_at):
     """The certified optima of MED and of the optimal cloner, and the shrinking
     factors they imply, against closed forms; G = 2**(n-1).
@@ -1323,12 +1323,12 @@ def test_closed_forms_at_every_pulse_count(n, cloning_attack_at):
                 1 - g * np.log2(1 + d ** 2), abs=CLOSED_FORM_TOL)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(3, MAX_PULSES + 1))
 def test_every_med_optimum_sits_in_its_duality_bracket(n, cloning_attack_at, unitary_attack_at):
     """The weak-duality bracket of each returned POVM, which reads no solver
     multiplier, holds its p_success: to rounding for the DPS states and the
     optimal clones, whose optima are closed-form, and within 5e-5 for the
-    unitary clones, the one general solve (widths 1.4e-7 to 1.8e-5)."""
+    unitary clones, the one general solve (widths 6.2e-8 to 1.8e-5 at n = 3..12)."""
     ens = dps_ensemble(n)
     optimal, unitary = cloning_attack_at(n), unitary_attack_at(n)
     for states, med, width in [

@@ -54,9 +54,12 @@ def test_med_csv(capsys):
 
 
 def test_med_out_of_range(capsys):
+    # the attack takes n = 7; the report of all 2**(n-1) POVM elements and
+    # the full confusion table is what stops at 6
     code, _, err = run_cli(capsys, "med", "--n", "7")
     assert code == 2
-    assert "configuration error" in err
+    assert err == ("configuration error: the med report prints 2**(n-1) POVM elements and a "
+                   "2**(n-1) x 2**(n-1) confusion table, so it stops at n = 6\n")
 
 
 def test_solver_failure_reports_last_iterate(monkeypatch, capsys):
@@ -129,6 +132,15 @@ def test_keyrate_json_and_determinism(capsys):
     assert out1 == out2
 
 
+def test_keyrate_runs_past_six_pulses(capsys):
+    # every attack takes the package's pulse range, n = 3..12
+    code, out, _ = run_cli(capsys, "keyrate", "--n-pulses", "9")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["n_pulses"] == 9
+    assert all(f"r_{name}" in doc["rows"][0] for name in EXPLICIT_ATTACKS)
+
+
 def test_keyrate_csv(capsys):
     code, out, _ = run_cli(capsys, "keyrate", "--attacks", "ir,med",
                            "--start-km", "0", "--stop-km", "10", "--step-km", "10",
@@ -194,8 +206,7 @@ def test_keyrate_bad_grid(capsys):
         (("--baseline-error", "0", "--dark-count-prob", "0",
           "--finite-size", "n=1e6,k=1e4,eps=1e-9"), "observed error rate"),
         (("--finite-size", "n=1e6,k=1e4,eps=2"), "confidence parameter"),
-        (("--n-pulses", "7"), "pulse count"),
-        (("--n-pulses", "13"), "pulse count"),
+        (("--n-pulses", "13"), "pulse count must lie in [3, 12]"),
         (("--stop-km", "inf"), "finite"),
         (("--step-km", "1e-9"), "points"),
         # the 1e-9 km end slack counts: 1e-9 / 1e-14 = 1e5 points

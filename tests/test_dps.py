@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from dpsqkd.dps import (MAX_PULSES, DpsEnsemble, _key_slot_ber, dps_ensemble,
                         mzi_click_distribution, mzi_transfer, sign_patterns,
                         spectral_error_terms)
-from dpsqkd.keyrate import MAX_ATTACK_PULSES, ChannelModel
+from dpsqkd.keyrate import ChannelModel
 from dpsqkd.linalg import outer
 
 S3 = np.sqrt(3.0)
@@ -194,7 +194,7 @@ def test_sign_patterns_range():
 def test_sifted_rate():
     assert ChannelModel(n_pulses=3).sifting == pytest.approx(2.0 / 3.0)
     assert ChannelModel(n_pulses=4).sifting == pytest.approx(0.75)
-    rates = [ChannelModel(n_pulses=n).sifting for n in range(3, MAX_ATTACK_PULSES + 1)]
+    rates = [ChannelModel(n_pulses=n).sifting for n in range(3, MAX_PULSES + 1)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[-1] < 1.0
     with pytest.raises(ValueError, match="pulse count"):

@@ -62,9 +62,11 @@ def test_channel_validation():
         ChannelModel(loss_db_per_km=-1.0)
     with pytest.raises(ValueError):
         ChannelModel().at_distance(-50.0)
-    for n in (2, 7, 13):
-        with pytest.raises(ValueError, match="pulse count"):
+    for n in (2, 13):
+        with pytest.raises(ValueError, match=r"pulse count must lie in \[3, 12\]"):
             ChannelModel(n_pulses=n)
+    # every attack takes n = 3..12, so every channel does
+    assert [ChannelModel(n_pulses=n).n_pulses for n in range(7, 13)] == [*range(7, 13)]
     for field, message in [("f_ec", "error correction"), ("loss_db_per_km", "fibre loss"),
                            ("signal_scale", "signal scale"), ("distance_km", "distance")]:
         for value in (math.nan, math.inf, -math.inf):

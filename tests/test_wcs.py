@@ -173,7 +173,15 @@ def test_wcs_unknown_attack_rejected():
         wcs_key_rates(WcsParams(), ChannelModel(), [0.0], attacks=("bs",))
 
 
-@pytest.mark.parametrize("n", [4, 6])
+def test_wcs_checks_the_channel_at_the_source_intensity():
+    # dark counts 0.5 plus a signal of 1.0 exceed 1 at 0 km, but the mu = 0.4
+    # source clicks with 0.5 + 0.4 = 0.9
+    model = ChannelModel(dark_count_prob=0.5, detector_efficiency=1.0, distance_km=50.0)
+    (row,) = wcs_key_rates(WcsParams(0.4), model, [0.0])
+    assert row["p_click"] == pytest.approx(0.9, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 6, 12])
 def test_wcs_key_rates_are_three_pulse_only(n):
     # the IR and USD fractions are three-pulse results; an (n-1)/n sifting
     # rescale of them is no n-pulse key rate

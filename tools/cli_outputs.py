@@ -49,6 +49,8 @@ RUNS = [
      "--step-km", "50", "--format", "csv"],
     # a finite-size spec with spaces around its keys and values
     ["finite-size", "--params", " n = 1e5 , k = 1e3 , eps = 1e-6 ", "--e-obs", "0.03"],
+    # every attack past the six pulses that the med report stops at
+    ["keyrate", "--n-pulses", "8"],
 ]
 
 
