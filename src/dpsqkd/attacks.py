@@ -218,26 +218,25 @@ def _top_eigenspace_solution(problem: sdp.SdpProblem) -> sdp.SdpSolution | None:
     certificate fails when the rows have no exact solution: when a top
     eigenvector has uneven weight on the rows, or when the top eigenspace
     of a block is degenerate and the one eigenvector taken from it misses
-    them.  The spectra and rows are read off the problem's float64 copies,
-    one block at a time.
+    them.  The spectra and rows are read off the problem's fields, one block
+    at a time.
     """
-    rhs, groups = problem._b, problem._groups
     blocks = []  # (top eigenvalue, top eigenvector, group, index) of every block
-    for g, group in enumerate(groups):
-        w, v = np.linalg.eigh(group.cost)
+    for g, cost in enumerate(problem.cost):
+        w, v = np.linalg.eigh(cost)
         blocks += [(w[k, -1], v[k, :, -1], g, k) for k in range(len(w))]
     lam = max(block[0] for block in blocks)
     top = [block for block in blocks if block[0] >= lam - _TIE_TOL * abs(lam)]
-    rows = [[u @ groups[g].ops[j, k] @ u for _, u, g, k in top] for j in range(rhs.size)]
-    t = np.linalg.lstsq(np.array(rows), rhs, rcond=None)[0]
+    rows = [[u @ problem.ops[g][j, k] @ u for _, u, g, k in top] for j in range(len(problem.rhs))]
+    t = np.linalg.lstsq(np.array(rows), problem.rhs, rcond=None)[0]
     if np.any(t < 0.0):
         return None
-    x = [np.zeros_like(group.cost) for group in groups]
+    x = [np.zeros_like(cost) for cost in problem.cost]
     for tb, (_, u, g, k) in zip(t, top):
         x[g][k] = tb * outer(u)
     primal = float(sum(tb * wb for tb, (wb, *_) in zip(t, top)))
-    dual = float(lam * rhs.sum())
-    return sdp.SdpSolution(x=x, y=np.full(rhs.size, lam), primal_objective=primal,
+    dual = float(lam * problem.rhs.sum())
+    return sdp.SdpSolution(x=x, y=np.full(len(problem.rhs), lam), primal_objective=primal,
                            dual_objective=dual, gap=abs(primal - dual), iterations=0)
 
 
@@ -250,10 +249,10 @@ def _reduced_optimum(problem: sdp.SdpProblem, delta: float
     (:func:`_top_eigenspace_solution`) is certified once; only when it is
     missing or fails, or meets its equality rows only to within more than
     ``_POVM_SUM_ATOL``, is ``problem`` solved, and that pair certified.  The
-    last case is a MED seed bent off the sign orbit by less than n delta <=
-    ``_KKT_TOL``: its least-squares weights miss the rows by about the bend,
-    which the certificate admits but the completeness check of
-    :class:`Povm` does not."""
+    last case is a MED seed whose top eigenvector has slightly uneven weight
+    on the rows, bent off the sign orbit or not: its least-squares weights
+    miss the rows by about that unevenness, which the certificate admits
+    but the completeness check of :class:`Povm` does not."""
     candidate = _top_eigenspace_solution(problem)
     if candidate is not None:
         kkt = _reduced_kkt(problem, candidate, delta)
@@ -640,6 +639,8 @@ def apply_unitary_cloner(params: UnitaryClonerParams, kets: np.ndarray) -> np.nd
     of trace 2(d-1) q^2 + p^2 = 1.
     """
     kets = real_array(kets, "input kets")
+    if kets.ndim != 2 or kets.shape[1] != params.d:
+        raise ValueError(f"input kets must be a (G, {params.d}) stack, got shape {kets.shape}")
     if not np.all(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("input kets must be normalised")
     e, d, q = params.basis, params.d, params.q

@@ -80,9 +80,6 @@ class ChannelModel:
                              f"{self.distance_km:g} km (signal {self.p_signal:.6g} "
                              f"+ dark counts {self.dark_count_prob:.6g})")
 
-    def at_distance(self, distance_km: float) -> "ChannelModel":
-        return replace(self, distance_km=distance_km)
-
     @property
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db_per_km * self.distance_km / 10.0)
@@ -282,7 +279,7 @@ def keyrate_sweep(model: ChannelModel,
         raise ValueError(f"unknown key-rate bounds: {sorted(unknown)}")
     rows: list[dict[str, float]] = []
     for dist in distances:
-        m = model.at_distance(float(dist))
+        m = replace(model, distance_km=float(dist))
         e_b = e_eff = m.e_b
         if finite_size is not None:
             e_eff = min(0.5, e_b + finite_size_deviation(finite_size, e_b))

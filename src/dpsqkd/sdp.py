@@ -23,12 +23,13 @@ The solver follows the central path with Nesterov-Todd scaling: one Newton
 step per iteration toward X Z = sigma*mu*I, step lengths clipped by a 0.98
 fraction-to-boundary rule.  Runs are reproducible bit for bit.
 
-A problem comes in the form the solver runs on: its blocks in groups, each
-group of B blocks of one dimension d given as one (B, d, d) stack of cost
-operators and one (m, B, d, d) stack of constraint operators.  Every
-operator the iteration touches (iterates, residuals, search directions) is
-held as one (B, d, d) stack per group: scaling, step lengths and inverses
-run once per group, not once per block.  A constraint stack of shape
+A problem comes in the form the solver runs on, the read-only fields of
+:class:`SdpProblem`: its blocks in groups, each group of B blocks of one
+dimension d given as one (B, d, d) stack of cost operators and one
+(m, B, d, d) stack of constraint operators.  Every operator the iteration
+touches (iterates, residuals, search directions) is held as one (B, d, d)
+stack per group: scaling, step lengths and inverses run once per group,
+not once per block.  A constraint stack of shape
 (m, 1, d, d) holds one operator per constraint that acts on every block of
 its group, as the POVM completeness constraints do.  The constraint map
 A(X)_j = sum_b <A_{j,b}, X_b> and its adjoint A*(y)_b = sum_j y_j A_{j,b}
@@ -102,7 +103,7 @@ class _Group:
     ``ops[j, k]`` is the operator of constraint j on block k, ``cost[k]``
     its objective operator.  A group whose ``ops`` is (m, 1, d, d) with
     B > 1 is shared: ``ops[j, 0]`` acts on every block.  Both stacks are
-    float64.
+    the problem's own read-only float64 fields, not copies.
     """
 
     ops: np.ndarray
@@ -124,7 +125,7 @@ class _Group:
         return self.ops.reshape(len(self.ops), self.ops.shape[1] * self.d ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpProblem:
     """Standard-form SDP over groups of real symmetric PSD blocks.
 
@@ -135,27 +136,30 @@ class SdpProblem:
     An (m, 1, d, d) stack holds one operator per constraint acting on every
     block of the group, stored, checked and rank-tested once.  ``rhs``
     holds the m right-hand sides.  The blocks are ordered by group, then
-    within each stack; groups may share a dimension.  The fields keep the
-    stacks as given, and the problem is frozen.
+    within each stack; groups may share a dimension.  The fields are the one
+    copy that the solver and :func:`verify_kkt` read: tuples of read-only
+    float64 stacks and a read-only float64 ``rhs``, all by
+    :func:`~dpsqkd.linalg.real_array`, none shared with the builder.  The
+    problem is frozen and compares by identity.
 
-    Construction checks the shapes, that every right-hand side is finite,
-    that every operator is real, copied once for the solver as float64 by
-    :func:`~dpsqkd.linalg.real_array`, that it is symmetric to ATOL_ALGEBRA
-    relative to its largest entry, and that the constraint rows are linearly
-    independent.  Each failure is a ``ValueError``, or
-    :class:`InfeasibleConstraintsError` for dependent rows.  The solver and
-    :func:`verify_kkt` read only these copies.
+    Construction checks that there is a group, the shapes, that every
+    right-hand side is real and finite, that every operator is real and
+    symmetric to ATOL_ALGEBRA relative to its largest entry, and that the
+    constraint rows are linearly independent.  Each failure is a ``ValueError``, or
+    :class:`InfeasibleConstraintsError` for dependent rows.
     """
 
-    cost: Sequence[np.ndarray]
-    ops: Sequence[np.ndarray]
-    rhs: Sequence[float]
+    cost: tuple[np.ndarray, ...]
+    ops: tuple[np.ndarray, ...]
+    rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.array(self.rhs, dtype=float)
+        b = real_array(self.rhs, "right-hand sides")
         if b.ndim != 1 or len(self.cost) != len(self.ops):
             raise ValueError("a problem takes one cost and one constraint stack per group "
                              "and a vector of right-hand sides")
+        if not len(self.cost):
+            raise ValueError("a problem needs at least one group")
         if not all(map(math.isfinite, b.tolist())):
             raise ValueError("right-hand sides must be finite")
         m = b.size
@@ -175,14 +179,17 @@ class SdpProblem:
                 if not ok.all():
                     raise ValueError(f"{role} stack {g} is not Hermitian at index "
                                      f"{', '.join(map(str, np.argwhere(~ok)[0]))}")
-        groups = [_Group(a, c) for c, a in zip(cost, ops)]
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_groups", groups)
+                stack.flags.writeable = False
+        b.flags.writeable = False
+        object.__setattr__(self, "cost", tuple(cost))
+        object.__setattr__(self, "ops", tuple(ops))
+        object.__setattr__(self, "rhs", b)
+        object.__setattr__(self, "_groups", [_Group(a, c) for c, a in zip(cost, ops)])
         if m:
             # the rows have the Gram matrix Tr(A_i A_j) of the operators,
             # hence their singular values; LAPACK finds them two to three
             # times faster on the tall transpose
-            a = np.concatenate([g.rows for g in groups], axis=1)
+            a = np.concatenate([g.rows for g in self._groups], axis=1)
             rank = np.linalg.matrix_rank(a.T, tol=1e-9 * max(1.0, float(np.max(np.abs(a)))))
             if rank < m:
                 raise InfeasibleConstraintsError(
@@ -336,7 +343,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     :class:`NumericalBreakdownError`, also for any LAPACK failure, or
     :class:`InfeasibleConstraintsError`.
     """
-    groups, b = problem._groups, problem._b
+    groups, b = problem._groups, problem.rhs
     m = b.size
     r_inf = float(np.max(np.abs(b), initial=0.0))
     x = [np.tile(np.eye(g.d) * (1.0 + r_inf), (len(g.cost), 1, 1)) for g in groups]
@@ -433,7 +440,7 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
     as do stacks or multipliers whose shapes do not match the problem.
     """
     groups = problem._groups
-    if len(solution.x) != len(groups) or len(solution.y) != problem._b.size:
+    if len(solution.x) != len(groups) or len(solution.y) != problem.rhs.size:
         raise ValueError("solution shapes do not match the problem")
     wrong = [g for g, (xg, group) in enumerate(zip(solution.x, groups))
              if np.shape(xg) != group.cost.shape]
@@ -450,8 +457,8 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
         dmin = min(dmin, float(np.min(np.linalg.eigvalsh(hermitian_part(zg))[:, 0])))
         slack = max(slack, float(np.max(np.abs(np.einsum("bkl,blk->b", xg, zg)))))
         pobj += float(np.einsum("bkl,blk->", g.cost, xg))
-    eq_res = float(np.max(np.abs(_apply(groups, x) - problem._b), initial=0.0))
-    dobj = float(problem._b @ y)
+    eq_res = float(np.max(np.abs(_apply(groups, x) - problem.rhs), initial=0.0))
+    dobj = float(problem.rhs @ y)
 
     conditions = {
         "primal_equalities": eq_res <= tol,
@@ -472,18 +479,6 @@ def verify_kkt(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) ->
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _completeness_basis(d: int) -> np.ndarray:
-    """The operators of :func:`povm_completeness_constraints` as a read-only
-    (d(d+1)/2, 1, d, d) stack; computed once per d."""
-    iu, ju = np.triu_indices(d, 1)
-    diag, sym = np.arange(d), d + np.arange(iu.size)
-    basis = np.zeros((d + iu.size, 1, d, d))
-    basis[diag, 0, diag, diag] = 1.0
-    basis[sym, 0, iu, ju] = basis[sym, 0, ju, iu] = 1.0 / np.sqrt(2.0)
-    basis.flags.writeable = False
-    return basis
-
-
 def povm_completeness_constraints(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(ops, rhs) of the constraints stating that the blocks of a group of
     dimension ``dim`` sum to the identity on R^dim: ``ops`` is the
@@ -494,7 +489,13 @@ def povm_completeness_constraints(dim: int) -> tuple[np.ndarray, np.ndarray]:
     (|k><l| + |l><k|)/sqrt(2) over k < l in ``np.triu_indices`` order
     (right-hand side 0): m = dim(dim+1)/2 rows.  Since Tr(B_i B_j) =
     delta_ij, a symmetric dual operator Y has the multipliers
-    y_j = Tr(B_j Y), with sum_j y_j B_j = Y.  ``ops`` is one cached
-    read-only stack; ``rhs`` is new on every call."""
-    ops = _completeness_basis(dim)
-    return ops, (np.arange(len(ops)) < dim).astype(float)
+    y_j = Tr(B_j Y), with sum_j y_j B_j = Y.  The pair is computed once per
+    ``dim``, and both arrays are read-only."""
+    iu, ju = np.triu_indices(dim, 1)
+    diag, sym = np.arange(dim), dim + np.arange(iu.size)
+    ops = np.zeros((dim + iu.size, 1, dim, dim))
+    ops[diag, 0, diag, diag] = 1.0
+    ops[sym, 0, iu, ju] = ops[sym, 0, ju, iu] = 1.0 / np.sqrt(2.0)
+    rhs = (np.arange(len(ops)) < dim).astype(float)
+    ops.flags.writeable = rhs.flags.writeable = False
+    return ops, rhs

@@ -683,19 +683,28 @@ def test_bent_seed_candidate_off_the_povm_rows_is_solved(n, eps, solved, covaria
     """Ket 1 bent by 1e-7 or 3e-7 keeps MED on its seed block, but the
     candidate's least-squares weights miss the completeness rows by more
     than a POVM admits, though within the certificate's tolerance.  So the
-    seed is solved once, and its POVM sums to the identity."""
+    seed is solved once, and its POVM sums to the identity.  The bend is not
+    the cause: the exact sign orbit of a ket with entry 1 raised by ``eps``
+    has covariance residual 0, and its top eigenvector has the same uneven
+    weight on the rows, so its candidate is solved once too."""
     ens = dps_ensemble(n)
     kets = ens.states.copy()
     kets[1, 0] += eps
     kets[1] /= np.linalg.norm(kets[1])
-    mutated = dataclasses.replace(ens, states=kets)
-    assert n * attacks._covariance_residual(mutated) <= attacks._KKT_TOL
-    med = med_attack(mutated)
-    assert covariant_calls == ["med"] and solved == [med.problem]
-    candidate = attacks._top_eigenspace_solution(med.problem)
-    assert np.max(np.abs(np.diag(candidate.x[0][0]).real - 1.0)) > attacks._POVM_SUM_ATOL
-    assert med.kkt.passed, med.kkt.conditions
-    assert np.max(np.abs(med.povm.elements.sum(axis=0) - np.eye(n))) <= attacks._POVM_SUM_ATOL
+    orbit = sign_orbit(np.ones(n) + eps * np.eye(n)[1])
+    assert attacks._covariance_residual(orbit) == 0.0
+    for mutated in (dataclasses.replace(ens, states=kets), orbit):
+        del solved[:], covariant_calls[:]
+        delta = attacks._covariance_residual(mutated)
+        assert n * delta <= attacks._KKT_TOL
+        med = med_attack(mutated)
+        assert covariant_calls == ["med"] and solved == [med.problem]
+        candidate = attacks._top_eigenspace_solution(med.problem)
+        kkt = attacks._reduced_kkt(med.problem, candidate, delta)
+        assert kkt.passed and kkt.equality_residual > attacks._POVM_SUM_ATOL
+        assert np.max(np.abs(np.diag(candidate.x[0][0]).real - 1.0)) > attacks._POVM_SUM_ATOL
+        assert med.kkt.passed, med.kkt.conditions
+        assert np.max(np.abs(med.povm.elements.sum(axis=0) - np.eye(n))) <= attacks._POVM_SUM_ATOL
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -1033,6 +1042,12 @@ def test_unitary_cloner_rejects_unnormalised(ens3):
         apply_unitary_cloner(params, np.array([ens3.states[0], 2.0 * ens3.states[1]]))
     with pytest.raises(ValueError, match="normalised"):
         apply_unitary_cloner(params, np.array([ens3.states[0], np.full(3, np.nan)]))
+    with pytest.raises(ValueError, match=r"^input kets must be a \(G, 3\) stack, got shape "
+                                         r"\(3,\)$"):
+        apply_unitary_cloner(params, ens3.states[0])
+    with pytest.raises(ValueError, match=r"^input kets must be a \(G, 3\) stack, got shape "
+                                         r"\(4, 4\)$"):
+        apply_unitary_cloner(params, np.eye(4))
 
 
 def test_transformed_matrices_at_printed_q(ens3):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         ChannelModel(loss_db_per_km=-1.0)
     with pytest.raises(ValueError):
-        ChannelModel().at_distance(-50.0)
+        replace(ChannelModel(), distance_km=-50.0)
     for n in (2, 13):
         with pytest.raises(ValueError, match=r"pulse count must lie in \[3, 12\]"):
             ChannelModel(n_pulses=n)
@@ -86,7 +87,7 @@ def test_click_probability_bound_follows_the_distance():
     far = ChannelModel(dark_count_prob=0.5, detector_efficiency=1.0, distance_km=50.0)
     assert far.p_click == pytest.approx(0.6, abs=1e-12)
     with pytest.raises(ValueError, match="click probability"):
-        far.at_distance(0.0)
+        replace(far, distance_km=0.0)
 
 
 def test_zero_click_channel():

@@ -44,7 +44,7 @@ _OPS2, _RHS2 = povm_completeness_constraints(2)
     ("basis kets", np.eye(3),
      lambda a: UnitaryClonerParams(q=0.2, basis=a), lambda params: params.basis),
     ("cost stack 0", 0.5 * np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
-     lambda a: SdpProblem([a], [_OPS2], _RHS2), lambda problem: problem._groups[0].cost),
+     lambda a: SdpProblem([a], [_OPS2], _RHS2), lambda problem: problem.cost[0]),
 ], ids=["DpsEnsemble", "Povm", "UnitaryClonerParams", "SdpProblem"])
 def test_one_rule_for_complex_input(what, real, build, stored):
     """Every constructor of DPS data reads it through real_array: a complex

@@ -30,15 +30,16 @@ def med3_problem():
 
 
 def test_completeness_constraints_share_one_read_only_basis():
-    """Each call returns the same cached, read-only (m, 1, d, d) float64
-    stack of the m = d(d+1)/2 operators B_j, an orthonormal basis of the
-    real symmetric operators, Tr(B_i B_j) = delta_ij, and new right-hand
+    """Each call returns the same cached, read-only pair: the (m, 1, d, d)
+    float64 stack of the m = d(d+1)/2 operators B_j, an orthonormal basis of
+    the real symmetric operators, Tr(B_i B_j) = delta_ij, and the right-hand
     sides r_j, which give sum_j r_j B_j = I."""
     (first, r), (second, s) = povm_completeness_constraints(3), povm_completeness_constraints(3)
-    assert np.shares_memory(first, second) and not first.flags.writeable
-    assert r is not s and np.array_equal(r, s)
-    with pytest.raises(ValueError, match="read-only"):
-        first[0, 0, 0, 0] = 2.0
+    assert first is second and r is s
+    for array in (first, r):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 2.0
     for d in range(1, 6):
         stack, rhs = povm_completeness_constraints(d)
         m = d * (d + 1) // 2
@@ -206,6 +207,9 @@ def test_coefficient_errors_name_the_block():
         SdpProblem(cost, ops, [1.0, 0.0])
     with pytest.raises(ValueError, match="one cost and one constraint stack per group"):
         SdpProblem(cost, ops[:2], [1.0])
+    for rhs in ([], [1.0]):
+        with pytest.raises(ValueError, match="^a problem needs at least one group$"):
+            SdpProblem([], [], rhs)
 
 
 def test_verify_kkt_rejects_mismatched_shapes():
@@ -402,21 +406,32 @@ def test_shared_operators_stored_once():
     assert single.ops.shape == (2, 1, 3, 3) and not single.shared
 
 
-def test_problem_keeps_the_given_stacks():
-    """The fields keep the builder's stacks, float64 like every DPS array;
-    the solver reads its own float64 copies, so a later change to the
-    builder's arrays does not reach the solver.  Data with a nonzero
-    imaginary part are rejected, a Hermitian cost and a skew constraint
-    alike."""
+def test_problem_copies_the_given_stacks():
+    """The fields are the one copy of the problem: read-only float64 stacks
+    and right-hand sides, shared with none of the builder's arrays, and the
+    very arrays the solver reads.  So a later change to the builder's arrays
+    reaches neither the fields nor the solution.  Data with a nonzero
+    imaginary part are rejected, a Hermitian cost, a skew constraint and a
+    right-hand side alike."""
     ens = dps_ensemble(3)
+    ops, rhs = (a.copy() for a in povm_completeness_constraints(3))
     cost = 0.25 * ens.densities
-    problem = med_form(cost)
-    assert problem.cost[0] is cost and cost.dtype == np.float64
+    problem = SdpProblem([cost], [ops], rhs)
+    assert isinstance(problem.cost, tuple) and isinstance(problem.ops, tuple)
     (group,) = problem._groups
-    assert group.cost.dtype == np.float64 and group.ops.dtype == np.float64
-    assert np.array_equal(group.cost, cost) and not np.shares_memory(group.cost, cost)
-    cost[0] = 0.0
-    assert not np.array_equal(group.cost, cost)
+    assert group.cost is problem.cost[0] and group.ops is problem.ops[0]
+    for kept, given in ((problem.cost[0], cost), (problem.ops[0], ops), (problem.rhs, rhs)):
+        assert kept.dtype == np.float64 and not kept.flags.writeable
+        assert np.array_equal(kept, given) and not np.shares_memory(kept, given)
+    before = solve(problem)
+    for given in (cost, ops, rhs):
+        given[...] = 0.0
+    assert np.array_equal(problem.cost[0], 0.25 * ens.densities)
+    assert np.array_equal(problem.rhs, povm_completeness_constraints(3)[1])
+    after = solve(problem)
+    assert after.primal_objective == before.primal_objective
+    assert np.array_equal(after.x[0], before.x[0]) and np.array_equal(after.y, before.y)
+    assert verify_kkt(problem, after).passed
     tilted = cost.astype(complex)
     tilted[1, 0, 1] += 1e-3j
     tilted[1, 1, 0] -= 1e-3j
@@ -425,15 +440,22 @@ def test_problem_keeps_the_given_stacks():
     ops, rhs = povm_completeness_constraints(2)
     with pytest.raises(ValueError, match="^constraint stack 0 must be real"):
         SdpProblem([np.zeros((1, 2, 2))], [ops + 1e-3j * ops[::-1]], rhs)
+    with pytest.raises(ValueError, match="^right-hand sides must be real"):
+        SdpProblem([np.zeros((1, 2, 2))], [ops], rhs + 1e-3j)
 
 
 def test_problem_is_frozen():
-    """A field assigned after construction would split the problem: the
-    top-eigenspace candidate reads the field, the solver its own copies."""
+    """No field can be assigned after construction, and the stacks are
+    read-only, so the candidate, the solver and the certificate all read
+    the problem as it was checked.  Two problems compare by identity: an
+    equal copy is another problem, and the comparison raises nothing."""
     _, problem = med3_problem()
     for name in ("cost", "ops", "rhs"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(problem, name, getattr(problem, name))
+    twin = dataclasses.replace(problem)
+    assert problem == problem and problem != twin and not problem == twin
+    assert len({problem, twin, problem}) == 2
 
 
 def test_solve_without_constraints():

@@ -9,7 +9,10 @@ clause 12 pins a QBER threshold at M = 16 slices that the slice-averaged
 QBER meets only for M >= 26.  Exits 0 when the failures are exactly those
 three, each with its stored reason as the first line of its failure
 message, nothing errors and the JUnit ``testsuite`` time is within the
-budget; otherwise prints what differs and exits 1.
+budget; otherwise prints what differs and exits 1.  Skipped tests are
+counted in the tally line but do not fail the gate: the platform skips of
+``tests/test_cli.py`` (no ``/dev/full``, no ``resource`` module) are
+legitimate.
 The exact reason also pins that only the by-design clause failed: an
 import error or another clause in one of those tests is not ok.  Usage,
 from anywhere:
@@ -50,7 +53,7 @@ EXPECTED_FAILURES = {
 def check(report: Path) -> int:
     """Print what a JUnit report differs in from the expected failures and the
     time budget, and the tally line; 0 when it is ok, 1 otherwise."""
-    failed, errored, passed = {}, set(), 0
+    failed, errored, passed, skipped = {}, set(), 0, 0
     root = ET.parse(report).getroot()
     seconds = sum(float(suite.get("time", 0.0)) for suite in root.iter("testsuite"))
     for case in root.iter("testcase"):
@@ -61,7 +64,9 @@ def check(report: Path) -> int:
             failed[name] = (failure.get("message") or "").partition("\n")[0]
         elif case.find("error") is not None:
             errored.add(name)
-        elif case.find("skipped") is None:
+        elif case.find("skipped") is not None:
+            skipped += 1
+        else:
             passed += 1
     unexpected = failed.keys() - EXPECTED_FAILURES.keys()
     missing = EXPECTED_FAILURES.keys() - failed.keys()
@@ -78,8 +83,8 @@ def check(report: Path) -> int:
         print(f"tier1: the suite took {seconds:.1f} s, over its {BUDGET_S:g} s budget",
               file=sys.stderr)
     ok = not (unexpected or missing or errored or wrong or over)
-    print(f"tier1: {passed} passed, {len(failed)} failed, {len(errored)} errors: "
-          f"{'ok' if ok else 'NOT ok'}")
+    print(f"tier1: {passed} passed, {len(failed)} failed, {len(errored)} errors, "
+          f"{skipped} skipped: {'ok' if ok else 'NOT ok'}")
     return 0 if ok else 1
 
 
